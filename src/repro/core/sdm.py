@@ -17,7 +17,7 @@ is hidden behind the item-side work (Equation 3 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -90,6 +90,11 @@ class SDMStats:
     pooled_cache_hits: int = 0
     pooled_cache_lookups: int = 0
     user_embedding_seconds: float = 0.0
+    #: Table requests the array-native path served / handed back to the
+    #: scalar walk.  They say which path ran, not what was served, so they
+    #: stay out of equality (scalar-vs-batched parity) and of telemetry.
+    batched_serves: int = field(default=0, compare=False)
+    batch_fallbacks: int = field(default=0, compare=False)
 
     @property
     def ios_per_query(self) -> float:
@@ -688,7 +693,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 table_name, state, indices, index_array, stored, cursor
             )
             if served is not None:
+                self.stats.batched_serves += 1
                 return served
+            self.stats.batch_fallbacks += 1
         return self._serve_scalar(table_name, state, indices, stored, cursor)
 
     def _serve_batched(

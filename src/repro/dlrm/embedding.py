@@ -8,6 +8,7 @@ real data whether it came from DRAM, the FM row cache, or a simulated SSD.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -127,10 +128,12 @@ class EmbeddingTable:
 
     # -------------------------------------------------------------- lookups
     def _check_indices(self, indices: Sequence[int]) -> np.ndarray:
-        idx = np.asarray(list(indices), dtype=np.int64)
+        if not isinstance(indices, (np.ndarray, range)):
+            indices = list(indices)
+        idx = np.asarray(indices, dtype=np.int64)
         if idx.size == 0:
             raise ValueError(f"table {self.spec.name!r}: lookup needs at least one index")
-        if np.any(idx < 0) or np.any(idx >= self.spec.num_rows):
+        if idx.min() < 0 or idx.max() >= self.spec.num_rows:
             raise IndexError(
                 f"table {self.spec.name!r}: indices out of range [0, {self.spec.num_rows})"
             )
@@ -154,6 +157,43 @@ class EmbeddingTable:
     def bag(self, indices: Sequence[int]) -> np.ndarray:
         """Sum-pooled dense vector over ``indices`` (EmbeddingBag / SLS)."""
         return self.lookup_dense(indices).sum(axis=0)
+
+    def bag_batch(self, bags: Sequence[Sequence[int]]) -> np.ndarray:
+        """Sum-pooled dense vectors of several bags, shape ``(len(bags), dim)``.
+
+        Row ``b`` is bit-identical to ``bag(bags[b])`` at the cost of one
+        bounds check, one gather and one dequantisation for the whole batch.
+        ``bag`` adds a bag's rows left to right, ``((r0 + r1) + r2) + ...``,
+        and float addition does not reassociate (``np.add.reduceat`` differs
+        in the last bit for bags of three or more rows).  So the rows are
+        gathered step-major — the k-th row of every bag longer than k, bags
+        ordered longest first so that each step is a contiguous prefix of
+        the accumulator — and added one step at a time.
+        """
+        num_bags = len(bags)
+        lengths = np.fromiter(map(len, bags), dtype=np.int64, count=num_bags)
+        if not lengths.all():
+            raise ValueError(f"table {self.spec.name!r}: lookup needs at least one index")
+        flat = self._check_indices(
+            np.fromiter(chain.from_iterable(bags), dtype=np.int64, count=int(lengths.sum()))
+        )
+
+        # rank[b] = position of bag b when bags are ordered longest first.
+        rank = np.argsort(np.argsort(-lengths, kind="stable"))
+        # step_size[k] bags are longer than k; their k-th rows sit at
+        # step_start[k] + rank in the step-major gather.
+        step_size = num_bags - np.bincount(lengths).cumsum()[:-1]
+        step_start = step_size.cumsum() - step_size
+        bag_start = lengths.cumsum() - lengths
+        step_of_row = np.arange(flat.size) - np.repeat(bag_start, lengths)
+        step_major = np.empty_like(flat)
+        step_major[step_start[step_of_row] + np.repeat(rank, lengths)] = flat
+
+        dense = dequantize_rows(self.data[step_major], self.spec.dim, self.spec.quant_bits)
+        pooled = dense[:num_bags].copy()
+        for start, size in zip(step_start[1:].tolist(), step_size[1:].tolist()):
+            pooled[:size] += dense[start : start + size]
+        return pooled[rank]
 
     def iter_row_bytes(self) -> Iterable[bytes]:
         """Iterate serialized rows in index order (used when loading to SM)."""

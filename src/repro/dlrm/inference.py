@@ -114,14 +114,19 @@ class QueryResult:
     user_embedding_time: float
     item_embedding_time: float
     top_mlp_time: float
-    user_sm_ios: int = 0
-    user_cache_hits: int = 0
-    user_cache_lookups: int = 0
 
     @property
     def embedding_time(self) -> float:
         """Time of the embedding phase: user and item execute independently."""
         return max(self.user_embedding_time, self.item_embedding_time)
+
+
+def _batch_size(requests: Mapping[str, Sequence[Sequence[int]]]) -> int:
+    """Number of samples in a batched request (0 for no tables)."""
+    sizes = {len(bags) for bags in requests.values()}
+    if len(sizes) > 1:
+        raise ValueError(f"tables disagree on batch size: {sorted(sizes)}")
+    return sizes.pop() if sizes else 0
 
 
 class EmbeddingBackend(abc.ABC):
@@ -138,6 +143,31 @@ class EmbeddingBackend(abc.ABC):
         start_time: float,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """Return ({table: pooled vector}, completion_time) for one sample."""
+
+    def pooled_embeddings_batch(
+        self,
+        requests: Mapping[str, Sequence[Sequence[int]]],
+        start_time: float,
+    ) -> Tuple[Dict[str, np.ndarray], float]:
+        """Return ({table: (B, dim) pooled matrix}, completion_time) for B samples.
+
+        ``requests`` maps each table to one index list per sample; the
+        samples are served back to back, sample ``b + 1`` starting when
+        sample ``b`` completes.  This per-sample loop defines the result;
+        an override must reproduce its vectors and completion time exactly.
+        """
+        per_sample: List[Dict[str, np.ndarray]] = []
+        cursor = start_time
+        for position in range(_batch_size(requests)):
+            pooled, cursor = self.pooled_embeddings(
+                {table_name: bags[position] for table_name, bags in requests.items()}, cursor
+            )
+            per_sample.append(pooled)
+        stacked = {
+            table_name: np.stack([pooled[table_name] for pooled in per_sample])
+            for table_name in requests
+        }
+        return stacked, cursor
 
     def on_query_complete(self) -> None:
         """Hook called once per query (used for per-query statistics)."""
@@ -169,6 +199,25 @@ class InMemoryBackend(EmbeddingBackend):
             pooled[table_name] = table.bag(indices)
             elapsed += self.compute.embedding_read_time(len(indices), table.spec.row_bytes)
         return pooled, start_time + elapsed
+
+    def pooled_embeddings_batch(
+        self,
+        requests: Mapping[str, Sequence[Sequence[int]]],
+        start_time: float,
+    ) -> Tuple[Dict[str, np.ndarray], float]:
+        pooled: Dict[str, np.ndarray] = {}
+        elapsed = np.zeros(_batch_size(requests))
+        for table_name, bags in requests.items():
+            if table_name not in self.tables:
+                raise KeyError(f"backend has no table {table_name!r}")
+            table = self.tables[table_name]
+            pooled[table_name] = table.bag_batch(bags)
+            lookups = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
+            elapsed += self.compute.embedding_read_time(lookups, table.spec.row_bytes)
+        # Sample b + 1 starts when sample b completes: replay that chain of
+        # float additions left to right so the completion time is bit-equal.
+        cursor = np.add.accumulate(np.concatenate(([start_time], elapsed)))[-1]
+        return pooled, float(cursor)
 
 
 class InferenceEngine:
@@ -206,20 +255,12 @@ class InferenceEngine:
         )
         user_time = user_done - (start_time + bottom_time)
 
-        # Item-side embeddings: one lookup set per candidate item, executed
-        # independently of the user side.
-        item_pooled_per_item: List[Dict[str, np.ndarray]] = []
-        item_cursor = start_time + bottom_time
-        for item_position in range(item_batch):
-            per_item_request = {
-                table_name: per_item[item_position]
-                for table_name, per_item in query.item_indices.items()
-            }
-            pooled, item_cursor = self.item_backend.pooled_embeddings(
-                per_item_request, item_cursor
-            )
-            item_pooled_per_item.append(pooled)
-        item_time = item_cursor - (start_time + bottom_time)
+        # Item-side embeddings: one lookup set per candidate item, served back
+        # to back in one batched call, independently of the user side.
+        item_pooled, item_done = self.item_backend.pooled_embeddings_batch(
+            query.item_indices, start_time + bottom_time
+        )
+        item_time = item_done - (start_time + bottom_time)
 
         # Top MLP: depends on both sides, so it starts when the slower side
         # finishes (Equation 3 of the paper).
@@ -227,11 +268,7 @@ class InferenceEngine:
         top_flops = self.model.top_mlp.flops_per_sample() * item_batch
         top_time = self.compute.mlp_time(top_flops)
 
-        scores = np.empty(item_batch, dtype=np.float32)
-        for item_position in range(item_batch):
-            pooled = dict(user_pooled)
-            pooled.update(item_pooled_per_item[item_position])
-            scores[item_position] = self.model.score(query.dense_features, pooled)
+        scores = self.model.score_batch(query.dense_features, user_pooled, item_pooled)
 
         latency = bottom_time + embedding_time + top_time
         self.user_backend.on_query_complete()

@@ -77,6 +77,14 @@ class DLRMModel:
             pooled[table_name] = self.table(table_name).bag(indices)
         return pooled
 
+    def _dense_vector(self, dense_features: np.ndarray) -> np.ndarray:
+        dense = np.asarray(dense_features, dtype=np.float32)
+        if dense.shape != (self.dense_dim,):
+            raise ValueError(
+                f"dense features must have shape ({self.dense_dim},), got {dense.shape}"
+            )
+        return dense
+
     def score(
         self,
         dense_features: np.ndarray,
@@ -91,15 +99,47 @@ class DLRMModel:
         missing = [name for name in self.tables if name not in pooled]
         if missing:
             raise KeyError(f"missing pooled embeddings for tables: {missing}")
-        dense = np.asarray(dense_features, dtype=np.float32)
-        if dense.shape != (self.dense_dim,):
-            raise ValueError(
-                f"dense features must have shape ({self.dense_dim},), got {dense.shape}"
-            )
+        dense = self._dense_vector(dense_features)
         bottom_out = self.bottom_mlp.forward(dense)
         ordered = [pooled[name] for name in self.tables]
         interacted = concat_interaction(bottom_out, ordered)
         return float(self.top_mlp.forward(interacted)[0])
+
+    def score_batch(
+        self,
+        dense_features: np.ndarray,
+        user_pooled: Mapping[str, np.ndarray],
+        item_pooled: Mapping[str, np.ndarray],
+    ) -> np.ndarray:
+        """Scores of ``B`` candidates that share one user, shape ``(B,)`` float32.
+
+        ``user_pooled`` holds one vector per table, ``item_pooled`` one
+        ``(B, dim)`` matrix per table (it wins for a table in both); together
+        they must cover every model table.  Element ``b`` is bit-identical to
+        ``score(dense_features, {**user_pooled, table: item_pooled[table][b]})``:
+        the bottom MLP runs once, the interaction rows are assembled as one
+        ``(B, top_in)`` matrix, and the top MLP still runs row by row — a
+        ``(B, D) @ W`` product rounds differently from ``B`` ``(1, D) @ W``
+        products and would make a score depend on its batch neighbours.
+        """
+        missing = [
+            name for name in self.tables if name not in user_pooled and name not in item_pooled
+        ]
+        if missing:
+            raise KeyError(f"missing pooled embeddings for tables: {missing}")
+        dense = self._dense_vector(dense_features)
+        batch_sizes = {len(matrix) for matrix in item_pooled.values()}
+        if len(batch_sizes) != 1:
+            raise ValueError(f"item tables must share one batch size, got {sorted(batch_sizes)}")
+        interacted = np.empty((batch_sizes.pop(), self.top_mlp.input_dim), dtype=np.float32)
+        bottom_out = self.bottom_mlp.forward(dense)
+        interacted[:, : bottom_out.size] = bottom_out
+        column = bottom_out.size
+        for name, table in self.tables.items():
+            source = item_pooled[name] if name in item_pooled else user_pooled[name]
+            interacted[:, column : column + table.spec.dim] = source
+            column += table.spec.dim
+        return np.array([self.top_mlp.forward(row)[0] for row in interacted], dtype=np.float32)
 
     def forward(
         self,

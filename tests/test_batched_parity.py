@@ -13,6 +13,7 @@ never diverge.
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec, Session
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
 from repro.dlrm import DLRMModel, EmbeddingTable, EmbeddingTableSpec, MLP
@@ -193,3 +194,52 @@ def test_batched_mode_actually_takes_the_batched_path():
     )
     assert outcome is not None
     assert outcome.rows.shape[0] == 4
+
+
+def _served_stats(backend: str, options: dict, passes: int = 1):
+    session = Session(
+        ScenarioSpec.from_dict(
+            {
+                "model": {"spec": "M1", "max_tables_per_group": 8, "max_rows_per_table": 16384},
+                "backend": {"name": backend, "options": options},
+                "workload": {"num_queries": 96, "num_users": 2000},
+            }
+        )
+    )
+    for _ in range(passes):
+        session.backend.reset_stats()
+        session.engine.run_queries(session.queries())
+    return session.backend.stats
+
+
+def test_batch_fallbacks_are_counted():
+    # Two tiers, second pass over a row cache that holds everything: no
+    # promotion can mutate a tier mid-batch, so nothing falls back.
+    warm = _served_stats(
+        "sdm", {"row_cache_capacity_bytes": 64 << 20, "pooled_cache_enabled": False}, passes=2
+    )
+    assert warm.batch_fallbacks == 0
+    assert warm.batched_serves == warm.sm_table_requests > 0
+
+    # The perf ledger's tiered-open hierarchy: promoting every served row
+    # makes most batches hazardous.  Pooled-cache hits return before the
+    # serve, so the two counters cover only the requests that reached it.
+    tiered = _served_stats(
+        "tiered",
+        {
+            "tiers": "dram:256KiB:512KiB,cxl:2MiB:4MiB,nand:1GiB",
+            "split_rows": True,
+            "promotion": "all",
+            "pooled_cache_enabled": True,
+        },
+    )
+    reached_serve = tiered.sm_table_requests - tiered.pooled_cache_hits
+    assert tiered.batched_serves + tiered.batch_fallbacks == reached_serve
+    assert tiered.batch_fallbacks / reached_serve > 0.5
+
+
+def test_scalar_mode_counts_neither_serves_nor_fallbacks():
+    sdm = _build_sdm({}, "scalar")
+    _serve(sdm)
+    assert sdm.stats.sm_table_requests > 0
+    assert sdm.stats.batched_serves == sdm.stats.batch_fallbacks == 0

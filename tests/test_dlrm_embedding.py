@@ -101,6 +101,52 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.lookup_dense([])
 
+    def test_lookup_accepts_any_index_container(self):
+        table = EmbeddingTable.random(_spec(num_rows=8, dim=4), seed=0)
+        expected = table.lookup_raw([1, 2, 3])
+        for indices in (np.array([1, 2, 3]), range(1, 4), (1, 2, 3), iter([1, 2, 3])):
+            np.testing.assert_array_equal(table.lookup_raw(indices), expected)
+        with pytest.raises(IndexError, match=r"out of range \[0, 8\)"):
+            table.lookup_raw(np.array([0, 8]))
+        with pytest.raises(IndexError):
+            table.lookup_raw(range(-1, 2))
+        with pytest.raises(ValueError, match="at least one index"):
+            table.lookup_raw(np.array([], dtype=np.int64))
+
+    @pytest.mark.parametrize("quant_bits", [4, 8])
+    @pytest.mark.parametrize("num_bags", [1, 16])
+    def test_bag_batch_rows_equal_bag_bit_for_bit(self, quant_bits, num_bags):
+        table = EmbeddingTable.random(_spec(num_rows=64, dim=16, quant_bits=quant_bits), seed=0)
+        rng = np.random.default_rng(num_bags)
+        for _ in range(20):
+            # Ragged bags of 1-12 rows drawn from 64: repeats inside a bag
+            # are common, and a repeated row must be added twice.
+            bags = [
+                rng.integers(0, 64, size=rng.integers(1, 13)).tolist() for _ in range(num_bags)
+            ]
+            bags[0] = [5, 5, 5][: len(bags[0])] + bags[0][3:]
+            pooled = table.bag_batch(bags)
+            assert pooled.dtype == np.float32
+            assert pooled.shape == (num_bags, 16)
+            for row, bag in zip(pooled, bags):
+                assert np.array_equal(row, table.bag(bag))
+
+    def test_bag_batch_accepts_array_bags(self):
+        table = EmbeddingTable.random(_spec(num_rows=8, dim=4), seed=0)
+        bags = [np.array([1, 2, 3]), np.array([7])]
+        expected = np.stack([table.bag(bag) for bag in bags])
+        np.testing.assert_array_equal(table.bag_batch(bags), expected)
+
+    def test_bag_batch_error_paths_match_bag(self):
+        table = EmbeddingTable.random(_spec(num_rows=4), seed=0)
+        for bad_bag, error in (([], ValueError), ([4], IndexError), ([-1], IndexError)):
+            with pytest.raises(error):
+                table.bag(bad_bag)
+            with pytest.raises(error):
+                table.bag_batch([[0, 1], bad_bag, [2]])
+        with pytest.raises(ValueError):
+            table.bag_batch([])
+
     def test_iter_row_bytes_covers_all_rows(self):
         spec = _spec(num_rows=6, dim=4)
         table = EmbeddingTable.random(spec, seed=0)

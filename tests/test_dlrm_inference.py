@@ -3,9 +3,32 @@
 import numpy as np
 import pytest
 
-from repro.dlrm import ComputeSpec, InMemoryBackend, InferenceEngine, Query
+from repro.dlrm import (
+    ComputeSpec,
+    EmbeddingBackend,
+    EmbeddingTable,
+    EmbeddingTableSpec,
+    InMemoryBackend,
+    InferenceEngine,
+    Query,
+)
 
 from helpers import small_model, small_queries
+
+
+class LoopBackend(InMemoryBackend):
+    """DRAM backend that serves batches with the base-class per-sample loop:
+    the reference the batched override must reproduce exactly."""
+
+    pooled_embeddings_batch = EmbeddingBackend.pooled_embeddings_batch
+
+
+def _mixed_width_tables():
+    specs = [
+        EmbeddingTableSpec(name="wide", num_rows=64, dim=16, quant_bits=8, is_user=False),
+        EmbeddingTableSpec(name="narrow", num_rows=48, dim=12, quant_bits=4, is_user=False),
+    ]
+    return {spec.name: EmbeddingTable.random(spec, seed=2) for spec in specs}
 
 
 class TestComputeSpec:
@@ -72,6 +95,51 @@ class TestInMemoryBackend:
         with pytest.raises(KeyError):
             backend.pooled_embeddings({"nope": [0]}, 0.0)
 
+    @pytest.mark.parametrize("batch", [1, 16])
+    def test_batch_equals_per_sample_loop_bit_for_bit(self, batch):
+        tables = _mixed_width_tables()
+        batched = InMemoryBackend(tables, ComputeSpec())
+        loop = LoopBackend(tables, ComputeSpec())
+        rng = np.random.default_rng(batch)
+        for _ in range(10):
+            requests = {
+                name: [
+                    rng.integers(0, table.spec.num_rows, size=rng.integers(1, 13)).tolist()
+                    for _ in range(batch)
+                ]
+                for name, table in tables.items()
+            }
+            requests["wide"][0] = [9] * len(requests["wide"][0])  # repeats inside a bag
+            pooled, done = batched.pooled_embeddings_batch(requests, start_time=0.125)
+            expected, expected_done = loop.pooled_embeddings_batch(requests, start_time=0.125)
+            assert done == expected_done
+            assert list(pooled) == list(expected)
+            for name, matrix in pooled.items():
+                assert matrix.dtype == np.float32
+                assert matrix.shape == (batch, tables[name].spec.dim)
+                assert np.array_equal(matrix, expected[name])
+
+    def test_batch_of_no_tables_completes_at_once(self):
+        for backend_type in (InMemoryBackend, LoopBackend):
+            backend = backend_type(_mixed_width_tables(), ComputeSpec())
+            assert backend.pooled_embeddings_batch({}, 2.0) == ({}, 2.0)
+
+    @pytest.mark.parametrize("backend_type", [InMemoryBackend, LoopBackend])
+    @pytest.mark.parametrize(
+        "requests, error",
+        [
+            ({"wide": [[0], []]}, ValueError),  # empty bag
+            ({"wide": [[0], [64]]}, IndexError),  # out of range
+            ({"wide": [[0], [-1]]}, IndexError),
+            ({"nope": [[0]]}, KeyError),  # unknown table
+            ({"wide": [[0]], "narrow": [[0], [1]]}, ValueError),  # tables disagree on B
+        ],
+    )
+    def test_batch_error_paths(self, backend_type, requests, error):
+        backend = backend_type(_mixed_width_tables(), ComputeSpec())
+        with pytest.raises(error):
+            backend.pooled_embeddings_batch(requests, 0.0)
+
 
 class TestInferenceEngine:
     def test_scores_match_reference_forward(self):
@@ -122,6 +190,40 @@ class TestInferenceEngine:
         )
         with pytest.raises(ValueError):
             engine.run_query(query)
+
+    @pytest.mark.parametrize("item_batch", [1, 16])
+    def test_batched_item_side_equals_per_sample_loop(self, item_batch):
+        model = small_model(num_item=3, item_batch=item_batch, seed=1)
+        compute = ComputeSpec()
+        user_backend = InMemoryBackend(model.tables, compute)
+        batched = InferenceEngine(model, compute, user_backend)
+        loop = InferenceEngine(model, compute, user_backend, LoopBackend(model.tables, compute))
+        start = 0.0
+        for query in small_queries(model, 10):
+            result = batched.run_query(query, start)
+            expected = loop.run_query(query, start)
+            assert result.scores.dtype == np.float32
+            assert np.array_equal(result.scores, expected.scores)
+            assert result.latency == expected.latency
+            assert result.bottom_mlp_time == expected.bottom_mlp_time
+            assert result.user_embedding_time == expected.user_embedding_time
+            assert result.item_embedding_time == expected.item_embedding_time
+            assert result.top_mlp_time == expected.top_mlp_time
+            start += result.latency
+
+    def test_bad_item_indices_raise_from_run_query(self):
+        model = small_model(item_batch=2)
+        engine = InferenceEngine(model, ComputeSpec(), InMemoryBackend(model.tables, ComputeSpec()))
+        query = small_queries(model, 1)[0]
+        for bad_items, error in (
+            ({"item_0": [[0], []]}, ValueError),
+            ({"item_0": [[0], [256]]}, IndexError),
+            ({"nope": [[0], [1]]}, KeyError),
+            ({"item_0": [[0]], "user_0": [[0], [1]]}, ValueError),
+        ):
+            query.item_indices = bad_items
+            with pytest.raises(error):
+                engine.run_query(query)
 
     def test_default_item_backend_is_in_memory(self):
         model = small_model(item_batch=2)

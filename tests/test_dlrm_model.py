@@ -104,6 +104,49 @@ class TestDLRMForward:
         with pytest.raises(ValueError):
             model.score(np.zeros(model.dense_dim + 1), pooled)
 
+    def test_score_batch_rows_equal_score_bit_for_bit(self):
+        model = small_model(num_user=2, num_item=2, seed=3)
+        rng = np.random.default_rng(0)
+        dense = rng.normal(size=model.dense_dim).astype(np.float32)
+        user_pooled = {
+            spec.name: model.table(spec.name).bag([1, 2, 3]) for spec in model.user_table_specs
+        }
+        for batch in (1, 16):
+            bags = rng.integers(0, 256, size=(batch, 4)).tolist()
+            item_pooled = {
+                spec.name: model.table(spec.name).bag_batch(bags)
+                for spec in model.item_table_specs
+            }
+            scores = model.score_batch(dense, user_pooled, item_pooled)
+            assert scores.dtype == np.float32
+            assert scores.shape == (batch,)
+            for position in range(batch):
+                pooled = dict(user_pooled)
+                pooled.update({name: matrix[position] for name, matrix in item_pooled.items()})
+                assert scores[position] == np.float32(model.score(dense, pooled))
+
+    def test_score_batch_item_side_wins_for_a_table_in_both(self):
+        model = small_model()
+        dense = np.ones(model.dense_dim, dtype=np.float32)
+        pooled = model.pooled_embeddings({name: [1, 2] for name in model.tables})
+        other = model.pooled_embeddings({name: [3] for name in model.tables})
+        item_pooled = {"item_0": pooled["item_0"][None, :]}
+        scores = model.score_batch(dense, {**pooled, "item_0": other["item_0"]}, item_pooled)
+        assert scores[0] == np.float32(model.score(dense, pooled))
+
+    def test_score_batch_rejects_what_score_rejects(self):
+        model = small_model()
+        dense = np.zeros(model.dense_dim, dtype=np.float32)
+        pooled = model.pooled_embeddings({name: [0] for name in model.tables})
+        user_pooled = {name: pooled[name] for name in ("user_0", "user_1")}
+        item_pooled = {"item_0": pooled["item_0"][None, :]}
+        with pytest.raises(KeyError):
+            model.score_batch(dense, {"user_0": pooled["user_0"]}, item_pooled)
+        with pytest.raises(ValueError):
+            model.score_batch(np.zeros(model.dense_dim + 1), user_pooled, item_pooled)
+        with pytest.raises(ValueError):  # no item table: the batch size is undefined
+            model.score_batch(dense, pooled, {})
+
     def test_pooled_embeddings_match_table_bag(self):
         model = small_model()
         indices = {name: [1, 3, 4] for name in model.tables}
