@@ -8,7 +8,7 @@ overhead and per-lookup CPU cost (see their modules).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Optional
+from typing import Iterator, Optional
 
 from repro.cache.base import CacheKey, RowCache
 
@@ -107,6 +107,6 @@ class LRUCache(RowCache):
     def item_count(self) -> int:
         return len(self._entries)
 
-    def keys(self):
+    def keys(self) -> Iterator[CacheKey]:
         """Iterate keys from least to most recently used (for inspection)."""
         return iter(self._entries.keys())

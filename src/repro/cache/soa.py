@@ -3,17 +3,23 @@
 Drop-in replacement for the :class:`~repro.cache.lru.LRUCache` eviction
 machinery, bit-identical in every observable — hit/miss/eviction counters,
 modelled CPU seconds, eviction order, ``used_bytes`` — but organised as
-parallel arrays so a whole batch of row keys can be probed or filled with a
-handful of NumPy operations instead of one dict transaction per row:
+parallel arrays so a whole batch of row keys can be probed, filled or evicted
+with a handful of NumPy operations instead of one dict transaction per row:
 
-* keys of the hot shape ``(table_name, stored_index)`` are resolved through a
-  per-table int64 direct-index array (stored index -> slot, ``-1`` absent),
+* keys of the hot shape ``(table_name, stored_index)`` (stored index >= 0)
+  are resolved through a per-table int64 direct-index array (stored index ->
+  slot, ``-1`` absent); each slot records its ``(table id, stored index)`` in
+  two arrays, so no key tuple exists per entry.  Any other hashable key
+  (including a negative stored index, which must not alias ``index[-1]``)
+  lives in a small side dict,
 * row payloads live in contiguous per-row-length storage pools, so a batched
   probe gathers all hit rows as one ``(hits, row_bytes)`` uint8 matrix,
-* recency is a monotonically increasing stamp per slot; eviction order
-  (ascending stamp) equals the OrderedDict LRU order, found through a
-  lazy-deletion min-heap that is only touched on insert and eviction — a
-  batched probe refreshes stamps with one vectorised store.
+* recency is an append-only log of slots: every touch (hit or insert) appends
+  the slot and stamps it with its 1-based log position.  Stamps are therefore
+  monotone, the log is sorted by stamp, an entry is *live* iff its slot still
+  carries that stamp, and the LRU victims are always the live prefix behind
+  ``_log_head``.  Compaction renumbers the live entries ``1..n`` in order when
+  the log fills up, which preserves every comparison the cache ever makes.
 
 CPU-time accounting replicates the scalar cache's float accumulation exactly:
 ``np.add.accumulate`` performs the same left-to-right chain of additions a
@@ -22,34 +28,95 @@ per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 
 from __future__ import annotations
 
-import heapq
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 import numpy as np
 
 from repro.cache.base import CacheKey, RowCache
 
+_EMPTY_IDS = np.zeros(0, dtype=np.int64)
+_EMPTY_IDS.setflags(write=False)
+
+
+def _groups(values: np.ndarray) -> List[Tuple[int, Union[slice, np.ndarray]]]:
+    """``(value, selector of its members)`` per distinct value of a
+    non-empty array; a single group — the common case — costs one compare."""
+    first = int(values[0])
+    if bool((values == first).all()):
+        return [(first, slice(None))]
+    return [(value, values == value) for value in np.unique(values).tolist()]
+
+
+class _IdAllocator:
+    """Hands out int ids: recycled ones first (LIFO), then fresh ones.
+
+    The owner sizes its arrays to ``high`` (the count of ids ever handed
+    out) after every allocation.
+    """
+
+    __slots__ = ("free", "num_free", "high")
+
+    def __init__(self) -> None:
+        self.free = np.zeros(16, dtype=np.int64)
+        self.num_free = 0
+        self.high = 0
+
+    def alloc_one(self) -> int:
+        if self.num_free:
+            self.num_free -= 1
+            return int(self.free[self.num_free])
+        self.high += 1
+        return self.high - 1
+
+    def alloc(self, count: int) -> np.ndarray:
+        recycled = min(count, self.num_free)
+        self.num_free -= recycled
+        fresh = count - recycled
+        ids = np.concatenate(
+            (
+                self.free[self.num_free : self.num_free + recycled],
+                np.arange(self.high, self.high + fresh, dtype=np.int64),
+            )
+        )
+        self.high += fresh
+        return ids
+
+    def _reserve(self, extra: int) -> None:
+        needed = self.num_free + extra
+        if needed > self.free.size:
+            grown = np.zeros(max(needed, self.free.size * 2), dtype=np.int64)
+            grown[: self.num_free] = self.free[: self.num_free]
+            self.free = grown
+
+    def release_one(self, value: int) -> None:
+        self._reserve(1)
+        self.free[self.num_free] = value
+        self.num_free += 1
+
+    def release(self, ids: np.ndarray) -> None:
+        self._reserve(int(ids.size))
+        self.free[self.num_free : self.num_free + ids.size] = ids
+        self.num_free += int(ids.size)
+
 
 class _RowPool:
-    """Contiguous storage for fixed-length rows with a free list."""
+    """Contiguous storage for fixed-length rows."""
 
-    __slots__ = ("data", "count", "free")
+    __slots__ = ("data", "rows")
 
     def __init__(self, row_len: int) -> None:
         self.data = np.empty((16, max(row_len, 1)), dtype=np.uint8)
-        self.count = 0
-        self.free: List[int] = []
+        self.rows = _IdAllocator()
 
-    def alloc(self) -> int:
-        if self.free:
-            return self.free.pop()
-        if self.count == self.data.shape[0]:
-            grown = np.empty((self.data.shape[0] * 2, self.data.shape[1]), dtype=np.uint8)
-            grown[: self.count] = self.data
+    def fit(self) -> None:
+        """Grow the storage to cover every row id handed out so far."""
+        if self.rows.high > self.data.shape[0]:
+            grown = np.empty(
+                (max(self.rows.high, self.data.shape[0] * 2), self.data.shape[1]),
+                dtype=np.uint8,
+            )
+            grown[: self.data.shape[0]] = self.data
             self.data = grown
-        row = self.count
-        self.count += 1
-        return row
 
 
 class SoALRUCache(RowCache):
@@ -59,7 +126,13 @@ class SoALRUCache(RowCache):
     :class:`~repro.cache.lru.LRUCache` exactly; the batch methods
     (:meth:`probe_batch`, :meth:`fill_batch`, :meth:`contains_batch`) are the
     array-native equivalents of calling the scalar operations once per row in
-    input order.
+    input order.  Scalar operations stay O(1) Python (they touch array
+    elements, never whole arrays); batch mutation — insertion, eviction,
+    promotion — is a fixed number of array operations per call.
+
+    State, per slot: payload length, pool row, table id (``-1`` for a
+    side-dict key), stored index and recency stamp (``0`` marks a free slot).
+    ``_log[i]`` is the slot touched at stamp ``i + 1``.
     """
 
     def __init__(
@@ -77,23 +150,31 @@ class SoALRUCache(RowCache):
         self.per_item_overhead_bytes = per_item_overhead_bytes
         self.lookup_cpu_seconds = lookup_cpu_seconds
         self.insert_cpu_seconds = insert_cpu_seconds
-        self._slot_of: Dict[CacheKey, int] = {}
-        self._slot_key: List[Optional[CacheKey]] = []
-        self._slot_len = np.zeros(0, dtype=np.int64)
-        self._slot_stamp = np.zeros(0, dtype=np.int64)
-        self._slot_row = np.zeros(0, dtype=np.int64)
-        self._free_slots: List[int] = []
-        self._pools: Dict[int, _RowPool] = {}
-        # (stamp, slot) lazy-deletion min-heap: pushed on insert, refreshed on
-        # stale pop, never touched by (batched) gets.
-        self._heap: List[Tuple[int, int]] = []
-        self._stamp = 0
-        self._used_bytes = 0
-        # Per-table direct index: stored row -> slot (-1 when absent).  Only
-        # maintained for keys of the hot (table_name, stored_index) shape.
-        self._table_index: Dict[str, np.ndarray] = {}
+        # Table ids survive clear(): they name tables, not cached state.
+        self._table_ids: Dict[str, int] = {}
+        self._table_names: List[str] = []
+        self._drop_entries()
 
     # ------------------------------------------------------------- internals
+    def _drop_entries(self) -> None:
+        """(Re)initialise all cached state; counters are left alone."""
+        self._slots = _IdAllocator()
+        self._slot_len = np.zeros(0, dtype=np.int64)
+        self._slot_row = np.zeros(0, dtype=np.int64)
+        self._slot_table = np.zeros(0, dtype=np.int64)
+        self._slot_stored = np.zeros(0, dtype=np.int64)
+        self._slot_stamp = np.zeros(0, dtype=np.int64)
+        self._pools: Dict[int, _RowPool] = {}
+        self._indexes: List[np.ndarray] = [_EMPTY_IDS for _ in self._table_names]
+        # Keys outside the (table, stored >= 0) shape: key <-> slot.
+        self._other_slot: Dict[CacheKey, int] = {}
+        self._other_key: Dict[int, CacheKey] = {}
+        self._log = np.zeros(64, dtype=np.int64)
+        self._log_head = 0
+        self._log_tail = 0
+        self._count = 0
+        self._used_bytes = 0
+
     @staticmethod
     def _row_key_parts(key: CacheKey) -> Optional[Tuple[str, int]]:
         if (
@@ -102,30 +183,38 @@ class SoALRUCache(RowCache):
             and isinstance(key[0], str)
             and isinstance(key[1], (int, np.integer))
             and not isinstance(key[1], bool)
+            and key[1] >= 0
         ):
             return key[0], int(key[1])
         return None
 
-    def _index_for(self, table_name: str, min_size: int) -> np.ndarray:
-        index = self._table_index.get(table_name)
-        if index is None or index.size < min_size:
-            old_size = 0 if index is None else index.size
-            grown = np.full(max(min_size, old_size * 2, 64), -1, dtype=np.int64)
-            if index is not None:
-                grown[:old_size] = index
-            self._table_index[table_name] = grown
-            index = grown
+    def _table_id(self, table_name: str) -> int:
+        table = self._table_ids.get(table_name)
+        if table is None:
+            table = len(self._table_names)
+            self._table_ids[table_name] = table
+            self._table_names.append(table_name)
+            self._indexes.append(_EMPTY_IDS)
+        return table
+
+    def _index_for(self, table: int, min_size: int) -> np.ndarray:
+        index = self._indexes[table]
+        if index.size < min_size:
+            grown = np.full(max(min_size, index.size * 2, 64), -1, dtype=np.int64)
+            grown[: index.size] = index
+            self._indexes[table] = index = grown
         return index
 
-    def _grow_slots(self) -> None:
+    def _fit_slots(self) -> None:
+        """Grow the per-slot arrays to cover every slot id handed out."""
         old = self._slot_stamp.size
-        new = max(old * 2, 16)
-        for name in ("_slot_len", "_slot_stamp", "_slot_row"):
+        if self._slots.high <= old:
+            return
+        new = max(self._slots.high, old * 2, 16)
+        for name in ("_slot_len", "_slot_row", "_slot_table", "_slot_stored", "_slot_stamp"):
             grown = np.zeros(new, dtype=np.int64)
             grown[:old] = getattr(self, name)
             setattr(self, name, grown)
-        self._slot_key.extend([None] * (new - old))
-        self._free_slots.extend(range(old, new))
 
     def _pool_for(self, row_len: int) -> _RowPool:
         pool = self._pools.get(row_len)
@@ -134,67 +223,211 @@ class SoALRUCache(RowCache):
             self._pools[row_len] = pool
         return pool
 
-    def _next_stamp(self) -> int:
-        self._stamp += 1
-        return self._stamp
-
     def _entry_size(self, value_len: int) -> int:
         return value_len + self.per_item_overhead_bytes
 
-    def _insert_entry(self, key: CacheKey, value: np.ndarray) -> None:
-        """Store one row; ``value`` is a 1-D uint8 view of the payload."""
-        if not self._free_slots:
-            self._grow_slots()
-        slot = self._free_slots.pop()
-        row_len = int(value.size)
+    def _find(self, key: CacheKey) -> int:
+        """Slot holding ``key``, or ``-1``."""
+        parts = self._row_key_parts(key)
+        if parts is None:
+            return self._other_slot.get(key, -1)
+        table = self._table_ids.get(parts[0])
+        if table is None:
+            return -1
+        index = self._indexes[table]
+        return int(index[parts[1]]) if parts[1] < index.size else -1
+
+    def _reserve_log(self, extra: int) -> None:
+        """Make room for ``extra`` appends, compacting the log when full.
+
+        Compaction keeps the live entries in order and renumbers their stamps
+        ``1..n``; every recency comparison is between live stamps, so nothing
+        observable changes.
+        """
+        if self._log_tail + extra <= self._log.size:
+            return
+        window = self._log[self._log_head : self._log_tail]
+        stamps = np.arange(self._log_head + 1, self._log_tail + 1, dtype=np.int64)
+        live = window[self._slot_stamp[window] == stamps]
+        count = int(live.size)
+        if 2 * (count + extra) > self._log.size:
+            self._log = np.zeros(max(2 * (count + extra), self._log.size * 2), dtype=np.int64)
+        self._log[:count] = live
+        self._slot_stamp[live] = np.arange(1, count + 1, dtype=np.int64)
+        self._log_head = 0
+        self._log_tail = count
+
+    def _touch(self, slot: int) -> None:
+        """Stamp ``slot`` most-recent: one log append."""
+        if self._log_tail == self._log.size:
+            self._reserve_log(1)
+        self._log[self._log_tail] = slot
+        self._log_tail += 1
+        self._slot_stamp[slot] = self._log_tail
+
+    def _touch_batch(self, slots: np.ndarray, stamps: np.ndarray) -> None:
+        """Stamp ``slots`` with ascending ``stamps`` the caller reserved; a
+        slot listed twice keeps its last stamp, and its earlier log entry is
+        thereby dead."""
+        self._log[stamps - 1] = slots
+        self._slot_stamp[slots] = stamps
+
+    def _touch_run(self, slots: np.ndarray) -> None:
+        """Stamp ``slots`` most-recent, in order: one run of log appends."""
+        self._reserve_log(int(slots.size))
+        tail = self._log_tail + int(slots.size)
+        self._log[self._log_tail : tail] = slots
+        self._slot_stamp[slots] = np.arange(self._log_tail + 1, tail + 1, dtype=np.int64)
+        self._log_tail = tail
+
+    def _insert_entry(self, key: CacheKey, value: bytes) -> None:
+        slot = self._slots.alloc_one()
+        self._fit_slots()
+        row_len = len(value)
         pool = self._pool_for(row_len)
-        row = pool.alloc()
-        pool.data[row, :row_len] = value
-        self._slot_key[slot] = key
+        row = pool.rows.alloc_one()
+        pool.fit()
+        pool.data[row, :row_len] = np.frombuffer(value, dtype=np.uint8)
         self._slot_len[slot] = row_len
         self._slot_row[slot] = row
-        stamp = self._next_stamp()
-        self._slot_stamp[slot] = stamp
-        heapq.heappush(self._heap, (stamp, slot))
-        self._slot_of[key] = slot
-        self._used_bytes += self._entry_size(row_len)
         parts = self._row_key_parts(key)
-        if parts is not None:
-            table_name, stored = parts
-            self._index_for(table_name, stored + 1)[stored] = slot
+        if parts is None:
+            self._slot_table[slot] = -1
+            self._other_slot[key] = slot
+            self._other_key[slot] = key
+        else:
+            table = self._table_id(parts[0])
+            self._slot_table[slot] = table
+            self._slot_stored[slot] = parts[1]
+            self._index_for(table, parts[1] + 1)[parts[1]] = slot
+        self._touch(slot)
+        self._count += 1
+        self._used_bytes += self._entry_size(row_len)
 
     def _remove_slot(self, slot: int) -> None:
-        key = self._slot_key[slot]
         row_len = int(self._slot_len[slot])
-        self._pools[row_len].free.append(int(self._slot_row[slot]))
+        self._pools[row_len].rows.release_one(int(self._slot_row[slot]))
+        table = int(self._slot_table[slot])
+        if table < 0:
+            del self._other_slot[self._other_key.pop(slot)]
+        else:
+            self._indexes[table][self._slot_stored[slot]] = -1
+        self._slot_stamp[slot] = 0
+        self._slots.release_one(slot)
+        self._count -= 1
         self._used_bytes -= self._entry_size(row_len)
-        self._slot_key[slot] = None
-        del self._slot_of[key]
-        self._free_slots.append(slot)
-        parts = self._row_key_parts(key)
-        if parts is not None:
-            table_name, stored = parts
-            index = self._table_index.get(table_name)
-            if index is not None and stored < index.size:
-                index[stored] = -1
+
+    def _remove_slots(self, slots: np.ndarray) -> None:
+        """Bulk :meth:`_remove_slot`."""
+        tables = self._slot_table[slots]
+        stored = self._slot_stored[slots]
+        for table, members in _groups(tables):
+            if table < 0:
+                for slot in slots[members].tolist():
+                    del self._other_slot[self._other_key.pop(slot)]
+            else:
+                self._indexes[table][stored[members]] = -1
+        lens = self._slot_len[slots]
+        rows = self._slot_row[slots]
+        for row_len, members in _groups(lens):
+            self._pools[row_len].rows.release(rows[members])
+        self._slot_stamp[slots] = 0
+        self._slots.release(slots)
+        self._count -= int(slots.size)
+        self._used_bytes -= int(lens.sum()) + int(slots.size) * self.per_item_overhead_bytes
 
     def _evict_lru(self) -> None:
+        log, stamps = self._log, self._slot_stamp
+        head = self._log_head
         while True:
-            stamp, slot = heapq.heappop(self._heap)
-            if self._slot_key[slot] is None:
-                continue  # slot freed since this entry was pushed
-            current = int(self._slot_stamp[slot])
-            if current != stamp:
-                # Touched (or slot reused) since: refresh the lazy entry.
-                heapq.heappush(self._heap, (current, slot))
-                continue
-            self._remove_slot(slot)
-            return
+            slot = int(log[head])
+            head += 1
+            if stamps[slot] == head:
+                break
+        self._log_head = head
+        self._remove_slot(slot)
 
     def _evict_until_fits(self, needed: int) -> None:
-        while self._slot_of and self._used_bytes + needed > self.capacity_bytes:
+        while self._count and self._used_bytes + needed > self.capacity_bytes:
             self._evict_lru()
             self.stats.evictions += 1
+
+    def _lru_prefix(self, need: int, size_guess: int) -> Tuple[np.ndarray, int, int]:
+        """The least-recent live entries whose sizes sum to ``>= need`` bytes.
+
+        Returns ``(slots, new_head, freed_bytes)`` without mutating anything;
+        ``freed_bytes < need`` means the whole cache is not enough.  Every
+        live entry with a stamp ``<= new_head`` is in ``slots``.
+        """
+        position = self._log_head
+        chunk = max(64, 2 * (need // size_guess + 1))
+        freed = 0
+        taken: List[np.ndarray] = []
+        while freed < need and position < self._log_tail:
+            end = min(position + chunk, self._log_tail)
+            window = self._log[position:end]
+            live = self._slot_stamp[window] == np.arange(position + 1, end + 1, dtype=np.int64)
+            sizes = np.where(live, self._slot_len[window] + self.per_item_overhead_bytes, 0)
+            running = np.cumsum(sizes) + freed
+            cut = int(np.searchsorted(running, need)) + 1  # entries consumed
+            if cut <= window.size:
+                taken.append(window[:cut][live[:cut]])
+                freed = int(running[cut - 1])
+                position += cut
+                break
+            taken.append(window[live])
+            freed = int(running[-1])
+            position = end
+            chunk *= 4
+        slots = taken[0] if len(taken) == 1 else np.concatenate(taken or [_EMPTY_IDS])
+        return slots, position, freed
+
+    def _evict_for(self, count: int, size: int) -> int:
+        """Evict the LRU prefix that makes room for ``count`` new entries of
+        ``size`` bytes (at most the whole cache); returns the entries evicted."""
+        need = self._used_bytes + count * size - self.capacity_bytes
+        if need <= 0:
+            return 0
+        victims, self._log_head, _ = self._lru_prefix(need, size)
+        self._remove_slots(victims)
+        return int(victims.size)
+
+    def _insert_rows(self, table: int, stored: np.ndarray, values: np.ndarray) -> np.ndarray:
+        """Store new, distinct rows of one table and return their slots; the
+        caller made room and stamps them."""
+        count = int(stored.size)
+        row_len = int(values.shape[1])
+        slots = self._slots.alloc(count)
+        self._fit_slots()
+        pool = self._pool_for(row_len)
+        rows = pool.rows.alloc(count)
+        pool.fit()
+        pool.data[rows, :row_len] = values
+        self._slot_len[slots] = row_len
+        self._slot_row[slots] = rows
+        self._slot_table[slots] = table
+        self._slot_stored[slots] = stored
+        self._index_for(table, int(stored.max()) + 1)[stored] = slots
+        self._count += count
+        self._used_bytes += count * self._entry_size(row_len)
+        return slots
+
+    def _lookup_slots(self, table_name: str, stored: np.ndarray) -> np.ndarray:
+        """Slot of every ``(table_name, stored)`` key, ``-1`` when absent."""
+        if stored.size == 0:
+            return _EMPTY_IDS
+        table = self._table_ids.get(table_name)
+        index = _EMPTY_IDS if table is None else self._indexes[table]
+        # As unsigned, a negative index is huge: one reduction bounds both ends.
+        if int(stored.view(np.uint64).max()) < index.size:
+            return index[stored]
+        slots = np.full(stored.size, -1, dtype=np.int64)
+        in_range = (stored >= 0) & (stored < index.size)
+        slots[in_range] = index[stored[in_range]]
+        if self._other_slot:
+            for position in np.nonzero(stored < 0)[0].tolist():
+                slots[position] = self._other_slot.get((table_name, int(stored[position])), -1)
+        return slots
 
     def _charge_sequential(self, count: int, cost: float, total: float) -> float:
         """``count`` repetitions of ``total += cost`` as one accumulate."""
@@ -205,12 +438,12 @@ class SoALRUCache(RowCache):
     # ------------------------------------------------------------ scalar API
     def get(self, key: CacheKey) -> Optional[bytes]:
         self.stats.cpu_seconds += self.lookup_cpu_seconds
-        slot = self._slot_of.get(key)
-        if slot is None:
+        slot = self._find(key)
+        if slot < 0:
             self.stats.misses += 1
             return None
         self.stats.hits += 1
-        self._slot_stamp[slot] = self._next_stamp()
+        self._touch(slot)
         row_len = int(self._slot_len[slot])
         return self._pools[row_len].data[int(self._slot_row[slot]), :row_len].tobytes()
 
@@ -220,35 +453,26 @@ class SoALRUCache(RowCache):
         if size > self.capacity_bytes:
             self.stats.rejected_inserts += 1
             return False
-        slot = self._slot_of.get(key)
-        if slot is not None:
+        slot = self._find(key)
+        if slot >= 0:
             self._remove_slot(slot)
         self._evict_until_fits(size)
-        self._insert_entry(key, np.frombuffer(value, dtype=np.uint8))
+        self._insert_entry(key, value)
         self.stats.inserts += 1
         return True
 
     def contains(self, key: CacheKey) -> bool:
-        return key in self._slot_of
+        return self._find(key) >= 0
 
     def invalidate(self, key: CacheKey) -> bool:
-        slot = self._slot_of.get(key)
-        if slot is None:
+        slot = self._find(key)
+        if slot < 0:
             return False
         self._remove_slot(slot)
         return True
 
     def clear(self) -> None:
-        self._slot_of.clear()
-        self._slot_key = []
-        self._slot_len = np.zeros(0, dtype=np.int64)
-        self._slot_stamp = np.zeros(0, dtype=np.int64)
-        self._slot_row = np.zeros(0, dtype=np.int64)
-        self._free_slots = []
-        self._pools = {}
-        self._heap = []
-        self._table_index = {}
-        self._used_bytes = 0
+        self._drop_entries()
 
     @property
     def used_bytes(self) -> int:
@@ -256,16 +480,29 @@ class SoALRUCache(RowCache):
 
     @property
     def item_count(self) -> int:
-        return len(self._slot_of)
+        return self._count
 
     def keys(self) -> Iterator[CacheKey]:
         """Iterate keys from least to most recently used (for inspection)."""
-        slots = sorted(self._slot_of.values(), key=lambda slot: int(self._slot_stamp[slot]))
-        return iter([self._slot_key[slot] for slot in slots])
+        live = np.nonzero(self._slot_stamp > 0)[0]
+        ordered = live[np.argsort(self._slot_stamp[live], kind="stable")]
+        keys: List[CacheKey] = []
+        for slot, table, stored in zip(
+            ordered.tolist(),
+            self._slot_table[ordered].tolist(),
+            self._slot_stored[ordered].tolist(),
+        ):
+            keys.append(self._other_key[slot] if table < 0 else (self._table_names[table], stored))
+        return iter(keys)
 
     # ------------------------------------------------------------- batch API
     def probe_batch(
-        self, table_name: str, stored_indices: np.ndarray, row_len: int
+        self,
+        table_name: str,
+        stored_indices: np.ndarray,
+        row_len: int,
+        promote_mask: Optional[np.ndarray] = None,
+        promote_values: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Probe ``(table_name, stored)`` for a whole batch of stored rows.
 
@@ -274,76 +511,165 @@ class SoALRUCache(RowCache):
         last occurrence wins, as it would scalar-wise).  Returns a boolean hit
         mask aligned with the input and the hit rows as one
         ``(num_hits, row_len)`` uint8 matrix in input order.
+
+        With ``promote_mask`` (boolean, aligned with the input) the call
+        replays an interleaved walk instead: each marked row's ``get`` is
+        immediately followed by ``put(key, row)`` with the next row of
+        ``promote_values`` — the promotion fill the tier chain performs when a
+        row misses here and hits a slower cache.  Recency order, the
+        ``cpu_seconds`` chain and the evicted entries equal the scalar
+        sequence provided the marked rows are distinct misses and
+        :meth:`promotion_hazard` returned ``False`` for this batch; the
+        caller owns that precondition.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
-        count = int(stored.size)
-        if count:
-            self.stats.cpu_seconds = self._charge_sequential(
-                count, self.lookup_cpu_seconds, self.stats.cpu_seconds
+        if promote_mask is not None and promote_values is not None and promote_values.shape[0]:
+            return self._probe_and_promote(
+                table_name, stored, row_len, promote_mask, promote_values
             )
-        index = self._table_index.get(table_name)
-        if index is None or count == 0:
-            self.stats.misses += count
-            return np.zeros(count, dtype=bool), np.empty((0, row_len), dtype=np.uint8)
-        slots = np.full(count, -1, dtype=np.int64)
-        in_range = (stored >= 0) & (stored < index.size)
-        slots[in_range] = index[stored[in_range]]
+        if stored.size:
+            self.stats.cpu_seconds = self._charge_sequential(
+                int(stored.size), self.lookup_cpu_seconds, self.stats.cpu_seconds
+            )
+        hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
+        if hit_slots.size:
+            self._touch_run(hit_slots)
+        return hit_mask, values
+
+    def _probe_hits(
+        self, table_name: str, stored: np.ndarray, row_len: int
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Count hits and misses of a batch; ``(hit_mask, hit_slots, values)``."""
+        slots = self._lookup_slots(table_name, stored)
         hit_mask = slots >= 0
-        num_hits = int(np.count_nonzero(hit_mask))
-        self.stats.hits += num_hits
-        self.stats.misses += count - num_hits
-        if num_hits == 0:
-            return hit_mask, np.empty((0, row_len), dtype=np.uint8)
         hit_slots = slots[hit_mask]
-        if not bool(np.all(self._slot_len[hit_slots] == row_len)):
+        self.stats.hits += int(hit_slots.size)
+        self.stats.misses += int(stored.size - hit_slots.size)
+        if not hit_slots.size:
+            return hit_mask, hit_slots, np.empty((0, row_len), dtype=np.uint8)
+        if bool((self._slot_len[hit_slots] != row_len).any()):
             raise ValueError(
                 f"table {table_name!r}: cached row length differs from "
                 f"probe row_len {row_len}"
             )
-        stamps = self._stamp + 1 + np.arange(num_hits, dtype=np.int64)
-        self._stamp += num_hits
-        # Fancy-index assignment applies in order, so a duplicate row keeps
-        # its last (most recent) stamp — matching sequential move-to-end.
-        self._slot_stamp[hit_slots] = stamps
-        values = self._pools[row_len].data[self._slot_row[hit_slots], :row_len]
+        return hit_mask, hit_slots, self._pools[row_len].data[self._slot_row[hit_slots], :row_len]
+
+    def _probe_and_promote(
+        self,
+        table_name: str,
+        stored: np.ndarray,
+        row_len: int,
+        promote_mask: np.ndarray,
+        promote_values: np.ndarray,
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """:meth:`probe_batch` with promotion fills interleaved."""
+        count = int(stored.size)
+        fills = int(promote_values.shape[0])
+        # Row by row: the probe's charge, then the fill's.  Zero padding is
+        # bitwise-neutral (x + 0.0 == x for the non-negative total).
+        costs = np.zeros((count, 2), dtype=np.float64)
+        costs[:, 0] = self.lookup_cpu_seconds
+        costs[promote_mask, 1] = self.insert_cpu_seconds
+        chain = np.concatenate(([self.stats.cpu_seconds], costs.ravel()))
+        self.stats.cpu_seconds = float(np.add.accumulate(chain)[-1])
+        hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
+        touches = int(hit_slots.size) + fills
+        self._reserve_log(touches)
+        # One stamp per hit and per fill in the same walk order: the probe's
+        # stamp (if it hit), then the fill's (if the row is promoted).
+        events = np.zeros((count, 2), dtype=np.int64)
+        events[hit_mask, 0] = 1
+        events[promote_mask, 1] = 1
+        stamps = self._log_tail + np.cumsum(events.ravel()).reshape(count, 2)
+        self._touch_batch(hit_slots, stamps[hit_mask, 0])
+        self.stats.evictions += self._evict_for(fills, self._entry_size(row_len))
+        filled = self._insert_rows(self._table_id(table_name), stored[promote_mask], promote_values)
+        self._touch_batch(filled, stamps[promote_mask, 1])
+        self.stats.inserts += fills
+        self._log_tail += touches
         return hit_mask, values
+
+    def promotion_hazard(
+        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
+    ) -> bool:
+        """Would ``num_fills`` promotion fills interleaved with a batch's
+        probes disturb a row the batch hits here?  Non-mutating.
+
+        ``hit_indices`` are the stored rows the batch finds in this cache.
+        ``True`` when a fill could never be admitted, or when the LRU prefix
+        the fills evict is not made of rows the batch leaves alone — it
+        reaches a row the batch hits, or swallows the whole cache and the
+        fills themselves.  ``False`` certifies that evicting that prefix in
+        one go equals the scalar walk's evict-as-you-go.
+        """
+        size = self._entry_size(row_len)
+        if size > self.capacity_bytes:
+            return True
+        need = self._used_bytes + num_fills * size - self.capacity_bytes
+        if need <= 0:
+            return False
+        _, new_head, freed = self._lru_prefix(need, size)
+        if freed < need:
+            return True
+        hit_slots = self._lookup_slots(table_name, np.asarray(hit_indices, dtype=np.int64))
+        hit_slots = hit_slots[hit_slots >= 0]
+        return bool(hit_slots.size) and int(self._slot_stamp[hit_slots].min()) <= new_head
 
     def fill_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
-    ) -> None:
+    ) -> int:
         """Insert a batch of rows; equivalent to per-row :meth:`put` calls.
 
         ``values`` is a ``(len(stored_indices), row_len)`` uint8 matrix.
-        Eviction bookkeeping stays per-entry (fills are the miss path), but
-        payload stores go straight matrix-row -> pool-row.
+        Returns the number of rows admitted.  New, distinct rows — the miss
+        path — take a fixed number of array operations: one LRU-prefix
+        eviction, one payload store.  A batch larger than the cache
+        materialises only the tail that survives its own evictions; the rows
+        before it count as inserted and evicted.  Only a batch that replaces
+        a cached row, repeats a row or carries a negative index is replayed
+        through :meth:`put`, whose interleaving it depends on.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
         if count == 0:
-            return
+            return 0
+        size = self._entry_size(int(values.shape[1]))
+        if size > self.capacity_bytes:
+            self.stats.cpu_seconds = self._charge_sequential(
+                count, self.insert_cpu_seconds, self.stats.cpu_seconds
+            )
+            self.stats.rejected_inserts += count
+            return 0
+        ordered = np.sort(stored)
+        if (
+            int(ordered[0]) < 0
+            or bool((ordered[1:] == ordered[:-1]).any())
+            or bool((self._lookup_slots(table_name, stored) >= 0).any())
+        ):
+            return sum(
+                self.put((table_name, int(stored[position])), values[position].tobytes())
+                for position in range(count)
+            )
         self.stats.cpu_seconds = self._charge_sequential(
             count, self.insert_cpu_seconds, self.stats.cpu_seconds
         )
-        size = self._entry_size(int(values.shape[1]))
-        if size > self.capacity_bytes:
-            self.stats.rejected_inserts += count
-            return
-        for position in range(count):
-            key = (table_name, int(stored[position]))
-            slot = self._slot_of.get(key)
-            if slot is not None:
-                self._remove_slot(slot)
-            self._evict_until_fits(size)
-            self._insert_entry(key, values[position])
-            self.stats.inserts += 1
+        survivors = min(count, self.capacity_bytes // size)
+        if survivors < count:
+            # Every cached entry and the first count - survivors rows of this
+            # batch are evicted by the rows behind them.
+            self.stats.evictions += self._count + count - survivors
+            self._drop_entries()
+        else:
+            self.stats.evictions += self._evict_for(count, size)
+        self._touch_run(
+            self._insert_rows(
+                self._table_id(table_name), stored[count - survivors :], values[count - survivors :]
+            )
+        )
+        self.stats.inserts += count
+        return count
 
     def contains_batch(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
         """Vectorised membership test; no stats, no LRU effect."""
         stored = np.asarray(stored_indices, dtype=np.int64)
-        mask = np.zeros(stored.size, dtype=bool)
-        index = self._table_index.get(table_name)
-        if index is None:
-            return mask
-        in_range = (stored >= 0) & (stored < index.size)
-        mask[in_range] = index[stored[in_range]] >= 0
-        return mask
+        return self._lookup_slots(table_name, stored) >= 0

@@ -20,6 +20,7 @@ from repro.cache.admission import AdmissionPolicy, AlwaysAdmit
 from repro.cache.base import CacheKey, CacheStats
 from repro.cache.cpu_optimized import CPUOptimizedCache
 from repro.cache.memory_optimized import MemoryOptimizedCache
+from repro.cache.soa import SoALRUCache
 
 #: Rows at or below this size are routed to the memory-optimised cache.
 SMALL_ROW_THRESHOLD_BYTES = 255
@@ -82,13 +83,13 @@ class UnifiedRowCache:
         # across runs.
         return zlib.crc32(repr(key).encode("utf-8")) % self.config.num_partitions
 
-    def _route(self, key: CacheKey, value_size: int):
+    def _route(self, key: CacheKey, value_size: int) -> SoALRUCache:
         index = self._partition_index(key)
         if value_size <= self.config.small_row_threshold_bytes:
             return self._memory_caches[index]
         return self._cpu_caches[index]
 
-    def _route_for_lookup(self, key: CacheKey, size_hint: Optional[int]):
+    def _route_for_lookup(self, key: CacheKey, size_hint: Optional[int]) -> List[SoALRUCache]:
         """When no size hint is available, check both internal caches."""
         index = self._partition_index(key)
         if size_hint is not None:
@@ -124,7 +125,13 @@ class UnifiedRowCache:
         return self._memory_caches[index].contains(key) or self._cpu_caches[index].contains(key)
 
     # ------------------------------------------------------------- batch API
-    def _batch_cache(self, row_len: int):
+    @property
+    def batchable(self) -> bool:
+        """Whether batches reach one internal cache as array operations:
+        a single partition (no per-key routing) and admit-everything."""
+        return self.config.num_partitions == 1 and isinstance(self.admission, AlwaysAdmit)
+
+    def _batch_cache(self, row_len: int) -> SoALRUCache:
         """The single internal cache all ``(table, stored)`` keys of one size
         route to when there is exactly one partition."""
         if row_len <= self.config.small_row_threshold_bytes:
@@ -132,7 +139,12 @@ class UnifiedRowCache:
         return self._cpu_caches[0]
 
     def probe_batch(
-        self, table_name: str, stored_indices: np.ndarray, row_len: int
+        self,
+        table_name: str,
+        stored_indices: np.ndarray,
+        row_len: int,
+        promote_mask: Optional[np.ndarray] = None,
+        promote_values: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`get` with a size hint, one key per stored row.
 
@@ -140,9 +152,18 @@ class UnifiedRowCache:
         a ``(num_hits, row_len)`` uint8 matrix in input order.  With one
         partition this is a handful of array ops; with more, an exact scalar
         fallback keeps partition routing (and stats) unchanged.
+
+        ``promote_mask``/``promote_values`` interleave promotion fills with
+        the probes (see :meth:`SoALRUCache.probe_batch`); only a
+        :attr:`batchable` cache that :meth:`promotion_hazard` cleared for
+        this batch accepts them.
         """
         if self.config.num_partitions == 1:
-            return self._batch_cache(row_len).probe_batch(table_name, stored_indices, row_len)
+            return self._batch_cache(row_len).probe_batch(
+                table_name, stored_indices, row_len, promote_mask, promote_values
+            )
+        if promote_mask is not None:
+            raise ValueError("promotion fills need a single-partition cache")
         stored = np.asarray(stored_indices, dtype=np.int64)
         hit_mask = np.zeros(stored.size, dtype=bool)
         hits: List[bytes] = []
@@ -156,17 +177,39 @@ class UnifiedRowCache:
         values = np.frombuffer(b"".join(hits), dtype=np.uint8).reshape(len(hits), row_len)
         return hit_mask, values
 
+    def promotion_hazard(
+        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
+    ) -> Optional[str]:
+        """Why ``num_fills`` promotion fills cannot ride along a batched
+        probe that hits ``hit_indices`` here, or ``None`` when they can.
+        Non-mutating.
+
+        ``"cache_not_batchable"``: several partitions, an admission policy
+        that may refuse a row, or a row no internal cache can ever hold.
+        ``"promotion_evicts_batch_hit"``: the fills would evict a row the
+        same batch hits (see :meth:`SoALRUCache.promotion_hazard`).
+        """
+        cache = self._batch_cache(row_len)
+        if not self.batchable or row_len + cache.per_item_overhead_bytes > cache.capacity_bytes:
+            return "cache_not_batchable"
+        if cache.promotion_hazard(table_name, hit_indices, num_fills, row_len):
+            return "promotion_evicts_batch_hit"
+        return None
+
     def fill_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
-    ) -> None:
-        """Batched :meth:`put`, one key per stored row of a uint8 matrix."""
-        row_len = int(values.shape[1])
-        if self.config.num_partitions == 1 and isinstance(self.admission, AlwaysAdmit):
-            self._batch_cache(row_len).fill_batch(table_name, stored_indices, values)
-            return
+    ) -> int:
+        """Batched :meth:`put`, one key per stored row of a uint8 matrix;
+        returns the number of rows admitted."""
+        if self.batchable:
+            return self._batch_cache(int(values.shape[1])).fill_batch(
+                table_name, stored_indices, values
+            )
         stored = np.asarray(stored_indices, dtype=np.int64)
-        for position in range(stored.size):
+        return sum(
             self.put((table_name, int(stored[position])), values[position].tobytes())
+            for position in range(stored.size)
+        )
 
     def contains_batch(
         self,
@@ -200,7 +243,7 @@ class UnifiedRowCache:
         for cache in self._all_caches():
             cache.clear()
 
-    def _all_caches(self):
+    def _all_caches(self) -> List[SoALRUCache]:
         return [*self._memory_caches, *self._cpu_caches]
 
     # ----------------------------------------------------------------- stats

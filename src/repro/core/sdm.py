@@ -95,6 +95,8 @@ class SDMStats:
     #: stay out of equality (scalar-vs-batched parity) and of telemetry.
     batched_serves: int = field(default=0, compare=False)
     batch_fallbacks: int = field(default=0, compare=False)
+    #: ``batch_fallbacks`` split by ``TierChain.decline_reason``.
+    batch_fallbacks_by_reason: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def ios_per_query(self) -> float:
@@ -696,6 +698,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 self.stats.batched_serves += 1
                 return served
             self.stats.batch_fallbacks += 1
+            reason = str(self.chain.decline_reason)
+            by_reason = self.stats.batch_fallbacks_by_reason
+            by_reason[reason] = by_reason.get(reason, 0) + 1
         return self._serve_scalar(table_name, state, indices, stored, cursor)
 
     def _serve_batched(
@@ -710,9 +715,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         """Array-native serve: one whole-batch tier-chain gather.
 
         Returns ``None`` when the chain cannot replay the scalar walk with
-        bit-identical side effects (a mid-batch promotion hazard); the
-        caller then falls back to :meth:`_serve_scalar` with no tier, cache
-        or timing state perturbed.
+        bit-identical side effects (``TierChain.decline_reason`` says why);
+        the caller then falls back to :meth:`_serve_scalar` with no tier,
+        cache or timing state perturbed.
         """
         valid = stored != PRUNED
         positions = np.nonzero(valid)[0].astype(np.int64)

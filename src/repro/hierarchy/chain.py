@@ -94,14 +94,24 @@ class TierChain:
         #: Span recorder for probe / storage-IO waits; the no-op default
         #: keeps the serve path bit-identical to an uninstrumented build.
         self.recorder: TraceRecorder = NULL_RECORDER
-        # Which tiers carry a cache never changes after construction, so the
-        # per-home-tier probe lists (walked for every row) are precomputed.
+        # Which tiers carry a cache and which of them receive promotions never
+        # changes after construction, so the per-home-tier probe and target
+        # lists (walked for every row) are precomputed.
         cached = [index for index, tier in enumerate(self.tiers) if tier.cache is not None]
         self._cached_tiers: List[int] = cached
-        self._upper_cache_indices: List[List[int]] = [
-            [index for index in cached if index < home_tier]
-            for home_tier in range(len(self.tiers) + 1)
+        self._promotion_tiers: List[int] = {"none": [], "top": cached[:1], "all": cached}[
+            promotion
         ]
+        sources = range(len(self.tiers) + 1)
+        self._upper_cache_indices: List[List[int]] = [
+            [index for index in cached if index < source] for source in sources
+        ]
+        self._promotion_target_indices: List[List[int]] = [
+            [index for index in self._promotion_tiers if index < source] for source in sources
+        ]
+        #: Why the last :meth:`fetch_batch` call declined (returned ``None``);
+        #: ``None`` after a call that served its batch.
+        self.decline_reason: Optional[str] = None
 
     @property
     def num_tiers(self) -> int:
@@ -111,15 +121,10 @@ class TierChain:
         """Tier indices above ``home_tier`` that carry a row cache."""
         return self._upper_cache_indices[home_tier]
 
-    def _promotion_targets(self, home_tier: int) -> List[int]:
-        if self.promotion == "none":
-            return []
-        upper = self._upper_caches(home_tier)
-        if not upper:
-            return []
-        if self.promotion == "top":
-            return upper[:1]
-        return upper
+    def _promotion_targets(self, source_tier: int) -> List[int]:
+        """Cached tiers a row served from ``source_tier`` — its home tier or
+        the slower cache it was found in — is promoted into."""
+        return self._promotion_target_indices[source_tier]
 
     def fetch_rows(
         self,
@@ -256,13 +261,31 @@ class TierChain:
         in scalar walk order through ``np.add.accumulate``, whose left-to-
         right addition chain makes the accrued floats bit-identical.
 
-        Returns ``None`` when the batch cannot be served by array ops with
-        bit-identical side effects: no ``size_hint`` (uniform row length), or
-        a cache hit below tier 0 whose promotion policy would fill upper
-        caches mid-walk and perturb later probes.  Callers fall back to the
-        scalar :meth:`fetch_rows` oracle, which is always exact.
+        A hit in a cache below the fastest one is promoted into the faster
+        caches mid-walk.  Each cache then sees, row by row, a probe followed
+        (for a promoted row) by a fill; one ordered
+        ``probe_cache_batch(..., promote_mask, promote_values)`` per cache
+        replays that sequence.  It is exact unless a fill changes what a
+        later probe of the same batch finds, which a non-mutating
+        certificate rules out before anything is touched.
+
+        Returns ``None`` — with the reason in :attr:`decline_reason` and no
+        state perturbed — when the batch cannot be served by array ops with
+        bit-identical side effects; callers then use the scalar
+        :meth:`fetch_rows` oracle, which is always exact:
+
+        * ``"no_size_hint"``: no uniform row length to shape the arrays;
+        * ``"promoted_key_repeats"``: a promoted row occurs again in the
+          batch — the scalar walk finds the second one in the faster cache;
+        * ``"promotion_evicts_batch_hit"``: the promotion fills into a cache
+          would evict a row this batch hits there (or more than it holds);
+        * ``"cache_not_batchable"``: a promotion target has several
+          partitions, an admission policy other than ``AlwaysAdmit``, or no
+          room for even one such row.
         """
+        self.decline_reason = None
         if size_hint is None:
+            self.decline_reason = "no_size_hint"
             return None
         positions = np.asarray(positions, dtype=np.int64)
         stored = np.asarray(stored, dtype=np.int64)
@@ -274,48 +297,75 @@ class TierChain:
             else np.zeros(0, dtype=np.int64)
         )
 
-        # Plan (non-mutating): the first cached tier that holds each row.  A
-        # hit below tier 0 with a non-empty promotion target list would fill
-        # upper caches between probes — only the scalar walk models that.
+        # Plan (non-mutating): the rows the scalar walk probes in each cache
+        # and the first cached tier that holds each row.
         hit_tier = np.full(count, -1, dtype=np.int64)
+        walked: Dict[int, np.ndarray] = {}
         if cache_enabled and count:
             unresolved = np.ones(count, dtype=bool)
             for tier_index in self._cached_tiers:
                 eligible = unresolved & (home_tiers > tier_index)
                 if not bool(eligible.any()):
                     continue
+                walked[tier_index] = eligible
                 contained = self.tiers[tier_index].cache_contains_batch(
                     table_name, stored[eligible], size_hint
                 )
                 if bool(contained.any()):
-                    if tier_index >= 1 and self._promotion_targets(tier_index):
-                        return None
                     rows_at = np.nonzero(eligible)[0][contained]
                     hit_tier[rows_at] = tier_index
                     unresolved[rows_at] = False
+
+        # Certificate (non-mutating): every row found below cached tier t is
+        # filled into t right after missing there.  The plan stays true if no
+        # such row repeats and no fill evicts a row the batch hits in t.
+        promoted_into: Dict[int, np.ndarray] = {}
+        for tier_index in self._promotion_tiers:
+            promoted = hit_tier > tier_index
+            if bool(promoted.any()):
+                promoted_into[tier_index] = promoted
+        if promoted_into:
+            # The fastest receiver takes every promoted row.
+            promoted_keys = stored[promoted_into[self._promotion_tiers[0]]]
+            if np.unique(promoted_keys).size < promoted_keys.size:
+                self.decline_reason = "promoted_key_repeats"
+                return None
+            for tier_index, promoted in promoted_into.items():
+                reason = self.tiers[tier_index].promotion_hazard(
+                    table_name,
+                    stored[hit_tier == tier_index],
+                    int(np.count_nonzero(promoted)),
+                    size_hint,
+                )
+                if reason is not None:
+                    self.decline_reason = reason
+                    return None
 
         rows_out = np.zeros((count, size_hint), dtype=np.uint8)
         served = np.zeros(count, dtype=bool)
         cache_hits = 0
 
-        # Mutating probes: one batched probe per cached tier, in tier order.
-        # Each cache sees exactly the scalar walk's probe sequence (rows in
-        # request order), so stats, CPU charges and LRU order are identical.
-        if cache_enabled and count:
-            resolved = np.zeros(count, dtype=bool)
-            for tier_index in self._cached_tiers:
-                walk = (home_tiers > tier_index) & ~resolved
-                if not bool(walk.any()):
-                    continue
-                hit_mask, values = self.tiers[tier_index].probe_cache_batch(
-                    table_name, stored[walk], size_hint
-                )
-                if values.shape[0]:
-                    rows_at = np.nonzero(walk)[0][hit_mask]
-                    rows_out[rows_at] = values
-                    served[rows_at] = True
-                    resolved[rows_at] = True
-                    cache_hits += int(values.shape[0])
+        # Mutating probes: one batched probe per cached tier.  Each cache sees
+        # exactly the scalar walk's sequence (rows in request order, promoted
+        # rows filled right after their probe), so stats, CPU charges and LRU
+        # order are identical.  Caches are independent, so the slowest goes
+        # first: its hits are the payloads promoted into the faster ones.
+        for tier_index in reversed(self._cached_tiers):
+            walk = walked.get(tier_index)
+            if walk is None:
+                continue
+            promoted = promoted_into.get(tier_index)
+            promotion: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (
+                (None, None) if promoted is None else (promoted[walk], rows_out[promoted])
+            )
+            hit_mask, values = self.tiers[tier_index].probe_cache_batch(
+                table_name, stored[walk], size_hint, *promotion
+            )
+            if values.shape[0]:
+                rows_at = np.nonzero(walk)[0][hit_mask]
+                rows_out[rows_at] = values
+                served[rows_at] = True
+                cache_hits += int(values.shape[0])
 
         # Tier-0-homed rows: one matrix gather from the in-memory tables.
         fm_mask = (home_tiers == 0) if count else np.zeros(0, dtype=bool)
@@ -341,19 +391,17 @@ class TierChain:
         num_cached = len(self._cached_tiers)
         increments = np.zeros((count, num_cached + 1), dtype=np.float64)
         total_probes = 0
-        if cache_enabled and count:
-            for column, tier_index in enumerate(self._cached_tiers):
-                walked = (home_tiers > tier_index) & (
-                    (hit_tier < 0) | (hit_tier >= tier_index)
-                )
-                increments[walked, column] = self.cache_probe_seconds
-                total_probes += int(np.count_nonzero(walked))
-            for tier_index in self._cached_tiers:
-                hits_here = hit_tier == tier_index
-                if bool(hits_here.any()):
-                    increments[hits_here, num_cached] = self.tiers[
-                        tier_index
-                    ].cache_hit_seconds(size_hint)
+        for column, tier_index in enumerate(self._cached_tiers):
+            walk = walked.get(tier_index)
+            if walk is None:
+                continue
+            increments[walk, column] = self.cache_probe_seconds
+            total_probes += int(np.count_nonzero(walk))
+            hits_here = hit_tier == tier_index
+            if bool(hits_here.any()):
+                increments[hits_here, num_cached] = self.tiers[
+                    tier_index
+                ].cache_hit_seconds(size_hint)
         if num_fast:
             increments[fm_mask, num_cached] = (
                 self.fm_lookup_overhead + size_hint / self.fm_bandwidth

@@ -347,24 +347,49 @@ class MemoryTier(abc.ABC):
         return value
 
     def probe_cache_batch(
-        self, table_name: str, stored_indices: np.ndarray, row_len: int
+        self,
+        table_name: str,
+        stored_indices: np.ndarray,
+        row_len: int,
+        promote_mask: Optional[np.ndarray] = None,
+        promote_values: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Batched :meth:`probe_cache`: one probe per stored row, in order.
 
         Stats and cache LRU/CPU effects are identical to calling the scalar
         probe once per row.  Returns ``(hit_mask, values)`` with the hit rows
         stacked as a ``(num_hits, row_len)`` uint8 matrix in input order.
+
+        Rows marked in ``promote_mask`` are additionally filled with the rows
+        of ``promote_values`` right after their probe — :meth:`fill_cache`
+        interleaved exactly as the scalar walk does it.  The chain passes
+        them only when :meth:`promotion_hazard` cleared the batch, which
+        guarantees every such fill is admitted.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         if self.cache is None:
             return np.zeros(stored.size, dtype=bool), np.empty((0, row_len), dtype=np.uint8)
         self.stats.cache_probes += int(stored.size)
-        hit_mask, values = self.cache.probe_batch(table_name, stored, row_len)
+        hit_mask, values = self.cache.probe_batch(
+            table_name, stored, row_len, promote_mask, promote_values
+        )
         num_hits = int(values.shape[0])
         self.stats.cache_hits += num_hits
         self.stats.rows_served += num_hits
         self.stats.bytes_served += num_hits * row_len
+        if promote_values is not None:
+            self.stats.promoted_rows += int(promote_values.shape[0])
         return hit_mask, values
+
+    def promotion_hazard(
+        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
+    ) -> Optional[str]:
+        """Why ``num_fills`` promotion fills cannot be interleaved with a
+        batched probe that hits ``hit_indices`` in this tier's cache, or
+        ``None`` when they can (:meth:`UnifiedRowCache.promotion_hazard`)."""
+        if self.cache is None:
+            return None
+        return self.cache.promotion_hazard(table_name, hit_indices, num_fills, row_len)
 
     def cache_contains_batch(
         self, table_name: str, stored_indices: np.ndarray, row_len: int
@@ -405,17 +430,14 @@ class MemoryTier(abc.ABC):
     ) -> int:
         """Batched :meth:`fill_cache`: one insert per matrix row, in order.
 
-        Returns the number of admitted rows (counted via the cache's own
-        ``inserts`` counter so the SoA fast path and the scalar fallback
-        agree); ``promoted_rows`` accounting matches per-row fills exactly.
+        Returns the number of admitted rows; ``promoted_rows`` accounting
+        matches per-row fills exactly.
         """
         if self.cache is None:
             return 0
-        inserts_before = self.cache.stats.inserts
-        self.cache.fill_batch(
+        admitted = self.cache.fill_batch(
             table_name, np.asarray(stored_indices, dtype=np.int64), values
         )
-        admitted = self.cache.stats.inserts - inserts_before
         self.stats.promoted_rows += admitted
         return admitted
 

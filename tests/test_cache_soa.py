@@ -182,3 +182,245 @@ class TestBatchEquivalence:
         assert hit_mask.size == 0 and values.shape == (0, 4)
         soa.fill_batch("t", np.empty(0, dtype=np.int64), np.empty((0, 4), np.uint8))
         assert soa.stats.inserts == 0 and soa.stats.cpu_seconds == 0.0
+
+
+def _matrix(table, stored, row_len=8):
+    rows = b"".join(_row(table, int(s), row_len) for s in stored)
+    return np.frombuffer(rows, dtype=np.uint8).reshape(len(stored), row_len).copy()
+
+
+def _replay_fill(reference, table, stored, matrix):
+    return sum(reference.put((table, int(s)), row.tobytes()) for s, row in zip(stored, matrix))
+
+
+def _replay_probe(reference, table, stored, promote_mask=None, promote_values=None):
+    """The scalar walk on one cache: get every row in order, and put a
+    promoted row right after its get."""
+    hits, fill = [], 0
+    for position, s in enumerate(stored):
+        value = reference.get((table, int(s)))
+        if value is not None:
+            hits.append(value)
+        if promote_mask is not None and promote_mask[position]:
+            reference.put((table, int(s)), promote_values[fill].tobytes())
+            fill += 1
+    return hits
+
+
+class TestNegativeIndices:
+    def test_negative_stored_index_does_not_alias_the_last_row(self):
+        reference, soa = _pair()
+        for cache in (reference, soa):
+            cache.put(("t", -1), b"neg")
+        # index[-1] must not be written: row 63 (the direct index's last
+        # element) is absent, scalar and batched alike.
+        assert not soa.contains(("t", 63))
+        assert list(soa.contains_batch("t", np.array([63, -1]))) == [False, True]
+        hit_mask, values = soa.probe_batch("t", np.array([63]), 3)
+        reference.get(("t", 63))
+        assert not hit_mask.any() and values.shape == (0, 3)
+        _assert_same_observables(reference, soa)
+        # The negative key itself behaves like any other key.
+        assert soa.get(("t", -1)) == reference.get(("t", -1)) == b"neg"
+        hit_mask, values = soa.probe_batch("t", np.array([-1, 5]), 3)
+        for s in (-1, 5):
+            reference.get(("t", s))
+        assert list(hit_mask) == [True, False] and bytes(values[0]) == b"neg"
+        assert soa.invalidate(("t", -1)) and reference.invalidate(("t", -1))
+        _assert_same_observables(reference, soa)
+
+    def test_fill_batch_with_negative_index_replays_puts(self):
+        reference, soa = _pair(capacity=6 * 8)
+        stored = np.array([3, -2, 4])
+        matrix = _matrix("t", stored)
+        assert soa.fill_batch("t", stored, matrix) == _replay_fill(reference, "t", stored, matrix)
+        assert not soa.contains(("t", 62))
+        _assert_same_observables(reference, soa)
+
+
+class TestBatchMutation:
+    def test_random_interleaved_operations_match_lru(self):
+        # Every operation the serve path issues, in random order, over two
+        # tables with different row lengths sharing one byte budget.
+        reference, soa = _pair(capacity=40 * 16, overhead=8)
+        rng = make_rng(0, "soa-test", "interleaved")
+        row_lens = {"a": 8, "b": 24}
+        for _ in range(1500):
+            table = "a" if rng.random() < 0.6 else "b"
+            row_len = row_lens[table]
+            op = rng.random()
+            if op < 0.15:
+                key = (table, int(rng.integers(0, 96)))
+                assert soa.get(key) == reference.get(key)
+            elif op < 0.3:
+                stored = int(rng.integers(0, 96))
+                value = _row(table, stored, row_len)
+                assert soa.put((table, stored), value) == reference.put((table, stored), value)
+            elif op < 0.55:
+                stored = rng.integers(0, 96, size=int(rng.integers(1, 24)))
+                hit_mask, values = soa.probe_batch(table, stored, row_len)
+                assert [bytes(v) for v in values] == _replay_probe(reference, table, stored)
+            elif op < 0.8:
+                # Fills: fresh rows, replacements and in-batch duplicates.
+                stored = rng.integers(0, 96, size=int(rng.integers(1, 24)))
+                matrix = _matrix(table, stored, row_len)
+                assert soa.fill_batch(table, stored, matrix) == _replay_fill(
+                    reference, table, stored, matrix
+                )
+            else:
+                # Probe with promotion: distinct rows, the misses among a
+                # random subset promoted; skipped when the certificate
+                # reports a hazard, exactly as the tier chain does.
+                stored = rng.permutation(96)[: int(rng.integers(1, 24))]
+                present = soa.contains_batch(table, stored)
+                promote_mask = ~present & (rng.random(stored.size) < 0.7)
+                fills = int(promote_mask.sum())
+                if soa.promotion_hazard(table, stored[present], fills, row_len):
+                    continue
+                promote_values = _matrix(table, stored[promote_mask], row_len)
+                hit_mask, values = soa.probe_batch(
+                    table, stored, row_len, promote_mask, promote_values
+                )
+                assert list(hit_mask) == list(present)
+                assert [bytes(v) for v in values] == _replay_probe(
+                    reference, table, stored, promote_mask, promote_values
+                )
+            _assert_same_observables(reference, soa)
+        assert soa.stats.evictions > 100  # the budget was under pressure
+
+    @pytest.mark.parametrize("count", [1, 5, 6, 7, 20])
+    def test_fill_batch_larger_than_the_cache(self, count):
+        # Five 16-byte entries fit.  A bigger batch evicts its own head: the
+        # rows count as inserted and evicted, only the tail survives.
+        reference, soa = _pair(capacity=5 * 16, overhead=8)
+        for cache in (reference, soa):
+            cache.put(("t", 90), _row("t", 90))
+            cache.put("other", b"12345678")
+        stored = np.arange(count)
+        matrix = _matrix("t", stored)
+        assert soa.fill_batch("t", stored, matrix) == count
+        _replay_fill(reference, "t", stored, matrix)
+        _assert_same_observables(reference, soa)
+        for s in stored:
+            assert soa.get(("t", int(s))) == reference.get(("t", int(s)))
+        _assert_same_observables(reference, soa)
+
+    def test_fill_batch_replacements_and_duplicates(self):
+        reference, soa = _pair(capacity=8 * 16, overhead=8)
+        first = np.arange(6)
+        for stored in (first, np.array([2, 9, 2, 10]), np.array([11, 0, 12]), np.array([7, 7])):
+            matrix = _matrix("t", stored)
+            matrix[0] ^= 0xFF  # a replacement must store the new payload
+            assert soa.fill_batch("t", stored, matrix) == _replay_fill(
+                reference, "t", stored, matrix
+            )
+            _assert_same_observables(reference, soa)
+        for s in range(13):
+            assert soa.get(("t", s)) == reference.get(("t", s))
+
+    def test_recency_log_compaction_mid_sequence(self):
+        # The log starts at 64 entries; a resident set probed over and over
+        # fills it with dead entries and forces compactions (which renumber
+        # every stamp) between evictions, scalar touches and batch touches.
+        reference, soa = _pair(capacity=10 * 16, overhead=8)
+        stored = np.arange(10)
+        soa.fill_batch("t", stored, _matrix("t", stored))
+        _replay_fill(reference, "t", stored, _matrix("t", stored))
+        rng = make_rng(0, "soa-test", "compaction")
+        compactions = 0
+        for step in range(400):
+            tail_before = soa._log_tail
+            if step % 7 == 3:
+                key = ("t", int(rng.integers(0, 14)))
+                assert soa.get(key) == reference.get(key)
+            elif step % 11 == 5:
+                fresh = np.array([10 + step % 4])
+                if not soa.contains_batch("t", fresh)[0]:
+                    soa.fill_batch("t", fresh, _matrix("t", fresh))
+                    _replay_fill(reference, "t", fresh, _matrix("t", fresh))
+            else:
+                probe = rng.integers(0, 14, size=9)
+                _, values = soa.probe_batch("t", probe, 8)
+                assert [bytes(v) for v in values] == _replay_probe(reference, "t", probe)
+            compactions += soa._log_tail < tail_before
+            _assert_same_observables(reference, soa)
+        assert compactions >= 5
+        assert soa._log.size <= 128  # bounded by the live set, not the touch count
+
+
+class TestPromotionCertificate:
+    def _scalar_replay_diverges(self, soa_factory, hit_rows, promoted_rows, row_len):
+        """Brute force: replay get/put row by row on a copy and report
+        whether any probe's outcome differs from the one-shot plan (hits
+        stay hits) — the condition the certificate must detect."""
+        replay = soa_factory()
+        diverged = False
+        # Promoted rows walk first here, so their evictions precede the hits;
+        # the certificate is order-blind, hence must cover the worst order.
+        for s in promoted_rows:
+            assert replay.get(("t", int(s))) is None
+            replay.put(("t", int(s)), _row("t", int(s), row_len))
+        for s in hit_rows:
+            diverged |= replay.get(("t", int(s))) is None
+        return diverged
+
+    def test_certificate_matches_brute_force_replay(self):
+        rng = make_rng(0, "soa-test", "certificate")
+        row_len, overhead = 8, 8
+        hazards = clears = 0
+        for trial in range(300):
+            capacity = int(rng.integers(4, 20)) * (row_len + overhead)
+            resident = rng.permutation(40)[: int(rng.integers(0, 22))]
+
+            def build():
+                cache = SoALRUCache(capacity, per_item_overhead_bytes=overhead)
+                for s in resident:
+                    cache.put(("t", int(s)), _row("t", int(s), row_len))
+                return cache
+
+            soa = build()
+            present = np.array([s for s in range(40) if soa.contains(("t", s))], dtype=np.int64)
+            absent = np.arange(40, 80)
+            hit_rows = rng.permutation(present)[: int(rng.integers(0, present.size + 1))]
+            promoted_rows = absent[: int(rng.integers(0, 16))]
+            before = (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes)
+            hazard = soa.promotion_hazard("t", hit_rows, promoted_rows.size, row_len)
+            assert (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes) == before
+            diverges = self._scalar_replay_diverges(build, hit_rows, promoted_rows, row_len)
+            # Exact on eviction hazards; additionally conservative when the
+            # fills alone outgrow the cache and would evict one another.
+            overflows = promoted_rows.size * (row_len + overhead) > capacity
+            assert hazard == (diverges or overflows), (trial, hazard, diverges, overflows)
+            hazards += hazard
+            clears += not hazard
+        assert hazards > 30 and clears > 30
+
+    def test_row_that_never_fits_is_a_hazard(self):
+        soa = SoALRUCache(16, per_item_overhead_bytes=8)
+        assert soa.promotion_hazard("t", np.empty(0, dtype=np.int64), 1, 64)
+
+    def test_cleared_batch_replays_exactly_in_any_interleaving(self):
+        # With the certificate clear, the ordered batch op equals the scalar
+        # walk whatever the positions of hits and promoted rows.
+        rng = make_rng(0, "soa-test", "promotion-order")
+        checked = 0
+        for _ in range(200):
+            reference, soa = _pair(capacity=12 * 16, overhead=8)
+            resident = rng.permutation(30)[:12]
+            for cache in (reference, soa):
+                for s in resident:
+                    cache.put(("t", int(s)), _row("t", int(s)))
+            stored = rng.permutation(60)[: int(rng.integers(2, 16))]
+            present = soa.contains_batch("t", stored)
+            promote_mask = ~present & (rng.random(stored.size) < 0.8)
+            if soa.promotion_hazard("t", stored[present], int(promote_mask.sum()), 8):
+                continue
+            promote_values = _matrix("t", stored[promote_mask])
+            hit_mask, values = soa.probe_batch("t", stored, 8, promote_mask, promote_values)
+            assert [bytes(v) for v in values] == _replay_probe(
+                reference, "t", stored, promote_mask, promote_values
+            )
+            assert list(hit_mask) == list(present)
+            _assert_same_observables(reference, soa)
+            checked += 1
+        assert checked > 50
