@@ -14,8 +14,12 @@ Run standalone to write the comparison as JSON::
 
     python benchmarks/bench_campaign_throughput.py --out runs/campaign_throughput.json
 
-which is what the ``campaign-smoke`` CI job uploads (and gates with
-``--min-speedup``).
+which is what the ``campaign-smoke`` CI job uploads.  The CI gate is an
+absolute floor on the reuse-on points/sec (``--min-points-per-sec``), not
+the reuse-on/reuse-off ratio: the ratio falls whenever the *slow* side gets
+cheaper (array-native set-up took reuse-off from ~1.5 to ~3.5 points/sec
+and the ratio from ~3.5x to ~2.6x while reuse-on rose from ~6 to ~9), so a
+ratio gate fails for exactly the wrong reason.  The ratio is still reported.
 """
 
 import argparse
@@ -144,9 +148,9 @@ def main() -> int:
         "--repeats", type=int, default=1, help="timed passes per mode (best is kept)"
     )
     parser.add_argument(
-        "--min-speedup",
+        "--min-points-per-sec",
         type=float,
-        help="exit non-zero when reuse-on/reuse-off speedup falls below this",
+        help="exit non-zero when the reuse-on points/sec falls below this",
     )
     args = parser.parse_args()
     payload = run_comparison(repeats=args.repeats)
@@ -156,10 +160,11 @@ def main() -> int:
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(payload, indent=2))
         print(f"wrote {out}", file=sys.stderr)
-    if args.min_speedup is not None and payload["speedup"] < args.min_speedup:
+    floor = args.min_points_per_sec
+    if floor is not None and payload["reuse_on_pps"] < floor:
         print(
-            f"speedup {payload['speedup']:.2f}x below the "
-            f"--min-speedup gate {args.min_speedup:.2f}x",
+            f"reuse-on {payload['reuse_on_pps']:.2f} points/sec below the "
+            f"--min-points-per-sec gate {floor:.2f}",
             file=sys.stderr,
         )
         return 1

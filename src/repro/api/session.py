@@ -63,19 +63,24 @@ class Session:
     def from_dict(cls, data, compute: Optional[ComputeSpec] = None) -> "Session":
         return cls(ScenarioSpec.from_dict(data), compute=compute)
 
-    def adopt_backend(self, model: DLRMModel, backend: EmbeddingBackend) -> None:
-        """Serve through an already-built ``(model, backend)`` pair.
+    def adopt_backend(
+        self, model: DLRMModel, backend: Optional[EmbeddingBackend] = None
+    ) -> None:
+        """Serve through an already-built ``(model, backend)`` pair, or build
+        this session's backend over an already-built ``model``.
 
         The campaign runtimes (:mod:`repro.runtime.runtimes`) keep one built
         backend per :meth:`ScenarioSpec.backend_hash` resident in each worker
         process; adopting it skips model construction and backend build — the
         dominant cost of small-scenario grid points.  The caller owns the
-        reuse contract: the pair must have been built from a spec whose
-        ``model``/``backend`` sections equal this session's, and the backend
-        must be restored to its as-constructed state
+        reuse contract: the model must have been built from a spec whose
+        ``model`` section equals this session's (and the backend, when given,
+        from an equal ``backend`` section too), and the backend must be
+        restored to its as-constructed state
         (``backend.restore_pristine()``) before every adopting run, or
-        results will not be bit-identical to a fresh build.  Only valid
-        before the first :meth:`run` touches the lazy parts.
+        results will not be bit-identical to a fresh build.  A built model is
+        never written to, so any number of backends may share one.  Only
+        valid before the first :meth:`run` touches the lazy parts.
         """
         if self._model is not None or self._backend is not None:
             raise RuntimeError(

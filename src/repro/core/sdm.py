@@ -60,6 +60,15 @@ POOLED_PROBE_SECONDS = 5.0e-7
 RANK_INDEX_BYTES = 4
 
 
+def _stored_rows(
+    source: np.ndarray, rank_order: Optional[np.ndarray], stored: Union[slice, np.ndarray]
+) -> np.ndarray:
+    """Stored rows ``stored`` (a slice or an index array) of a table whose
+    unranked rows are ``source``; a hotness-ranked table stores row
+    ``rank_order[i]`` at stored index ``i``."""
+    return source[stored] if rank_order is None else source[rank_order[stored]]
+
+
 @dataclass
 class _SMTable:
     """Serving state of one table with rows homed below tier 0."""
@@ -73,7 +82,6 @@ class _SMTable:
     mapping: Optional[np.ndarray] = None
     mapping_fm_bytes: int = 0
     rank_order: Optional[np.ndarray] = None
-    depruned: bool = False
     dequantized: bool = False
 
 
@@ -238,8 +246,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             ),
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
-            fast_row_source=self._fast_row_bytes,
-            fast_matrix_row_source=self._fast_rows_matrix,
+            fast_row_source=self._fast_rows_matrix,
             first_device_tier_devices=devices,
         )
 
@@ -263,26 +270,30 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     def device_tiers(self) -> List[DeviceTier]:
         return [tier for tier in self.tiers if isinstance(tier, DeviceTier)]
 
-    def _sm_source_for(self, table_name: str) -> _SMTable:
-        """Decide what bytes are stored below tier 0 for one table."""
+    def _sm_source_for(self, table_name: str) -> Tuple[_SMTable, np.ndarray]:
+        """Decide what bytes are stored below tier 0 for one table.
+
+        Returns the table's serving state and its stored rows as one
+        ``(stored_rows, row_bytes)`` uint8 matrix (before any rank ordering).
+        """
         decision = self.tiered_placement.for_table(table_name)
         spec = self.model.table(table_name).spec
 
         if table_name in self.pruned_tables:
             pruned = self.pruned_tables[table_name]
             if self.config.deprune_at_load:
-                result = deprune_table(pruned)
-                table = result.table
-                return _SMTable(
+                # Algorithm 2: a zero matrix with the live rows scattered in.
+                table = deprune_table(pruned).table
+                state = _SMTable(
                     spec=table.spec,
                     stored_rows=table.spec.num_rows,
                     row_bytes=table.spec.row_bytes,
                     decode=self._make_quantized_decoder(table.spec),
                     decode_batch=self._make_quantized_batch_decoder(table.spec),
                     cache_enabled=decision.cache_enabled,
-                    depruned=True,
                 )
-            return _SMTable(
+                return state, table.data
+            state = _SMTable(
                 spec=pruned.original_spec,
                 stored_rows=pruned.table.spec.num_rows,
                 row_bytes=pruned.table.spec.row_bytes,
@@ -292,11 +303,11 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 mapping=pruned.mapping,
                 mapping_fm_bytes=pruned.mapping_tensor_bytes,
             )
+            return state, pruned.table.data
 
         if self.config.dequantize_at_load:
-            result = dequantize_table(self.model.table(table_name))
-            dequantized = result.table
-            return _SMTable(
+            dequantized = dequantize_table(self.model.table(table_name)).table
+            state = _SMTable(
                 spec=spec,
                 stored_rows=spec.num_rows,
                 row_bytes=dequantized.row_bytes,
@@ -305,8 +316,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 cache_enabled=decision.cache_enabled,
                 dequantized=True,
             )
+            return state, dequantized.data.view(np.uint8)
 
-        return _SMTable(
+        state = _SMTable(
             spec=spec,
             stored_rows=spec.num_rows,
             row_bytes=spec.row_bytes,
@@ -314,6 +326,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             decode_batch=self._make_quantized_batch_decoder(spec),
             cache_enabled=decision.cache_enabled,
         )
+        return state, self.model.table(table_name).data
 
     @staticmethod
     def _make_quantized_decoder(spec: EmbeddingTableSpec) -> Callable[[bytes], np.ndarray]:
@@ -340,53 +353,26 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     def _decode_float_batch(rows: np.ndarray) -> np.ndarray:
         return np.ascontiguousarray(rows).view(np.float32)
 
-    def _row_source_bytes(self, table_name: str, state: _SMTable, stored_index: int) -> bytes:
-        """Serialized bytes of one stored row (used when loading to devices)."""
-        if state.rank_order is not None:
-            return self.model.table(table_name).row_bytes_at(
-                int(state.rank_order[stored_index])
-            )
-        if state.dequantized:
-            table = self.model.table(table_name)
-            return table.lookup_dense([stored_index])[0].astype(np.float32).tobytes()
-        if table_name in self.pruned_tables:
-            pruned = self.pruned_tables[table_name]
-            if state.depruned:
-                if stored_index in self._depruned_cache[table_name]:
-                    return self._depruned_cache[table_name][stored_index]
-                return bytes(state.row_bytes)
-            return pruned.table.row_bytes_at(stored_index)
-        return self.model.table(table_name).row_bytes_at(stored_index)
-
-    def _fast_row_bytes(self, table_name: str, stored_index: int) -> bytes:
-        """Row source for stored rows homed on the fast tier (row splits)."""
-        return self._row_source_bytes(table_name, self._sm_tables[table_name], stored_index)
-
     def _fast_rows_matrix(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
-        """Whole-batch row source for fast-tier-homed stored rows.
+        """Row source for stored rows homed on the fast tier.
 
         Only row-split tables route stored rows to tier 0 (tables homed
         whole on the fast tier are served by :meth:`_serve_from_fm`), and
         row splits exclude pruned/dequantised tables, so the stored bytes
-        are exactly the in-memory table rows — one matrix gather replaces
-        the per-row ``bytes`` round-trip of :meth:`_fast_row_bytes`.
+        are exactly the in-memory table rows.
         """
         state = self._sm_tables[table_name]
-        data = self.model.table(table_name).data
-        if state.rank_order is not None:
-            return data[state.rank_order[stored_indices]]
-        return data[stored_indices]
+        return _stored_rows(self.model.table(table_name).data, state.rank_order, stored_indices)
 
     def _load_sm_tables(self) -> None:
         """Lay out and write every device-homed table segment onto its tier."""
-        self._depruned_cache: Dict[str, Dict[int, bytes]] = {}
         for table_name in self.tiered_placement.storage_tables():
             if table_name not in self.model.tables:
                 raise KeyError(
                     f"placement references table {table_name!r} that the model lacks"
                 )
             decision = self.tiered_placement.for_table(table_name)
-            state = self._sm_source_for(table_name)
+            state, source = self._sm_source_for(table_name)
             if decision.is_split or decision.rank_order is not None:
                 if table_name in self.pruned_tables or state.dequantized:
                     raise ValueError(
@@ -405,15 +391,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     )
                     state.mapping = mapping
                     state.mapping_fm_bytes = state.stored_rows * RANK_INDEX_BYTES
-            if state.depruned:
-                pruned = self.pruned_tables[table_name]
-                live = np.nonzero(pruned.mapping != PRUNED)[0]
-                self._depruned_cache[table_name] = {
-                    int(unpruned_index): pruned.table.row_bytes_at(
-                        int(pruned.mapping[unpruned_index])
-                    )
-                    for unpruned_index in live
-                }
             self._sm_tables[table_name] = state
             segments = whole_table_segments(decision, state.stored_rows)
             decision.segments = segments
@@ -428,8 +405,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     segment.start,
                     segment.end,
                     state.row_bytes,
-                    row_source=lambda stored, name=table_name, st=state: (
-                        self._row_source_bytes(name, st, stored)
+                    _stored_rows(
+                        source, state.rank_order, slice(segment.start, segment.end)
                     ),
                     whole_table=whole,
                 )

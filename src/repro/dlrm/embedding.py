@@ -105,7 +105,10 @@ class EmbeddingTable:
                 f"got {quantized_rows.shape}"
             )
         self.spec = spec
-        self.data = quantized_rows
+        # A read-only view (the caller's array keeps its own flags): one model
+        # can back several resident backends, so none may write through it.
+        self.data = quantized_rows.view()
+        self.data.setflags(write=False)
 
     # ------------------------------------------------------------- builders
     @classmethod

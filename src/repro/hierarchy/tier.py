@@ -495,53 +495,49 @@ class FastTier(MemoryTier):
         self,
         spec: TierSpec,
         cache: Optional[UnifiedRowCache] = None,
-        row_source: Optional[Callable[[str, int], bytes]] = None,
-        matrix_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
+        row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
     ) -> None:
         if not spec.is_fast:
             raise ValueError(f"FastTier needs a dram spec, got {spec.technology.value!r}")
         self.spec = spec
         self.cache = cache
         self.stats = TierStats()
+        #: ``(table_name, stored_indices) -> (n, row_bytes)`` uint8 matrix.
         self._row_source = row_source
-        self._matrix_row_source = matrix_row_source
 
     def read_rows(
         self, table_name: str, stored_indices: Sequence[int], start_time: float
     ) -> List[ReadResult]:
-        if self._row_source is None:
+        rows = self.read_rows_matrix(table_name, stored_indices)
+        if rows is None:
             raise RuntimeError(
                 "FastTier has no row source; rows cannot be homed on it"
             )
-        results: List[ReadResult] = []
-        for stored in stored_indices:
-            data = self._row_source(table_name, int(stored))
-            results.append(
-                ReadResult(
-                    table_name=table_name,
-                    row_index=int(stored),
-                    data=data,
-                    requested_bytes=len(data),
-                    transferred_bytes=len(data),
-                    fm_bytes_consumed=0,
-                    completion_time=start_time,
-                    latency=0.0,
-                )
+        return [
+            ReadResult(
+                table_name=table_name,
+                row_index=int(stored),
+                data=row.tobytes(),
+                requested_bytes=row.size,
+                transferred_bytes=row.size,
+                fm_bytes_consumed=0,
+                completion_time=start_time,
+                latency=0.0,
             )
-        return results
+            for stored, row in zip(stored_indices, rows)
+        ]
 
     def read_rows_matrix(
-        self, table_name: str, stored_indices: np.ndarray
+        self, table_name: str, stored_indices: Union[np.ndarray, Sequence[int]]
     ) -> Optional[np.ndarray]:
         """Serve tier-0-homed rows straight from the in-memory table arrays.
 
-        Bypasses the per-row ``bytes`` round-trip of :meth:`read_rows` — the
-        payloads are one advanced-indexing gather.  Side-effect free, exactly
-        like the scalar fast read; the chain does the stats accounting.
+        The payloads are one advanced-indexing gather.  Side-effect free;
+        the chain does the stats accounting.
         """
-        if self._matrix_row_source is None:
+        if self._row_source is None:
             return None
-        return self._matrix_row_source(table_name, np.asarray(stored_indices, dtype=np.int64))
+        return self._row_source(table_name, np.asarray(stored_indices, dtype=np.int64))
 
     def fm_footprint_bytes(self) -> int:
         return self.cache.capacity_bytes if self.cache is not None else 0
@@ -625,36 +621,45 @@ class DeviceTier(MemoryTier):
         start: int,
         end: int,
         row_bytes: int,
-        row_source: Callable[[int], bytes],
+        rows: np.ndarray,
         whole_table: bool = False,
     ) -> None:
         """Allocate and write stored rows ``[start, end)`` of a table.
 
-        ``row_source`` maps a stored index to its serialized bytes.  Whole-
-        table segments keep the bare table name as layout key so per-table
-        outstanding-IO limits and legacy layouts are unchanged.
+        ``rows`` holds the segment's serialized rows as one ``(end - start,
+        row_bytes)`` uint8 matrix, row ``i`` being stored row ``start + i``;
+        anything else is rejected, since a short or long row would silently
+        shift every row behind it.  Rows are packed ``rows_per_block`` to a
+        block (the block's tail and the last block's unused slots stay zero)
+        and written with one :meth:`SimulatedDevice.write_blocks` call.
+        Whole-table segments keep the bare table name as layout key so
+        per-table outstanding-IO limits and legacy layouts are unchanged.
         """
         if end <= start:
             raise ValueError(f"segment [{start}, {end}) of {table_name!r} is empty")
+        rows = np.asarray(rows)
+        if rows.shape != (end - start, row_bytes) or rows.dtype != np.uint8:
+            raise ValueError(
+                f"segment [{start}, {end}) of {table_name!r} needs a uint8 row matrix "
+                f"of shape {(end - start, row_bytes)}, got {rows.dtype} {rows.shape}"
+            )
         key = table_name if whole_table else f"{table_name}@{start}"
         segment = _Segment(key=key, start=start, end=end)
         self._segments.setdefault(table_name, []).append(segment)
         self._row_bytes[table_name] = row_bytes
         extent = self.layout.add_table(key, end - start, row_bytes)
-        device = self.devices[extent.device_index]
         rows_per_block = extent.rows_per_block
-        num_rows = end - start
-        for block_offset in range(extent.num_blocks):
-            buffer = bytearray(BLOCK_SIZE)
-            first_row = block_offset * rows_per_block
-            for slot in range(rows_per_block):
-                local_row = first_row + slot
-                if local_row >= num_rows:
-                    break
-                row = row_source(start + local_row)
-                offset = slot * row_bytes
-                buffer[offset : offset + len(row)] = row
-            device.write_block(extent.first_lba + block_offset, bytes(buffer))
+        blocks = np.zeros((extent.num_blocks, BLOCK_SIZE), dtype=np.uint8)
+        # (block, slot, byte) view of the blocks' row area.
+        slots = blocks[:, : rows_per_block * row_bytes].reshape(
+            extent.num_blocks, rows_per_block, row_bytes
+        )
+        full_blocks, tail_rows = divmod(end - start, rows_per_block)
+        packed = full_blocks * rows_per_block
+        slots[:full_blocks] = rows[:packed].reshape(full_blocks, rows_per_block, row_bytes)
+        if tail_rows:
+            slots[full_blocks, :tail_rows] = rows[packed:]
+        self.devices[extent.device_index].write_blocks(extent.first_lba, blocks)
 
     def has_table(self, table_name: str) -> bool:
         return table_name in self._segments
@@ -802,8 +807,7 @@ def build_tiers(
     device_cache_config: Callable[[TierSpec], Optional[UnifiedCacheConfig]] = lambda spec: None,
     use_mmap: bool = False,
     seed: int = 0,
-    fast_row_source: Optional[Callable[[str, int], bytes]] = None,
-    fast_matrix_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
+    fast_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
     first_device_tier_devices: Optional[Sequence[SimulatedDevice]] = None,
 ) -> List[MemoryTier]:
     """Materialise runtime tiers from an ordered spec list (fastest first).
@@ -819,14 +823,7 @@ def build_tiers(
     first_device_tier = True
     for spec in specs:
         if spec.is_fast:
-            tiers.append(
-                FastTier(
-                    spec,
-                    cache=fast_cache,
-                    row_source=fast_row_source,
-                    matrix_row_source=fast_matrix_row_source,
-                )
-            )
+            tiers.append(FastTier(spec, cache=fast_cache, row_source=fast_row_source))
             continue
         tiers.append(
             DeviceTier(

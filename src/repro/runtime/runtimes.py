@@ -28,8 +28,12 @@ sections only).  Points that differ only along workload/traffic/serving axes
 share a hash, so a worker restores the already-built backend to its
 as-constructed state (``backend.restore_pristine()``) and skips model
 construction and placement entirely — the dominant cost of small-scenario
-grids.  Reuse is bit-identical to fresh builds by contract, and the parity
-tests pin it.
+grids.  Points that differ along a *backend* axis (a cache-size sweep) miss
+on the hash but still share the model: a miss adopts the model of any
+resident entry whose ``spec.model`` section is equal and builds only the
+backend.  A built model is immutable (table data is a read-only array), so
+several resident backends can serve from one.  Reuse is bit-identical to
+fresh builds by contract, and the parity tests pin it.
 """
 
 from __future__ import annotations
@@ -60,9 +64,10 @@ from repro.runtime.store import ExperimentStore
 #: here", as opposed to a point's own exception (which quarantines the point).
 POOL_ERRORS = (BrokenProcessPool, OSError, PermissionError)
 
-#: Built backends resident in this process, keyed by ``spec.backend_hash()``.
-#: Bounded so a backend-axis campaign cannot hold every variant alive at once.
-_BACKEND_CACHE: "OrderedDict[str, Tuple[Any, Any]]" = OrderedDict()
+#: Built ``(spec.model, model, backend)`` entries resident in this process,
+#: keyed by ``spec.backend_hash()``.  Bounded so a backend-axis campaign
+#: cannot hold every variant alive at once.
+_BACKEND_CACHE: "OrderedDict[str, Tuple[Any, Any, Any]]" = OrderedDict()
 _BACKEND_CACHE_LIMIT = 8
 
 
@@ -159,9 +164,12 @@ def run_point(
     Top-level (hence picklable) and dict-in/dict-out by design.  With
     ``reuse`` the process-global backend cache is consulted under
     ``spec.backend_hash()``: a hit restores the built backend to pristine
-    state and adopts it, skipping model/backend construction; a miss runs
-    fresh and — when the backend supports ``restore_pristine`` — caches the
-    built pair for the next point that shares the hash.
+    state and adopts it, skipping model/backend construction.  A miss adopts
+    just the model of a resident entry built from an equal ``spec.model``
+    section, if there is one (model construction is a pure function of that
+    section and the built model is read-only), builds what is left, and —
+    when the backend supports ``restore_pristine`` — caches the result for
+    the next point that shares the hash.
     """
     # Imported lazily: repro.runtime builds on repro.api, not vice versa, and
     # pool workers re-import this module before anything else.
@@ -174,15 +182,20 @@ def run_point(
         key = spec.backend_hash()
         cached = _BACKEND_CACHE.get(key)
         if cached is not None:
-            model, backend = cached
+            _, model, backend = cached
             backend.restore_pristine()
             session.adopt_backend(model, backend)
             _BACKEND_CACHE.move_to_end(key)
+        else:
+            for model_choice, model, _ in _BACKEND_CACHE.values():
+                if model_choice == spec.model:
+                    session.adopt_backend(model)
+                    break
     result: Dict[str, Any] = session.run().to_dict()
     if key is not None and key not in _BACKEND_CACHE:
         backend = session.backend
         if callable(getattr(backend, "restore_pristine", None)):
-            _BACKEND_CACHE[key] = (session.model, backend)
+            _BACKEND_CACHE[key] = (spec.model, session.model, backend)
             while len(_BACKEND_CACHE) > _BACKEND_CACHE_LIMIT:
                 _BACKEND_CACHE.popitem(last=False)
     if store_root is not None:

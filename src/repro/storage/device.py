@@ -191,14 +191,17 @@ class SimulatedDevice:
         if bool(bad.any()):
             self._check_lba(int(lbas[bad][0]))
 
+    def _grow_store(self, num_slots: int) -> None:
+        grown = np.zeros((num_slots, BLOCK_SIZE), dtype=np.uint8)
+        grown[: self._num_slots] = self._block_store[: self._num_slots]
+        self._block_store = grown
+
     def _slot_for_write(self, lba: int) -> int:
         slot = self._block_slots.get(lba)
         if slot is not None:
             return slot
         if self._num_slots == self._block_store.shape[0]:
-            grown = np.zeros((2 * self._num_slots, BLOCK_SIZE), dtype=np.uint8)
-            grown[: self._num_slots] = self._block_store
-            self._block_store = grown
+            self._grow_store(2 * self._num_slots)
         slot = self._num_slots
         self._num_slots += 1
         self._block_slots[lba] = slot
@@ -217,6 +220,40 @@ class SimulatedDevice:
         )
         self.stats.bytes_written += len(data)
         self.stats.writes += 1
+
+    def write_blocks(self, first_lba: int, blocks: np.ndarray) -> None:
+        """Write whole blocks to consecutive LBAs starting at ``first_lba``.
+
+        ``blocks`` is an ``(n, BLOCK_SIZE)`` uint8 matrix.  Contents and
+        ``stats`` end up exactly as after ``n`` :meth:`write_block` calls;
+        when none of the LBAs was written before (a table load) the slots are
+        allocated once, right-sized, and filled with one slice assignment.
+        """
+        blocks = np.asarray(blocks)
+        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE or blocks.dtype != np.uint8:
+            raise ValueError(
+                f"blocks must be an (n, {BLOCK_SIZE}) uint8 matrix, got "
+                f"{blocks.dtype} {blocks.shape}"
+            )
+        count = blocks.shape[0]
+        if count == 0:
+            return
+        self._check_lba(first_lba)
+        self._check_lba(first_lba + count - 1)
+        lbas = range(first_lba, first_lba + count)
+        if self._block_slots.keys().isdisjoint(lbas):
+            first_slot = self._num_slots
+            if first_slot + count > self._block_store.shape[0]:
+                self._grow_store(first_slot + count)
+            self._block_store[first_slot : first_slot + count] = blocks
+            self._block_slots.update(zip(lbas, range(first_slot, first_slot + count)))
+            self._num_slots += count
+        else:
+            for lba, block in zip(lbas, blocks):
+                slot = self._slot_for_write(lba)  # may reallocate the store
+                self._block_store[slot] = block
+        self.stats.bytes_written += count * BLOCK_SIZE
+        self.stats.writes += count
 
     def read_block_data(self, lba: int, offset: int = 0, length: Optional[int] = None) -> bytes:
         """Return the stored bytes without any timing (used by tests)."""

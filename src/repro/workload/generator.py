@@ -177,18 +177,25 @@ class QueryGenerator:
         self._next_query_id = 0
 
     # ---------------------------------------------------------------- helpers
-    def _pooling_count(self, spec: EmbeddingTableSpec, jitter_draw: float) -> int:
-        factor = spec.avg_pooling_factor * (
-            1.0 + self.config.pooling_factor_jitter * jitter_draw
-        )
-        count = max(int(round(factor)), 1)
-        return min(count, spec.num_rows)
+    def _pooling_counts(
+        self, specs: Sequence[EmbeddingTableSpec], jitter_draws: np.ndarray
+    ) -> np.ndarray:
+        """Rows to look up in each sequence slot: the slot table's average
+        pooling factor, jittered, rounded half-to-even, within [1, num_rows].
+
+        ``jitter_draws`` is ``(queries, slots)`` with ``specs[s]`` the table
+        of slot ``s``.
+        """
+        average = np.array([spec.avg_pooling_factor for spec in specs], dtype=np.float64)
+        num_rows = np.array([spec.num_rows for spec in specs], dtype=np.int64)
+        factor = average * (1.0 + self.config.pooling_factor_jitter * jitter_draws)
+        return np.minimum(np.maximum(np.rint(factor).astype(np.int64), 1), num_rows)
 
     def _indices_for_table(
         self,
         spec: EmbeddingTableSpec,
+        count: int,
         repeat_draw: float,
-        jitter_draw: float,
         pick_draw: float,
         replace_draw: float,
     ) -> List[int]:
@@ -196,8 +203,7 @@ class QueryGenerator:
         pool = self._sequence_pools[spec.name]
         if pool and repeat_draw < self.config.sequence_repeat_probability:
             return list(pool[min(int(pick_draw * len(pool)), len(pool) - 1)])
-        count = self._pooling_count(spec, jitter_draw)
-        indices = self._table_generators[spec.name].sample(count, unique=True).tolist()
+        indices = self._table_generators[spec.name].sample_ids(count, unique=True)
         if len(pool) >= self.config.sequence_pool_size:
             pool[min(int(replace_draw * len(pool)), len(pool) - 1)] = indices
         else:
@@ -224,52 +230,49 @@ class QueryGenerator:
         # or not the decision path uses them, so the counts are static.
         slots = num_user + len(item_specs) * batch
         count = num_queries
-        user_id_draws = self._user_ids.sample(count)
+        user_ids = self._user_ids.sample_ids(count)
         reuse_draws = self._reuse_rng.random((count, num_user))
         repeat_draws = self._repeat_rng.random((count, slots))
-        jitter_draws = self._jitter_rng.uniform(-1.0, 1.0, (count, slots))
+        lookup_counts = self._pooling_counts(
+            user_specs + [spec for spec in item_specs for _ in range(batch)],
+            self._jitter_rng.uniform(-1.0, 1.0, (count, slots)),
+        )
         pool_draws = self._pool_rng.random((count, slots, 2))
         dense_draws = self._dense_rng.normal(
             0.0, 1.0, (count, self.model.dense_dim)
         ).astype(np.float32)
+        reuse_probability = self.config.user_reuse_probability
+        item_slots = [
+            (spec, range(num_user + table_at * batch, num_user + (table_at + 1) * batch))
+            for table_at, spec in enumerate(item_specs)
+        ]
 
         queries: List[Query] = []
-        for position in range(count):
-            user_id = int(user_id_draws[position])
+        for position, user_id in enumerate(user_ids):
+            # One query's draws as plain floats: same values, no per-slot
+            # ndarray scalar indexing.
+            reuse = reuse_draws[position].tolist()
+            repeat = repeat_draws[position].tolist()
+            lookups = lookup_counts[position].tolist()
+            pool = pool_draws[position].tolist()
             remembered = self._user_memory.setdefault(user_id, {})
             user_indices: Dict[str, List[int]] = {}
             for slot, spec in enumerate(user_specs):
-                reuse = (
-                    spec.name in remembered
-                    and reuse_draws[position, slot] < self.config.user_reuse_probability
-                )
-                if reuse:
+                if spec.name in remembered and reuse[slot] < reuse_probability:
                     user_indices[spec.name] = list(remembered[spec.name])
                 else:
                     indices = self._indices_for_table(
-                        spec,
-                        repeat_draws[position, slot],
-                        jitter_draws[position, slot],
-                        pool_draws[position, slot, 0],
-                        pool_draws[position, slot, 1],
+                        spec, lookups[slot], repeat[slot], *pool[slot]
                     )
                     remembered[spec.name] = list(indices)
                     user_indices[spec.name] = indices
-            item_indices: Dict[str, List[List[int]]] = {}
-            for table_at, spec in enumerate(item_specs):
-                per_item: List[List[int]] = []
-                for item_at in range(batch):
-                    slot = num_user + table_at * batch + item_at
-                    per_item.append(
-                        self._indices_for_table(
-                            spec,
-                            repeat_draws[position, slot],
-                            jitter_draws[position, slot],
-                            pool_draws[position, slot, 0],
-                            pool_draws[position, slot, 1],
-                        )
-                    )
-                item_indices[spec.name] = per_item
+            item_indices: Dict[str, List[List[int]]] = {
+                spec.name: [
+                    self._indices_for_table(spec, lookups[slot], repeat[slot], *pool[slot])
+                    for slot in table_slots
+                ]
+                for spec, table_slots in item_slots
+            }
             queries.append(
                 Query(
                     query_id=self._next_query_id,

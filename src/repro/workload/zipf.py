@@ -9,14 +9,28 @@ despite strong *temporal* locality.
 
 from __future__ import annotations
 
+from typing import List
 
 import numpy as np
 
 from repro.sim.rng import make_rng
 
 
+#: Ids drawn ahead of consumption per buffer refill.
+_READ_AHEAD = 4096
+
+
 class ZipfGenerator:
-    """Samples row indices with a bounded Zipf popularity distribution."""
+    """Samples row indices with a bounded Zipf popularity distribution.
+
+    The id stream is drawn ahead of consumption: one ``rng.random`` →
+    ``searchsorted`` → id-map gather per :data:`_READ_AHEAD` ids refills a
+    buffer that every call reads from.  ``random(n)`` then ``random(m)``
+    yields the same PCG64 values as ``random(n + m)``, so each call sees
+    exactly the ids it would have drawn itself and outputs are identical to
+    unbuffered sampling; the only visible difference is that ``_rng`` runs
+    ahead of what callers have consumed.
+    """
 
     def __init__(
         self,
@@ -40,33 +54,45 @@ class ZipfGenerator:
             self._id_map = self._rng.permutation(num_items)
         else:
             self._id_map = np.arange(num_items)
+        # Drawn-but-unconsumed ids, oldest first.
+        self._ahead = np.empty(0, dtype=np.int64)
 
-    def sample(self, count: int = 1, unique: bool = False) -> np.ndarray:
-        """Draw ``count`` indices; with ``unique`` no index repeats in the draw."""
+    def _take(self, count: int) -> np.ndarray:
+        """The next ``count`` ids of the stream (a view; do not write to it)."""
+        ahead = self._ahead
+        if count > ahead.size:
+            uniform = self._rng.random(max(count - ahead.size, _READ_AHEAD))
+            ranks = np.searchsorted(self._cdf, uniform, side="left")
+            ahead = np.concatenate([ahead, self._id_map[ranks]])
+        self._ahead = ahead[count:]
+        return ahead[:count]
+
+    def sample_ids(self, count: int = 1, unique: bool = False) -> List[int]:
+        """Draw ``count`` indices as a list; with ``unique`` none repeats.
+
+        Unique draws are rejection sampling in rounds of ``2 * needed + 8``
+        ids, each round keeping the first occurrence of every not-yet-chosen
+        id in draw order (a dict's insertion order is exactly that); pooling
+        factors are far smaller than table cardinality, so one round almost
+        always suffices.
+        """
         if count <= 0:
             raise ValueError(f"count must be positive: {count}")
-        if unique and count > self.num_items:
+        if not unique:
+            return self._take(count).tolist()
+        if count > self.num_items:
             raise ValueError(
                 f"cannot draw {count} unique indices from {self.num_items} items"
             )
-        if not unique:
-            uniform = self._rng.random(count)
-            ranks = np.searchsorted(self._cdf, uniform, side="left")
-            return self._id_map[ranks]
-        chosen = np.empty(0, dtype=np.int64)
-        # Rejection sampling; pooling factors are far smaller than table
-        # cardinality so this terminates quickly in practice.  Each round
-        # keeps the first occurrence of every not-yet-chosen value in draw
-        # order, so the result (and the RNG stream consumed) is exactly the
-        # per-value scan it replaces.
-        while chosen.size < count:
-            needed = count - chosen.size
-            draws = self.sample(needed * 2 + 8, unique=False).astype(np.int64)
-            fresh = draws[~np.isin(draws, chosen)]
-            _, first_at = np.unique(fresh, return_index=True)
-            fresh = fresh[np.sort(first_at)]
-            chosen = np.concatenate([chosen, fresh[:needed]])
-        return chosen
+        chosen = dict.fromkeys(self._take(2 * count + 8).tolist())
+        while len(chosen) < count:
+            needed = count - len(chosen)
+            chosen.update(dict.fromkeys(self._take(2 * needed + 8).tolist()))
+        return list(chosen)[:count]
+
+    def sample(self, count: int = 1, unique: bool = False) -> np.ndarray:
+        """:meth:`sample_ids` as an int64 ndarray."""
+        return np.array(self.sample_ids(count, unique), dtype=np.int64)
 
     def expected_top_fraction_coverage(self, fraction: float) -> float:
         """Analytic fraction of accesses landing on the hottest ``fraction`` of rows."""

@@ -5,6 +5,8 @@ import pytest
 
 from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory, Tier
 from repro.dlrm import prune_table
+from repro.hierarchy import compute_tiered_placement, parse_tiers
+from repro.sim.units import BLOCK_SIZE
 from repro.storage import IOEngineConfig, Technology
 
 from helpers import reference_pooled, small_model, small_queries, small_sdm, small_sdm_config
@@ -239,3 +241,94 @@ class TestSDMTimingAndStats:
         sdm.pooled_embeddings(query.user_indices, 0.0)
         assert sdm.row_cache.stats.lookups == 0
         assert sdm.stats.sm_ios == 2 * sum(len(v) for v in query.user_indices.values())
+
+
+class TestSDMLoadPath:
+    """The matrix table load writes the blocks the per-row load wrote."""
+
+    @staticmethod
+    def _row_bytes(sdm, model, pruned_tables, name, stored_index):
+        # The per-row source the matrix load replaced, one row at a time.
+        state = sdm._sm_tables[name]
+        if state.rank_order is not None:
+            return model.table(name).row_bytes_at(int(state.rank_order[stored_index]))
+        if state.dequantized:
+            return model.table(name).lookup_dense([stored_index])[0].astype(np.float32).tobytes()
+        if name in pruned_tables:
+            pruned = pruned_tables[name]
+            if sdm.config.deprune_at_load:
+                mapped = int(pruned.mapping[stored_index])
+                if mapped == -1:
+                    return bytes(state.row_bytes)
+                return pruned.table.row_bytes_at(mapped)
+            return pruned.table.row_bytes_at(stored_index)
+        return model.table(name).row_bytes_at(stored_index)
+
+    def _assert_blocks_match_per_row_load(self, sdm, model, pruned_tables=None):
+        pruned_tables = pruned_tables or {}
+        checked_partial_block = False
+        for tier in sdm.device_tiers:
+            for name, segments in tier._segments.items():
+                row_bytes = sdm._sm_tables[name].row_bytes
+                for segment in segments:
+                    extent = tier.layout.extent(segment.key)
+                    device = tier.devices[extent.device_index]
+                    assert extent.num_rows == segment.end - segment.start
+                    for block in range(extent.num_blocks):
+                        expected = bytearray(BLOCK_SIZE)
+                        first = block * extent.rows_per_block
+                        rows = range(first, min(first + extent.rows_per_block, extent.num_rows))
+                        for slot, local in enumerate(rows):
+                            expected[slot * row_bytes : (slot + 1) * row_bytes] = self._row_bytes(
+                                sdm, model, pruned_tables, name, segment.start + local
+                            )
+                        checked_partial_block |= len(rows) < extent.rows_per_block
+                        assert device.read_block_data(extent.first_lba + block) == bytes(expected)
+            written = sum(tier.layout.extent(s.key).num_blocks for ss in tier._segments.values() for s in ss)
+            assert tier.device_stats().writes == written
+            assert tier.device_stats().bytes_written == written * BLOCK_SIZE
+        assert checked_partial_block, "no segment ended in a partly filled block"
+
+    def test_plain_tables(self):
+        model = small_model(num_rows=250)
+        self._assert_blocks_match_per_row_load(small_sdm(model), model)
+
+    def test_rank_ordered_row_split(self):
+        model = small_model(num_user=2, num_item=1, num_rows=250)
+        tiers = "dram:2KiB,cxl:6KiB,nand:64MiB"
+        ranking = np.random.default_rng(3).permutation(250)
+        placement = compute_tiered_placement(
+            model.table_specs,
+            parse_tiers(tiers),
+            granularity="rows",
+            row_hotness={"user_0": ranking, "user_1": ranking[::-1]},
+        )
+        sdm = SoftwareDefinedMemory(
+            model, small_sdm_config(tiers=tiers, split_rows=True), placement=placement
+        )
+        ranked = [name for name, state in sdm._sm_tables.items() if state.rank_order is not None]
+        assert ranked, "expected a hotness-ranked split table"
+        self._assert_blocks_match_per_row_load(sdm, model)
+        # Tier 0 serves its share of the same stored rows from the one source.
+        fast = sdm.tiers[0]
+        stored = np.array([0, 3, 1])
+        for name in ranked:
+            expected = [self._row_bytes(sdm, model, {}, name, int(i)) for i in stored]
+            assert [row.tobytes() for row in fast.read_rows_matrix(name, stored)] == expected
+            assert [read.data for read in fast.read_rows(name, stored.tolist(), 0.0)] == expected
+
+    @pytest.mark.parametrize("deprune", [False, True])
+    def test_pruned_tables(self, deprune):
+        model = small_model(num_rows=250)
+        pruned = {"user_0": prune_table(model.table("user_0"), 0.3, seed=1)}
+        sdm = SoftwareDefinedMemory(
+            model, small_sdm_config(deprune_at_load=deprune), pruned_tables=pruned
+        )
+        assert sdm._sm_tables["user_0"].stored_rows == (250 if deprune else 175)
+        self._assert_blocks_match_per_row_load(sdm, model, pruned)
+
+    def test_dequantize_at_load(self):
+        model = small_model(num_rows=250)
+        sdm = small_sdm(model, dequantize_at_load=True)
+        assert sdm._sm_tables["user_0"].row_bytes == 4 * 16
+        self._assert_blocks_match_per_row_load(sdm, model)

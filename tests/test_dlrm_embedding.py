@@ -154,6 +154,26 @@ class TestEmbeddingTable:
         assert len(rows) == 6
         assert all(len(row) == spec.row_bytes for row in rows)
 
+    def test_data_is_a_read_only_view_of_the_callers_array(self):
+        spec = _spec(num_rows=6, dim=4)
+        raw = EmbeddingTable.random(spec, seed=0).data.copy()
+        table = EmbeddingTable(spec, raw)
+        assert np.shares_memory(table.data, raw)
+        assert raw.flags.writeable and not table.data.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table.data[0, 0] = 1
+        with pytest.raises(ValueError, match="read-only"):
+            table.data[1:3] = 0
+        # Every lookup path reads through the view; gathers are fresh copies.
+        assert table.row_bytes_at(2) == raw[2].tobytes()
+        gathered = table.lookup_raw([4, 1])
+        assert gathered.flags.writeable
+        np.testing.assert_array_equal(gathered, raw[[4, 1]])
+        np.testing.assert_array_equal(
+            table.bag_batch([[0, 1], [5]]), [table.bag([0, 1]), table.bag([5])]
+        )
+        assert list(table.iter_row_bytes()) == [row.tobytes() for row in raw]
+
     def test_size_bytes_matches_spec(self):
         spec = _spec(num_rows=10, dim=8)
         table = EmbeddingTable.random(spec, seed=0)

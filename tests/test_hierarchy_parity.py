@@ -283,7 +283,8 @@ class TestPromotionPolicies:
         )
         slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
         assert mid.cache_hit_seconds(64) > 0.0
-        slow.add_segment("t", 0, 16, 64, lambda s: bytes([s] * 64), whole_table=True)
+        rows = np.repeat(np.arange(16, dtype=np.uint8)[:, None], 64, axis=1)
+        slow.add_segment("t", 0, 16, 64, rows, whole_table=True)
         placement = TieredPlacement(num_tiers=3)
         placement.add(
             TieredTablePlacement(

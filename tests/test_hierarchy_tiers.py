@@ -1,5 +1,6 @@
 """Tests for tier specs, parsing and the runtime tier objects."""
 
+import numpy as np
 import pytest
 
 from repro.hierarchy import (
@@ -169,7 +170,8 @@ class TestRuntimeTiers:
         spec = TierSpec.from_value("nand:1MiB")
         tier = DeviceTier(spec)
         rows = {i: bytes([i % 256] * 64) for i in range(100)}
-        tier.add_segment("t", 0, 100, 64, row_source=lambda s: rows[s], whole_table=True)
+        matrix = np.frombuffer(b"".join(rows.values()), dtype=np.uint8).reshape(100, 64)
+        tier.add_segment("t", 0, 100, 64, matrix, whole_table=True)
         reads = tier.read_rows("t", [3, 97, 11], start_time=0.0)
         assert [r.data for r in reads] == [rows[3], rows[97], rows[11]]
         assert tier.stats.ios == 3
@@ -178,13 +180,45 @@ class TestRuntimeTiers:
     def test_multi_segment_resolution(self):
         spec = TierSpec.from_value("nand:1MiB")
         tier = DeviceTier(spec)
-        tier.add_segment("t", 100, 200, 64, row_source=lambda s: bytes([1] * 64))
-        tier.add_segment("t", 300, 350, 64, row_source=lambda s: bytes([2] * 64))
+        tier.add_segment("t", 100, 200, 64, np.full((100, 64), 1, dtype=np.uint8))
+        tier.add_segment("t", 300, 350, 64, np.full((50, 64), 2, dtype=np.uint8))
         reads = tier.read_rows("t", [150, 320], start_time=0.0)
         assert reads[0].data[0] == 1
         assert reads[1].data[0] == 2
         with pytest.raises(KeyError):
             tier.read_rows("t", [250], start_time=0.0)
+
+    @pytest.mark.parametrize(
+        "shape, dtype",
+        [((99, 64), np.uint8), ((100, 63), np.uint8), ((100, 65), np.uint8),
+         ((6400,), np.uint8), ((100, 64), np.float32)],
+    )
+    def test_segment_rows_of_the_wrong_shape_rejected(self, shape, dtype):
+        # A short row used to be zero-padded silently and a long one spilled
+        # into its neighbour's slot; nothing may be laid out or written.
+        tier = DeviceTier(TierSpec.from_value("nand:1MiB"))
+        with pytest.raises(ValueError) as raised:
+            tier.add_segment("t", 200, 300, 64, np.zeros(shape, dtype=dtype))
+        message = str(raised.value)
+        assert "'t'" in message and "[200, 300)" in message
+        assert "(100, 64)" in message and str(shape) in message
+        assert not tier.has_table("t")
+        assert tier.allocated_bytes() == 0
+        assert tier.device_stats().writes == 0
+
+    def test_segment_tail_block_stays_zero_padded(self):
+        tier = DeviceTier(TierSpec.from_value("nand:1MiB"))
+        rows = np.arange(1, 131, dtype=np.uint8)[:, None].repeat(100, axis=1)
+        tier.add_segment("t", 0, 130, 100, rows, whole_table=True)  # 40 rows a block
+        device = tier.devices[0]
+        assert device.stats.writes == 4
+        assert device.stats.bytes_written == 4 * 4096
+        assert device.read_block_data(0, 3900, 100) == bytes([40] * 100)
+        assert device.read_block_data(0, 4000) == bytes(96)  # block tail
+        assert device.read_block_data(3, 900, 100) == bytes([130] * 100)
+        assert device.read_block_data(3, 1000) == bytes(3096)  # unused slots
+        reads = tier.read_rows("t", [0, 39, 40, 129], start_time=0.0)
+        assert [read.data[0] for read in reads] == [1, 40, 41, 130]
 
     def test_cost_model(self):
         from repro.hierarchy import cost_factor, memory_cost_dram_gb, pareto_frontier

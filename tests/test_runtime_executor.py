@@ -7,6 +7,7 @@ import pytest
 
 from repro import CampaignSpec, ExperimentStore, ScenarioSpec, Session, run_campaign
 from repro.api import ModelChoice, ServingChoice, WorkloadChoice
+from repro.api.spec import TrafficSpec
 from repro.runtime import runtimes as runtimes_module
 from repro.runtime.runtimes import (
     DryRunRuntime,
@@ -135,6 +136,83 @@ class TestBackendReuse:
         assert runtimes_module.backend_cache_info()[0] == 1
         assert reused == fresh
         runtimes_module.clear_backend_cache()
+
+
+class TestModelSharing:
+    """Backends that miss on ``backend_hash`` still share one built model."""
+
+    @staticmethod
+    def _count_model_builds(monkeypatch):
+        import repro.api.session as session_module
+
+        builds = []
+        build = session_module.build_scaled_model
+
+        def counting(*args, **kwargs):
+            builds.append(kwargs.get("seed"))
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(session_module, "build_scaled_model", counting)
+        return builds
+
+    def test_cache_axis_grid_is_identical_with_and_without_sharing(self, monkeypatch):
+        base = small_base().replace(
+            "traffic", TrafficSpec(mode="open", arrival="constant", offered_qps=500.0)
+        )
+        campaign = CampaignSpec.from_grid(
+            base,
+            {
+                "backend.options.row_cache_capacity_bytes": [4096, 65536, 1 << 20],
+                "traffic.offered_qps": [300.0, 3000.0],
+            },
+            name="exec",
+        )
+        assert len({point.spec.backend_hash() for point in campaign.points()}) == 3
+        builds = self._count_model_builds(monkeypatch)
+        runtimes_module.clear_backend_cache()
+        oracle = run_campaign(campaign, runtime="serial", reuse_backends=False)
+        assert len(builds) == 6
+        del builds[:]
+        reused = run_campaign(campaign, runtime="serial")
+        assert len(builds) == 1  # one model behind three resident backends
+        assert runtimes_module.backend_cache_info()[0] == 3
+        models = {id(model) for _, model, _ in runtimes_module._BACKEND_CACHE.values()}
+        assert len(models) == 1
+        runtimes_module.clear_backend_cache()
+        pooled = run_campaign(campaign, parallel=2, runtime="pool")
+        for name, outcomes in (("serial+reuse", reused), ("pool+reuse", pooled)):
+            assert all(outcome.ok for outcome in outcomes), name
+            assert [o.metrics for o in outcomes] == [o.metrics for o in oracle], name
+
+    def test_a_different_model_section_is_not_adopted(self, monkeypatch):
+        base = small_base()
+        other_seed = base.replace("model.seed", 5).replace(
+            "backend.options.row_cache_capacity_bytes", 65536
+        )
+        builds = self._count_model_builds(monkeypatch)
+        runtimes_module.clear_backend_cache()
+        fresh = runtimes_module.run_point(other_seed.to_dict(), reuse=False)
+        del builds[:]
+        runtimes_module.run_point(base.to_dict(), reuse=True)
+        shared = runtimes_module.run_point(other_seed.to_dict(), reuse=True)
+        assert builds == [0, 5]
+        assert shared == fresh
+        entries = list(runtimes_module._BACKEND_CACHE.values())
+        assert [choice.seed for choice, _, _ in entries] == [0, 5]
+        assert entries[0][1] is not entries[1][1]
+        runtimes_module.clear_backend_cache()
+
+    def test_adopted_model_is_read_only(self):
+        session = Session(small_base())
+        table = next(iter(session.model.tables.values()))
+        sharing = Session(small_base().replace("backend.name", "dram"))
+        sharing.adopt_backend(session.model)
+        assert sharing.model is session.model
+        assert sharing.backend is not session.backend
+        with pytest.raises(ValueError, match="read-only"):
+            table.data[0, 0] = 1
+        with pytest.raises(RuntimeError, match="adopt_backend"):
+            sharing.adopt_backend(session.model)
 
 
 class TestQuarantine:

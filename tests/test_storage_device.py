@@ -57,6 +57,84 @@ class TestDeviceData:
         assert device.stats.bytes_written == 150
 
 
+class TestWriteBlocks:
+    """``write_blocks`` is ``write_block`` per row of the matrix, faster."""
+
+    @staticmethod
+    def _blocks(count, seed=0):
+        rng = np.random.default_rng(seed)
+        return rng.integers(0, 256, size=(count, BLOCK_SIZE), dtype=np.uint8)
+
+    @staticmethod
+    def _per_block(device, first_lba, blocks):
+        for offset, block in enumerate(blocks):
+            device.write_block(first_lba + offset, block.tobytes())
+
+    @staticmethod
+    def _image(device, lbas):
+        return [device.read_block_data(lba) for lba in lbas]
+
+    def test_matches_per_block_writes_growing_from_an_empty_store(self):
+        batched, scalar = _make_device(), _make_device()
+        for first_lba, count in ((5, 37), (100, 1), (101, 300)):
+            blocks = self._blocks(count, seed=first_lba)
+            batched.write_blocks(first_lba, blocks)
+            self._per_block(scalar, first_lba, blocks)
+        lbas = range(0, 410)
+        assert self._image(batched, lbas) == self._image(scalar, lbas)
+        assert batched.stats == scalar.stats
+        assert batched.stats.writes == 338
+        assert batched.stats.bytes_written == 338 * BLOCK_SIZE
+        # Right-sized: one slot per written block plus the zero image.
+        assert batched._block_store.shape[0] == 339
+
+    def test_overwrites_existing_lbas(self):
+        batched, scalar = _make_device(), _make_device()
+        for device in (batched, scalar):
+            device.write_block(12, bytes([9] * 64), offset=32)
+            device.write_block(3, bytes([7] * BLOCK_SIZE))
+        blocks = self._blocks(6, seed=1)
+        batched.write_blocks(10, blocks)  # LBA 12 already holds data
+        self._per_block(scalar, 10, blocks)
+        lbas = range(0, 20)
+        assert self._image(batched, lbas) == self._image(scalar, lbas)
+        assert batched.read_block_data(12) == blocks[2].tobytes()
+        assert batched.read_block_data(3) == bytes([7] * BLOCK_SIZE)
+        assert batched.stats == scalar.stats
+        assert batched._block_slots == scalar._block_slots
+
+    def test_rows_gather_back_through_the_batched_read(self):
+        device = _make_device()
+        blocks = self._blocks(8, seed=2)
+        device.write_blocks(20, blocks)
+        lbas = np.array([27, 20, 23, 99])
+        rows = device.read_rows_ndarray(lbas, np.array([0, 64, 4000, 8]), 96)
+        assert rows[0].tobytes() == blocks[7, :96].tobytes()
+        assert rows[1].tobytes() == blocks[0, 64:160].tobytes()
+        assert rows[2].tobytes() == blocks[3, 4000:4096].tobytes()
+        assert rows[3].tobytes() == bytes(96)
+
+    def test_out_of_range_rejected_before_anything_is_written(self):
+        device = _make_device(capacity=BLOCK_SIZE * 8)
+        with pytest.raises(IndexError):
+            device.write_blocks(6, self._blocks(3))
+        with pytest.raises(IndexError):
+            device.write_blocks(-1, self._blocks(2))
+        assert device.stats.writes == 0
+        assert device._block_slots == {}
+
+    def test_wrong_shape_or_dtype_rejected(self):
+        device = _make_device()
+        with pytest.raises(ValueError, match="uint8 matrix"):
+            device.write_blocks(0, np.zeros((2, BLOCK_SIZE - 1), dtype=np.uint8))
+        with pytest.raises(ValueError, match="uint8 matrix"):
+            device.write_blocks(0, np.zeros(BLOCK_SIZE, dtype=np.uint8))
+        with pytest.raises(ValueError, match="uint8 matrix"):
+            device.write_blocks(0, np.zeros((2, BLOCK_SIZE), dtype=np.float32))
+        device.write_blocks(0, np.zeros((0, BLOCK_SIZE), dtype=np.uint8))
+        assert device.stats.writes == 0
+
+
 class TestDeviceReadTiming:
     def test_read_returns_requested_data_and_positive_latency(self):
         device = _make_device()

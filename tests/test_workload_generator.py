@@ -6,6 +6,7 @@ import pytest
 from repro.workload import QueryGenerator, WorkloadConfig, generate_arrival_times
 
 from helpers import small_model
+from test_workload_zipf import ReferenceZipf
 
 
 class TestWorkloadConfig:
@@ -139,6 +140,53 @@ class TestQueryGenerator:
                 assert other.user_indices == reference.user_indices
                 assert other.item_indices == reference.item_indices
                 assert np.array_equal(other.dense_features, reference.dense_features)
+
+    @pytest.mark.parametrize("seed", [7, 19])
+    def test_generate_equals_generator_driven_by_reference_sampler(self, seed):
+        # Swap every read-ahead ZipfGenerator for the unbuffered NumPy
+        # rejection sampler it replaced: ids, indices, dense features and
+        # query ids must not move, one query at a time or all at once.
+        model = small_model()
+        config = WorkloadConfig(item_batch=3, num_users=50)
+
+        def reference_driven():
+            generator = QueryGenerator(model, config, seed=seed)
+            generator._user_ids = ReferenceZipf(
+                config.num_users, config.user_zipf_alpha, seed=seed
+            )
+            for spec in model.table_specs:
+                generator._table_generators[spec.name] = ReferenceZipf(
+                    spec.num_rows, spec.zipf_alpha, seed=seed
+                )
+            return generator
+
+        whole = QueryGenerator(model, config, seed=seed).generate(120)
+        stepper = QueryGenerator(model, config, seed=seed)
+        single = [stepper.generate(1)[0] for _ in range(120)]
+        reference = reference_driven().generate(120)
+        stepping_reference = reference_driven()
+        reference_single = [stepping_reference.generate(1)[0] for _ in range(120)]
+        assert [query.query_id for query in whole] == list(range(120))
+        for expected, *others in zip(reference, whole, single, reference_single):
+            for other in others:
+                assert other.query_id == expected.query_id
+                assert other.user_id == expected.user_id
+                assert other.user_indices == expected.user_indices
+                assert other.item_indices == expected.item_indices
+                assert np.array_equal(other.dense_features, expected.dense_features)
+
+    def test_pooling_counts_match_scalar_rounding(self):
+        # The vectorised count is max(int(round(avg * (1 + j * draw))), 1)
+        # capped at num_rows, with Python's round-half-to-even.
+        model = small_model()
+        generator = QueryGenerator(model, WorkloadConfig(pooling_factor_jitter=0.5))
+        specs = model.table_specs
+        draws = np.array([[-1.0, 0.0, 1.0], [1 / 3, -0.5, 0.5], [1.0, 1.0, -1.0]])
+        counts = generator._pooling_counts(specs, draws)
+        for row, row_counts in zip(draws.tolist(), counts.tolist()):
+            for spec, draw, count in zip(specs, row, row_counts):
+                factor = spec.avg_pooling_factor * (1.0 + 0.5 * draw)
+                assert count == min(max(int(round(factor)), 1), spec.num_rows)
 
     def test_golden_trace_pins_rng_stream(self):
         # Frozen sample of the named per-purpose RNG streams: any change to

@@ -77,3 +77,98 @@ class TestZipfGenerator:
         assert generator.popularity_rank_of(0) == 0
         with pytest.raises(ValueError):
             generator.popularity_rank_of(1000)
+
+
+class ReferenceZipf(ZipfGenerator):
+    """The unbuffered NumPy rejection sampler the read-ahead one replaced:
+    every call draws exactly its own ids straight from ``_rng``."""
+
+    consumed = 0
+
+    def _draw(self, count):
+        self.consumed += count
+        ranks = np.searchsorted(self._cdf, self._rng.random(count), side="left")
+        return self._id_map[ranks].astype(np.int64)
+
+    def sample_ids(self, count=1, unique=False):
+        if count <= 0:
+            raise ValueError(f"count must be positive: {count}")
+        if not unique:
+            return self._draw(count).tolist()
+        if count > self.num_items:
+            raise ValueError(f"cannot draw {count} unique indices")
+        chosen = np.empty(0, dtype=np.int64)
+        while chosen.size < count:
+            needed = count - chosen.size
+            draws = self._draw(needed * 2 + 8)
+            fresh = draws[~np.isin(draws, chosen)]
+            _, first_at = np.unique(fresh, return_index=True)
+            fresh = fresh[np.sort(first_at)]
+            chosen = np.concatenate([chosen, fresh[:needed]])
+        return chosen.tolist()
+
+
+class CountingZipf(ZipfGenerator):
+    """The shipped sampler, counting the ids each call takes off the stream."""
+
+    consumed = 0
+
+    def _take(self, count):
+        self.consumed += count
+        return super()._take(count)
+
+
+class TestReadAheadMatchesReference:
+    @staticmethod
+    def _pair(num_items, alpha, seed):
+        return CountingZipf(num_items, alpha, seed=seed), ReferenceZipf(num_items, alpha, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_interleaved_calls_across_chunk_boundaries(self, seed):
+        # ~60k ids: the 4096-id read-ahead buffer is refilled many times and
+        # calls of every size straddle a refill, including one larger than
+        # the buffer itself.
+        shipped, reference = self._pair(5000, 1.05, seed)
+        calls = [(count, count % 3 != 0) for count in range(1, 160)]
+        calls += [(4095, False), (3, True), (4097, False), (40, True), (10_000, False)]
+        for count, unique in calls:
+            assert shipped.sample_ids(count, unique) == reference.sample_ids(count, unique)
+            assert shipped.consumed == reference.consumed
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    @pytest.mark.parametrize("count", [8, 7, 5])
+    def test_forced_multi_round_draws(self, seed, count):
+        # 8 skewed items: all (or nearly all) of them never show up in one
+        # round of 2 * count + 8 draws, so the round loop runs.
+        shipped, reference = self._pair(8, 1.6, seed)
+        rounds = 0
+        for _ in range(50):
+            before = reference.consumed
+            expected = reference.sample_ids(count, unique=True)
+            rounds += reference.consumed - before > 2 * count + 8
+            assert shipped.sample_ids(count, unique=True) == expected
+            assert sorted(expected) == sorted(set(expected))
+            assert shipped.consumed == reference.consumed
+        assert count < 8 or rounds > 0
+
+    def test_sample_is_the_ndarray_form_of_sample_ids(self):
+        a, b = ZipfGenerator(300, 1.1, seed=5), ZipfGenerator(300, 1.1, seed=5)
+        for count, unique in [(12, True), (50, False), (1, False)]:
+            array = a.sample(count, unique=unique)
+            assert array.dtype == np.int64
+            assert array.tolist() == b.sample_ids(count, unique)
+
+    def test_errors_do_not_consume_the_stream(self):
+        shipped, reference = self._pair(10, 1.0, 3)
+        with pytest.raises(ValueError):
+            shipped.sample_ids(11, unique=True)
+        with pytest.raises(ValueError):
+            shipped.sample_ids(0)
+        assert shipped.consumed == 0
+        assert shipped.sample_ids(10, unique=True) == reference.sample_ids(10, unique=True)
+
+    def test_read_ahead_buffer_stays_small(self):
+        generator = ZipfGenerator(5000, 1.05, seed=0)
+        for count in (10, 4000, 9000, 200, 4096):
+            generator.sample_ids(count)
+            assert generator._ahead.size <= 4096
