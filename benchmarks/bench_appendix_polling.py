@@ -6,6 +6,8 @@ uses IRQ completions.  This bench reports the modelled IOPS/core of both
 modes and the measured CPU seconds for a fixed IO count.
 """
 
+import numpy as np
+
 from repro.analysis import format_table
 from repro.sim.units import GB
 from repro.storage import (
@@ -13,7 +15,7 @@ from repro.storage import (
     IOEngine,
     IOEngineConfig,
     IOMode,
-    IORequest,
+    IORequestBatch,
     SimulatedDevice,
     optane_ssd_spec,
 )
@@ -29,11 +31,10 @@ def _run(mode: IOMode):
     layout.add_table("t", 10_000, 128)
     config = IOEngineConfig(mode=mode)
     engine = IOEngine([device], config)
-    requests = [
-        IORequest("t", row % 10_000, layout.locate("t", row % 10_000))
-        for row in range(NUM_IOS)
-    ]
-    engine.submit_row_reads(requests, 0.0)
+    rows = np.arange(NUM_IOS, dtype=np.int64) % 10_000
+    engine.submit_row_reads_batch(
+        IORequestBatch.from_locations("t", layout.locate_batch("t", rows)), 0.0
+    )
     return {
         "iops_per_core": config.iops_per_core(),
         "cpu_seconds": engine.stats.cpu_seconds,

@@ -1,36 +1,35 @@
-"""Serve-core throughput: scalar vs batched wall-clock queries/sec.
+"""Serve-core throughput: wall-clock queries/sec of the SDM serve path.
 
-Not a paper table — this benchmarks the array-native serve core
-(``SDMConfig.serve_mode="batched"``): whole batches of embedding-row
-lookups flow through the tier chain as NumPy arrays (one cache probe and
-one grouped device read per tier) instead of one Python-level walk per
-row.  Both modes are run over the *same* open-loop query stream on the
-same small model; the stream is replayed once to warm the row cache and
-then timed, so the measurement is steady-state serve throughput, where
-the per-row Python overhead of the scalar walk dominates.  The simulated
-outcome (served count, simulated QPS) must be identical between modes —
-the batched path is an execution strategy, not a model change.
+Not a paper table — this times the serve core: whole batches of
+embedding-row lookups flow through the tier chain as NumPy arrays (one
+cache probe and one grouped device read per tier).  One open-loop query
+stream on a small model is replayed once to warm the row cache and then
+timed, so the measurement is steady-state serve throughput.  The simulated
+outcome (served count, simulated QPS) of every timed pass must equal the
+recorded one (``RECORDED_OUTCOMES``, written when the per-row serve walk
+this repo used to carry was last run against the same stream) — faster
+serving is an execution matter, never a model change.
 
-Run standalone to write the comparison as JSON::
+Run standalone to write the measurement as JSON::
 
     python benchmarks/bench_serve_throughput.py --out runs/serve_throughput.json
 
 which is what the ``perf-smoke`` CI job uploads (and gates with
-``--min-speedup``).
+``--min-qps``, an absolute floor).
 
 ``--cold`` switches to a miss-heavy regime: the row cache is shrunk far
 below the working set, so nearly every lookup falls through to the
-simulated devices and the measurement exercises the batched storage-IO
-path (``IOEngine.submit_row_reads_batch`` + grouped device scheduling)
-rather than array-native cache hits.  The queue-depth gating replay is
-inherently sequential, so the cold speedup is smaller than the warm one;
-CI gates it separately.
+simulated devices and the measurement exercises the storage-IO path
+(``IOEngine.submit_row_reads_batch`` + grouped device scheduling) rather
+than array-native cache hits.  The queue-depth gating replay is inherently
+sequential, so cold serving is several times slower than warm; CI gates it
+separately.
 
 ``--trace-overhead`` switches to the tracing-overhead comparison instead:
-the batched serve core timed with a live :class:`ChromeTraceRecorder`
-attached (engine + SDM backend) versus untraced.  The ``obs-smoke`` CI job
-gates the relative slowdown with ``--max-trace-overhead`` and the simulated
-outcome must be identical either way — tracing observes, never perturbs.
+the serve core timed with a live :class:`ChromeTraceRecorder` attached
+(engine + SDM backend) versus untraced.  The ``obs-smoke`` CI job gates the
+relative slowdown with ``--max-trace-overhead`` and the simulated outcome
+must be identical either way — tracing observes, never perturbs.
 """
 
 import argparse
@@ -59,11 +58,8 @@ from repro.workload import (  # noqa: E402
     generate_arrival_times,
 )
 
-SERVE_MODES = ("scalar", "batched")
-
-# One wide user table so each query gathers a long row batch: that is the
-# regime the batched serve core targets (the scalar walk costs O(rows)
-# Python operations per query, the batched path O(1) array operations).
+# One wide user table so each query gathers a long row batch: the regime
+# the array-native serve core targets (O(1) array operations per query).
 NUM_ROWS = 16_384
 DIM = 64
 POOLING = 1536.0
@@ -72,8 +68,16 @@ OFFERED_QPS = 5000.0
 ROW_CACHE_BYTES = 64 * MIB
 # --cold shrinks the row cache far below the ~1 MiB working set of the
 # user table, so the timed passes are dominated by tier-chain misses and
-# the batched storage-IO submission path instead of cache hits.
+# the storage-IO submission path instead of cache hits.
 COLD_ROW_CACHE_BYTES = 64 * KIB
+# ``(served queries, simulated QPS)`` of the first timed passes, per regime.
+# Each replay of the stream starts from the caches and queues the previous
+# one left, so the outcome depends on the pass; the third is the one in
+# BENCH_serve_throughput.json.
+RECORDED_OUTCOMES = {
+    "warm": [(183, 4901.567995655279), (200, 5565.956490429576), (200, 5565.956490429576)],
+    "cold": [(68, 133.019438905437), (68, 94.36086863935763), (68, 73.0813597762765)],
+}
 
 
 def _bench_model() -> DLRMModel:
@@ -107,82 +111,78 @@ def _bench_model() -> DLRMModel:
     )
 
 
-def run_comparison(repeats: int = 3, cold: bool = False) -> dict:
-    """Time both serve modes over one replayed open-loop stream.
-
-    ``cold=True`` runs the same stream against a row cache too small for
-    the working set, so the comparison measures the miss path (batched
-    storage IO) rather than warm cache hits.
-    """
-    model = _bench_model()
+def _stream(model: DLRMModel):
+    """The benchmark's query stream and its open-loop arrival times."""
     generator = QueryGenerator(
         model, WorkloadConfig(item_batch=1, num_users=300), seed=0
     )
-    queries = generator.generate(NUM_QUERIES)
     arrivals = generate_arrival_times(
         NUM_QUERIES, process="poisson", offered_qps=OFFERED_QPS, seed=1
     )
-    records = {}
-    for mode in SERVE_MODES:
-        sdm = SoftwareDefinedMemory(
-            model,
-            SDMConfig(
-                row_cache_capacity_bytes=(
-                    COLD_ROW_CACHE_BYTES if cold else ROW_CACHE_BYTES
-                ),
-                pooled_cache_enabled=False,
-                num_devices=2,
-                seed=0,
-                serve_mode=mode,
-            ),
-        )
-        serving = ServingEngine(
-            InferenceEngine(model, ComputeSpec(), sdm),
-            concurrency=4,
-            store_results=False,
-        )
-        # Warm pass over the same stream: the timed passes then measure
-        # steady-state serving out of a warm row cache.
-        serving.run_open_loop(queries, arrivals, serve_batch=8)
-        best_qps = 0.0
-        result = None
-        for _ in range(repeats):
-            started = time.perf_counter()
-            result = serving.run_open_loop(queries, arrivals, serve_batch=8)
-            elapsed = time.perf_counter() - started
-            best_qps = max(best_qps, result.num_queries / elapsed)
-        assert result is not None
-        records[mode] = {
-            "serve_mode": mode,
-            "wall_qps": best_qps,
-            "served_queries": result.num_queries,
-            "simulated_qps": result.achieved_qps,
-        }
-    # The two modes differ only in execution strategy: the simulated
-    # outcome must match exactly or the comparison is meaningless.
-    scalar, batched = records["scalar"], records["batched"]
-    if scalar["simulated_qps"] != batched["simulated_qps"] or (
-        scalar["served_queries"] != batched["served_queries"]
-    ):
-        raise AssertionError(
-            "scalar and batched serve modes diverged in simulated outcome: "
-            f"{scalar} vs {batched}"
-        )
+    return generator.generate(NUM_QUERIES), arrivals
+
+
+def _serving(model: DLRMModel, row_cache_bytes: int):
+    sdm = SoftwareDefinedMemory(
+        model,
+        SDMConfig(
+            row_cache_capacity_bytes=row_cache_bytes,
+            pooled_cache_enabled=False,
+            num_devices=2,
+            seed=0,
+        ),
+    )
+    serving = ServingEngine(
+        InferenceEngine(model, ComputeSpec(), sdm),
+        concurrency=4,
+        store_results=False,
+    )
+    return sdm, serving
+
+
+def run_throughput(repeats: int = 3, cold: bool = False) -> dict:
+    """Time the serve path over one replayed open-loop stream.
+
+    ``cold=True`` runs the same stream against a row cache too small for
+    the working set, so the measurement is of the miss path (storage IO)
+    rather than warm cache hits.
+    """
+    regime = "cold" if cold else "warm"
+    model = _bench_model()
+    queries, arrivals = _stream(model)
+    _, serving = _serving(model, COLD_ROW_CACHE_BYTES if cold else ROW_CACHE_BYTES)
+    # Warm pass over the same stream: the timed passes then measure
+    # steady-state serving out of a warm row cache.
+    serving.run_open_loop(queries, arrivals, serve_batch=8)
+    best_qps = 0.0
+    result = None
+    for timed_pass in range(repeats):
+        started = time.perf_counter()
+        result = serving.run_open_loop(queries, arrivals, serve_batch=8)
+        elapsed = time.perf_counter() - started
+        best_qps = max(best_qps, result.num_queries / elapsed)
+        outcome = (result.num_queries, result.achieved_qps)
+        recorded = RECORDED_OUTCOMES[regime][timed_pass : timed_pass + 1]
+        if recorded and outcome != recorded[0]:
+            raise AssertionError(
+                f"{regime} simulated outcome of timed pass {timed_pass + 1} moved: "
+                f"{outcome} vs recorded {recorded[0]}"
+            )
+    assert result is not None
     return {
         "benchmark": (
             "bench_serve_throughput --cold" if cold else "bench_serve_throughput"
         ),
-        "regime": "cold" if cold else "warm",
+        "regime": regime,
         "num_queries": NUM_QUERIES,
-        "scalar_qps": scalar["wall_qps"],
-        "batched_qps": batched["wall_qps"],
-        "speedup": batched["wall_qps"] / scalar["wall_qps"],
-        "records": list(records.values()),
+        "wall_qps": best_qps,
+        "served_queries": result.num_queries,
+        "simulated_qps": result.achieved_qps,
     }
 
 
 def run_tracing_overhead(repeats: int = 3) -> dict:
-    """Time the batched serve core traced vs untraced over the same stream.
+    """Time the serve core traced vs untraced over the same stream.
 
     Tracing attaches a live :class:`ChromeTraceRecorder` to both the serving
     engine and the SDM backend (the production wiring of
@@ -190,34 +190,14 @@ def run_tracing_overhead(repeats: int = 3) -> dict:
     at every layer: queue/serve, chain walk, storage IO, fetch/dequantise.
     """
     model = _bench_model()
-    generator = QueryGenerator(
-        model, WorkloadConfig(item_batch=1, num_users=300), seed=0
-    )
-    queries = generator.generate(NUM_QUERIES)
-    arrivals = generate_arrival_times(
-        NUM_QUERIES, process="poisson", offered_qps=OFFERED_QPS, seed=1
-    )
+    queries, arrivals = _stream(model)
     records = {}
     trace_events = 0
     for mode in ("untraced", "traced"):
         # A fresh SDM (and warm pass) per mode: the row cache warms a little
         # more on every replay, so sharing one backend would compare passes
         # at different cache ages and the simulated outcomes would diverge.
-        sdm = SoftwareDefinedMemory(
-            model,
-            SDMConfig(
-                row_cache_capacity_bytes=ROW_CACHE_BYTES,
-                pooled_cache_enabled=False,
-                num_devices=2,
-                seed=0,
-                serve_mode="batched",
-            ),
-        )
-        serving = ServingEngine(
-            InferenceEngine(model, ComputeSpec(), sdm),
-            concurrency=4,
-            store_results=False,
-        )
+        sdm, serving = _serving(model, ROW_CACHE_BYTES)
         serving.run_open_loop(queries, arrivals, serve_batch=8)
         best_qps = 0.0
         result = None
@@ -280,47 +260,41 @@ def _overhead_table(payload: dict) -> str:
         ["tracing", "wall-clock QPS", "served", "simulated QPS"],
         rows,
         title=(
-            f"tracing overhead: batched serve, "
+            f"tracing overhead: SDM serve, "
             f"{payload['trace_events']} events per pass"
         ),
     )
 
 
 def _table(payload: dict) -> str:
-    rows = [
-        [
-            record["serve_mode"],
-            round(record["wall_qps"], 1),
-            record["served_queries"],
-            round(record["simulated_qps"], 1),
-        ]
-        for record in payload["records"]
-    ]
-    rows.append(["speedup", f"{payload['speedup']:.1f}x", "", ""])
     return format_table(
-        ["serve mode", "wall-clock QPS", "served", "simulated QPS"],
-        rows,
-        title=(
-            "serve-core throughput: scalar vs batched "
-            f"({payload.get('regime', 'warm')} row cache)"
-        ),
+        ["row cache", "wall-clock QPS", "served", "simulated QPS"],
+        [
+            [
+                payload["regime"],
+                round(payload["wall_qps"], 1),
+                payload["served_queries"],
+                round(payload["simulated_qps"], 1),
+            ]
+        ],
+        title="serve-core throughput",
     )
 
 
 def bench_serve_throughput(benchmark):
     from _util import emit, run_once
 
-    payload = run_once(benchmark, run_comparison, repeats=1)
-    assert payload["batched_qps"] > payload["scalar_qps"]
-    emit("serve-core throughput (repro.core serve_mode)", _table(payload))
+    # run_throughput asserts the recorded simulated outcome; the wall-clock
+    # floors live in the perf-smoke CI job.
+    payload = run_once(benchmark, run_throughput, repeats=1)
+    emit("serve-core throughput (repro.core)", _table(payload))
 
 
 def bench_serve_throughput_cold(benchmark):
     from _util import emit, run_once
 
-    payload = run_once(benchmark, run_comparison, repeats=1, cold=True)
-    assert payload["batched_qps"] > payload["scalar_qps"]
-    emit("serve-core throughput, cold row cache (storage-IO batching)", _table(payload))
+    payload = run_once(benchmark, run_throughput, repeats=1, cold=True)
+    emit("serve-core throughput, cold row cache (storage IO)", _table(payload))
 
 
 def bench_tracing_overhead(benchmark):
@@ -330,32 +304,32 @@ def bench_tracing_overhead(benchmark):
     # run_tracing_overhead already asserts identical simulated outcomes;
     # the wall-clock gate itself lives in the obs-smoke CI job.
     assert payload["trace_events"] > 0
-    emit("tracing overhead (repro.obs on the batched serve core)", _overhead_table(payload))
+    emit("tracing overhead (repro.obs on the serve core)", _overhead_table(payload))
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", metavar="FILE", help="write the comparison as JSON")
+    parser.add_argument("--out", metavar="FILE", help="write the measurement as JSON")
     parser.add_argument(
-        "--repeats", type=int, default=3, help="timed passes per mode (best is kept)"
+        "--repeats", type=int, default=3, help="timed passes (best is kept)"
     )
     parser.add_argument(
-        "--min-speedup",
+        "--min-qps",
         type=float,
-        help="exit non-zero when batched/scalar speedup falls below this",
+        help="exit non-zero when wall-clock queries/sec falls below this floor",
     )
     parser.add_argument(
         "--cold",
         action="store_true",
         help=(
-            "run the miss-heavy comparison (tiny row cache) so the batched "
-            "storage-IO path dominates the measurement"
+            "run the miss-heavy regime (tiny row cache) so the storage-IO "
+            "path dominates the measurement"
         ),
     )
     parser.add_argument(
         "--trace-overhead",
         action="store_true",
-        help="compare traced vs untraced batched serving instead of scalar vs batched",
+        help="compare traced vs untraced serving instead of measuring throughput",
     )
     parser.add_argument(
         "--max-trace-overhead",
@@ -370,17 +344,17 @@ def main() -> int:
         payload = run_tracing_overhead(repeats=args.repeats)
         print(_overhead_table(payload))
     else:
-        payload = run_comparison(repeats=args.repeats, cold=args.cold)
+        payload = run_throughput(repeats=args.repeats, cold=args.cold)
         print(_table(payload))
     if args.out:
         out = Path(args.out)
         out.parent.mkdir(parents=True, exist_ok=True)
         out.write_text(json.dumps(payload, indent=2))
         print(f"wrote {out}", file=sys.stderr)
-    if args.min_speedup is not None and payload.get("speedup", 0.0) < args.min_speedup:
+    if args.min_qps is not None and payload.get("wall_qps", 0.0) < args.min_qps:
         print(
-            f"speedup {payload['speedup']:.2f}x below the "
-            f"--min-speedup gate {args.min_speedup:.2f}x",
+            f"{payload.get('wall_qps', 0.0):.1f} wall-clock queries/sec below "
+            f"the --min-qps floor {args.min_qps:.1f}",
             file=sys.stderr,
         )
         return 1

@@ -438,7 +438,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         parallel=args.parallel,
         store=store,
         progress=_CampaignProgress() if not args.quiet else None,
-        chunksize=args.chunksize,
         runtime=args.runtime,
         retries=args.retries,
         reuse_backends=not args.no_reuse,
@@ -671,12 +670,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--no-reuse",
         action="store_true",
         help="build a fresh backend per point instead of reusing worker-resident ones",
-    )
-    campaign_parser.add_argument(
-        "--chunksize",
-        type=int,
-        default=1,
-        help="(deprecated, ignored) points per process-pool task",
     )
     campaign_parser.add_argument(
         "--replicates", type=int, default=1, help="seed replicates per grid point"

@@ -21,7 +21,7 @@ with a handful of NumPy operations instead of one dict transaction per row:
   ``_log_head``.  Compaction renumbers the live entries ``1..n`` in order when
   the log fills up, which preserves every comparison the cache ever makes.
 
-CPU-time accounting replicates the scalar cache's float accumulation exactly:
+CPU-time accounting replicates ``LRUCache``'s float accumulation exactly:
 ``np.add.accumulate`` performs the same left-to-right chain of additions a
 per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 """
@@ -503,24 +503,26 @@ class SoALRUCache(RowCache):
         row_len: int,
         promote_mask: Optional[np.ndarray] = None,
         promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Probe ``(table_name, stored)`` for a whole batch of stored rows.
 
         Equivalent to calling :meth:`get` once per row in input order — same
         hit/miss/CPU accounting, same final LRU order (for duplicate rows the
-        last occurrence wins, as it would scalar-wise).  Returns a boolean hit
-        mask aligned with the input and the hit rows as one
-        ``(num_hits, row_len)`` uint8 matrix in input order.
+        last occurrence wins, as it would row by row).  Returns a boolean hit
+        mask aligned with the input, the hit rows as one
+        ``(num_hits, row_len)`` uint8 matrix in input order, and the number
+        of promotion fills admitted.
 
         With ``promote_mask`` (boolean, aligned with the input) the call
         replays an interleaved walk instead: each marked row's ``get`` is
         immediately followed by ``put(key, row)`` with the next row of
         ``promote_values`` — the promotion fill the tier chain performs when a
         row misses here and hits a slower cache.  Recency order, the
-        ``cpu_seconds`` chain and the evicted entries equal the scalar
+        ``cpu_seconds`` chain and the evicted entries equal that per-row
         sequence provided the marked rows are distinct misses and
         :meth:`promotion_hazard` returned ``False`` for this batch; the
-        caller owns that precondition.
+        caller owns that precondition.  Rows too large for the cache are
+        rejected exactly as :meth:`put` rejects them.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         if promote_mask is not None and promote_values is not None and promote_values.shape[0]:
@@ -534,7 +536,7 @@ class SoALRUCache(RowCache):
         hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
         if hit_slots.size:
             self._touch_run(hit_slots)
-        return hit_mask, values
+        return hit_mask, values, 0
 
     def _probe_hits(
         self, table_name: str, stored: np.ndarray, row_len: int
@@ -561,7 +563,7 @@ class SoALRUCache(RowCache):
         row_len: int,
         promote_mask: np.ndarray,
         promote_values: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """:meth:`probe_batch` with promotion fills interleaved."""
         count = int(stored.size)
         fills = int(promote_values.shape[0])
@@ -573,6 +575,12 @@ class SoALRUCache(RowCache):
         chain = np.concatenate(([self.stats.cpu_seconds], costs.ravel()))
         self.stats.cpu_seconds = float(np.add.accumulate(chain)[-1])
         hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
+        if self._entry_size(row_len) > self.capacity_bytes:
+            # Every fill is rejected: charged above, nothing evicted.
+            self.stats.rejected_inserts += fills
+            if hit_slots.size:
+                self._touch_run(hit_slots)
+            return hit_mask, values, 0
         touches = int(hit_slots.size) + fills
         self._reserve_log(touches)
         # One stamp per hit and per fill in the same walk order: the probe's
@@ -587,7 +595,7 @@ class SoALRUCache(RowCache):
         self._touch_batch(filled, stamps[promote_mask, 1])
         self.stats.inserts += fills
         self._log_tail += touches
-        return hit_mask, values
+        return hit_mask, values, fills
 
     def promotion_hazard(
         self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
@@ -596,17 +604,16 @@ class SoALRUCache(RowCache):
         probes disturb a row the batch hits here?  Non-mutating.
 
         ``hit_indices`` are the stored rows the batch finds in this cache.
-        ``True`` when a fill could never be admitted, or when the LRU prefix
-        the fills evict is not made of rows the batch leaves alone — it
-        reaches a row the batch hits, or swallows the whole cache and the
-        fills themselves.  ``False`` certifies that evicting that prefix in
-        one go equals the scalar walk's evict-as-you-go.
+        ``True`` when the LRU prefix the fills evict is not made of rows the
+        batch leaves alone — it reaches a row the batch hits, or swallows
+        the whole cache and the fills themselves.  ``False`` certifies that
+        evicting that prefix in one go equals a per-row walk's
+        evict-as-you-go; a row too large to ever be admitted is rejected,
+        which changes nothing a later probe can see.
         """
         size = self._entry_size(row_len)
-        if size > self.capacity_bytes:
-            return True
         need = self._used_bytes + num_fills * size - self.capacity_bytes
-        if need <= 0:
+        if need <= 0 or size > self.capacity_bytes:
             return False
         _, new_head, freed = self._lru_prefix(need, size)
         if freed < need:

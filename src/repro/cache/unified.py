@@ -145,56 +145,58 @@ class UnifiedRowCache:
         row_len: int,
         promote_mask: Optional[np.ndarray] = None,
         promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
         """Batched :meth:`get` with a size hint, one key per stored row.
 
-        Returns ``(hit_mask, values)`` where ``values`` stacks the hit rows as
-        a ``(num_hits, row_len)`` uint8 matrix in input order.  With one
-        partition this is a handful of array ops; with more, an exact scalar
-        fallback keeps partition routing (and stats) unchanged.
-
+        Returns ``(hit_mask, values, admitted)`` where ``values`` stacks the
+        hit rows as a ``(num_hits, row_len)`` uint8 matrix in input order.
         ``promote_mask``/``promote_values`` interleave promotion fills with
-        the probes (see :meth:`SoALRUCache.probe_batch`); only a
-        :attr:`batchable` cache that :meth:`promotion_hazard` cleared for
-        this batch accepts them.
+        the probes — each marked row is :meth:`put` right after its
+        :meth:`get` — and ``admitted`` counts the fills the cache accepted.
+
+        A :attr:`batchable` cache does this in a handful of array ops (see
+        :meth:`SoALRUCache.probe_batch`; with fills the caller must have
+        cleared the batch through :meth:`promotion_hazard`).  Any other
+        cache walks the keys one by one, which keeps partition routing and
+        the admission policy exact.
         """
-        if self.config.num_partitions == 1:
+        if self.batchable:
             return self._batch_cache(row_len).probe_batch(
                 table_name, stored_indices, row_len, promote_mask, promote_values
             )
-        if promote_mask is not None:
-            raise ValueError("promotion fills need a single-partition cache")
         stored = np.asarray(stored_indices, dtype=np.int64)
         hit_mask = np.zeros(stored.size, dtype=bool)
         hits: List[bytes] = []
+        admitted = fill = 0
         for position in range(stored.size):
-            value = self.get((table_name, int(stored[position])), size_hint=row_len)
+            key = (table_name, int(stored[position]))
+            value = self.get(key, size_hint=row_len)
             if value is not None:
                 hit_mask[position] = True
                 hits.append(value)
-        if not hits:
-            return hit_mask, np.empty((0, row_len), dtype=np.uint8)
+            if promote_mask is not None and promote_values is not None and promote_mask[position]:
+                admitted += self.put(key, promote_values[fill].tobytes())
+                fill += 1
         values = np.frombuffer(b"".join(hits), dtype=np.uint8).reshape(len(hits), row_len)
-        return hit_mask, values
+        return hit_mask, values, admitted
 
     def promotion_hazard(
         self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
-    ) -> Optional[str]:
-        """Why ``num_fills`` promotion fills cannot ride along a batched
-        probe that hits ``hit_indices`` here, or ``None`` when they can.
-        Non-mutating.
+    ) -> bool:
+        """Whether ``num_fills`` promotion fills interleaved with a batched
+        probe that hits ``hit_indices`` here could change what a later probe
+        of the same batch finds.  Non-mutating.
 
-        ``"cache_not_batchable"``: several partitions, an admission policy
-        that may refuse a row, or a row no internal cache can ever hold.
-        ``"promotion_evicts_batch_hit"``: the fills would evict a row the
-        same batch hits (see :meth:`SoALRUCache.promotion_hazard`).
+        ``True`` for a cache that is not :attr:`batchable` (where each fill
+        lands depends on the key) and when the fills would evict a row the
+        same batch hits (see :meth:`SoALRUCache.promotion_hazard`).  The
+        caller then probes a shorter run of rows; one row is always exact.
         """
-        cache = self._batch_cache(row_len)
-        if not self.batchable or row_len + cache.per_item_overhead_bytes > cache.capacity_bytes:
-            return "cache_not_batchable"
-        if cache.promotion_hazard(table_name, hit_indices, num_fills, row_len):
-            return "promotion_evicts_batch_hit"
-        return None
+        if not self.batchable:
+            return True
+        return self._batch_cache(row_len).promotion_hazard(
+            table_name, hit_indices, num_fills, row_len
+        )
 
     def fill_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray

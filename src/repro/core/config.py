@@ -27,13 +27,6 @@ class AccessPathKind(str, enum.Enum):
     MMAP = "mmap"
 
 
-#: How the serve core walks the tier chain: ``"batched"`` flows a whole batch
-#: of lookups through the hierarchy as arrays (the fast path; falls back to
-#: the scalar walk whenever an exact replay is not possible), ``"scalar"``
-#: forces the original per-row walk (the parity oracle).
-SERVE_MODES = ("batched", "scalar")
-
-
 @dataclass(frozen=True)
 class SDMConfig:
     """Tuning parameters of one SDM deployment on one host.
@@ -89,11 +82,6 @@ class SDMConfig:
         With ``tiers``: allow a table that straddles a tier budget boundary
         to be row-split across tiers instead of homed whole on the first
         tier with room.
-    serve_mode:
-        ``"batched"`` (default) serves each embedding-table request through
-        the array-native whole-batch tier-chain gather; ``"scalar"`` forces
-        the per-row reference walk.  Both produce bit-identical embeddings,
-        latencies and tier statistics.
     """
 
     device_technology: Technology = Technology.NAND_FLASH
@@ -124,8 +112,6 @@ class SDMConfig:
     tiers: Optional[Tuple[TierSpec, ...]] = None
     promotion: str = "all"
     split_rows: bool = False
-
-    serve_mode: str = "batched"
 
     seed: int = 0
 
@@ -173,8 +159,6 @@ class SDMConfig:
             )
         if self.dram_budget_bytes < 0:
             raise ValueError(f"dram_budget_bytes must be non-negative: {self.dram_budget_bytes}")
-        if self.serve_mode not in SERVE_MODES:
-            raise ValueError(f"serve_mode must be one of {SERVE_MODES}: {self.serve_mode!r}")
 
     def with_overrides(self, **kwargs) -> "SDMConfig":
         """Return a copy with some fields replaced (convenience for sweeps)."""

@@ -17,7 +17,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -63,8 +63,8 @@ def order_invariant_hash_batch(indices: np.ndarray) -> int:
     splitmix64 on a uint64 ndarray: numpy's unsigned arithmetic wraps modulo
     2^64 exactly like the masked scalar chain, and the commutative sum means
     one ``sum(dtype=uint64)`` matches the scalar left-to-right accumulation.
-    Keys computed here interoperate with scalar-hashed entries in the same
-    cache.
+    The cache keys its entries with this one; Table 3's profiling uses the
+    scalar form.
     """
     array = np.asarray(indices, dtype=np.int64)
     if array.size == 0:
@@ -133,39 +133,16 @@ class PooledEmbeddingCache:
         """Algorithm 1's ``doPooledEmbCache`` predicate."""
         return len(indices) > self.len_threshold
 
-    def _key(self, table_name: str, indices: Sequence[int]) -> Tuple[str, int]:
-        return (table_name, order_invariant_hash(indices))
-
     def get(self, table_name: str, indices: Sequence[int]) -> Optional[np.ndarray]:
-        """Return the cached pooled vector for this exact index multiset."""
-        if not self.eligible(indices):
-            self.stats.skipped_short += 1
-            return None
-        self.stats.lookups += 1
-        raw = self._cache.get(self._key(table_name, indices))
-        if raw is None:
-            self.stats.misses += 1
-            return None
-        self.stats.hits += 1
-        self.stats.hit_index_count += len(indices)
-        return np.frombuffer(raw, dtype=np.float32).copy()
+        """:meth:`probe_batch` for a plain index sequence."""
+        return self.probe_batch(table_name, np.asarray(indices, dtype=np.int64))
 
     def put(self, table_name: str, indices: Sequence[int], pooled: np.ndarray) -> bool:
-        """Insert the pooled vector computed for this index multiset."""
-        if not self.eligible(indices):
-            return False
-        vector = np.asarray(pooled, dtype=np.float32)
-        inserted = self._cache.put(self._key(table_name, indices), vector.tobytes())
-        if inserted:
-            self.stats.inserts += 1
-        return inserted
+        """:meth:`put_batch` for a plain index sequence."""
+        return self.put_batch(table_name, np.asarray(indices, dtype=np.int64), pooled)
 
     def probe_batch(self, table_name: str, indices: np.ndarray) -> Optional[np.ndarray]:
-        """:meth:`get` with the key hash vectorised.
-
-        Stats, LRU effects and the cache key are bit-identical to the scalar
-        probe, so batched and scalar serve modes interoperate on one cache.
-        """
+        """Return the cached pooled vector for this exact index multiset."""
         array = np.asarray(indices, dtype=np.int64)
         if not int(array.size) > self.len_threshold:
             self.stats.skipped_short += 1
@@ -180,7 +157,7 @@ class PooledEmbeddingCache:
         return np.frombuffer(raw, dtype=np.float32).copy()
 
     def put_batch(self, table_name: str, indices: np.ndarray, pooled: np.ndarray) -> bool:
-        """:meth:`put` with the key hash vectorised; effects identical."""
+        """Insert the pooled vector computed for this index multiset."""
         array = np.asarray(indices, dtype=np.int64)
         if not int(array.size) > self.len_threshold:
             return False

@@ -17,7 +17,7 @@ is hidden behind the item-side work (Equation 3 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -25,7 +25,7 @@ import numpy as np
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.core.config import AccessPathKind, SDMConfig
 from repro.core.depruning import deprune_table
-from repro.core.dequantization import DequantizedTable, dequantize_table
+from repro.core.dequantization import dequantize_table
 from repro.core.placement import Placement, PlacementPolicy, compute_placement
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec
@@ -76,7 +76,6 @@ class _SMTable:
     spec: EmbeddingTableSpec
     stored_rows: int
     row_bytes: int
-    decode: Callable[[bytes], np.ndarray]
     decode_batch: Callable[[np.ndarray], np.ndarray]
     cache_enabled: bool
     mapping: Optional[np.ndarray] = None
@@ -98,13 +97,6 @@ class SDMStats:
     pooled_cache_hits: int = 0
     pooled_cache_lookups: int = 0
     user_embedding_seconds: float = 0.0
-    #: Table requests the array-native path served / handed back to the
-    #: scalar walk.  They say which path ran, not what was served, so they
-    #: stay out of equality (scalar-vs-batched parity) and of telemetry.
-    batched_serves: int = field(default=0, compare=False)
-    batch_fallbacks: int = field(default=0, compare=False)
-    #: ``batch_fallbacks`` split by ``TierChain.decline_reason``.
-    batch_fallbacks_by_reason: Dict[str, int] = field(default_factory=dict, compare=False)
 
     @property
     def ios_per_query(self) -> float:
@@ -288,7 +280,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     spec=table.spec,
                     stored_rows=table.spec.num_rows,
                     row_bytes=table.spec.row_bytes,
-                    decode=self._make_quantized_decoder(table.spec),
                     decode_batch=self._make_quantized_batch_decoder(table.spec),
                     cache_enabled=decision.cache_enabled,
                 )
@@ -297,7 +288,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 spec=pruned.original_spec,
                 stored_rows=pruned.table.spec.num_rows,
                 row_bytes=pruned.table.spec.row_bytes,
-                decode=self._make_quantized_decoder(pruned.table.spec),
                 decode_batch=self._make_quantized_batch_decoder(pruned.table.spec),
                 cache_enabled=decision.cache_enabled,
                 mapping=pruned.mapping,
@@ -311,7 +301,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 spec=spec,
                 stored_rows=spec.num_rows,
                 row_bytes=dequantized.row_bytes,
-                decode=DequantizedTable.decode_row,
                 decode_batch=self._decode_float_batch,
                 cache_enabled=decision.cache_enabled,
                 dequantized=True,
@@ -322,21 +311,10 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             spec=spec,
             stored_rows=spec.num_rows,
             row_bytes=spec.row_bytes,
-            decode=self._make_quantized_decoder(spec),
             decode_batch=self._make_quantized_batch_decoder(spec),
             cache_enabled=decision.cache_enabled,
         )
         return state, self.model.table(table_name).data
-
-    @staticmethod
-    def _make_quantized_decoder(spec: EmbeddingTableSpec) -> Callable[[bytes], np.ndarray]:
-        dim, bits = spec.dim, spec.quant_bits
-
-        def decode(raw: bytes) -> np.ndarray:
-            rows = np.frombuffer(raw, dtype=np.uint8)[None, :]
-            return dequantize_rows(rows, dim, bits)[0]
-
-        return decode
 
     @staticmethod
     def _make_quantized_batch_decoder(
@@ -626,16 +604,11 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         recorder = self.recorder
         index_array = np.asarray(indices, dtype=np.int64)
 
-        # Algorithm 1: try the pooled embedding cache first.  The batched
-        # serve mode hashes the key with the vectorised splitmix64; key,
-        # stats and LRU effects are bit-identical to the scalar probe.
+        # Algorithm 1: try the pooled embedding cache first.
         if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
             cursor += POOLED_PROBE_SECONDS
             self.stats.pooled_cache_lookups += 1
-            if self.config.serve_mode == "batched":
-                cached = self.pooled_cache.probe_batch(table_name, index_array)
-            else:
-                cached = self.pooled_cache.get(table_name, indices)
+            cached = self.pooled_cache.probe_batch(table_name, index_array)
             if cached is not None:
                 self.stats.pooled_cache_hits += 1
             if recorder.enabled:
@@ -667,50 +640,20 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         else:
             stored = index_array
 
-        if self.config.serve_mode == "batched":
-            served = self._serve_batched(
-                table_name, state, indices, index_array, stored, cursor
-            )
-            if served is not None:
-                self.stats.batched_serves += 1
-                return served
-            self.stats.batch_fallbacks += 1
-            reason = str(self.chain.decline_reason)
-            by_reason = self.stats.batch_fallbacks_by_reason
-            by_reason[reason] = by_reason.get(reason, 0) + 1
-        return self._serve_scalar(table_name, state, indices, stored, cursor)
-
-    def _serve_batched(
-        self,
-        table_name: str,
-        state: _SMTable,
-        indices: List[int],
-        index_array: np.ndarray,
-        stored: np.ndarray,
-        cursor: float,
-    ) -> Optional[Tuple[np.ndarray, float]]:
-        """Array-native serve: one whole-batch tier-chain gather.
-
-        Returns ``None`` when the chain cannot replay the scalar walk with
-        bit-identical side effects (``TierChain.decline_reason`` says why);
-        the caller then falls back to :meth:`_serve_scalar` with no tier,
-        cache or timing state perturbed.
-        """
+        # Serve through the tier chain: probe upper caches, read misses from
+        # each row's home tier, promote per policy.
         valid = stored != PRUNED
         positions = np.nonzero(valid)[0].astype(np.int64)
         outcome = self.chain.fetch_batch(
             table_name,
-            positions,
             stored[valid],
             cursor,
+            row_len=state.row_bytes,
             cache_enabled=state.cache_enabled,
-            size_hint=state.row_bytes,
         )
-        if outcome is None:
-            return None
         self.stats.sm_ios += outcome.device_reads
-        if self.recorder.enabled:
-            self.recorder.span(
+        if recorder.enabled:
+            recorder.span(
                 f"fetch:{table_name}",
                 "sdm",
                 cursor,
@@ -722,16 +665,17 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             )
         cursor = outcome.completion_time
 
-        # Dequantise the whole fetched matrix in one batched call and pool in
-        # the original request order — bit-identical to the scalar decode.
+        # Dequantise the whole fetched matrix in one call and pool in the
+        # original request order, so results are bit-identical to the
+        # in-memory reference path.
         rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
-        fetched_bytes = outcome.rows.shape[0] * state.row_bytes
-        if outcome.rows.shape[0]:
-            rows[outcome.served_positions] = state.decode_batch(outcome.rows)
+        fetched_bytes = int(positions.size) * state.row_bytes
+        if positions.size:
+            rows[positions] = state.decode_batch(outcome.rows)
         pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
-        if self.recorder.enabled and fetched_bytes:
-            self.recorder.span(
+        if recorder.enabled and fetched_bytes:
+            recorder.span(
                 "dequantise", "sdm", cursor, dequant_seconds,
                 args={"table": table_name, "bytes": fetched_bytes},
             )
@@ -739,73 +683,4 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
         if self.pooled_cache is not None:
             self.pooled_cache.put_batch(table_name, index_array, pooled)
-        return pooled, cursor
-
-    def _serve_scalar(
-        self,
-        table_name: str,
-        state: _SMTable,
-        indices: List[int],
-        stored: np.ndarray,
-        cursor: float,
-    ) -> Tuple[np.ndarray, float]:
-        """Per-row reference walk (the parity oracle for the batched path)."""
-        stored_by_position = [
-            (position, stored_index)
-            for position, stored_index in enumerate(stored.tolist())
-            if stored_index != PRUNED
-        ]
-
-        # Serve through the tier chain: probe upper caches, read misses from
-        # each row's home tier, promote per policy.
-        outcome = self.chain.fetch_rows(
-            table_name,
-            stored_by_position,
-            cursor,
-            cache_enabled=state.cache_enabled,
-            size_hint=state.row_bytes,
-        )
-        self.stats.sm_ios += outcome.device_reads
-        if self.recorder.enabled:
-            self.recorder.span(
-                f"fetch:{table_name}",
-                "sdm",
-                cursor,
-                outcome.completion_time - cursor,
-                args={
-                    "rows": len(stored_by_position),
-                    "device_reads": outcome.device_reads,
-                },
-            )
-        cursor = outcome.completion_time
-
-        # Dequantise and pool in the original request order so results are
-        # bit-identical to the in-memory reference path.  All fetched rows of
-        # one table share a byte length, so decoding is one batched call.
-        rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
-        served_positions = sorted(outcome.rows_by_position)
-        raws = [outcome.rows_by_position[position] for position in served_positions]
-        fetched_bytes = 0
-        if raws:
-            fetched_bytes = sum(len(raw) for raw in raws)
-            lengths = {len(raw) for raw in raws}
-            if len(lengths) == 1:
-                matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(
-                    len(raws), lengths.pop()
-                )
-                rows[served_positions] = state.decode_batch(matrix)
-            else:  # pragma: no cover - defensive; row lengths are uniform
-                for position, raw in zip(served_positions, raws):
-                    rows[position] = state.decode(raw)
-        pooled = rows.sum(axis=0)
-        dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
-        if self.recorder.enabled and fetched_bytes:
-            self.recorder.span(
-                "dequantise", "sdm", cursor, dequant_seconds,
-                args={"table": table_name, "bytes": fetched_bytes},
-            )
-        cursor += dequant_seconds
-
-        if self.pooled_cache is not None:
-            self.pooled_cache.put(table_name, indices, pooled)
         return pooled, cursor

@@ -19,7 +19,7 @@ Table 1 spectrum).  The pieces:
 two-tier configuration remains a bit-identical special case.
 """
 
-from repro.hierarchy.chain import FetchOutcome, TierChain
+from repro.hierarchy.chain import BatchFetchOutcome, TierChain
 from repro.hierarchy.cost import cost_factor, memory_cost_dram_gb, pareto_frontier
 from repro.hierarchy.placement import (
     TieredPlacement,
@@ -42,9 +42,9 @@ from repro.hierarchy.tier import (
 )
 
 __all__ = [
+    "BatchFetchOutcome",
     "DeviceTier",
     "FastTier",
-    "FetchOutcome",
     "MemoryTier",
     "PROMOTION_POLICIES",
     "TECHNOLOGY_ALIASES",

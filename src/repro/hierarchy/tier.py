@@ -31,10 +31,9 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
-from repro.cache.base import CacheKey
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.sim.units import BLOCK_SIZE, parse_size
-from repro.storage.access import AccessPath, DirectIOReader, MmapReader, ReadResult
+from repro.storage.access import AccessPath, DirectIOReader, MmapReader
 from repro.storage.block_layout import BlockLayout
 from repro.storage.device import DeviceStats, SimulatedDevice
 from repro.storage.io_engine import IOEngine, IOEngineConfig
@@ -329,22 +328,11 @@ class MemoryTier(abc.ABC):
         return self.spec.is_fast
 
     @abc.abstractmethod
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        """Read rows homed on this tier, starting at ``start_time``."""
-
-    def probe_cache(self, key: CacheKey, size_hint: Optional[int] = None) -> Optional[bytes]:
-        """Probe this tier's row cache; counts towards the tier's stats."""
-        if self.cache is None:
-            return None
-        self.stats.cache_probes += 1
-        value = self.cache.get(key, size_hint=size_hint)
-        if value is not None:
-            self.stats.cache_hits += 1
-            self.stats.rows_served += 1
-            self.stats.bytes_served += len(value)
-        return value
+    def read_rows_batch(
+        self, table_name: str, stored_indices: np.ndarray, start_time: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read rows homed on this tier, all issued at ``start_time``:
+        ``(rows_matrix, completion_times)`` in input order."""
 
     def probe_cache_batch(
         self,
@@ -354,41 +342,41 @@ class MemoryTier(abc.ABC):
         promote_mask: Optional[np.ndarray] = None,
         promote_values: Optional[np.ndarray] = None,
     ) -> Tuple[np.ndarray, np.ndarray]:
-        """Batched :meth:`probe_cache`: one probe per stored row, in order.
+        """Probe this tier's row cache once per stored row, in order;
+        counts towards the tier's stats.
 
-        Stats and cache LRU/CPU effects are identical to calling the scalar
-        probe once per row.  Returns ``(hit_mask, values)`` with the hit rows
-        stacked as a ``(num_hits, row_len)`` uint8 matrix in input order.
+        Returns ``(hit_mask, values)`` with the hit rows stacked as a
+        ``(num_hits, row_len)`` uint8 matrix in input order.
 
         Rows marked in ``promote_mask`` are additionally filled with the rows
-        of ``promote_values`` right after their probe — :meth:`fill_cache`
-        interleaved exactly as the scalar walk does it.  The chain passes
-        them only when :meth:`promotion_hazard` cleared the batch, which
-        guarantees every such fill is admitted.
+        of ``promote_values`` right after their probe — the promotion of a
+        row found in a slower cache, interleaved where the walk performs
+        it.  The chain passes more than one row only when
+        :meth:`promotion_hazard` cleared them; fills the cache rejects do
+        not count as promoted.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         if self.cache is None:
             return np.zeros(stored.size, dtype=bool), np.empty((0, row_len), dtype=np.uint8)
         self.stats.cache_probes += int(stored.size)
-        hit_mask, values = self.cache.probe_batch(
+        hit_mask, values, admitted = self.cache.probe_batch(
             table_name, stored, row_len, promote_mask, promote_values
         )
         num_hits = int(values.shape[0])
         self.stats.cache_hits += num_hits
         self.stats.rows_served += num_hits
         self.stats.bytes_served += num_hits * row_len
-        if promote_values is not None:
-            self.stats.promoted_rows += int(promote_values.shape[0])
+        self.stats.promoted_rows += admitted
         return hit_mask, values
 
     def promotion_hazard(
         self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
-    ) -> Optional[str]:
-        """Why ``num_fills`` promotion fills cannot be interleaved with a
-        batched probe that hits ``hit_indices`` in this tier's cache, or
-        ``None`` when they can (:meth:`UnifiedRowCache.promotion_hazard`)."""
+    ) -> bool:
+        """Whether ``num_fills`` promotion fills interleaved with a batched
+        probe that hits ``hit_indices`` in this tier's cache could disturb
+        the batch (:meth:`UnifiedRowCache.promotion_hazard`)."""
         if self.cache is None:
-            return None
+            return False
         return self.cache.promotion_hazard(table_name, hit_indices, num_fills, row_len)
 
     def cache_contains_batch(
@@ -400,39 +388,12 @@ class MemoryTier(abc.ABC):
             return np.zeros(stored.size, dtype=bool)
         return self.cache.contains_batch(table_name, stored, size_hint=row_len)
 
-    def read_rows_matrix(
-        self, table_name: str, stored_indices: np.ndarray
-    ) -> Optional[np.ndarray]:
-        """Batched payload gather for rows homed on this tier, as one uint8
-        matrix, or ``None`` when the tier has no array-native source."""
-        return None
-
-    def read_rows_batch(
-        self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Array-native :meth:`read_rows`: ``(rows_matrix, completion_times)``
-        in input order, or ``None`` when this tier has no batch read path
-        (the caller falls back to the scalar reads).  Stats and device/engine
-        side effects are bit-identical to the per-row calls."""
-        return None
-
-    def fill_cache(self, key: CacheKey, value: bytes) -> bool:
-        """Insert a row read from a slower tier into this tier's cache."""
-        if self.cache is None:
-            return False
-        admitted = self.cache.put(key, value)
-        if admitted:
-            self.stats.promoted_rows += 1
-        return admitted
-
     def fill_cache_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
     ) -> int:
-        """Batched :meth:`fill_cache`: one insert per matrix row, in order.
-
-        Returns the number of admitted rows; ``promoted_rows`` accounting
-        matches per-row fills exactly.
-        """
+        """Insert rows read from a slower tier into this tier's cache, one
+        insert per matrix row, in order.  Returns the number of admitted
+        rows, which is what ``promoted_rows`` counts."""
         if self.cache is None:
             return 0
         admitted = self.cache.fill_batch(
@@ -505,39 +466,19 @@ class FastTier(MemoryTier):
         #: ``(table_name, stored_indices) -> (n, row_bytes)`` uint8 matrix.
         self._row_source = row_source
 
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        rows = self.read_rows_matrix(table_name, stored_indices)
-        if rows is None:
-            raise RuntimeError(
-                "FastTier has no row source; rows cannot be homed on it"
-            )
-        return [
-            ReadResult(
-                table_name=table_name,
-                row_index=int(stored),
-                data=row.tobytes(),
-                requested_bytes=row.size,
-                transferred_bytes=row.size,
-                fm_bytes_consumed=0,
-                completion_time=start_time,
-                latency=0.0,
-            )
-            for stored, row in zip(stored_indices, rows)
-        ]
+    def read_rows_batch(
+        self, table_name: str, stored_indices: np.ndarray, start_time: float
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Serve tier-0-homed rows straight from the in-memory table arrays:
+        one advanced-indexing gather, available at ``start_time``.
 
-    def read_rows_matrix(
-        self, table_name: str, stored_indices: Union[np.ndarray, Sequence[int]]
-    ) -> Optional[np.ndarray]:
-        """Serve tier-0-homed rows straight from the in-memory table arrays.
-
-        The payloads are one advanced-indexing gather.  Side-effect free;
-        the chain does the stats accounting.
+        Side-effect free; the chain charges the fast-memory time and does
+        the stats accounting.
         """
         if self._row_source is None:
-            return None
-        return self._row_source(table_name, np.asarray(stored_indices, dtype=np.int64))
+            raise RuntimeError("FastTier has no row source; rows cannot be homed on it")
+        stored = np.asarray(stored_indices, dtype=np.int64)
+        return self._row_source(table_name, stored), np.full(stored.size, start_time)
 
     def fm_footprint_bytes(self) -> int:
         return self.cache.capacity_bytes if self.cache is not None else 0
@@ -664,51 +605,18 @@ class DeviceTier(MemoryTier):
     def has_table(self, table_name: str) -> bool:
         return table_name in self._segments
 
-    def _resolve(self, table_name: str, stored_index: int) -> Tuple[str, int]:
-        """(layout key, local row) of one stored row on this tier."""
-        for segment in self._segments.get(table_name, ()):
-            if segment.start <= stored_index < segment.end:
-                return segment.key, stored_index - segment.start
-        raise KeyError(
-            f"stored row {stored_index} of table {table_name!r} is not homed on "
-            f"tier {self.spec.name!r}"
-        )
-
     # -------------------------------------------------------------- serving
-    def read_rows(
-        self, table_name: str, stored_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        """Read rows from this tier's devices, preserving input order."""
-        by_key: Dict[str, List[Tuple[int, int]]] = {}
-        for position, stored in enumerate(stored_indices):
-            key, local = self._resolve(table_name, int(stored))
-            by_key.setdefault(key, []).append((position, local))
-        results: List[Optional[ReadResult]] = [None] * len(stored_indices)
-        for key, entries in by_key.items():
-            reads = self.access_path.read_rows(
-                key, [local for _, local in entries], start_time
-            )
-            for (position, _), read in zip(entries, reads):
-                results[position] = read
-        completed = [read for read in results if read is not None]
-        self.stats.ios += len(completed)
-        self.stats.rows_served += len(completed)
-        self.stats.bytes_served += sum(len(read.data) for read in completed)
-        return completed
-
     def read_rows_batch(
         self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
-        """Array-native :meth:`read_rows` through the batched IO engine path.
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Read rows from this tier's devices through its access path.
 
-        Segment resolution is vectorised, and layout keys are visited in
-        first-occurrence order — the identical sequence of engine submissions
-        (and therefore gating, RNG and stats effects) as the scalar grouped
-        walk.  Returns ``None`` when the access path has no batch support
-        (mmap), before any state is mutated.
+        Rows are grouped by the segment (layout key) that holds them, and
+        the groups are submitted in order of first occurrence, rows in
+        input order within each — that sequence of engine submissions
+        decides gating, RNG and stats effects.  A row not homed here is a
+        ``KeyError`` before anything is read.
         """
-        if not self.access_path.supports_batch_reads:
-            return None
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
         segments = self._segments.get(table_name, [])
@@ -736,8 +644,6 @@ class DeviceTier(MemoryTier):
             result = self.access_path.read_rows_batch(
                 segment.key, stored[members] - segment.start, start_time
             )
-            if result is None:  # pragma: no cover - guarded by supports_batch_reads
-                return None
             matrix[members] = result.rows
             completions[members] = result.completion_times
         self.stats.ios += count

@@ -15,7 +15,7 @@ Three pieces, all driven by the serving stack:
 
 :mod:`repro.obs.profile` is the repository's single audited wall-clock
 module (DET001 allow-lists exactly that file); wall-clock profiling of the
-batched serve core and campaign ETA lines go through it and nowhere else.
+serve core and campaign ETA lines go through it and nowhere else.
 
 Everything is wired through ``ScenarioSpec``'s ``telemetry`` section; with
 telemetry disabled (the default) the serving stack's behaviour is

@@ -4,7 +4,7 @@ Everything under :mod:`repro` runs on simulated time — the DET001 lint rule
 forbids wall-clock reads in library code because results must be a pure
 function of the :class:`~repro.api.spec.ScenarioSpec`.  Two observability
 features legitimately need the real clock anyway: wall-clock profiling of
-the batched serve core (how long the *host* spends executing a simulated
+the serve core (how long the *host* spends executing a simulated
 query, as opposed to how long the simulated host takes) and progress/ETA
 reporting for long campaigns.
 

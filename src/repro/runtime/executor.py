@@ -163,7 +163,6 @@ def run_campaign(
     parallel: int = 1,
     store: Optional[ExperimentStore] = None,
     progress: Optional[ProgressCallback] = None,
-    chunksize: int = 1,
     runtime: Union[str, Runtime, None] = None,
     retries: int = 0,
     reuse_backends: bool = True,
@@ -182,13 +181,10 @@ def run_campaign(
     to force a fresh build per point).  When ``store`` is given, points
     already present are served from it, pool workers append fresh results
     directly to per-worker store shards, and serial/dry paths persist
-    through the driver.  ``chunksize`` is accepted for backwards
-    compatibility and ignored: work-stealing dispatch is per-point.
+    through the driver.
     """
     if parallel < 1:
         raise ValueError(f"parallel must be positive: {parallel}")
-    if chunksize < 1:
-        raise ValueError(f"chunksize must be positive: {chunksize}")
     if retries < 0:
         raise ValueError(f"retries must be non-negative: {retries}")
     engine = resolve_runtime(runtime, parallel)

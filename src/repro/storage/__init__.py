@@ -25,7 +25,6 @@ from repro.storage.io_engine import (
     IOEngine,
     IOEngineConfig,
     IOMode,
-    IORequest,
     IORequestBatch,
 )
 from repro.storage.access import (
@@ -33,7 +32,6 @@ from repro.storage.access import (
     BatchReadResult,
     DirectIOReader,
     MmapReader,
-    ReadResult,
 )
 from repro.storage.endurance import EnduranceModel, update_interval_days
 
@@ -58,13 +56,11 @@ __all__ = [
     "IOEngine",
     "IOEngineConfig",
     "IOMode",
-    "IORequest",
     "IORequestBatch",
     "AccessPath",
     "BatchReadResult",
     "DirectIOReader",
     "MmapReader",
-    "ReadResult",
     "EnduranceModel",
     "update_interval_days",
 ]

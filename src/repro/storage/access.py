@@ -11,32 +11,18 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
 from repro.sim.units import BLOCK_SIZE, GIB
-from repro.storage.block_layout import BlockLayout
-from repro.storage.io_engine import IOEngine, IORequest, IORequestBatch
-
-
-@dataclass
-class ReadResult:
-    """Outcome of reading one embedding row through an access path."""
-
-    table_name: str
-    row_index: int
-    data: bytes
-    requested_bytes: int
-    transferred_bytes: int
-    fm_bytes_consumed: int
-    completion_time: float
-    latency: float
+from repro.storage.block_layout import BlockLayout, RowLocationBatch
+from repro.storage.io_engine import IOEngine, IORequestBatch
 
 
 @dataclass
 class BatchReadResult:
-    """Array-native outcome of reading a batch of rows of one table.
+    """Outcome of reading a batch of rows of one table.
 
     ``rows`` stacks the payloads as one ``(n, row_bytes)`` uint8 matrix in
     request order; ``completion_times`` is the per-row completion array.
@@ -49,22 +35,11 @@ class BatchReadResult:
 class AccessPath(abc.ABC):
     """Interface shared by the DIRECT-IO and mmap read paths."""
 
-    #: Whether :meth:`read_rows_batch` is implemented.  Callers must check
-    #: this *before* issuing any batch of a multi-group read so a mid-batch
-    #: ``None`` can never leave the engine partially mutated.
-    supports_batch_reads: bool = False
-
     @abc.abstractmethod
-    def read_rows(
-        self, table_name: str, row_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        """Read a set of rows of one table starting at ``start_time``."""
-
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> Optional[BatchReadResult]:
-        """Array-native :meth:`read_rows`; ``None`` when unsupported."""
-        return None
+    ) -> BatchReadResult:
+        """Read a batch of rows of one table, all issued at ``start_time``."""
 
     @abc.abstractmethod
     def fm_footprint_bytes(self) -> int:
@@ -87,49 +62,17 @@ class DirectIOReader(AccessPath):
     enabled), and the application-level cache owns all FM space.
     """
 
-    supports_batch_reads = True
-
     def __init__(self, engine: IOEngine, layout: BlockLayout) -> None:
         self.engine = engine
         self.layout = layout
 
-    def read_rows(
-        self, table_name: str, row_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        requests = [
-            IORequest(
-                table_name=table_name,
-                row_index=row_index,
-                location=self.layout.locate(table_name, row_index),
-            )
-            for row_index in row_indices
-        ]
-        completed = self.engine.submit_row_reads(requests, start_time)
-        results: List[ReadResult] = []
-        for request in completed:
-            results.append(
-                ReadResult(
-                    table_name=table_name,
-                    row_index=request.row_index,
-                    data=request.data,
-                    requested_bytes=request.location.length,
-                    transferred_bytes=request.transferred_bytes,
-                    fm_bytes_consumed=request.location.length,
-                    completion_time=request.completion_time,
-                    latency=request.completion_time - start_time,
-                )
-            )
-        return results
-
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> Optional[BatchReadResult]:
+    ) -> BatchReadResult:
         """Whole-batch DIRECT-IO read: locate, submit and gather as arrays.
 
-        Engine gating, device scheduling, RNG consumption and every stats
-        counter are bit-identical to :meth:`read_rows` — the submission goes
-        through :meth:`IOEngine.submit_row_reads_batch`, which replays the
-        scalar semantics over structure-of-arrays state.  A table extent
+        One :meth:`IOEngine.submit_row_reads_batch` call carries the batch
+        through queue-depth gating and device scheduling.  A table extent
         lives on exactly one device, so the payload gather is one
         advanced-indexing read from that device's block store.
         """
@@ -179,72 +122,48 @@ class MmapReader(AccessPath):
     def _page_cache_pages(self) -> int:
         return self.page_cache_capacity_bytes // BLOCK_SIZE
 
-    def read_rows(
-        self, table_name: str, row_indices: Sequence[int], start_time: float
-    ) -> List[ReadResult]:
-        results: List[ReadResult] = []
-        for row_index in row_indices:
-            location = self.layout.locate(table_name, row_index)
-            page_key = (location.device_index, location.lba)
+    def read_rows_batch(
+        self, table_name: str, row_indices: np.ndarray, start_time: float
+    ) -> BatchReadResult:
+        """Page-cache walk in request order, one device IO per page fault.
+
+        The walk is serial because the dependency is real: a fault maps the
+        page that later rows of the same batch then hit.  Each fault goes
+        through the engine as a one-entry batch of a full block — a fault
+        always transfers the whole page, whatever the engine's sub-block
+        setting — and an access to a page whose fault is still in flight
+        stalls until it completes (no new device IO either way).
+        """
+        rows = np.asarray(row_indices, dtype=np.int64)
+        locations = self.layout.locate_batch(table_name, rows)
+        device_index = locations.device_index
+        completions = np.empty(rows.size, dtype=np.float64)
+        for position, lba in enumerate(locations.lba.tolist()):
+            page_key = (device_index, lba)
             fault_done = self._page_cache.get(page_key)
             if fault_done is not None:
                 self.page_hits += 1
-                # The page is mapped; if its fault has not completed yet the
-                # access stalls until it does (no new device IO either way).
-                if fault_done <= start_time:
-                    completion_time, access_latency = start_time, 0.0
-                else:
-                    completion_time, access_latency = fault_done, fault_done - start_time
-                results.append(
-                    ReadResult(
-                        table_name=table_name,
-                        row_index=row_index,
-                        data=self.engine.devices[location.device_index].read_block_data(
-                            location.lba, location.offset, location.length
-                        ),
-                        requested_bytes=location.length,
-                        transferred_bytes=0,
-                        fm_bytes_consumed=0,
-                        completion_time=completion_time,
-                        latency=access_latency,
-                    )
-                )
+                completions[position] = max(fault_done, start_time)
                 continue
-
             self.page_faults += 1
-            # A page fault always transfers the full block regardless of the
-            # engine's sub-block setting.
-            full_block_location = type(location)(
-                device_index=location.device_index,
-                lba=location.lba,
-                offset=0,
-                length=BLOCK_SIZE,
+            fault = IORequestBatch.from_locations(
+                table_name,
+                RowLocationBatch(
+                    device_index=device_index,
+                    lba=np.array([lba], dtype=np.int64),
+                    offset=np.zeros(1, dtype=np.int64),
+                    length=BLOCK_SIZE,
+                ),
             )
-            request = IORequest(
-                table_name=table_name, row_index=row_index, location=full_block_location
-            )
-            completed = self.engine.submit_row_reads([request], start_time)[0]
-            latency = (completed.completion_time - start_time) * self.latency_factor
+            self.engine.submit_row_reads_batch(fault, start_time)
+            latency = (float(fault.completion_time[0]) - start_time) * self.latency_factor
             if len(self._page_cache) >= self._page_cache_pages():
                 self._page_cache.pop(next(iter(self._page_cache)))
-            self._page_cache[page_key] = start_time + latency
-
-            data = self.engine.devices[location.device_index].read_block_data(
-                location.lba, location.offset, location.length
-            )
-            results.append(
-                ReadResult(
-                    table_name=table_name,
-                    row_index=row_index,
-                    data=data,
-                    requested_bytes=location.length,
-                    transferred_bytes=BLOCK_SIZE,
-                    fm_bytes_consumed=BLOCK_SIZE,
-                    completion_time=start_time + latency,
-                    latency=latency,
-                )
-            )
-        return results
+            self._page_cache[page_key] = completions[position] = start_time + latency
+        data = self.engine.devices[device_index].read_rows_ndarray(
+            locations.lba, locations.offset, locations.length
+        )
+        return BatchReadResult(rows=data, completion_times=completions)
 
     def fm_footprint_bytes(self) -> int:
         return len(self._page_cache) * BLOCK_SIZE

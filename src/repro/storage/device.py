@@ -69,14 +69,14 @@ class BatchReadScheduler:
     a batch, calls :meth:`schedule` once per IO in request order, and
     :meth:`finish` writes channel state and stats back exactly once.
 
-    Bit-identical to the scalar path by construction:
+    Bit-identical to one ``schedule_read`` call per IO by construction:
 
     * channel assignment pops a ``(free_time, channel)`` heap whose
       lexicographic tie-break equals ``np.argmin``'s first-minimum rule;
     * the tail-penalty draws are one ``rng.random(count)`` call, which
-      consumes the PCG64 stream exactly like ``count`` scalar ``random()``
+      consumes the PCG64 stream exactly like ``count`` single ``random()``
       calls;
-    * float accumulations (completion sum, ``busy_time``) replay the scalar
+    * float accumulations (completion sum, ``busy_time``) replay its
       left-to-right addition chains term for term.
     """
 

@@ -23,8 +23,8 @@ import numpy as np
 
 from repro.sim.units import BLOCK_SIZE, MICROSECOND
 from repro.storage.device import BatchReadScheduler, SimulatedDevice
-from repro.storage.sgl import DWORD, ScatterGatherList
-from repro.storage.block_layout import RowLocation, RowLocationBatch
+from repro.storage.sgl import DWORD
+from repro.storage.block_layout import RowLocationBatch
 
 
 class IOMode(str, enum.Enum):
@@ -94,28 +94,9 @@ class IOEngineConfig:
 
 
 @dataclass
-class IORequest:
-    """One row-read request against the SM tier."""
-
-    table_name: str
-    row_index: int
-    location: RowLocation
-    submit_time: float = 0.0
-    completion_time: float = 0.0
-    transferred_bytes: int = 0
-    host_overhead: float = 0.0
-    data: bytes = b""
-
-    @property
-    def latency(self) -> float:
-        return self.completion_time - self.submit_time
-
-
-@dataclass
 class IORequestBatch:
     """Structure-of-arrays batch of row reads (single-entry SGLs).
 
-    The array-native counterpart of a list of :class:`IORequest` objects:
     ``device_index``/``lba``/``offset``/``length`` are parallel int64 input
     arrays, and :meth:`IOEngine.submit_row_reads_batch` fills the
     ``submit_time``/``completion_time``/``transferred_bytes``/``host_overhead``
@@ -190,94 +171,22 @@ class IOEngine:
         }
         self._outstanding_per_table: Dict[str, List[float]] = {}
 
-    # --------------------------------------------------------------- helpers
-    def _gate_submission(self, pool: List[float], limit: int, submit_time: float) -> float:
-        """Delay a submission until the outstanding count drops below limit."""
-        live = [t for t in pool if t > submit_time]
-        pool[:] = live
-        if len(live) < limit:
-            return submit_time
-        live.sort()
-        gated_time = live[len(live) - limit]
-        self.stats.throttled_submissions += 1
-        pool[:] = [t for t in live if t > gated_time]
-        return gated_time
-
     # ------------------------------------------------------------------ API
-    def submit_row_reads(self, requests: Sequence[IORequest], start_time: float) -> List[IORequest]:
-        """Submit a batch of row reads; fills completion metadata in place.
-
-        The returned list is the same request objects, completed.  The caller
-        obtains the batch completion time via ``max(r.completion_time ...)``.
-        """
-        completed: List[IORequest] = []
-        for request in requests:
-            device_index = request.location.device_index
-            if not 0 <= device_index < len(self.devices):
-                raise IndexError(
-                    f"request for table {request.table_name!r} references device "
-                    f"{device_index}, engine has {len(self.devices)}"
-                )
-            device = self.devices[device_index]
-
-            submit_time = start_time
-            submit_time = self._gate_submission(
-                self._outstanding_per_device[device_index],
-                self.config.max_outstanding_per_device,
-                submit_time,
-            )
-            table_pool = self._outstanding_per_table.setdefault(request.table_name, [])
-            submit_time = self._gate_submission(
-                table_pool, self.config.max_outstanding_per_table, submit_time
-            )
-
-            sgl = ScatterGatherList()
-            sgl.add(request.location.offset, request.location.length)
-            data, completion, transferred = device.schedule_read(
-                request.location.lba,
-                sgl,
-                arrival_time=submit_time,
-                sub_block_enabled=self.config.sub_block_reads,
-            )
-
-            host_overhead = self.config.cpu_time_per_io
-            if not self.config.sub_block_reads:
-                # Full-block read lands in a bounce buffer; copying the wanted
-                # row into the cache costs extra host memory bandwidth.
-                memcpy_time = BLOCK_SIZE / self.config.memcpy_bandwidth
-                host_overhead += memcpy_time
-                self.stats.memcpy_seconds += memcpy_time
-            completion += host_overhead
-
-            request.submit_time = submit_time
-            request.completion_time = completion
-            request.transferred_bytes = transferred
-            request.host_overhead = host_overhead
-            request.data = data
-
-            self._outstanding_per_device[device_index].append(completion)
-            table_pool.append(completion)
-
-            self.stats.ios_submitted += 1
-            self.stats.cpu_seconds += self.config.cpu_time_per_io
-            self.stats.bytes_requested += request.location.length
-            self.stats.bytes_transferred += transferred
-            completed.append(request)
-        return completed
-
     def submit_row_reads_batch(self, batch: IORequestBatch, start_time: float) -> IORequestBatch:
-        """Array-native :meth:`submit_row_reads`; fills the batch in place.
+        """Submit a batch of row reads in request order; fills it in place.
 
-        Bit-identical to submitting the same requests one at a time: the
-        per-device and per-table queue-depth gates are replayed over *sorted*
-        outstanding-completion lists (pool order is semantically irrelevant —
-        only the multiset of live completion times gates a submission — so
-        each pool is sorted once on entry and kept sorted with ``insort``,
-        turning the scalar path's per-call filter/sort passes into bisects),
-        device scheduling steps through one :class:`BatchReadScheduler`
-        session per device, and every float accumulation repeats the scalar
-        left-to-right addition chain.  Transferred sizes (the DWORD-aligned
-        single-entry SGL arithmetic) are precomputed vectorised.
+        Each IO is delayed until both its device and its table have fewer
+        than the configured number of IOs outstanding (a gated submission
+        starts when enough of them complete, and counts as throttled), is
+        scheduled on its device, and pays the host's per-IO CPU time (plus
+        the bounce-buffer memcpy without sub-block reads).  Submitting a
+        batch is the same as submitting its IOs one at a time, whatever the
+        split into calls: only the multiset of live completion times gates a
+        submission, so each outstanding pool is kept sorted (``insort``) and
+        the gate is two bisects; device scheduling steps through one
+        :class:`BatchReadScheduler` session per device; every float
+        accumulates left to right in request order.  Transferred sizes (the
+        DWORD-aligned single-entry SGL arithmetic) are precomputed vectorised.
         """
         count = len(batch)
         if count == 0:
@@ -381,12 +290,6 @@ class IOEngine:
         self.stats.bytes_transferred += int(transferred.sum())
         self.stats.throttled_submissions += throttled
         return batch
-
-    def batch_completion_time(self, requests: Sequence[IORequest]) -> float:
-        """Completion time of the slowest request in a completed batch."""
-        if not requests:
-            raise ValueError("cannot compute completion time of an empty batch")
-        return max(request.completion_time for request in requests)
 
     def reset_stats(self) -> None:
         """Zero the cumulative counters; outstanding-IO pools are untouched."""

@@ -6,7 +6,8 @@ tests are deterministic.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+import dataclasses
+from typing import Any, Dict, List, Optional
 
 import numpy as np
 
@@ -128,3 +129,23 @@ def reference_pooled(model: DLRMModel, query: Query) -> Dict[str, np.ndarray]:
         name: model.table(name).bag(indices)
         for name, indices in query.user_indices.items()
     }
+
+
+def golden_encode(value: Any) -> Any:
+    """JSON form of a statistics value for the golden files: floats as
+    ``float.hex`` (exact), dataclasses as dicts of their compared fields."""
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: golden_encode(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.compare
+        }
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, dict):
+        return {str(key): golden_encode(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [golden_encode(item) for item in value]
+    if isinstance(value, (np.generic, np.ndarray)):
+        return golden_encode(value.tolist())
+    return value

@@ -1,0 +1,119 @@
+"""The tier-chain walk, stated one row at a time — a test oracle.
+
+``reference_fetch_batch(chain, ...)`` takes the arguments of
+:meth:`repro.hierarchy.chain.TierChain.fetch_batch` and serves the batch
+the plainest way the semantics can be written down: each row probes the
+caches above its home tier in order through ``UnifiedRowCache.get``, a hit
+is promoted with ``put`` right away, time accrues with ``+=``, tier
+statistics are kept by hand, and every miss is read from its home tier
+with a one-row ``read_rows_batch`` call once the host walk is done.  It
+shares no planning, certificate or array code with the product path, which
+must agree with it bit for bit (``tests/test_batched_parity.py``).
+"""
+
+from typing import Dict, List
+
+import numpy as np
+
+from repro.hierarchy.chain import BatchFetchOutcome, TierChain
+from repro.hierarchy.tier import MemoryTier
+
+
+def _promote(tier: MemoryTier, key, value: bytes) -> None:
+    assert tier.cache is not None
+    if tier.cache.put(key, value):
+        tier.stats.promoted_rows += 1
+
+
+def reference_fetch_batch(
+    chain: TierChain,
+    table_name: str,
+    stored,
+    start_time: float,
+    *,
+    row_len: int,
+    cache_enabled: bool = True,
+) -> BatchFetchOutcome:
+    stored = [int(index) for index in stored]
+    decision = chain.placement.for_table(table_name)
+    home_tiers = [int(tier) for tier in decision.tiers_of_rows(stored)] if stored else []
+    cached = [index for index, tier in enumerate(chain.tiers) if tier.cache is not None]
+    receivers = {"none": [], "top": cached[:1], "all": cached}[chain.promotion]
+
+    cursor = start_time
+    probe_seconds = 0.0
+    cache_hits = fast_rows = 0
+    payloads: Dict[int, bytes] = {}
+    misses: Dict[int, List[int]] = {}
+
+    # The serial host walk: probes, hit copies, promotions, fast-tier reads.
+    for row, (index, home) in enumerate(zip(stored, home_tiers)):
+        key = (table_name, index)
+        if cache_enabled:
+            for tier_index in cached:
+                if tier_index >= home:
+                    break
+                tier = chain.tiers[tier_index]
+                cursor += chain.cache_probe_seconds
+                probe_seconds += chain.cache_probe_seconds
+                tier.stats.cache_probes += 1
+                value = tier.cache.get(key, size_hint=row_len)
+                if value is None:
+                    continue
+                tier.stats.cache_hits += 1
+                tier.stats.rows_served += 1
+                tier.stats.bytes_served += len(value)
+                # Bytes cached below tier 0 still cross that tier's media,
+                # and the hit re-enters the faster caches it fell out of.
+                cursor += tier.cache_hit_seconds(len(value))
+                for target in receivers:
+                    if target < tier_index:
+                        _promote(chain.tiers[target], key, value)
+                payloads[row] = value
+                cache_hits += 1
+                break
+        if row in payloads:
+            continue
+        if home == 0:
+            fast = chain.tiers[0]
+            rows, _ = fast.read_rows_batch(table_name, np.array([index]), cursor)
+            data = rows[0].tobytes()
+            cursor += chain.fm_lookup_overhead + len(data) / chain.fm_bandwidth
+            fast.stats.rows_served += 1
+            fast.stats.bytes_served += len(data)
+            payloads[row] = data
+            fast_rows += 1
+            continue
+        misses.setdefault(home, []).append(row)
+
+    # All misses are in flight together from the end of the walk; tiers in
+    # order of first miss, rows in request order.
+    io_done = cursor
+    reads_by_tier: Dict[int, int] = {}
+    for tier_index, rows in misses.items():
+        tier = chain.tiers[tier_index]
+        for row in rows:
+            matrix, completions = tier.read_rows_batch(
+                table_name, np.array([stored[row]], dtype=np.int64), cursor
+            )
+            data = matrix[0].tobytes()
+            payloads[row] = data
+            io_done = max(io_done, float(completions[0]))
+            if cache_enabled:
+                for target in receivers:
+                    if target < tier_index:
+                        _promote(chain.tiers[target], (table_name, stored[row]), data)
+        reads_by_tier[tier_index] = len(rows)
+
+    rows_out = np.frombuffer(
+        b"".join(payloads[row] for row in range(len(stored))), dtype=np.uint8
+    ).reshape(len(stored), row_len)
+    return BatchFetchOutcome(
+        rows=rows_out,
+        completion_time=max(cursor, io_done),
+        device_reads=sum(reads_by_tier.values()),
+        fast_rows=fast_rows,
+        cache_hits=cache_hits,
+        probe_seconds=probe_seconds,
+        reads_by_tier=reads_by_tier,
+    )

@@ -1,36 +1,46 @@
-"""Bit-exact parity between the scalar and batched serve cores.
+"""The serve path reproduces the frozen per-row oracle bit for bit.
 
-``serve_mode="batched"`` is an execution strategy, not a model change:
-for every supported configuration the batched tier-chain gather must
-produce bitwise-identical pooled embeddings, identical completion
-times, and identical statistics (SDM counters, per-tier serving stats,
-row-cache counters *and* eviction order) to the scalar per-row walk.
-This is the oracle that lets the scalar path act as a safety net — any
-configuration the batched path cannot serve identically must fall back,
-never diverge.
+The repo used to carry a scalar per-row walk beside the array-native one
+and compared the two live.  The scalar walk is gone; what it produced for
+every configuration below was frozen, at the last commit that had it, into
+``tests/golden/serve_parity.json`` (per-query completion times, a digest
+of the pooled bytes, every statistics object, row-cache eviction order,
+IO-engine, device and page-cache counters).  The single path must equal
+those records exactly, and must also equal ``tests/reference_walk.py`` — a
+plain per-row statement of the same semantics — run live on a twin.
+``tests/golden/regen.py`` rewrites the goldens from the current tree; a
+diff there is a model change.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import golden_encode
+from reference_walk import reference_fetch_batch
 
-from repro.api import ScenarioSpec, Session
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
-from repro.dlrm import DLRMModel, EmbeddingTable, EmbeddingTableSpec, MLP
+from repro.dlrm import MLP, DLRMModel, EmbeddingTable, EmbeddingTableSpec
 from repro.dlrm.pruning import prune_table
-from repro.storage import IOEngineConfig
+from repro.hierarchy import DeviceTier, TierChain
+from repro.storage import IOEngineConfig, MmapReader
 from repro.workload import QueryGenerator, WorkloadConfig
 
+GOLDEN_PATH = Path(__file__).parent / "golden" / "serve_parity.json"
 NUM_QUERIES = 40
 
-# Configuration axes the batched gather must cover (or detect and fall
-# back from): quantisation width, pruning (with and without depruning),
-# access path, tier count, promotion policy, row splitting, cache
-# partitioning, a second cached tier whose hits are promoted mid-walk,
-# a cache small enough to force evictions mid-stream,
-# queue-depth limits tight enough to throttle mid-batch, and the
-# full-block (no sub-block SGL) transfer path with its memcpy accounting.
+# Configuration axes the serve path must cover: quantisation width, pruning
+# (with and without depruning), access path, tier count, promotion policy,
+# row splitting, cache partitioning, a second cached tier whose hits are
+# promoted mid-walk, caches small enough to force evictions (and promotion
+# hazards) mid-batch, a cache too small to ever hold a row, queue-depth
+# limits tight enough to throttle mid-batch, and the full-block (no
+# sub-block SGL) transfer path with its memcpy accounting.
 TWO_CACHES = "dram:2KiB:2KiB,cxl:4KiB:3KiB,nand:1GiB"
+THROTTLED = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=2)
 
 VARIANTS = {
     "default": {},
@@ -40,6 +50,11 @@ VARIANTS = {
     "pruned-deprune": {"pruned_fraction": 0.3, "deprune_at_load": True},
     "dequantize-at-load": {"dequantize_at_load": True},
     "mmap": {"access_path": AccessPathKind.MMAP},
+    "mmap-throttled": {
+        "access_path": AccessPathKind.MMAP,
+        "row_cache_capacity_bytes": 4 * 1024,
+        "io": THROTTLED,
+    },
     "three-tier": {"tiers": "dram:2KiB,cxl:40KiB:64KiB,nand:1GiB"},
     "three-tier-promote-none": {
         "tiers": "dram:2KiB,cxl:40KiB:64KiB,nand:1GiB",
@@ -62,10 +77,20 @@ VARIANTS = {
         "promotion": "all",
         "pooled_cache_enabled": False,
     },
+    "two-caches-mmap": {
+        "tiers": TWO_CACHES,
+        "promotion": "all",
+        "access_path": AccessPathKind.MMAP,
+    },
     # A tier-0 cache of a dozen rows: promotion fills evict rows the same
-    # batch hits, so real hazards occur and the scalar fallback is taken.
+    # batch hits, so the walk has to split those batches.
     "two-caches-hazards": {
         "tiers": "dram:2KiB:512,cxl:4KiB:3KiB,nand:1GiB",
+        "promotion": "all",
+    },
+    # A tier-0 cache no row fits in: every promotion into it is rejected.
+    "two-caches-oversize-row": {
+        "tiers": "dram:2KiB:40,cxl:4KiB:3KiB,nand:1GiB",
         "promotion": "all",
     },
     "two-caches-four-partitions": {
@@ -75,15 +100,15 @@ VARIANTS = {
     },
     "four-partitions": {"num_cache_partitions": 4},
     "tiny-cache": {"row_cache_capacity_bytes": 4 * 1024},
-    "throttled-io": {
-        "row_cache_capacity_bytes": 4 * 1024,
-        "io": IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=2),
-    },
+    "throttled-io": {"row_cache_capacity_bytes": 4 * 1024, "io": THROTTLED},
     "full-block-io": {
         "row_cache_capacity_bytes": 4 * 1024,
         "io": IOEngineConfig(sub_block_reads=False),
     },
 }
+
+# Variants whose batches hit promotion hazards, i.e. exercise range splitting.
+SPLITTING_VARIANTS = ("two-caches-hazards", "two-caches-pooled-off", "two-caches-four-partitions")
 
 
 def _model(quant_bits: int = 8) -> DLRMModel:
@@ -128,199 +153,188 @@ def _model(quant_bits: int = 8) -> DLRMModel:
     )
 
 
-def _build_sdm(variant: dict, serve_mode: str) -> SoftwareDefinedMemory:
+def build_sdm(variant: dict) -> SoftwareDefinedMemory:
     options = dict(variant)
     quant_bits = options.pop("quant_bits", 8)
     pruned_fraction = options.pop("pruned_fraction", 0.0)
     model = _model(quant_bits)
     pruned = None
     if pruned_fraction:
-        pruned = {
-            "user_0": prune_table(model.table("user_0"), pruned_fraction, seed=1)
-        }
+        pruned = {"user_0": prune_table(model.table("user_0"), pruned_fraction, seed=1)}
     config = SDMConfig(
         row_cache_capacity_bytes=options.pop("row_cache_capacity_bytes", 256 * 1024),
         pooled_cache_capacity_bytes=128 * 1024,
         num_devices=2,
         seed=0,
-        serve_mode=serve_mode,
         **options,
     )
     return SoftwareDefinedMemory(model, config, pruned_tables=pruned)
 
 
-def _serve(sdm: SoftwareDefinedMemory):
-    generator = QueryGenerator(
-        sdm.model, WorkloadConfig(item_batch=1, num_users=100), seed=3
-    )
+def build_reference_sdm(variant: dict) -> SoftwareDefinedMemory:
+    """A twin whose chain fetches through the per-row reference walk."""
+    sdm = build_sdm(variant)
+    chain = sdm.chain
+    chain.fetch_batch = lambda *args, **kwargs: reference_fetch_batch(chain, *args, **kwargs)
+    return sdm
+
+
+def serve(sdm: SoftwareDefinedMemory, after_query=None):
+    """``[(pooled bytes by table, completion time)]`` of the query stream."""
+    generator = QueryGenerator(sdm.model, WorkloadConfig(item_batch=1, num_users=100), seed=3)
     trace = []
     cursor = 0.0
     for query in generator.generate(NUM_QUERIES):
         pooled, done = sdm.pooled_embeddings(query.user_indices, cursor)
         sdm.on_query_complete()
-        trace.append(
-            (
-                {name: vec.tobytes() for name, vec in sorted(pooled.items())},
-                done,
-            )
-        )
+        trace.append(({name: vec.tobytes() for name, vec in sorted(pooled.items())}, done))
         cursor = done + 1e-4
+        if after_query is not None:
+            after_query(sdm)
     return trace
 
 
-def _cache_snapshot(sdm: SoftwareDefinedMemory):
-    snapshot = []
+def parity_record(sdm: SoftwareDefinedMemory, trace) -> dict:
+    """Everything observable about one served stream, as JSON data."""
+    digest = hashlib.sha256()
+    for pooled, _ in trace:
+        for name, raw in pooled.items():
+            digest.update(name.encode())
+            digest.update(raw)
+    caches = []
     for tier in sdm.tiers:
         if tier.cache is None:
-            snapshot.append(None)
+            caches.append(None)
             continue
-        orders = []
-        for partition in list(tier.cache._memory_caches) + list(tier.cache._cpu_caches):
-            orders.append(list(partition.keys()))
-        snapshot.append(
-            (
-                tier.cache.stats,
-                tier.cache.memory_optimized_stats,
-                tier.cache.cpu_optimized_stats,
-                orders,
-            )
+        partitions = [*tier.cache._memory_caches, *tier.cache._cpu_caches]
+        caches.append(
+            [
+                {"stats": partition.stats, "lru_to_mru": list(partition.keys())}
+                for partition in partitions
+            ]
         )
-    return snapshot
+    device_tiers = [tier for tier in sdm.tiers if isinstance(tier, DeviceTier)]
+    return golden_encode(
+        {
+            "completion_times": [done for _, done in trace],
+            "pooled_sha256": digest.hexdigest(),
+            "sdm_stats": sdm.stats,
+            "tier_stats": [tier.stats for tier in sdm.tiers],
+            "row_caches": caches,
+            "pooled_cache_stats": None if sdm.pooled_cache is None else sdm.pooled_cache.stats,
+            "io_engine_stats": [tier.io_engine.stats for tier in device_tiers],
+            "device_stats": sdm.device_stats(),
+            "mmap_pages": [
+                {"faults": tier.access_path.page_faults, "hits": tier.access_path.page_hits}
+                for tier in device_tiers
+                if isinstance(tier.access_path, MmapReader)
+            ],
+        }
+    )
 
 
-# Variants that must take the fallback (and still match), with the reason.
-EXPECTED_FALLBACKS = {
-    "two-caches-hazards": "promotion_evicts_batch_hit",
-    "two-caches-pooled-off": "promotion_evicts_batch_hit",
-    "two-caches-four-partitions": "cache_not_batchable",
-}
+def golden_records() -> dict:
+    return json.loads(GOLDEN_PATH.read_text())
+
+
+def test_goldens_cover_exactly_the_variants():
+    assert sorted(golden_records()) == sorted(VARIANTS)
 
 
 @pytest.mark.parametrize("variant", sorted(VARIANTS))
 def test_batched_serve_is_bit_identical_to_scalar(variant):
-    scalar = _build_sdm(VARIANTS[variant], "scalar")
-    batched = _build_sdm(VARIANTS[variant], "batched")
-    scalar_trace = _serve(scalar)
-    batched_trace = _serve(batched)
-    for (rows_a, done_a), (rows_b, done_b) in zip(scalar_trace, batched_trace):
-        assert rows_a == rows_b  # bitwise embedding equality
-        assert done_a == done_b  # exact completion-time equality
-    assert scalar.stats == batched.stats
-    for tier_a, tier_b in zip(scalar.tiers, batched.tiers):
-        assert tier_a.stats == tier_b.stats
-    assert _cache_snapshot(scalar) == _cache_snapshot(batched)
-    if scalar.pooled_cache is not None:
-        assert batched.pooled_cache is not None
-        assert scalar.pooled_cache.stats == batched.pooled_cache.stats
-    by_reason = batched.stats.batch_fallbacks_by_reason
-    assert sum(by_reason.values()) == batched.stats.batch_fallbacks
-    expected = EXPECTED_FALLBACKS.get(variant)
-    assert set(by_reason) == ({expected} if expected else set())
+    sdm = build_sdm(VARIANTS[variant])
+    record = parity_record(sdm, serve(sdm))
+    golden = golden_records()[variant]
+    assert record.keys() == golden.keys()
+    for key in golden:
+        assert record[key] == golden[key], key
     if variant.startswith("two-caches") and "top" not in variant:
-        # Not vacuous: the slower cache hit, its rows were promoted, and
-        # most requests still took the batched path.
-        assert batched.tiers[1].stats.cache_hits > 0
-        assert batched.stats.batched_serves > batched.stats.batch_fallbacks
+        # Not vacuous: the slower cache hit and its rows were promoted.
+        assert sdm.tiers[1].stats.cache_hits > 0
 
 
-def test_repeated_promoted_row_falls_back_and_matches():
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_serve_equals_the_reference_walk(variant):
+    sdm, reference = build_sdm(VARIANTS[variant]), build_reference_sdm(VARIANTS[variant])
+    assert parity_record(sdm, serve(sdm)) == parity_record(reference, serve(reference))
+
+
+@pytest.mark.parametrize("variant", SPLITTING_VARIANTS)
+def test_hazard_batches_are_split_into_ranges(variant, monkeypatch):
+    # The goldens match above; this pins *how*: batches whose promotions
+    # would disturb their own hits are walked as several row ranges.
+    ranges = []
+    walk = TierChain._walk_range
+
+    def counting(self, *args):
+        ranges.append(args[-2:])
+        return walk(self, *args)
+
+    monkeypatch.setattr(TierChain, "_walk_range", counting)
+    sdm = build_sdm(VARIANTS[variant])
+    serve(sdm)
+    fetches = sdm.stats.sm_table_requests - sdm.stats.pooled_cache_hits
+    assert len(ranges) > fetches  # some fetch walked more than one range
+    assert all(lo < hi for lo, hi in ranges)
+
+
+def test_oversize_row_is_rejected_and_the_cache_stays_within_capacity():
+    def within_capacity(sdm):
+        for tier in sdm.tiers:
+            if tier.cache is not None:
+                for partition in (*tier.cache._memory_caches, *tier.cache._cpu_caches):
+                    assert partition.used_bytes <= partition.capacity_bytes
+
+    sdm = build_sdm(VARIANTS["two-caches-oversize-row"])
+    serve(sdm, after_query=within_capacity)
+    undersized, lower = sdm.tiers[0], sdm.tiers[1]
+    assert undersized.stats.promoted_rows == 0
+    assert undersized.cache.item_count == 0
+    assert undersized.cache.stats.rejected_inserts > 0
+    assert lower.stats.promoted_rows > 0 and lower.stats.cache_hits > 0
+
+
+def test_repeated_promoted_row_splits_and_matches():
     # A row that sits in the cxl cache only, requested twice in one batch:
-    # the scalar walk promotes it on the first occurrence and finds it in
-    # the dram cache on the second, which no one-shot plan reproduces.
+    # the first occurrence promotes it and the second finds it in the dram
+    # cache, which no one-shot plan reproduces — the walk must split.
     variant = VARIANTS["two-caches-promote-all"]
-    scalar, batched = _build_sdm(variant, "scalar"), _build_sdm(variant, "batched")
-    assert _serve(scalar) == _serve(batched)
-    state = batched._sm_tables["user_0"]
+    sdm, reference = build_sdm(variant), build_reference_sdm(variant)
+    assert serve(sdm) == serve(reference)
+    state = sdm._sm_tables["user_0"]
     lower_only = [
         row
         for row in range(state.stored_rows)
-        if batched.tiers[1].cache.contains(("user_0", row))
-        and not batched.tiers[0].cache.contains(("user_0", row))
+        if sdm.tiers[1].cache.contains(("user_0", row))
+        and not sdm.tiers[0].cache.contains(("user_0", row))
     ]
     assert len(lower_only) >= 2
     request = {"user_0": [lower_only[0], lower_only[1], lower_only[0]]}
-    served = [sdm.pooled_embeddings(request, 1.0) for sdm in (scalar, batched)]
+    hits_before = sdm.tiers[0].stats.cache_hits
+    served = [each.pooled_embeddings(request, 1.0) for each in (sdm, reference)]
     assert served[0][0]["user_0"].tobytes() == served[1][0]["user_0"].tobytes()
     assert served[0][1] == served[1][1]
-    assert batched.stats.batch_fallbacks_by_reason == {"promoted_key_repeats": 1}
-    assert scalar.stats == batched.stats
-    for tier_a, tier_b in zip(scalar.tiers, batched.tiers):
-        assert tier_a.stats == tier_b.stats
-    assert _cache_snapshot(scalar) == _cache_snapshot(batched)
+    assert sdm.tiers[0].stats.cache_hits == hits_before + 1  # the repeat
+    assert parity_record(sdm, []) == parity_record(reference, [])
 
 
 def test_fetch_batch_reports_no_size_hint():
-    sdm = _build_sdm({}, "batched")
+    # The row length shapes every array of the walk; leaving it out is an
+    # error at the call, not a silently different path.
+    sdm = build_sdm({})
     rows = np.arange(4, dtype=np.int64)
-    assert sdm.chain.fetch_batch("user_0", rows, rows, 0.0) is None
-    assert sdm.chain.decline_reason == "no_size_hint"
-    size_hint = sdm._sm_tables["user_0"].row_bytes
-    assert sdm.chain.fetch_batch("user_0", rows, rows, 0.0, size_hint=size_hint) is not None
-    assert sdm.chain.decline_reason is None
+    with pytest.raises(TypeError, match="row_len"):
+        sdm.chain.fetch_batch("user_0", rows, 0.0)
 
 
 def test_batched_mode_actually_takes_the_batched_path():
-    # Guard against the parity matrix passing vacuously because every
-    # variant silently fell back to the scalar walk.
-    sdm = _build_sdm({}, "batched")
+    sdm = build_sdm({})
     outcome = sdm.chain.fetch_batch(
         "user_0",
-        np.arange(4, dtype=np.int64),
         np.array([1, 2, 3, 4], dtype=np.int64),
         0.0,
-        cache_enabled=True,
-        size_hint=sdm._sm_tables["user_0"].row_bytes,
+        row_len=sdm._sm_tables["user_0"].row_bytes,
     )
-    assert outcome is not None
     assert outcome.rows.shape[0] == 4
-
-
-def _served_stats(backend: str, options: dict, passes: int = 1):
-    session = Session(
-        ScenarioSpec.from_dict(
-            {
-                "model": {"spec": "M1", "max_tables_per_group": 8, "max_rows_per_table": 16384},
-                "backend": {"name": backend, "options": options},
-                "workload": {"num_queries": 96, "num_users": 2000},
-            }
-        )
-    )
-    for _ in range(passes):
-        session.backend.reset_stats()
-        session.engine.run_queries(session.queries())
-    return session.backend.stats
-
-
-def test_batch_fallbacks_are_counted():
-    # Two tiers, second pass over a row cache that holds everything: no
-    # promotion can mutate a tier mid-batch, so nothing falls back.
-    warm = _served_stats(
-        "sdm", {"row_cache_capacity_bytes": 64 << 20, "pooled_cache_enabled": False}, passes=2
-    )
-    assert warm.batch_fallbacks == 0
-    assert warm.batched_serves == warm.sm_table_requests > 0
-
-    # The perf ledger's tiered-open hierarchy: every served row is promoted,
-    # and only the batches with a real hazard (a fill evicting a row the
-    # same batch hits) fall back.  Pooled-cache hits return before the
-    # serve, so the two counters cover only the requests that reached it.
-    tiered = _served_stats(
-        "tiered",
-        {
-            "tiers": "dram:256KiB:512KiB,cxl:2MiB:4MiB,nand:1GiB",
-            "split_rows": True,
-            "promotion": "all",
-            "pooled_cache_enabled": True,
-        },
-    )
-    reached_serve = tiered.sm_table_requests - tiered.pooled_cache_hits
-    assert tiered.batched_serves + tiered.batch_fallbacks == reached_serve
-    assert tiered.batch_fallbacks / reached_serve < 0.1
-    assert sum(tiered.batch_fallbacks_by_reason.values()) == tiered.batch_fallbacks
-
-
-def test_scalar_mode_counts_neither_serves_nor_fallbacks():
-    sdm = _build_sdm({}, "scalar")
-    _serve(sdm)
-    assert sdm.stats.sm_table_requests > 0
-    assert sdm.stats.batched_serves == sdm.stats.batch_fallbacks == 0
+    assert outcome.device_reads == 4

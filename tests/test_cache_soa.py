@@ -116,7 +116,7 @@ class TestBatchEquivalence:
         for _ in range(50):
             stored = rng.integers(-4, 40, size=16)  # includes misses + negatives
             expected = [reference.get(("t", int(s))) for s in stored]
-            hit_mask, values = soa.probe_batch("t", stored, row_len)
+            hit_mask, values, _ = soa.probe_batch("t", stored, row_len)
             assert list(hit_mask) == [row is not None for row in expected]
             hits = [row for row in expected if row is not None]
             assert [bytes(v) for v in values] == hits
@@ -178,7 +178,7 @@ class TestBatchEquivalence:
 
     def test_empty_batches_are_noops(self):
         _, soa = _pair()
-        hit_mask, values = soa.probe_batch("t", np.empty(0, dtype=np.int64), 4)
+        hit_mask, values, _ = soa.probe_batch("t", np.empty(0, dtype=np.int64), 4)
         assert hit_mask.size == 0 and values.shape == (0, 4)
         soa.fill_batch("t", np.empty(0, dtype=np.int64), np.empty((0, 4), np.uint8))
         assert soa.stats.inserts == 0 and soa.stats.cpu_seconds == 0.0
@@ -216,13 +216,13 @@ class TestNegativeIndices:
         # element) is absent, scalar and batched alike.
         assert not soa.contains(("t", 63))
         assert list(soa.contains_batch("t", np.array([63, -1]))) == [False, True]
-        hit_mask, values = soa.probe_batch("t", np.array([63]), 3)
+        hit_mask, values, _ = soa.probe_batch("t", np.array([63]), 3)
         reference.get(("t", 63))
         assert not hit_mask.any() and values.shape == (0, 3)
         _assert_same_observables(reference, soa)
         # The negative key itself behaves like any other key.
         assert soa.get(("t", -1)) == reference.get(("t", -1)) == b"neg"
-        hit_mask, values = soa.probe_batch("t", np.array([-1, 5]), 3)
+        hit_mask, values, _ = soa.probe_batch("t", np.array([-1, 5]), 3)
         for s in (-1, 5):
             reference.get(("t", s))
         assert list(hit_mask) == [True, False] and bytes(values[0]) == b"neg"
@@ -258,7 +258,7 @@ class TestBatchMutation:
                 assert soa.put((table, stored), value) == reference.put((table, stored), value)
             elif op < 0.55:
                 stored = rng.integers(0, 96, size=int(rng.integers(1, 24)))
-                hit_mask, values = soa.probe_batch(table, stored, row_len)
+                hit_mask, values, _ = soa.probe_batch(table, stored, row_len)
                 assert [bytes(v) for v in values] == _replay_probe(reference, table, stored)
             elif op < 0.8:
                 # Fills: fresh rows, replacements and in-batch duplicates.
@@ -278,7 +278,7 @@ class TestBatchMutation:
                 if soa.promotion_hazard(table, stored[present], fills, row_len):
                     continue
                 promote_values = _matrix(table, stored[promote_mask], row_len)
-                hit_mask, values = soa.probe_batch(
+                hit_mask, values, _ = soa.probe_batch(
                     table, stored, row_len, promote_mask, promote_values
                 )
                 assert list(hit_mask) == list(present)
@@ -340,7 +340,7 @@ class TestBatchMutation:
                     _replay_fill(reference, "t", fresh, _matrix("t", fresh))
             else:
                 probe = rng.integers(0, 14, size=9)
-                _, values = soa.probe_batch("t", probe, 8)
+                _, values, _ = soa.probe_batch("t", probe, 8)
                 assert [bytes(v) for v in values] == _replay_probe(reference, "t", probe)
             compactions += soa._log_tail < tail_before
             _assert_same_observables(reference, soa)
@@ -395,9 +395,22 @@ class TestPromotionCertificate:
             clears += not hazard
         assert hazards > 30 and clears > 30
 
-    def test_row_that_never_fits_is_a_hazard(self):
-        soa = SoALRUCache(16, per_item_overhead_bytes=8)
-        assert soa.promotion_hazard("t", np.empty(0, dtype=np.int64), 1, 64)
+    def test_row_that_never_fits_is_rejected_not_a_hazard(self):
+        # A fill that can never be admitted changes nothing a later probe can
+        # see, so it is no hazard; the ordered probe rejects it as put does.
+        reference, soa = _pair(capacity=4 * 16, overhead=8)
+        for cache in (reference, soa):
+            cache.put(("u", 1), _row("u", 1))
+        stored = np.array([2, 7, 1, 9])
+        promote_mask = np.array([False, True, False, True])
+        assert not soa.promotion_hazard("t", np.empty(0, dtype=np.int64), 2, 64)
+        promote_values = _matrix("t", stored[promote_mask], 64)
+        hit_mask, values, admitted = soa.probe_batch("t", stored, 64, promote_mask, promote_values)
+        assert admitted == 0 and not hit_mask.any() and values.shape == (0, 64)
+        assert _replay_probe(reference, "t", stored, promote_mask, promote_values) == []
+        assert soa.stats.rejected_inserts == 2 and soa.stats.evictions == 0
+        assert soa.contains(("u", 1))
+        _assert_same_observables(reference, soa)
 
     def test_cleared_batch_replays_exactly_in_any_interleaving(self):
         # With the certificate clear, the ordered batch op equals the scalar
@@ -416,7 +429,7 @@ class TestPromotionCertificate:
             if soa.promotion_hazard("t", stored[present], int(promote_mask.sum()), 8):
                 continue
             promote_values = _matrix("t", stored[promote_mask])
-            hit_mask, values = soa.probe_batch("t", stored, 8, promote_mask, promote_values)
+            hit_mask, values, _ = soa.probe_batch("t", stored, 8, promote_mask, promote_values)
             assert [bytes(v) for v in values] == _replay_probe(
                 reference, "t", stored, promote_mask, promote_values
             )

@@ -314,8 +314,9 @@ class TestSDMLoadPath:
         stored = np.array([0, 3, 1])
         for name in ranked:
             expected = [self._row_bytes(sdm, model, {}, name, int(i)) for i in stored]
-            assert [row.tobytes() for row in fast.read_rows_matrix(name, stored)] == expected
-            assert [read.data for read in fast.read_rows(name, stored.tolist(), 0.0)] == expected
+            rows, available = fast.read_rows_batch(name, stored, 0.5)
+            assert [row.tobytes() for row in rows] == expected
+            assert available.tolist() == [0.5] * 3  # fast memory: no IO wait
 
     @pytest.mark.parametrize("deprune", [False, True])
     def test_pruned_tables(self, deprune):

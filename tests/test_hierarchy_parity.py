@@ -297,13 +297,15 @@ class TestPromotionPolicies:
             [fast, mid, slow], placement,
             promotion="all", cache_probe_seconds=1e-7,
         )
+        fetch = dict(stored=np.array([3]), start_time=0.0, row_len=64)
         # First fetch: NAND read, filled into both upper caches.
-        chain.fetch_rows("t", [(0, 3)], 0.0)
+        chain.fetch_batch("t", **fetch)
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
         # Evict from tier 0; the next access hits tier 1's cache, pays its
         # media time on top of the probes, and re-promotes into tier 0.
         fast_cache.clear()
-        outcome = chain.fetch_rows("t", [(0, 3)], 0.0)
+        outcome = chain.fetch_batch("t", **fetch)
+        assert outcome.rows.tolist() == [[3] * 64]
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
         assert fast_cache.item_count == 1  # re-promoted
@@ -376,9 +378,11 @@ class TestVectorisedDecodeParity:
             model.table("user_0").row_bytes_at(index) for index in range(16)
         ]
         matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(16, -1)
-        batch = state.decode_batch(matrix)
-        for position, raw in enumerate(raws):
-            np.testing.assert_array_equal(batch[position], state.decode(raw))
+        # The serve path's decoder over the stored bytes is the model's own
+        # dequantisation of the same rows.
+        np.testing.assert_array_equal(
+            state.decode_batch(matrix), model.table("user_0").lookup_dense(range(16))
+        )
 
     def test_float_batch_decoder_round_trips(self):
         rows = np.random.default_rng(0).normal(size=(8, 12)).astype(np.float32)

@@ -172,8 +172,9 @@ class TestRuntimeTiers:
         rows = {i: bytes([i % 256] * 64) for i in range(100)}
         matrix = np.frombuffer(b"".join(rows.values()), dtype=np.uint8).reshape(100, 64)
         tier.add_segment("t", 0, 100, 64, matrix, whole_table=True)
-        reads = tier.read_rows("t", [3, 97, 11], start_time=0.0)
-        assert [r.data for r in reads] == [rows[3], rows[97], rows[11]]
+        data, completions = tier.read_rows_batch("t", np.array([3, 97, 11]), start_time=0.0)
+        assert [row.tobytes() for row in data] == [rows[3], rows[97], rows[11]]
+        assert completions.shape == (3,) and (completions > 0.0).all()
         assert tier.stats.ios == 3
         assert tier.stats.bytes_served == 3 * 64
 
@@ -182,11 +183,11 @@ class TestRuntimeTiers:
         tier = DeviceTier(spec)
         tier.add_segment("t", 100, 200, 64, np.full((100, 64), 1, dtype=np.uint8))
         tier.add_segment("t", 300, 350, 64, np.full((50, 64), 2, dtype=np.uint8))
-        reads = tier.read_rows("t", [150, 320], start_time=0.0)
-        assert reads[0].data[0] == 1
-        assert reads[1].data[0] == 2
+        data, _ = tier.read_rows_batch("t", np.array([150, 320]), start_time=0.0)
+        assert data[:, 0].tolist() == [1, 2]
         with pytest.raises(KeyError):
-            tier.read_rows("t", [250], start_time=0.0)
+            tier.read_rows_batch("t", np.array([150, 250]), start_time=0.0)
+        assert tier.stats.ios == 2  # nothing was read for the rejected batch
 
     @pytest.mark.parametrize(
         "shape, dtype",
@@ -217,8 +218,8 @@ class TestRuntimeTiers:
         assert device.read_block_data(0, 4000) == bytes(96)  # block tail
         assert device.read_block_data(3, 900, 100) == bytes([130] * 100)
         assert device.read_block_data(3, 1000) == bytes(3096)  # unused slots
-        reads = tier.read_rows("t", [0, 39, 40, 129], start_time=0.0)
-        assert [read.data[0] for read in reads] == [1, 40, 41, 130]
+        data, _ = tier.read_rows_batch("t", np.array([0, 39, 40, 129]), start_time=0.0)
+        assert data[:, 0].tolist() == [1, 40, 41, 130]
 
     def test_cost_model(self):
         from repro.hierarchy import cost_factor, memory_cost_dram_gb, pareto_frontier

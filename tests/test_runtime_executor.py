@@ -80,12 +80,6 @@ class TestDeterminism:
         for name, outcomes in variants.items():
             assert [o.metrics for o in outcomes] == [o.metrics for o in oracle], name
 
-    def test_chunked_parallel_matches_too(self):
-        campaign = two_axis_campaign()
-        serial = run_campaign(campaign, parallel=1)
-        chunked = run_campaign(campaign, parallel=2, chunksize=2)
-        assert [o.metrics for o in serial] == [o.metrics for o in chunked]
-
     def test_sweep_parallel_matches_serial_metrics(self):
         spec = small_base()
         serial = Session(spec).sweep("serving.concurrency", [1, 2])
@@ -429,8 +423,6 @@ class TestStoreResume:
         campaign = CampaignSpec.from_grid(small_base(), {"serving.concurrency": [1]})
         with pytest.raises(ValueError, match="parallel"):
             run_campaign(campaign, parallel=0)
-        with pytest.raises(ValueError, match="chunksize"):
-            run_campaign(campaign, chunksize=0)
         with pytest.raises(ValueError, match="retries"):
             run_campaign(campaign, retries=-1)
         with pytest.raises(ValueError, match="unknown runtime"):

@@ -26,86 +26,92 @@ def _setup(reader_cls, **reader_kwargs):
     return reader_cls(engine, layout, **reader_kwargs), device
 
 
+def _read(reader, rows, start_time=0.0):
+    return reader.read_rows_batch("t", np.asarray(rows, dtype=np.int64), start_time)
+
+
+def _read_one(reader, row, start_time=0.0):
+    """``(payload bytes, completion time)`` of a one-row read."""
+    result = _read(reader, [row], start_time)
+    return result.rows[0].tobytes(), float(result.completion_times[0])
+
+
 class TestDirectIOReader:
     def test_reads_correct_row_data(self):
         reader, _ = _setup(DirectIOReader)
-        results = reader.read_rows("t", [7], start_time=0.0)
-        assert results[0].data == bytes([7] * 128)
+        assert _read_one(reader, 7)[0] == bytes([7] * 128)
 
     def test_only_row_bytes_consume_fm(self):
         reader, _ = _setup(DirectIOReader)
-        result = reader.read_rows("t", [7], 0.0)[0]
-        assert result.fm_bytes_consumed == 128
+        result = _read(reader, [7])
+        assert result.rows.shape == (1, 128)
+        assert reader.engine.stats.bytes_requested == 128
         assert reader.fm_footprint_bytes() == 0
 
     def test_latency_positive_and_matches_completion(self):
         reader, _ = _setup(DirectIOReader)
-        result = reader.read_rows("t", [3], 0.5)[0]
-        assert result.latency > 0
-        assert result.completion_time == pytest.approx(0.5 + result.latency)
+        _, completion = _read_one(reader, 3, 0.5)
+        assert completion > 0.5
 
     def test_multiple_rows_return_in_request_order(self):
-        reader, _ = _setup(DirectIOReader)
-        results = reader.read_rows("t", [3, 7, 1], 0.0)
-        assert [r.row_index for r in results] == [3, 7, 1]
+        reader, device = _setup(DirectIOReader)
+        rows = [3, 7, 1]
+        for row in rows:
+            location = reader.layout.locate("t", row)
+            device.write_block(location.lba, bytes([row] * 128), offset=location.offset)
+        result = _read(reader, rows)
+        assert [int(row[0]) for row in result.rows] == rows
+        assert result.completion_times.shape == (3,)
 
     def test_batch_read_matches_scalar_reads(self):
+        # One batch equals the same rows read one call at a time.
         rows = [3, 7, 1, 7, 40, 0]
-        scalar_reader, scalar_device = _setup(DirectIOReader)
+        single_reader, single_device = _setup(DirectIOReader)
         batch_reader, batch_device = _setup(DirectIOReader)
-        assert batch_reader.supports_batch_reads
-        scalar_results = scalar_reader.read_rows("t", rows, 0.25)
-        batch = batch_reader.read_rows_batch(
-            "t", np.asarray(rows, dtype=np.int64), 0.25
-        )
-        assert [r.data for r in scalar_results] == [
-            row.tobytes() for row in batch.rows
-        ]
-        assert [
-            r.completion_time for r in scalar_results
-        ] == batch.completion_times.tolist()
-        assert scalar_device.stats == batch_device.stats
-        assert scalar_reader.engine.stats == batch_reader.engine.stats
-
-    def test_mmap_reader_has_no_batch_path(self):
-        reader, _ = _setup(MmapReader)
-        assert not reader.supports_batch_reads
-        assert reader.read_rows_batch("t", np.array([1], dtype=np.int64), 0.0) is None
+        singles = [_read_one(single_reader, row, 0.25) for row in rows]
+        batch = _read(batch_reader, rows, 0.25)
+        assert [data for data, _ in singles] == [row.tobytes() for row in batch.rows]
+        assert [done for _, done in singles] == batch.completion_times.tolist()
+        assert single_device.stats == batch_device.stats
+        assert single_reader.engine.stats == batch_reader.engine.stats
 
 
 class TestMmapReader:
     def test_page_fault_then_hit(self):
         reader, _ = _setup(MmapReader)
-        first = reader.read_rows("t", [7], 0.0)[0]
-        second = reader.read_rows("t", [7], first.completion_time)[0]
+        _, first_done = _read_one(reader, 7)
+        _, second_done = _read_one(reader, 7, first_done)
         assert reader.page_faults == 1
         assert reader.page_hits == 1
-        assert second.latency == 0.0
+        assert second_done == first_done  # served at once, no new IO
 
     def test_rows_in_same_block_share_a_fault(self):
         reader, _ = _setup(MmapReader)
         # rows 0 and 1 live in the same 4KiB block (128B rows).
-        reader.read_rows("t", [0, 1], 0.0)
+        _read(reader, [0, 1])
         assert reader.page_faults == 1
         assert reader.page_hits == 1
+        assert reader.engine.stats.ios_submitted == 1
 
     def test_page_fault_transfers_whole_block(self):
-        reader, _ = _setup(MmapReader)
-        result = reader.read_rows("t", [7], 0.0)[0]
-        assert result.transferred_bytes == BLOCK_SIZE
-        assert result.fm_bytes_consumed == BLOCK_SIZE
+        reader, device = _setup(MmapReader)
+        result = _read(reader, [7])
+        assert result.rows.shape == (1, 128)  # the caller still gets one row
+        assert reader.engine.stats.bytes_transferred == BLOCK_SIZE
+        assert device.stats.bytes_transferred == BLOCK_SIZE
+        assert reader.fm_footprint_bytes() == BLOCK_SIZE
 
     def test_mmap_fm_footprint_counts_resident_pages(self):
         reader, _ = _setup(MmapReader)
-        reader.read_rows("t", [0], 0.0)
-        reader.read_rows("t", [100], 0.0)
+        _read(reader, [0])
+        _read(reader, [100])
         assert reader.fm_footprint_bytes() == 2 * BLOCK_SIZE
 
     def test_page_cache_eviction_bounds_footprint(self):
         reader, _ = _setup(MmapReader, page_cache_capacity_bytes=2 * BLOCK_SIZE)
         # touch rows in 4 different blocks
-        for row in (0, 40, 80, 120):
-            reader.read_rows("t", [row], 0.0)
+        _read(reader, [0, 40, 80, 120])
+        assert reader.page_faults == 4
         assert reader.fm_footprint_bytes() <= 2 * BLOCK_SIZE
 
     def test_page_cache_eviction_at_exact_capacity_boundary(self):
@@ -116,14 +122,14 @@ class TestMmapReader:
         rows = (0, 40, 80)  # three distinct blocks (32 rows of 128 B / block)
         cursor = 0.0
         for row in rows:
-            cursor = reader.read_rows("t", [row], cursor)[0].completion_time
+            _, cursor = _read_one(reader, row, cursor)
         assert reader.page_faults == 3
         assert reader.fm_footprint_bytes() == 2 * BLOCK_SIZE
         # Block of row 40 (2nd fault) survived; block of row 0 was evicted.
-        hit = reader.read_rows("t", [40], cursor)[0]
+        _, hit_done = _read_one(reader, 40, cursor)
         assert reader.page_hits == 1
-        assert hit.latency == 0.0
-        reader.read_rows("t", [0], cursor)
+        assert hit_done == cursor
+        _read(reader, [0], cursor)
         assert reader.page_faults == 4
 
     def test_access_before_fault_completion_waits_for_the_fault(self):
@@ -131,32 +137,31 @@ class TestMmapReader:
         # fault is still in flight: it counts as a page hit (no new IO) but
         # stalls until the fault's completion time.
         reader, _ = _setup(MmapReader)
-        fault = reader.read_rows("t", [0], 0.0)[0]
-        assert fault.completion_time > 0.0
-        early = reader.read_rows("t", [1], 0.0)[0]
+        _, fault_done = _read_one(reader, 0)
+        assert fault_done > 0.0
+        _, early_done = _read_one(reader, 1)
         assert reader.page_faults == 1
         assert reader.page_hits == 1
-        assert early.completion_time == fault.completion_time
-        assert early.latency == pytest.approx(fault.completion_time)
+        assert early_done == fault_done
         # After the fault completes the page serves instantly.
-        late = reader.read_rows("t", [1], fault.completion_time)[0]
-        assert late.latency == 0.0
-        assert late.completion_time == fault.completion_time
+        _, late_done = _read_one(reader, 1, fault_done)
+        assert late_done == fault_done
+        # Within one batch too: the second row of the block waits for the
+        # fault the first one took.
+        batch = _read(reader, [40, 41])
+        assert batch.completion_times[1] == batch.completion_times[0] > 0.0
 
     def test_mmap_data_matches_direct_io(self):
         direct, _ = _setup(DirectIOReader)
         mapped, _ = _setup(MmapReader)
-        assert (
-            direct.read_rows("t", [7], 0.0)[0].data
-            == mapped.read_rows("t", [7], 0.0)[0].data
-        )
+        assert _read_one(direct, 7)[0] == _read_one(mapped, 7)[0] == bytes([7] * 128)
 
     def test_mmap_slower_than_direct_io_for_cold_reads(self):
         """Section 4.1: mmap showed ~3x higher access latency."""
         direct, _ = _setup(DirectIOReader)
         mapped, _ = _setup(MmapReader, latency_factor=3.0)
-        direct_lat = direct.read_rows("t", [9], 0.0)[0].latency
-        mapped_lat = mapped.read_rows("t", [9], 0.0)[0].latency
+        _, direct_lat = _read_one(direct, 9)
+        _, mapped_lat = _read_one(mapped, 9)
         assert mapped_lat > 2.0 * direct_lat
 
     def test_invalid_latency_factor_rejected(self):

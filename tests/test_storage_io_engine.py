@@ -1,7 +1,18 @@
-"""Tests for the io_uring-like IO engine."""
+"""Tests for the io_uring-like IO engine.
+
+``tests/golden/io_engine.json`` freezes what the per-request submission
+loop this engine used to carry produced (submit/completion times, stats,
+pool and device state, the tail-latency RNG stream); ``tests/golden/
+regen.py`` rewrites it from the current tree.
+"""
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
+from helpers import golden_encode
 
 from repro.sim.units import BLOCK_SIZE, GB
 from repro.storage import (
@@ -9,12 +20,13 @@ from repro.storage import (
     IOEngine,
     IOEngineConfig,
     IOMode,
-    IORequest,
     IORequestBatch,
     SimulatedDevice,
     nand_flash_spec,
     optane_ssd_spec,
 )
+
+GOLDEN_PATH = Path(__file__).parent / "golden" / "io_engine.json"
 
 
 def _engine(config=None, num_devices=1, spec_factory=nand_flash_spec):
@@ -25,11 +37,29 @@ def _engine(config=None, num_devices=1, spec_factory=nand_flash_spec):
     return engine, layout
 
 
-def _requests(layout, rows):
-    return [
-        IORequest(table_name="t", row_index=row, location=layout.locate("t", row))
-        for row in rows
-    ]
+def _batch(layout, rows):
+    locations = [layout.locate("t", row) for row in rows]
+    return IORequestBatch(
+        table_name="t",
+        device_index=np.array([loc.device_index for loc in locations], dtype=np.int64),
+        lba=np.array([loc.lba for loc in locations], dtype=np.int64),
+        offset=np.array([loc.offset for loc in locations], dtype=np.int64),
+        length=np.array([loc.length for loc in locations], dtype=np.int64),
+    )
+
+
+def _submit(engine, layout, rows, start=0.0):
+    return engine.submit_row_reads_batch(_batch(layout, rows), start)
+
+
+def _submit_one_by_one(engine, layout, rows, start=0.0):
+    """The same IOs as one-entry batches (how the mmap reader submits its
+    page faults); returns ``(submit_times, completion_times)``."""
+    batches = [_submit(engine, layout, [row], start) for row in rows]
+    return (
+        [float(batch.submit_time[0]) for batch in batches],
+        [float(batch.completion_time[0]) for batch in batches],
+    )
 
 
 class TestIOEngineConfig:
@@ -57,26 +87,16 @@ class TestIOEngineSubmission:
         engine, layout = _engine()
         payload = bytes([9] * 128)
         location = layout.locate("t", 5)
-        engine.devices[0].write_block(location.lba, payload, offset=location.offset)
-        completed = engine.submit_row_reads(_requests(layout, [5]), start_time=0.0)
-        assert completed[0].data == payload
-        assert completed[0].completion_time > 0.0
-
-    def test_batch_completion_time_is_max(self):
-        engine, layout = _engine()
-        completed = engine.submit_row_reads(_requests(layout, range(10)), 0.0)
-        assert engine.batch_completion_time(completed) == max(
-            r.completion_time for r in completed
-        )
-
-    def test_empty_batch_completion_rejected(self):
-        engine, _ = _engine()
-        with pytest.raises(ValueError):
-            engine.batch_completion_time([])
+        device = engine.devices[0]
+        device.write_block(location.lba, payload, offset=location.offset)
+        batch = _submit(engine, layout, [5])
+        data = device.read_rows_ndarray(batch.lba, batch.offset, location.length)
+        assert data[0].tobytes() == payload
+        assert batch.completion_time[0] > 0.0
 
     def test_stats_accumulate(self):
         engine, layout = _engine()
-        engine.submit_row_reads(_requests(layout, range(20)), 0.0)
+        _submit(engine, layout, range(20))
         assert engine.stats.ios_submitted == 20
         assert engine.stats.cpu_seconds > 0
         assert engine.stats.bytes_requested == 20 * 128
@@ -86,54 +106,54 @@ class TestIOEngineSubmission:
         full = IOEngineConfig(sub_block_reads=False)
         engine_sub, layout_sub = _engine(sub)
         engine_full, layout_full = _engine(full)
-        engine_sub.submit_row_reads(_requests(layout_sub, range(10)), 0.0)
-        engine_full.submit_row_reads(_requests(layout_full, range(10)), 0.0)
+        _submit(engine_sub, layout_sub, range(10))
+        _submit(engine_full, layout_full, range(10))
         assert engine_sub.stats.bytes_transferred < engine_full.stats.bytes_transferred
         assert engine_full.stats.read_amplification == pytest.approx(BLOCK_SIZE / 128)
 
     def test_full_block_reads_pay_memcpy_overhead(self):
         full = IOEngineConfig(sub_block_reads=False)
         engine, layout = _engine(full)
-        engine.submit_row_reads(_requests(layout, range(5)), 0.0)
+        batch = _submit(engine, layout, range(5))
         assert engine.stats.memcpy_seconds > 0
+        assert (batch.host_overhead > full.cpu_time_per_io).all()
 
     def test_sub_block_reads_have_lower_latency(self):
         """The paper reports a 3-5% device latency reduction plus the saved
         host memcpy; the modelled effect must at least be directionally right."""
         sub_engine, sub_layout = _engine(IOEngineConfig(sub_block_reads=True))
         full_engine, full_layout = _engine(IOEngineConfig(sub_block_reads=False))
-        sub = sub_engine.submit_row_reads(_requests(sub_layout, range(50)), 0.0)
-        full = full_engine.submit_row_reads(_requests(full_layout, range(50)), 0.0)
-        sub_mean = sum(r.latency for r in sub) / len(sub)
-        full_mean = sum(r.latency for r in full) / len(full)
+        sub = _submit(sub_engine, sub_layout, range(50))
+        full = _submit(full_engine, full_layout, range(50))
+        sub_mean = (sub.completion_time - sub.submit_time).mean()
+        full_mean = (full.completion_time - full.submit_time).mean()
         assert sub_mean < full_mean
 
     def test_queue_depth_limit_throttles_submissions(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
         engine, layout = _engine(config)
-        engine.submit_row_reads(_requests(layout, range(64)), 0.0)
+        _submit(engine, layout, range(64))
         assert engine.stats.throttled_submissions > 0
 
     def test_throttling_spreads_submit_times(self):
         config = IOEngineConfig(max_outstanding_per_device=2, max_outstanding_per_table=2)
         engine, layout = _engine(config)
-        completed = engine.submit_row_reads(_requests(layout, range(32)), 0.0)
-        submit_times = {round(r.submit_time, 9) for r in completed}
-        assert len(submit_times) > 1
+        batch = _submit(engine, layout, range(32))
+        assert len({round(t, 9) for t in batch.submit_time.tolist()}) > 1
 
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
-        request = _requests(layout, [0])[0]
-        bad_location = type(request.location)(
-            device_index=5, lba=0, offset=0, length=128
-        )
-        request.location = bad_location
+        batch = _batch(layout, [0, 1])
+        batch.device_index[1] = 5
         with pytest.raises(IndexError):
-            engine.submit_row_reads([request], 0.0)
+            engine.submit_row_reads_batch(batch, 0.0)
+        # Rejected before anything was submitted, the valid first IO included.
+        assert engine.stats.ios_submitted == 0
+        assert engine.devices[0].stats.reads == 0
 
     def test_reset_stats_clears_everything(self):
         engine, layout = _engine()
-        engine.submit_row_reads(_requests(layout, range(5)), 0.0)
+        _submit(engine, layout, range(5))
         engine.reset_stats()
         assert engine.stats.ios_submitted == 0
 
@@ -144,20 +164,9 @@ class TestIOEngineSubmission:
     def test_optane_batch_faster_than_nand_batch(self):
         nand_engine, nand_layout = _engine(spec_factory=nand_flash_spec)
         optane_engine, optane_layout = _engine(spec_factory=optane_ssd_spec)
-        nand = nand_engine.submit_row_reads(_requests(nand_layout, range(100)), 0.0)
-        optane = optane_engine.submit_row_reads(_requests(optane_layout, range(100)), 0.0)
-        assert optane_engine.batch_completion_time(optane) < nand_engine.batch_completion_time(nand)
-
-
-def _batch_from_rows(layout, rows):
-    locations = [layout.locate("t", row) for row in rows]
-    return IORequestBatch(
-        table_name="t",
-        device_index=np.array([loc.device_index for loc in locations], dtype=np.int64),
-        lba=np.array([loc.lba for loc in locations], dtype=np.int64),
-        offset=np.array([loc.offset for loc in locations], dtype=np.int64),
-        length=np.array([loc.length for loc in locations], dtype=np.int64),
-    )
+        nand = _submit(nand_engine, nand_layout, range(100))
+        optane = _submit(optane_engine, optane_layout, range(100))
+        assert optane.completion_time.max() < nand.completion_time.max()
 
 
 def _pool_multisets(engine):
@@ -170,91 +179,123 @@ def _pool_multisets(engine):
     return per_device, per_table
 
 
-def _submit_both_ways(rows, config=None, num_devices=2, waves=1, spec_factory=nand_flash_spec):
-    """Run the same workload through the scalar and batched engine APIs.
+# The submission workloads frozen in the golden file.
+PARITY_ROWS = list(range(40)) + [3, 3, 17, 5]  # repeats share blocks
+PARITY_CONFIGS = {
+    "default": None,
+    "throttled": IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=2),
+    "full-block": IOEngineConfig(sub_block_reads=False),
+    "polling": IOEngineConfig(mode=IOMode.POLLING),
+}
+RNG_STREAM_ROWS = list(range(500)) * 2  # enough IOs for tail-latency draws
 
-    Fresh engines over identically-seeded devices; ``waves`` repeats the
-    submission so outstanding-IO pools carry state between batches.
-    Returns ``(scalar_requests, batch, scalar_engine, batched_engine)``
-    of the last wave.
-    """
-    scalar_engine, scalar_layout = _engine(config, num_devices, spec_factory)
-    batched_engine, batched_layout = _engine(config, num_devices, spec_factory)
-    completed = batch = None
+
+def _per_io(values):
+    """A per-IO result array as JSON data; long ones as a digest."""
+    encoded = golden_encode(values)
+    if len(encoded) <= 64:
+        return encoded
+    return {"count": len(encoded), "sha256": hashlib.sha256(repr(encoded).encode()).hexdigest()}
+
+
+def submission_record(rows, config=None, num_devices=2, waves=1):
+    """Submit ``rows`` ``waves`` times (so the outstanding-IO pools carry
+    state between batches) on a fresh engine; the last wave's per-IO
+    results and the engine's and devices' end state as JSON data."""
+    engine, layout = _engine(config, num_devices)
     start = 0.0
     for _ in range(waves):
-        completed = scalar_engine.submit_row_reads(_requests(scalar_layout, rows), start)
-        batch = batched_engine.submit_row_reads_batch(
-            _batch_from_rows(batched_layout, rows), start
-        )
+        batch = _submit(engine, layout, rows, start)
         start += 1e-5
-    return completed, batch, scalar_engine, batched_engine
+    per_device, per_table = _pool_multisets(engine)
+    return golden_encode(
+        {
+            "submit_time": _per_io(batch.submit_time),
+            "completion_time": _per_io(batch.completion_time),
+            "transferred_bytes": _per_io(batch.transferred_bytes),
+            "host_overhead": _per_io(batch.host_overhead),
+            "engine_stats": engine.stats,
+            "outstanding_per_device": per_device,
+            "outstanding_per_table": per_table,
+            "devices": [
+                {
+                    "stats": device.stats,
+                    "channel_free": device.channel_free,
+                    "rng_state": device.rng.bit_generator.state,
+                }
+                for device in engine.devices
+            ],
+        }
+    )
+
+
+def golden_records_from_tree():
+    records = {
+        name: submission_record(PARITY_ROWS, config, waves=3)
+        for name, config in PARITY_CONFIGS.items()
+    }
+    records["rng-stream"] = submission_record(RNG_STREAM_ROWS, num_devices=1)
+    return records
 
 
 class TestBatchedSubmissionParity:
-    """submit_row_reads_batch must replay the scalar path bit for bit."""
+    """submit_row_reads_batch replays the frozen per-request loop bit for
+    bit, and one batch equals the same IOs submitted one at a time."""
 
-    CONFIGS = {
-        "default": None,
-        "throttled": IOEngineConfig(
-            max_outstanding_per_device=4, max_outstanding_per_table=2
-        ),
-        "full-block": IOEngineConfig(sub_block_reads=False),
-        "polling": IOEngineConfig(mode=IOMode.POLLING),
-    }
-
-    @pytest.mark.parametrize("name", sorted(CONFIGS))
+    @pytest.mark.parametrize("name", sorted(PARITY_CONFIGS))
     def test_batched_matches_scalar(self, name):
-        rows = list(range(40)) + [3, 3, 17, 5]  # repeats share blocks
-        completed, batch, scalar, batched = _submit_both_ways(
-            rows, self.CONFIGS[name], waves=3
-        )
-        assert [r.submit_time for r in completed] == batch.submit_time.tolist()
-        assert [r.completion_time for r in completed] == batch.completion_time.tolist()
-        assert [r.transferred_bytes for r in completed] == batch.transferred_bytes.tolist()
-        assert [r.host_overhead for r in completed] == batch.host_overhead.tolist()
-        assert scalar.stats == batched.stats
-        assert _pool_multisets(scalar) == _pool_multisets(batched)
-        for device_a, device_b in zip(scalar.devices, batched.devices):
+        golden = json.loads(GOLDEN_PATH.read_text())[name]
+        record = submission_record(PARITY_ROWS, PARITY_CONFIGS[name], waves=3)
+        assert record.keys() == golden.keys()
+        for key in golden:
+            assert record[key] == golden[key], key
+
+        batched, batched_layout = _engine(PARITY_CONFIGS[name], num_devices=2)
+        single, single_layout = _engine(PARITY_CONFIGS[name], num_devices=2)
+        for wave in range(3):
+            batch = _submit(batched, batched_layout, PARITY_ROWS, wave * 1e-5)
+            submits, completions = _submit_one_by_one(
+                single, single_layout, PARITY_ROWS, wave * 1e-5
+            )
+            assert submits == batch.submit_time.tolist()
+            assert completions == batch.completion_time.tolist()
+        assert single.stats == batched.stats
+        assert _pool_multisets(single) == _pool_multisets(batched)
+        for device_a, device_b in zip(single.devices, batched.devices):
             assert device_a.stats == device_b.stats
             assert device_a.channel_free.tolist() == device_b.channel_free.tolist()
             assert device_a.rng.bit_generator.state == device_b.rng.bit_generator.state
 
     def test_tail_latency_rng_stream_matches(self):
-        # Enough IOs on a tail-prone device that the batched pre-draw must
-        # consume the PCG64 stream exactly like per-IO scalar draws.
-        rows = list(range(500)) * 2
-        _, _, scalar, batched = _submit_both_ways(
-            rows, num_devices=1, spec_factory=nand_flash_spec
-        )
-        assert scalar.devices[0].stats.tail_events > 0
-        assert batched.devices[0].stats.tail_events == scalar.devices[0].stats.tail_events
-        assert (
-            scalar.devices[0].rng.bit_generator.state
-            == batched.devices[0].rng.bit_generator.state
-        )
+        # Enough IOs on a tail-prone device that the batch's pre-draw must
+        # consume the PCG64 stream exactly like one draw per IO did.
+        golden = json.loads(GOLDEN_PATH.read_text())["rng-stream"]
+        record = submission_record(RNG_STREAM_ROWS, num_devices=1)
+        assert int(record["devices"][0]["stats"]["tail_events"]) > 0
+        assert record["devices"] == golden["devices"]
+        assert record == golden
 
     def test_empty_batch_is_a_no_op(self):
         engine, layout = _engine()
-        batch = engine.submit_row_reads_batch(_batch_from_rows(layout, []), 0.0)
+        batch = _submit(engine, layout, [])
         assert len(batch) == 0
         assert engine.stats.ios_submitted == 0
 
     def test_negative_start_time_rejected(self):
         engine, layout = _engine()
         with pytest.raises(ValueError):
-            engine.submit_row_reads_batch(_batch_from_rows(layout, [0]), -1.0)
+            _submit(engine, layout, [0], -1.0)
 
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
-        batch = _batch_from_rows(layout, [0])
+        batch = _batch(layout, [0])
         batch.device_index[0] = 5
         with pytest.raises(IndexError):
             engine.submit_row_reads_batch(batch, 0.0)
 
     def test_invalid_range_rejected(self):
         engine, layout = _engine()
-        batch = _batch_from_rows(layout, [0])
+        batch = _batch(layout, [0])
         batch.offset[0] = BLOCK_SIZE - 4
         batch.length[0] = 128
         with pytest.raises(ValueError):
@@ -262,15 +303,14 @@ class TestBatchedSubmissionParity:
 
 
 class TestGateEdgeCases:
-    """Queue-depth gating edge cases, identical between both gate replays."""
+    """Queue-depth gating edge cases; the gate behaves the same whether the
+    IOs arrive as one batch or as one-entry batches."""
 
     def _gated_submits(self, config, rows, batched):
         engine, layout = _engine(config)
         if batched:
-            batch = engine.submit_row_reads_batch(_batch_from_rows(layout, rows), 0.0)
-            return batch.submit_time.tolist(), engine
-        completed = engine.submit_row_reads(_requests(layout, rows), 0.0)
-        return [r.submit_time for r in completed], engine
+            return _submit(engine, layout, rows).submit_time.tolist(), engine
+        return _submit_one_by_one(engine, layout, rows)[0], engine
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_submissions_below_limit_are_not_throttled(self, batched):
@@ -309,9 +349,13 @@ class TestGateEdgeCases:
 
     def test_throttled_counting_identical_between_gates(self):
         config = IOEngineConfig(max_outstanding_per_device=3, max_outstanding_per_table=2)
-        _, _, scalar, batched = _submit_both_ways(range(32), config, waves=2)
-        assert scalar.stats.throttled_submissions > 0
-        assert scalar.stats.throttled_submissions == batched.stats.throttled_submissions
+        batched, batched_layout = _engine(config, num_devices=2)
+        single, single_layout = _engine(config, num_devices=2)
+        for wave in range(2):
+            _submit(batched, batched_layout, range(32), wave * 1e-5)
+            _submit_one_by_one(single, single_layout, range(32), wave * 1e-5)
+        assert batched.stats.throttled_submissions > 0
+        assert batched.stats.throttled_submissions == single.stats.throttled_submissions
 
 
 class TestResetSplit:
@@ -320,7 +364,7 @@ class TestResetSplit:
     def test_reset_stats_leaves_outstanding_pools(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
         engine, layout = _engine(config)
-        engine.submit_row_reads(_requests(layout, range(16)), 0.0)
+        _submit(engine, layout, range(16))
         pools_before = _pool_multisets(engine)
         assert any(pools_before[0].values())
         engine.reset_stats()
@@ -328,13 +372,13 @@ class TestResetSplit:
         assert engine.stats.throttled_submissions == 0
         assert _pool_multisets(engine) == pools_before
         # The surviving pools still gate: resubmitting immediately throttles.
-        engine.submit_row_reads(_requests(layout, range(16)), 0.0)
+        _submit(engine, layout, range(16))
         assert engine.stats.throttled_submissions > 0
 
     def test_reset_queues_leaves_stats(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
         engine, layout = _engine(config)
-        engine.submit_row_reads(_requests(layout, range(16)), 0.0)
+        _submit(engine, layout, range(16))
         stats_before = engine.stats
         engine.reset_queues()
         assert engine.stats is stats_before
@@ -345,9 +389,9 @@ class TestResetSplit:
     def test_reset_queues_forgets_gating_state(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
         engine, layout = _engine(config)
-        engine.submit_row_reads(_requests(layout, range(16)), 0.0)
+        _submit(engine, layout, range(16))
         engine.reset_queues()
         engine.reset_stats()
-        engine.submit_row_reads(_requests(layout, range(4)), 0.0)
+        _submit(engine, layout, range(4))
         # With the pools cleared, a small burst fits without throttling.
         assert engine.stats.throttled_submissions == 0
