@@ -20,8 +20,9 @@ which is what the ``perf-smoke`` CI job uploads (and gates with
 ``--cold`` switches to a miss-heavy regime: the row cache is shrunk far
 below the working set, so nearly every lookup falls through to the
 simulated devices and the measurement exercises the storage-IO path
-(``IOEngine.submit_row_reads_batch`` + grouped device scheduling) rather
-than array-native cache hits.  The queue-depth gating replay is inherently
+(``IOEngine.submit_row_reads_batch``: one gate/schedule loop per
+one-device batch, then the indexed block gather) rather than array-native
+cache hits.  The queue-depth gating replay is inherently
 sequential, so cold serving is several times slower than warm; CI gates it
 separately.
 

@@ -33,6 +33,7 @@ from typing import Dict, Iterator, List, Optional, Tuple, Union
 import numpy as np
 
 from repro.cache.base import CacheKey, RowCache
+from repro.sim.clock import charge_repeatedly
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
@@ -429,12 +430,6 @@ class SoALRUCache(RowCache):
                 slots[position] = self._other_slot.get((table_name, int(stored[position])), -1)
         return slots
 
-    def _charge_sequential(self, count: int, cost: float, total: float) -> float:
-        """``count`` repetitions of ``total += cost`` as one accumulate."""
-        increments = np.full(count + 1, cost, dtype=np.float64)
-        increments[0] = total
-        return float(np.add.accumulate(increments)[-1])
-
     # ------------------------------------------------------------ scalar API
     def get(self, key: CacheKey) -> Optional[bytes]:
         self.stats.cpu_seconds += self.lookup_cpu_seconds
@@ -530,8 +525,8 @@ class SoALRUCache(RowCache):
                 table_name, stored, row_len, promote_mask, promote_values
             )
         if stored.size:
-            self.stats.cpu_seconds = self._charge_sequential(
-                int(stored.size), self.lookup_cpu_seconds, self.stats.cpu_seconds
+            self.stats.cpu_seconds = charge_repeatedly(
+                self.stats.cpu_seconds, self.lookup_cpu_seconds, int(stored.size)
             )
         hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
         if hit_slots.size:
@@ -642,8 +637,8 @@ class SoALRUCache(RowCache):
             return 0
         size = self._entry_size(int(values.shape[1]))
         if size > self.capacity_bytes:
-            self.stats.cpu_seconds = self._charge_sequential(
-                count, self.insert_cpu_seconds, self.stats.cpu_seconds
+            self.stats.cpu_seconds = charge_repeatedly(
+                self.stats.cpu_seconds, self.insert_cpu_seconds, count
             )
             self.stats.rejected_inserts += count
             return 0
@@ -657,8 +652,8 @@ class SoALRUCache(RowCache):
                 self.put((table_name, int(stored[position])), values[position].tobytes())
                 for position in range(count)
             )
-        self.stats.cpu_seconds = self._charge_sequential(
-            count, self.insert_cpu_seconds, self.stats.cpu_seconds
+        self.stats.cpu_seconds = charge_repeatedly(
+            self.stats.cpu_seconds, self.insert_cpu_seconds, count
         )
         survivors = min(count, self.capacity_bytes // size)
         if survivors < count:

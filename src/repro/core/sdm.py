@@ -623,7 +623,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 return cached, cursor
 
         # Resolve the stored index of each requested (unpruned-space) index
-        # with one batched mapping-tensor gather.
+        # with one batched mapping-tensor gather; a table without a mapping
+        # tensor stores every row under its own index.
+        stored, valid = index_array, None
         if state.mapping is not None:
             lookup_seconds = index_array.size * MAPPING_LOOKUP_SECONDS
             if recorder.enabled:
@@ -636,17 +638,15 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 )
             cursor += lookup_seconds
             stored = state.mapping[index_array]
-            self.stats.pruned_rows_skipped += int(np.count_nonzero(stored == PRUNED))
-        else:
-            stored = index_array
+            valid = stored != PRUNED
+            stored = stored[valid]
+            self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
 
         # Serve through the tier chain: probe upper caches, read misses from
         # each row's home tier, promote per policy.
-        valid = stored != PRUNED
-        positions = np.nonzero(valid)[0].astype(np.int64)
         outcome = self.chain.fetch_batch(
             table_name,
-            stored[valid],
+            stored,
             cursor,
             row_len=state.row_bytes,
             cache_enabled=state.cache_enabled,
@@ -659,19 +659,22 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 cursor,
                 outcome.completion_time - cursor,
                 args={
-                    "rows": int(positions.size),
+                    "rows": int(stored.size),
                     "device_reads": outcome.device_reads,
                 },
             )
         cursor = outcome.completion_time
 
         # Dequantise the whole fetched matrix in one call and pool in the
-        # original request order, so results are bit-identical to the
-        # in-memory reference path.
-        rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
-        fetched_bytes = int(positions.size) * state.row_bytes
-        if positions.size:
-            rows[positions] = state.decode_batch(outcome.rows)
+        # original request order (a pruned row pools as zeros), so results
+        # are bit-identical to the in-memory reference path.
+        fetched_bytes = int(stored.size) * state.row_bytes
+        if valid is None:
+            rows = state.decode_batch(outcome.rows)
+        else:
+            rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
+            if stored.size:
+                rows[valid] = state.decode_batch(outcome.rows)
         pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
         if recorder.enabled and fetched_bytes:

@@ -26,8 +26,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.hierarchy.placement import TieredPlacement
-from repro.hierarchy.tier import PROMOTION_POLICIES, MemoryTier
+from repro.hierarchy.tier import PROMOTION_POLICIES, MemoryTier, first_occurrence_groups
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.sim.clock import charge_repeatedly
 
 
 @dataclass
@@ -175,10 +176,7 @@ class TierChain:
             )
         chain = np.concatenate(([start_time], increments.ravel()))
         cursor = float(np.add.accumulate(chain)[-1])
-        probe_chain = np.concatenate(
-            ([0.0], np.full(total_probes, self.cache_probe_seconds))
-        )
-        probe_seconds = float(np.add.accumulate(probe_chain)[-1])
+        probe_seconds = charge_repeatedly(0.0, self.cache_probe_seconds, total_probes)
 
         outcome = BatchFetchOutcome(
             rows=rows_out,
@@ -206,14 +204,11 @@ class TierChain:
         # batch submission per tier at the end of the walk, then promotion
         # fills target by target (each cache sees its fills in row order).
         io_done = cursor
-        misses_by_tier: Dict[int, List[int]] = {}
-        for row in np.nonzero((hit_tier < 0) & (home_tiers != 0))[0].tolist():
-            misses_by_tier.setdefault(int(home_tiers[row]), []).append(row)
-        for tier_index, miss_rows in misses_by_tier.items():
+        misses = np.nonzero((hit_tier < 0) & (home_tiers != 0))[0]
+        for tier_index, rows_at in first_occurrence_groups(home_tiers, misses):
             tier = self.tiers[tier_index]
             targets = self._promotion_targets(tier_index) if cache_enabled else []
-            num_reads = len(miss_rows)
-            rows_at = np.asarray(miss_rows, dtype=np.int64)
+            num_reads = int(rows_at.size)
             miss_stored = stored[rows_at]
             matrix, completions = tier.read_rows_batch(table_name, miss_stored, cursor)
             rows_out[rows_at] = matrix

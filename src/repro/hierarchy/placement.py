@@ -68,6 +68,10 @@ class TieredTablePlacement:
     segments: Tuple[TierSegment, ...]
     cache_enabled: bool
     rank_order: Optional[np.ndarray] = None
+    # What tiers_of_rows looks rows up in, rebuilt whenever ``segments`` is
+    # assigned (a whole-table placement is resolved to the rows stored).
+    _segment_ends: np.ndarray = field(init=False, repr=False, compare=False)
+    _segment_tiers: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.segments:
@@ -88,6 +92,12 @@ class TieredTablePlacement:
                     f"row ({cursor}), got shape {order.shape}"
                 )
             self.rank_order = order
+
+    def __setattr__(self, name: str, value: object) -> None:
+        super().__setattr__(name, value)
+        if name == "segments":
+            self._segment_ends = np.array([s.end for s in self.segments], dtype=np.int64)
+            self._segment_tiers = np.array([s.tier for s in self.segments], dtype=np.int64)
 
     @property
     def num_rows(self) -> int:
@@ -122,9 +132,7 @@ class TieredTablePlacement:
                 f"stored rows out of range for table {self.table_name!r} "
                 f"with {self.num_rows} rows"
             )
-        boundaries = np.asarray([segment.end for segment in self.segments], dtype=np.int64)
-        tiers = np.asarray([segment.tier for segment in self.segments], dtype=np.int64)
-        return tiers[np.searchsorted(boundaries, stored, side="right")]
+        return self._segment_tiers[self._segment_ends.searchsorted(stored, side="right")]
 
     def bytes_on_tier(self, tier: int, row_bytes: int) -> int:
         return sum(s.num_rows * row_bytes for s in self.segments if s.tier == tier)

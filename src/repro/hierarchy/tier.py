@@ -484,6 +484,23 @@ class FastTier(MemoryTier):
         return self.cache.capacity_bytes if self.cache is not None else 0
 
 
+def first_occurrence_groups(
+    labels: np.ndarray, positions: np.ndarray
+) -> Iterable[Tuple[int, np.ndarray]]:
+    """Split ``positions`` by ``labels[positions]``: ``(label, members)`` in
+    order of each label's first occurrence, members in input order."""
+    while positions.size:
+        label = int(labels[positions[0]])
+        here = labels[positions] == label
+        yield label, positions[here]
+        positions = positions[~here]
+
+
+#: Closes a table's segment-bound arrays, so that a row behind every real
+#: segment resolves to an entry too -- one that starts after the row.
+_ROW_LIMIT = np.array([np.iinfo(np.int64).max], dtype=np.int64)
+
+
 @dataclass(frozen=True)
 class _Segment:
     """One contiguous stored-row range of a table homed on a device tier."""
@@ -552,8 +569,10 @@ class DeviceTier(MemoryTier):
             else None
         )
         self.stats = TierStats()
+        # Per table: its segments in stored-row order, and their (starts,
+        # ends) as arrays closed by _ROW_LIMIT.
         self._segments: Dict[str, List[_Segment]] = {}
-        self._row_bytes: Dict[str, int] = {}
+        self._segment_bounds: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     # -------------------------------------------------------------- loading
     def add_segment(
@@ -575,20 +594,27 @@ class DeviceTier(MemoryTier):
         and written with one :meth:`SimulatedDevice.write_blocks` call.
         Whole-table segments keep the bare table name as layout key so
         per-table outstanding-IO limits and legacy layouts are unchanged.
+        Segments of one table must not overlap.
         """
         if end <= start:
             raise ValueError(f"segment [{start}, {end}) of {table_name!r} is empty")
+        key = table_name if whole_table else f"{table_name}@{start}"
+        homed = [*self._segments.get(table_name, []), _Segment(key=key, start=start, end=end)]
+        homed.sort(key=lambda segment: segment.start)
+        if any(below.end > above.start for below, above in zip(homed, homed[1:])):
+            raise ValueError(f"segment [{start}, {end}) of {table_name!r} overlaps another")
         rows = np.asarray(rows)
         if rows.shape != (end - start, row_bytes) or rows.dtype != np.uint8:
             raise ValueError(
                 f"segment [{start}, {end}) of {table_name!r} needs a uint8 row matrix "
                 f"of shape {(end - start, row_bytes)}, got {rows.dtype} {rows.shape}"
             )
-        key = table_name if whole_table else f"{table_name}@{start}"
-        segment = _Segment(key=key, start=start, end=end)
-        self._segments.setdefault(table_name, []).append(segment)
-        self._row_bytes[table_name] = row_bytes
         extent = self.layout.add_table(key, end - start, row_bytes)
+        self._segments[table_name] = homed
+        self._segment_bounds[table_name] = (
+            np.append(np.array([segment.start for segment in homed], dtype=np.int64), _ROW_LIMIT),
+            np.append(np.array([segment.end for segment in homed], dtype=np.int64), _ROW_LIMIT),
+        )
         rows_per_block = extent.rows_per_block
         blocks = np.zeros((extent.num_blocks, BLOCK_SIZE), dtype=np.uint8)
         # (block, slot, byte) view of the blocks' row area.
@@ -611,41 +637,39 @@ class DeviceTier(MemoryTier):
     ) -> Tuple[np.ndarray, np.ndarray]:
         """Read rows from this tier's devices through its access path.
 
-        Rows are grouped by the segment (layout key) that holds them, and
-        the groups are submitted in order of first occurrence, rows in
-        input order within each — that sequence of engine submissions
-        decides gating, RNG and stats effects.  A row not homed here is a
-        ``KeyError`` before anything is read.
+        A batch inside one segment (layout key) -- every batch of a table
+        homed whole -- passes straight through; otherwise the rows are
+        grouped by segment and the groups submitted in order of first
+        occurrence, rows in input order within each.  That sequence of
+        engine submissions decides gating, RNG and stats effects.  A row not
+        homed here is a ``KeyError`` before anything is read.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
-        segments = self._segments.get(table_name, [])
-        segment_of = np.full(count, -1, dtype=np.int64)
-        for index, segment in enumerate(segments):
-            unclaimed = segment_of < 0
-            inside = unclaimed & (stored >= segment.start) & (stored < segment.end)
-            segment_of[inside] = index
-        if bool((segment_of < 0).any()):
-            missing = int(stored[segment_of < 0][0])
+        starts, ends = self._segment_bounds.get(table_name, (_ROW_LIMIT, _ROW_LIMIT))
+        segment_of = ends.searchsorted(stored, side="right")
+        homed = starts[segment_of] <= stored
+        if not bool(homed.all()):
             raise KeyError(
-                f"stored row {missing} of table {table_name!r} is not homed on "
-                f"tier {self.spec.name!r}"
+                f"stored row {int(stored[~homed][0])} of table {table_name!r} is not "
+                f"homed on tier {self.spec.name!r}"
             )
-        row_len = self._row_bytes[table_name]
-        matrix = np.empty((count, row_len), dtype=np.uint8)
-        completions = np.empty(count, dtype=np.float64)
-        present = np.unique(segment_of)
-        first_positions = sorted(
-            (int(np.argmax(segment_of == index)), int(index)) for index in present
-        )
-        for _, index in first_positions:
-            segment = segments[index]
-            members = segment_of == index
-            result = self.access_path.read_rows_batch(
-                segment.key, stored[members] - segment.start, start_time
-            )
-            matrix[members] = result.rows
-            completions[members] = result.completion_times
+        segments = self._segments[table_name]
+        row_len = self.layout.extent(segments[0].key).row_bytes
+        if count and int(segment_of.min()) == int(segment_of.max()):
+            segment = segments[int(segment_of[0])]
+            result = self.access_path.read_rows_batch(segment.key, stored - segment.start, start_time)
+            matrix, completions = result.rows, result.completion_times
+        else:
+            matrix = np.empty((count, row_len), dtype=np.uint8)
+            completions = np.empty(count, dtype=np.float64)
+            for index, members in first_occurrence_groups(segment_of, np.arange(count)):
+                segment = segments[index]
+                result = self.access_path.read_rows_batch(
+                    segment.key, stored[members] - segment.start, start_time
+                )
+                matrix[members] = result.rows
+                completions[members] = result.completion_times
         self.stats.ios += count
         self.stats.rows_served += count
         self.stats.bytes_served += count * row_len

@@ -7,6 +7,16 @@ in the library reads the wall clock when producing results.
 
 from __future__ import annotations
 
+import numpy as np
+
+
+def charge_repeatedly(total: float, cost: float, count: int) -> float:
+    """``total += cost``, ``count`` times over, as one ``np.add.accumulate``:
+    the same left-to-right chain of additions, so the same float."""
+    chain = np.full(count + 1, cost, dtype=np.float64)
+    chain[0] = total
+    return float(np.add.accumulate(chain)[-1])
+
 
 class SimClock:
     """A monotonically increasing simulated clock measured in seconds."""

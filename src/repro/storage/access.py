@@ -5,6 +5,10 @@ cache and chose the latter: with small access granularity and little spatial
 locality, mmap wastes fast-memory space on full 4 KiB pages and is roughly 3x
 slower per access (section 4.1).  Both paths are modelled here so the
 comparison can be reproduced.
+
+Either path resolves a table's rows to one extent on one device, so it
+submits one-device batches to the IO engine and gathers the payloads from
+that device's block store (:meth:`SimulatedDevice.read_rows_ndarray`).
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import Dict, Tuple
 import numpy as np
 
 from repro.sim.units import BLOCK_SIZE, GIB
-from repro.storage.block_layout import BlockLayout, RowLocationBatch
+from repro.storage.block_layout import BlockLayout
 from repro.storage.io_engine import IOEngine, IORequestBatch
 
 
@@ -72,9 +76,9 @@ class DirectIOReader(AccessPath):
         """Whole-batch DIRECT-IO read: locate, submit and gather as arrays.
 
         One :meth:`IOEngine.submit_row_reads_batch` call carries the batch
-        through queue-depth gating and device scheduling.  A table extent
-        lives on exactly one device, so the payload gather is one
-        advanced-indexing read from that device's block store.
+        through queue-depth gating and device scheduling on the extent's
+        device; the payload gather is one indexed read from that device's
+        block store.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         locations = self.layout.locate_batch(table_name, rows)
@@ -146,14 +150,12 @@ class MmapReader(AccessPath):
                 completions[position] = max(fault_done, start_time)
                 continue
             self.page_faults += 1
-            fault = IORequestBatch.from_locations(
+            fault = IORequestBatch(
                 table_name,
-                RowLocationBatch(
-                    device_index=device_index,
-                    lba=np.array([lba], dtype=np.int64),
-                    offset=np.zeros(1, dtype=np.int64),
-                    length=BLOCK_SIZE,
-                ),
+                device_index,
+                lba=np.array([lba], dtype=np.int64),
+                offset=np.zeros(1, dtype=np.int64),
+                length=np.array([BLOCK_SIZE], dtype=np.int64),
             )
             self.engine.submit_row_reads_batch(fault, start_time)
             latency = (float(fault.completion_time[0]) - start_time) * self.latency_factor

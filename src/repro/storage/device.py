@@ -9,16 +9,20 @@ approaches saturation -- the behaviour Figure 3 of the paper shows for Nand
 Flash and Optane SSDs.
 
 Block contents live in one contiguous uint8 ndarray (a slot per written
-block, slot 0 reserved as the all-zero image of never-written blocks), so a
-whole batch of row reads gathers with a single advanced-indexing operation
-instead of a per-row ``bytes`` join.
+block, slot 0 reserved as the all-zero image of never-written blocks).  A
+whole batch of row reads resolves its LBAs to slots with one ``searchsorted``
+over a sorted index of the written LBAs and gathers one window per row;
+a whole batch of read IOs is timed by one :class:`BatchReadScheduler` loop.
+:meth:`SimulatedDevice.schedule_read` is the scalar reference for both.
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
+from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -60,98 +64,121 @@ class DeviceStats:
 
 
 class BatchReadScheduler:
-    """Replays :meth:`SimulatedDevice.schedule_read` timing for one batch.
+    """One batch of read IOs on one device, scheduled in a single loop.
 
-    Queue-depth gating in the IO engine makes batched submission inherently
-    sequential -- the completion of request *i* feeds the outstanding-IO pools
-    that gate request *i + 1* -- so the device side exposes a stepping session
-    instead of a whole-array call: the engine opens one session per device in
-    a batch, calls :meth:`schedule` once per IO in request order, and
+    Queue-depth gating makes batched submission inherently sequential -- the
+    completion of request *i* feeds the outstanding-IO pools that gate
+    request *i + 1* -- so the session replays the batch IO by IO, but over
+    locals only: :meth:`SimulatedDevice.schedule_read_batch` opens it,
+    :meth:`schedule` runs the whole batch through the gates and the channels,
     :meth:`finish` writes channel state and stats back exactly once.
 
     Bit-identical to one ``schedule_read`` call per IO by construction:
 
-    * channel assignment pops a ``(free_time, channel)`` heap whose
-      lexicographic tie-break equals ``np.argmin``'s first-minimum rule;
-    * the tail-penalty draws are one ``rng.random(count)`` call, which
-      consumes the PCG64 stream exactly like ``count`` single ``random()``
-      calls;
+    * channel assignment replaces the top of a ``(free_time, channel)`` heap
+      whose lexicographic tie-break equals ``np.argmin``'s first-minimum
+      rule;
+    * the tail-penalty draws are one ``rng.random(count)`` call at opening,
+      which consumes the PCG64 stream exactly like ``count`` single draws;
     * float accumulations (completion sum, ``busy_time``) replay its
       left-to-right addition chains term for term.
     """
 
-    __slots__ = (
-        "_device",
-        "_service",
-        "_base",
-        "_bus",
-        "_heap",
-        "_tails",
-        "_tail_events",
-        "_next_tail",
-        "_reads",
-        "_bytes_requested",
-        "_bytes_transferred",
-        "_busy",
-        "_finished",
-    )
+    __slots__ = ("_device", "_count", "_heap", "_tails", "_tail_events", "_totals", "_finished")
 
     def __init__(self, device: "SimulatedDevice", count: int) -> None:
         spec = device.spec
         self._device = device
-        self._service = spec.service_time_per_io()
-        self._base = spec.base_read_latency
-        self._bus = spec.read_bus_bandwidth
-        probability = spec.tail_latency_probability
-        self._tails: List[float] = []
+        self._count = count
+        self._tails: List[float] = [0.0] * count
         self._tail_events = 0
-        if probability > 0.0 and count > 0:
-            draws = device.rng.random(count)
-            flags = draws < probability
+        if spec.tail_latency_probability > 0.0 and count > 0:
+            flags = device.rng.random(count) < spec.tail_latency_probability
             self._tail_events = int(np.count_nonzero(flags))
-            tails = np.where(flags, spec.tail_latency, 0.0)
-            self._tails = [float(value) for value in tails]
-        self._next_tail = 0
-        heap = [(float(free), channel) for channel, free in enumerate(device.channel_free)]
+            self._tails = np.where(flags, spec.tail_latency, 0.0).tolist()
+        heap = [(free, channel) for channel, free in enumerate(device.channel_free.tolist())]
         heapq.heapify(heap)
         self._heap: List[Tuple[float, int]] = heap
-        self._reads = 0
-        self._bytes_requested = 0
-        self._bytes_transferred = 0
-        self._busy = device.stats.busy_time
+        #: (reads, bytes requested, bytes transferred, busy_time) once scheduled.
+        self._totals: Optional[Tuple[int, int, int, float]] = None
         self._finished = False
 
-    def schedule(self, arrival_time: float, requested: int, transferred: int) -> float:
-        """Schedule one read IO; returns its device-side completion time."""
-        free, channel = heapq.heappop(self._heap)
-        start = arrival_time if arrival_time > free else free
-        heapq.heappush(self._heap, (start + self._service, channel))
-        transfer = transferred / self._bus
-        tail = 0.0
-        if self._tails:
-            tail = self._tails[self._next_tail]
-            self._next_tail += 1
-        completion = start + self._service + self._base + transfer + tail
-        self._reads += 1
-        self._bytes_requested += requested
-        self._bytes_transferred += transferred
-        self._busy += self._service + transfer
-        return completion
+    def schedule(
+        self,
+        arrivals: Sequence[float],
+        transferred: np.ndarray,
+        requested_bytes: int,
+        device_gate: Optional[Tuple[List[float], int]] = None,
+        table_gate: Optional[Tuple[List[float], int]] = None,
+        host_overhead: float = 0.0,
+    ) -> Tuple[List[float], List[float], int]:
+        """Schedule the session's IOs, all of them, in request order.
+
+        IO *i* arrives at ``arrivals[i]`` and moves ``transferred[i]`` bytes
+        over the bus.  A gate is ``(pool, limit)``: the sorted completion
+        times of the IOs in flight, updated in place, and how many there may
+        be.  An IO is submitted once each gate has fewer than its limit
+        outstanding: completions no later than the arrival leave the
+        gate's pool, and if ``limit`` or more remain the IO waits
+        for the one that brings the pool below the limit (one throttled
+        submission per gate that made it wait).  It then takes the channel
+        that frees first, and its completion -- ``host_overhead`` after the
+        device is done -- joins both pools.  A gate left out limits nothing.
+
+        Returns ``(submit_times, completion_times, throttled_submissions)``.
+        """
+        if self._totals is not None or not len(arrivals) == transferred.size == self._count:
+            raise ValueError(f"the session schedules its {self._count} IOs in one call")
+        spec = self._device.spec
+        service = spec.service_time_per_io()
+        base = spec.base_read_latency
+        transfers = transferred / spec.read_bus_bandwidth
+        device_pool, device_limit = device_gate or ([], sys.maxsize)
+        table_pool, table_limit = table_gate or ([], sys.maxsize)
+        heap = self._heap
+        throttled = 0
+        submits: List[float] = []
+        completions: List[float] = []
+        for submit, transfer, tail in zip(arrivals, transfers.tolist(), self._tails):
+            if device_pool and device_pool[0] <= submit:
+                del device_pool[: bisect_right(device_pool, submit)]
+            if len(device_pool) >= device_limit:
+                submit = device_pool[len(device_pool) - device_limit]
+                throttled += 1
+                del device_pool[: bisect_right(device_pool, submit)]
+            if table_pool and table_pool[0] <= submit:
+                del table_pool[: bisect_right(table_pool, submit)]
+            if len(table_pool) >= table_limit:
+                submit = table_pool[len(table_pool) - table_limit]
+                throttled += 1
+                del table_pool[: bisect_right(table_pool, submit)]
+            free, channel = heap[0]
+            done = (submit if submit > free else free) + service
+            heapq.heapreplace(heap, (done, channel))
+            completion = done + base + transfer + tail + host_overhead
+            insort(device_pool, completion)
+            insort(table_pool, completion)
+            submits.append(submit)
+            completions.append(completion)
+        busy = np.concatenate(([self._device.stats.busy_time], service + transfers))
+        busy_time = float(np.add.accumulate(busy)[-1])
+        self._totals = (self._count, requested_bytes, int(transferred.sum()), busy_time)
+        return submits, completions, throttled
 
     def finish(self) -> None:
         """Write channel occupancy and stats back to the device."""
-        if self._finished:
+        if self._finished or self._totals is None:
             return
         self._finished = True
         device = self._device
         for free, channel in self._heap:
             device.channel_free[channel] = free
         stats = device.stats
-        stats.reads += self._reads
-        stats.bytes_requested += self._bytes_requested
-        stats.bytes_transferred += self._bytes_transferred
+        reads, requested, transferred, stats.busy_time = self._totals
+        stats.reads += reads
+        stats.bytes_requested += requested
+        stats.bytes_transferred += transferred
         stats.tail_events += self._tail_events
-        stats.busy_time = self._busy
 
 
 class SimulatedDevice:
@@ -166,6 +193,9 @@ class SimulatedDevice:
         self._block_slots: Dict[int, int] = {}
         self._block_store: np.ndarray = np.zeros((1, BLOCK_SIZE), dtype=np.uint8)
         self._num_slots = 1
+        # Sorted (written LBAs, their slots); built on first use by the
+        # batched gather, dropped by every write.
+        self._slot_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.channel_free: np.ndarray = np.zeros(spec.internal_parallelism, dtype=float)
         self._seed = seed
         self.rng = make_rng(seed, "device", spec.name)
@@ -185,11 +215,8 @@ class SimulatedDevice:
 
     def check_lbas(self, lbas: np.ndarray) -> None:
         """Vectorised :meth:`_check_lba` over an int64 array."""
-        if lbas.size == 0:
-            return
-        bad = (lbas < 0) | (lbas >= self._num_blocks)
-        if bool(bad.any()):
-            self._check_lba(int(lbas[bad][0]))
+        if lbas.size and (lbas.min() < 0 or lbas.max() >= self._num_blocks):
+            self._check_lba(int(lbas[(lbas < 0) | (lbas >= self._num_blocks)][0]))
 
     def _grow_store(self, num_slots: int) -> None:
         grown = np.zeros((num_slots, BLOCK_SIZE), dtype=np.uint8)
@@ -214,6 +241,7 @@ class SimulatedDevice:
             raise ValueError(
                 f"write of {len(data)} B at offset {offset} exceeds the {BLOCK_SIZE} B block"
             )
+        self._slot_index = None
         slot = self._slot_for_write(lba)
         self._block_store[slot, offset : offset + len(data)] = np.frombuffer(
             data, dtype=np.uint8
@@ -240,6 +268,7 @@ class SimulatedDevice:
             return
         self._check_lba(first_lba)
         self._check_lba(first_lba + count - 1)
+        self._slot_index = None
         lbas = range(first_lba, first_lba + count)
         if self._block_slots.keys().isdisjoint(lbas):
             first_slot = self._num_slots
@@ -270,30 +299,38 @@ class SimulatedDevice:
     def read_rows_ndarray(self, lbas: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
         """Gather equal-length byte ranges as one ``(n, length)`` uint8 matrix.
 
-        The batched counterpart of per-row :meth:`read_block_data` calls: one
-        advanced-indexing gather from the contiguous block store, no timing.
+        The batched counterpart of per-row :meth:`read_block_data` calls, no
+        timing: each LBA is looked up in the sorted index of written LBAs
+        (a never-written one resolves to slot 0, the zero image), and row
+        ``i`` is window ``offsets[i]`` of its block -- one index per row, one
+        ``length``-byte copy each.
         """
         lbas = np.asarray(lbas, dtype=np.int64)
         offsets = np.asarray(offsets, dtype=np.int64)
         self.check_lbas(lbas)
-        if length < 0:
-            raise ValueError(f"length must be non-negative: {length}")
-        if lbas.size and bool(
-            ((offsets < 0) | (offsets + length > BLOCK_SIZE)).any()
-        ):
+        if not 0 <= length <= BLOCK_SIZE:
+            raise ValueError(f"length must be within the {BLOCK_SIZE} B block: {length}")
+        if lbas.size and (offsets.min() < 0 or offsets.max() + length > BLOCK_SIZE):
             bad = int(offsets[(offsets < 0) | (offsets + length > BLOCK_SIZE)][0])
             raise ValueError(
                 f"read of {length} B at offset {bad} exceeds the {BLOCK_SIZE} B block"
             )
-        unique_lbas, inverse = np.unique(lbas, return_inverse=True)
-        slots_of_unique = np.fromiter(
-            (self._block_slots.get(int(lba), 0) for lba in unique_lbas),
-            dtype=np.int64,
-            count=int(unique_lbas.size),
-        )
-        slots = slots_of_unique[inverse]
-        columns = offsets[:, None] + np.arange(length, dtype=np.int64)[None, :]
-        result: np.ndarray = self._block_store[slots[:, None], columns]
+        if self._slot_index is None:
+            count = len(self._block_slots)
+            written = np.fromiter(self._block_slots, dtype=np.int64, count=count)
+            slots = np.fromiter(self._block_slots.values(), dtype=np.int64, count=count)
+            order = np.argsort(written)
+            # Closed by an entry past every valid LBA: each lookup lands on one.
+            written = np.append(written[order], self._num_blocks)
+            self._slot_index = (written, np.append(slots[order], 0))
+        written, slots = self._slot_index
+        found = written.searchsorted(lbas)
+        # Every length-byte window of every block, as sliding_window_view
+        # would build them (the constructor checks they lie in the store).
+        store = self._block_store
+        windows_shape = (store.shape[0], BLOCK_SIZE - length + 1, length)
+        windows = np.ndarray(windows_shape, np.uint8, store, 0, (BLOCK_SIZE, 1, 1))
+        result: np.ndarray = windows[np.where(written[found] == lbas, slots[found], 0), offsets]
         return result
 
     # ---------------------------------------------------------------- timing
@@ -352,9 +389,9 @@ class SimulatedDevice:
     def schedule_read_batch(self, count: int) -> BatchReadScheduler:
         """Open a :class:`BatchReadScheduler` session for ``count`` read IOs.
 
-        Draws the session's tail-latency samples up front (one batched RNG
-        call) and snapshots channel state; call :meth:`BatchReadScheduler.schedule`
-        once per IO in request order, then :meth:`BatchReadScheduler.finish`.
+        Draws the tail-latency samples (one batched RNG call), so whatever
+        can reject the batch has to be checked before; call ``schedule`` once
+        with the whole batch, then ``finish``.
         """
         if count < 0:
             raise ValueError(f"count must be non-negative: {count}")

@@ -10,19 +10,24 @@ This module models those costs and constraints:
 * per-device and per-table outstanding-IO limits (the Tuning API),
 * sub-block (SGL) transfers vs full-block reads with the extra host memcpy
   the full-block path requires.
+
+A submission is a batch of IOs for one table on one device (an extent lives
+on exactly one).  The engine checks it, works out transfer sizes and host
+costs as arrays, and hands the per-IO replay -- both gates and the channels
+in one loop -- to :class:`~repro.storage.device.BatchReadScheduler`.
 """
 
 from __future__ import annotations
 
 import enum
-from bisect import bisect_right, insort
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.sim.clock import charge_repeatedly
 from repro.sim.units import BLOCK_SIZE, MICROSECOND
-from repro.storage.device import BatchReadScheduler, SimulatedDevice
+from repro.storage.device import SimulatedDevice
 from repro.storage.sgl import DWORD
 from repro.storage.block_layout import RowLocationBatch
 
@@ -95,16 +100,17 @@ class IOEngineConfig:
 
 @dataclass
 class IORequestBatch:
-    """Structure-of-arrays batch of row reads (single-entry SGLs).
+    """Structure-of-arrays batch of row reads (single-entry SGLs) of one
+    table on one device.
 
-    ``device_index``/``lba``/``offset``/``length`` are parallel int64 input
-    arrays, and :meth:`IOEngine.submit_row_reads_batch` fills the
-    ``submit_time``/``completion_time``/``transferred_bytes``/``host_overhead``
-    output arrays in request order.
+    ``lba``/``offset``/``length`` are parallel int64 input arrays, and
+    :meth:`IOEngine.submit_row_reads_batch` sets the ``submit_time``/
+    ``completion_time``/``transferred_bytes``/``host_overhead`` output
+    arrays (empty until then), in request order.
     """
 
     table_name: str
-    device_index: np.ndarray
+    device_index: int
     lba: np.ndarray
     offset: np.ndarray
     length: np.ndarray
@@ -112,14 +118,6 @@ class IORequestBatch:
     completion_time: np.ndarray = field(default_factory=lambda: np.zeros(0))
     transferred_bytes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     host_overhead: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __post_init__(self) -> None:
-        count = int(self.lba.size)
-        if self.submit_time.size != count:
-            self.submit_time = np.zeros(count, dtype=np.float64)
-            self.completion_time = np.zeros(count, dtype=np.float64)
-            self.transferred_bytes = np.zeros(count, dtype=np.int64)
-            self.host_overhead = np.zeros(count, dtype=np.float64)
 
     def __len__(self) -> int:
         return int(self.lba.size)
@@ -130,7 +128,7 @@ class IORequestBatch:
         count = len(locations)
         return cls(
             table_name=table_name,
-            device_index=np.full(count, locations.device_index, dtype=np.int64),
+            device_index=locations.device_index,
             lba=np.asarray(locations.lba, dtype=np.int64),
             offset=np.asarray(locations.offset, dtype=np.int64),
             length=np.full(count, locations.length, dtype=np.int64),
@@ -165,7 +163,8 @@ class IOEngine:
         self.config = config if config is not None else IOEngineConfig()
         self.stats = IOEngineStats()
         # Completion times of outstanding IOs, used to enforce queue-depth
-        # limits without a full event loop.
+        # limits without a full event loop.  Only the scheduler's loop adds
+        # to a pool (by insort), so every pool is sorted at all times.
         self._outstanding_per_device: Dict[int, List[float]] = {
             i: [] for i in range(len(self.devices))
         }
@@ -173,122 +172,79 @@ class IOEngine:
 
     # ------------------------------------------------------------------ API
     def submit_row_reads_batch(self, batch: IORequestBatch, start_time: float) -> IORequestBatch:
-        """Submit a batch of row reads in request order; fills it in place.
+        """Submit a batch of row reads in request order; returns it filled in.
 
-        Each IO is delayed until both its device and its table have fewer
+        Each IO is delayed until both the device and the table have fewer
         than the configured number of IOs outstanding (a gated submission
         starts when enough of them complete, and counts as throttled), is
-        scheduled on its device, and pays the host's per-IO CPU time (plus
+        scheduled on the device, and pays the host's per-IO CPU time (plus
         the bounce-buffer memcpy without sub-block reads).  Submitting a
         batch is the same as submitting its IOs one at a time, whatever the
         split into calls: only the multiset of live completion times gates a
-        submission, so each outstanding pool is kept sorted (``insort``) and
-        the gate is two bisects; device scheduling steps through one
-        :class:`BatchReadScheduler` session per device; every float
-        accumulates left to right in request order.  Transferred sizes (the
-        DWORD-aligned single-entry SGL arithmetic) are precomputed vectorised.
+        submission, so each outstanding pool stays sorted and
+        :meth:`BatchReadScheduler.schedule` runs gate and device in one loop;
+        every float accumulates left to right in request order.  Transferred
+        sizes (the DWORD-aligned single-entry SGL arithmetic) are computed
+        vectorised.  A batch that fails a check is rejected whole, before
+        any state -- counters, pools, channels, the tail-latency stream --
+        has moved.
         """
         count = len(batch)
         if count == 0:
             return batch
         if start_time < 0:
-            raise ValueError(f"arrival_time must be non-negative: {start_time}")
-        device_index = np.asarray(batch.device_index, dtype=np.int64)
-        bad_device = (device_index < 0) | (device_index >= len(self.devices))
-        if bool(bad_device.any()):
+            raise ValueError(f"start_time must be non-negative: {start_time}")
+        if not 0 <= batch.device_index < len(self.devices):
             raise IndexError(
                 f"request for table {batch.table_name!r} references device "
-                f"{int(device_index[bad_device][0])}, engine has {len(self.devices)}"
+                f"{batch.device_index}, engine has {len(self.devices)}"
             )
+        device = self.devices[batch.device_index]
         offset = np.asarray(batch.offset, dtype=np.int64)
         length = np.asarray(batch.length, dtype=np.int64)
-        lba = np.asarray(batch.lba, dtype=np.int64)
-        invalid = (offset < 0) | (length <= 0) | (offset + length > BLOCK_SIZE)
-        if bool(invalid.any()):
-            where = int(np.nonzero(invalid)[0][0])
+        end = offset + length
+        if offset.min() < 0 or length.min() <= 0 or end.max() > BLOCK_SIZE:
+            where = int(np.nonzero((offset < 0) | (length <= 0) | (end > BLOCK_SIZE))[0][0])
             raise ValueError(
-                f"range [{int(offset[where])}, {int(offset[where]) + int(length[where])}) "
+                f"range [{int(offset[where])}, {int(end[where])}) "
                 f"exceeds the {BLOCK_SIZE} B block"
             )
+        device.check_lbas(np.asarray(batch.lba, dtype=np.int64))
 
-        sub_block = self.config.sub_block_reads
-        transferred = np.empty(count, dtype=np.int64)
-        schedulers: Dict[int, BatchReadScheduler] = {}
-        pools = self._outstanding_per_device
-        for raw_id in np.unique(device_index):
-            device_id = int(raw_id)
-            mask = device_index == device_id
-            device = self.devices[device_id]
-            device.check_lbas(lba[mask])
-            if sub_block and device.spec.supports_sub_block:
-                aligned_start = (offset[mask] // DWORD) * DWORD
-                aligned_end = -(-(offset[mask] + length[mask]) // DWORD) * DWORD
-                transferred[mask] = aligned_end - aligned_start
-            else:
-                transferred[mask] = BLOCK_SIZE
-            pools[device_id].sort()
-            schedulers[device_id] = device.schedule_read_batch(int(np.count_nonzero(mask)))
+        config = self.config
+        if config.sub_block_reads and device.spec.supports_sub_block:
+            transferred = -(-end // DWORD) * DWORD - (offset // DWORD) * DWORD
+        else:
+            transferred = np.full(count, BLOCK_SIZE, dtype=np.int64)
+        cpu_per_io = config.cpu_time_per_io
+        memcpy_time = 0.0 if config.sub_block_reads else BLOCK_SIZE / config.memcpy_bandwidth
+        host_overhead = cpu_per_io + memcpy_time
+        requested_bytes = int(length.sum())
+
+        device_pool = self._outstanding_per_device[batch.device_index]
         table_pool = self._outstanding_per_table.setdefault(batch.table_name, [])
-        table_pool.sort()
-
-        device_ids = device_index.tolist()
-        lengths = length.tolist()
-        transfers = transferred.tolist()
-        device_limit = self.config.max_outstanding_per_device
-        table_limit = self.config.max_outstanding_per_table
-        cpu_per_io = self.config.cpu_time_per_io
-        memcpy_time = 0.0 if sub_block else BLOCK_SIZE / self.config.memcpy_bandwidth
-        host_overhead = cpu_per_io if sub_block else cpu_per_io + memcpy_time
-        cpu_seconds = self.stats.cpu_seconds
-        memcpy_seconds = self.stats.memcpy_seconds
-        throttled = 0
-        submits: List[float] = []
-        completions: List[float] = []
-
-        for position in range(count):
-            device_id = device_ids[position]
-            pool = pools[device_id]
-            submit = start_time
-            if pool:
-                cut = bisect_right(pool, submit)
-                if cut:
-                    del pool[:cut]
-                if len(pool) >= device_limit:
-                    submit = pool[len(pool) - device_limit]
-                    throttled += 1
-                    del pool[: bisect_right(pool, submit)]
-            if table_pool:
-                cut = bisect_right(table_pool, submit)
-                if cut:
-                    del table_pool[:cut]
-                if len(table_pool) >= table_limit:
-                    submit = table_pool[len(table_pool) - table_limit]
-                    throttled += 1
-                    del table_pool[: bisect_right(table_pool, submit)]
-            completion = schedulers[device_id].schedule(
-                submit, lengths[position], transfers[position]
-            )
-            cpu_seconds += cpu_per_io
-            if memcpy_time:
-                memcpy_seconds += memcpy_time
-            completion = completion + host_overhead
-            insort(pool, completion)
-            insort(table_pool, completion)
-            submits.append(submit)
-            completions.append(completion)
-
-        for scheduler in schedulers.values():
-            scheduler.finish()
-        batch.submit_time[:] = submits
-        batch.completion_time[:] = completions
-        batch.transferred_bytes[:] = transferred
-        batch.host_overhead[:] = host_overhead
-        self.stats.ios_submitted += count
-        self.stats.cpu_seconds = cpu_seconds
-        self.stats.memcpy_seconds = memcpy_seconds
-        self.stats.bytes_requested += int(length.sum())
-        self.stats.bytes_transferred += int(transferred.sum())
-        self.stats.throttled_submissions += throttled
+        session = device.schedule_read_batch(count)
+        submits, completions, throttled = session.schedule(
+            [start_time] * count,
+            transferred,
+            requested_bytes,
+            (device_pool, config.max_outstanding_per_device),
+            (table_pool, config.max_outstanding_per_table),
+            host_overhead,
+        )
+        session.finish()
+        batch.submit_time = np.array(submits)
+        batch.completion_time = np.array(completions)
+        batch.transferred_bytes = transferred
+        batch.host_overhead = np.full(count, host_overhead)
+        stats = self.stats
+        stats.ios_submitted += count
+        stats.cpu_seconds = charge_repeatedly(stats.cpu_seconds, cpu_per_io, count)
+        if memcpy_time:
+            stats.memcpy_seconds = charge_repeatedly(stats.memcpy_seconds, memcpy_time, count)
+        stats.bytes_requested += requested_bytes
+        stats.bytes_transferred += int(transferred.sum())
+        stats.throttled_submissions += throttled
         return batch
 
     def reset_stats(self) -> None:

@@ -129,6 +129,30 @@ class TestRowGranularity:
         with pytest.raises(IndexError):
             decision.tier_of_row(30)
 
+    def test_tiers_of_rows_follows_reassigned_segments(self):
+        # The lookup arrays are built once per assignment of ``segments``;
+        # resolving a whole-table placement to its stored rows re-assigns.
+        decision = TieredTablePlacement(
+            table_name="t",
+            segments=(TierSegment(tier=1, start=0, end=1 << 62),),
+            cache_enabled=True,
+        )
+        np.testing.assert_array_equal(decision.tiers_of_rows(np.array([0, 500])), [1, 1])
+        decision.segments = (
+            TierSegment(tier=1, start=0, end=100),
+            TierSegment(tier=2, start=100, end=200),
+        )
+        np.testing.assert_array_equal(decision.tiers_of_rows(np.array([99, 100, 0])), [1, 2, 1])
+        with pytest.raises(IndexError):
+            decision.tiers_of_rows(np.array([200]))
+        with pytest.raises(IndexError):
+            decision.tiers_of_rows(np.array([5, -1]))
+        assert decision.tiers_of_rows(np.zeros(0, dtype=np.int64)).shape == (0,)
+        twin = TieredTablePlacement(
+            table_name="t", segments=decision.segments, cache_enabled=True
+        )
+        assert twin == decision  # the derived arrays take no part in equality
+
 
 class TestConversions:
     def test_legacy_round_trip(self):

@@ -247,3 +247,139 @@ class TestRuntimeTiers:
         a.merge(b)
         assert a.cache_probes == 10 and a.cache_hits == 3
         assert a.cache_hit_rate == pytest.approx(0.3)
+
+
+def _snapshot(tier):
+    """Everything a read may move on a device tier."""
+    return (
+        tier.stats,
+        tier.io_engine.stats,
+        [(device.stats, device.channel_free.tolist(), device.rng.bit_generator.state)
+         for device in tier.devices],
+    )
+
+
+class TestSegmentResolution:
+    """DeviceTier.read_rows_batch: one segment passes through, several are
+    grouped, and a row homed nowhere is rejected before anything is read."""
+
+    @staticmethod
+    def _split_tier():
+        tier = DeviceTier(TierSpec.from_value("nand:1MiB"))
+        tier.add_segment("t", 100, 200, 64, np.full((100, 64), 1, dtype=np.uint8))
+        tier.add_segment("t", 300, 350, 64, np.full((50, 64), 2, dtype=np.uint8))
+        return tier
+
+    def test_empty_batch(self):
+        tier = self._split_tier()
+        before = repr(_snapshot(tier))
+        data, completions = tier.read_rows_batch("t", np.zeros(0, dtype=np.int64), 0.0)
+        assert data.shape == (0, 64) and data.dtype == np.uint8
+        assert completions.shape == (0,)
+        assert repr(_snapshot(tier)) == before
+
+    @pytest.mark.parametrize("outside", [100, -1, 1 << 40])
+    def test_row_outside_the_only_segment(self, outside):
+        tier = DeviceTier(TierSpec.from_value("nand:1MiB"))
+        tier.add_segment("t", 0, 100, 64, np.zeros((100, 64), dtype=np.uint8), whole_table=True)
+        tier.read_rows_batch("t", np.array([0, 99]), 0.0)  # the segment's two ends
+        before = repr(_snapshot(tier))
+        with pytest.raises(KeyError, match=f"stored row {outside} "):
+            tier.read_rows_batch("t", np.array([3, outside, 4]), 0.0)
+        assert repr(_snapshot(tier)) == before  # nothing read, no stats moved
+
+    def test_unknown_table_is_a_key_error(self):
+        tier = self._split_tier()
+        with pytest.raises(KeyError):
+            tier.read_rows_batch("other", np.array([150]), 0.0)
+        with pytest.raises(KeyError):
+            tier.read_rows_batch("other", np.zeros(0, dtype=np.int64), 0.0)
+
+    def test_batch_entirely_in_the_second_segment(self):
+        tier, twin = self._split_tier(), self._split_tier()
+        rows = np.array([349, 300, 320, 300])
+        data, completions = tier.read_rows_batch("t", rows, 1e-3)
+        assert data.shape == (4, 64) and (data == 2).all()
+        # One submission under the second segment's layout key, rows
+        # re-based on the segment's start.
+        expected = twin.access_path.read_rows_batch("t@300", rows - 300, 1e-3)
+        assert completions.tolist() == expected.completion_times.tolist()
+        assert tier.io_engine.stats == twin.io_engine.stats
+        assert list(tier.io_engine._outstanding_per_table) == ["t@300"]
+        assert tier.stats.ios == 4 and tier.stats.bytes_served == 4 * 64
+
+    def test_rows_across_segments_are_grouped_in_first_occurrence_order(self):
+        tier, twin = self._split_tier(), self._split_tier()
+        rows = np.array([320, 150, 301, 199, 349])
+        data, completions = tier.read_rows_batch("t", rows, 0.0)
+        assert data[:, 0].tolist() == [2, 1, 2, 1, 2]
+        second = twin.access_path.read_rows_batch("t@300", np.array([20, 1, 49]), 0.0)
+        first = twin.access_path.read_rows_batch("t@100", np.array([50, 99]), 0.0)
+        assert completions[[0, 2, 4]].tolist() == second.completion_times.tolist()
+        assert completions[[1, 3]].tolist() == first.completion_times.tolist()
+        assert list(tier.io_engine._outstanding_per_table) == ["t@300", "t@100"]
+        assert repr(_snapshot(tier)[1:]) == repr(_snapshot(twin)[1:])
+
+    def test_segments_added_out_of_order_and_overlaps(self):
+        tier = DeviceTier(TierSpec.from_value("nand:1MiB"))
+        tier.add_segment("t", 300, 350, 64, np.full((50, 64), 2, dtype=np.uint8))
+        tier.add_segment("t", 100, 200, 64, np.full((100, 64), 1, dtype=np.uint8))
+        data, _ = tier.read_rows_batch("t", np.array([150, 320]), 0.0)
+        assert data[:, 0].tolist() == [1, 2]
+        for start, end in ((150, 160), (50, 101), (349, 400), (0, 1000)):
+            with pytest.raises(ValueError, match="overlaps"):
+                tier.add_segment("t", start, end, 64, np.zeros((end - start, 64), dtype=np.uint8))
+        assert tier.device_stats().writes == 3  # one block and two: nothing more
+
+
+class TestMissGrouping:
+    """TierChain.fetch_batch submits each home tier's misses as one group,
+    groups in order of first occurrence."""
+
+    def test_two_device_tiers_with_interleaved_misses(self):
+        from repro.hierarchy import (
+            TierChain,
+            TieredPlacement,
+            TieredTablePlacement,
+            TierSegment,
+        )
+
+        def build():
+            fast = FastTier(TierSpec.from_value("dram:0"))
+            mid = DeviceTier(TierSpec.from_value("cxl:64KiB"))
+            slow = DeviceTier(TierSpec.from_value("nand:1MiB"), device_seed_offset=1)
+            rows = np.repeat(np.arange(32, dtype=np.uint8)[:, None], 64, axis=1)
+            mid.add_segment("t", 0, 16, 64, rows[:16])
+            slow.add_segment("t", 16, 32, 64, rows[16:])
+            placement = TieredPlacement(num_tiers=3)
+            placement.add(
+                TieredTablePlacement(
+                    table_name="t",
+                    segments=(TierSegment(tier=1, start=0, end=16),
+                              TierSegment(tier=2, start=16, end=32)),
+                    cache_enabled=False,
+                )
+            )
+            return TierChain([fast, mid, slow], placement), mid, slow
+
+        chain, mid, slow = build()
+        calls = []
+        for index, tier in ((1, mid), (2, slow)):
+            def spy(table_name, stored, start_time, _read=tier.read_rows_batch, _index=index):
+                calls.append((_index, stored.tolist()))
+                return _read(table_name, stored, start_time)
+            tier.read_rows_batch = spy
+        stored = np.array([20, 3, 31, 3, 0, 16])
+        outcome = chain.fetch_batch("t", stored, 0.0, row_len=64, cache_enabled=False)
+        assert calls == [(2, [20, 31, 16]), (1, [3, 3, 0])]
+        assert outcome.rows[:, 0].tolist() == stored.tolist()
+        assert outcome.device_reads == 6
+        assert outcome.reads_by_tier == {2: 3, 1: 3}
+
+        # Same outcome as submitting the two groups by hand, slow tier first.
+        _, twin_mid, twin_slow = build()
+        _, slow_done = twin_slow.read_rows_batch("t", np.array([20, 31, 16]), 0.0)
+        _, mid_done = twin_mid.read_rows_batch("t", np.array([3, 3, 0]), 0.0)
+        assert outcome.completion_time == max(slow_done.max(), mid_done.max())
+        assert repr(_snapshot(mid)) == repr(_snapshot(twin_mid))
+        assert repr(_snapshot(slow)) == repr(_snapshot(twin_slow))

@@ -209,8 +209,18 @@ class TestDeviceReadTiming:
         assert device.stats.tail_events > 0
 
 
+def _schedule_batch(device, arrivals, requested=128, transferred=128):
+    """One whole-batch session: open, schedule every IO, finish."""
+    session = device.schedule_read_batch(len(arrivals))
+    sizes = np.full(len(arrivals), transferred, dtype=np.int64)
+    _, completions, throttled = session.schedule(arrivals, sizes, requested * len(arrivals))
+    session.finish()
+    assert throttled == 0  # no gates were passed
+    return session, completions
+
+
 class TestBatchReadScheduler:
-    """schedule_read_batch sessions replay scalar timing bit for bit."""
+    """A schedule_read_batch session replays scalar timing bit for bit."""
 
     def _scalar_and_batched(self, spec_factory, count, arrivals=None, seed=0):
         scalar = _make_device(spec_factory, capacity=1 * GB, seed=seed)
@@ -220,13 +230,9 @@ class TestBatchReadScheduler:
         for arrival in arrivals:
             _, completion, _ = scalar.schedule_read(0, _single_range_sgl(0, 128), arrival)
             scalar_times.append(completion)
-        session = batched.schedule_read_batch(count)
         # The single-entry SGL for (0, 128) transfers its DWORD-aligned span.
         transferred = _single_range_sgl(0, 128).transferred_bytes(True)
-        batched_times = [
-            session.schedule(arrival, 128, transferred) for arrival in arrivals
-        ]
-        session.finish()
+        _, batched_times = _schedule_batch(batched, arrivals, transferred=transferred)
         return scalar, batched, scalar_times, batched_times
 
     @pytest.mark.parametrize("spec_factory", [nand_flash_spec, optane_ssd_spec])
@@ -258,22 +264,19 @@ class TestBatchReadScheduler:
 
         no_tail = _make_device(dimm_3dxp_spec)
         before = no_tail.rng.bit_generator.state
-        session = no_tail.schedule_read_batch(8)
-        session.schedule(0.0, 128, 128)
-        session.finish()
+        _schedule_batch(no_tail, [0.0] * 8)
+        assert no_tail.stats.reads == 8
         assert no_tail.rng.bit_generator.state == before
 
         tail_prone = _make_device(nand_flash_spec)
         before = tail_prone.rng.bit_generator.state
-        tail_prone.schedule_read_batch(0).finish()
+        _schedule_batch(tail_prone, [])
+        assert tail_prone.stats.reads == 0
         assert tail_prone.rng.bit_generator.state == before
 
     def test_finish_is_idempotent(self):
         device = _make_device()
-        session = device.schedule_read_batch(4)
-        for _ in range(4):
-            session.schedule(0.0, 128, 128)
-        session.finish()
+        session, _ = _schedule_batch(device, [0.0] * 4)
         stats_after = device.stats.reads
         session.finish()
         assert device.stats.reads == stats_after == 4
@@ -282,6 +285,18 @@ class TestBatchReadScheduler:
         device = _make_device()
         with pytest.raises(ValueError):
             device.schedule_read_batch(-1)
+
+    def test_a_session_schedules_exactly_its_ios_once(self):
+        device = _make_device()
+        session = device.schedule_read_batch(4)
+        sizes = np.full(4, 128, dtype=np.int64)
+        with pytest.raises(ValueError):
+            session.schedule([0.0] * 3, sizes[:3], 3 * 128)
+        session.schedule([0.0] * 4, sizes, 4 * 128)
+        with pytest.raises(ValueError):  # the tail draws are spent
+            session.schedule([0.0] * 4, sizes, 4 * 128)
+        session.finish()
+        assert device.stats.reads == 4
 
 
 class TestReadRowsNdarray:
@@ -295,6 +310,80 @@ class TestReadRowsNdarray:
         assert matrix.shape == (4, 64)
         for row, (lba, offset) in enumerate(zip(lbas, offsets)):
             assert matrix[row].tobytes() == device.read_block_data(int(lba), int(offset), 64)
+
+    @staticmethod
+    def _assert_gather_equals_per_row_reads(device, lbas, offsets, length):
+        matrix = device.read_rows_ndarray(np.array(lbas), np.array(offsets), length)
+        assert matrix.shape == (len(lbas), length) and matrix.dtype == np.uint8
+        assert matrix.flags.c_contiguous and matrix.flags.writeable
+        for row, (lba, offset) in enumerate(zip(lbas, offsets)):
+            expected = device.read_block_data(lba, offset, length)
+            assert matrix[row].tobytes() == expected, (lba, offset)
+
+    def test_sparse_out_of_order_overwritten_and_never_written_lbas(self):
+        device = _make_device(capacity=BLOCK_SIZE * 1000)
+        rng = np.random.default_rng(5)
+        for lba in (700, 3, 512, 40, 41, 999):  # written out of order, far apart
+            device.write_block(lba, rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8).tobytes())
+        device.write_block(40, bytes([7] * 300), offset=1000)  # overwrites part of 40
+        device.write_blocks(511, rng.integers(0, 256, (3, BLOCK_SIZE), dtype=np.uint8))  # and 512
+        lbas = [999, 3, 40, 40, 0, 513, 998, 512, 700, 2, 41, 511, 4]
+        offsets = [0, 4000, 1000, 904, 8, 1, 4000, 2048, 77, 0, 3, 5, 96]
+        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 96)
+        # Never-written LBAs -- below, between and above the written ones --
+        # read as zeros.
+        gaps = device.read_rows_ndarray(np.array([0, 2, 4, 998]), np.zeros(4, dtype=np.int64), 64)
+        assert not gaps.any()
+
+    def test_lba_above_every_written_one(self):
+        device = _make_device(capacity=BLOCK_SIZE * 100)
+        device.write_block(10, bytes([1] * 64))
+        self._assert_gather_equals_per_row_reads(device, [99, 10, 11, 99], [0, 0, 0, 4032], 64)
+
+    def test_empty_device_and_empty_batch(self):
+        device = _make_device(capacity=BLOCK_SIZE * 100)
+        self._assert_gather_equals_per_row_reads(device, [0, 99, 50], [0, 8, 4000], 96)
+        none = np.zeros(0, dtype=np.int64)
+        assert device.read_rows_ndarray(none, none, 32).shape == (0, 32)
+        device.write_block(5, bytes([3] * 32))
+        assert device.read_rows_ndarray(none, none, 32).shape == (0, 32)
+
+    def test_a_write_after_a_read_rebuilds_the_index(self):
+        device = _make_device(capacity=BLOCK_SIZE * 100)
+        device.write_block(20, bytes([1] * 128))
+        lbas, offsets = [20, 21, 5, 60, 61, 62], [0, 0, 0, 0, 0, 0]
+        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)  # builds the index
+        device.write_block(5, bytes([2] * 128))  # a new LBA below the indexed ones
+        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
+        assert device.read_rows_ndarray(np.array([5]), np.array([0]), 128).tolist() == [[2] * 128]
+        device.write_blocks(60, np.full((3, BLOCK_SIZE), 9, dtype=np.uint8))  # grows the store
+        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
+        assert (device.read_rows_ndarray(np.array([62, 60]), np.array([0, 4000]), 96) == 9).all()
+        device.write_block(20, bytes([4] * 128))  # overwrite in place
+        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
+        device.write_blocks(19, np.full((3, BLOCK_SIZE), 8, dtype=np.uint8))  # 20 again, 19/21 new
+        self._assert_gather_equals_per_row_reads(device, lbas + [19], offsets + [0], 128)
+
+    def test_the_index_is_derived_from_the_written_blocks_only(self):
+        # The one piece of mutable state the gather added: it mirrors
+        # _block_slots (which a backend's restore_pristine keeps, as a
+        # construction-time product), whatever was read in between.
+        device = _make_device(capacity=BLOCK_SIZE * 100)
+        for lba in (30, 7, 55):
+            device.write_block(lba, bytes([lba] * 16))
+        assert device._slot_index is None
+        device.read_rows_ndarray(np.array([7]), np.array([0]), 16)
+        written, slots = device._slot_index
+        assert written.tolist() == [7, 30, 55, device.num_blocks]
+        assert slots.tolist() == [device._block_slots[7], device._block_slots[30],
+                                  device._block_slots[55], 0]
+        device.schedule_read(7, _single_range_sgl(0, 16), 0.0)
+        device.reset_stats()
+        device.reset_queues()
+        device.reset_rng()
+        assert device._slot_index[0] is written  # reads and resets leave it alone
+        device.write_block(8, b"x")
+        assert device._slot_index is None
 
     def test_bad_lba_rejected(self):
         device = _make_device(capacity=BLOCK_SIZE * 4)
@@ -311,6 +400,13 @@ class TestReadRowsNdarray:
                 np.array([BLOCK_SIZE - 8], dtype=np.int64),
                 64,
             )
+        none = np.zeros(0, dtype=np.int64)
+        for length in (-1, BLOCK_SIZE + 1):  # whatever the batch holds
+            with pytest.raises(ValueError):
+                device.read_rows_ndarray(none, none, length)
+        whole = device.read_rows_ndarray(np.array([0, 7]), np.zeros(2, dtype=np.int64), BLOCK_SIZE)
+        assert whole.shape == (2, BLOCK_SIZE)
+        assert device.read_rows_ndarray(np.array([3]), np.array([BLOCK_SIZE]), 0).shape == (1, 0)
 
 
 class TestDeviceResetSplit:

@@ -41,7 +41,7 @@ def _batch(layout, rows):
     locations = [layout.locate("t", row) for row in rows]
     return IORequestBatch(
         table_name="t",
-        device_index=np.array([loc.device_index for loc in locations], dtype=np.int64),
+        device_index=layout.extent("t").device_index,
         lba=np.array([loc.lba for loc in locations], dtype=np.int64),
         offset=np.array([loc.offset for loc in locations], dtype=np.int64),
         length=np.array([loc.length for loc in locations], dtype=np.int64),
@@ -144,10 +144,10 @@ class TestIOEngineSubmission:
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
         batch = _batch(layout, [0, 1])
-        batch.device_index[1] = 5
+        batch.device_index = 5
         with pytest.raises(IndexError):
             engine.submit_row_reads_batch(batch, 0.0)
-        # Rejected before anything was submitted, the valid first IO included.
+        # Rejected before anything was submitted.
         assert engine.stats.ios_submitted == 0
         assert engine.devices[0].stats.reads == 0
 
@@ -288,10 +288,11 @@ class TestBatchedSubmissionParity:
 
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
-        batch = _batch(layout, [0])
-        batch.device_index[0] = 5
-        with pytest.raises(IndexError):
-            engine.submit_row_reads_batch(batch, 0.0)
+        for bad_index in (5, -1):
+            batch = _batch(layout, [0])
+            batch.device_index = bad_index
+            with pytest.raises(IndexError):
+                engine.submit_row_reads_batch(batch, 0.0)
 
     def test_invalid_range_rejected(self):
         engine, layout = _engine()
@@ -300,6 +301,79 @@ class TestBatchedSubmissionParity:
         batch.length[0] = 128
         with pytest.raises(ValueError):
             engine.submit_row_reads_batch(batch, 0.0)
+
+
+def _engine_state(engine):
+    """Everything a submission may move, as comparable data."""
+    return repr(
+        (
+            engine.stats,
+            engine._outstanding_per_device,
+            engine._outstanding_per_table,
+            [
+                (device.stats, device.channel_free.tolist(), device.rng.bit_generator.state)
+                for device in engine.devices
+            ],
+        )
+    )
+
+
+class TestRejectedBatchLeavesNoTrace:
+    """Validate first, touch state second: a rejected batch moves nothing --
+    no counter, no pool (not even an empty one for a new table), no channel,
+    no tail-latency draw."""
+
+    @staticmethod
+    def _used_engine():
+        config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=2)
+        engine, layout = _engine(config, num_devices=2)
+        _submit(engine, layout, range(24))  # pools, channels and the RNG have moved
+        return engine, layout
+
+    def _assert_rejected(self, engine, batch, start, error):
+        before = _engine_state(engine)
+        with pytest.raises(error):
+            engine.submit_row_reads_batch(batch, start)
+        assert _engine_state(engine) == before
+
+    @pytest.mark.parametrize("device_index", [2, -1])
+    def test_bad_device_index(self, device_index):
+        engine, layout = self._used_engine()
+        batch = _batch(layout, range(8))
+        batch.device_index = device_index
+        self._assert_rejected(engine, batch, 0.0, IndexError)
+
+    @pytest.mark.parametrize("lba", [-1, 1 << 40])
+    def test_out_of_range_lba(self, lba):
+        engine, layout = self._used_engine()
+        batch = _batch(layout, range(8))
+        batch.table_name = "never-seen"
+        batch.lba[5] = lba  # the IOs before it are fine
+        self._assert_rejected(engine, batch, 0.0, IndexError)
+
+    @pytest.mark.parametrize(
+        "offset, length", [(BLOCK_SIZE - 4, 128), (-8, 128), (0, 0), (0, BLOCK_SIZE + 1)]
+    )
+    def test_out_of_block_range(self, offset, length):
+        engine, layout = self._used_engine()
+        batch = _batch(layout, range(8))
+        batch.table_name = "never-seen"
+        batch.offset[7], batch.length[7] = offset, length
+        self._assert_rejected(engine, batch, 0.0, ValueError)
+
+    def test_negative_start_time(self):
+        engine, layout = self._used_engine()
+        batch = _batch(layout, range(8))
+        before = _engine_state(engine)
+        with pytest.raises(ValueError, match="start_time"):
+            engine.submit_row_reads_batch(batch, -1e-9)
+        assert _engine_state(engine) == before
+
+    def test_the_same_batch_is_accepted_once_valid(self):
+        engine, layout = self._used_engine()
+        before = _engine_state(engine)
+        engine.submit_row_reads_batch(_batch(layout, range(8)), 0.0)
+        assert _engine_state(engine) != before
 
 
 class TestGateEdgeCases:
@@ -346,6 +420,26 @@ class TestGateEdgeCases:
         submits, engine = self._gated_submits(config, range(16), batched)
         assert engine.stats.throttled_submissions > 0
         assert submits == sorted(submits)
+
+    def test_both_gates_active_on_a_long_batch_with_ties(self):
+        """200 IOs through a device limit of 4 and a table limit of 2: one
+        batch equals 200 one-entry batches, completion-time ties included."""
+        config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=2)
+        rows = [row % 50 for row in range(200)]
+        batched, batched_layout = _engine(config)
+        single, single_layout = _engine(config)
+        tied = 0
+        for wave in range(2):  # the second wave starts against full pools
+            batch = _submit(batched, batched_layout, rows, wave * 1e-6)
+            submits, completions = _submit_one_by_one(single, single_layout, rows, wave * 1e-6)
+            assert batch.submit_time.tolist() == submits
+            assert batch.completion_time.tolist() == completions
+            tied += len(completions) - len(set(completions))
+        # Some IOs completed at the same instant, and more waits were
+        # counted than IOs submitted: both gates held submissions back.
+        assert tied > 0
+        assert 2 * 200 < batched.stats.throttled_submissions < 2 * 2 * 200
+        assert _engine_state(single) == _engine_state(batched)
 
     def test_throttled_counting_identical_between_gates(self):
         config = IOEngineConfig(max_outstanding_per_device=3, max_outstanding_per_table=2)
