@@ -151,14 +151,18 @@ class SoALRUCache(RowCache):
         self.per_item_overhead_bytes = per_item_overhead_bytes
         self.lookup_cpu_seconds = lookup_cpu_seconds
         self.insert_cpu_seconds = insert_cpu_seconds
-        # Table ids survive clear(): they name tables, not cached state.
-        self._table_ids: Dict[str, int] = {}
-        self._table_names: List[str] = []
         self._drop_entries()
 
     # ------------------------------------------------------------- internals
     def _drop_entries(self) -> None:
-        """(Re)initialise all cached state; counters are left alone."""
+        """(Re)initialise all cached state; counters are left alone.
+
+        Table ids go too: they are handed out in first-seen order, so a
+        cleared cache that kept them would number the next run's tables
+        differently from a freshly built one.
+        """
+        self._table_ids: Dict[str, int] = {}
+        self._table_names: List[str] = []
         self._slots = _IdAllocator()
         self._slot_len = np.zeros(0, dtype=np.int64)
         self._slot_row = np.zeros(0, dtype=np.int64)
@@ -166,7 +170,7 @@ class SoALRUCache(RowCache):
         self._slot_stored = np.zeros(0, dtype=np.int64)
         self._slot_stamp = np.zeros(0, dtype=np.int64)
         self._pools: Dict[int, _RowPool] = {}
-        self._indexes: List[np.ndarray] = [_EMPTY_IDS for _ in self._table_names]
+        self._indexes: List[np.ndarray] = []
         # Keys outside the (table, stored >= 0) shape: key <-> slot.
         self._other_slot: Dict[CacheKey, int] = {}
         self._other_key: Dict[int, CacheKey] = {}

@@ -174,6 +174,7 @@ class PooledEmbeddingCache:
 
     def reset_stats(self) -> None:
         self.stats = PooledCacheStats()
+        self._cache.reset_stats()
 
 
 # ---------------------------------------------------------------------------

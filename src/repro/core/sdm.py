@@ -17,7 +17,7 @@ is hidden behind the item-side work (Equation 3 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -151,6 +151,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         self.stats = SDMStats()
         self._sm_tables: Dict[str, _SMTable] = {}
         self._load_sm_tables()
+        # The load is counted on the devices (writes, bytes_written); these
+        # as-loaded counters are what restore_pristine() puts back.
+        self._loaded_device_stats = [replace(device.stats) for device in self.devices]
         self._resolve_fast_segments()
 
         self.chain = TierChain(
@@ -523,6 +526,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         """
         self.clear_caches()
         self.reset_stats()
+        for device, loaded in zip(self.devices, self._loaded_device_stats):
+            device.stats = replace(loaded)
         self.reset_queues()
         self.chain.reset_rng()
         self.set_trace_recorder(NULL_RECORDER)

@@ -16,7 +16,7 @@ from repro.dlrm.quantization import (
     quantize_rows,
     quantized_row_bytes,
 )
-from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec
+from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec, pool_bags
 from repro.dlrm.pruning import PrunedEmbeddingTable, prune_table
 from repro.dlrm.mlp import MLP
 from repro.dlrm.interaction import concat_interaction, dot_interaction
@@ -47,6 +47,7 @@ __all__ = [
     "quantized_row_bytes",
     "EmbeddingTable",
     "EmbeddingTableSpec",
+    "pool_bags",
     "PrunedEmbeddingTable",
     "prune_table",
     "MLP",

@@ -7,9 +7,10 @@ real data whether it came from DRAM, the FM row cache, or a simulated SSD.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, replace
-from itertools import chain
-from typing import Iterable, Sequence
+from itertools import accumulate, chain
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -131,11 +132,32 @@ class EmbeddingTable:
 
     # -------------------------------------------------------------- lookups
     def _check_indices(self, indices: Sequence[int]) -> np.ndarray:
-        if not isinstance(indices, (np.ndarray, range)):
+        """``indices`` as a bounds-checked int64 vector.
+
+        The one check every lookup goes through (``bag``, ``lookup_raw`` and
+        :func:`pool_bags`), so nothing is coerced silently: floats would
+        truncate, booleans would read rows 0 and 1, and a nested list would
+        fail far from here.
+        """
+        if not isinstance(indices, (np.ndarray, list, tuple, range)):
             indices = list(indices)
-        idx = np.asarray(indices, dtype=np.int64)
+        try:
+            idx = np.asarray(indices)
+        except ValueError:  # ragged nesting
+            raise ValueError(
+                f"table {self.spec.name!r}: indices must be one-dimensional"
+            ) from None
         if idx.size == 0:
             raise ValueError(f"table {self.spec.name!r}: lookup needs at least one index")
+        if idx.dtype.kind not in "iu":
+            raise TypeError(
+                f"table {self.spec.name!r}: indices must be integers, got dtype {idx.dtype}"
+            )
+        if idx.ndim != 1:
+            raise ValueError(
+                f"table {self.spec.name!r}: indices must be one-dimensional, got shape {idx.shape}"
+            )
+        idx = idx.astype(np.int64, copy=False)
         if idx.min() < 0 or idx.max() >= self.spec.num_rows:
             raise IndexError(
                 f"table {self.spec.name!r}: indices out of range [0, {self.spec.num_rows})"
@@ -164,44 +186,10 @@ class EmbeddingTable:
     def bag_batch(self, bags: Sequence[Sequence[int]]) -> np.ndarray:
         """Sum-pooled dense vectors of several bags, shape ``(len(bags), dim)``.
 
-        Row ``b`` is bit-identical to ``bag(bags[b])`` at the cost of one
-        bounds check, one gather and one dequantisation for the whole batch.
-        ``bag`` adds a bag's rows left to right, ``((r0 + r1) + r2) + ...``,
-        and float addition does not reassociate (``np.add.reduceat`` differs
-        in the last bit for bags of three or more rows).  So the rows are
-        gathered step-major — the k-th row of every bag longer than k, bags
-        ordered longest first so that each step is a contiguous prefix of
-        the accumulator — and added one step at a time.
+        The one-table call of :func:`pool_bags`: row ``b`` is bit-identical
+        to ``bag(bags[b])``.
         """
-        num_bags = len(bags)
-        lengths = np.fromiter(map(len, bags), dtype=np.int64, count=num_bags)
-        if not lengths.all():
-            raise ValueError(f"table {self.spec.name!r}: lookup needs at least one index")
-        flat = self._check_indices(
-            np.fromiter(chain.from_iterable(bags), dtype=np.int64, count=int(lengths.sum()))
-        )
-
-        # rank[b] = position of bag b when bags are ordered longest first.
-        rank = np.argsort(np.argsort(-lengths, kind="stable"))
-        # step_size[k] bags are longer than k; their k-th rows sit at
-        # step_start[k] + rank in the step-major gather.
-        step_size = num_bags - np.bincount(lengths).cumsum()[:-1]
-        step_start = step_size.cumsum() - step_size
-        bag_start = lengths.cumsum() - lengths
-        step_of_row = np.arange(flat.size) - np.repeat(bag_start, lengths)
-        step_major = np.empty_like(flat)
-        step_major[step_start[step_of_row] + np.repeat(rank, lengths)] = flat
-
-        dense = dequantize_rows(self.data[step_major], self.spec.dim, self.spec.quant_bits)
-        pooled = dense[:num_bags].copy()
-        for start, size in zip(step_start[1:].tolist(), step_size[1:].tolist()):
-            pooled[:size] += dense[start : start + size]
-        return pooled[rank]
-
-    def iter_row_bytes(self) -> Iterable[bytes]:
-        """Iterate serialized rows in index order (used when loading to SM)."""
-        for row in self.data:
-            yield row.tobytes()
+        return pool_bags([self], [bags])[0][0]
 
     @property
     def size_bytes(self) -> int:
@@ -212,3 +200,87 @@ class EmbeddingTable:
             f"EmbeddingTable(name={self.spec.name!r}, rows={self.spec.num_rows}, "
             f"dim={self.spec.dim}, bits={self.spec.quant_bits})"
         )
+
+
+def pool_bags(
+    tables: Sequence[EmbeddingTable],
+    bags_per_table: Sequence[Sequence[Sequence[int]]],
+) -> Tuple[List[np.ndarray], np.ndarray]:
+    """Sum-pool every bag of every table in one pass.
+
+    ``bags_per_table[t]`` holds the bags (index lists or arrays) looked up in
+    ``tables[t]``; tables may differ in width, ``quant_bits`` and bag count.
+    Returns ``(pooled, lengths)``: ``pooled[t]`` is the ``(bags, dim)``
+    float32 matrix of table ``t`` — row ``b`` bit-identical to
+    ``tables[t].bag(bags_per_table[t][b])`` — and ``lengths`` the int64 row
+    count of every bag, table by table.
+
+    ``bag`` adds a bag's rows left to right, ``((r0 + r1) + r2) + ...``, and
+    float addition does not reassociate (``np.add.reduceat`` differs in the
+    last bit for bags of three or more rows).  So the rows of *all* bags are
+    laid out step-major — the k-th row of every bag longer than k, bags
+    ordered longest first so that each step is a contiguous prefix of the
+    accumulator — and added one step at a time; a bag's sum never mixes with
+    another bag's.  Each table pays one bounds check and one gather, and its
+    rows are scattered into one byte buffer as wide as the widest row, which
+    is dequantised once per ``quant_bits`` at that group's widest ``dim``.
+    The columns past a narrower table's own ``dim`` hold padding that no
+    returned matrix includes.
+    """
+    if len(tables) != len(bags_per_table):
+        raise ValueError(f"{len(tables)} tables but {len(bags_per_table)} bag lists")
+    bag_bounds = list(accumulate(map(len, bags_per_table), initial=0))
+    num_bags = bag_bounds[-1]
+    lengths = np.fromiter(
+        map(len, chain.from_iterable(bags_per_table)), dtype=np.int64, count=num_bags
+    )
+    if not tables:
+        return [], lengths
+    if not lengths.all():
+        table = tables[bisect_right(bag_bounds, int(np.argmin(lengths))) - 1]
+        raise ValueError(f"table {table.spec.name!r}: lookup needs at least one index")
+
+    # rank[b] = position of bag b when bags are ordered longest first.
+    rank = np.empty(num_bags, dtype=np.int64)
+    rank[np.argsort(-lengths, kind="stable")] = np.arange(num_bags)
+    # step_size[k] bags are longer than k; their k-th rows sit at
+    # step_start[k] + rank in the step-major layout.
+    step_size = num_bags - np.bincount(lengths).cumsum()[:-1]
+    step_start = step_size.cumsum() - step_size
+    bag_start = lengths.cumsum() - lengths
+    num_rows = int(lengths.sum())
+    step_of_row = np.arange(num_rows) - np.repeat(bag_start, lengths)
+    destination = step_start[step_of_row] + np.repeat(rank, lengths)
+
+    buffer = np.empty((num_rows, max(table.spec.row_bytes for table in tables)), dtype=np.uint8)
+    row_bounds = np.append(bag_start, num_rows)[bag_bounds].tolist()
+    group_dim: Dict[int, int] = {}  # quant_bits -> widest dim
+    group_rows: Dict[int, List[np.ndarray]] = {}  # quant_bits -> buffer rows, per table
+    for position, (table, bags) in enumerate(zip(tables, bags_per_table)):
+        flat = table._check_indices(list(chain.from_iterable(bags)))
+        rows = destination[row_bounds[position] : row_bounds[position + 1]]
+        buffer[rows, : table.spec.row_bytes] = table.data.take(flat, axis=0)
+        bits = table.spec.quant_bits
+        group_dim[bits] = max(group_dim.get(bits, 0), table.spec.dim)
+        group_rows.setdefault(bits, []).append(rows)
+
+    if len(group_dim) == 1:
+        ((bits, dim),) = group_dim.items()
+        dense = dequantize_rows(buffer[:, : quantized_row_bytes(dim, bits)], dim, bits)
+    else:
+        # Zero-filled: the step loop adds up a narrower group's pad columns.
+        dense = np.zeros((num_rows, max(group_dim.values())), dtype=np.float32)
+        for bits, dim in group_dim.items():
+            rows = np.concatenate(group_rows[bits])
+            dense[rows, :dim] = dequantize_rows(
+                buffer[rows, : quantized_row_bytes(dim, bits)], dim, bits
+            )
+
+    pooled = dense[:num_bags]
+    for start, size in zip(step_start[1:].tolist(), step_size[1:].tolist()):
+        pooled[:size] += dense[start : start + size]
+    ordered = pooled.take(rank, axis=0)
+    return [
+        ordered[bag_bounds[position] : bag_bounds[position + 1], : table.spec.dim]
+        for position, table in enumerate(tables)
+    ], lengths

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dlrm.embedding import EmbeddingTable
+from repro.dlrm.embedding import EmbeddingTable, pool_bags
 from repro.dlrm.model import DLRMModel
 
 
@@ -58,7 +58,11 @@ class ComputeSpec:
         return flops / self.flops_per_second
 
     def embedding_read_time(self, num_lookups: int, row_bytes: int) -> float:
-        """Time to read + dequantise + pool ``num_lookups`` rows from FM."""
+        """Time to read + dequantise + pool ``num_lookups`` rows from FM.
+
+        Elementwise over arrays: the batched DRAM backend passes a
+        ``(tables, B)`` lookup matrix and a ``(tables, 1)`` row-size column.
+        """
         total_bytes = num_lookups * row_bytes
         return (
             num_lookups * self.per_lookup_overhead
@@ -205,19 +209,26 @@ class InMemoryBackend(EmbeddingBackend):
         requests: Mapping[str, Sequence[Sequence[int]]],
         start_time: float,
     ) -> Tuple[Dict[str, np.ndarray], float]:
-        pooled: Dict[str, np.ndarray] = {}
-        elapsed = np.zeros(_batch_size(requests))
-        for table_name, bags in requests.items():
+        batch = _batch_size(requests)
+        if not requests:
+            return {}, float(start_time)
+        tables: List[EmbeddingTable] = []
+        for table_name in requests:
             if table_name not in self.tables:
                 raise KeyError(f"backend has no table {table_name!r}")
-            table = self.tables[table_name]
-            pooled[table_name] = table.bag_batch(bags)
-            lookups = np.fromiter(map(len, bags), dtype=np.int64, count=len(bags))
-            elapsed += self.compute.embedding_read_time(lookups, table.spec.row_bytes)
+            tables.append(self.tables[table_name])
+        pooled, lengths = pool_bags(tables, list(requests.values()))
+        # One (tables, B) matrix of read times, summed table by table in the
+        # order the per-sample loop adds them.
+        read_times = self.compute.embedding_read_time(
+            lengths.reshape(len(tables), batch),
+            np.array([[table.spec.row_bytes] for table in tables]),
+        )
+        elapsed = np.add.accumulate(read_times, axis=0)[-1]
         # Sample b + 1 starts when sample b completes: replay that chain of
         # float additions left to right so the completion time is bit-equal.
         cursor = np.add.accumulate(np.concatenate(([start_time], elapsed)))[-1]
-        return pooled, float(cursor)
+        return dict(zip(requests, pooled)), float(cursor)
 
 
 class InferenceEngine:

@@ -46,14 +46,22 @@ class MLP:
         return self.layer_sizes[-1]
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Run the network on a ``(batch, input_dim)`` or ``(input_dim,)`` array."""
+        """Run the network on an ``(input_dim,)``, ``(batch, input_dim)`` or
+        stacked ``(batch, 1, input_dim)`` array.
+
+        The last axis is the input; ``@`` broadcasts over the axes before the
+        last two, so the stacked form is ``batch`` independent one-row
+        products per layer — row ``b`` bit-identical to ``forward(x[b])`` —
+        where the ``(batch, input_dim)`` form is one GEMM whose rows round
+        differently.
+        """
         out = np.asarray(x, dtype=np.float32)
         squeeze = out.ndim == 1
         if squeeze:
             out = out[None, :]
-        if out.shape[1] != self.input_dim:
+        if out.shape[-1] != self.input_dim:
             raise ValueError(
-                f"MLP {self.name!r} expects input dim {self.input_dim}, got {out.shape[1]}"
+                f"MLP {self.name!r} expects input dim {self.input_dim}, got {out.shape[-1]}"
             )
         for index, (weight, bias) in enumerate(zip(self.weights, self.biases)):
             out = out @ weight + bias

@@ -118,9 +118,11 @@ class DLRMModel:
         they must cover every model table.  Element ``b`` is bit-identical to
         ``score(dense_features, {**user_pooled, table: item_pooled[table][b]})``:
         the bottom MLP runs once, the interaction rows are assembled as one
-        ``(B, top_in)`` matrix, and the top MLP still runs row by row — a
-        ``(B, D) @ W`` product rounds differently from ``B`` ``(1, D) @ W``
-        products and would make a score depend on its batch neighbours.
+        ``(B, top_in)`` matrix, and the top MLP runs on its stacked view
+        ``(B, 1, top_in)`` — one call per layer that ``@`` broadcasts into
+        ``B`` independent ``(1, D) @ W`` products, the kernel ``score`` runs.
+        The plain ``(B, D) @ W`` product is one GEMM that rounds differently
+        and would make a score depend on its batch neighbours.
         """
         missing = [
             name for name in self.tables if name not in user_pooled and name not in item_pooled
@@ -139,7 +141,7 @@ class DLRMModel:
             source = item_pooled[name] if name in item_pooled else user_pooled[name]
             interacted[:, column : column + table.spec.dim] = source
             column += table.spec.dim
-        return np.array([self.top_mlp.forward(row)[0] for row in interacted], dtype=np.float32)
+        return self.top_mlp.forward(interacted[:, None, :])[:, 0, 0]
 
     def forward(
         self,

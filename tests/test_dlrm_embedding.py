@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dlrm import EmbeddingTable, EmbeddingTableSpec, dequantize_rows
+from repro.dlrm import EmbeddingTable, EmbeddingTableSpec, dequantize_rows, pool_bags
 
 
 def _spec(**kwargs):
@@ -147,12 +147,32 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError):
             table.bag_batch([])
 
-    def test_iter_row_bytes_covers_all_rows(self):
-        spec = _spec(num_rows=6, dim=4)
-        table = EmbeddingTable.random(spec, seed=0)
-        rows = list(table.iter_row_bytes())
-        assert len(rows) == 6
-        assert all(len(row) == spec.row_bytes for row in rows)
+    @pytest.mark.parametrize(
+        "indices, error",
+        [
+            ([1.7, 2.2], TypeError),  # would truncate to rows 1 and 2
+            ([True, False], TypeError),  # would read rows 1 and 0
+            (np.array([1.0, 2.0]), TypeError),
+            ([[1, 2], [3, 0]], ValueError),  # not one-dimensional
+        ],
+    )
+    def test_indices_are_never_coerced(self, indices, error):
+        table = EmbeddingTable.random(_spec(num_rows=4, name="strict"), seed=0)
+        for lookup in (table.bag, table.lookup_raw, table.lookup_dense):
+            with pytest.raises(error, match="table 'strict'"):
+                lookup(indices)
+        for pool in (table.bag_batch, lambda bags: pool_bags([table], [bags])):
+            with pytest.raises(error, match="table 'strict'"):
+                pool([indices, indices])
+        with pytest.raises((TypeError, ValueError), match="table 'strict'"):
+            table.bag_batch([[0, 1], [1.7, 2.2], [[1, 2], [3, 0]]])
+
+    def test_unsigned_and_narrow_integer_indices_accepted(self):
+        table = EmbeddingTable.random(_spec(num_rows=8, dim=4), seed=0)
+        for dtype in (np.uint8, np.int32, np.uint64):
+            np.testing.assert_array_equal(
+                table.bag(np.array([1, 7], dtype=dtype)), table.bag([1, 7])
+            )
 
     def test_data_is_a_read_only_view_of_the_callers_array(self):
         spec = _spec(num_rows=6, dim=4)
@@ -172,7 +192,6 @@ class TestEmbeddingTable:
         np.testing.assert_array_equal(
             table.bag_batch([[0, 1], [5]]), [table.bag([0, 1]), table.bag([5])]
         )
-        assert list(table.iter_row_bytes()) == [row.tobytes() for row in raw]
 
     def test_size_bytes_matches_spec(self):
         spec = _spec(num_rows=10, dim=8)
@@ -188,3 +207,100 @@ class TestEmbeddingTable:
 
     def test_repr_mentions_name(self):
         assert "t" in repr(EmbeddingTable.random(_spec(), seed=0))
+
+
+def _mixed_tables():
+    """Widths, quantisation widths (an odd 4-bit dim included) and row counts all differ."""
+    shapes = [("a", 64, 16, 8), ("b", 48, 12, 4), ("c", 32, 21, 8), ("d", 40, 7, 4), ("e", 64, 16, 8)]
+    return [
+        EmbeddingTable.random(_spec(name=name, num_rows=rows, dim=dim, quant_bits=bits), seed=3)
+        for name, rows, dim, bits in shapes
+    ]
+
+
+def _ragged_bags(rng, table, num_bags, as_array=False):
+    """Bags of 1-40 rows: longer than most tables here, so rows repeat inside a bag."""
+    bags = [
+        rng.integers(0, table.spec.num_rows, size=rng.integers(1, 41)) for _ in range(num_bags)
+    ]
+    return bags if as_array else [bag.tolist() for bag in bags]
+
+
+def _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths):
+    assert len(pooled) == len(tables)
+    assert lengths.dtype == np.int64
+    assert lengths.tolist() == [len(bag) for bags in bags_per_table for bag in bags]
+    for table, bags, matrix in zip(tables, bags_per_table, pooled):
+        assert matrix.dtype == np.float32
+        assert matrix.shape == (len(bags), table.spec.dim)
+        for row, bag in zip(matrix, bags):
+            assert np.array_equal(row, table.bag(bag))
+
+
+class TestPoolBags:
+    @pytest.mark.parametrize("num_bags", [1, 16])
+    def test_mixed_widths_and_quant_bits_equal_bag_bit_for_bit(self, num_bags):
+        tables = _mixed_tables()
+        rng = np.random.default_rng(num_bags)
+        for _ in range(10):
+            bags_per_table = [_ragged_bags(rng, table, num_bags) for table in tables]
+            bags_per_table[0][0] = [5] * len(bags_per_table[0][0])
+            pooled, lengths = pool_bags(tables, bags_per_table)
+            _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
+
+    @pytest.mark.parametrize("quant_bits", [4, 8])
+    def test_one_quant_width_with_mixed_dims(self, quant_bits):
+        # One dequantisation at the widest dim: the narrower tables ride
+        # along with pad columns that must not leak into their matrices.
+        tables = [
+            EmbeddingTable.random(
+                _spec(name=f"t{dim}", num_rows=64, dim=dim, quant_bits=quant_bits), seed=dim
+            )
+            for dim in (9, 32, 16, 31)
+        ]
+        rng = np.random.default_rng(quant_bits)
+        bags_per_table = [_ragged_bags(rng, table, 16) for table in tables]
+        pooled, lengths = pool_bags(tables, bags_per_table)
+        _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
+
+    def test_one_table_is_bag_batch(self):
+        (table,) = _mixed_tables()[:1]
+        bags = _ragged_bags(np.random.default_rng(0), table, 7)
+        pooled, lengths = pool_bags([table], [bags])
+        _assert_pooled_equals_bag([table], [bags], pooled, lengths)
+        assert np.array_equal(pooled[0], table.bag_batch(bags))
+
+    def test_tables_may_differ_in_bag_count(self):
+        tables = _mixed_tables()
+        rng = np.random.default_rng(1)
+        bags_per_table = [
+            _ragged_bags(rng, table, count) for table, count in zip(tables, (3, 1, 16, 2, 5))
+        ]
+        pooled, lengths = pool_bags(tables, bags_per_table)
+        _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
+
+    def test_array_bags_equal_list_bags(self):
+        tables = _mixed_tables()
+        arrays = [_ragged_bags(np.random.default_rng(2), table, 4, as_array=True) for table in tables]
+        lists = [[bag.tolist() for bag in bags] for bags in arrays]
+        from_arrays, lengths = pool_bags(tables, arrays)
+        _assert_pooled_equals_bag(tables, lists, from_arrays, lengths)
+        for left, right in zip(from_arrays, pool_bags(tables, lists)[0]):
+            assert np.array_equal(left, right)
+
+    def test_no_tables_pool_to_nothing(self):
+        pooled, lengths = pool_bags([], [])
+        assert pooled == [] and lengths.size == 0
+
+    def test_error_paths_name_the_table(self):
+        tables = _mixed_tables()[:2]
+        with pytest.raises(ValueError, match="table 'b': lookup needs at least one index"):
+            pool_bags(tables, [[[0], [1]], [[2], []]])
+        with pytest.raises(ValueError, match="table 'a': lookup needs at least one index"):
+            pool_bags(tables, [[], [[2]]])
+        with pytest.raises(IndexError, match=r"table 'b': indices out of range \[0, 48\)"):
+            pool_bags(tables, [[[63]], [[48]]])
+        with pytest.raises(IndexError, match="table 'a'"):
+            pool_bags(tables, [[[0, -1]], [[0]]])
+        with pytest.raises(ValueError, match="2 tables but 1 bag lists"):
+            pool_bags(tables, [[[0]]])

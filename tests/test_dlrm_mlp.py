@@ -17,6 +17,22 @@ class TestMLP:
         out = mlp.forward(np.zeros((5, 8), dtype=np.float32))
         assert out.shape == (5, 4)
 
+    def test_stacked_rows_equal_single_rows_bit_for_bit(self):
+        # (batch, 1, dim) is `batch` independent one-row products per layer;
+        # biases are made non-zero so the broadcast add is exercised too.
+        mlp = MLP([96, 32, 32, 3], seed=2)
+        rng = np.random.default_rng(0)
+        for bias in mlp.biases:
+            bias[:] = rng.normal(0, 0.1, size=bias.shape)
+        for scale in (0.01, 1.0, 100.0):
+            x = (rng.normal(size=(16, 96)) * scale).astype(np.float32)
+            stacked = mlp.forward(x[:, None, :])
+            assert stacked.shape == (16, 1, 3)
+            for row, out in zip(x, stacked):
+                assert np.array_equal(out[0], mlp.forward(row))
+        with pytest.raises(ValueError):
+            mlp.forward(np.zeros((4, 1, 95), dtype=np.float32))
+
     def test_deterministic_given_seed(self):
         x = np.linspace(-1, 1, 8).astype(np.float32)
         a = MLP([8, 16, 2], seed=3).forward(x)

@@ -125,6 +125,27 @@ class TestDLRMForward:
                 pooled.update({name: matrix[position] for name, matrix in item_pooled.items()})
                 assert scores[position] == np.float32(model.score(dense, pooled))
 
+    def test_score_is_independent_of_batch_neighbours(self):
+        # The stacked top MLP must give a candidate the same bits alone, in a
+        # batch of 16, and wherever in that batch it sits.
+        model = small_model(num_user=2, num_item=2, seed=5)
+        rng = np.random.default_rng(1)
+        dense = rng.normal(size=model.dense_dim).astype(np.float32)
+        user_pooled = {
+            spec.name: model.table(spec.name).bag([4, 5]) for spec in model.user_table_specs
+        }
+        bags = rng.integers(0, 256, size=(16, 6)).tolist()
+        item_pooled = {
+            spec.name: model.table(spec.name).bag_batch(bags) for spec in model.item_table_specs
+        }
+        scores = model.score_batch(dense, user_pooled, item_pooled)
+        for position in range(16):
+            alone = {name: matrix[position : position + 1] for name, matrix in item_pooled.items()}
+            assert model.score_batch(dense, user_pooled, alone)[0] == scores[position]
+        order = rng.permutation(16)
+        shuffled = {name: matrix[order] for name, matrix in item_pooled.items()}
+        assert np.array_equal(model.score_batch(dense, user_pooled, shuffled), scores[order])
+
     def test_score_batch_item_side_wins_for_a_table_in_both(self):
         model = small_model()
         dense = np.ones(model.dense_dim, dtype=np.float32)

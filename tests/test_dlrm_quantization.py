@@ -74,6 +74,21 @@ class TestQuantizeDequantize:
             single = dequantize_row(quantized[row].tobytes(), dim=24)
             np.testing.assert_allclose(single, batch[row], rtol=1e-6)
 
+    @pytest.mark.parametrize("bits, dim", [(8, 24), (8, 1), (4, 24), (4, 7), (4, 1)])
+    def test_rows_equal_single_row_bit_for_bit(self, bits, dim):
+        rng = np.random.default_rng(dim)
+        quantized = quantize_rows(rng.normal(0, 1, size=(9, dim)).astype(np.float32), bits=bits)
+        batch = dequantize_rows(quantized, dim=dim, bits=bits)
+        assert batch.dtype == np.float32 and batch.shape == (9, dim)
+        assert batch.flags.c_contiguous and batch.flags.writeable
+        for row in range(9):
+            assert np.array_equal(batch[row], dequantize_row(quantized[row], dim=dim, bits=bits))
+        # The input is only read, and may be read-only (EmbeddingTable.data is).
+        before = quantized.copy()
+        quantized.setflags(write=False)
+        assert np.array_equal(dequantize_rows(quantized, dim=dim, bits=bits), batch)
+        assert np.array_equal(quantized, before)
+
     def test_output_shape_and_dtype(self):
         values = np.zeros((5, 10), dtype=np.float32)
         quantized = quantize_rows(values)
