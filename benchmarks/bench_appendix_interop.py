@@ -8,7 +8,7 @@ across tables; the paper observed ~20% lower latency per query and hence
 from repro.analysis import format_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, M1_SPEC, build_scaled_model
-from repro.serving import ServingSimulator
+from repro.serving import ServingEngine
 from repro.sim.units import KIB
 from repro.workload import QueryGenerator, WorkloadConfig
 
@@ -33,7 +33,7 @@ def _run(inter_op: bool):
     queries = QueryGenerator(
         model, WorkloadConfig(item_batch=2, num_users=300, user_reuse_probability=0.4), seed=1
     ).generate(NUM_QUERIES)
-    result = ServingSimulator(engine).run(queries, warmup_queries=10)
+    result = ServingEngine(engine).run_closed_loop(queries, warmup_queries=10)
     return result.mean_latency, result.achieved_qps
 
 

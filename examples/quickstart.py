@@ -49,7 +49,7 @@ def main() -> None:
           f"{format_bytes(model.embedding_size_bytes)} of embeddings")
 
     sdm = session.backend
-    print(f"placement: {len(sdm.placement.sm_tables())} tables on SM "
+    print(f"placement: {len(sdm.placement.storage_tables())} tables on SM "
           f"({format_bytes(sdm.sm_footprint_bytes())}), "
           f"FM footprint {format_bytes(sdm.fm_footprint_bytes())}")
 

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 from repro.analysis import format_table
 from repro.core import AutoTuner, PlacementPolicy, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, M2_SPEC, build_scaled_model
-from repro.serving import LatencyTarget, ServingSimulator
+from repro.serving import LatencyTarget, ServingEngine
 from repro.sim.units import KIB, MIB, MILLISECOND
 from repro.storage import Technology
 from repro.workload import QueryGenerator, WorkloadConfig
@@ -34,7 +34,7 @@ def evaluate(config: SDMConfig) -> float:
     queries = QueryGenerator(
         model, WorkloadConfig(item_batch=4, num_users=200), seed=1
     ).generate(60)
-    result = ServingSimulator(engine).run(queries, warmup_queries=15)
+    result = ServingEngine(engine).run_closed_loop(queries, warmup_queries=15)
     return result.qps_at_latency(TARGET)
 
 

@@ -16,14 +16,14 @@ through Software Defined Memory" (ICDCS 2022).  The package is organised as:
 * :mod:`repro.hierarchy` -- the N-tier memory hierarchy: pluggable
   :class:`TierSpec`/:class:`MemoryTier` tiers, tiered placement (table- or
   row-range granularity) and the tier chain serving path.
-* :mod:`repro.core` -- the SDM stack itself: placement, bandwidth analysis,
-  pooled embedding cache, de-pruning/de-quantisation, warmup, model update,
-  auto-tuning and the :class:`~repro.core.sdm.SoftwareDefinedMemory` backend.
+* :mod:`repro.core` -- the SDM stack itself: Tuning API config, bandwidth
+  analysis, pooled embedding cache, de-pruning/de-quantisation, warmup,
+  model update, auto-tuning and the :class:`~repro.core.sdm.SoftwareDefinedMemory` backend.
 * :mod:`repro.workload` -- synthetic query/trace generation and locality
   analysis (Figures 4 and 5).
 * :mod:`repro.serving` -- platforms (Table 7), power/capacity planning
   (Eq. 5-7), scale-out, multi-tenancy, host-level serving simulation.
-* :mod:`repro.analysis` -- metrics and report formatting.
+* :mod:`repro.analysis` -- percentiles and report formatting.
 * :mod:`repro.obs` -- observability: sim-time span tracing (Chrome trace
   export), interval time-series metrics and run reports.
 
@@ -90,7 +90,7 @@ from repro.hierarchy import (
     compute_tiered_placement,
     parse_tiers,
 )
-from repro.serving import LatencyTarget, PowerModel, ServingEngine, ServingSimulator
+from repro.serving import LatencyTarget, PowerModel, ServingEngine
 from repro.workload import QueryGenerator, WorkloadConfig
 
 __version__ = "1.0.0"
@@ -145,7 +145,6 @@ __all__ = [
     "QueryGenerator",
     "WorkloadConfig",
     "ServingEngine",
-    "ServingSimulator",
     "LatencyTarget",
     "PowerModel",
     "format_table",

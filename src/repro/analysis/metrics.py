@@ -1,15 +1,15 @@
-"""Lightweight metric primitives.
+"""The percentile every experiment reports with (p95/p99 latency).
 
-The serving and SDM layers record latencies, hit rates and throughput through
-these classes so every experiment reports percentiles the same way the paper
-does (p95/p99 latency, steady-state hit rate).
+:func:`percentile` is what the serving layer calls.  :class:`RunningStat`
+and :class:`Histogram` have no caller in the package, the benchmarks or the
+examples; run-time counters and time series live in :mod:`repro.obs.metrics`.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -137,50 +137,3 @@ class Histogram:
             "p99": self.p99,
             "max": float(np.max(self._samples)),
         }
-
-
-@dataclass
-class MetricRegistry:
-    """A named collection of counters, gauges and histograms."""
-
-    counters: Dict[str, float] = field(default_factory=dict)
-    gauges: Dict[str, float] = field(default_factory=dict)
-    histograms: Dict[str, Histogram] = field(default_factory=dict)
-
-    def incr(self, name: str, value: float = 1.0) -> None:
-        self.counters[name] = self.counters.get(name, 0.0) + value
-
-    def set_gauge(self, name: str, value: float) -> None:
-        self.gauges[name] = float(value)
-
-    def observe(self, name: str, value: float) -> None:
-        if name not in self.histograms:
-            self.histograms[name] = Histogram(name)
-        self.histograms[name].add(value)
-
-    def counter(self, name: str) -> float:
-        return self.counters.get(name, 0.0)
-
-    def gauge(self, name: str, default: Optional[float] = None) -> float:
-        if name not in self.gauges:
-            if default is None:
-                raise KeyError(f"gauge {name!r} has not been set")
-            return default
-        return self.gauges[name]
-
-    def histogram(self, name: str) -> Histogram:
-        if name not in self.histograms:
-            raise KeyError(f"histogram {name!r} has no samples")
-        return self.histograms[name]
-
-    def ratio(self, numerator: str, denominator: str) -> float:
-        """Convenience for hit-rate style counters; 0 when denominator is 0."""
-        denom = self.counters.get(denominator, 0.0)
-        if denom == 0.0:
-            return 0.0
-        return self.counters.get(numerator, 0.0) / denom
-
-    def reset(self) -> None:
-        self.counters.clear()
-        self.gauges.clear()
-        self.histograms.clear()

@@ -27,8 +27,7 @@ import dataclasses
 import enum
 from typing import Any, Dict, Mapping, Type
 
-from repro.core.config import AccessPathKind, SDMConfig
-from repro.core.placement import PlacementPolicy
+from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
 from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend, InMemoryBackend
 from repro.dlrm.model import DLRMModel

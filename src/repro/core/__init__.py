@@ -10,7 +10,7 @@ and CPU work.  :class:`~repro.core.sdm.SoftwareDefinedMemory` implements the
 :class:`~repro.dlrm.inference.InferenceEngine` can serve a model through it.
 """
 
-from repro.core.config import AccessPathKind, SDMConfig
+from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
 from repro.core.bandwidth import (
     BandwidthRequirement,
     bytes_per_query,
@@ -18,13 +18,6 @@ from repro.core.bandwidth import (
     iops_requirement,
     sm_time_budget,
     table_bandwidth_summary,
-)
-from repro.core.placement import (
-    Placement,
-    PlacementPolicy,
-    TablePlacement,
-    Tier,
-    compute_placement,
 )
 from repro.core.pooled_cache import (
     PooledEmbeddingCache,
@@ -49,11 +42,7 @@ __all__ = [
     "iops_requirement",
     "sm_time_budget",
     "table_bandwidth_summary",
-    "Placement",
     "PlacementPolicy",
-    "TablePlacement",
-    "Tier",
-    "compute_placement",
     "PooledEmbeddingCache",
     "PooledCacheStats",
     "order_invariant_hash",

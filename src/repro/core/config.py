@@ -13,11 +13,27 @@ import enum
 from dataclasses import dataclass, field, replace
 from typing import Optional, Tuple
 
-from repro.core.placement import PlacementPolicy
 from repro.hierarchy.tier import PROMOTION_POLICIES, TierSpec, parse_tiers
 from repro.sim.units import MIB
 from repro.storage.io_engine import IOEngineConfig
 from repro.storage.spec import TABLE1_SPECS, Technology
+
+
+class PlacementPolicy(str, enum.Enum):
+    """Placement strategies from Table 5 of the paper (section 4.6).
+
+    Item tables always stay in fast memory; the policies differ in what
+    happens to the user tables.
+    """
+
+    #: Every user table on SM behind the FM row cache.
+    SM_ONLY_WITH_CACHE = "sm_only_with_cache"
+    #: ``dram_budget_bytes`` of FM homes the tables with the highest
+    #: bandwidth density (bytes/query per byte of capacity); the rest go to SM.
+    FIXED_FM_SM = "fixed_fm_sm"
+    #: Like SM-only, but tables with low temporal locality bypass the row
+    #: cache (caching them only pollutes it).
+    PER_TABLE_CACHE = "per_table_cache"
 
 
 class AccessPathKind(str, enum.Enum):
@@ -30,6 +46,21 @@ class AccessPathKind(str, enum.Enum):
 @dataclass(frozen=True)
 class SDMConfig:
     """Tuning parameters of one SDM deployment on one host.
+
+    There is one placement model: an ordered tier list, each tier with a
+    capacity, and :func:`~repro.hierarchy.placement.compute_tiered_placement`
+    homing the user tables with the highest bandwidth density on the fastest
+    tier with room.  The device fields, ``dram_budget_bytes`` and
+    ``placement_policy`` are a spelling of a two-tier ``tiers`` list, which
+    :meth:`resolved_tiers` writes out: a ``dram`` tier whose cache is
+    ``row_cache_capacity_bytes`` in front of one device tier of
+    ``num_devices`` x ``device_capacity_bytes``.  The Table 5 policies only
+    set the ``dram`` tier's capacity and the cache threshold:
+    ``sm_only_with_cache`` is capacity 0, ``fixed_fm_sm`` is capacity
+    ``dram_budget_bytes``, ``per_table_cache`` is capacity 0 plus
+    ``cache_disable_alpha_threshold``.  Nothing else moves between policies
+    -- tables are laid out on the devices in model order whatever the policy
+    -- so a policy comparison compares placements on the same host.
 
     Attributes
     ----------
@@ -45,8 +76,10 @@ class SDMConfig:
         is the paper's ``LenThreshold``: only requests with more indices are
         considered for pooled caching.
     placement_policy / dram_budget_bytes / pinned_fm_tables:
-        Placement strategy (section 4.6, Table 5).  ``pinned_fm_tables`` is the
-        "list of tables which should not be placed in SM" Tuning API.
+        Placement strategy (section 4.6, Table 5).  ``dram_budget_bytes`` is
+        read under ``fixed_fm_sm`` only.  ``pinned_fm_tables`` is the "list
+        of tables which should not be placed in SM" Tuning API; pinned tables
+        are not charged to the budget.
     cache_disable_alpha_threshold:
         For the PER_TABLE_CACHE policy: tables whose access-skew alpha is
         below this get the row cache disabled (low temporal locality).
@@ -61,22 +94,16 @@ class SDMConfig:
     tiers:
         Optional N-tier memory hierarchy (fastest first), e.g.
         ``"dram:64KiB,cxl:4MiB,nand:1GiB"`` or a list of
-        :class:`~repro.hierarchy.tier.TierSpec`/mapping entries.  ``None``
-        (the default) keeps the classic two-tier FM/SM stack built from
-        ``device_technology``/``num_devices``/``dram_budget_bytes`` — a
-        bit-identical special case of the tier chain.  When set, those
-        legacy device fields are ignored, and placement is
-        **capacity-driven**: the N-tier generalisation of FIXED_FM_SM,
-        greedily homing the highest-bandwidth-density tables on the fastest
-        tier with room.  ``placement_policy`` then only contributes the
-        PER_TABLE_CACHE cache-disable threshold; for SM-only semantics give
-        tier 0 a zero capacity (``"dram:0,..."``).
+        :class:`~repro.hierarchy.tier.TierSpec`/mapping entries.  When set,
+        the device fields and ``dram_budget_bytes`` are ignored and tier 0's
+        capacity is the FM placement budget; ``placement_policy`` then only
+        contributes the PER_TABLE_CACHE cache-disable threshold.
     promotion:
         Which upper-tier row caches a row read from a slower tier is
         promoted into: ``"all"`` (every cache above the home tier — the
         default, so configured device-tier caches actually fill; identical
         to ``"top"`` whenever only tier 0 has a cache, which includes every
-        legacy two-tier config), ``"top"`` (the fastest cache only), or
+        config without ``tiers``), ``"top"`` (the fastest cache only), or
         ``"none"``.
     split_rows:
         With ``tiers``: allow a table that straddles a tier budget boundary
@@ -116,14 +143,16 @@ class SDMConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        # The policy's string value is accepted too.
+        object.__setattr__(self, "placement_policy", PlacementPolicy(self.placement_policy))
         if self.tiers is not None:
             parsed = parse_tiers(self.tiers)
             if not parsed:
                 # An explicitly-set but empty hierarchy is a malformed
-                # config, not a request for the legacy two-tier default.
+                # config, not a request for the two-tier default.
                 raise ValueError(
                     "tiers was set but names no tiers; omit it (or pass None) "
-                    "for the legacy two-tier stack"
+                    "for the two-tier stack the device fields describe"
                 )
             object.__setattr__(self, "tiers", parsed)
         if self.promotion not in PROMOTION_POLICIES:
@@ -132,8 +161,8 @@ class SDMConfig:
             )
         if self.split_rows and self.tiers is None:
             raise ValueError(
-                "split_rows requires an explicit tiers hierarchy; the legacy "
-                "two-tier stack places whole tables only"
+                "split_rows requires an explicit tiers hierarchy; the device "
+                "fields describe a stack that places whole tables only"
             )
         if self.num_devices <= 0:
             raise ValueError(f"num_devices must be positive: {self.num_devices}")
@@ -167,10 +196,11 @@ class SDMConfig:
     def resolved_tiers(self) -> Tuple[TierSpec, ...]:
         """The tier geometry this config describes (fastest first).
 
-        With ``tiers`` set, that list verbatim; otherwise the classic
-        two-tier equivalent: a DRAM tier whose placement budget is
-        ``dram_budget_bytes`` and whose row cache is the unified cache,
-        plus one device tier built from the legacy device fields.
+        With ``tiers`` set, that list verbatim; otherwise the two-tier list
+        the device fields and the placement policy spell: a DRAM tier whose
+        placement budget is ``dram_budget_bytes`` under FIXED_FM_SM and 0
+        under the other policies, and whose row cache is the unified cache,
+        plus one device tier built from the device fields.
         """
         if self.tiers is not None:
             return self.tiers
@@ -182,7 +212,11 @@ class SDMConfig:
         return (
             TierSpec(
                 technology=Technology.DRAM,
-                capacity_bytes=self.dram_budget_bytes,
+                capacity_bytes=(
+                    self.dram_budget_bytes
+                    if self.placement_policy is PlacementPolicy.FIXED_FM_SM
+                    else 0
+                ),
                 cache_bytes=self.row_cache_capacity_bytes,
             ),
             TierSpec(

@@ -4,10 +4,9 @@
 across an ordered hierarchy of memory tiers (:mod:`repro.hierarchy`) and
 serves row lookups through the tier chain: probe the row caches of faster
 tiers, miss down to the row's home tier, promote on a configurable policy.
-The classic configuration — one fast-memory tier with the unified row cache
-in front of one SM device technology — is the two-tier special case and is
-bit-identical to the original hard-coded FM-cache-then-SM path.  Requests
-can optionally short-circuit through the pooled embedding cache
+The paper's host — one fast-memory tier with the unified row cache in front
+of one SM device technology — is the two-tier hierarchy.  Requests can
+optionally short-circuit through the pooled embedding cache
 (Algorithm 1), and the fast-memory and CPU costs of every choice are
 accounted.  It implements :class:`~repro.dlrm.inference.EmbeddingBackend`,
 so an :class:`~repro.dlrm.inference.InferenceEngine` can serve queries
@@ -23,10 +22,9 @@ from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
-from repro.core.config import AccessPathKind, SDMConfig
+from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
 from repro.core.depruning import deprune_table
 from repro.core.dequantization import dequantize_table
-from repro.core.placement import Placement, PlacementPolicy, compute_placement
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend
@@ -48,7 +46,7 @@ from repro.obs.metrics import (
 )
 from repro.obs.profile import wall_seconds
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
-from repro.storage.device import DeviceStats, SimulatedDevice
+from repro.storage.device import DeviceStats
 
 #: Host CPU time per FM-resident mapping-tensor lookup (pruned tables).
 MAPPING_LOOKUP_SECONDS = 3.0e-8
@@ -104,12 +102,6 @@ class SDMStats:
             return 0.0
         return self.sm_ios / self.queries
 
-    @property
-    def sm_lookups_per_query(self) -> float:
-        if self.queries == 0:
-            return 0.0
-        return self.sm_row_lookups / self.queries
-
 
 class SoftwareDefinedMemory(EmbeddingBackend):
     """Tiered-memory embedding backend (the paper's SDM stack)."""
@@ -119,9 +111,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         model: DLRMModel,
         config: SDMConfig,
         compute: Optional[ComputeSpec] = None,
-        placement: Optional[Union[Placement, TieredPlacement]] = None,
+        placement: Optional[TieredPlacement] = None,
         pruned_tables: Optional[Mapping[str, PrunedEmbeddingTable]] = None,
-        devices: Optional[Sequence[SimulatedDevice]] = None,
     ) -> None:
         self.model = model
         self.config = config
@@ -134,12 +125,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             )
 
         self.tier_specs: Tuple[TierSpec, ...] = config.resolved_tiers()
-        if devices is not None and config.tiers is not None:
-            raise ValueError(
-                "prebuilt devices cannot be combined with an explicit tiers config"
-            )
         self._init_placement(placement)
-        self._build_tiers(devices)
+        self._build_tiers()
 
         self.pooled_cache: Optional[PooledEmbeddingCache] = None
         if config.pooled_cache_enabled:
@@ -154,11 +141,10 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # The load is counted on the devices (writes, bytes_written); these
         # as-loaded counters are what restore_pristine() puts back.
         self._loaded_device_stats = [replace(device.stats) for device in self.devices]
-        self._resolve_fast_segments()
 
         self.chain = TierChain(
             self.tiers,
-            self.tiered_placement,
+            self.placement,
             promotion=config.promotion,
             cache_probe_seconds=CACHE_PROBE_SECONDS,
             fm_lookup_overhead=self.compute.per_lookup_overhead,
@@ -169,14 +155,14 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         self.recorder: TraceRecorder = NULL_RECORDER
 
     # ------------------------------------------------------------------ setup
-    def _init_placement(self, placement: Optional[Union[Placement, TieredPlacement]]) -> None:
-        """Resolve the (possibly user-supplied) placement for this config.
-
-        In legacy two-tier mode the original :func:`compute_placement`
-        policies run unchanged and are lifted into the N-tier representation,
-        so the decisions — and therefore the serving path — stay identical.
-        """
-        if isinstance(placement, TieredPlacement):
+    def _init_placement(self, placement: Optional[TieredPlacement]) -> None:
+        """Copy a supplied placement, else compute one for the config's tiers."""
+        if placement is not None:
+            if not isinstance(placement, TieredPlacement):
+                raise TypeError(
+                    f"placement must be a TieredPlacement or None, got "
+                    f"{type(placement).__name__}"
+                )
             if placement.num_tiers > len(self.tier_specs):
                 raise ValueError(
                     f"placement references {placement.num_tiers} tiers but the "
@@ -184,41 +170,22 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 )
             # Work on a copy: loading re-anchors whole-table segments on the
             # stored row count, which must not mutate the caller's object.
-            self.tiered_placement = placement.copy()
-            self.placement: Union[Placement, TieredPlacement] = self.tiered_placement
-            return
-        if placement is not None or self.config.tiers is None:
-            legacy = (
-                placement
-                if placement is not None
-                else compute_placement(
-                    self.model.table_specs,
-                    policy=self.config.placement_policy,
-                    dram_budget_bytes=self.config.dram_budget_bytes,
-                    pinned_fm_tables=self.config.pinned_fm_tables,
-                    cache_disable_alpha_threshold=self.config.cache_disable_alpha_threshold,
-                )
-            )
-            self.placement = legacy
-            self.tiered_placement = TieredPlacement.from_legacy(
-                legacy, num_tiers=len(self.tier_specs)
-            )
+            self.placement = placement.copy()
             return
         threshold = (
             self.config.cache_disable_alpha_threshold
             if self.config.placement_policy is PlacementPolicy.PER_TABLE_CACHE
             else None
         )
-        self.tiered_placement = compute_tiered_placement(
+        self.placement = compute_tiered_placement(
             self.model.table_specs,
             self.tier_specs,
             pinned_fast_tables=self.config.pinned_fm_tables,
             cache_disable_alpha_threshold=threshold,
             granularity="rows" if self.config.split_rows else "table",
         )
-        self.placement = self.tiered_placement
 
-    def _build_tiers(self, devices: Optional[Sequence[SimulatedDevice]]) -> None:
+    def _build_tiers(self) -> None:
         config = self.config
         fast_spec = self.tier_specs[0]
         cache_bytes = (
@@ -242,16 +209,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
             fast_row_source=self._fast_rows_matrix,
-            first_device_tier_devices=devices,
         )
-
-        device_tiers = self.device_tiers
-        # Legacy aliases: the first device tier's machinery, plus the flat
-        # device list across every tier.
-        self.devices = [device for tier in device_tiers for device in tier.devices]
-        self.layout = device_tiers[0].layout
-        self.io_engine = device_tiers[0].io_engine
-        self.access_path = device_tiers[0].access_path
+        # The flat device list across every tier.
+        self.devices = [device for tier in self.device_tiers for device in tier.devices]
 
     def _cache_config(self, capacity_bytes: int) -> UnifiedCacheConfig:
         return UnifiedCacheConfig(
@@ -271,7 +231,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         Returns the table's serving state and its stored rows as one
         ``(stored_rows, row_bytes)`` uint8 matrix (before any rank ordering).
         """
-        decision = self.tiered_placement.for_table(table_name)
+        decision = self.placement.for_table(table_name)
         spec = self.model.table(table_name).spec
 
         if table_name in self.pruned_tables:
@@ -347,12 +307,12 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
     def _load_sm_tables(self) -> None:
         """Lay out and write every device-homed table segment onto its tier."""
-        for table_name in self.tiered_placement.storage_tables():
+        for table_name in self.placement.storage_tables():
             if table_name not in self.model.tables:
                 raise KeyError(
                     f"placement references table {table_name!r} that the model lacks"
                 )
-            decision = self.tiered_placement.for_table(table_name)
+            decision = self.placement.for_table(table_name)
             state, source = self._sm_source_for(table_name)
             if decision.is_split or decision.rank_order is not None:
                 if table_name in self.pruned_tables or state.dequantized:
@@ -392,19 +352,11 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     whole_table=whole,
                 )
 
-    def _resolve_fast_segments(self) -> None:
-        """Resolve whole-table sentinel segments of tables homed on tier 0."""
-        for table_name, decision in self.tiered_placement.decisions.items():
-            if table_name in self._sm_tables or table_name not in self.model.tables:
-                continue
-            stored_rows = self.model.table(table_name).spec.num_rows
-            decision.segments = whole_table_segments(decision, stored_rows)
-
     # ------------------------------------------------------------ accounting
     def fm_footprint_bytes(self) -> int:
         """Fast memory consumed: tier-0 data, mapping tensors, caches."""
         specs = {t.spec.name: t.spec for t in self.model.tables.values()}
-        direct = self.tiered_placement.tier_bytes(specs, 0)
+        direct = self.placement.tier_bytes(specs, 0)
         mappings = sum(state.mapping_fm_bytes for state in self._sm_tables.values())
         pooled = self.pooled_cache.capacity_bytes if self.pooled_cache else 0
         access_path_fm = sum(tier.fm_footprint_bytes() for tier in self.device_tiers)
@@ -436,7 +388,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         summaries: List[Dict[str, Any]] = []
         for index, tier in enumerate(self.tiers):
             data_bytes = (
-                self.tiered_placement.tier_bytes(specs, 0)
+                self.placement.tier_bytes(specs, 0)
                 if index == 0
                 else tier.allocated_bytes()
             )
@@ -456,7 +408,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     "rows_served": tier.stats.rows_served,
                     "bytes_served": tier.stats.bytes_served,
                     "ios": tier.stats.ios,
-                    "tables": len(self.tiered_placement.tables_on(index)),
+                    "tables": len(self.placement.tables_on(index)),
                 }
             )
         return summaries
@@ -566,7 +518,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             # Raises KeyError for tables the placement never decided — a
             # partial user-supplied placement must fail loudly, not silently
             # serve from fast memory.
-            self.tiered_placement.for_table(table_name)
+            self.placement.for_table(table_name)
             return self._serve_from_fm(table_name, indices, start_time)
         return self._serve_from_sm(table_name, indices, start_time)
 

@@ -1,22 +1,21 @@
 """N-tier memory hierarchy: pluggable tiers, tiered placement, tier chain.
 
-Generalises the original two-tier FM/SM split into an ordered list of
-first-class memory tiers (DRAM, CXL/DIMM 3DXP, Optane, ZSSD, NAND — the
-Table 1 spectrum).  The pieces:
+An ordered list of first-class memory tiers (DRAM, CXL/DIMM 3DXP, Optane,
+ZSSD, NAND — the Table 1 spectrum); the paper's FM/SM host is the two-tier
+list.  The pieces:
 
 * :class:`TierSpec` / :func:`parse_tiers` — declarative tier geometry, also
   parseable from ``"dram:4GiB,cxl:32GiB,nand:1TiB"`` strings.
 * :class:`MemoryTier` (:class:`FastTier`, :class:`DeviceTier`) — runtime
   tiers with capacity/latency models, per-tier row caches and
   :class:`TierStats`.
-* :class:`TieredPlacement` / :func:`compute_tiered_placement` — assigns
-  tables (or hotness-ranked row ranges) across the hierarchy by access
-  frequency, generalising :func:`repro.core.placement.compute_placement`.
+* :class:`TieredPlacement` / :func:`compute_tiered_placement` — the one
+  placement algorithm: assigns tables (or hotness-ranked row ranges) across
+  the hierarchy by bandwidth density; the Table 5 policies are tier budgets.
 * :class:`TierChain` — serves lookups through the chain: probe tier ``k``,
   miss to ``k+1``, promote on a configurable policy.
 
-:class:`~repro.core.sdm.SoftwareDefinedMemory` builds on these; the classic
-two-tier configuration remains a bit-identical special case.
+:class:`~repro.core.sdm.SoftwareDefinedMemory` builds on these.
 """
 
 from repro.hierarchy.chain import BatchFetchOutcome, TierChain

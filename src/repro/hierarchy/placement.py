@@ -1,11 +1,13 @@
 """Placement of tables (or row ranges) across an N-tier hierarchy.
 
-Generalises the binary :func:`repro.core.placement.compute_placement` (FM
-direct vs SM) to an ordered list of tiers: each user table — or, at row
-granularity, hotness-ranked row ranges within a table — is assigned to the
-fastest tier with room, in descending bandwidth-density order (bytes/query
-per byte of capacity, the same criterion the two-tier FIXED_FM_SM policy
-used for its DRAM budget).
+The one placement algorithm (section 4.6, Table 5): item tables and pinned
+tables stay in fast memory, and each user table — or, at row granularity,
+hotness-ranked row ranges within a table — is assigned to the fastest tier
+with room, in descending bandwidth-density order (bytes/query per byte of
+capacity).  The paper's policies are tier budgets for it: SM-only is a
+zero-capacity tier 0, FIXED_FM_SM gives tier 0 the DRAM budget, and
+PER_TABLE_CACHE adds the cache-disable threshold
+(see :meth:`repro.core.config.SDMConfig.resolved_tiers`).
 
 Two granularities:
 
@@ -16,10 +18,6 @@ Two granularities:
   ``Session.access_trace``) the split follows measured popularity and the
   table is stored rank-ordered behind a mapping tensor; without one the
   split is by row-id range.
-
-Legacy two-tier :class:`~repro.core.placement.Placement` objects convert
-loss-lessly via :meth:`TieredPlacement.from_legacy` / ``to_legacy``, which is
-how the refactored SDM stack keeps the old policies bit-identical.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.placement import Placement, TablePlacement, Tier
 from repro.dlrm.embedding import EmbeddingTableSpec
 from repro.hierarchy.tier import TierSpec, parse_tiers
 from repro.sim.units import BLOCK_SIZE
@@ -197,17 +194,6 @@ class TieredPlacement:
             if any(segment.tier >= 1 for segment in decision.segments)
         ]
 
-    # Legacy-compatible aliases: 'SM' is every device tier, 'FM' is tier 0.
-    def sm_tables(self) -> List[str]:
-        return self.storage_tables()
-
-    def fm_tables(self) -> List[str]:
-        return [
-            name
-            for name, decision in self.decisions.items()
-            if all(segment.tier == 0 for segment in decision.segments)
-        ]
-
     def tier_bytes(self, specs: Mapping[str, EmbeddingTableSpec], tier: int) -> int:
         """Bytes of table data homed on ``tier`` (by original spec sizes)."""
         total = 0
@@ -216,49 +202,6 @@ class TieredPlacement:
                 continue
             total += decision.bytes_on_tier(tier, specs[name].row_bytes)
         return total
-
-    # ------------------------------------------------------------ conversion
-    @classmethod
-    def from_legacy(cls, placement: Placement, num_tiers: int = 2) -> "TieredPlacement":
-        """Lift a two-tier :class:`Placement` into the N-tier representation.
-
-        FM-direct tables become whole-table tier 0 placements; SM tables go
-        whole to tier 1.  Row counts are not known to the legacy placement,
-        so segments are materialised lazily with a sentinel span that
-        :meth:`with_table_rows` resolves — callers that need concrete
-        segments should use :func:`compute_tiered_placement` instead.
-        """
-        if num_tiers < 2:
-            raise ValueError("legacy placements need at least 2 tiers")
-        tiered = cls(num_tiers=num_tiers)
-        for name, decision in placement.decisions.items():
-            tier = 0 if decision.tier is Tier.FM_DIRECT else 1
-            tiered.add(
-                TieredTablePlacement(
-                    table_name=name,
-                    segments=(TierSegment(tier=tier, start=0, end=_WHOLE_TABLE),),
-                    cache_enabled=decision.cache_enabled,
-                )
-            )
-        return tiered
-
-    def to_legacy(self) -> Placement:
-        """Project back to the two-tier representation (no splits allowed)."""
-        legacy = Placement()
-        for name, decision in self.decisions.items():
-            if decision.is_split:
-                raise ValueError(
-                    f"table {name!r} is row-split across tiers; no two-tier "
-                    f"equivalent exists"
-                )
-            tier = Tier.FM_DIRECT if decision.home_tier == 0 else Tier.SM
-            legacy.add(TablePlacement(name, tier, decision.cache_enabled))
-        return legacy
-
-
-#: Sentinel row count for whole-table segments lifted from a legacy
-#: placement, where the stored row count is not yet known.
-_WHOLE_TABLE = 1 << 62
 
 
 def whole_table_segments(decision: TieredTablePlacement, stored_rows: int) -> Tuple[TierSegment, ...]:
@@ -292,22 +235,20 @@ def compute_tiered_placement(
     cache_disable_alpha_threshold: Optional[float] = None,
     granularity: str = "table",
     row_hotness: Optional[Mapping[str, Sequence[int]]] = None,
-    reserve_fast_bytes: int = 0,
 ) -> TieredPlacement:
     """Assign tables (or row ranges) across an ordered tier list.
 
-    Item tables and ``pinned_fast_tables`` always home on tier 0 and do not
-    count against its budget (matching the legacy pinned/item semantics).
-    User tables are visited in descending bandwidth density and greedily
-    homed on the fastest tier with room; ``granularity="rows"`` additionally
-    splits a table that straddles a budget boundary, homing its hottest rows
-    (per ``row_hotness``, or by row-id order without a profile) on the
-    faster tier.
+    Item tables and ``pinned_fast_tables`` (the paper's Tuning API for an
+    offline-computed list of tables that must never go to SM) always home on
+    tier 0 and do not count against its budget.  User tables are visited in
+    descending bandwidth density and greedily homed on the fastest tier with
+    room; ``granularity="rows"`` additionally splits a table that straddles
+    a budget boundary, homing its hottest rows (per ``row_hotness``, or by
+    row-id order without a profile) on the faster tier.  A table homed whole
+    on tier 0 is served from fast memory, so its row cache is off.
 
-    ``cache_disable_alpha_threshold`` reproduces the PER_TABLE_CACHE policy
-    across N tiers: tables with access skew below the threshold bypass the
-    row caches.  ``reserve_fast_bytes`` shrinks tier 0's placement budget
-    (e.g. to account for caches living there).
+    ``cache_disable_alpha_threshold`` is the PER_TABLE_CACHE policy: tables
+    with access skew below the threshold bypass the row caches.
 
     Raises ``ValueError`` when a table (or its tail) fits no tier — the
     caller sized the hierarchy smaller than the model.
@@ -323,22 +264,19 @@ def compute_tiered_placement(
         raise ValueError(f"pinned tables not present in the model: {sorted(unknown)}")
 
     placement = TieredPlacement(num_tiers=len(tier_specs))
-    budgets: List[int] = []
-    for index, tier in enumerate(tier_specs):
-        budget = tier.capacity_bytes
-        if index == 0:
-            budget = max(budget - reserve_fast_bytes, 0)
-        budgets.append(budget)
+    budgets = [tier.capacity_bytes for tier in tier_specs]
 
-    def cache_enabled_for(spec: EmbeddingTableSpec) -> bool:
+    def cache_enabled_for(spec: EmbeddingTableSpec, slowest_tier: int) -> bool:
+        if slowest_tier == 0:
+            return False
         if cache_disable_alpha_threshold is None:
             return True
         return spec.zipf_alpha >= cache_disable_alpha_threshold
 
     # Decisions are collected first and added in the original spec order, so
     # device layout (and therefore IO interleaving) does not depend on the
-    # density-sorted visit order — keeping runs comparable across policies
-    # and matching the legacy two-tier layout order exactly.
+    # density-sorted visit order, only on which tables are on the devices —
+    # keeping runs comparable across budgets and policies.
     decisions: Dict[str, TieredTablePlacement] = {}
     user_specs = [s for s in specs if s.is_user and s.name not in pinned]
     for spec in specs:
@@ -377,7 +315,7 @@ def compute_tiered_placement(
                         segments=(
                             TierSegment(tier=tier_index, start=0, end=spec.num_rows),
                         ),
-                        cache_enabled=cache_enabled_for(spec),
+                        cache_enabled=cache_enabled_for(spec, tier_index),
                     )
                     homed = True
                     break
@@ -425,7 +363,7 @@ def compute_tiered_placement(
         decisions[spec.name] = TieredTablePlacement(
             table_name=spec.name,
             segments=tuple(segments),
-            cache_enabled=cache_enabled_for(spec),
+            cache_enabled=cache_enabled_for(spec, segments[-1].tier),
             rank_order=rank_order,
         )
     for spec in specs:

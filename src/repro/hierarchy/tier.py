@@ -26,7 +26,7 @@ An ordered list of tiers — fastest first — is what
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,7 +37,7 @@ from repro.storage.access import AccessPath, DirectIOReader, MmapReader
 from repro.storage.block_layout import BlockLayout
 from repro.storage.device import DeviceStats, SimulatedDevice
 from repro.storage.io_engine import IOEngine, IOEngineConfig
-from repro.storage.spec import TABLE1_SPECS, DeviceSpec, Technology
+from repro.storage.spec import TABLE1_SPECS, Technology
 
 #: Keys a tier *entry* mapping may carry (``TierSpec.from_value`` input and
 #: the addressable leaves of ``backend.options.tiers.N.<key>`` spec paths).
@@ -98,8 +98,9 @@ class TierSpec:
         addressable fast tier (no simulated devices).
     capacity_bytes:
         Placement budget of the tier.  For the fast tier this bounds how many
-        user tables (or hot row ranges) are homed directly in fast memory —
-        generalising the old ``dram_budget_bytes`` — so ``0`` is legal there.
+        user tables (or hot row ranges) are homed directly in fast memory
+        (``SDMConfig.dram_budget_bytes`` under FIXED_FM_SM), so ``0`` is
+        legal there.
     cache_bytes:
         Row-cache budget fronting slower tiers.  ``None`` keeps the tier's
         default (the configured unified-cache budget on tier 0, no cache on
@@ -142,9 +143,6 @@ class TierSpec:
     def is_fast(self) -> bool:
         """True for byte-addressable fast memory (DRAM) tiers."""
         return self.technology is Technology.DRAM
-
-    def with_capacity(self, capacity_bytes: int) -> "TierSpec":
-        return replace(self, capacity_bytes=capacity_bytes)
 
     # ------------------------------------------------------------- conversion
     def to_dict(self) -> Dict[str, object]:
@@ -514,8 +512,7 @@ class DeviceTier(MemoryTier):
     """A device-backed tier: block layout + devices + IO engine + access path.
 
     ``device_seed_offset`` keeps device seeds globally unique across tiers
-    (tier order matches construction order), so a refactored two-tier stack
-    draws the exact same device tail-latency samples as the original.
+    (tier order matches construction order).
     """
 
     def __init__(
@@ -526,36 +523,24 @@ class DeviceTier(MemoryTier):
         use_mmap: bool = False,
         seed: int = 0,
         device_seed_offset: int = 0,
-        device_spec: Optional[DeviceSpec] = None,
-        devices: Optional[Sequence[SimulatedDevice]] = None,
     ) -> None:
         if spec.is_fast:
             raise ValueError("DeviceTier cannot be built from a dram spec")
         self.spec = spec
-        self.device_seeds: List[int] = []
-        if devices is not None:
-            if not devices:
-                raise ValueError(f"tier {spec.name!r}: prebuilt device list is empty")
-            self.devices = list(devices)
-            self.device_spec = self.devices[0].spec
-        else:
-            base_spec = (
-                device_spec if device_spec is not None else TABLE1_SPECS[spec.technology]
+        per_device = spec.capacity_bytes // spec.num_devices
+        if per_device <= 0:
+            raise ValueError(
+                f"tier {spec.name!r}: capacity {spec.capacity_bytes} too small for "
+                f"{spec.num_devices} device(s)"
             )
-            per_device = spec.capacity_bytes // spec.num_devices
-            if per_device <= 0:
-                raise ValueError(
-                    f"tier {spec.name!r}: capacity {spec.capacity_bytes} too small for "
-                    f"{spec.num_devices} device(s)"
-                )
-            self.device_spec = base_spec.with_capacity(per_device)
-            self.device_seeds = [
-                seed + device_seed_offset + index for index in range(spec.num_devices)
-            ]
-            self.devices = [
-                SimulatedDevice(self.device_spec, seed=device_seed)
-                for device_seed in self.device_seeds
-            ]
+        self.device_spec = TABLE1_SPECS[spec.technology].with_capacity(per_device)
+        self.device_seeds = [
+            seed + device_seed_offset + index for index in range(spec.num_devices)
+        ]
+        self.devices = [
+            SimulatedDevice(self.device_spec, seed=device_seed)
+            for device_seed in self.device_seeds
+        ]
         self.layout = BlockLayout([d.spec.capacity_bytes for d in self.devices])
         self.io_engine = IOEngine(self.devices, io_config)
         self.access_path: AccessPath = (
@@ -592,8 +577,8 @@ class DeviceTier(MemoryTier):
         shift every row behind it.  Rows are packed ``rows_per_block`` to a
         block (the block's tail and the last block's unused slots stay zero)
         and written with one :meth:`SimulatedDevice.write_blocks` call.
-        Whole-table segments keep the bare table name as layout key so
-        per-table outstanding-IO limits and legacy layouts are unchanged.
+        Whole-table segments keep the bare table name as layout key, which
+        is also the key of the per-table outstanding-IO limits.
         Segments of one table must not overlap.
         """
         if end <= start:
@@ -738,19 +723,15 @@ def build_tiers(
     use_mmap: bool = False,
     seed: int = 0,
     fast_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
-    first_device_tier_devices: Optional[Sequence[SimulatedDevice]] = None,
 ) -> List[MemoryTier]:
     """Materialise runtime tiers from an ordered spec list (fastest first).
 
     Device seeds are offset by the running device count so every device in
     the hierarchy draws an independent (but reproducible) latency stream.
-    ``first_device_tier_devices`` substitutes prebuilt devices for the first
-    device tier (the legacy ``SoftwareDefinedMemory(devices=...)`` hook).
     """
     specs = parse_tiers(specs)
     tiers: List[MemoryTier] = []
     device_seed_offset = 0
-    first_device_tier = True
     for spec in specs:
         if spec.is_fast:
             tiers.append(FastTier(spec, cache=fast_cache, row_source=fast_row_source))
@@ -763,9 +744,7 @@ def build_tiers(
                 use_mmap=use_mmap,
                 seed=seed,
                 device_seed_offset=device_seed_offset,
-                devices=first_device_tier_devices if first_device_tier else None,
             )
         )
-        first_device_tier = False
         device_seed_offset += spec.num_devices
     return tiers

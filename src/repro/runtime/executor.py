@@ -145,18 +145,6 @@ def _completion_outcome(completion: PointCompletion) -> PointOutcome:
     )
 
 
-def _execute_point(spec_dict: Dict[str, Any]) -> Dict[str, Any]:
-    """Back-compat worker shim: rebuild the spec, run it fresh, return dict.
-
-    The real worker entry point is :func:`repro.runtime.runtimes.run_point`;
-    this remains for callers (and tests) that monkeypatch the executor's
-    single-point path.
-    """
-    from repro.runtime.runtimes import run_point
-
-    return run_point(spec_dict, reuse=False)
-
-
 def run_campaign(
     campaign: CampaignSpec,
     *,

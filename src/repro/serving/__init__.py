@@ -37,7 +37,6 @@ from repro.serving.engine import (
     OpenLoopResult,
     QueryRecord,
     ServingEngine,
-    ServingSimulator,
 )
 from repro.serving.fleet import (
     RollingUpdateConfig,
@@ -73,7 +72,6 @@ __all__ = [
     "MultiTenancyScenario",
     "evaluate_multi_tenancy",
     "ServingEngine",
-    "ServingSimulator",
     "HostSimulationResult",
     "OpenLoopResult",
     "QueryRecord",

@@ -22,15 +22,14 @@ Open loop (:meth:`ServingEngine.run_open_loop`)
     an analytic cost added at time zero.
 
 Closed loop (:meth:`ServingEngine.run_closed_loop`)
-    The seed :class:`ServingSimulator` semantics: ``concurrency`` independent
-    streams, each issuing its next query the instant the previous one
-    completes.  Queries are assigned to streams round-robin by position and
-    executed in position order.  The execution order is part of the contract:
-    embedding backends are stateful (caches, outstanding-IO windows), so
-    replaying the seed's deterministic schedule is what makes this mode
-    reproduce the seed simulator's latencies and scores exactly.  The
-    open-loop event machinery is bypassed only for *dispatch ordering*; the
-    measurement, bookkeeping and result assembly are shared.
+    ``concurrency`` independent streams, each issuing its next query the
+    instant the previous one completes.  Queries are assigned to streams
+    round-robin by position and executed in position order.  The execution
+    order is part of the contract: embedding backends are stateful (caches,
+    outstanding-IO windows), so the deterministic schedule is what makes a
+    run's latencies and scores reproducible.  The open-loop event machinery
+    is bypassed only for *dispatch ordering*; the measurement, bookkeeping
+    and result assembly are shared.
 """
 
 from __future__ import annotations
@@ -237,10 +236,9 @@ class ServingEngine:
 
         The first ``warmup_queries`` are executed (so caches warm up) but are
         excluded from the reported latencies and the makespan, mirroring the
-        paper's focus on steady-state behaviour.  This replays the seed
-        ``ServingSimulator`` schedule exactly (round-robin stream assignment,
-        position-order execution), so latencies and scores are bit-identical
-        to the pre-engine simulator.
+        paper's focus on steady-state behaviour.  The schedule (round-robin
+        stream assignment, position-order execution) is pinned by
+        ``tests/test_serving_engine.py`` against a verbatim reference loop.
         """
         measured = self._run_warmup(queries, warmup_queries)
         recorder = self.recorder
@@ -498,29 +496,3 @@ class ServingEngine:
         if callable(name_thread):
             for stream in range(self.concurrency):
                 name_thread(stream + 1, f"stream {stream}")
-
-
-class ServingSimulator:
-    """Closed-loop compatibility front end over :class:`ServingEngine`.
-
-    Kept as the historical entry point for the paper's end-to-end comparisons
-    (Figure 6 placement sensitivity, Table 8/9 per-host QPS): a thin wrapper
-    whose :meth:`run` is exactly :meth:`ServingEngine.run_closed_loop`.
-    """
-
-    def __init__(
-        self, engine: InferenceEngine, concurrency: int = 1, store_results: bool = True
-    ) -> None:
-        self._engine = ServingEngine(engine, concurrency, store_results=store_results)
-
-    @property
-    def engine(self) -> InferenceEngine:
-        return self._engine.engine
-
-    @property
-    def concurrency(self) -> int:
-        return self._engine.concurrency
-
-    def run(self, queries: Sequence[Query], warmup_queries: int = 0) -> HostSimulationResult:
-        """Serve ``queries`` closed-loop; see :meth:`ServingEngine.run_closed_loop`."""
-        return self._engine.run_closed_loop(queries, warmup_queries=warmup_queries)

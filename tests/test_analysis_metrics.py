@@ -4,7 +4,7 @@ import math
 
 import pytest
 
-from repro.analysis import Histogram, MetricRegistry, RunningStat, percentile
+from repro.analysis import Histogram, RunningStat, percentile
 
 
 class TestPercentile:
@@ -100,45 +100,3 @@ class TestHistogram:
         hist = Histogram()
         hist.add(1.0)
         assert len(hist) == 1
-
-
-class TestMetricRegistry:
-    def test_counters(self):
-        registry = MetricRegistry()
-        registry.incr("hits")
-        registry.incr("hits", 2)
-        assert registry.counter("hits") == 3
-        assert registry.counter("missing") == 0
-
-    def test_gauges(self):
-        registry = MetricRegistry()
-        registry.set_gauge("occupancy", 0.5)
-        assert registry.gauge("occupancy") == 0.5
-        assert registry.gauge("missing", default=1.0) == 1.0
-        with pytest.raises(KeyError):
-            registry.gauge("missing")
-
-    def test_histograms(self):
-        registry = MetricRegistry()
-        registry.observe("latency", 1.0)
-        registry.observe("latency", 3.0)
-        assert registry.histogram("latency").count == 2
-        with pytest.raises(KeyError):
-            registry.histogram("nope")
-
-    def test_ratio(self):
-        registry = MetricRegistry()
-        registry.incr("hits", 3)
-        registry.incr("lookups", 4)
-        assert registry.ratio("hits", "lookups") == pytest.approx(0.75)
-        assert registry.ratio("hits", "nothing") == 0.0
-
-    def test_reset(self):
-        registry = MetricRegistry()
-        registry.incr("hits")
-        registry.set_gauge("g", 1.0)
-        registry.observe("h", 1.0)
-        registry.reset()
-        assert registry.counter("hits") == 0
-        assert registry.gauges == {}
-        assert registry.histograms == {}

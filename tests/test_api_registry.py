@@ -16,7 +16,7 @@ from repro.api import (
 )
 from repro.core import SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
-from repro.core.placement import PlacementPolicy
+from repro.core.config import PlacementPolicy
 from repro.dlrm import ComputeSpec, InMemoryBackend
 from repro.dlrm.inference import EmbeddingBackend
 from repro.storage import Technology

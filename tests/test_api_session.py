@@ -15,7 +15,7 @@ from repro import (
     QueryGenerator,
     ScenarioSpec,
     SDMConfig,
-    ServingSimulator,
+    ServingEngine,
     Session,
     SoftwareDefinedMemory,
     WorkloadConfig,
@@ -111,7 +111,7 @@ class TestSessionParity:
         queries = QueryGenerator(
             model, WorkloadConfig(item_batch=4, num_users=200), seed=0
         ).generate(100)
-        hand_wired = ServingSimulator(engine, concurrency=2).run(queries, warmup_queries=20)
+        hand_wired = ServingEngine(engine, concurrency=2).run_closed_loop(queries, warmup_queries=20)
 
         session_result = Session(QUICKSTART_SPEC).run()
         via_session = session_result.host_result

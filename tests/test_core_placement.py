@@ -1,11 +1,36 @@
-"""Tests for placement policies (Table 5) and placement edge cases."""
+"""Tests for placement policies (Table 5) and placement edge cases.
+
+The policies are tier budgets for the one placement function: every case
+drives ``compute_tiered_placement`` with the tiers an ``SDMConfig`` resolves
+to, the way ``SoftwareDefinedMemory`` does.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import PlacementPolicy, SoftwareDefinedMemory, Tier, compute_placement
+from repro.core import PlacementPolicy, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import EmbeddingTableSpec, prune_table
-from repro.hierarchy import compute_tiered_placement, parse_tiers
+from repro.hierarchy import (
+    TieredTablePlacement,
+    TierSegment,
+    compute_tiered_placement,
+    parse_tiers,
+)
+
+
+def _place(specs, policy=PlacementPolicy.SM_ONLY_WITH_CACHE, **config_fields):
+    """The placement an SDM with this config computes for ``specs``."""
+    config = SDMConfig(placement_policy=policy, **config_fields)
+    return compute_tiered_placement(
+        specs,
+        config.resolved_tiers(),
+        pinned_fast_tables=config.pinned_fm_tables,
+        cache_disable_alpha_threshold=(
+            config.cache_disable_alpha_threshold
+            if config.placement_policy is PlacementPolicy.PER_TABLE_CACHE
+            else None
+        ),
+    )
 
 
 def _specs():
@@ -39,105 +64,137 @@ def _specs():
 
 class TestSmOnlyPolicy:
     def test_all_user_tables_on_sm(self):
-        placement = compute_placement(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
-        assert set(placement.sm_tables()) == {"user_hot", "user_cold_big"}
+        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
     def test_item_tables_stay_in_fm(self):
-        placement = compute_placement(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
-        assert placement.tier_of("item_a") is Tier.FM_DIRECT
+        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        assert placement.for_table("item_a").tiers() == (0,)
+        assert not placement.for_table("item_a").cache_enabled
 
     def test_cache_enabled_for_sm_tables(self):
-        placement = compute_placement(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
         assert all(
-            placement.for_table(name).cache_enabled for name in placement.sm_tables()
+            placement.for_table(name).cache_enabled for name in placement.storage_tables()
         )
+
+    def test_dram_budget_is_not_read(self):
+        specs = _specs()
+        total = sum(s.size_bytes for s in specs)
+        placement = _place(specs, PlacementPolicy.SM_ONLY_WITH_CACHE, dram_budget_bytes=total)
+        assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
 
 class TestFixedFmSmPolicy:
     def test_zero_budget_equals_sm_only(self):
-        placement = compute_placement(
-            _specs(), PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=0
-        )
-        assert set(placement.sm_tables()) == {"user_hot", "user_cold_big"}
+        placement = _place(_specs(), PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=0)
+        assert placement == _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
 
     def test_budget_pins_highest_density_table(self):
         specs = _specs()
         hot_size = specs[0].size_bytes
-        placement = compute_placement(
-            specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=hot_size
-        )
-        assert placement.tier_of("user_hot") is Tier.FM_DIRECT
-        assert placement.tier_of("user_cold_big") is Tier.SM
+        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=hot_size)
+        assert placement.for_table("user_hot").tiers() == (0,)
+        # Served from fast memory, so no row cache in front of it.
+        assert not placement.for_table("user_hot").cache_enabled
+        assert placement.for_table("user_cold_big").tiers() == (1,)
+        assert placement.for_table("user_cold_big").cache_enabled
+
+    def test_highest_density_first_not_spec_order(self):
+        # The dense table comes last in the model and still gets the budget.
+        specs = _specs()[::-1]
+        hot_size = specs[-1].size_bytes
+        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=hot_size)
+        assert placement.tables_on(1) == ["user_cold_big"]
+        assert list(placement.decisions) == [spec.name for spec in specs]
 
     def test_huge_budget_pins_everything(self):
         specs = _specs()
         total = sum(s.size_bytes for s in specs)
-        placement = compute_placement(
-            specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=total
-        )
-        assert placement.sm_tables() == []
+        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=total)
+        assert placement.storage_tables() == []
 
     def test_fm_direct_bytes_within_budget(self):
         specs = _specs()
         budget = specs[0].size_bytes + 10
-        placement = compute_placement(
-            specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=budget
-        )
+        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=budget)
         spec_map = {s.name: s for s in specs}
-        user_fm = [n for n in placement.fm_tables() if spec_map[n].is_user]
+        user_fm = [n for n in placement.tables_on(0) if spec_map[n].is_user]
+        assert user_fm == ["user_hot"]
         assert sum(spec_map[n].size_bytes for n in user_fm) <= budget
 
 
 class TestPerTableCachePolicy:
     def test_low_locality_tables_skip_cache(self):
-        placement = compute_placement(
+        placement = _place(
             _specs(), PlacementPolicy.PER_TABLE_CACHE, cache_disable_alpha_threshold=0.6
         )
         assert placement.for_table("user_hot").cache_enabled
         assert not placement.for_table("user_cold_big").cache_enabled
 
     def test_all_user_tables_still_on_sm(self):
-        placement = compute_placement(_specs(), PlacementPolicy.PER_TABLE_CACHE)
-        assert set(placement.sm_tables()) == {"user_hot", "user_cold_big"}
+        placement = _place(_specs(), PlacementPolicy.PER_TABLE_CACHE)
+        assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
+
+    def test_threshold_is_only_read_under_per_table_cache(self):
+        placement = _place(
+            _specs(), PlacementPolicy.SM_ONLY_WITH_CACHE, cache_disable_alpha_threshold=0.6
+        )
+        assert placement.for_table("user_cold_big").cache_enabled
 
 
 class TestPinnedTablesAndValidation:
     def test_pinned_table_never_on_sm(self):
-        placement = compute_placement(
+        placement = _place(
             _specs(),
             PlacementPolicy.SM_ONLY_WITH_CACHE,
-            pinned_fm_tables=["user_cold_big"],
+            pinned_fm_tables=("user_cold_big",),
         )
-        assert placement.tier_of("user_cold_big") is Tier.FM_DIRECT
+        assert placement.for_table("user_cold_big").tiers() == (0,)
+        assert not placement.for_table("user_cold_big").cache_enabled
+
+    def test_pinned_table_not_charged_to_the_budget(self):
+        specs = _specs()
+        placement = _place(
+            specs,
+            PlacementPolicy.FIXED_FM_SM,
+            dram_budget_bytes=specs[0].size_bytes,
+            pinned_fm_tables=("user_cold_big",),
+        )
+        # The budget still fits user_hot although the pinned table is larger.
+        assert placement.storage_tables() == []
 
     def test_unknown_pinned_table_rejected(self):
-        with pytest.raises(ValueError):
-            compute_placement(_specs(), pinned_fm_tables=["nope"])
+        with pytest.raises(ValueError, match="pinned tables not present"):
+            _place(_specs(), pinned_fm_tables=("nope",))
 
     def test_duplicate_decision_rejected(self):
-        placement = compute_placement(_specs())
-        from repro.core.placement import TablePlacement
-
-        with pytest.raises(ValueError):
-            placement.add(TablePlacement("item_a", Tier.SM, True))
+        placement = _place(_specs())
+        with pytest.raises(ValueError, match="already has a placement"):
+            placement.add(
+                TieredTablePlacement("item_a", (TierSegment(1, 0, 5000),), True)
+            )
 
     def test_missing_table_lookup_rejected(self):
-        placement = compute_placement(_specs())
+        placement = _place(_specs())
         with pytest.raises(KeyError):
             placement.for_table("ghost")
 
     def test_byte_accounting(self):
         specs = _specs()
-        placement = compute_placement(specs)
+        placement = _place(specs)
         spec_map = {s.name: s for s in specs}
-        assert placement.sm_bytes(spec_map) == sum(
+        assert placement.tier_bytes(spec_map, 1) == sum(
             s.size_bytes for s in specs if s.is_user
         )
-        assert placement.fm_direct_bytes(spec_map) == specs[2].size_bytes
+        assert placement.tier_bytes(spec_map, 0) == specs[2].size_bytes
 
     def test_policy_accepts_string_value(self):
-        placement = compute_placement(_specs(), "fixed_fm_sm")
-        assert isinstance(placement.sm_tables(), list)
+        specs = _specs()
+        placement = _place(specs, "fixed_fm_sm", dram_budget_bytes=specs[0].size_bytes)
+        assert placement.tables_on(1) == ["user_cold_big"]
+        with pytest.raises(ValueError, match="not a valid PlacementPolicy"):
+            SDMConfig(placement_policy="fastest")
 
 
 class TestPlacementEdgeCases:
@@ -145,14 +202,13 @@ class TestPlacementEdgeCases:
 
     def test_zero_fm_budget_sends_every_user_table_to_sm(self):
         for policy in PlacementPolicy:
-            placement = compute_placement(_specs(), policy, dram_budget_bytes=0)
-            assert set(placement.sm_tables()) == {"user_hot", "user_cold_big"}, policy
+            placement = _place(_specs(), policy, dram_budget_bytes=0)
+            assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}, policy
         tiered = compute_tiered_placement(_specs(), parse_tiers("dram:0,nand:64MiB"))
-        assert set(tiered.sm_tables()) == {"user_hot", "user_cold_big"}
+        assert set(tiered.storage_tables()) == {"user_hot", "user_cold_big"}
         assert tiered.for_table("item_a").home_tier == 0
 
     def test_negative_budget_rejected_and_tiny_budget_pins_nothing(self):
-        from repro.core import SDMConfig
         from repro.hierarchy import TierSpec
         from repro.storage.spec import Technology
 
@@ -162,14 +218,10 @@ class TestPlacementEdgeCases:
             TierSpec(technology=Technology.DRAM, capacity_bytes=-4096)
         specs = _specs()
         smallest = min(s.size_bytes for s in specs if s.is_user)
-        placement = compute_placement(
+        placement = _place(
             specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=smallest - 1
         )
-        user_fm = [
-            name for name in placement.fm_tables()
-            if name in ("user_hot", "user_cold_big")
-        ]
-        assert user_fm == []
+        assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
     def test_table_larger_than_every_tier_combined_rejected(self):
         specs = _specs()
@@ -218,3 +270,132 @@ class TestPlacementEdgeCases:
         assert sdm.stats.sm_ios == 0
         assert sdm.stats.pruned_rows_skipped == len(pruned_rows)
         assert done > 0.0  # the mapping lookups still cost host time
+
+
+def _sm_layout(sdm):
+    """``{table: (device_index, first_lba)}`` in allocation order (one device tier)."""
+    (tier,) = sdm.device_tiers
+    return {
+        name: (tier.layout.extent(name).device_index, tier.layout.extent(name).first_lba)
+        for name in tier.layout.tables()
+    }
+
+
+class TestPoliciesMoveOnlyThePlacement:
+    """A policy comparison is meaningful only when nothing but the placement
+    moves.  The density-sorted FIXED_FM_SM branch of the old two-tier
+    function also laid the SM tables out in density order, so the same
+    placement served differently under another policy name."""
+
+    HOST = {"num_devices": 2, "row_cache_capacity_bytes": 64 * 1024}
+
+    @staticmethod
+    def _run(options):
+        from repro import BackendChoice, ScenarioSpec, Session, WorkloadChoice
+
+        spec = ScenarioSpec(
+            backend=BackendChoice(name="sdm", options=options),
+            workload=WorkloadChoice(num_queries=150),
+        )
+        return Session(spec).run().to_dict()
+
+    def test_zero_budget_fixed_fm_sm_serves_exactly_like_sm_only(self):
+        sm_only = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
+        fixed = self._run(
+            {**self.HOST, "placement_policy": "fixed_fm_sm", "dram_budget_bytes": 0}
+        )
+        assert fixed == sm_only
+        assert sm_only["tiers"][1]["ios"] > 0  # the devices did serve
+
+    def test_the_same_host_spelled_as_a_tiers_list_serves_the_same(self):
+        from repro.storage.spec import TABLE1_SPECS, Technology
+
+        sm_only = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
+        device_bytes = TABLE1_SPECS[Technology.NAND_FLASH].capacity_bytes
+        spelled = self._run(
+            {
+                "tiers": [
+                    {"technology": "dram", "capacity": 0, "cache": 64 * 1024},
+                    {"technology": "nand", "capacity": 2 * device_bytes, "devices": 2},
+                ]
+            }
+        )
+        assert spelled["latency_seconds"] == sm_only["latency_seconds"]
+        assert spelled["makespan_seconds"] == sm_only["makespan_seconds"]
+        assert [t["ios"] for t in spelled["tiers"]] == [t["ios"] for t in sm_only["tiers"]]
+
+    def test_raising_the_budget_only_removes_tables_from_the_devices(self):
+        from repro.dlrm import M1_SPEC, build_scaled_model
+
+        model = build_scaled_model(
+            M1_SPEC, max_tables_per_group=4, max_rows_per_table=512, item_batch=2, seed=0
+        )
+        user_specs = [spec for spec in model.table_specs if spec.is_user]
+        names = [spec.name for spec in user_specs]
+        by_density = sorted(
+            user_specs, key=lambda s: s.bytes_per_query / s.size_bytes, reverse=True
+        )
+        # The budget is not spent in model order, or this checks nothing.
+        assert [spec.name for spec in by_density] != names
+        host = dict(self.HOST, pooled_cache_enabled=False)
+        budget, previous = 0, None
+        for homed_in_fm in range(len(names) + 1):
+            sdm = SoftwareDefinedMemory(
+                model,
+                SDMConfig(
+                    placement_policy=PlacementPolicy.FIXED_FM_SM,
+                    dram_budget_bytes=budget,
+                    **host,
+                ),
+            )
+            on_sm = sdm.placement.storage_tables()
+            assert set(on_sm) == {spec.name for spec in by_density[homed_in_fm:]}
+            layout = _sm_layout(sdm)
+            # Allocation order is model order, whatever order the budget was
+            # spent in; so first_lba grows in model order on every device.
+            assert list(layout) == [name for name in names if name in on_sm]
+            for device in (0, 1):
+                lbas = [lba for index, lba in layout.values() if index == device]
+                assert lbas == sorted(lbas)
+            # The layout depends on which tables are on SM and on nothing
+            # else: pinning the FM-homed tables under SM-only gives the same.
+            pinned = SoftwareDefinedMemory(
+                model,
+                SDMConfig(
+                    pinned_fm_tables=tuple(n for n in names if n not in on_sm), **host
+                ),
+            )
+            assert _sm_layout(pinned) == layout
+            if previous is not None:
+                assert set(on_sm) < set(previous)
+            previous = on_sm
+            if homed_in_fm < len(names):
+                budget += by_density[homed_in_fm].size_bytes
+
+    def test_budget_is_not_read_under_sm_only(self):
+        result = self._run(
+            {**self.HOST, "placement_policy": "sm_only_with_cache", "dram_budget_bytes": 123}
+        )
+        assert result["tiers"][0]["capacity_bytes"] == 0
+        reference = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
+        assert result == reference  # so nothing was homed in FM on the budget
+
+
+class TestSuppliedPlacement:
+    def test_anything_but_a_tiered_placement_is_a_type_error(self):
+        from helpers import small_model, small_sdm_config
+
+        model = small_model()
+        for stray in ({"user_0": 0}, "sm_only_with_cache", object()):
+            with pytest.raises(TypeError, match="TieredPlacement"):
+                SoftwareDefinedMemory(model, small_sdm_config(), placement=stray)
+
+    def test_placement_with_more_tiers_than_the_config_is_rejected(self):
+        from helpers import small_model, small_sdm_config
+
+        model = small_model()
+        three_tier = compute_tiered_placement(
+            model.table_specs, parse_tiers("dram:0,cxl:64KiB,nand:1MiB")
+        )
+        with pytest.raises(ValueError, match="references 3 tiers but the config resolves to 2"):
+            SoftwareDefinedMemory(model, small_sdm_config(), placement=three_tier)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory, Tier
+from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory
 from repro.dlrm import prune_table
 from repro.hierarchy import compute_tiered_placement, parse_tiers
 from repro.sim.units import BLOCK_SIZE
@@ -16,13 +16,13 @@ class TestSDMSetup:
     def test_user_tables_loaded_to_sm(self):
         model = small_model(num_user=2, num_item=1)
         sdm = small_sdm(model)
-        assert set(sdm.placement.sm_tables()) == {"user_0", "user_1"}
+        assert set(sdm.placement.storage_tables()) == {"user_0", "user_1"}
         assert sdm.sm_footprint_bytes() > 0
 
     def test_item_tables_not_on_sm(self):
         model = small_model()
         sdm = small_sdm(model)
-        assert sdm.placement.tier_of("item_0") is Tier.FM_DIRECT
+        assert sdm.placement.for_table("item_0").tiers() == (0,)
 
     def test_fm_footprint_includes_caches(self):
         model = small_model()
@@ -106,7 +106,8 @@ class TestSDMNumericalCorrectness:
             placement_policy=PlacementPolicy.FIXED_FM_SM,
             dram_budget_bytes=model.table("user_0").size_bytes,
         )
-        assert sdm.placement.tier_of("user_0") is Tier.FM_DIRECT
+        assert sdm.placement.for_table("user_0").tiers() == (0,)
+        assert "user_0" not in sdm._sm_tables
         pooled, _ = sdm.pooled_embeddings({"user_0": [1, 2, 3]}, 0.0)
         np.testing.assert_allclose(pooled["user_0"], model.table("user_0").bag([1, 2, 3]))
 

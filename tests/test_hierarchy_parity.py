@@ -136,7 +136,7 @@ class TestThreeTierEndToEnd:
         )
         assert any(
             decision.is_split
-            for decision in sdm.tiered_placement.decisions.values()
+            for decision in sdm.placement.decisions.values()
         )
         for query in small_queries(model, 50):
             pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
@@ -254,7 +254,7 @@ class TestPromotionPolicies:
         middle = sdm.tiers[1]
         if any(
             segment.tier > 1
-            for decision in sdm.tiered_placement.decisions.values()
+            for decision in sdm.placement.decisions.values()
             for segment in decision.segments
         ):
             assert middle.cache is not None and middle.cache.item_count > 0

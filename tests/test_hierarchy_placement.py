@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.core.placement import PlacementPolicy, Tier, compute_placement
 from repro.hierarchy import (
     TieredPlacement,
     TieredTablePlacement,
@@ -155,37 +154,6 @@ class TestRowGranularity:
 
 
 class TestConversions:
-    def test_legacy_round_trip(self):
-        specs = small_table_specs(num_user=2, num_item=1)
-        legacy = compute_placement(
-            specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=specs[0].size_bytes
-        )
-        tiered = TieredPlacement.from_legacy(legacy)
-        assert set(tiered.sm_tables()) == set(legacy.sm_tables())
-        assert set(tiered.fm_tables()) == set(legacy.fm_tables())
-        back = tiered.to_legacy()
-        for name in legacy.decisions:
-            assert back.tier_of(name) is legacy.tier_of(name)
-            assert (
-                back.for_table(name).cache_enabled
-                == legacy.for_table(name).cache_enabled
-            )
-
-    def test_split_placement_has_no_legacy_equivalent(self):
-        tiered = TieredPlacement(num_tiers=2)
-        tiered.add(
-            TieredTablePlacement(
-                table_name="t",
-                segments=(
-                    TierSegment(tier=0, start=0, end=5),
-                    TierSegment(tier=1, start=5, end=10),
-                ),
-                cache_enabled=True,
-            )
-        )
-        with pytest.raises(ValueError, match="row-split"):
-            tiered.to_legacy()
-
     def test_segments_must_tile_contiguously(self):
         with pytest.raises(ValueError, match="contiguously"):
             TieredTablePlacement(

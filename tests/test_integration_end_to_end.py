@@ -15,7 +15,7 @@ from repro.dlrm import (
     M1_SPEC,
     build_scaled_model,
 )
-from repro.serving import ServingSimulator
+from repro.serving import ServingEngine
 from repro.sim.units import MIB
 from repro.storage import IOEngineConfig, Technology
 from repro.workload import QueryGenerator, WorkloadConfig
@@ -117,7 +117,7 @@ class TestServingSimulatorIntegration:
             queries = QueryGenerator(
                 model, WorkloadConfig(item_batch=2, num_users=500, user_reuse_probability=0.2), seed=4
             ).generate(60)
-            result = ServingSimulator(engine).run(queries, warmup_queries=10)
+            result = ServingEngine(engine).run_closed_loop(queries, warmup_queries=10)
             return result.achieved_qps
 
         assert run(Technology.OPTANE_SSD) >= run(Technology.NAND_FLASH)
@@ -127,13 +127,14 @@ class TestServingSimulatorIntegration:
         sdm = SoftwareDefinedMemory(model, SDMConfig(row_cache_capacity_bytes=1 * MIB))
         engine = InferenceEngine(model, ComputeSpec(), sdm)
         queries = QueryGenerator(model, WorkloadConfig(item_batch=2), seed=0).generate(40)
-        result = ServingSimulator(engine, concurrency=2).run(queries, warmup_queries=5)
+        result = ServingEngine(engine, concurrency=2).run_closed_loop(queries, warmup_queries=5)
 
         assert result.num_queries == 35
         assert result.achieved_qps > 0
         assert sdm.stats.queries == 40
         assert sdm.stats.sm_row_lookups > 0
-        assert sdm.io_engine.stats.ios_submitted == sdm.stats.sm_ios
+        submitted = sum(tier.io_engine.stats.ios_submitted for tier in sdm.device_tiers)
+        assert submitted == sdm.stats.sm_ios
         assert sdm.device_stats().reads == sdm.stats.sm_ios
 
 

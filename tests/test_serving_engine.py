@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.serving import LatencyTarget, OpenLoopResult, ServingEngine, ServingSimulator
+from repro.serving import LatencyTarget, OpenLoopResult, ServingEngine
 from repro.serving import capacity_plan_from_host_result
 from repro.serving.platform import HW_S, HW_SS
 from repro.serving.scaleout import plan_scale_out_from_result
@@ -24,10 +24,10 @@ def _fresh(num_queries=30, concurrency=1, store_results=True):
 
 
 def _seed_reference_run(engine, queries, concurrency, warmup_queries=0):
-    """The seed ``ServingSimulator`` algorithm, replicated verbatim.
+    """The seed's closed-loop simulator algorithm, replicated verbatim.
 
     Round-robin stream assignment, position-order execution, per-stream
-    clocks — the closed-loop compatibility mode must reproduce this exactly.
+    clocks — ``run_closed_loop`` must reproduce this exactly.
     """
     for query in queries[:warmup_queries]:
         engine.run_query(query, start_time=0.0)
@@ -55,7 +55,7 @@ class TestClosedLoopParity:
 
         model2 = small_model()
         engine2 = small_engine(model2, small_sdm(model2))
-        result = ServingSimulator(engine2, concurrency=concurrency).run(
+        result = ServingEngine(engine2, concurrency=concurrency).run_closed_loop(
             small_queries(model2, 24), warmup_queries=warmup
         )
 
@@ -65,8 +65,10 @@ class TestClosedLoopParity:
             np.testing.assert_array_equal(produced.scores, expected)
 
     def test_serving_simulator_exposes_engine_and_concurrency(self):
+        """The engine and stream count a serving engine was built with are
+        readable (the test id predates ``ServingEngine``)."""
         serving, _ = _fresh()
-        simulator = ServingSimulator(serving.engine, concurrency=3)
+        simulator = ServingEngine(serving.engine, concurrency=3)
         assert simulator.concurrency == 3
         assert simulator.engine is serving.engine
 
