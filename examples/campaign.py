@@ -37,6 +37,7 @@ from repro import (
     compare_runs,
     run_campaign,
 )
+from repro.runtime import LocalPoolRuntime
 from repro.sim.units import MIB
 
 RUNS_DIR = Path(__file__).resolve().parent.parent / "runs" / "campaign_demo"
@@ -70,13 +71,15 @@ def build_campaign(queue_depth: int) -> CampaignSpec:
 def run_into(campaign: CampaignSpec, store_dir: Path):
     store = ExperimentStore(store_dir)
     store.write_campaign(campaign.to_dict())
-    # runtime="pool" is the work-stealing executor: points dispatch
+    # LocalPoolRuntime is the work-stealing executor: points dispatch
     # longest-expected-first, each worker keeps built backends resident
     # across points sharing a backend_hash (here: all six points per
     # BackendChoice), a failing point would quarantine instead of aborting
     # its siblings, and every worker appends straight to its own store
     # shard.  Serial, pool, and reuse-off all produce bit-identical results.
-    outcomes = run_campaign(campaign, parallel=4, runtime="pool", retries=1, store=store)
+    outcomes = run_campaign(
+        campaign, runtime=LocalPoolRuntime(workers=4), retries=1, store=store
+    )
     cached = sum(1 for outcome in outcomes if outcome.cached)
     failed = [outcome for outcome in outcomes if outcome.failed]
     print(f"{store_dir.name}: {len(outcomes)} points ({cached} from store)")

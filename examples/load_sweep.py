@@ -31,6 +31,7 @@ from repro import (
     format_table,
     run_campaign,
 )
+from repro.runtime import LocalPoolRuntime
 from repro.sim.units import MIB
 
 OFFERED_QPS = [1000.0, 4000.0, 16000.0, 32000.0, 64000.0, 128000.0]
@@ -77,7 +78,7 @@ def main() -> None:
     campaign = build_campaign()
     store = ExperimentStore(STORE_DIR)
     store.write_campaign(campaign.to_dict())
-    outcomes = run_campaign(campaign, parallel=4, store=store)
+    outcomes = run_campaign(campaign, runtime=LocalPoolRuntime(workers=4), store=store)
     cached = sum(1 for outcome in outcomes if outcome.cached)
     print(f"{len(outcomes)} points ({cached} served from {store.root})\n")
 

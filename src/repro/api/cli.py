@@ -30,7 +30,7 @@ import argparse
 import json
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis.reporting import format_table
 from repro.api.registry import available_backends
@@ -45,7 +45,9 @@ from repro.runtime import (
     RUNTIME_NAMES,
     CampaignSpec,
     ExperimentStore,
+    LocalPoolRuntime,
     MetricSpec,
+    Runtime,
     compare_runs,
     run_campaign,
 )
@@ -208,8 +210,6 @@ def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
     # Telemetry output flags (run subcommand only) imply the matching knobs.
     if getattr(args, "trace_out", None):
         spec = spec.replace("telemetry.trace", True)
-    if getattr(args, "wall_profiling", False):
-        spec = spec.replace("telemetry.wall_profiling", True)
     if getattr(args, "timeline_out", None) and spec.telemetry.sample_interval <= 0:
         raise ValueError(
             "--timeline-out needs a sampling cadence: pass --sample-interval "
@@ -303,7 +303,7 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
         # with the first swept value so the open-mode validation passes.
         spec = spec.replace("traffic.offered_qps", values[0])
         spec = spec.replace("traffic.mode", "open")
-    points = Session(spec).sweep(args.param, values, parallel=args.parallel)
+    points = Session(spec).sweep(args.param, values)
     if args.json:
         print(
             json.dumps(
@@ -410,6 +410,16 @@ class _CampaignProgress:
         print(line, file=sys.stderr)
 
 
+def _runtime_from_args(args: argparse.Namespace) -> Union[str, Runtime]:
+    """``--parallel N`` sizes the pool; it is the pool unless ``--runtime``
+    names another engine."""
+    if args.parallel < 1:
+        raise ValueError(f"--parallel must be positive: {args.parallel}")
+    if args.parallel > 1 and args.runtime in (None, "pool"):
+        return LocalPoolRuntime(workers=args.parallel)
+    return args.runtime or "serial"
+
+
 def _cmd_campaign(args: argparse.Namespace) -> int:
     campaign = _campaign_from_args(args)
     metrics = args.metric or ["achieved_qps"]
@@ -435,10 +445,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
 
     outcomes = run_campaign(
         campaign,
-        parallel=args.parallel,
         store=store,
         progress=_CampaignProgress() if not args.quiet else None,
-        runtime=args.runtime,
+        runtime=_runtime_from_args(args),
         retries=args.retries,
         reuse_backends=not args.no_reuse,
     )
@@ -605,11 +614,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="FILE",
         help="write the timeline windows as JSON (needs --sample-interval)",
     )
-    run_parser.add_argument(
-        "--wall-profiling",
-        action="store_true",
-        help="record wall-clock serve-core spans on a separate trace track",
-    )
     run_parser.set_defaults(handler=_cmd_run)
 
     report_parser = subparsers.add_parser(
@@ -621,7 +625,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--json", action="store_true", help="emit JSON")
     report_parser.set_defaults(handler=_cmd_report)
 
-    sweep_parser = subparsers.add_parser("sweep", help="run a one-dimensional parameter study")
+    sweep_parser = subparsers.add_parser(
+        "sweep",
+        help=(
+            "run a one-dimensional parameter study in this process (for a "
+            "process pool: campaign --grid param=v1,v2 --parallel N)"
+        ),
+    )
     _add_scenario_arguments(sweep_parser)
     sweep_parser.add_argument(
         "--param", required=True, help="dotted spec path, e.g. serving.concurrency"
@@ -629,9 +639,6 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_parser.add_argument("--values", required=True, help="comma-separated values")
     sweep_parser.add_argument(
         "--metric", default="achieved_qps", help="ScenarioResult attribute to tabulate"
-    )
-    sweep_parser.add_argument(
-        "--parallel", type=int, default=1, help="worker processes for the sweep points"
     )
     sweep_parser.set_defaults(handler=_cmd_sweep)
 

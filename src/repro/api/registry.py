@@ -12,7 +12,7 @@ third-party implementations plug in without touching core::
     def _build(model, compute, **options):
         return MyBackend(model, compute, **options)
 
-Built-in backends (``dram``, ``sdm``, ``pooled``) are registered by
+Built-in backends (``dram``, ``sdm``, ``pooled``, ``tiered``) are registered by
 :mod:`repro.api.backends` on import.
 """
 

@@ -18,7 +18,6 @@ session so runs are independent.
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, List, Optional, Sequence
 
 from repro.api.registry import create_backend
@@ -152,8 +151,6 @@ class Session:
         a bounded admission queue.
         """
         serving = self.spec.serving
-        queries = self.queries()
-        warmup = serving.warmup_queries
         recorder, sampler = self._telemetry()
         engine = ServingEngine(
             self.engine,
@@ -162,15 +159,11 @@ class Session:
             recorder=recorder,
             sampler=sampler,
         )
-        if serving.reset_stats_after_warmup and warmup > 0:
-            # Warm the caches outside the measured window, then measure
-            # steady-state statistics only.
-            for query in queries[:warmup]:
-                self.engine.run_query(query, start_time=0.0)
-            self._reset_backend_stats()
-            queries = queries[warmup:]
-            warmup = 0
-        host_result = self._serve(engine, queries, warmup)
+        measured = engine.warm_up(self.queries(), serving.warmup_queries)
+        if serving.reset_stats_after_warmup and serving.warmup_queries:
+            # Report steady-state statistics only.
+            self.backend.reset_stats()
+        host_result = self._serve(engine, measured)
         return self._build_result(host_result, recorder=recorder, sampler=sampler)
 
     def _telemetry(self):
@@ -182,14 +175,8 @@ class Session:
         """
         telemetry = self.spec.telemetry
         recorder: TraceRecorder = NULL_RECORDER
-        if telemetry.trace or telemetry.wall_profiling:
-            recorder = ChromeTraceRecorder(
-                wall_profiling=telemetry.wall_profiling,
-                max_events=telemetry.max_trace_events,
-            )
-            if not telemetry.trace:
-                # Wall profiling only: keep the simulated-clock spans off.
-                recorder.enabled = False
+        if telemetry.trace:
+            recorder = ChromeTraceRecorder(max_events=telemetry.max_trace_events)
             attach = getattr(self.backend, "set_trace_recorder", None)
             if callable(attach):
                 attach(recorder)
@@ -202,13 +189,13 @@ class Session:
         return recorder, sampler
 
     def _serve(
-        self, engine: ServingEngine, queries: Sequence[Query], warmup: int
+        self, engine: ServingEngine, queries: Sequence[Query]
     ) -> HostSimulationResult:
         traffic = self.spec.traffic
         if traffic.mode == "closed":
-            return engine.run_closed_loop(queries, warmup_queries=warmup)
+            return engine.run_closed_loop(queries)
         arrivals = generate_arrival_times(
-            len(queries) - warmup,
+            len(queries),
             process=traffic.arrival,
             offered_qps=traffic.offered_qps,
             seed=traffic.seed,
@@ -218,7 +205,6 @@ class Session:
             queries,
             arrivals,
             queue_depth=traffic.queue_depth,
-            warmup_queries=warmup,
             serve_batch=traffic.serve_batch,
         )
 
@@ -226,17 +212,14 @@ class Session:
     # identical points; campaign grids share the same guard via CampaignSpec.
     _OPEN_LOOP_ONLY_PARAMS = OPEN_LOOP_ONLY_PARAMS
 
-    def sweep(
-        self, param: str, values: Sequence[Any], *, parallel: int = 1
-    ) -> List[SweepPoint]:
+    def sweep(self, param: str, values: Sequence[Any]) -> List[SweepPoint]:
         """Run the scenario once per value of ``param`` (dotted spec path).
 
-        Each point runs in a fresh :class:`Session`, so cache state does not
-        leak between points.  ``parallel`` > 1 delegates to the campaign
-        executor (:func:`repro.runtime.run_campaign`) and runs the points on a
-        process pool; specs travel as dicts, so the per-point metrics are
-        identical to the serial run but the raw ``host_result`` is not
-        retained.
+        Each point runs in a fresh :class:`Session` in this process, one
+        after the other, so cache state does not leak between points and the
+        session's ``ComputeSpec`` and each raw ``host_result`` are kept.
+        For points on a process pool, run the same axis as a one-axis
+        :func:`repro.runtime.run_campaign`.
         """
         if not values:
             raise ValueError("sweep needs at least one value")
@@ -246,45 +229,6 @@ class Session:
                 f"set traffic.mode='open' (e.g. TrafficSpec(mode='open', "
                 f"arrival='poisson', offered_qps=...))"
             )
-        if parallel > 1:
-            if self.compute != ComputeSpec():
-                # Only the spec travels to worker processes; a custom compute
-                # model would be silently dropped there, making the parallel
-                # metrics diverge from the serial ones.
-                raise ValueError(
-                    "sweep(parallel>1) cannot carry a custom ComputeSpec "
-                    "(only the ScenarioSpec travels to worker processes); "
-                    "run serially or use the default compute model"
-                )
-            # Imported here: repro.runtime builds on repro.api, not vice versa.
-            from repro.runtime import CampaignSpec, run_campaign
-
-            campaign = CampaignSpec(
-                name=self.spec.name, base=self.spec, axes=((param, tuple(values)),)
-            )
-            outcomes = run_campaign(campaign, parallel=parallel)
-            failed = [outcome for outcome in outcomes if outcome.result is None]
-            if failed:
-                # sweep's contract is all-or-nothing; campaign quarantine is
-                # for long grids, not three-line sweeps.
-                first = failed[0]
-                raise RuntimeError(
-                    f"sweep point {param}={dict(first.coords).get(param)!r} failed: "
-                    f"{first.error_type}: {first.error}"
-                )
-            return [
-                SweepPoint(
-                    param=param,
-                    value=value,
-                    # Campaign points run under coordinate-derived names;
-                    # restore the sweep contract that result.scenario matches
-                    # the serial run.
-                    result=dataclasses.replace(
-                        outcome.result, scenario=self.spec.name
-                    ),
-                )
-                for value, outcome in zip(values, outcomes)
-            ]
         points: List[SweepPoint] = []
         for value in values:
             session = Session(self.spec.replace(param, value), compute=self.compute)
@@ -292,11 +236,6 @@ class Session:
         return points
 
     # -------------------------------------------------------------- internals
-    def _reset_backend_stats(self) -> None:
-        reset = getattr(self.backend, "reset_stats", None)
-        if callable(reset):
-            reset()
-
     def _backend_stats(self) -> dict:
         backend = self.backend
         if not isinstance(backend, SoftwareDefinedMemory):

@@ -191,16 +191,12 @@ class TelemetrySpec:
     Chrome-trace-event export to the result.  ``sample_interval`` (simulated
     seconds, ``0`` disables) snapshots tier/cache/IO/admission counters into
     :attr:`~repro.api.results.ScenarioResult.timeline` window deltas.
-    ``wall_profiling`` additionally records *host* wall-clock spans of the
-    serve core on a separate trace track — it never feeds back into
-    simulated time, results or spec hashes.  With every knob off (the
-    default) the serving path is bit-identical to a build without
-    telemetry, which the parity tests pin.
+    With every knob off (the default) the serving path is bit-identical to
+    a build without telemetry, which the parity tests pin.
     """
 
     trace: bool = False
     sample_interval: float = 0.0
-    wall_profiling: bool = False
     max_trace_events: int = 1_000_000
 
     def __post_init__(self) -> None:
@@ -215,7 +211,7 @@ class TelemetrySpec:
 
     @property
     def enabled(self) -> bool:
-        return self.trace or self.wall_profiling or self.sample_interval > 0
+        return self.trace or self.sample_interval > 0
 
 
 _SECTION_TYPES = {

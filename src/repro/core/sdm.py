@@ -44,7 +44,6 @@ from repro.obs.metrics import (
     TIER_COUNTER_FIELDS,
     stats_counters,
 )
-from repro.obs.profile import wall_seconds
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.storage.device import DeviceStats
 
@@ -520,7 +519,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             # serve from fast memory.
             self.placement.for_table(table_name)
             return self._serve_from_fm(table_name, indices, start_time)
-        return self._serve_from_sm(table_name, indices, start_time)
+        return self._sm_lookup(table_name, indices, start_time)
 
     def _serve_from_fm(
         self, table_name: str, indices: List[int], start_time: float
@@ -533,23 +532,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         fast.stats.rows_served += len(indices)
         fast.stats.bytes_served += len(indices) * table.spec.row_bytes
         return vector, start_time + elapsed
-
-    def _serve_from_sm(
-        self, table_name: str, indices: List[int], start_time: float
-    ) -> Tuple[np.ndarray, float]:
-        if not self.recorder.wall_profiling:
-            return self._sm_lookup(table_name, indices, start_time)
-        # Wall-clock profiling of the serve core: measures host time only,
-        # never feeds back into simulated time or results (see repro.obs).
-        started = wall_seconds()
-        result = self._sm_lookup(table_name, indices, start_time)
-        self.recorder.wall_span(
-            f"sm:{table_name}",
-            started,
-            wall_seconds() - started,
-            args={"rows": len(indices)},
-        )
-        return result
 
     def _sm_lookup(
         self, table_name: str, indices: List[int], start_time: float

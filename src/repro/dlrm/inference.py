@@ -176,6 +176,13 @@ class EmbeddingBackend(abc.ABC):
     def on_query_complete(self) -> None:
         """Hook called once per query (used for per-query statistics)."""
 
+    def reset_stats(self) -> None:
+        """Zero every counter; a no-op for backends that keep none."""
+
+    def reset_queues(self) -> None:
+        """Drop state stamped with simulated time (outstanding IOs, busy
+        channels, in-flight faults); a no-op for backends that hold none."""
+
 
 class InMemoryBackend(EmbeddingBackend):
     """Reference backend: every table lives in fast memory (DRAM/HBM)."""

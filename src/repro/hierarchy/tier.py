@@ -702,6 +702,7 @@ class DeviceTier(MemoryTier):
 
     def reset_queues(self) -> None:
         self.io_engine.reset_queues()
+        self.access_path.reset_queues()
         for device in self.devices:
             device.reset_queues()
 

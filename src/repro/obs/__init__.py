@@ -14,8 +14,10 @@ Three pieces, all driven by the serving stack:
   JSON (the ``python -m repro report`` subcommand).
 
 :mod:`repro.obs.profile` is the repository's single audited wall-clock
-module (DET001 allow-lists exactly that file); wall-clock profiling of the
-serve core and campaign ETA lines go through it and nowhere else.
+module (DET001 allow-lists exactly that file); campaign ETA lines go through
+it and nowhere else.  Host-time (wall-clock) spans are not recorded from
+inside the library: ``perf/trace.py`` wraps the functions named in
+``perf/layers.py`` from outside, and that hook table is the one wall tracer.
 
 Everything is wired through ``ScenarioSpec``'s ``telemetry`` section; with
 telemetry disabled (the default) the serving stack's behaviour is
@@ -33,7 +35,7 @@ from repro.obs.metrics import (
     window_rate,
     window_ratio,
 )
-from repro.obs.profile import wall_seconds, wall_span
+from repro.obs.profile import wall_seconds
 from repro.obs.report import render_report, report_dict, timeline_table_data
 from repro.obs.trace import (
     NULL_RECORDER,
@@ -58,7 +60,6 @@ __all__ = [
     "timeline_table_data",
     "validate_chrome_trace",
     "wall_seconds",
-    "wall_span",
     "window_rate",
     "window_ratio",
 ]

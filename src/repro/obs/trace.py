@@ -13,9 +13,8 @@ down as bit-identical results).
 :class:`ChromeTraceRecorder` collects spans in the Chrome trace-event JSON
 format (the ``{"traceEvents": [...]}`` container of *complete* ``ph: "X"``
 events), which https://ui.perfetto.dev loads directly.  Timestamps are the
-*simulated* clock scaled to microseconds; wall-clock profiling spans (see
-:mod:`repro.obs.profile`) land in a separate process track with their own
-timebase so the two never get confused for each other.
+*simulated* clock scaled to microseconds.  Host wall time is not recorded
+here — see :mod:`repro.obs.profile` for where that is measured.
 """
 
 from __future__ import annotations
@@ -29,17 +28,14 @@ _US = 1e6
 
 #: Track (pid) that carries simulated-time spans.
 SIM_PID = 0
-#: Track (pid) that carries wall-clock profiling spans.
-WALL_PID = 1
 
 
 class TraceRecorder:
     """No-op base recorder: the zero-overhead default.
 
-    Every emission method is a ``pass``; the class-level ``enabled`` /
-    ``wall_profiling`` flags are ``False`` so instrumented code skips even
-    the argument construction.  Subclasses that record set ``enabled`` (and
-    optionally ``wall_profiling``) to ``True`` on the instance.
+    Every emission method is a ``pass``; the class-level ``enabled`` flag
+    is ``False`` so instrumented code skips even the argument construction.
+    Subclasses that record set ``enabled`` to ``True`` on the instance.
 
     ``track`` is the thread id spans default to when the caller does not
     pass one; the serving engine points it at the current serving stream
@@ -48,7 +44,6 @@ class TraceRecorder:
     """
 
     enabled: bool = False
-    wall_profiling: bool = False
     track: int = 0
 
     def set_track(self, tid: int) -> None:
@@ -86,16 +81,6 @@ class TraceRecorder:
     def counter(self, name: str, time: float, values: Mapping[str, float]) -> None:
         """Record a counter sample (e.g. admission-queue depth)."""
 
-    def wall_span(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        *,
-        args: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        """Record one wall-clock profiling span (perf_counter seconds)."""
-
 
 #: The shared zero-overhead default recorder.
 NULL_RECORDER = TraceRecorder()
@@ -108,23 +93,19 @@ class ChromeTraceRecorder(TraceRecorder):
     are counted in ``dropped_events`` instead of stored, so a runaway trace
     degrades instead of exhausting memory.  ``to_chrome_trace`` returns the
     Perfetto-loadable ``{"traceEvents": [...]}`` container with process /
-    thread metadata naming the simulated-host and wall-clock tracks.
+    thread metadata naming the simulated-host tracks.
     """
 
-    def __init__(
-        self, *, wall_profiling: bool = False, max_events: int = 1_000_000
-    ) -> None:
+    def __init__(self, *, max_events: int = 1_000_000) -> None:
         if max_events < 1:
             raise ValueError(f"max_events must be positive: {max_events}")
         self.enabled = True
-        self.wall_profiling = wall_profiling
         self.track = 0
         self.max_events = max_events
         self.dropped_events = 0
         self._paused_enabled = True
         self._events: List[Dict[str, Any]] = []
         self._thread_names: Dict[int, str] = {0: "admission"}
-        self._wall_epoch: Optional[float] = None
 
     def __len__(self) -> int:
         return len(self._events)
@@ -138,8 +119,8 @@ class ChromeTraceRecorder(TraceRecorder):
         self.enabled = False
 
     def resume(self) -> None:
-        # Restore rather than force True: wall-profiling-only recorders keep
-        # simulated-clock spans off (enabled=False) across warmup.
+        # Restore rather than force True: a recorder the caller switched off
+        # stays off across warmup.
         self.enabled = self._paused_enabled
 
     def name_thread(self, tid: int, name: str) -> None:
@@ -217,31 +198,6 @@ class ChromeTraceRecorder(TraceRecorder):
             }
         )
 
-    def wall_span(
-        self,
-        name: str,
-        start: float,
-        duration: float,
-        *,
-        args: Optional[Mapping[str, Any]] = None,
-    ) -> None:
-        # Wall timestamps are perf_counter seconds with an arbitrary origin;
-        # re-anchor on the first span so the track starts near zero.
-        if self._wall_epoch is None:
-            self._wall_epoch = start
-        event: Dict[str, Any] = {
-            "name": name,
-            "cat": "wall",
-            "ph": "X",
-            "ts": (start - self._wall_epoch) * _US,
-            "dur": duration * _US,
-            "pid": WALL_PID,
-            "tid": 0,
-        }
-        if args:
-            event["args"] = dict(args)
-        self._append(event)
-
     # ------------------------------------------------------------- exporting
     def to_chrome_trace(self) -> Dict[str, Any]:
         """The Perfetto-loadable trace container (metadata + events)."""
@@ -264,21 +220,11 @@ class ChromeTraceRecorder(TraceRecorder):
                     "args": {"name": self._thread_names[tid]},
                 }
             )
-        if any(event["pid"] == WALL_PID for event in self._events):
-            metadata.append(
-                {
-                    "name": "process_name",
-                    "ph": "M",
-                    "pid": WALL_PID,
-                    "tid": 0,
-                    "args": {"name": "wall clock (profiling)"},
-                }
-            )
         return {
             "traceEvents": metadata + list(self._events),
             "displayTimeUnit": "ms",
             "otherData": {
-                "clock": "simulated seconds x 1e6 (pid 0) / wall seconds (pid 1)",
+                "clock": "simulated seconds x 1e6",
                 "dropped_events": self.dropped_events,
             },
         }

@@ -19,8 +19,7 @@ simulation):
 * :func:`compare_runs` (:mod:`repro.runtime.compare`) — per-metric regression
   diff of two stored runs.
 
-The same machinery backs ``python -m repro campaign`` / ``compare`` and
-``Session.sweep(parallel=N)``.
+The same machinery backs ``python -m repro campaign`` / ``compare``.
 """
 
 from repro.runtime.campaign import (

@@ -148,19 +148,18 @@ def _completion_outcome(completion: PointCompletion) -> PointOutcome:
 def run_campaign(
     campaign: CampaignSpec,
     *,
-    parallel: int = 1,
     store: Optional[ExperimentStore] = None,
     progress: Optional[ProgressCallback] = None,
-    runtime: Union[str, Runtime, None] = None,
+    runtime: Union[str, Runtime] = "serial",
     retries: int = 0,
     reuse_backends: bool = True,
 ) -> List[PointOutcome]:
     """Execute every point of ``campaign``; return outcomes in point order.
 
     ``runtime`` selects the execution engine: ``"serial"``, ``"pool"``
-    (work-stealing process pool), ``"dry"`` (plan only), a
-    :class:`~repro.runtime.runtimes.Runtime` instance, or ``None`` for the
-    legacy contract (``parallel > 1`` → pool, else serial).  ``retries``
+    (work-stealing process pool, one worker per CPU), ``"dry"`` (plan only),
+    or a :class:`~repro.runtime.runtimes.Runtime` instance such as
+    ``LocalPoolRuntime(workers=4)``.  ``retries``
     re-runs a failing point that many extra times before quarantining it as
     a failed outcome — a failure never aborts its siblings, and only
     successful results are persisted, so quarantined points retry on resume.
@@ -171,11 +170,9 @@ def run_campaign(
     directly to per-worker store shards, and serial/dry paths persist
     through the driver.
     """
-    if parallel < 1:
-        raise ValueError(f"parallel must be positive: {parallel}")
     if retries < 0:
         raise ValueError(f"retries must be non-negative: {retries}")
-    engine = resolve_runtime(runtime, parallel)
+    engine = resolve_runtime(runtime)
     points = campaign.points()
     total = len(points)
     outcomes: List[Optional[PointOutcome]] = [None] * total

@@ -363,25 +363,19 @@ class LocalPoolRuntime:
 RUNTIME_NAMES = ("serial", "pool", "dry")
 
 
-def resolve_runtime(
-    runtime: Union[str, Runtime, None], parallel: int
-) -> Runtime:
+def resolve_runtime(runtime: Union[str, Runtime]) -> Runtime:
     """Resolve ``run_campaign``'s runtime argument to a Runtime instance.
 
-    ``None`` keeps the legacy contract: ``parallel > 1`` picks the pool,
-    otherwise serial.  A string picks by name (``"pool"`` sizes itself from
-    ``parallel`` when that is > 1, else from the CPU count).  Anything else
-    must already be a runtime and is returned as-is.
+    A string picks by name (``"pool"`` sizes itself from the CPU count);
+    anything else must already be a runtime and is returned as-is.
     """
-    if runtime is None:
-        return LocalPoolRuntime(workers=parallel) if parallel > 1 else SerialRuntime()
     if isinstance(runtime, str):
         if runtime == "serial":
             return SerialRuntime()
         if runtime == "dry":
             return DryRunRuntime()
         if runtime == "pool":
-            return LocalPoolRuntime(workers=parallel if parallel > 1 else None)
+            return LocalPoolRuntime()
         raise ValueError(
             f"unknown runtime {runtime!r}; known runtimes: {list(RUNTIME_NAMES)}"
         )

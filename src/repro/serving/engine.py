@@ -234,13 +234,13 @@ class ServingEngine:
     ) -> HostSimulationResult:
         """Serve ``queries`` closed-loop across ``concurrency`` streams.
 
-        The first ``warmup_queries`` are executed (so caches warm up) but are
-        excluded from the reported latencies and the makespan, mirroring the
-        paper's focus on steady-state behaviour.  The schedule (round-robin
-        stream assignment, position-order execution) is pinned by
-        ``tests/test_serving_engine.py`` against a verbatim reference loop.
+        The first ``warmup_queries`` go through :meth:`warm_up` (so caches warm
+        up) and are excluded from the reported latencies and the makespan,
+        mirroring the paper's focus on steady-state behaviour.  The schedule
+        (round-robin stream assignment, position-order execution) is pinned
+        by ``tests/test_serving_engine.py`` against a verbatim reference loop.
         """
-        measured = self._run_warmup(queries, warmup_queries)
+        measured = self.warm_up(queries, warmup_queries)
         recorder = self.recorder
         tracing = recorder.enabled
         sampler = self.sampler
@@ -315,7 +315,7 @@ class ServingEngine:
             raise ValueError(f"queue_depth must be non-negative: {queue_depth}")
         if serve_batch < 1:
             raise ValueError(f"serve_batch must be positive: {serve_batch}")
-        measured = self._run_warmup(queries, warmup_queries)
+        measured = self.warm_up(queries, warmup_queries)
         if len(arrival_times) != len(measured):
             raise ValueError(
                 f"arrival_times ({len(arrival_times)}) must match the measured "
@@ -467,9 +467,19 @@ class ServingEngine:
             records=records,
         )
 
-    # -------------------------------------------------------------- internals
-    def _run_warmup(self, queries: Sequence[Query], warmup_queries: int) -> Sequence[Query]:
-        """Validate arguments, run the warmup prefix, return the measured tail."""
+    # ---------------------------------------------------------------- warm-up
+    def warm_up(self, queries: Sequence[Query], warmup_queries: int) -> Sequence[Query]:
+        """Serve the first ``warmup_queries`` untraced; return the measured tail.
+
+        What the prefix leaves behind is the state a long-running host would
+        have: cached rows and pages, and the position of every random stream.
+        What it must not leave behind is anything stamped with its own clock
+        — the prefix is issued at simulated t=0 and the measured window also
+        starts at t=0, so outstanding IOs, busy device channels and in-flight
+        page faults are dropped (``reset_queues``) rather than carried over
+        as a backlog the first measured queries would wait behind.  Counters
+        keep counting; zero them with ``backend.reset_stats()`` if wanted.
+        """
         if not queries:
             raise ValueError("run() needs at least one query")
         if warmup_queries < 0:
@@ -480,16 +490,18 @@ class ServingEngine:
                 f"({len(queries)} supplied)"
             )
         if warmup_queries:
-            # Warmup exercises the caches but is not part of the measured
-            # run; spans from it would overlap the measured ones at time 0.
+            # Spans from the prefix would overlap the measured ones at time 0.
             self.recorder.pause()
             try:
                 for query in queries[:warmup_queries]:
                     self.engine.run_query(query, start_time=0.0)
             finally:
                 self.recorder.resume()
+            self.engine.user_backend.reset_queues()
+            self.engine.item_backend.reset_queues()
         return queries[warmup_queries:]
 
+    # -------------------------------------------------------------- internals
     def _name_stream_tracks(self, recorder: TraceRecorder) -> None:
         """Label the per-stream trace tracks on recorders that support it."""
         name_thread = getattr(recorder, "name_thread", None)

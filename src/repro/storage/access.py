@@ -58,6 +58,11 @@ class AccessPath(abc.ABC):
         """Zero any access-path counters; no-op for paths that keep none."""
         return None
 
+    def reset_queues(self) -> None:
+        """Drop in-flight state stamped with simulated time; no-op for paths
+        that hold none."""
+        return None
+
 
 class DirectIOReader(AccessPath):
     """O_DIRECT row reads through the io_uring engine.
@@ -177,3 +182,8 @@ class MmapReader(AccessPath):
     def reset_stats(self) -> None:
         self.page_faults = 0
         self.page_hits = 0
+
+    def reset_queues(self) -> None:
+        """Every mapped page's fault has landed: pages stay cached, but no
+        later access stalls until a completion time on the previous clock."""
+        self._page_cache = dict.fromkeys(self._page_cache, 0.0)

@@ -417,7 +417,10 @@ class TestOpenLoopSession:
         ).run()
         capacity = closed.achieved_qps
         hot = Session(self._open_spec(offered_qps=3.0 * capacity)).run()
-        assert hot.latency["p99"] > closed.latency["p99"]
+        # The median, not p99: with 30 measured queries p99 is one
+        # cache-missing query in either run, while at 3x capacity every
+        # query queues.
+        assert hot.latency["p50"] > closed.latency["p50"]
         assert hot.queueing["p99"] > 0.0
 
     def test_serve_batch_reaches_the_engine_and_the_result(self):

@@ -7,13 +7,15 @@ the simulated results (per-query scores and latencies, aggregate statistics,
 makespan) are bit-identical to the telemetry-off run, because spans and
 samples only observe state the simulation already produced."""
 
+from collections import Counter
+
 import numpy as np
 
 from repro.api import ScenarioSpec, Session, TelemetrySpec
 from repro.api.spec import ServingChoice, TrafficSpec, WorkloadChoice
 from repro.obs.trace import NULL_RECORDER
 
-FULL_TELEMETRY = TelemetrySpec(trace=True, sample_interval=0.02, wall_profiling=True)
+FULL_TELEMETRY = TelemetrySpec(trace=True, sample_interval=0.02)
 
 OPEN_SPEC = ScenarioSpec(
     name="obs-parity",
@@ -106,3 +108,27 @@ class TestTelemetryOnIsBitIdentical:
         # the measured queries.
         serve_spans = [e for e in sim_events if e["name"] == "serve"]
         assert len(serve_spans) == result.num_queries
+
+        # Backend spans (chain walk, storage IO, SDM fetch/dequantise) cover
+        # the measured queries only, whether or not the counters are reset
+        # after warmup: one warm-up implementation pauses the recorder.
+        spec = CLOSED_SPEC.replace("workload.num_queries", 30).replace(
+            "telemetry", TelemetrySpec(trace=True)
+        )
+        backend_spans = {}
+        for reset in (False, True):
+            session = Session(spec.replace("serving.reset_stats_after_warmup", reset))
+            trace = session.run().trace
+            backend_spans[reset] = Counter(
+                e["name"].split(":")[0]
+                for e in trace["traceEvents"]
+                if e["ph"] == "X" and e.get("cat") in ("chain", "storage", "sdm")
+            )
+        # After the reset the counters describe the measured window alone,
+        # and every SM table request the pooled cache missed is one fetch.
+        stats = session.backend.stats
+        fetches = stats.sm_table_requests - stats.pooled_cache_hits
+        assert backend_spans[True]["fetch"] == fetches > 0
+        assert backend_spans[True]["walk"] == fetches
+        assert backend_spans[True]["io"] > 0 and backend_spans[True]["dequantise"] > 0
+        assert backend_spans[False] == backend_spans[True]

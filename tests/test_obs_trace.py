@@ -7,7 +7,6 @@ import pytest
 from repro.obs.trace import (
     NULL_RECORDER,
     SIM_PID,
-    WALL_PID,
     ChromeTraceRecorder,
     TraceRecorder,
     validate_chrome_trace,
@@ -18,7 +17,6 @@ class TestNullRecorder:
     def test_disabled_and_silent(self):
         recorder = TraceRecorder()
         assert recorder.enabled is False
-        assert recorder.wall_profiling is False
         # Every emission is a no-op; nothing raises, nothing is stored.
         recorder.set_track(3)
         recorder.pause()
@@ -26,7 +24,6 @@ class TestNullRecorder:
         recorder.span("s", "cat", 0.0, 1.0)
         recorder.instant("i", "cat", 0.0)
         recorder.counter("c", 0.0, {"depth": 1})
-        recorder.wall_span("w", 0.0, 1.0)
 
     def test_shared_singleton_stays_disabled(self):
         assert NULL_RECORDER.enabled is False
@@ -77,8 +74,8 @@ class TestChromeTraceRecorder:
         assert len(recorder) == 1
 
     def test_resume_restores_disabled_state(self):
-        # Wall-profiling-only recorders keep sim spans off across warmup.
-        recorder = ChromeTraceRecorder(wall_profiling=True)
+        # A recorder the caller switched off stays off across warmup.
+        recorder = ChromeTraceRecorder()
         recorder.enabled = False
         recorder.pause()
         recorder.resume()
@@ -95,21 +92,6 @@ class TestChromeTraceRecorder:
     def test_max_events_must_be_positive(self):
         with pytest.raises(ValueError, match="max_events"):
             ChromeTraceRecorder(max_events=0)
-
-    def test_wall_spans_land_on_their_own_reanchored_track(self):
-        recorder = ChromeTraceRecorder(wall_profiling=True)
-        recorder.wall_span("sm:t0", 1000.5, 0.25)
-        recorder.wall_span("sm:t1", 1001.0, 0.25)
-        trace = recorder.to_chrome_trace()
-        wall = [e for e in trace["traceEvents"] if e["pid"] == WALL_PID and e["ph"] == "X"]
-        assert [e["ts"] for e in wall] == [0.0, 0.5e6]
-        # The wall-clock process gets its own metadata name.
-        names = [
-            e["args"]["name"]
-            for e in trace["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        ]
-        assert names == ["simulated host", "wall clock (profiling)"]
 
     def test_thread_metadata_names_tracks(self):
         recorder = ChromeTraceRecorder()

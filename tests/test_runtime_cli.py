@@ -96,6 +96,11 @@ class TestCampaignCLI:
         parallel = run_json(capsys, argv + ["--parallel", "2"])
         assert [p["result"] for p in serial] == [p["result"] for p in parallel]
 
+    def test_non_positive_parallel_is_a_user_error(self, capsys):
+        assert cli_main(["campaign", *BASE_ARGS, "--grid", "serving.concurrency=1,2",
+                         "--parallel", "0"]) == 2
+        assert "--parallel must be positive" in capsys.readouterr().err
+
     def test_no_reuse_flag_produces_identical_results(self, capsys):
         argv = ["campaign", *BASE_ARGS, "--grid", "workload.num_users=40,60",
                 "--quiet", "--json"]

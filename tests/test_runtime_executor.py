@@ -46,10 +46,10 @@ def failing_campaign() -> CampaignSpec:
 
 class TestDeterminism:
     def test_parallel_matches_serial_point_for_point(self):
-        """Acceptance: parallel=4 metrics are identical to the serial run."""
+        """Acceptance: 4-worker pool metrics are identical to the serial run."""
         campaign = two_axis_campaign()
-        serial = run_campaign(campaign, parallel=1)
-        parallel = run_campaign(campaign, parallel=4)
+        serial = run_campaign(campaign)
+        parallel = run_campaign(campaign, runtime=LocalPoolRuntime(workers=4))
         assert len(serial) == len(parallel) == 4
         for s, p in zip(serial, parallel):
             assert s.index == p.index
@@ -72,31 +72,32 @@ class TestDeterminism:
         oracle = run_campaign(campaign, runtime="serial", reuse_backends=False)
         variants = {
             "serial+reuse": run_campaign(campaign, runtime="serial"),
-            "pool+reuse": run_campaign(campaign, parallel=2, runtime="pool"),
+            "pool+reuse": run_campaign(campaign, runtime=LocalPoolRuntime(workers=2)),
             "pool-no-reuse": run_campaign(
-                campaign, parallel=2, runtime="pool", reuse_backends=False
+                campaign, runtime=LocalPoolRuntime(workers=2), reuse_backends=False
             ),
         }
         for name, outcomes in variants.items():
             assert [o.metrics for o in outcomes] == [o.metrics for o in oracle], name
 
     def test_sweep_parallel_matches_serial_metrics(self):
+        """``Session.sweep`` and the same axis as a one-axis pool campaign —
+        the two spellings of a one-dimensional study — agree metric for
+        metric; only the scenario name differs (campaign points are named
+        after their coordinates)."""
         spec = small_base()
-        serial = Session(spec).sweep("serving.concurrency", [1, 2])
-        parallel = Session(spec).sweep("serving.concurrency", [1, 2], parallel=2)
-        assert [point.value for point in parallel] == [1, 2]
+        values = [1, 2]
+        serial = Session(spec).sweep("serving.concurrency", values)
+        campaign = CampaignSpec(
+            name=spec.name, base=spec, axes=(("serving.concurrency", tuple(values)),)
+        )
+        parallel = run_campaign(campaign, runtime=LocalPoolRuntime(workers=2))
+        assert [dict(outcome.coords)["serving.concurrency"] for outcome in parallel] == values
         for s, p in zip(serial, parallel):
-            # The parallel path does not retain the raw host result; every
-            # serialised measurement — including the scenario name — agrees.
-            assert p.result.host_result is None
-            assert p.result.to_dict() == s.result.to_dict()
-
-    def test_sweep_parallel_rejects_custom_compute(self):
-        from repro import ComputeSpec
-
-        session = Session(small_base(), compute=ComputeSpec(flops_per_second=1e9))
-        with pytest.raises(ValueError, match="ComputeSpec"):
-            session.sweep("serving.concurrency", [1, 2], parallel=2)
+            assert s.result.host_result is not None
+            expected, actual = s.result.to_dict(), dict(p.metrics)
+            assert actual.pop("scenario") != expected.pop("scenario")
+            assert actual == expected
 
 
 class TestBackendReuse:
@@ -173,7 +174,7 @@ class TestModelSharing:
         models = {id(model) for _, model, _ in runtimes_module._BACKEND_CACHE.values()}
         assert len(models) == 1
         runtimes_module.clear_backend_cache()
-        pooled = run_campaign(campaign, parallel=2, runtime="pool")
+        pooled = run_campaign(campaign, runtime=LocalPoolRuntime(workers=2))
         for name, outcomes in (("serial+reuse", reused), ("pool+reuse", pooled)):
             assert all(outcome.ok for outcome in outcomes), name
             assert [o.metrics for o in outcomes] == [o.metrics for o in oracle], name
@@ -217,9 +218,7 @@ class TestQuarantine:
         """Acceptance: a raising point becomes a failure outcome, its error is
         recorded, and every sibling still completes and persists."""
         store = ExperimentStore(tmp_path / "run")
-        outcomes = run_campaign(
-            failing_campaign(), store=store, runtime=runtime, parallel=2
-        )
+        outcomes = run_campaign(failing_campaign(), store=store, runtime=runtime)
         assert [o.status for o in outcomes] == ["ok", "failed"]
         good, bad = outcomes
         assert good.ok and not good.failed
@@ -335,7 +334,7 @@ class TestWorkStealing:
         campaign = CampaignSpec.from_grid(
             small_base(), {"workload.num_queries": [12, 48, 24]}, name="exec"
         )
-        outcomes = run_campaign(campaign, parallel=2, runtime="pool")
+        outcomes = run_campaign(campaign, runtime=LocalPoolRuntime(workers=2))
         assert submitted == [48, 24, 12]  # big points dispatch first
         # ...but outcomes still come back in point order.
         assert [o.index for o in outcomes] == [0, 1, 2]
@@ -353,7 +352,7 @@ class TestWorkStealing:
     def test_pool_workers_persist_to_store_shards(self, tmp_path):
         campaign = two_axis_campaign()
         store = ExperimentStore(tmp_path / "run")
-        outcomes = run_campaign(campaign, parallel=2, store=store, runtime="pool")
+        outcomes = run_campaign(campaign, store=store, runtime=LocalPoolRuntime(workers=2))
         assert [o.status for o in outcomes] == ["ok"] * 4
         # Workers appended their own shards; the driver wrote nothing itself.
         assert store.shard_paths()
@@ -421,21 +420,19 @@ class TestStoreResume:
 
     def test_invalid_arguments(self):
         campaign = CampaignSpec.from_grid(small_base(), {"serving.concurrency": [1]})
-        with pytest.raises(ValueError, match="parallel"):
-            run_campaign(campaign, parallel=0)
+        with pytest.raises(ValueError, match="workers"):
+            run_campaign(campaign, runtime=LocalPoolRuntime(workers=0))
         with pytest.raises(ValueError, match="retries"):
             run_campaign(campaign, retries=-1)
         with pytest.raises(ValueError, match="unknown runtime"):
             run_campaign(campaign, runtime="quantum")
 
     def test_resolve_runtime_contract(self):
-        assert isinstance(resolve_runtime(None, 1), SerialRuntime)
-        assert isinstance(resolve_runtime(None, 4), LocalPoolRuntime)
-        assert resolve_runtime(None, 4).workers == 4
-        assert isinstance(resolve_runtime("serial", 4), SerialRuntime)
-        assert isinstance(resolve_runtime("dry", 1), DryRunRuntime)
+        assert isinstance(resolve_runtime("serial"), SerialRuntime)
+        assert isinstance(resolve_runtime("pool"), LocalPoolRuntime)
+        assert isinstance(resolve_runtime("dry"), DryRunRuntime)
         engine = LocalPoolRuntime(workers=3)
-        assert resolve_runtime(engine, 1) is engine
+        assert resolve_runtime(engine) is engine
 
     def test_pool_failure_falls_back_to_serial(self, monkeypatch, tmp_path):
         campaign = two_axis_campaign()
@@ -447,11 +444,13 @@ class TestStoreResume:
         monkeypatch.setattr(runtimes_module, "ProcessPoolExecutor", BrokenPool)
         store = ExperimentStore(tmp_path / "run")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            outcomes = run_campaign(campaign, parallel=4, store=store)
+            outcomes = run_campaign(
+                campaign, store=store, runtime=LocalPoolRuntime(workers=4)
+            )
         assert len(outcomes) == 4
         assert len(store) == 4
         assert [o.metrics for o in outcomes] == [
-            o.metrics for o in run_campaign(campaign, parallel=1)
+            o.metrics for o in run_campaign(campaign)
         ]
 
     def test_pool_break_mid_stream_preserves_completed_points(
@@ -503,7 +502,7 @@ class TestStoreResume:
 
         store = ExperimentStore(tmp_path / "run")
         with pytest.warns(RuntimeWarning, match="falling back to serial"):
-            outcomes = run_campaign(campaign, parallel=2, store=store, runtime="pool")
+            outcomes = run_campaign(campaign, store=store, runtime=LocalPoolRuntime(workers=2))
         points = campaign.points()
         # Only the two points the pool never finished re-ran inline.
         assert executed_serially == [points[2].spec.name, points[3].spec.name]
@@ -514,5 +513,5 @@ class TestStoreResume:
         assert store.shard_paths()
         assert store.results_path.exists()
         assert len(ExperimentStore(tmp_path / "run")) == 4
-        oracle = run_campaign(campaign, parallel=1)
+        oracle = run_campaign(campaign)
         assert [o.metrics for o in outcomes] == [o.metrics for o in oracle]

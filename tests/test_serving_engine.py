@@ -27,10 +27,15 @@ def _seed_reference_run(engine, queries, concurrency, warmup_queries=0):
     """The seed's closed-loop simulator algorithm, replicated verbatim.
 
     Round-robin stream assignment, position-order execution, per-stream
-    clocks — ``run_closed_loop`` must reproduce this exactly.
+    clocks — ``run_closed_loop`` must reproduce this exactly.  One line is
+    not the seed's: ``reset_queues()`` after the warm-up prefix.  The seed
+    started the measured clock at 0 behind the prefix's outstanding IOs and
+    busy channels (also issued at 0), which made a warmed host look slower
+    than a cold one; the warm-up now drops that backlog.
     """
     for query in queries[:warmup_queries]:
         engine.run_query(query, start_time=0.0)
+    engine.user_backend.reset_queues()
     measured = queries[warmup_queries:]
     stream_clock = [0.0] * concurrency
     latencies, scores = [], []
