@@ -36,9 +36,9 @@ def build_table4():
         cache = PooledEmbeddingCache(4 * MIB, len_threshold=threshold)
         for query in queries:
             for table_name, indices in query.user_indices.items():
-                if cache.get(table_name, indices) is None and cache.eligible(indices):
+                if cache.probe_batch(table_name, indices) is None and cache.eligible(indices):
                     dim = model.table(table_name).spec.dim
-                    cache.put(table_name, indices, np.zeros(dim, dtype=np.float32))
+                    cache.put_batch(table_name, indices, np.zeros(dim, dtype=np.float32))
         rows.append(
             [threshold, cache.stats.hit_rate * 100.0, cache.stats.average_hit_length]
         )

@@ -494,7 +494,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         cursor = start_time
         for table_name, indices in requests.items():
             table_start = start_time if self.config.inter_op_parallelism else cursor
-            vector, done = self._pooled_one_table(table_name, list(indices), table_start)
+            vector, done = self._pooled_one_table(
+                table_name, np.asarray(indices, dtype=np.int64), table_start
+            )
             results[table_name] = vector
             completion_times.append(done)
             cursor = done
@@ -509,9 +511,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
     # ------------------------------------------------------------- internals
     def _pooled_one_table(
-        self, table_name: str, indices: List[int], start_time: float
+        self, table_name: str, indices: np.ndarray, start_time: float
     ) -> Tuple[np.ndarray, float]:
-        if not indices:
+        if indices.size == 0:
             raise ValueError(f"table {table_name!r}: request has no indices")
         if table_name not in self._sm_tables:
             # Raises KeyError for tables the placement never decided — a
@@ -522,7 +524,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         return self._sm_lookup(table_name, indices, start_time)
 
     def _serve_from_fm(
-        self, table_name: str, indices: List[int], start_time: float
+        self, table_name: str, indices: np.ndarray, start_time: float
     ) -> Tuple[np.ndarray, float]:
         table = self.model.table(table_name)
         vector = table.bag(indices)
@@ -534,20 +536,19 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         return vector, start_time + elapsed
 
     def _sm_lookup(
-        self, table_name: str, indices: List[int], start_time: float
+        self, table_name: str, indices: np.ndarray, start_time: float
     ) -> Tuple[np.ndarray, float]:
         state = self._sm_tables[table_name]
         self.stats.sm_table_requests += 1
         self.stats.sm_row_lookups += len(indices)
         cursor = start_time
         recorder = self.recorder
-        index_array = np.asarray(indices, dtype=np.int64)
 
         # Algorithm 1: try the pooled embedding cache first.
         if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
             cursor += POOLED_PROBE_SECONDS
             self.stats.pooled_cache_lookups += 1
-            cached = self.pooled_cache.probe_batch(table_name, index_array)
+            cached = self.pooled_cache.probe_batch(table_name, indices)
             if cached is not None:
                 self.stats.pooled_cache_hits += 1
             if recorder.enabled:
@@ -564,19 +565,19 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # Resolve the stored index of each requested (unpruned-space) index
         # with one batched mapping-tensor gather; a table without a mapping
         # tensor stores every row under its own index.
-        stored, valid = index_array, None
+        stored, valid = indices, None
         if state.mapping is not None:
-            lookup_seconds = index_array.size * MAPPING_LOOKUP_SECONDS
+            lookup_seconds = indices.size * MAPPING_LOOKUP_SECONDS
             if recorder.enabled:
                 recorder.span(
                     "mapping_lookup",
                     "sdm",
                     cursor,
                     lookup_seconds,
-                    args={"table": table_name, "rows": int(index_array.size)},
+                    args={"table": table_name, "rows": int(indices.size)},
                 )
             cursor += lookup_seconds
-            stored = state.mapping[index_array]
+            stored = state.mapping[indices]
             valid = stored != PRUNED
             stored = stored[valid]
             self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
@@ -624,5 +625,5 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         cursor += dequant_seconds
 
         if self.pooled_cache is not None:
-            self.pooled_cache.put_batch(table_name, index_array, pooled)
+            self.pooled_cache.put_batch(table_name, indices, pooled)
         return pooled, cursor

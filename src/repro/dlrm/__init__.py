@@ -16,7 +16,7 @@ from repro.dlrm.quantization import (
     quantize_rows,
     quantized_row_bytes,
 )
-from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec, pool_bags
+from repro.dlrm.embedding import Bags, EmbeddingTable, EmbeddingTableSpec, pool_bags
 from repro.dlrm.pruning import PrunedEmbeddingTable, prune_table
 from repro.dlrm.mlp import MLP
 from repro.dlrm.interaction import concat_interaction, dot_interaction
@@ -45,6 +45,7 @@ __all__ = [
     "dequantize_row",
     "dequantize_rows",
     "quantized_row_bytes",
+    "Bags",
     "EmbeddingTable",
     "EmbeddingTableSpec",
     "pool_bags",

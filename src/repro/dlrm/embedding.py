@@ -7,10 +7,9 @@ real data whether it came from DRAM, the FM row cache, or a simulated SSD.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from dataclasses import dataclass, replace
-from itertools import accumulate, chain
-from typing import Dict, List, Sequence, Tuple
+from dataclasses import InitVar, dataclass, replace
+from itertools import accumulate
+from typing import Dict, List, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -92,6 +91,97 @@ class EmbeddingTableSpec:
 
     def with_rows(self, num_rows: int) -> "EmbeddingTableSpec":
         return replace(self, num_rows=num_rows)
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself when it is read-only, else a read-only view of it."""
+    if not array.flags.writeable:
+        return array
+    view = array.view()
+    view.setflags(write=False)
+    return view
+
+
+@dataclass(frozen=True, eq=False)
+class Bags:
+    """The index bags of one table as one CSR pair.
+
+    Bag ``b`` is ``indices[offsets[b]:offsets[b + 1]]``.  Both arrays are
+    read-only int64.  The constructor checks the layout once — ``offsets``
+    starts at 0, rises strictly (no bag is empty) and ends at
+    ``indices.size`` — so consumers read the arrays as they are; row bounds
+    are checked by the table that is looked up.  ``table`` only names the
+    table in those errors.  Bags compare by identity.
+    """
+
+    indices: np.ndarray
+    offsets: np.ndarray
+    table: InitVar[str] = ""
+
+    def __post_init__(self, table: str) -> None:
+        where = f"table {table!r}: " if table else ""
+        indices, offsets = np.asarray(self.indices), np.asarray(self.offsets)
+        if offsets.ndim != 1 or offsets.size == 0 or offsets.dtype.kind not in "iu":
+            raise ValueError(f"{where}offsets must be a non-empty one-dimensional integer array")
+        if indices.ndim != 1:
+            raise ValueError(f"{where}indices must be one-dimensional, got shape {indices.shape}")
+        if offsets[0] != 0:
+            raise ValueError(f"{where}offsets must start at 0, got {offsets[0]}")
+        rises = offsets[1:] > offsets[:-1]
+        if not rises.all():
+            bag = int(np.argmin(rises))
+            if offsets[bag + 1] < offsets[bag]:
+                raise ValueError(f"{where}offsets decrease at bag {bag}")
+            raise ValueError(f"{where}bag {bag} is empty; a lookup needs at least one index")
+        if offsets[-1] != indices.size:
+            raise ValueError(
+                f"{where}offsets end at {offsets[-1]} but there are {indices.size} indices"
+            )
+        if indices.dtype.kind not in "iu":
+            raise TypeError(f"{where}indices must be integers, got dtype {indices.dtype}")
+        object.__setattr__(self, "indices", _read_only(indices.astype(np.int64, copy=False)))
+        object.__setattr__(self, "offsets", _read_only(offsets.astype(np.int64, copy=False)))
+
+    @classmethod
+    def from_lists(cls, bags: Sequence[Sequence[int]], table: str = "") -> "Bags":
+        """Pack one index sequence per bag (lists or 1-D arrays)."""
+        where = f"table {table!r}: " if table else ""
+        arrays = []
+        for bag in bags:
+            try:
+                array = np.asarray(bag)
+            except ValueError:  # ragged nesting
+                raise ValueError(f"{where}indices must be one-dimensional") from None
+            if array.ndim != 1:
+                raise ValueError(f"{where}indices must be one-dimensional, got shape {array.shape}")
+            arrays.append(array)
+        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
+        offsets[1:] = np.cumsum([array.size for array in arrays], dtype=np.int64)
+        indices = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+        return cls(indices, offsets, table)
+
+    def __len__(self) -> int:
+        return self.offsets.size - 1
+
+    def __getitem__(self, key: Union[int, slice]) -> Union[np.ndarray, "Bags"]:
+        """Bag ``key`` as a view of ``indices``; a step-1 slice of bags as
+        ``Bags`` over a view of ``indices``."""
+        if isinstance(key, slice):
+            start, stop, step = key.indices(len(self))
+            if step != 1:
+                raise ValueError(f"bag slices need step 1, got {step}")
+            offsets = self.offsets[start : max(start, stop) + 1]
+            return Bags(self.indices[offsets[0] : offsets[-1]], offsets - offsets[0])
+        count = len(self)
+        if not -count <= key < count:
+            raise IndexError(f"bag {key} out of range for {count} bags")
+        key %= count
+        return self.indices[self.offsets[key] : self.offsets[key + 1]]
+
+    @property
+    def lengths(self) -> np.ndarray:
+        """The int64 row count of every bag."""
+        return self.offsets[1:] - self.offsets[:-1]
 
 
 class EmbeddingTable:
@@ -183,12 +273,15 @@ class EmbeddingTable:
         """Sum-pooled dense vector over ``indices`` (EmbeddingBag / SLS)."""
         return self.lookup_dense(indices).sum(axis=0)
 
-    def bag_batch(self, bags: Sequence[Sequence[int]]) -> np.ndarray:
+    def bag_batch(self, bags: Union[Bags, Sequence[Sequence[int]]]) -> np.ndarray:
         """Sum-pooled dense vectors of several bags, shape ``(len(bags), dim)``.
 
-        The one-table call of :func:`pool_bags`: row ``b`` is bit-identical
-        to ``bag(bags[b])``.
+        The one-table call of :func:`pool_bags` (index sequences are packed
+        with :meth:`Bags.from_lists`): row ``b`` is bit-identical to
+        ``bag(bags[b])``.
         """
+        if not isinstance(bags, Bags):
+            bags = Bags.from_lists(bags, self.spec.name)
         return pool_bags([self], [bags])[0][0]
 
     @property
@@ -204,12 +297,12 @@ class EmbeddingTable:
 
 def pool_bags(
     tables: Sequence[EmbeddingTable],
-    bags_per_table: Sequence[Sequence[Sequence[int]]],
+    bags_per_table: Sequence[Bags],
 ) -> Tuple[List[np.ndarray], np.ndarray]:
     """Sum-pool every bag of every table in one pass.
 
-    ``bags_per_table[t]`` holds the bags (index lists or arrays) looked up in
-    ``tables[t]``; tables may differ in width, ``quant_bits`` and bag count.
+    ``bags_per_table[t]`` holds the bags looked up in ``tables[t]``; tables
+    may differ in width, ``quant_bits`` and bag count.
     Returns ``(pooled, lengths)``: ``pooled[t]`` is the ``(bags, dim)``
     float32 matrix of table ``t`` — row ``b`` bit-identical to
     ``tables[t].bag(bags_per_table[t][b])`` — and ``lengths`` the int64 row
@@ -229,16 +322,11 @@ def pool_bags(
     """
     if len(tables) != len(bags_per_table):
         raise ValueError(f"{len(tables)} tables but {len(bags_per_table)} bag lists")
+    if not tables:
+        return [], np.empty(0, dtype=np.int64)
     bag_bounds = list(accumulate(map(len, bags_per_table), initial=0))
     num_bags = bag_bounds[-1]
-    lengths = np.fromiter(
-        map(len, chain.from_iterable(bags_per_table)), dtype=np.int64, count=num_bags
-    )
-    if not tables:
-        return [], lengths
-    if not lengths.all():
-        table = tables[bisect_right(bag_bounds, int(np.argmin(lengths))) - 1]
-        raise ValueError(f"table {table.spec.name!r}: lookup needs at least one index")
+    lengths = np.concatenate([bags.lengths for bags in bags_per_table])
 
     # rank[b] = position of bag b when bags are ordered longest first.
     rank = np.empty(num_bags, dtype=np.int64)
@@ -257,7 +345,7 @@ def pool_bags(
     group_dim: Dict[int, int] = {}  # quant_bits -> widest dim
     group_rows: Dict[int, List[np.ndarray]] = {}  # quant_bits -> buffer rows, per table
     for position, (table, bags) in enumerate(zip(tables, bags_per_table)):
-        flat = table._check_indices(list(chain.from_iterable(bags)))
+        flat = table._check_indices(bags.indices)
         rows = destination[row_bounds[position] : row_bounds[position + 1]]
         buffer[rows, : table.spec.row_bytes] = table.data.take(flat, axis=0)
         bits = table.spec.quant_bits

@@ -19,7 +19,7 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dlrm.embedding import EmbeddingTable, pool_bags
+from repro.dlrm.embedding import Bags, EmbeddingTable, pool_bags
 from repro.dlrm.model import DLRMModel
 
 
@@ -75,16 +75,16 @@ class ComputeSpec:
 class Query:
     """One inference query: a user plus a batch of candidate items.
 
-    ``user_indices`` maps user-table names to the index list for this user;
-    ``item_indices`` maps item-table names to one index list per candidate
-    item.  ``dense_features`` feed the bottom MLP.
+    ``user_indices`` maps user-table names to this user's int64 index array;
+    ``item_indices`` maps item-table names to :class:`Bags` holding one bag
+    per candidate item.  ``dense_features`` feed the bottom MLP.
     """
 
     query_id: int
     user_id: int
     dense_features: np.ndarray
-    user_indices: Dict[str, List[int]]
-    item_indices: Dict[str, List[List[int]]]
+    user_indices: Dict[str, np.ndarray]
+    item_indices: Dict[str, Bags]
 
     @property
     def item_batch(self) -> int:
@@ -98,13 +98,10 @@ class Query:
         return sizes.pop()
 
     def total_user_lookups(self) -> int:
-        return sum(len(indices) for indices in self.user_indices.values())
+        return sum(indices.size for indices in self.user_indices.values())
 
     def total_item_lookups(self) -> int:
-        return sum(
-            sum(len(indices) for indices in per_item)
-            for per_item in self.item_indices.values()
-        )
+        return sum(bags.indices.size for bags in self.item_indices.values())
 
 
 @dataclass
@@ -125,7 +122,7 @@ class QueryResult:
         return max(self.user_embedding_time, self.item_embedding_time)
 
 
-def _batch_size(requests: Mapping[str, Sequence[Sequence[int]]]) -> int:
+def _batch_size(requests: Mapping[str, Bags]) -> int:
     """Number of samples in a batched request (0 for no tables)."""
     sizes = {len(bags) for bags in requests.values()}
     if len(sizes) > 1:
@@ -150,12 +147,12 @@ class EmbeddingBackend(abc.ABC):
 
     def pooled_embeddings_batch(
         self,
-        requests: Mapping[str, Sequence[Sequence[int]]],
+        requests: Mapping[str, Bags],
         start_time: float,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         """Return ({table: (B, dim) pooled matrix}, completion_time) for B samples.
 
-        ``requests`` maps each table to one index list per sample; the
+        ``requests`` maps each table to its bags, one per sample; the
         samples are served back to back, sample ``b + 1`` starting when
         sample ``b`` completes.  This per-sample loop defines the result;
         an override must reproduce its vectors and completion time exactly.
@@ -213,7 +210,7 @@ class InMemoryBackend(EmbeddingBackend):
 
     def pooled_embeddings_batch(
         self,
-        requests: Mapping[str, Sequence[Sequence[int]]],
+        requests: Mapping[str, Bags],
         start_time: float,
     ) -> Tuple[Dict[str, np.ndarray], float]:
         batch = _batch_size(requests)

@@ -10,11 +10,11 @@ user population (which is what user-sticky routing exploits).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.dlrm.embedding import EmbeddingTableSpec
+from repro.dlrm.embedding import Bags, EmbeddingTableSpec
 from repro.dlrm.inference import Query
 from repro.dlrm.model import DLRMModel
 from repro.sim.rng import make_rng
@@ -142,7 +142,14 @@ class QueryGenerator:
     :meth:`generate` one batched NumPy draw per purpose for the whole stream,
     while ``generate(n)`` stays exactly ``[generate_query() for _ in
     range(n)]``: NumPy generators produce the same value sequence whatever
-    the request chunking, so only the loop overhead changes.
+    the request chunking.
+
+    Tables never share state (each has its own Zipf generator, sequence pool
+    and user memory), so :meth:`generate` works table by table: one
+    sequential pass over the table's slots resolves every reuse / repeat /
+    pool decision to a reference, one :meth:`ZipfGenerator.sample_unique_bags`
+    call draws all the fresh sequences, and one gather lays the chunk's
+    sequences out as the table's :class:`~repro.dlrm.embedding.Bags`.
     """
 
     def __init__(
@@ -168,12 +175,15 @@ class QueryGenerator:
             self._table_generators[spec.name] = ZipfGenerator(
                 spec.num_rows, spec.zipf_alpha, seed=seed
             )
-        self._sequence_pools: Dict[str, List[List[int]]] = {
+        # Past sequences per table, eligible for verbatim repetition.
+        self._sequence_pools: Dict[str, List[np.ndarray]] = {
             spec.name: [] for spec in model.table_specs
         }
-        # Remembered user-table index sequences per user id, so a returning
+        # The last sequence each user issued per user table, so a returning
         # user re-issues (mostly) the same categorical features.
-        self._user_memory: Dict[int, Dict[str, List[int]]] = {}
+        self._user_memory: Dict[str, Dict[int, np.ndarray]] = {
+            spec.name: {} for spec in model.user_table_specs
+        }
         self._next_query_id = 0
 
     # ---------------------------------------------------------------- helpers
@@ -191,24 +201,85 @@ class QueryGenerator:
         factor = average * (1.0 + self.config.pooling_factor_jitter * jitter_draws)
         return np.minimum(np.maximum(np.rint(factor).astype(np.int64), 1), num_rows)
 
-    def _indices_for_table(
+    def _table_bags(
         self,
         spec: EmbeddingTableSpec,
-        count: int,
-        repeat_draw: float,
-        pick_draw: float,
-        replace_draw: float,
-    ) -> List[int]:
-        """One table-sequence slot, driven entirely by pre-drawn uniforms."""
+        counts: np.ndarray,
+        repeat_draws: np.ndarray,
+        pool_draws: np.ndarray,
+        users: Optional[Sequence[int]] = None,
+        reuse: Optional[np.ndarray] = None,
+    ) -> Bags:
+        """One table's sequence slots for a chunk, in slot order.
+
+        ``counts``, ``repeat_draws`` and ``pool_draws`` (pick, replace) hold
+        one entry per slot; user tables also pass each slot's user and
+        whether its reuse draw fired.  The pass keeps the scalar decision
+        order: a returning user's remembered sequence, else a repeat from
+        the pool, else a fresh sequence that enters the pool.  A reference
+        ``r >= 0`` names the ``r``-th fresh sequence, ``r < 0`` the
+        pre-existing array ``earlier[-r - 1]``.
+        """
         pool = self._sequence_pools[spec.name]
-        if pool and repeat_draw < self.config.sequence_repeat_probability:
-            return list(pool[min(int(pick_draw * len(pool)), len(pool) - 1)])
-        indices = self._table_generators[spec.name].sample_ids(count, unique=True)
-        if len(pool) >= self.config.sequence_pool_size:
-            pool[min(int(replace_draw * len(pool)), len(pool) - 1)] = indices
-        else:
-            pool.append(indices)
-        return list(indices)
+        earlier: List[np.ndarray] = list(pool)
+        pool_refs = [-position - 1 for position in range(len(pool))]
+        memory = self._user_memory[spec.name] if users is not None else {}
+        remembered: Dict[int, int] = {}  # user -> reference, this chunk
+        fresh_slots: List[int] = []
+        refs: List[int] = []
+        repeat_probability = self.config.sequence_repeat_probability
+        pool_size = self.config.sequence_pool_size
+        picks = pool_draws[:, 0].tolist()
+        replaces = pool_draws[:, 1].tolist()
+        reuse_flags = reuse.tolist() if reuse is not None else None
+        for slot, repeat in enumerate(repeat_draws.tolist()):
+            if users is not None:
+                user = users[slot]
+                if reuse_flags[slot]:
+                    ref = remembered.get(user)
+                    if ref is None and user in memory:
+                        earlier.append(memory[user])
+                        ref = remembered[user] = -len(earlier)
+                    if ref is not None:
+                        refs.append(ref)
+                        continue
+            size = len(pool_refs)
+            if size and repeat < repeat_probability:
+                ref = pool_refs[min(int(picks[slot] * size), size - 1)]
+            else:
+                ref = len(fresh_slots)
+                fresh_slots.append(slot)
+                if size >= pool_size:
+                    pool_refs[min(int(replaces[slot] * size), size - 1)] = ref
+                else:
+                    pool_refs.append(ref)
+            if users is not None:
+                remembered[user] = ref
+            refs.append(ref)
+
+        fresh = self._table_generators[spec.name].sample_unique_bags(counts[fresh_slots])
+        # One gather from [fresh sequences, earlier arrays] into slot order.
+        source = np.concatenate([fresh.indices, *earlier]) if earlier else fresh.indices
+        lengths = np.concatenate(
+            [fresh.lengths, np.array([array.size for array in earlier], dtype=np.int64)]
+        )
+        starts = np.cumsum(lengths) - lengths
+        references = np.array(refs, dtype=np.int64)
+        position = np.where(references >= 0, references, len(fresh_slots) - 1 - references)
+        slot_lengths = lengths[position]
+        offsets = np.zeros(len(refs) + 1, dtype=np.int64)
+        np.cumsum(slot_lengths, out=offsets[1:])
+        gather = np.repeat(starts[position] - offsets[:-1], slot_lengths) + np.arange(offsets[-1])
+        bags = Bags(source[gather], offsets, spec.name)
+
+        # Pools and memories keep read-only views into the chunk's bags.
+        def resolve(ref: int) -> np.ndarray:
+            return bags[fresh_slots[ref]] if ref >= 0 else earlier[-ref - 1]
+
+        pool[:] = [resolve(ref) for ref in pool_refs]
+        for user, ref in remembered.items():
+            memory[user] = resolve(ref)
+        return bags
 
     # -------------------------------------------------------------------- API
     def generate_query(self, item_batch: Optional[int] = None) -> Query:
@@ -241,45 +312,42 @@ class QueryGenerator:
         dense_draws = self._dense_rng.normal(
             0.0, 1.0, (count, self.model.dense_dim)
         ).astype(np.float32)
-        reuse_probability = self.config.user_reuse_probability
-        item_slots = [
-            (spec, range(num_user + table_at * batch, num_user + (table_at + 1) * batch))
-            for table_at, spec in enumerate(item_specs)
-        ]
+        reused = reuse_draws < self.config.user_reuse_probability
+
+        # Each user table has one slot per query; each item table ``batch``
+        # consecutive slots per query, query-major like the scalar order.
+        user_columns: Dict[str, Tuple[np.ndarray, List[int]]] = {}
+        for slot, spec in enumerate(user_specs):
+            bags = self._table_bags(
+                spec, lookup_counts[:, slot], repeat_draws[:, slot], pool_draws[:, slot],
+                users=user_ids, reuse=reused[:, slot],
+            )
+            user_columns[spec.name] = (bags.indices, bags.offsets.tolist())
+        item_columns: Dict[str, Bags] = {}
+        for table_at, spec in enumerate(item_specs):
+            columns = slice(num_user + table_at * batch, num_user + (table_at + 1) * batch)
+            item_columns[spec.name] = self._table_bags(
+                spec,
+                lookup_counts[:, columns].ravel(),
+                repeat_draws[:, columns].ravel(),
+                pool_draws[:, columns].reshape(-1, 2),
+            )
 
         queries: List[Query] = []
         for position, user_id in enumerate(user_ids):
-            # One query's draws as plain floats: same values, no per-slot
-            # ndarray scalar indexing.
-            reuse = reuse_draws[position].tolist()
-            repeat = repeat_draws[position].tolist()
-            lookups = lookup_counts[position].tolist()
-            pool = pool_draws[position].tolist()
-            remembered = self._user_memory.setdefault(user_id, {})
-            user_indices: Dict[str, List[int]] = {}
-            for slot, spec in enumerate(user_specs):
-                if spec.name in remembered and reuse[slot] < reuse_probability:
-                    user_indices[spec.name] = list(remembered[spec.name])
-                else:
-                    indices = self._indices_for_table(
-                        spec, lookups[slot], repeat[slot], *pool[slot]
-                    )
-                    remembered[spec.name] = list(indices)
-                    user_indices[spec.name] = indices
-            item_indices: Dict[str, List[List[int]]] = {
-                spec.name: [
-                    self._indices_for_table(spec, lookups[slot], repeat[slot], *pool[slot])
-                    for slot in table_slots
-                ]
-                for spec, table_slots in item_slots
-            }
             queries.append(
                 Query(
                     query_id=self._next_query_id,
                     user_id=user_id,
                     dense_features=dense_draws[position],
-                    user_indices=user_indices,
-                    item_indices=item_indices,
+                    user_indices={
+                        name: indices[offsets[position] : offsets[position + 1]]
+                        for name, (indices, offsets) in user_columns.items()
+                    },
+                    item_indices={
+                        name: bags[position * batch : (position + 1) * batch]
+                        for name, bags in item_columns.items()
+                    },
                 )
             )
             self._next_query_id += 1
@@ -287,11 +355,10 @@ class QueryGenerator:
 
     def access_trace(self, queries: Sequence[Query], table_name: str) -> List[int]:
         """Flatten the row accesses a query stream makes to one table."""
-        trace: List[int] = []
+        parts: List[np.ndarray] = []
         for query in queries:
             if table_name in query.user_indices:
-                trace.extend(query.user_indices[table_name])
+                parts.append(query.user_indices[table_name])
             if table_name in query.item_indices:
-                for per_item in query.item_indices[table_name]:
-                    trace.extend(per_item)
-        return trace
+                parts.append(query.item_indices[table_name].indices)
+        return np.concatenate(parts).tolist() if parts else []

@@ -226,8 +226,25 @@ class TestSDMTimingAndStats:
 
     def test_empty_indices_rejected(self):
         sdm = small_sdm()
-        with pytest.raises(ValueError):
-            sdm.pooled_embeddings({"user_0": []}, 0.0)
+        for empty in ([], np.empty(0, dtype=np.int64)):
+            with pytest.raises(ValueError, match="request has no indices"):
+                sdm.pooled_embeddings({"user_0": empty}, 0.0)
+
+    @pytest.mark.parametrize("backend_name", ["sdm", "tiered", "dram"])
+    def test_row_zero_alone_is_a_lookup(self, backend_name):
+        # Query indices are int64 arrays, and `not np.array([0])` is True:
+        # a truthiness check would reject this one-row request as empty (and
+        # a longer array as ambiguous).
+        from repro.api import create_backend
+
+        model = small_model()
+        backend = create_backend(backend_name, model)
+        for indices in (np.array([0]), np.array([0, 5, 1])):
+            requests = {name: indices for name in ("user_0", "user_1")}
+            pooled, done = backend.pooled_embeddings(requests, 0.0)
+            assert done > 0.0
+            for name in requests:
+                np.testing.assert_array_equal(pooled[name], model.table(name).bag(indices))
 
     def test_cache_disabled_tables_always_do_io(self):
         model = small_model()

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dlrm import EmbeddingTable, EmbeddingTableSpec, dequantize_rows, pool_bags
+from repro.dlrm import Bags, EmbeddingTable, EmbeddingTableSpec, dequantize_rows, pool_bags
 
 
 def _spec(**kwargs):
@@ -161,9 +161,9 @@ class TestEmbeddingTable:
         for lookup in (table.bag, table.lookup_raw, table.lookup_dense):
             with pytest.raises(error, match="table 'strict'"):
                 lookup(indices)
-        for pool in (table.bag_batch, lambda bags: pool_bags([table], [bags])):
+        for pack in (table.bag_batch, lambda bags: Bags.from_lists(bags, "strict")):
             with pytest.raises(error, match="table 'strict'"):
-                pool([indices, indices])
+                pack([indices, indices])
         with pytest.raises((TypeError, ValueError), match="table 'strict'"):
             table.bag_batch([[0, 1], [1.7, 2.2], [[1, 2], [3, 0]]])
 
@@ -226,6 +226,14 @@ def _ragged_bags(rng, table, num_bags, as_array=False):
     return bags if as_array else [bag.tolist() for bag in bags]
 
 
+def _pool_lists(tables, bags_per_table):
+    """:func:`pool_bags` over plain index lists, packed table by table."""
+    return pool_bags(
+        tables,
+        [Bags.from_lists(bags, table.spec.name) for table, bags in zip(tables, bags_per_table)],
+    )
+
+
 def _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths):
     assert len(pooled) == len(tables)
     assert lengths.dtype == np.int64
@@ -245,7 +253,7 @@ class TestPoolBags:
         for _ in range(10):
             bags_per_table = [_ragged_bags(rng, table, num_bags) for table in tables]
             bags_per_table[0][0] = [5] * len(bags_per_table[0][0])
-            pooled, lengths = pool_bags(tables, bags_per_table)
+            pooled, lengths = _pool_lists(tables, bags_per_table)
             _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
 
     @pytest.mark.parametrize("quant_bits", [4, 8])
@@ -260,13 +268,13 @@ class TestPoolBags:
         ]
         rng = np.random.default_rng(quant_bits)
         bags_per_table = [_ragged_bags(rng, table, 16) for table in tables]
-        pooled, lengths = pool_bags(tables, bags_per_table)
+        pooled, lengths = _pool_lists(tables, bags_per_table)
         _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
 
     def test_one_table_is_bag_batch(self):
         (table,) = _mixed_tables()[:1]
         bags = _ragged_bags(np.random.default_rng(0), table, 7)
-        pooled, lengths = pool_bags([table], [bags])
+        pooled, lengths = _pool_lists([table], [bags])
         _assert_pooled_equals_bag([table], [bags], pooled, lengths)
         assert np.array_equal(pooled[0], table.bag_batch(bags))
 
@@ -276,16 +284,16 @@ class TestPoolBags:
         bags_per_table = [
             _ragged_bags(rng, table, count) for table, count in zip(tables, (3, 1, 16, 2, 5))
         ]
-        pooled, lengths = pool_bags(tables, bags_per_table)
+        pooled, lengths = _pool_lists(tables, bags_per_table)
         _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
 
     def test_array_bags_equal_list_bags(self):
         tables = _mixed_tables()
         arrays = [_ragged_bags(np.random.default_rng(2), table, 4, as_array=True) for table in tables]
         lists = [[bag.tolist() for bag in bags] for bags in arrays]
-        from_arrays, lengths = pool_bags(tables, arrays)
+        from_arrays, lengths = _pool_lists(tables, arrays)
         _assert_pooled_equals_bag(tables, lists, from_arrays, lengths)
-        for left, right in zip(from_arrays, pool_bags(tables, lists)[0]):
+        for left, right in zip(from_arrays, _pool_lists(tables, lists)[0]):
             assert np.array_equal(left, right)
 
     def test_no_tables_pool_to_nothing(self):
@@ -294,13 +302,68 @@ class TestPoolBags:
 
     def test_error_paths_name_the_table(self):
         tables = _mixed_tables()[:2]
-        with pytest.raises(ValueError, match="table 'b': lookup needs at least one index"):
-            pool_bags(tables, [[[0], [1]], [[2], []]])
+        with pytest.raises(ValueError, match="table 'b': bag 1 is empty"):
+            _pool_lists(tables, [[[0], [1]], [[2], []]])
         with pytest.raises(ValueError, match="table 'a': lookup needs at least one index"):
-            pool_bags(tables, [[], [[2]]])
+            _pool_lists(tables, [[], [[2]]])
         with pytest.raises(IndexError, match=r"table 'b': indices out of range \[0, 48\)"):
-            pool_bags(tables, [[[63]], [[48]]])
+            _pool_lists(tables, [[[63]], [[48]]])
         with pytest.raises(IndexError, match="table 'a'"):
-            pool_bags(tables, [[[0, -1]], [[0]]])
+            _pool_lists(tables, [[[0, -1]], [[0]]])
         with pytest.raises(ValueError, match="2 tables but 1 bag lists"):
-            pool_bags(tables, [[[0]]])
+            pool_bags(tables, [Bags.from_lists([[0]])])
+
+
+class TestBags:
+    def test_from_lists_packs_one_csr_pair(self):
+        bags = Bags.from_lists([[3, 1], [7], np.array([0, 2, 5])])
+        assert len(bags) == 3
+        assert bags.indices.dtype == np.int64 and bags.offsets.dtype == np.int64
+        assert bags.indices.tolist() == [3, 1, 7, 0, 2, 5]
+        assert bags.offsets.tolist() == [0, 2, 3, 6]
+        assert bags.lengths.tolist() == [2, 1, 3]
+        assert [bag.tolist() for bag in bags] == [[3, 1], [7], [0, 2, 5]]
+        assert bags[-1].tolist() == [0, 2, 5]
+        assert len(Bags.from_lists([])) == 0
+
+    def test_items_and_slices_are_read_only_views(self):
+        indices = np.arange(10, dtype=np.int64)
+        bags = Bags(indices, np.array([0, 2, 5, 9, 10]))
+        assert indices.flags.writeable  # the caller's array keeps its flags
+        assert np.shares_memory(bags.indices, indices)
+        assert np.shares_memory(bags[1], indices) and bags[1].tolist() == [2, 3, 4]
+        with pytest.raises(ValueError, match="read-only"):
+            bags[1][0] = 0
+        with pytest.raises(ValueError, match="read-only"):
+            bags.offsets[0] = 1
+        middle = bags[1:3]
+        assert isinstance(middle, Bags) and np.shares_memory(middle.indices, indices)
+        assert middle.offsets.tolist() == [0, 3, 7]
+        assert [bag.tolist() for bag in middle] == [[2, 3, 4], [5, 6, 7, 8]]
+        assert len(bags[3:1]) == 0
+        with pytest.raises(IndexError):
+            bags[4]
+        with pytest.raises(ValueError, match="step 1"):
+            bags[::2]
+
+    @pytest.mark.parametrize(
+        "offsets, message",
+        [
+            ([1, 2, 4], "offsets must start at 0"),
+            ([0, 3, 2, 4], "offsets decrease at bag 1"),
+            ([0, 2, 2, 4], "bag 1 is empty"),
+            ([0, 2, 3], "offsets end at 3 but there are 4 indices"),
+            ([], "offsets must be a non-empty"),
+        ],
+    )
+    def test_malformed_layouts_are_rejected_naming_the_table(self, offsets, message):
+        with pytest.raises(ValueError, match=f"table 'clicks': {message}"):
+            Bags(np.arange(4), np.array(offsets, dtype=np.int64), "clicks")
+
+    def test_indices_must_be_one_dimensional_integers(self):
+        with pytest.raises(TypeError, match="table 't': indices must be integers"):
+            Bags(np.array([1.0, 2.0]), np.array([0, 2]), "t")
+        with pytest.raises(ValueError, match="one-dimensional"):
+            Bags(np.zeros((2, 2), dtype=np.int64), np.array([0, 4]))
+        with pytest.raises(ValueError, match="table 't': bag 1 is empty"):
+            Bags.from_lists([[0], [], [1]], "t")

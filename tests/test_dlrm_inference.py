@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.dlrm import (
+    Bags,
     ComputeSpec,
     EmbeddingBackend,
     EmbeddingTable,
@@ -62,8 +63,8 @@ class TestQuery:
             query_id=0,
             user_id=1,
             dense_features=np.zeros(4, dtype=np.float32),
-            user_indices={"u": [0]},
-            item_indices={"a": [[0]], "b": [[0], [1]]},
+            user_indices={"u": np.array([0])},
+            item_indices={"a": Bags.from_lists([[0]]), "b": Bags.from_lists([[0], [1]])},
         )
         with pytest.raises(ValueError):
             query.item_batch
@@ -74,6 +75,7 @@ class TestQuery:
         assert query.total_user_lookups() == sum(
             len(v) for v in query.user_indices.values()
         )
+        assert isinstance(query.total_user_lookups(), int)
         assert query.total_item_lookups() == sum(
             len(i) for per in query.item_indices.values() for i in per
         )
@@ -102,14 +104,15 @@ class TestInMemoryBackend:
         loop = LoopBackend(tables, ComputeSpec())
         rng = np.random.default_rng(batch)
         for _ in range(10):
-            requests = {
+            bags = {
                 name: [
                     rng.integers(0, table.spec.num_rows, size=rng.integers(1, 13)).tolist()
                     for _ in range(batch)
                 ]
                 for name, table in tables.items()
             }
-            requests["wide"][0] = [9] * len(requests["wide"][0])  # repeats inside a bag
+            bags["wide"][0] = [9] * len(bags["wide"][0])  # repeats inside a bag
+            requests = {name: Bags.from_lists(table_bags, name) for name, table_bags in bags.items()}
             pooled, done = batched.pooled_embeddings_batch(requests, start_time=0.125)
             expected, expected_done = loop.pooled_embeddings_batch(requests, start_time=0.125)
             assert done == expected_done
@@ -128,7 +131,7 @@ class TestInMemoryBackend:
     @pytest.mark.parametrize(
         "requests, error",
         [
-            ({"wide": [[0], []]}, ValueError),  # empty bag
+            ({"wide": [[0], []]}, ValueError),  # empty bag, rejected when packed
             ({"wide": [[0], [64]]}, IndexError),  # out of range
             ({"wide": [[0], [-1]]}, IndexError),
             ({"nope": [[0]]}, KeyError),  # unknown table
@@ -138,7 +141,8 @@ class TestInMemoryBackend:
     def test_batch_error_paths(self, backend_type, requests, error):
         backend = backend_type(_mixed_width_tables(), ComputeSpec())
         with pytest.raises(error):
-            backend.pooled_embeddings_batch(requests, 0.0)
+            packed = {name: Bags.from_lists(bags, name) for name, bags in requests.items()}
+            backend.pooled_embeddings_batch(packed, 0.0)
 
 
 class TestInferenceEngine:
@@ -185,7 +189,7 @@ class TestInferenceEngine:
             query_id=0,
             user_id=0,
             dense_features=np.zeros(model.dense_dim, dtype=np.float32),
-            user_indices={name: [0] for name in model.tables},
+            user_indices={name: np.array([0]) for name in model.tables},
             item_indices={},
         )
         with pytest.raises(ValueError):
@@ -221,8 +225,8 @@ class TestInferenceEngine:
             ({"nope": [[0], [1]]}, KeyError),
             ({"item_0": [[0]], "user_0": [[0], [1]]}, ValueError),
         ):
-            query.item_indices = bad_items
             with pytest.raises(error):
+                query.item_indices = {name: Bags.from_lists(bags) for name, bags in bad_items.items()}
                 engine.run_query(query)
 
     def test_default_item_backend_is_in_memory(self):

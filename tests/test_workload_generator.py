@@ -1,12 +1,51 @@
 """Tests for the query generator."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from repro.api import ScenarioSpec, Session
+from repro.dlrm import Bags
 from repro.workload import QueryGenerator, WorkloadConfig, generate_arrival_times
 
 from helpers import small_model
 from test_workload_zipf import ReferenceZipf
+
+
+def assert_same_query(actual, expected):
+    """Two generated queries are equal field for field, index for index."""
+    assert actual.query_id == expected.query_id
+    assert actual.user_id == expected.user_id
+    assert list(actual.user_indices) == list(expected.user_indices)
+    for name, indices in expected.user_indices.items():
+        assert actual.user_indices[name].dtype == np.int64
+        assert np.array_equal(actual.user_indices[name], indices)
+    assert list(actual.item_indices) == list(expected.item_indices)
+    for name, bags in expected.item_indices.items():
+        assert isinstance(actual.item_indices[name], Bags)
+        assert np.array_equal(actual.item_indices[name].indices, bags.indices)
+        assert np.array_equal(actual.item_indices[name].offsets, bags.offsets)
+    assert np.array_equal(actual.dense_features, expected.dense_features)
+
+
+def stream_digest(model, queries):
+    """SHA-256 over user ids, each table's flat indices and bag lengths (in
+    ``model.table_specs`` order) and the dense-feature bytes."""
+    digest = hashlib.sha256()
+    digest.update(np.array([query.user_id for query in queries], dtype=np.int64).tobytes())
+    for spec in model.table_specs:
+        if spec.is_user:
+            bags = [query.user_indices[spec.name] for query in queries]
+            flat, lengths = np.concatenate(bags), np.array([bag.size for bag in bags])
+        else:
+            bags = [query.item_indices[spec.name] for query in queries]
+            flat = np.concatenate([bag.indices for bag in bags])
+            lengths = np.concatenate([bag.lengths for bag in bags])
+        digest.update(flat.astype(np.int64).tobytes())
+        digest.update(lengths.astype(np.int64).tobytes())
+    digest.update(np.stack([query.dense_features for query in queries]).astype(np.float32).tobytes())
+    return digest.hexdigest()
 
 
 class TestWorkloadConfig:
@@ -71,8 +110,7 @@ class TestQueryGenerator:
         a = QueryGenerator(model, WorkloadConfig(item_batch=2), seed=5).generate(5)
         b = QueryGenerator(model, WorkloadConfig(item_batch=2), seed=5).generate(5)
         for qa, qb in zip(a, b):
-            assert qa.user_indices == qb.user_indices
-            assert qa.user_id == qb.user_id
+            assert_same_query(qa, qb)
 
     def test_query_ids_increment(self):
         model = small_model()
@@ -136,10 +174,7 @@ class TestQueryGenerator:
         chunked = chunker.generate(11) + chunker.generate(19)
         for reference, a, b in zip(whole, single, chunked):
             for other in (a, b):
-                assert other.user_id == reference.user_id
-                assert other.user_indices == reference.user_indices
-                assert other.item_indices == reference.item_indices
-                assert np.array_equal(other.dense_features, reference.dense_features)
+                assert_same_query(other, reference)
 
     @pytest.mark.parametrize("seed", [7, 19])
     def test_generate_equals_generator_driven_by_reference_sampler(self, seed):
@@ -169,11 +204,7 @@ class TestQueryGenerator:
         assert [query.query_id for query in whole] == list(range(120))
         for expected, *others in zip(reference, whole, single, reference_single):
             for other in others:
-                assert other.query_id == expected.query_id
-                assert other.user_id == expected.user_id
-                assert other.user_indices == expected.user_indices
-                assert other.item_indices == expected.item_indices
-                assert np.array_equal(other.dense_features, expected.dense_features)
+                assert_same_query(other, expected)
 
     def test_pooling_counts_match_scalar_rounding(self):
         # The vectorised count is max(int(round(avg * (1 + j * draw))), 1)
@@ -194,13 +225,93 @@ class TestQueryGenerator:
         model = small_model()
         queries = QueryGenerator(model, WorkloadConfig(item_batch=2), seed=42).generate(3)
         assert [query.user_id for query in queries] == [4701, 3789, 9086]
-        assert queries[0].user_indices["user_0"] == [37, 143, 172, 254, 194]
-        assert queries[1].user_indices["user_0"] == [37, 106, 139, 97, 87, 86]
-        assert queries[2].user_indices["user_1"] == [42, 140, 206, 94]
-        assert queries[0].item_indices["item_0"] == [[14, 68], [152, 200, 227]]
+        assert queries[0].user_indices["user_0"].tolist() == [37, 143, 172, 254, 194]
+        assert queries[1].user_indices["user_0"].tolist() == [37, 106, 139, 97, 87, 86]
+        assert queries[2].user_indices["user_1"].tolist() == [42, 140, 206, 94]
+        assert [bag.tolist() for bag in queries[0].item_indices["item_0"]] == [
+            [14, 68],
+            [152, 200, 227],
+        ]
         assert queries[0].dense_features == pytest.approx(
             [0.852983, -0.196222, -0.510966, -0.897254], abs=1e-6
         )
+
+
+#: ``stream_digest`` of 200 queries at seed 3 for the perf ledger's model
+#: shapes (``perf/workloads.py``), computed with the per-slot list generator
+#: this table-major one replaced.  ``warm-closed``, ``cold-closed`` and
+#: ``tiered-open`` share one model shape and workload, hence one stream.
+LEDGER_STREAM_DIGESTS = {
+    "warm-closed/cold-closed/tiered-open": (
+        {"max_tables_per_group": 8, "max_rows_per_table": 16384, "item_batch": 4},
+        "9c7c489be393b67a304415533d2cc2f373ee1f1f7431745e645b69bad6da7be1",
+    ),
+    "dram-dense": (
+        {"max_tables_per_group": 8, "max_rows_per_table": 16384, "item_batch": 16},
+        "59f3a49ed11ed5fb5ab493a332ee19d043cffbb04d6996ab570a904428c33243",
+    ),
+    "campaign-grid": (
+        {"max_tables_per_group": 6, "max_rows_per_table": 8192, "item_batch": 4},
+        "377b6ed8b5e3568de73bc7f3a348edf3e6520ef8aaf4b3bacafabbbe5aa70916",
+    ),
+}
+
+
+class TestLedgerStreams:
+    @pytest.mark.parametrize("shape", sorted(LEDGER_STREAM_DIGESTS))
+    def test_streams_are_pinned_whole_and_chunked(self, shape):
+        model_options, expected = LEDGER_STREAM_DIGESTS[shape]
+        spec = ScenarioSpec.from_dict(
+            {
+                "model": {"spec": "M1", **model_options},
+                "workload": {"num_queries": 200, "num_users": 2000, "seed": 3},
+            }
+        )
+        session = Session(spec)
+        assert stream_digest(session.model, session.queries()) == expected
+        chunked = Session(spec)
+        chunked._model = session.model  # the stream depends on the specs only
+        queries = chunked.generator.generate(73) + chunked.generator.generate(127)
+        assert stream_digest(session.model, queries) == expected
+
+    @pytest.mark.parametrize("chunks", [(40,), (1,) * 40, (13, 27), (3, 1, 36), (39, 1)])
+    def test_any_chunking_gives_the_same_stream(self, chunks):
+        # A small pool, frequent repeats and a small returning population
+        # carry sequences across chunk boundaries through both the pool and
+        # the user memory.
+        model = small_model()
+        config = WorkloadConfig(
+            item_batch=3,
+            num_users=6,
+            sequence_pool_size=4,
+            sequence_repeat_probability=0.4,
+            user_reuse_probability=0.5,
+        )
+        whole = QueryGenerator(model, config, seed=2).generate(40)
+        generator = QueryGenerator(model, config, seed=2)
+        chunked = [query for size in chunks for query in generator.generate(size)]
+        for actual, expected in zip(chunked, whole):
+            assert_same_query(actual, expected)
+
+    def test_queries_pools_and_memories_hold_read_only_int64_arrays(self):
+        model = small_model()
+        config = WorkloadConfig(item_batch=2, num_users=5, sequence_pool_size=3)
+        generator = QueryGenerator(model, config, seed=0)
+        queries = generator.generate(12) + generator.generate(5)
+        first, last = queries[0], queries[-1]
+        user_table = model.user_table_specs[0].name
+        # One table's user arrays of a chunk are views of one buffer.
+        assert first.user_indices[user_table].base is queries[1].user_indices[user_table].base
+        arrays = [indices for query in queries for indices in query.user_indices.values()]
+        arrays += [bags.indices for query in queries for bags in query.item_indices.values()]
+        arrays += [array for pool in generator._sequence_pools.values() for array in pool]
+        arrays += [
+            array for memory in generator._user_memory.values() for array in memory.values()
+        ]
+        assert all(array.dtype == np.int64 for array in arrays)
+        assert not any(array.flags.writeable for array in arrays)
+        assert all(len(pool) == 3 for pool in generator._sequence_pools.values())
+        assert isinstance(last.item_indices[model.item_table_specs[0].name], Bags)
 
 
 class TestGenerateArrivalTimes:

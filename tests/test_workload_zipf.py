@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.dlrm import Bags
 from repro.workload import ZipfGenerator
 
 
@@ -109,13 +112,18 @@ class ReferenceZipf(ZipfGenerator):
 
 
 class CountingZipf(ZipfGenerator):
-    """The shipped sampler, counting the ids each call takes off the stream."""
+    """The shipped sampler, counting the ids each call takes off the stream
+    (net of the ids a batched call returns to it)."""
 
     consumed = 0
 
     def _take(self, count):
         self.consumed += count
         return super()._take(count)
+
+    def _untake(self, ids):
+        self.consumed -= ids.size
+        super()._untake(ids)
 
 
 class TestReadAheadMatchesReference:
@@ -172,3 +180,83 @@ class TestReadAheadMatchesReference:
         for count in (10, 4000, 9000, 200, 4096):
             generator.sample_ids(count)
             assert generator._ahead.size <= 4096
+
+
+def _reference_bags(reference, counts):
+    """Per-bag reference draws, and the bags that needed a second round."""
+    bags, short = [], []
+    for position, count in enumerate(counts):
+        before = reference.consumed
+        bags.append(reference.sample_ids(count, unique=True))
+        if reference.consumed - before > 2 * count + 8:
+            short.append(position)
+    return bags, short
+
+
+def _assert_bags_match(shipped, reference, counts):
+    expected, short = _reference_bags(reference, counts)
+    bags = shipped.sample_unique_bags(counts)
+    assert isinstance(bags, Bags) and bags.lengths.tolist() == list(counts)
+    assert [bag.tolist() for bag in bags] == expected
+    assert shipped.consumed == reference.consumed
+    # The next draw starts where the reference's does.
+    assert shipped.sample_ids(5) == reference.sample_ids(5)
+    return short
+
+
+class TestSampleUniqueBags:
+    """The batched sampler against the per-bag reference.  The ledger's
+    streams never need a second rejection round, so these small, skewed
+    tables are what exercises the short-bag fallback."""
+
+    COUNTS = [20, 3, 17, 1, 20, 12, 19, 5, 20, 8, 16, 20, 2, 18, 11]
+
+    @pytest.mark.parametrize("seed", [0, 4, 9])
+    def test_second_rounds_match_the_reference(self, seed):
+        shipped, reference = CountingZipf(24, 1.5, seed=seed), ReferenceZipf(24, 1.5, seed=seed)
+        short = _assert_bags_match(shipped, reference, self.COUNTS)
+        assert short  # the fallback really ran
+
+    @pytest.mark.parametrize("seed", [0, 4])
+    def test_chunk_boundaries_around_every_short_bag(self, seed):
+        # Cut a chunk one id before, exactly at and one id after the end of
+        # each short bag's first round: the short bag then ends its chunk,
+        # starts the next one, or has later bags' ids to return.
+        _, short = _reference_bags(ReferenceZipf(24, 1.5, seed=seed), self.COUNTS)
+        window_ends = np.cumsum([2 * count + 8 for count in self.COUNTS])
+        cuts = sorted({int(window_ends[bag]) + step for bag in short for step in (-1, 0, 1)})
+        assert cuts
+        for cut in cuts + [1]:
+            shipped = CountingZipf(24, 1.5, seed=seed)
+            shipped._CHUNK_IDS = cut
+            _assert_bags_match(shipped, ReferenceZipf(24, 1.5, seed=seed), self.COUNTS)
+
+    def test_unique_sample_ids_is_the_one_bag_case(self):
+        a, b = ZipfGenerator(24, 1.5, seed=1), ZipfGenerator(24, 1.5, seed=1)
+        for count in self.COUNTS:
+            assert a.sample_ids(count, unique=True) == b.sample_unique_bags([count])[0].tolist()
+
+    def test_empty_and_invalid_counts(self):
+        shipped = CountingZipf(10, 1.0, seed=0)
+        empty = shipped.sample_unique_bags([])
+        assert len(empty) == 0 and empty.indices.size == 0
+        for counts in ([3, 0], [11], [[1, 2]]):
+            with pytest.raises(ValueError):
+                shipped.sample_unique_bags(counts)
+        assert shipped.consumed == 0
+
+    @given(
+        num_items=st.integers(min_value=1, max_value=40),
+        alpha=st.floats(min_value=0.3, max_value=2.5),
+        data=st.data(),
+        chunk_ids=st.one_of(st.integers(min_value=1, max_value=300), st.just(1 << 16)),
+        seed=st.integers(min_value=0, max_value=50),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_property_equals_reference_for_any_chunking(self, num_items, alpha, data, chunk_ids, seed):
+        counts = data.draw(
+            st.lists(st.integers(min_value=1, max_value=num_items), max_size=30), label="counts"
+        )
+        shipped = CountingZipf(num_items, alpha, seed=seed)
+        shipped._CHUNK_IDS = chunk_ids
+        _assert_bags_match(shipped, ReferenceZipf(num_items, alpha, seed=seed), counts)
