@@ -28,7 +28,7 @@ per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -37,6 +37,10 @@ from repro.sim.clock import charge_repeatedly
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
+
+#: One batch of a run probe: ``(table_name, stored, slots, row_len)``, the
+#: slots as the cache resolved the stored rows (``-1``: absent).
+ResolvedBatch = Tuple[str, np.ndarray, np.ndarray, int]
 
 
 def _groups(values: np.ndarray) -> List[Tuple[int, Union[slice, np.ndarray]]]:
@@ -125,11 +129,12 @@ class SoALRUCache(RowCache):
 
     Constructor parameters and scalar ``get``/``put`` semantics mirror
     :class:`~repro.cache.lru.LRUCache` exactly; the batch methods
-    (:meth:`probe_batch`, :meth:`fill_batch`, :meth:`contains_batch`) are the
-    array-native equivalents of calling the scalar operations once per row in
-    input order.  Scalar operations stay O(1) Python (they touch array
-    elements, never whole arrays); batch mutation — insertion, eviction,
-    promotion — is a fixed number of array operations per call.
+    (:meth:`probe_batch`, :meth:`probe_run`, :meth:`fill_batch`,
+    :meth:`contains_batch`) are the array-native equivalents of calling the
+    scalar operations once per row in input order.  Scalar operations stay
+    O(1) Python (they touch array elements, never whole arrays); batch
+    mutation — insertion, eviction, promotion — is a fixed number of array
+    operations per call.
 
     State, per slot: payload length, pool row, table id (``-1`` for a
     side-dict key), stored index and recency stamp (``0`` marks a free slot).
@@ -417,8 +422,13 @@ class SoALRUCache(RowCache):
         self._used_bytes += count * self._entry_size(row_len)
         return slots
 
-    def _lookup_slots(self, table_name: str, stored: np.ndarray) -> np.ndarray:
-        """Slot of every ``(table_name, stored)`` key, ``-1`` when absent."""
+    def lookup_slots(self, table_name: str, stored: np.ndarray) -> np.ndarray:
+        """Slot of every ``(table_name, stored)`` key, ``-1`` when absent.
+
+        Non-mutating.  The slots stay valid until an entry is inserted or
+        removed; probes only touch recency, so a run of probes can share one
+        resolution (:meth:`probe_run`).
+        """
         if stored.size == 0:
             return _EMPTY_IDS
         table = self._table_ids.get(table_name)
@@ -524,46 +534,84 @@ class SoALRUCache(RowCache):
         rejected exactly as :meth:`put` rejects them.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
+        slots = self.lookup_slots(table_name, stored)
         if promote_mask is not None and promote_values is not None and promote_values.shape[0]:
-            return self._probe_and_promote(
-                table_name, stored, row_len, promote_mask, promote_values
+            values, admitted = self.probe_and_promote(
+                table_name, stored, slots, row_len, promote_mask, promote_values
             )
-        if stored.size:
+            return slots >= 0, values, admitted
+        (values,) = self.probe_run([(table_name, stored, slots, row_len)])
+        return slots >= 0, values, 0
+
+    def probe_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
+        """Probe a run of batches resolved by :meth:`lookup_slots`, one
+        batch after another.
+
+        Equivalent to :meth:`probe_batch` once per batch in order: the run's
+        lookups are charged as one chain of ``lookup_cpu_seconds``
+        increments, hits and misses are counted once, and the hits are
+        touched in batch order.  Returns each batch's hit rows as a
+        ``(num_hits, row_len)`` uint8 matrix in input order.
+        """
+        sizes = [int(slots.size) for _, _, slots, _ in batches]
+        total = sum(sizes)
+        if total:
             self.stats.cpu_seconds = charge_repeatedly(
-                self.stats.cpu_seconds, self.lookup_cpu_seconds, int(stored.size)
+                self.stats.cpu_seconds, self.lookup_cpu_seconds, total
             )
-        hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
-        if hit_slots.size:
+        slots = batches[0][2] if len(batches) == 1 else np.concatenate([b[2] for b in batches])
+        hit_slots = slots[slots >= 0]
+        hits = int(hit_slots.size)
+        self.stats.hits += hits
+        self.stats.misses += total - hits
+        counts = sizes if hits == total else [int(np.count_nonzero(b[2] >= 0)) for b in batches]
+        values = self._hit_payloads(batches, hit_slots, counts)
+        if hits:
             self._touch_run(hit_slots)
-        return hit_mask, values, 0
+        return values
 
-    def _probe_hits(
-        self, table_name: str, stored: np.ndarray, row_len: int
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Count hits and misses of a batch; ``(hit_mask, hit_slots, values)``."""
-        slots = self._lookup_slots(table_name, stored)
-        hit_mask = slots >= 0
-        hit_slots = slots[hit_mask]
-        self.stats.hits += int(hit_slots.size)
-        self.stats.misses += int(stored.size - hit_slots.size)
-        if not hit_slots.size:
-            return hit_mask, hit_slots, np.empty((0, row_len), dtype=np.uint8)
-        if bool((self._slot_len[hit_slots] != row_len).any()):
-            raise ValueError(
-                f"table {table_name!r}: cached row length differs from "
-                f"probe row_len {row_len}"
+    def _hit_payloads(
+        self, batches: Sequence[ResolvedBatch], hit_slots: np.ndarray, counts: Sequence[int]
+    ) -> List[np.ndarray]:
+        """Each batch's hit payloads, stacked, from the run's ``hit_slots``
+        (``counts[i]`` of them batch ``i``'s); every one must be as long as
+        its batch's ``row_len``."""
+        pool_rows = _EMPTY_IDS
+        if hit_slots.size:
+            row_lens = np.array([row_len for _, _, _, row_len in batches]).repeat(counts)
+            wrong = self._slot_len[hit_slots] != row_lens
+            if bool(wrong.any()):
+                batch = int(np.searchsorted(np.cumsum(counts), int(np.argmax(wrong)), side="right"))
+                table_name, _, _, row_len = batches[batch]
+                raise ValueError(
+                    f"table {table_name!r}: cached row length differs from "
+                    f"probe row_len {row_len}"
+                )
+            pool_rows = self._slot_row[hit_slots]
+        values: List[np.ndarray] = []
+        start = 0
+        for (_, _, _, row_len), count in zip(batches, counts):
+            rows = pool_rows[start : start + count]
+            values.append(
+                self._pools[row_len].data.take(rows, axis=0)[:, :row_len]
+                if count
+                else np.empty((0, row_len), dtype=np.uint8)
             )
-        return hit_mask, hit_slots, self._pools[row_len].data[self._slot_row[hit_slots], :row_len]
+            start += count
+        return values
 
-    def _probe_and_promote(
+    def probe_and_promote(
         self,
         table_name: str,
         stored: np.ndarray,
+        slots: np.ndarray,
         row_len: int,
         promote_mask: np.ndarray,
         promote_values: np.ndarray,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
-        """:meth:`probe_batch` with promotion fills interleaved."""
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`probe_batch` with promotion fills interleaved, for rows
+        ``stored`` that :meth:`lookup_slots` resolved to ``slots``; returns
+        ``(values, admitted)``."""
         count = int(stored.size)
         fills = int(promote_values.shape[0])
         # Row by row: the probe's charge, then the fill's.  Zero padding is
@@ -573,13 +621,19 @@ class SoALRUCache(RowCache):
         costs[promote_mask, 1] = self.insert_cpu_seconds
         chain = np.concatenate(([self.stats.cpu_seconds], costs.ravel()))
         self.stats.cpu_seconds = float(np.add.accumulate(chain)[-1])
-        hit_mask, hit_slots, values = self._probe_hits(table_name, stored, row_len)
+        hit_mask = slots >= 0
+        hit_slots = slots[hit_mask]
+        self.stats.hits += int(hit_slots.size)
+        self.stats.misses += count - int(hit_slots.size)
+        (values,) = self._hit_payloads(
+            [(table_name, stored, slots, row_len)], hit_slots, [int(hit_slots.size)]
+        )
         if self._entry_size(row_len) > self.capacity_bytes:
             # Every fill is rejected: charged above, nothing evicted.
             self.stats.rejected_inserts += fills
             if hit_slots.size:
                 self._touch_run(hit_slots)
-            return hit_mask, values, 0
+            return values, 0
         touches = int(hit_slots.size) + fills
         self._reserve_log(touches)
         # One stamp per hit and per fill in the same walk order: the probe's
@@ -594,15 +648,14 @@ class SoALRUCache(RowCache):
         self._touch_batch(filled, stamps[promote_mask, 1])
         self.stats.inserts += fills
         self._log_tail += touches
-        return hit_mask, values, fills
+        return values, fills
 
-    def promotion_hazard(
-        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
-    ) -> bool:
+    def promotion_hazard(self, slots: np.ndarray, num_fills: int, row_len: int) -> bool:
         """Would ``num_fills`` promotion fills interleaved with a batch's
         probes disturb a row the batch hits here?  Non-mutating.
 
-        ``hit_indices`` are the stored rows the batch finds in this cache.
+        ``slots`` is the batch as :meth:`lookup_slots` resolved it; its
+        entries ``>= 0`` are the rows the batch hits in this cache.
         ``True`` when the LRU prefix the fills evict is not made of rows the
         batch leaves alone — it reaches a row the batch hits, or swallows
         the whole cache and the fills themselves.  ``False`` certifies that
@@ -617,8 +670,7 @@ class SoALRUCache(RowCache):
         _, new_head, freed = self._lru_prefix(need, size)
         if freed < need:
             return True
-        hit_slots = self._lookup_slots(table_name, np.asarray(hit_indices, dtype=np.int64))
-        hit_slots = hit_slots[hit_slots >= 0]
+        hit_slots = slots[slots >= 0]
         return bool(hit_slots.size) and int(self._slot_stamp[hit_slots].min()) <= new_head
 
     def fill_batch(
@@ -650,7 +702,7 @@ class SoALRUCache(RowCache):
         if (
             int(ordered[0]) < 0
             or bool((ordered[1:] == ordered[:-1]).any())
-            or bool((self._lookup_slots(table_name, stored) >= 0).any())
+            or bool((self.lookup_slots(table_name, stored) >= 0).any())
         ):
             return sum(
                 self.put((table_name, int(stored[position])), values[position].tobytes())
@@ -678,4 +730,4 @@ class SoALRUCache(RowCache):
     def contains_batch(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
         """Vectorised membership test; no stats, no LRU effect."""
         stored = np.asarray(stored_indices, dtype=np.int64)
-        return self._lookup_slots(table_name, stored) >= 0
+        return self.lookup_slots(table_name, stored) >= 0

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.cache.admission import AdmissionPolicy, AlwaysAdmit
 from repro.cache.base import CacheKey, CacheStats
 from repro.cache.cpu_optimized import CPUOptimizedCache
 from repro.cache.memory_optimized import MemoryOptimizedCache
-from repro.cache.soa import SoALRUCache
+from repro.cache.soa import ResolvedBatch, SoALRUCache
 
 #: Rows at or below this size are routed to the memory-optimised cache.
 SMALL_ROW_THRESHOLD_BYTES = 255
@@ -164,6 +164,83 @@ class UnifiedRowCache:
             return self._batch_cache(row_len).probe_batch(
                 table_name, stored_indices, row_len, promote_mask, promote_values
             )
+        return self._probe_keys(table_name, stored_indices, row_len, promote_mask, promote_values)
+
+    def lookup_batch(self, table_name: str, stored: np.ndarray, row_len: int) -> np.ndarray:
+        """Resolve rows ``row_len`` bytes long: each row's slot in the
+        internal cache such rows route to, ``-1`` when absent.  Non-mutating.
+
+        The resolution stays valid while no row is inserted or removed, so
+        the probes of a run (:meth:`probe_run`) and a promotion certificate
+        (:meth:`promotion_hazard`) consume it instead of looking the rows up
+        again.  A cache that is not :attr:`batchable` routes keys one at a
+        time; it reports membership only (``0``: present) and its probes
+        resolve each key themselves.
+        """
+        if self.batchable:
+            return self._batch_cache(row_len).lookup_slots(table_name, stored)
+        return np.where(self.contains_batch(table_name, stored, size_hint=row_len), 0, -1)
+
+    def probe_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
+        """Probe a run of resolved batches, one after another: batch by
+        batch, the same as :meth:`probe_batch` without fills.
+
+        Each batch is ``(table_name, stored, slots, row_len)`` with ``slots``
+        from :meth:`lookup_batch`.  Returns each batch's hit rows as a
+        ``(num_hits, row_len)`` uint8 matrix in input order.  A batchable
+        cache probes each internal cache once for the whole run
+        (:meth:`SoALRUCache.probe_run`).
+        """
+        if not self.batchable:
+            return [
+                self._probe_keys(table_name, stored, row_len)[1]
+                for table_name, stored, _, row_len in batches
+            ]
+        # Each internal cache takes its share of the run, in order; keyed by
+        # whether the rows are small (see :meth:`_batch_cache`).
+        threshold = self.config.small_row_threshold_bytes
+        routed: Dict[bool, List[int]] = {}
+        for position, (_, _, _, row_len) in enumerate(batches):
+            routed.setdefault(row_len <= threshold, []).append(position)
+        if len(routed) == 1:
+            return self._batch_cache(batches[0][3]).probe_run(batches)
+        values: List[np.ndarray] = [np.empty(0, dtype=np.uint8)] * len(batches)
+        for members in routed.values():
+            cache = self._batch_cache(batches[members[0]][3])
+            for position, rows in zip(members, cache.probe_run([batches[at] for at in members])):
+                values[position] = rows
+        return values
+
+    def probe_and_promote(
+        self,
+        table_name: str,
+        stored: np.ndarray,
+        slots: np.ndarray,
+        row_len: int,
+        promote_mask: np.ndarray,
+        promote_values: np.ndarray,
+    ) -> Tuple[np.ndarray, int]:
+        """:meth:`probe_batch` with promotion fills for rows resolved by
+        :meth:`lookup_batch`; returns ``(values, admitted)``."""
+        if self.batchable:
+            return self._batch_cache(row_len).probe_and_promote(
+                table_name, stored, slots, row_len, promote_mask, promote_values
+            )
+        _, values, admitted = self._probe_keys(
+            table_name, stored, row_len, promote_mask, promote_values
+        )
+        return values, admitted
+
+    def _probe_keys(
+        self,
+        table_name: str,
+        stored_indices: np.ndarray,
+        row_len: int,
+        promote_mask: Optional[np.ndarray] = None,
+        promote_values: Optional[np.ndarray] = None,
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """:meth:`probe_batch` one key at a time through :meth:`get` and
+        :meth:`put`."""
         stored = np.asarray(stored_indices, dtype=np.int64)
         hit_mask = np.zeros(stored.size, dtype=bool)
         hits: List[bytes] = []
@@ -180,12 +257,10 @@ class UnifiedRowCache:
         values = np.frombuffer(b"".join(hits), dtype=np.uint8).reshape(len(hits), row_len)
         return hit_mask, values, admitted
 
-    def promotion_hazard(
-        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
-    ) -> bool:
+    def promotion_hazard(self, slots: np.ndarray, num_fills: int, row_len: int) -> bool:
         """Whether ``num_fills`` promotion fills interleaved with a batched
-        probe that hits ``hit_indices`` here could change what a later probe
-        of the same batch finds.  Non-mutating.
+        probe of rows resolved to ``slots`` (:meth:`lookup_batch`) could
+        change what a later probe of the same batch finds.  Non-mutating.
 
         ``True`` for a cache that is not :attr:`batchable` (where each fill
         lands depends on the key) and when the fills would evict a row the
@@ -194,9 +269,7 @@ class UnifiedRowCache:
         """
         if not self.batchable:
             return True
-        return self._batch_cache(row_len).promotion_hazard(
-            table_name, hit_indices, num_fills, row_len
-        )
+        return self._batch_cache(row_len).promotion_hazard(slots, num_fills, row_len)
 
     def fill_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray

@@ -31,7 +31,7 @@ from repro.dlrm.inference import ComputeSpec, EmbeddingBackend
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.pruning import PRUNED, PrunedEmbeddingTable
 from repro.dlrm.quantization import dequantize_rows
-from repro.hierarchy.chain import TierChain
+from repro.hierarchy.chain import FetchPlan, TierChain
 from repro.hierarchy.placement import (
     TieredPlacement,
     compute_tiered_placement,
@@ -79,6 +79,28 @@ class _SMTable:
     mapping_fm_bytes: int = 0
     rank_order: Optional[np.ndarray] = None
     dequantized: bool = False
+
+
+@dataclass(slots=True)
+class _TableLookup:
+    """One table of a query, planned and waiting for its run to be served."""
+
+    table_name: str
+    indices: np.ndarray
+    #: ``None`` for a table served straight from fast memory.
+    state: Optional[_SMTable] = None
+    pooled_probed: bool = False
+    #: The pooled cache's vector on a pooled-cache hit.
+    pooled: Optional[np.ndarray] = None
+    #: Pruned tables: which requested rows the mapping tensor keeps.
+    valid: Optional[np.ndarray] = None
+    plan: Optional[FetchPlan] = None
+
+    @property
+    def fill_free(self) -> bool:
+        """Serving the table leaves every cache as the next table's plan
+        found it: a pooled-cache miss is put into that cache at the end."""
+        return self.plan is None or (self.plan.fill_free and not self.pooled_probed)
 
 
 @dataclass
@@ -489,20 +511,36 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         requests: Mapping[str, Sequence[int]],
         start_time: float,
     ) -> Tuple[Dict[str, np.ndarray], float]:
+        """Serve a query's tables in request order, walking the row caches
+        once per run of tables.
+
+        A table is planned (:meth:`_plan_lookup`) while the tables ahead of
+        it in its run are fill-free, so nothing its plan reads can change
+        before it is served.  A table that will fill a row cache or put
+        into the pooled cache closes the run; one that promotes mid-walk is
+        probed alone.  A run is probed with one
+        :meth:`~repro.hierarchy.chain.TierChain.probe_run`, then its tables
+        complete one by one, each with the timing, IO and spans it would
+        have on its own.
+        """
         results: Dict[str, np.ndarray] = {}
-        completion_times: List[float] = []
-        cursor = start_time
+        run: List[_TableLookup] = []
+        # The latest table completion: tables served one after another
+        # (no inter-op parallelism) each start from it.
+        completion = start_time
         for table_name, indices in requests.items():
-            table_start = start_time if self.config.inter_op_parallelism else cursor
-            vector, done = self._pooled_one_table(
-                table_name, np.asarray(indices, dtype=np.int64), table_start
-            )
-            results[table_name] = vector
-            completion_times.append(done)
-            cursor = done
-        if not completion_times:
+            lookup = self._plan_lookup(table_name, np.asarray(indices, dtype=np.int64))
+            if run and lookup.plan is not None and lookup.plan.promotes:
+                completion = self._serve_run(run, start_time, completion, results)
+                run = []
+            run.append(lookup)
+            if not lookup.fill_free:
+                completion = self._serve_run(run, start_time, completion, results)
+                run = []
+        if run:
+            completion = self._serve_run(run, start_time, completion, results)
+        if not results:
             return results, start_time
-        completion = max(completion_times) if self.config.inter_op_parallelism else cursor
         self.stats.user_embedding_seconds += completion - start_time
         return results, completion
 
@@ -510,18 +548,64 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         self.stats.queries += 1
 
     # ------------------------------------------------------------- internals
-    def _pooled_one_table(
-        self, table_name: str, indices: np.ndarray, start_time: float
-    ) -> Tuple[np.ndarray, float]:
+    def _plan_lookup(self, table_name: str, indices: np.ndarray) -> _TableLookup:
+        """Settle what serving one table needs before the tables ahead of it
+        complete: its counters, its pooled-cache probe (no table ahead of it
+        in a run writes that cache), its mapping-tensor gather and the
+        chain's plan of its stored rows."""
         if indices.size == 0:
             raise ValueError(f"table {table_name!r}: request has no indices")
-        if table_name not in self._sm_tables:
+        state = self._sm_tables.get(table_name)
+        if state is None:
             # Raises KeyError for tables the placement never decided — a
             # partial user-supplied placement must fail loudly, not silently
             # serve from fast memory.
             self.placement.for_table(table_name)
-            return self._serve_from_fm(table_name, indices, start_time)
-        return self._sm_lookup(table_name, indices, start_time)
+            return _TableLookup(table_name, indices)
+        self.stats.sm_table_requests += 1
+        self.stats.sm_row_lookups += len(indices)
+        lookup = _TableLookup(table_name, indices, state)
+
+        # Algorithm 1: try the pooled embedding cache first.
+        if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
+            lookup.pooled_probed = True
+            self.stats.pooled_cache_lookups += 1
+            lookup.pooled = self.pooled_cache.probe_batch(table_name, indices)
+            if lookup.pooled is not None:
+                self.stats.pooled_cache_hits += 1
+                return lookup
+
+        # Resolve the stored index of each requested (unpruned-space) index
+        # with one batched mapping-tensor gather; a table without a mapping
+        # tensor stores every row under its own index.
+        stored = indices
+        if state.mapping is not None:
+            stored = state.mapping[indices]
+            lookup.valid = stored != PRUNED
+            stored = stored[lookup.valid]
+            self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
+        lookup.plan = self.chain.plan(
+            table_name, stored, row_len=state.row_bytes, cache_enabled=state.cache_enabled
+        )
+        return lookup
+
+    def _serve_run(
+        self,
+        run: List[_TableLookup],
+        start_time: float,
+        completion: float,
+        results: Dict[str, np.ndarray],
+    ) -> float:
+        """Probe a run of planned tables, then complete them in order into
+        ``results``; returns the latest completion."""
+        plans = [lookup.plan for lookup in run if lookup.plan is not None]
+        if plans:
+            self.chain.probe_run(plans)
+        for lookup in run:
+            table_start = start_time if self.config.inter_op_parallelism else completion
+            results[lookup.table_name], done = self._complete_lookup(lookup, table_start)
+            completion = max(completion, done)
+        return completion
 
     def _serve_from_fm(
         self, table_name: str, indices: np.ndarray, start_time: float
@@ -535,37 +619,31 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         fast.stats.bytes_served += len(indices) * table.spec.row_bytes
         return vector, start_time + elapsed
 
-    def _sm_lookup(
-        self, table_name: str, indices: np.ndarray, start_time: float
+    def _complete_lookup(
+        self, lookup: _TableLookup, start_time: float
     ) -> Tuple[np.ndarray, float]:
-        state = self._sm_tables[table_name]
-        self.stats.sm_table_requests += 1
-        self.stats.sm_row_lookups += len(indices)
+        """Serve one planned table from ``start_time``: its pooled vector
+        and completion time."""
+        table_name, indices, state = lookup.table_name, lookup.indices, lookup.state
+        if state is None:
+            return self._serve_from_fm(table_name, indices, start_time)
         cursor = start_time
         recorder = self.recorder
-
-        # Algorithm 1: try the pooled embedding cache first.
-        if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
+        if lookup.pooled_probed:
             cursor += POOLED_PROBE_SECONDS
-            self.stats.pooled_cache_lookups += 1
-            cached = self.pooled_cache.probe_batch(table_name, indices)
-            if cached is not None:
-                self.stats.pooled_cache_hits += 1
             if recorder.enabled:
                 recorder.span(
                     "pooled_probe",
                     "sdm",
                     cursor - POOLED_PROBE_SECONDS,
                     POOLED_PROBE_SECONDS,
-                    args={"table": table_name, "hit": cached is not None},
+                    args={"table": table_name, "hit": lookup.pooled is not None},
                 )
-            if cached is not None:
-                return cached, cursor
-
-        # Resolve the stored index of each requested (unpruned-space) index
-        # with one batched mapping-tensor gather; a table without a mapping
-        # tensor stores every row under its own index.
-        stored, valid = indices, None
+            if lookup.pooled is not None:
+                return lookup.pooled, cursor
+        plan = lookup.plan
+        assert plan is not None
+        stored = plan.stored
         if state.mapping is not None:
             lookup_seconds = indices.size * MAPPING_LOOKUP_SECONDS
             if recorder.enabled:
@@ -577,19 +655,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     args={"table": table_name, "rows": int(indices.size)},
                 )
             cursor += lookup_seconds
-            stored = state.mapping[indices]
-            valid = stored != PRUNED
-            stored = stored[valid]
-            self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
 
-        # Serve through the tier chain: probe upper caches, read misses from
-        # each row's home tier, promote per policy.
+        # Serve through the tier chain: the probed plan's hits, reads of the
+        # misses from each row's home tier, promotion per policy.
         outcome = self.chain.fetch_batch(
             table_name,
             stored,
             cursor,
             row_len=state.row_bytes,
             cache_enabled=state.cache_enabled,
+            plan=plan,
         )
         self.stats.sm_ios += outcome.device_reads
         if recorder.enabled:
@@ -609,12 +684,12 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # original request order (a pruned row pools as zeros), so results
         # are bit-identical to the in-memory reference path.
         fetched_bytes = int(stored.size) * state.row_bytes
-        if valid is None:
+        if lookup.valid is None:
             rows = state.decode_batch(outcome.rows)
         else:
             rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
             if stored.size:
-                rows[valid] = state.decode_batch(outcome.rows)
+                rows[lookup.valid] = state.decode_batch(outcome.rows)
         pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
         if recorder.enabled and fetched_bytes:

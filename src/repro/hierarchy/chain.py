@@ -16,6 +16,20 @@ that says where every stored row lives.  Serving one row homed on tier ``k``:
 operations: the host walks the rows in request order, then all misses go to
 their home tiers together.  Whenever only tier 0 carries a cache — every
 two-tier configuration — ``all`` and ``top`` coincide.
+
+The walk is split in three so that the requests of one query can share it:
+
+* :meth:`TierChain.plan` resolves a request without touching anything: each
+  row's home tier and, per cache it probes, the cache's slot for it;
+* :meth:`TierChain.probe_run` probes every cache once for a *run* of planned
+  requests, leaving the recency order and counters the requests' own walks
+  would have left one after another;
+* :meth:`TierChain.fetch_batch` completes one probed plan, in request order:
+  the walk's time, the tier-0 gather, the misses' IO and the fills.
+
+A plan stays valid while no row enters or leaves a cache, so a run may
+collect requests for as long as each one is :attr:`FetchPlan.fill_free`;
+the first that is not closes it.
 """
 
 from __future__ import annotations
@@ -25,10 +39,19 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.cache.unified import UnifiedRowCache
 from repro.hierarchy.placement import TieredPlacement
 from repro.hierarchy.tier import PROMOTION_POLICIES, MemoryTier, first_occurrence_groups
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.clock import charge_repeatedly
+
+_NO_ROWS = np.zeros(0, dtype=np.int64)
+_NO_ROWS.setflags(write=False)
+
+#: One cache a plan probes: the positions of the request's rows that probe
+#: it (``None``: every row), their stored indices, and the cache's slots for
+#: them (``-1``: absent).
+CacheProbe = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 
 
 @dataclass
@@ -42,10 +65,50 @@ class BatchFetchOutcome:
     rows: np.ndarray
     completion_time: float
     device_reads: int = 0
-    fast_rows: int = 0
     cache_hits: int = 0
-    probe_seconds: float = 0.0
     reads_by_tier: Dict[int, int] = field(default_factory=dict)
+
+
+@dataclass(slots=True)
+class FetchPlan:
+    """One request's stored rows resolved against the chain before any
+    cache is touched (:meth:`TierChain.plan`).
+
+    A plan is consumed by one :meth:`TierChain.probe_run` and one
+    :meth:`TierChain.fetch_batch`; nothing keeps it.
+    """
+
+    table_name: str
+    stored: np.ndarray
+    row_len: int
+    cache_enabled: bool
+    home_tiers: np.ndarray
+    #: Per probed cached tier, in walk order: what the request probes there.
+    probes: Dict[int, CacheProbe]
+    #: The cached tier that serves each row (``-1``: none).
+    found: np.ndarray
+    #: Positions of the rows no cache serves: fast-tier reads and misses.
+    unserved: np.ndarray
+    #: Cache probes the walk makes, one per row and cache it reaches.
+    num_probes: int
+    #: The payloads: the probe writes the cache hits, completion the rest.
+    rows: np.ndarray
+    #: Some row hits in a cache below a promotion target, so the probe
+    #: fills a faster cache mid-walk: the request is probed alone, under
+    #: the promotion certificate.
+    promotes: bool
+    #: Completing the request changes nothing a later plan reads: it fills
+    #: no row into a cache, promotes none, and probes batchable caches only.
+    fill_free: bool
+
+
+def _place_hits(
+    rows: np.ndarray, positions: Optional[np.ndarray], slots: np.ndarray, hits: np.ndarray
+) -> None:
+    """Write one probed cache's hit payloads into the rows matrix."""
+    if hits.shape[0]:
+        contained = slots >= 0
+        rows[contained if positions is None else positions[contained]] = hits
 
 
 class TierChain:
@@ -83,8 +146,12 @@ class TierChain:
         # Which tiers carry a cache and which of them receive promotions never
         # changes after construction, so the per-home-tier probe and target
         # lists (walked for every row) are precomputed.
-        cached = [index for index, tier in enumerate(self.tiers) if tier.cache is not None]
+        self._caches: Dict[int, UnifiedRowCache] = {
+            index: tier.cache for index, tier in enumerate(self.tiers) if tier.cache is not None
+        }
+        cached = list(self._caches)
         self._cached_tiers: List[int] = cached
+        self._cached_array = np.array(cached, dtype=np.int64)
         self._promotion_tiers: List[int] = {"none": [], "top": cached[:1], "all": cached}[
             promotion
         ]
@@ -102,6 +169,227 @@ class TierChain:
         the slower cache it was found in — is promoted into."""
         return self._promotion_target_indices[source_tier]
 
+    # ----------------------------------------------------------------- plan
+    def plan(
+        self,
+        table_name: str,
+        stored: np.ndarray,
+        *,
+        row_len: int,
+        cache_enabled: bool = True,
+    ) -> FetchPlan:
+        """Resolve a request for stored rows ``stored`` of a table whose
+        stored rows are ``row_len`` bytes long.  Non-mutating.
+
+        Every row gets its home tier and, for each cache above it that the
+        walk reaches, the cache's slot for it; the first cache holding the
+        row serves it.  Probes only touch recency, so the resolution holds
+        across the probes and fill-free completions of other requests.
+        """
+        stored = np.asarray(stored, dtype=np.int64)
+        count = int(stored.size)
+        home_tiers = (
+            self.placement.for_table(table_name).tiers_of_rows(stored)
+            if count
+            else np.zeros(0, dtype=np.int64)
+        )
+        if cache_enabled and count:
+            probes, found, unserved = self._resolve(table_name, stored, home_tiers, row_len)
+        else:
+            probes, found, unserved = {}, np.full(count, -1, dtype=np.int64), np.arange(count)
+        # The fastest cache that receives promotions; past the slowest tier
+        # when none does, so that no row is below it.
+        receiver = self._promotion_tiers[0] if self._promotion_tiers else len(self.tiers)
+        num_probes, promotes, batchable = 0, False, True
+        for tier_index, (_, probed_keys, slots) in probes.items():
+            num_probes += int(probed_keys.size)
+            batchable = batchable and self._caches[tier_index].batchable
+            # A hit below the receiver is promoted into it mid-walk.
+            promotes = promotes or (
+                tier_index > receiver and bool(np.count_nonzero(slots >= 0))
+            )
+        # A miss homed below the receiver is filled into it after its IO.
+        fills = (
+            cache_enabled
+            and bool(unserved.size)
+            and bool(np.count_nonzero(home_tiers[unserved] > receiver))
+        )
+        return FetchPlan(
+            table_name=table_name,
+            stored=stored,
+            row_len=row_len,
+            cache_enabled=cache_enabled,
+            home_tiers=home_tiers,
+            probes=probes,
+            found=found,
+            unserved=unserved,
+            num_probes=num_probes,
+            rows=np.empty((count, row_len), dtype=np.uint8),
+            promotes=promotes,
+            fill_free=batchable and not (promotes or fills),
+        )
+
+    def _resolve(
+        self, table_name: str, keys: np.ndarray, homes: np.ndarray, row_len: int
+    ) -> Tuple[Dict[int, CacheProbe], np.ndarray, np.ndarray]:
+        """What rows ``keys`` (homed on ``homes``) probe, cache by cache in
+        walk order; the first cache holding each (``-1``: none); and the
+        positions of the rows no cache holds.
+
+        A row that misses a cache walks on to the next cache above its
+        home; caches are visited fastest first, so a row that does not
+        reach one reaches none after it.
+        """
+        count = int(keys.size)
+        found = np.empty(count, dtype=np.int64)
+        found.fill(-1)
+        probes: Dict[int, CacheProbe] = {}
+        # Positions of the rows still walking; ``None`` while that is all.
+        walking: Optional[np.ndarray] = None
+        for tier_index, cache in self._caches.items():
+            reach = (homes if walking is None else homes[walking]) > tier_index
+            reached = int(np.count_nonzero(reach))
+            if not reached:
+                break
+            positions = walking
+            if reached < reach.size:
+                positions = np.nonzero(reach)[0] if walking is None else walking[reach]
+            probed_keys = keys if positions is None else keys[positions]
+            slots = cache.lookup_batch(table_name, probed_keys, row_len)
+            probes[tier_index] = (positions, probed_keys, slots)
+            contained = slots >= 0
+            held = int(np.count_nonzero(contained))
+            if held == slots.size:
+                if positions is None:  # every row walked here, and all hit
+                    found.fill(tier_index)
+                    return probes, found, _NO_ROWS
+                found[positions] = tier_index
+                break
+            if held:
+                if positions is None:
+                    positions = np.arange(count)
+                found[positions[contained]] = tier_index
+                positions = positions[~contained]
+            walking = positions
+        return probes, found, np.nonzero(found < 0)[0]
+
+    # ---------------------------------------------------------------- probe
+    def probe_run(self, plans: Sequence[FetchPlan]) -> None:
+        """Probe every cache once for a run of planned requests.
+
+        A cache sees the run's rows request by request, in order — the
+        touches and counters each request's own probe would leave — and
+        every hit's payload lands in its request's rows matrix.  The run is
+        exact because each request but the last is
+        :attr:`~FetchPlan.fill_free`: completing them in order between this
+        probe and the next changes nothing a later plan of the run read.
+        A request that promotes mid-walk is probed alone, range by range
+        (:meth:`_walk_range`).
+        """
+        if any(not plan.fill_free for plan in plans[:-1]):
+            raise ValueError("only the last request of a run may fill a cache")
+        if plans and plans[-1].promotes:
+            if len(plans) > 1:
+                raise ValueError("a request that promotes mid-walk is probed alone")
+            plan = plans[0]
+            plan.num_probes = 0
+            self._walk_range(plan, 0, int(plan.stored.size), (plan.probes, plan.found))
+            plan.unserved = np.nonzero(plan.found < 0)[0]
+            return
+        for tier_index in self._cached_tiers:
+            probed = [plan for plan in plans if tier_index in plan.probes]
+            if not probed:
+                continue
+            batches = [
+                (plan.table_name, plan.probes[tier_index][1], plan.probes[tier_index][2], plan.row_len)
+                for plan in probed
+            ]
+            for plan, hits in zip(probed, self.tiers[tier_index].probe_cache_run(batches)):
+                if hits.shape[0] == plan.rows.shape[0]:
+                    plan.rows = hits  # every row hit here: the payloads are the matrix
+                else:
+                    positions, _, slots = plan.probes[tier_index]
+                    _place_hits(plan.rows, positions, slots, hits)
+
+    def _walk_range(
+        self,
+        plan: FetchPlan,
+        lo: int,
+        hi: int,
+        resolution: Optional[Tuple[Dict[int, CacheProbe], np.ndarray]] = None,
+    ) -> None:
+        """Probe the caches for rows ``[lo, hi)`` of a plan that promotes,
+        in walk order.
+
+        A hit in a cache below the fastest one is promoted into the faster
+        caches mid-walk, so each cache sees, row by row, a probe followed
+        (for a promoted row) by a fill.  One ordered probe-with-promotion
+        per cache replays that sequence for the whole range — exactly,
+        unless a fill changes what a later probe of the same range finds.
+        So the range's ``resolution`` (the plan's own for the whole
+        request) is first certified: no promoted row occurs twice, and no
+        promotion target would evict a row the range hits there
+        (:meth:`UnifiedRowCache.promotion_hazard`, on the resolved slots).
+        A range that fails is walked as two halves, each resolved against
+        the state the rows before it left; a single row needs no
+        certificate, because probe-then-fill of one row *is* the per-row
+        sequence.
+
+        Writes the range's hit payloads into ``plan.rows``, the cache that
+        served each row into ``plan.found`` and its probes into
+        ``plan.num_probes``.
+        """
+        keys, homes = plan.stored[lo:hi], plan.home_tiers[lo:hi]
+        probes, found = (
+            resolution
+            if resolution is not None
+            else self._resolve(plan.table_name, keys, homes, plan.row_len)[:2]
+        )
+        # Every row found below cached tier t is filled into t right after
+        # missing there (the fastest receiver takes every promoted row).
+        promoted_into: Dict[int, np.ndarray] = {}
+        for tier_index in self._promotion_tiers:
+            promoted = found > tier_index
+            if bool(promoted.any()):
+                promoted_into[tier_index] = promoted
+        if promoted_into and hi - lo > 1:
+            promoted_keys = keys[promoted_into[self._promotion_tiers[0]]]
+            if np.unique(promoted_keys).size < promoted_keys.size or any(
+                self._caches[tier_index].promotion_hazard(
+                    probes[tier_index][2], int(np.count_nonzero(promoted)), plan.row_len
+                )
+                for tier_index, promoted in promoted_into.items()
+            ):
+                mid = (lo + hi) // 2
+                self._walk_range(plan, lo, mid)
+                self._walk_range(plan, mid, hi)
+                return
+
+        # Mutating probes, one per cached tier.  Caches are independent, so
+        # the slowest goes first: its hits are the payloads promoted into
+        # the faster ones.
+        payloads = plan.rows[lo:hi]
+        for tier_index in reversed(self._cached_tiers):
+            probe = probes.get(tier_index)
+            if probe is None:
+                continue
+            positions, probed_keys, slots = probe
+            batch = (plan.table_name, probed_keys, slots, plan.row_len)
+            tier = self.tiers[tier_index]
+            promoted = promoted_into.get(tier_index)
+            if promoted is None:
+                (hits,) = tier.probe_cache_run([batch])
+            else:
+                hits = tier.probe_cache_and_promote(
+                    batch,
+                    promoted if positions is None else promoted[positions],
+                    payloads[promoted],
+                )
+            _place_hits(payloads, positions, slots, hits)
+            plan.num_probes += int(probed_keys.size)
+        plan.found[lo:hi] = found
+
+    # ------------------------------------------------------------- complete
     def fetch_batch(
         self,
         table_name: str,
@@ -110,6 +398,7 @@ class TierChain:
         *,
         row_len: int,
         cache_enabled: bool = True,
+        plan: Optional[FetchPlan] = None,
     ) -> BatchFetchOutcome:
         """Fetch stored rows ``stored`` of a table whose stored rows are
         ``row_len`` bytes long.
@@ -121,70 +410,74 @@ class TierChain:
         submitted to its home tier's devices at the time the walk ended, all
         tiers concurrently, and the rows read are promoted per policy.
 
-        The walk runs as array operations (:meth:`_walk_range`), tier-0
-        payloads are one matrix gather, and each device tier gets one
-        grouped ``read_rows_batch``.  Time is charged as a per-row walk
-        would charge it — the probe/hit/fast increments are laid out in walk
-        order and summed with ``np.add.accumulate``, whose left-to-right
+        ``plan`` is the request's plan when a run probe
+        (:meth:`probe_run`) already walked the caches for it; without one
+        the request is planned and probed here, as a run of one.  Either
+        way this completes it: tier-0 payloads are one matrix gather, each
+        device tier gets one grouped ``read_rows_batch``, and time is
+        charged as a per-row walk would charge it — per row, one probe
+        increment per cache probed, then the hit's or fast read's
+        increment, summed with ``np.add.accumulate``, whose left-to-right
         addition chain makes the accrued floats bit-identical to ``+=``.
         """
-        stored = np.asarray(stored, dtype=np.int64)
+        if plan is None:
+            plan = self.plan(table_name, stored, row_len=row_len, cache_enabled=cache_enabled)
+            self.probe_run([plan])
+        table_name, row_len = plan.table_name, plan.row_len
+        stored, home_tiers, found, rows_out = plan.stored, plan.home_tiers, plan.found, plan.rows
         count = int(stored.size)
-        decision = self.placement.for_table(table_name)
-        home_tiers = (
-            decision.tiers_of_rows(stored)
-            if count
-            else np.zeros(0, dtype=np.int64)
-        )
 
-        # Per row: the cached tier that served it (-1: none) and, per cached
-        # tier, whether the walk probed it — filled range by range.
-        num_cached = len(self._cached_tiers)
-        rows_out = np.zeros((count, row_len), dtype=np.uint8)
-        hit_tier = np.full(count, -1, dtype=np.int64)
-        walked = np.zeros((num_cached, count), dtype=bool)
-        if cache_enabled and count:
-            self._walk_range(
-                table_name, stored, home_tiers, row_len, rows_out, hit_tier, walked, 0, count
-            )
-        cache_hits = int(np.count_nonzero(hit_tier >= 0))
-
-        # Tier-0-homed rows: one matrix gather from the in-memory tables.
-        fm_mask = (home_tiers == 0) & (hit_tier < 0)
-        num_fast = int(np.count_nonzero(fm_mask))
+        # Rows no cache served: tier-0-homed ones are one matrix gather from
+        # the in-memory tables, the rest are misses.
+        unserved = plan.unserved
+        fast_rows = misses = unserved
+        if unserved.size:
+            unserved_homes = home_tiers[unserved]
+            fast_rows = unserved[unserved_homes == 0]
+            misses = unserved[unserved_homes != 0]
+        num_fast = int(fast_rows.size)
         if num_fast:
             fast = self.tiers[0]
-            rows_out[fm_mask] = fast.read_rows_batch(table_name, stored[fm_mask], start_time)[0]
+            rows_out[fast_rows] = fast.read_rows_batch(table_name, stored[fast_rows], start_time)[0]
             fast.stats.rows_served += num_fast
             fast.stats.bytes_served += num_fast * row_len
 
-        # The walk's time accrual: per row, one probe charge per walked
-        # cache, then the hit/fast terminal increment.  Zero padding is
-        # bitwise-neutral (x + 0.0 == x for the positive cursor).
-        increments = np.zeros((count, num_cached + 1), dtype=np.float64)
-        increments[:, :num_cached][walked.T] = self.cache_probe_seconds
-        total_probes = int(np.count_nonzero(walked))
+        # The walk's time accrual: per row, one probe charge per cache it
+        # probed, then the hit's media time or the fast read.  A zero
+        # increment is bitwise-neutral on the positive cursor, so when every
+        # hit and read is free the walk is its probe charges alone.
+        terminal: Optional[np.ndarray] = None
         for tier_index in self._cached_tiers:
-            hits_here = hit_tier == tier_index
+            hit_seconds = self.tiers[tier_index].cache_hit_seconds(row_len)
+            if not hit_seconds:
+                continue
+            hits_here = found == tier_index
             if bool(hits_here.any()):
-                increments[hits_here, num_cached] = self.tiers[
-                    tier_index
-                ].cache_hit_seconds(row_len)
+                terminal = np.zeros(count) if terminal is None else terminal
+                terminal[hits_here] = hit_seconds
         if num_fast:
-            increments[fm_mask, num_cached] = (
-                self.fm_lookup_overhead + row_len / self.fm_bandwidth
+            terminal = np.zeros(count) if terminal is None else terminal
+            terminal[fast_rows] = self.fm_lookup_overhead + row_len / self.fm_bandwidth
+        if terminal is None:
+            cursor = charge_repeatedly(start_time, self.cache_probe_seconds, plan.num_probes)
+        else:
+            # Per row: the cached tiers up to the one that served it, else
+            # every cached tier above its home.
+            probed = (
+                np.searchsorted(
+                    self._cached_array, np.where(found >= 0, found, home_tiers - 1), side="right"
+                )
+                if plan.cache_enabled
+                else np.zeros(count, dtype=np.int64)
             )
-        chain = np.concatenate(([start_time], increments.ravel()))
-        cursor = float(np.add.accumulate(chain)[-1])
-        probe_seconds = charge_repeatedly(0.0, self.cache_probe_seconds, total_probes)
+            ends = np.cumsum(probed + 1)
+            chain = np.full(int(ends[-1]) + 1, self.cache_probe_seconds)
+            chain[0] = start_time
+            chain[ends] = terminal
+            cursor = float(np.add.accumulate(chain)[-1])
 
-        outcome = BatchFetchOutcome(
-            rows=rows_out,
-            completion_time=start_time,
-            cache_hits=cache_hits,
-            fast_rows=num_fast,
-            probe_seconds=probe_seconds,
-        )
+        cache_hits = count - int(unserved.size)
+        outcome = BatchFetchOutcome(rows=rows_out, completion_time=start_time, cache_hits=cache_hits)
         recorder = self.recorder
         if recorder.enabled and cursor > start_time:
             # The serial host walk: cache probes, hit copies, fast-tier reads.
@@ -194,7 +487,9 @@ class TierChain:
                 start_time,
                 cursor - start_time,
                 args={
-                    "probe_seconds": probe_seconds,
+                    "probe_seconds": charge_repeatedly(
+                        0.0, self.cache_probe_seconds, plan.num_probes
+                    ),
                     "cache_hits": cache_hits,
                     "fast_rows": num_fast,
                 },
@@ -204,10 +499,9 @@ class TierChain:
         # batch submission per tier at the end of the walk, then promotion
         # fills target by target (each cache sees its fills in row order).
         io_done = cursor
-        misses = np.nonzero((hit_tier < 0) & (home_tiers != 0))[0]
         for tier_index, rows_at in first_occurrence_groups(home_tiers, misses):
             tier = self.tiers[tier_index]
-            targets = self._promotion_targets(tier_index) if cache_enabled else []
+            targets = self._promotion_targets(tier_index) if plan.cache_enabled else []
             num_reads = int(rows_at.size)
             miss_stored = stored[rows_at]
             matrix, completions = tier.read_rows_batch(table_name, miss_stored, cursor)
@@ -233,102 +527,6 @@ class TierChain:
 
         outcome.completion_time = max(cursor, io_done)
         return outcome
-
-    def _walk_range(
-        self,
-        table_name: str,
-        stored: np.ndarray,
-        home_tiers: np.ndarray,
-        row_len: int,
-        rows_out: np.ndarray,
-        hit_tier: np.ndarray,
-        walked: np.ndarray,
-        lo: int,
-        hi: int,
-    ) -> None:
-        """Probe the caches for rows ``[lo, hi)`` of a batch, in walk order.
-
-        A hit in a cache below the fastest one is promoted into the faster
-        caches mid-walk, so each cache sees, row by row, a probe followed
-        (for a promoted row) by a fill.  One ordered
-        ``probe_cache_batch(..., promote_mask, promote_values)`` per cache
-        replays that sequence for the whole range — exactly, unless a fill
-        changes what a later probe of the same range finds.  So the range
-        is first planned without touching anything (which rows each cache
-        is probed for, and the first cache holding each row), then
-        certified: no promoted row occurs twice, and no promotion target
-        would evict a row the range hits there
-        (:meth:`MemoryTier.promotion_hazard`).  A range that fails is walked
-        as two halves, the second planned against the state the first
-        left; a single row needs no certificate, because probe-then-fill of
-        one row *is* the per-row sequence.
-
-        Fills ``rows_out`` (hit payloads), ``hit_tier`` and ``walked`` for
-        the range.
-        """
-        keys, homes = stored[lo:hi], home_tiers[lo:hi]
-        found = np.full(hi - lo, -1, dtype=np.int64)
-        probed: Dict[int, np.ndarray] = {}
-        unresolved = np.ones(hi - lo, dtype=bool)
-        for tier_index in self._cached_tiers:
-            eligible = unresolved & (homes > tier_index)
-            if not bool(eligible.any()):
-                continue
-            probed[tier_index] = eligible
-            contained = self.tiers[tier_index].cache_contains_batch(
-                table_name, keys[eligible], row_len
-            )
-            if bool(contained.any()):
-                rows_at = np.nonzero(eligible)[0][contained]
-                found[rows_at] = tier_index
-                unresolved[rows_at] = False
-
-        # Every row found below cached tier t is filled into t right after
-        # missing there (the fastest receiver takes every promoted row).
-        promoted_into: Dict[int, np.ndarray] = {}
-        for tier_index in self._promotion_tiers:
-            promoted = found > tier_index
-            if bool(promoted.any()):
-                promoted_into[tier_index] = promoted
-        if promoted_into and hi - lo > 1:
-            promoted_keys = keys[promoted_into[self._promotion_tiers[0]]]
-            if np.unique(promoted_keys).size < promoted_keys.size or any(
-                self.tiers[tier_index].promotion_hazard(
-                    table_name,
-                    keys[found == tier_index],
-                    int(np.count_nonzero(promoted)),
-                    row_len,
-                )
-                for tier_index, promoted in promoted_into.items()
-            ):
-                mid = (lo + hi) // 2
-                for sub_lo, sub_hi in ((lo, mid), (mid, hi)):
-                    self._walk_range(
-                        table_name, stored, home_tiers, row_len,
-                        rows_out, hit_tier, walked, sub_lo, sub_hi,
-                    )
-                return
-
-        # Mutating probes, one per cached tier.  Caches are independent, so
-        # the slowest goes first: its hits are the payloads promoted into
-        # the faster ones.
-        payloads = rows_out[lo:hi]
-        for column in reversed(range(len(self._cached_tiers))):
-            tier_index = self._cached_tiers[column]
-            eligible = probed.get(tier_index)
-            if eligible is None:
-                continue
-            walked[column, lo:hi] = eligible
-            promoted = promoted_into.get(tier_index)
-            promotion: Tuple[Optional[np.ndarray], Optional[np.ndarray]] = (
-                (None, None) if promoted is None else (promoted[eligible], payloads[promoted])
-            )
-            hit_mask, values = self.tiers[tier_index].probe_cache_batch(
-                table_name, keys[eligible], row_len, *promotion
-            )
-            if values.shape[0]:
-                payloads[np.nonzero(eligible)[0][hit_mask]] = values
-        hit_tier[lo:hi] = found
 
     # ---------------------------------------------------------------- admin
     def clear_caches(self) -> None:

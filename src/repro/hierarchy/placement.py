@@ -124,11 +124,16 @@ class TieredTablePlacement:
     def tiers_of_rows(self, stored_indices: np.ndarray) -> np.ndarray:
         """Vectorised ``tier_of_row`` over an int array of stored indices."""
         stored = np.asarray(stored_indices, dtype=np.int64)
-        if stored.size and (stored.min() < 0 or stored.max() >= self.num_rows):
+        # As unsigned, a negative index is huge: one reduction bounds both ends.
+        if stored.size and int(stored.view(np.uint64).max()) >= self.num_rows:
             raise IndexError(
                 f"stored rows out of range for table {self.table_name!r} "
                 f"with {self.num_rows} rows"
             )
+        if self._segment_tiers.size == 1:
+            tiers = np.empty(stored.size, dtype=np.int64)
+            tiers.fill(self.segments[0].tier)
+            return tiers
         return self._segment_tiers[self._segment_ends.searchsorted(stored, side="right")]
 
     def bytes_on_tier(self, tier: int, row_bytes: int) -> int:

@@ -31,6 +31,7 @@ from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Seque
 
 import numpy as np
 
+from repro.cache.soa import ResolvedBatch
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.sim.units import BLOCK_SIZE, parse_size
 from repro.storage.access import AccessPath, DirectIOReader, MmapReader
@@ -332,59 +333,47 @@ class MemoryTier(abc.ABC):
         """Read rows homed on this tier, all issued at ``start_time``:
         ``(rows_matrix, completion_times)`` in input order."""
 
-    def probe_cache_batch(
+    def probe_cache_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
+        """Probe this tier's row cache for a run of resolved batches, one
+        probe per stored row in order (:meth:`UnifiedRowCache.probe_run`);
+        counts towards the tier's stats.  Returns each batch's hit rows
+        stacked as a ``(num_hits, row_len)`` uint8 matrix in input order."""
+        assert self.cache is not None
+        values = self.cache.probe_run(batches)
+        stats = self.stats
+        for rows, (_, stored, _, row_len) in zip(values, batches):
+            hits = int(rows.shape[0])
+            stats.cache_probes += int(stored.size)
+            stats.cache_hits += hits
+            stats.rows_served += hits
+            stats.bytes_served += hits * row_len
+        return values
+
+    def probe_cache_and_promote(
         self,
-        table_name: str,
-        stored_indices: np.ndarray,
-        row_len: int,
-        promote_mask: Optional[np.ndarray] = None,
-        promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Probe this tier's row cache once per stored row, in order;
-        counts towards the tier's stats.
-
-        Returns ``(hit_mask, values)`` with the hit rows stacked as a
-        ``(num_hits, row_len)`` uint8 matrix in input order.
-
-        Rows marked in ``promote_mask`` are additionally filled with the rows
-        of ``promote_values`` right after their probe — the promotion of a
-        row found in a slower cache, interleaved where the walk performs
-        it.  The chain passes more than one row only when
-        :meth:`promotion_hazard` cleared them; fills the cache rejects do
-        not count as promoted.
-        """
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        if self.cache is None:
-            return np.zeros(stored.size, dtype=bool), np.empty((0, row_len), dtype=np.uint8)
-        self.stats.cache_probes += int(stored.size)
-        hit_mask, values, admitted = self.cache.probe_batch(
-            table_name, stored, row_len, promote_mask, promote_values
+        batch: ResolvedBatch,
+        promote_mask: np.ndarray,
+        promote_values: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`probe_cache_run` for one batch whose rows marked in
+        ``promote_mask`` are additionally filled with the rows of
+        ``promote_values`` right after their probe — the promotion of a row
+        found in a slower cache, interleaved where the walk performs it.
+        The chain passes more than one row only when
+        :meth:`UnifiedRowCache.promotion_hazard` cleared them; fills the
+        cache rejects do not count as promoted."""
+        assert self.cache is not None
+        table_name, stored, slots, row_len = batch
+        values, admitted = self.cache.probe_and_promote(
+            table_name, stored, slots, row_len, promote_mask, promote_values
         )
         num_hits = int(values.shape[0])
+        self.stats.cache_probes += int(stored.size)
         self.stats.cache_hits += num_hits
         self.stats.rows_served += num_hits
         self.stats.bytes_served += num_hits * row_len
         self.stats.promoted_rows += admitted
-        return hit_mask, values
-
-    def promotion_hazard(
-        self, table_name: str, hit_indices: np.ndarray, num_fills: int, row_len: int
-    ) -> bool:
-        """Whether ``num_fills`` promotion fills interleaved with a batched
-        probe that hits ``hit_indices`` in this tier's cache could disturb
-        the batch (:meth:`UnifiedRowCache.promotion_hazard`)."""
-        if self.cache is None:
-            return False
-        return self.cache.promotion_hazard(table_name, hit_indices, num_fills, row_len)
-
-    def cache_contains_batch(
-        self, table_name: str, stored_indices: np.ndarray, row_len: int
-    ) -> np.ndarray:
-        """Vectorised cache membership test; no stats, no LRU effect."""
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        if self.cache is None:
-            return np.zeros(stored.size, dtype=bool)
-        return self.cache.contains_batch(table_name, stored, size_hint=row_len)
+        return values
 
     def fill_cache_batch(
         self, table_name: str, stored_indices: np.ndarray, values: np.ndarray

@@ -13,7 +13,8 @@ import numpy as np
 def charge_repeatedly(total: float, cost: float, count: int) -> float:
     """``total += cost``, ``count`` times over, as one ``np.add.accumulate``:
     the same left-to-right chain of additions, so the same float."""
-    chain = np.full(count + 1, cost, dtype=np.float64)
+    chain = np.empty(count + 1, dtype=np.float64)
+    chain.fill(cost)
     chain[0] = total
     return float(np.add.accumulate(chain)[-1])
 

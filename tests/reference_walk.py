@@ -41,8 +41,7 @@ def reference_fetch_batch(
     receivers = {"none": [], "top": cached[:1], "all": cached}[chain.promotion]
 
     cursor = start_time
-    probe_seconds = 0.0
-    cache_hits = fast_rows = 0
+    cache_hits = 0
     payloads: Dict[int, bytes] = {}
     misses: Dict[int, List[int]] = {}
 
@@ -55,7 +54,6 @@ def reference_fetch_batch(
                     break
                 tier = chain.tiers[tier_index]
                 cursor += chain.cache_probe_seconds
-                probe_seconds += chain.cache_probe_seconds
                 tier.stats.cache_probes += 1
                 value = tier.cache.get(key, size_hint=row_len)
                 if value is None:
@@ -82,7 +80,6 @@ def reference_fetch_batch(
             fast.stats.rows_served += 1
             fast.stats.bytes_served += len(data)
             payloads[row] = data
-            fast_rows += 1
             continue
         misses.setdefault(home, []).append(row)
 
@@ -112,8 +109,6 @@ def reference_fetch_batch(
         rows=rows_out,
         completion_time=max(cursor, io_done),
         device_reads=sum(reads_by_tier.values()),
-        fast_rows=fast_rows,
         cache_hits=cache_hits,
-        probe_seconds=probe_seconds,
         reads_by_tier=reads_by_tier,
     )

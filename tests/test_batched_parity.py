@@ -21,6 +21,7 @@ import pytest
 from helpers import golden_encode
 from reference_walk import reference_fetch_batch
 
+from repro.cache.unified import UnifiedRowCache
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
 from repro.dlrm import MLP, DLRMModel, EmbeddingTable, EmbeddingTableSpec
@@ -45,6 +46,13 @@ THROTTLED = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_tab
 VARIANTS = {
     "default": {},
     "pooled-off": {"pooled_cache_enabled": False},
+    # Tables one after another: each table's walk starts when the previous
+    # table's rows are pooled, so the cursor chains through the query.
+    "serial-tables": {"inter_op_parallelism": False, "pooled_cache_enabled": False},
+    # Four small user tables behind a cache that holds them all: late
+    # queries hit in every table, others hit in a few tables and then miss
+    # in one that fills the cache.
+    "warm-pooled-off": {"pooled_cache_enabled": False, "user_tables": 4, "user_rows": 64},
     "quant-4bit": {"quant_bits": 4},
     "pruned": {"pruned_fraction": 0.3},
     "pruned-deprune": {"pruned_fraction": 0.3, "deprune_at_load": True},
@@ -111,26 +119,20 @@ VARIANTS = {
 SPLITTING_VARIANTS = ("two-caches-hazards", "two-caches-pooled-off", "two-caches-four-partitions")
 
 
-def _model(quant_bits: int = 8) -> DLRMModel:
+def _model(quant_bits: int = 8, user_tables: int = 2, user_rows: int = 256) -> DLRMModel:
     specs = [
         EmbeddingTableSpec(
-            name="user_0",
-            num_rows=256,
+            name=f"user_{index}",
+            num_rows=user_rows,
             dim=16,
             quant_bits=quant_bits,
             is_user=True,
             avg_pooling_factor=6.0,
             zipf_alpha=1.05,
-        ),
-        EmbeddingTableSpec(
-            name="user_1",
-            num_rows=256,
-            dim=16,
-            quant_bits=quant_bits,
-            is_user=True,
-            avg_pooling_factor=6.0,
-            zipf_alpha=1.05,
-        ),
+        )
+        for index in range(user_tables)
+    ]
+    specs.append(
         EmbeddingTableSpec(
             name="item_0",
             num_rows=256,
@@ -139,8 +141,8 @@ def _model(quant_bits: int = 8) -> DLRMModel:
             is_user=False,
             avg_pooling_factor=3.0,
             zipf_alpha=1.2,
-        ),
-    ]
+        )
+    )
     tables = {spec.name: EmbeddingTable.random(spec, seed=0) for spec in specs}
     total_dim = sum(spec.dim for spec in specs)
     return DLRMModel(
@@ -157,7 +159,9 @@ def build_sdm(variant: dict) -> SoftwareDefinedMemory:
     options = dict(variant)
     quant_bits = options.pop("quant_bits", 8)
     pruned_fraction = options.pop("pruned_fraction", 0.0)
-    model = _model(quant_bits)
+    model = _model(
+        quant_bits, options.pop("user_tables", 2), options.pop("user_rows", 256)
+    )
     pruned = None
     if pruned_fraction:
         pruned = {"user_0": prune_table(model.table("user_0"), pruned_fraction, seed=1)}
@@ -172,10 +176,19 @@ def build_sdm(variant: dict) -> SoftwareDefinedMemory:
 
 
 def build_reference_sdm(variant: dict) -> SoftwareDefinedMemory:
-    """A twin whose chain fetches through the per-row reference walk."""
+    """A twin that serves every table on its own, through the per-row
+    reference walk: no run probe touches its caches, and each table's
+    fetch walks them when the table's turn comes."""
     sdm = build_sdm(variant)
     chain = sdm.chain
-    chain.fetch_batch = lambda *args, **kwargs: reference_fetch_batch(chain, *args, **kwargs)
+
+    def fetch_one_table(table_name, stored, start_time, *, row_len, cache_enabled=True, plan=None):
+        return reference_fetch_batch(
+            chain, table_name, stored, start_time, row_len=row_len, cache_enabled=cache_enabled
+        )
+
+    chain.probe_run = lambda plans: None
+    chain.fetch_batch = fetch_one_table
     return sdm
 
 
@@ -260,6 +273,26 @@ def test_serve_equals_the_reference_walk(variant):
     assert parity_record(sdm, serve(sdm)) == parity_record(reference, serve(reference))
 
 
+@pytest.mark.parametrize("variant", ["pooled-off", "serial-tables", "warm-pooled-off"])
+def test_runs_share_one_cache_probe(variant, monkeypatch):
+    # Not vacuous: with the pooled cache off, the tables of a query are
+    # probed in runs, so the product makes fewer row-cache probes than it
+    # serves SM tables, while the reference above probes table by table.
+    probes = []
+    probe_run = UnifiedRowCache.probe_run
+
+    def counting(self, batches):
+        probes.append(len(batches))
+        return probe_run(self, batches)
+
+    monkeypatch.setattr(UnifiedRowCache, "probe_run", counting)
+    sdm = build_sdm(VARIANTS[variant])
+    serve(sdm)
+    assert len(probes) < sdm.stats.sm_table_requests
+    assert sum(probes) == sdm.stats.sm_table_requests
+    assert max(probes) > 1
+
+
 @pytest.mark.parametrize("variant", SPLITTING_VARIANTS)
 def test_hazard_batches_are_split_into_ranges(variant, monkeypatch):
     # The goldens match above; this pins *how*: batches whose promotions
@@ -267,16 +300,15 @@ def test_hazard_batches_are_split_into_ranges(variant, monkeypatch):
     ranges = []
     walk = TierChain._walk_range
 
-    def counting(self, *args):
-        ranges.append(args[-2:])
-        return walk(self, *args)
+    def counting(self, plan, lo, hi, resolution=None):
+        ranges.append((lo, hi, resolution is None))
+        return walk(self, plan, lo, hi, resolution)
 
     monkeypatch.setattr(TierChain, "_walk_range", counting)
     sdm = build_sdm(VARIANTS[variant])
     serve(sdm)
-    fetches = sdm.stats.sm_table_requests - sdm.stats.pooled_cache_hits
-    assert len(ranges) > fetches  # some fetch walked more than one range
-    assert all(lo < hi for lo, hi in ranges)
+    assert any(resolved_again for _, _, resolved_again in ranges)  # some fetch was split
+    assert all(lo < hi for lo, hi, _ in ranges)
 
 
 def test_oversize_row_is_rejected_and_the_cache_stays_within_capacity():

@@ -275,7 +275,7 @@ class TestBatchMutation:
                 present = soa.contains_batch(table, stored)
                 promote_mask = ~present & (rng.random(stored.size) < 0.7)
                 fills = int(promote_mask.sum())
-                if soa.promotion_hazard(table, stored[present], fills, row_len):
+                if soa.promotion_hazard(soa.lookup_slots(table, stored), fills, row_len):
                     continue
                 promote_values = _matrix(table, stored[promote_mask], row_len)
                 hit_mask, values, _ = soa.probe_batch(
@@ -384,7 +384,9 @@ class TestPromotionCertificate:
             hit_rows = rng.permutation(present)[: int(rng.integers(0, present.size + 1))]
             promoted_rows = absent[: int(rng.integers(0, 16))]
             before = (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes)
-            hazard = soa.promotion_hazard("t", hit_rows, promoted_rows.size, row_len)
+            hazard = soa.promotion_hazard(
+                soa.lookup_slots("t", hit_rows), promoted_rows.size, row_len
+            )
             assert (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes) == before
             diverges = self._scalar_replay_diverges(build, hit_rows, promoted_rows, row_len)
             # Exact on eviction hazards; additionally conservative when the
@@ -403,7 +405,7 @@ class TestPromotionCertificate:
             cache.put(("u", 1), _row("u", 1))
         stored = np.array([2, 7, 1, 9])
         promote_mask = np.array([False, True, False, True])
-        assert not soa.promotion_hazard("t", np.empty(0, dtype=np.int64), 2, 64)
+        assert not soa.promotion_hazard(np.empty(0, dtype=np.int64), 2, 64)
         promote_values = _matrix("t", stored[promote_mask], 64)
         hit_mask, values, admitted = soa.probe_batch("t", stored, 64, promote_mask, promote_values)
         assert admitted == 0 and not hit_mask.any() and values.shape == (0, 64)
@@ -426,7 +428,7 @@ class TestPromotionCertificate:
             stored = rng.permutation(60)[: int(rng.integers(2, 16))]
             present = soa.contains_batch("t", stored)
             promote_mask = ~present & (rng.random(stored.size) < 0.8)
-            if soa.promotion_hazard("t", stored[present], int(promote_mask.sum()), 8):
+            if soa.promotion_hazard(soa.lookup_slots("t", stored), int(promote_mask.sum()), 8):
                 continue
             promote_values = _matrix("t", stored[promote_mask])
             hit_mask, values, _ = soa.probe_batch("t", stored, 8, promote_mask, promote_values)
