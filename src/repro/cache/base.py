@@ -4,13 +4,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Hashable, Optional
+from typing import ClassVar, Hashable, Mapping, Optional
+
+from repro.sim.state import COUNTER, Counters
 
 CacheKey = Hashable
 
 
 @dataclass
-class CacheStats:
+class CacheStats(Counters):
     """Hit/miss/eviction counters plus CPU-time accounting.
 
     ``cpu_seconds`` accumulates the modelled host CPU cost of lookups and
@@ -35,18 +37,11 @@ class CacheStats:
             return 0.0
         return self.hits / self.lookups
 
-    def merge(self, other: "CacheStats") -> "CacheStats":
-        self.hits += other.hits
-        self.misses += other.misses
-        self.inserts += other.inserts
-        self.evictions += other.evictions
-        self.rejected_inserts += other.rejected_inserts
-        self.cpu_seconds += other.cpu_seconds
-        return self
-
 
 class RowCache(abc.ABC):
     """Byte-budgeted key/value cache for embedding rows."""
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER}
 
     def __init__(self, capacity_bytes: int) -> None:
         if capacity_bytes <= 0:
@@ -70,10 +65,6 @@ class RowCache(abc.ABC):
     def invalidate(self, key: CacheKey) -> bool:
         """Drop one entry (used during model update).  Returns whether present."""
 
-    @abc.abstractmethod
-    def clear(self) -> None:
-        """Drop all entries (full model update / cold start)."""
-
     @property
     @abc.abstractmethod
     def used_bytes(self) -> int:
@@ -87,6 +78,3 @@ class RowCache(abc.ABC):
     @property
     def occupancy(self) -> float:
         return self.used_bytes / self.capacity_bytes
-
-    def reset_stats(self) -> None:
-        self.stats = CacheStats()

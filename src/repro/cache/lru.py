@@ -8,9 +8,10 @@ overhead and per-lookup CPU cost (see their modules).
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Iterator, Optional
+from typing import ClassVar, Iterator, Mapping, Optional
 
 from repro.cache.base import CacheKey, RowCache
+from repro.sim.state import CONTENTS
 
 
 class LRUCache(RowCache):
@@ -27,6 +28,8 @@ class LRUCache(RowCache):
     lookup_cpu_seconds / insert_cpu_seconds:
         Modelled host CPU time per operation, accumulated into ``stats``.
     """
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"_entries": CONTENTS, "_used_bytes": CONTENTS}
 
     def __init__(
         self,
@@ -94,10 +97,6 @@ class LRUCache(RowCache):
             return False
         self._used_bytes -= self._entry_size(value)
         return True
-
-    def clear(self) -> None:
-        self._entries.clear()
-        self._used_bytes = 0
 
     @property
     def used_bytes(self) -> int:

@@ -28,12 +28,13 @@ per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.cache.base import CacheKey, RowCache
 from repro.sim.clock import charge_repeatedly
+from repro.sim.state import CONTENTS
 
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
@@ -138,8 +139,18 @@ class SoALRUCache(RowCache):
 
     State, per slot: payload length, pool row, table id (``-1`` for a
     side-dict key), stored index and recency stamp (``0`` marks a free slot).
-    ``_log[i]`` is the slot touched at stamp ``i + 1``.
+    ``_log[i]`` is the slot touched at stamp ``i + 1``.  Everything
+    :meth:`_drop_entries` sets is the cache's contents.
     """
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = dict.fromkeys(
+        (
+            "_table_ids", "_table_names", "_slots", "_slot_len", "_slot_row", "_slot_table",
+            "_slot_stored", "_slot_stamp", "_pools", "_indexes", "_other_slot", "_other_key",
+            "_log", "_log_head", "_log_tail", "_count", "_used_bytes",
+        ),
+        CONTENTS,
+    )
 
     def __init__(
         self,
@@ -479,9 +490,6 @@ class SoALRUCache(RowCache):
             return False
         self._remove_slot(slot)
         return True
-
-    def clear(self) -> None:
-        self._drop_entries()
 
     @property
     def used_bytes(self) -> int:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -58,6 +58,9 @@ class UnifiedCacheConfig:
 
 class UnifiedRowCache:
     """Routes rows to the memory-optimised or CPU-optimised internal cache."""
+
+    #: The state lives in the internal caches.
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {}
 
     def __init__(
         self,
@@ -314,10 +317,6 @@ class UnifiedRowCache:
         removed = self._cpu_caches[index].invalidate(key) or removed
         return removed
 
-    def clear(self) -> None:
-        for cache in self._all_caches():
-            cache.clear()
-
     def _all_caches(self) -> List[SoALRUCache]:
         return [*self._memory_caches, *self._cpu_caches]
 
@@ -354,7 +353,3 @@ class UnifiedRowCache:
         for cache in self._cpu_caches:
             merged.merge(cache.stats)
         return merged
-
-    def reset_stats(self) -> None:
-        for cache in self._all_caches():
-            cache.reset_stats()

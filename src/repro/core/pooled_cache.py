@@ -17,11 +17,12 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.lru import LRUCache
+from repro.sim.state import COUNTER
 
 _MASK64 = (1 << 64) - 1
 
@@ -108,6 +109,8 @@ class PooledCacheStats:
 class PooledEmbeddingCache:
     """Caches pooled (already dequantised and summed) embedding vectors."""
 
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER}
+
     def __init__(self, capacity_bytes: int, len_threshold: int = 1) -> None:
         if len_threshold < 0:
             raise ValueError(f"len_threshold must be non-negative: {len_threshold}")
@@ -168,13 +171,6 @@ class PooledEmbeddingCache:
         if inserted:
             self.stats.inserts += 1
         return inserted
-
-    def clear(self) -> None:
-        self._cache.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = PooledCacheStats()
-        self._cache.reset_stats()
 
 
 # ---------------------------------------------------------------------------

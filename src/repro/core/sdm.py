@@ -16,8 +16,8 @@ is hidden behind the item-side work (Equation 3 of the paper).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -38,13 +38,9 @@ from repro.hierarchy.placement import (
     whole_table_segments,
 )
 from repro.hierarchy.tier import DeviceTier, MemoryTier, TierSpec, build_tiers
-from repro.obs.metrics import (
-    CACHE_COUNTER_FIELDS,
-    IO_COUNTER_FIELDS,
-    TIER_COUNTER_FIELDS,
-    stats_counters,
-)
+from repro.obs.metrics import stats_counters
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
+from repro.sim.state import COUNTER, OBSERVER, record
 from repro.storage.device import DeviceStats
 
 #: Host CPU time per FM-resident mapping-tensor lookup (pruned tables).
@@ -127,6 +123,8 @@ class SDMStats:
 class SoftwareDefinedMemory(EmbeddingBackend):
     """Tiered-memory embedding backend (the paper's SDM stack)."""
 
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER, "recorder": OBSERVER}
+
     def __init__(
         self,
         model: DLRMModel,
@@ -159,9 +157,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         self.stats = SDMStats()
         self._sm_tables: Dict[str, _SMTable] = {}
         self._load_sm_tables()
-        # The load is counted on the devices (writes, bytes_written); these
-        # as-loaded counters are what restore_pristine() puts back.
-        self._loaded_device_stats = [replace(device.stats) for device in self.devices]
 
         self.chain = TierChain(
             self.tiers,
@@ -174,6 +169,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # Observability: shared no-op unless a session attaches a live
         # recorder via set_trace_recorder().  Never consulted for timing.
         self.recorder: TraceRecorder = NULL_RECORDER
+        # As built, the table load included: what the reset verbs put back.
+        record(self)
 
     # ------------------------------------------------------------------ setup
     def _init_placement(self, placement: Optional[TieredPlacement]) -> None:
@@ -455,55 +452,15 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         }
         for index, tier in enumerate(self.tiers):
             prefix = f"tier{index}"
-            for key, value in stats_counters(tier.stats, TIER_COUNTER_FIELDS).items():
+            for key, value in stats_counters(tier.stats).items():
                 counters[f"{prefix}.{key}"] = value
             if tier.cache is not None:
-                cache = stats_counters(tier.cache.stats, CACHE_COUNTER_FIELDS)
-                for key, value in cache.items():
+                for key, value in stats_counters(tier.cache.stats).items():
                     counters[f"{prefix}.cache.{key}"] = value
             if isinstance(tier, DeviceTier):
-                io = stats_counters(tier.io_engine.stats, IO_COUNTER_FIELDS)
-                for key, value in io.items():
+                for key, value in stats_counters(tier.io_engine.stats).items():
                     counters[f"{prefix}.io.{key}"] = value
         return counters
-
-    def reset_stats(self) -> None:
-        """Zero every counter; queue state (outstanding IOs, busy channels)
-        survives — use :meth:`reset_queues` to drop behavioural state."""
-        self.stats = SDMStats()
-        if self.pooled_cache is not None:
-            self.pooled_cache.reset_stats()
-        self.chain.reset_stats()
-
-    def reset_queues(self) -> None:
-        """Clear behavioural queue state on every tier; counters untouched."""
-        self.chain.reset_queues()
-
-    def clear_caches(self) -> None:
-        """Drop cached rows and pooled vectors (cold start / full update)."""
-        self.chain.clear_caches()
-        if self.pooled_cache is not None:
-            self.pooled_cache.clear()
-
-    def restore_pristine(self) -> None:
-        """Return the built backend to its exactly-as-constructed state.
-
-        This is the worker-resident reuse contract (:mod:`repro.runtime.runtimes`):
-        after ``restore_pristine()`` a run over the backend must be
-        bit-identical to a run over a freshly built one.  Construction-time
-        products (placement, tier chain, materialised device blocks,
-        SM tables) are pure functions of the model and config and are kept;
-        everything a run accumulates — cached rows and pages, counters,
-        outstanding-IO queue state, advanced RNG streams, an attached trace
-        recorder — is dropped or rewound.
-        """
-        self.clear_caches()
-        self.reset_stats()
-        for device, loaded in zip(self.devices, self._loaded_device_stats):
-            device.stats = replace(loaded)
-        self.reset_queues()
-        self.chain.reset_rng()
-        self.set_trace_recorder(NULL_RECORDER)
 
     # --------------------------------------------------------------- serving
     def pooled_embeddings(

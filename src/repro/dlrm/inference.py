@@ -15,12 +15,13 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.dlrm.embedding import Bags, EmbeddingTable, pool_bags
 from repro.dlrm.model import DLRMModel
+from repro.sim.state import COUNTER, QUEUE, RUN_ROLES, reset
 
 
 @dataclass(frozen=True)
@@ -135,7 +136,13 @@ class EmbeddingBackend(abc.ABC):
 
     ``start_time`` and the returned completion time are simulated seconds;
     implementations decide whether lookups for different tables overlap.
+
+    The run state a backend and its parts declare (:mod:`repro.sim.state`)
+    is reset by role with three verbs, each putting the as-built values
+    back: counters, the simulated-time queues, or everything.
     """
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {}
 
     @abc.abstractmethod
     def pooled_embeddings(
@@ -174,11 +181,22 @@ class EmbeddingBackend(abc.ABC):
         """Hook called once per query (used for per-query statistics)."""
 
     def reset_stats(self) -> None:
-        """Zero every counter; a no-op for backends that keep none."""
+        """Put every counter back to its as-built value (a device's as-built
+        write counters are its table load)."""
+        reset(self, {COUNTER})
 
     def reset_queues(self) -> None:
-        """Drop state stamped with simulated time (outstanding IOs, busy
-        channels, in-flight faults); a no-op for backends that hold none."""
+        """The warm-up boundary: drop everything stamped with simulated time
+        (outstanding IOs, busy channels, in-flight faults); cached rows,
+        mapped pages and counters carry over."""
+        reset(self, {QUEUE})
+
+    def restore_pristine(self) -> None:
+        """Put every declared role but ``derived`` back to as-built (an
+        attached trace recorder is detached): the backend-reuse contract of
+        :mod:`repro.runtime.runtimes`, under which a run after it is
+        bit-identical to a run on a freshly built backend."""
+        reset(self, RUN_ROLES)
 
 
 class InMemoryBackend(EmbeddingBackend):
@@ -187,11 +205,6 @@ class InMemoryBackend(EmbeddingBackend):
     def __init__(self, tables: Mapping[str, EmbeddingTable], compute: ComputeSpec) -> None:
         self.tables = dict(tables)
         self.compute = compute
-
-    def restore_pristine(self) -> None:
-        """Backend-reuse contract (:mod:`repro.runtime.runtimes`): serving
-        never mutates this backend, so a reused instance is already pristine."""
-        return None
 
     def pooled_embeddings(
         self,

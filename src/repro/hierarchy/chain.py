@@ -35,7 +35,7 @@ the first that is not closes it.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,7 @@ from repro.hierarchy.placement import TieredPlacement
 from repro.hierarchy.tier import PROMOTION_POLICIES, MemoryTier, first_occurrence_groups
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.clock import charge_repeatedly
+from repro.sim.state import OBSERVER
 
 _NO_ROWS = np.zeros(0, dtype=np.int64)
 _NO_ROWS.setflags(write=False)
@@ -113,6 +114,8 @@ def _place_hits(
 
 class TierChain:
     """Serves stored-row lookups through an ordered list of memory tiers."""
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"recorder": OBSERVER}
 
     def __init__(
         self,
@@ -527,22 +530,3 @@ class TierChain:
 
         outcome.completion_time = max(cursor, io_done)
         return outcome
-
-    # ---------------------------------------------------------------- admin
-    def clear_caches(self) -> None:
-        for tier in self.tiers:
-            tier.clear_cache()
-
-    def reset_stats(self) -> None:
-        for tier in self.tiers:
-            tier.reset_stats()
-
-    def reset_queues(self) -> None:
-        """Clear every tier's behavioural queue state; counters untouched."""
-        for tier in self.tiers:
-            tier.reset_queues()
-
-    def reset_rng(self) -> None:
-        """Rewind every tier's random streams to their as-constructed state."""
-        for tier in self.tiers:
-            tier.reset_rng()

@@ -27,12 +27,15 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
 from repro.cache.soa import ResolvedBatch
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
+from repro.sim.state import COUNTER, Counters
 from repro.sim.units import BLOCK_SIZE, parse_size
 from repro.storage.access import AccessPath, DirectIOReader, MmapReader
 from repro.storage.block_layout import BlockLayout
@@ -279,7 +282,7 @@ def parse_tiers(
 
 
 @dataclass
-class TierStats:
+class TierStats(Counters):
     """Cumulative serving statistics of one tier.
 
     ``rows_served``/``bytes_served`` count rows whose bytes this tier
@@ -301,14 +304,6 @@ class TierStats:
             return 0.0
         return self.cache_hits / self.cache_probes
 
-    def merge(self, other: "TierStats") -> None:
-        self.cache_probes += other.cache_probes
-        self.cache_hits += other.cache_hits
-        self.rows_served += other.rows_served
-        self.bytes_served += other.bytes_served
-        self.ios += other.ios
-        self.promoted_rows += other.promoted_rows
-
 
 class MemoryTier(abc.ABC):
     """Runtime protocol of one tier in the hierarchy.
@@ -317,6 +312,8 @@ class MemoryTier(abc.ABC):
     (fronting slower tiers), and cumulative :class:`TierStats`.  Device tiers
     additionally own their block layout, devices and IO engine.
     """
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER}
 
     spec: TierSpec
     stats: TierStats
@@ -399,28 +396,6 @@ class MemoryTier(abc.ABC):
         byte-addressable access latency plus link time for device tiers.
         """
         return 0.0
-
-    def clear_cache(self) -> None:
-        if self.cache is not None:
-            self.cache.clear()
-
-    def reset_stats(self) -> None:
-        self.stats = TierStats()
-        if self.cache is not None:
-            self.cache.reset_stats()
-
-    def reset_queues(self) -> None:
-        """Clear behavioural queue state (outstanding IOs, busy channels).
-
-        Counters are left alone — :meth:`reset_stats` owns those.  A no-op
-        for tiers without device queues.
-        """
-        return None
-
-    def reset_rng(self) -> None:
-        """Rewind any tier-owned random streams to their as-constructed
-        state (backend reuse); a no-op for tiers without randomness."""
-        return None
 
     def fm_footprint_bytes(self) -> int:
         """Fast-memory bytes this tier consumes beyond homed data."""
@@ -673,31 +648,6 @@ class DeviceTier(MemoryTier):
         for device in self.devices:
             merged.merge(device.stats)
         return merged
-
-    def clear_cache(self) -> None:
-        super().clear_cache()
-        # The access path may hold its own fast-memory-resident cache (the
-        # mmap page cache, with per-page fault completion times): dropping
-        # cached rows without dropping mapped pages would leave a "cold"
-        # tier that still serves page hits.
-        self.access_path.clear_cache()
-
-    def reset_stats(self) -> None:
-        super().reset_stats()
-        self.io_engine.reset_stats()
-        self.access_path.reset_stats()
-        for device in self.devices:
-            device.reset_stats()
-
-    def reset_queues(self) -> None:
-        self.io_engine.reset_queues()
-        self.access_path.reset_queues()
-        for device in self.devices:
-            device.reset_queues()
-
-    def reset_rng(self) -> None:
-        for device in self.devices:
-            device.reset_rng()
 
 
 #: Promotion policies for rows read from slower tiers (see TierChain).

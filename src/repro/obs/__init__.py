@@ -25,9 +25,6 @@ bit-identical to a build without this package, which the parity tests pin.
 """
 
 from repro.obs.metrics import (
-    CACHE_COUNTER_FIELDS,
-    IO_COUNTER_FIELDS,
-    TIER_COUNTER_FIELDS,
     MetricsSampler,
     Timeline,
     TimelineWindow,
@@ -45,9 +42,6 @@ from repro.obs.trace import (
 )
 
 __all__ = [
-    "CACHE_COUNTER_FIELDS",
-    "IO_COUNTER_FIELDS",
-    "TIER_COUNTER_FIELDS",
     "ChromeTraceRecorder",
     "MetricsSampler",
     "NULL_RECORDER",

@@ -23,7 +23,7 @@ the *next* window.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 #: A counter source: returns a flat mapping of cumulative numeric counters.
@@ -193,38 +193,14 @@ class MetricsSampler:
         self._window += 1
 
 
-def stats_counters(stats: Any, fields: Tuple[str, ...]) -> Dict[str, float]:
-    """Pick the named cumulative fields off a stats object as a flat dict."""
-    return {name: getattr(stats, name) for name in fields}
+def stats_counters(stats: Any) -> Dict[str, float]:
+    """Every field of a stats dataclass, in declaration order, as a flat dict.
 
-
-#: The cumulative fields sampled off each stats object.  Ratios/properties
-#: (hit rates, amplification) are recomputed per window from these deltas —
-#: sampling a ratio directly would not telescope.
-TIER_COUNTER_FIELDS: Tuple[str, ...] = (
-    "cache_probes",
-    "cache_hits",
-    "rows_served",
-    "bytes_served",
-    "ios",
-    "promoted_rows",
-)
-CACHE_COUNTER_FIELDS: Tuple[str, ...] = (
-    "hits",
-    "misses",
-    "inserts",
-    "evictions",
-    "rejected_inserts",
-    "cpu_seconds",
-)
-IO_COUNTER_FIELDS: Tuple[str, ...] = (
-    "ios_submitted",
-    "cpu_seconds",
-    "memcpy_seconds",
-    "bytes_requested",
-    "bytes_transferred",
-    "throttled_submissions",
-)
+    Each field is a cumulative counter; ratios and properties (hit rates,
+    amplification) are recomputed per window from the deltas, since a
+    sampled ratio would not telescope.
+    """
+    return {item.name: getattr(stats, item.name) for item in fields(stats)}
 
 
 def window_rate(window: TimelineWindow, counter: str) -> float:

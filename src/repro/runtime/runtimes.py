@@ -167,9 +167,8 @@ def run_point(
     state and adopts it, skipping model/backend construction.  A miss adopts
     just the model of a resident entry built from an equal ``spec.model``
     section, if there is one (model construction is a pure function of that
-    section and the built model is read-only), builds what is left, and —
-    when the backend supports ``restore_pristine`` — caches the result for
-    the next point that shares the hash.
+    section and the built model is read-only), builds what is left, and
+    caches the result for the next point that shares the hash.
     """
     # Imported lazily: repro.runtime builds on repro.api, not vice versa, and
     # pool workers re-import this module before anything else.
@@ -193,11 +192,9 @@ def run_point(
                     break
     result: Dict[str, Any] = session.run().to_dict()
     if key is not None and key not in _BACKEND_CACHE:
-        backend = session.backend
-        if callable(getattr(backend, "restore_pristine", None)):
-            _BACKEND_CACHE[key] = (spec.model, session.model, backend)
-            while len(_BACKEND_CACHE) > _BACKEND_CACHE_LIMIT:
-                _BACKEND_CACHE.popitem(last=False)
+        _BACKEND_CACHE[key] = (spec.model, session.model, session.backend)
+        while len(_BACKEND_CACHE) > _BACKEND_CACHE_LIMIT:
+            _BACKEND_CACHE.popitem(last=False)
     if store_root is not None:
         ExperimentStore(store_root).put(
             spec, result, index=index, coords=coords, shard=f"w{os.getpid()}"

@@ -475,10 +475,11 @@ class ServingEngine:
         have: cached rows and pages, and the position of every random stream.
         What it must not leave behind is anything stamped with its own clock
         — the prefix is issued at simulated t=0 and the measured window also
-        starts at t=0, so outstanding IOs, busy device channels and in-flight
-        page faults are dropped (``reset_queues``) rather than carried over
-        as a backlog the first measured queries would wait behind.  Counters
-        keep counting; zero them with ``backend.reset_stats()`` if wanted.
+        starts at t=0, so every ``queue`` attribute (outstanding IOs, busy
+        device channels, in-flight page faults) goes back to its as-built
+        value (``reset_queues``) rather than carrying a backlog the first
+        measured queries would wait behind.  Counters keep counting;
+        ``backend.reset_stats()`` puts them back to as-built if wanted.
         """
         if not queries:
             raise ValueError("run() needs at least one query")

@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import ClassVar, Dict, Mapping, Tuple
 
 import numpy as np
 
+from repro.sim.state import CONTENTS, COUNTER, QUEUE
 from repro.sim.units import BLOCK_SIZE, GIB
 from repro.storage.block_layout import BlockLayout
 from repro.storage.io_engine import IOEngine, IORequestBatch
@@ -48,20 +49,6 @@ class AccessPath(abc.ABC):
     @abc.abstractmethod
     def fm_footprint_bytes(self) -> int:
         """Fast-memory bytes this access path consumes beyond the row cache."""
-
-    def clear_cache(self) -> None:
-        """Drop any access-path-resident cached state (page cache); no-op
-        for paths that hold none."""
-        return None
-
-    def reset_stats(self) -> None:
-        """Zero any access-path counters; no-op for paths that keep none."""
-        return None
-
-    def reset_queues(self) -> None:
-        """Drop in-flight state stamped with simulated time; no-op for paths
-        that hold none."""
-        return None
 
 
 class DirectIOReader(AccessPath):
@@ -105,6 +92,13 @@ class MmapReader(AccessPath):
     4 KiB pages even though only 128-256 B of each page is useful.
     """
 
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {
+        "_pages": CONTENTS,
+        "_fault_times": QUEUE,
+        "page_faults": COUNTER,
+        "page_hits": COUNTER,
+    }
+
     def __init__(
         self,
         engine: IOEngine,
@@ -120,11 +114,12 @@ class MmapReader(AccessPath):
         self.layout = layout
         self.latency_factor = latency_factor
         self.page_cache_capacity_bytes = page_cache_capacity_bytes
-        # Insertion-ordered page cache keyed by (device, lba), valued by the
-        # completion time of the fault that brought the page in; python dicts
-        # preserve insertion order so popping the first item gives FIFO
-        # eviction, a reasonable stand-in for kernel page reclaim.
-        self._page_cache: Dict[Tuple[int, int], float] = {}
+        # The mapped pages, keyed by (device, lba) in insertion order: popping
+        # the first gives FIFO eviction, a reasonable stand-in for kernel page
+        # reclaim.  A mapped page absent from _fault_times has landed.
+        self._pages: Dict[Tuple[int, int], None] = {}
+        # Completion time of the fault that brought each page in.
+        self._fault_times: Dict[Tuple[int, int], float] = {}
         self.page_faults = 0
         self.page_hits = 0
 
@@ -149,10 +144,9 @@ class MmapReader(AccessPath):
         completions = np.empty(rows.size, dtype=np.float64)
         for position, lba in enumerate(locations.lba.tolist()):
             page_key = (device_index, lba)
-            fault_done = self._page_cache.get(page_key)
-            if fault_done is not None:
+            if page_key in self._pages:
                 self.page_hits += 1
-                completions[position] = max(fault_done, start_time)
+                completions[position] = max(self._fault_times.get(page_key, 0.0), start_time)
                 continue
             self.page_faults += 1
             fault = IORequestBatch(
@@ -164,26 +158,16 @@ class MmapReader(AccessPath):
             )
             self.engine.submit_row_reads_batch(fault, start_time)
             latency = (float(fault.completion_time[0]) - start_time) * self.latency_factor
-            if len(self._page_cache) >= self._page_cache_pages():
-                self._page_cache.pop(next(iter(self._page_cache)))
-            self._page_cache[page_key] = completions[position] = start_time + latency
+            if len(self._pages) >= self._page_cache_pages():
+                evicted = next(iter(self._pages))
+                del self._pages[evicted]
+                self._fault_times.pop(evicted, None)
+            self._pages[page_key] = None
+            self._fault_times[page_key] = completions[position] = start_time + latency
         data = self.engine.devices[device_index].read_rows_ndarray(
             locations.lba, locations.offset, locations.length
         )
         return BatchReadResult(rows=data, completion_times=completions)
 
     def fm_footprint_bytes(self) -> int:
-        return len(self._page_cache) * BLOCK_SIZE
-
-    def clear_cache(self) -> None:
-        """Unmap every cached page (fault completion times included)."""
-        self._page_cache.clear()
-
-    def reset_stats(self) -> None:
-        self.page_faults = 0
-        self.page_hits = 0
-
-    def reset_queues(self) -> None:
-        """Every mapped page's fault has landed: pages stay cached, but no
-        later access stalls until a completion time on the previous clock."""
-        self._page_cache = dict.fromkeys(self._page_cache, 0.0)
+        return len(self._pages) * BLOCK_SIZE

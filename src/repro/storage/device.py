@@ -22,11 +22,12 @@ import heapq
 import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.rng import make_rng
+from repro.sim.state import COUNTER, DERIVED, QUEUE, RNG, Counters
 from repro.sim.units import BLOCK_SIZE
 from repro.storage.latency_model import LoadedLatencyModel
 from repro.storage.sgl import ScatterGatherList
@@ -34,7 +35,7 @@ from repro.storage.spec import DeviceSpec
 
 
 @dataclass
-class DeviceStats:
+class DeviceStats(Counters):
     """Cumulative counters for one simulated device."""
 
     reads: int = 0
@@ -51,16 +52,6 @@ class DeviceStats:
         if self.bytes_requested == 0:
             return 0.0
         return self.bytes_transferred / self.bytes_requested
-
-    def merge(self, other: "DeviceStats") -> "DeviceStats":
-        self.reads += other.reads
-        self.writes += other.writes
-        self.bytes_requested += other.bytes_requested
-        self.bytes_transferred += other.bytes_transferred
-        self.bytes_written += other.bytes_written
-        self.tail_events += other.tail_events
-        self.busy_time += other.busy_time
-        return self
 
 
 class BatchReadScheduler:
@@ -182,7 +173,20 @@ class BatchReadScheduler:
 
 
 class SimulatedDevice:
-    """A simulated NVMe (or CXL/DIMM) device holding real block data."""
+    """A simulated NVMe (or CXL/DIMM) device holding real block data.
+
+    The stored blocks are built by the table load and never change while
+    serving; the stats (the load's writes included), the channels and the
+    tail-latency stream are run state.
+    """
+
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {
+        "stats": COUNTER,
+        "channel_free": QUEUE,
+        "rng": RNG,
+        # Built lazily from _block_slots and dropped by every write.
+        "_slot_index": DERIVED,
+    }
 
     def __init__(self, spec: DeviceSpec, seed: int = 0) -> None:
         self.spec = spec
@@ -197,7 +201,6 @@ class SimulatedDevice:
         # batched gather, dropped by every write.
         self._slot_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.channel_free: np.ndarray = np.zeros(spec.internal_parallelism, dtype=float)
-        self._seed = seed
         self.rng = make_rng(seed, "device", spec.name)
         self._num_blocks = spec.capacity_bytes // BLOCK_SIZE
 
@@ -397,42 +400,10 @@ class SimulatedDevice:
             raise ValueError(f"count must be non-negative: {count}")
         return BatchReadScheduler(self, count)
 
-    def schedule_write(self, lba: int, data: bytes, arrival_time: float, offset: int = 0) -> float:
-        """Write with timing; returns the completion time."""
-        self.write_block(lba, data, offset=offset)
-        write_time = len(data) / self.spec.write_bandwidth
-        channel = int(np.argmin(self.channel_free))
-        start = max(arrival_time, float(self.channel_free[channel]))
-        self.channel_free[channel] = start + write_time
-        self.stats.busy_time += write_time
-        return start + write_time + self.spec.base_read_latency
-
     # ----------------------------------------------------------------- misc
     def expected_latency(self, offered_iops: float, transfer_bytes: Optional[int] = None) -> float:
         """Analytic loaded-latency estimate (see :class:`LoadedLatencyModel`)."""
         return self.latency_model.expected_latency(offered_iops, transfer_bytes)
-
-    def outstanding_at(self, time: float) -> int:
-        """Number of channels still busy at ``time`` (a proxy for queue depth)."""
-        return int(np.sum(self.channel_free > time))
-
-    def reset_stats(self) -> None:
-        """Zero the cumulative counters; channel occupancy is untouched."""
-        self.stats = DeviceStats()
-
-    def reset_queues(self) -> None:
-        """Free every internal channel (behavioural state); stats untouched."""
-        self.channel_free[:] = 0.0
-
-    def reset_rng(self) -> None:
-        """Rewind the tail-latency stream to its as-constructed state.
-
-        Backend reuse (:mod:`repro.runtime.runtimes`) replays fresh runs on an
-        already-built device; without rewinding, the second run would draw
-        from wherever the first left the PCG64 stream and tail events would
-        land on different IOs.
-        """
-        self.rng = make_rng(self._seed, "device", self.spec.name)
 
     def __repr__(self) -> str:
         return f"SimulatedDevice({self.spec.name!r}, {self.spec.capacity_bytes} B)"

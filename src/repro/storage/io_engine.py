@@ -21,11 +21,12 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.sim.clock import charge_repeatedly
+from repro.sim.state import COUNTER, QUEUE
 from repro.sim.units import BLOCK_SIZE, MICROSECOND
 from repro.storage.device import SimulatedDevice
 from repro.storage.sgl import DWORD
@@ -156,6 +157,12 @@ class IOEngineStats:
 class IOEngine:
     """Submits row reads to simulated devices with io_uring-like semantics."""
 
+    STATE_ROLES: ClassVar[Mapping[str, str]] = {
+        "stats": COUNTER,
+        "_outstanding_per_device": QUEUE,
+        "_outstanding_per_table": QUEUE,
+    }
+
     def __init__(self, devices: Sequence[SimulatedDevice], config: Optional[IOEngineConfig] = None) -> None:
         if not devices:
             raise ValueError("IOEngine needs at least one device")
@@ -246,13 +253,3 @@ class IOEngine:
         stats.bytes_transferred += int(transferred.sum())
         stats.throttled_submissions += throttled
         return batch
-
-    def reset_stats(self) -> None:
-        """Zero the cumulative counters; outstanding-IO pools are untouched."""
-        self.stats = IOEngineStats()
-
-    def reset_queues(self) -> None:
-        """Forget outstanding IOs (the queue-depth gating state); stats untouched."""
-        for pool in self._outstanding_per_device.values():
-            pool.clear()
-        self._outstanding_per_table.clear()

@@ -3,10 +3,13 @@
 import pytest
 
 from repro.cache import LRUCache
+from repro.sim.state import CONTENTS, COUNTER, record, reset
 
 
 def _cache(capacity=1024, overhead=0):
-    return LRUCache(capacity, per_item_overhead_bytes=overhead)
+    cache = LRUCache(capacity, per_item_overhead_bytes=overhead)
+    record(cache)
+    return cache
 
 
 class TestLRUBasics:
@@ -51,7 +54,7 @@ class TestLRUBasics:
         cache = _cache()
         cache.put("a", b"x")
         cache.put("b", b"y")
-        cache.clear()
+        reset(cache, {CONTENTS})
         assert cache.item_count == 0
         assert cache.used_bytes == 0
 
@@ -135,6 +138,6 @@ class TestLRUAccounting:
         cache = _cache()
         cache.put("a", b"x")
         cache.get("a")
-        cache.reset_stats()
+        reset(cache, {COUNTER})
         assert cache.stats.hits == 0
         assert cache.contains("a")

@@ -14,13 +14,17 @@ import pytest
 from repro.cache import LRUCache
 from repro.cache.soa import SoALRUCache
 from repro.sim.rng import make_rng
+from repro.sim.state import CONTENTS, record, reset
 
 
 def _pair(capacity=1024, overhead=0):
-    return (
+    pair = (
         LRUCache(capacity, per_item_overhead_bytes=overhead),
         SoALRUCache(capacity, per_item_overhead_bytes=overhead),
     )
+    for cache in pair:
+        record(cache)
+    return pair
 
 
 def _row(table, stored, row_len=8):
@@ -83,7 +87,7 @@ class TestScalarEquivalence:
             assert not cache.invalidate(("t", 1))
         _assert_same_observables(reference, soa)
         for cache in (reference, soa):
-            cache.clear()
+            reset(cache, {CONTENTS})
         _assert_same_observables(reference, soa)
         # The index survives a clear: new inserts must still be found.
         for cache in (reference, soa):

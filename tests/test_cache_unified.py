@@ -3,12 +3,15 @@
 import pytest
 
 from repro.cache import SizeThresholdAdmission, UnifiedCacheConfig, UnifiedRowCache
+from repro.sim.state import CONTENTS, COUNTER, record, reset
 
 
 def _cache(capacity=64 * 1024, partitions=1, **kwargs):
-    return UnifiedRowCache(
+    cache = UnifiedRowCache(
         UnifiedCacheConfig(capacity_bytes=capacity, num_partitions=partitions, **kwargs)
     )
+    record(cache)
+    return cache
 
 
 class TestUnifiedRouting:
@@ -83,7 +86,7 @@ class TestUnifiedCapacityAndStats:
         assert cache.invalidate(("a", 0))
         assert not cache.invalidate(("a", 0))
         cache.put(("b", 0), bytes(100))
-        cache.clear()
+        reset(cache, {CONTENTS})
         assert cache.item_count == 0
 
     def test_contains(self):
@@ -96,7 +99,7 @@ class TestUnifiedCapacityAndStats:
         cache = _cache()
         cache.put(("a", 0), bytes(100))
         cache.get(("a", 0), size_hint=100)
-        cache.reset_stats()
+        reset(cache, {COUNTER})
         assert cache.stats.lookups == 0
 
 

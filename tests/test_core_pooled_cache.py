@@ -9,6 +9,7 @@ from repro.core import (
     order_invariant_hash_batch,
     profile_subsequence_schemes,
 )
+from repro.sim.state import CONTENTS, COUNTER, record, reset
 
 
 class TestOrderInvariantHash:
@@ -150,10 +151,11 @@ class TestPooledCacheBatchProbes:
 
     def test_clear_and_reset(self):
         cache = PooledEmbeddingCache(64 * 1024)
+        record(cache)
         cache.put("t", [1, 2], np.zeros(4, dtype=np.float32))
-        cache.clear()
+        reset(cache, {CONTENTS})
         assert cache.get("t", [1, 2]) is None
-        cache.reset_stats()
+        reset(cache, {COUNTER})
         assert cache.stats.lookups == 0
 
     def test_invalid_threshold_rejected(self):

@@ -6,6 +6,7 @@ import pytest
 from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory
 from repro.dlrm import prune_table
 from repro.hierarchy import compute_tiered_placement, parse_tiers
+from repro.sim.state import CONTENTS, COUNTER, reset
 from repro.sim.units import BLOCK_SIZE
 from repro.storage import IOEngineConfig, Technology
 
@@ -205,8 +206,7 @@ class TestSDMTimingAndStats:
         sdm = small_sdm(model)
         query = small_queries(model, 1)[0]
         sdm.pooled_embeddings(query.user_indices, 0.0)
-        sdm.clear_caches()
-        sdm.reset_stats()
+        reset(sdm, {CONTENTS, COUNTER})
         assert sdm.stats.sm_row_lookups == 0
         assert sdm.row_cache.item_count == 0
 

@@ -303,7 +303,7 @@ class TestPromotionPolicies:
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
         # Evict from tier 0; the next access hits tier 1's cache, pays its
         # media time on top of the probes, and re-promotes into tier 0.
-        fast_cache.clear()
+        assert fast_cache.invalidate(("t", 3))
         outcome = chain.fetch_batch("t", **fetch)
         assert outcome.rows.tolist() == [[3] * 64]
         assert outcome.cache_hits == 1 and outcome.device_reads == 0

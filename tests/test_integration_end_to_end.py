@@ -16,6 +16,7 @@ from repro.dlrm import (
     build_scaled_model,
 )
 from repro.serving import ServingEngine
+from repro.sim.state import CONTENTS, COUNTER, reset
 from repro.sim.units import MIB
 from repro.storage import IOEngineConfig, Technology
 from repro.workload import QueryGenerator, WorkloadConfig
@@ -148,8 +149,7 @@ class TestColdVsWarmCache:
         warm_rate = sdm.row_cache_hit_rate
         assert warm_rate > 0
 
-        sdm.clear_caches()
-        sdm.reset_stats()
+        reset(sdm, {CONTENTS, COUNTER})
         for query in queries[:5]:
             sdm.pooled_embeddings(query.user_indices, 0.0)
         cold_rate = sdm.row_cache_hit_rate

@@ -6,9 +6,8 @@ import pytest
 
 from repro.api import ScenarioSpec, Session, TelemetrySpec
 from repro.api.spec import ServingChoice, TrafficSpec, WorkloadChoice
+from repro.hierarchy.tier import TierStats
 from repro.obs.metrics import (
-    CACHE_COUNTER_FIELDS,
-    TIER_COUNTER_FIELDS,
     MetricsSampler,
     Timeline,
     stats_counters,
@@ -130,22 +129,16 @@ class TestMetricsSampler:
         assert window_ratio(window, "t.hits", "t.missing") is None
 
     def test_stats_counters_picks_named_fields(self):
-        class Stats:
-            cache_probes = 5
-            cache_hits = 2
-            rows_served = 7
-            bytes_served = 700
-            ios = 1
-            promoted_rows = 0
-
-        assert stats_counters(Stats(), TIER_COUNTER_FIELDS) == {
-            "cache_probes": 5,
-            "cache_hits": 2,
-            "rows_served": 7,
-            "bytes_served": 700,
-            "ios": 1,
-            "promoted_rows": 0,
-        }
+        stats = TierStats(cache_probes=5, cache_hits=2, rows_served=7, bytes_served=700, ios=1)
+        # Every field of the stats dataclass, in declaration order.
+        assert list(stats_counters(stats).items()) == [
+            ("cache_probes", 5),
+            ("cache_hits", 2),
+            ("rows_served", 7),
+            ("bytes_served", 700),
+            ("ios", 1),
+            ("promoted_rows", 0),
+        ]
 
 
 class TestTimelineMatchesAggregates:
@@ -172,10 +165,8 @@ class TestTimelineMatchesAggregates:
         totals = Timeline.from_dict(result.timeline).totals()
         backend = session.backend
         for index, tier in enumerate(backend.tiers):
-            for field in TIER_COUNTER_FIELDS:
-                assert totals.get(f"backend.tier{index}.{field}", 0) == getattr(
-                    tier.stats, field
-                ), (index, field)
+            for field, value in stats_counters(tier.stats).items():
+                assert totals.get(f"backend.tier{index}.{field}", 0) == value, (index, field)
 
     def test_window_deltas_sum_to_cache_stats(self, session_and_result):
         session, result = session_and_result
@@ -183,10 +174,9 @@ class TestTimelineMatchesAggregates:
         for index, tier in enumerate(session.backend.tiers):
             if tier.cache is None:
                 continue
-            for field in CACHE_COUNTER_FIELDS:
-                assert totals.get(f"backend.tier{index}.cache.{field}", 0) == getattr(
-                    tier.cache.stats, field
-                ), (index, field)
+            for field, value in stats_counters(tier.cache.stats).items():
+                key = f"backend.tier{index}.cache.{field}"
+                assert totals.get(key, 0) == value, (index, field)
 
     def test_window_deltas_sum_to_engine_counts(self, session_and_result):
         _, result = session_and_result

@@ -114,7 +114,7 @@ class TestMmapFaultsLandAtTheBoundary:
         assert reader.page_faults > 0 and faulted.completion_times.min() > 0.0
         pages, faults = reader.fm_footprint_bytes(), reader.page_faults
 
-        tier.reset_queues()
+        sdm.reset_queues()
 
         # Still mapped (no new fault, same footprint), and served the moment
         # it is asked for instead of at the warm-up clock's completion time.

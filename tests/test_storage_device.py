@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.sim.state import COUNTER, QUEUE, RUN_ROLES, record, reset
 from repro.sim.units import BLOCK_SIZE, GB
 from repro.storage import (
     ScatterGatherList,
@@ -198,8 +199,9 @@ class TestDeviceReadTiming:
 
     def test_reset_stats(self):
         device = _make_device()
+        record(device)
         device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
-        device.reset_stats()
+        reset(device, {COUNTER})
         assert device.stats.reads == 0
 
     def test_nand_exhibits_tail_latency_events(self):
@@ -371,6 +373,7 @@ class TestReadRowsNdarray:
         device = _make_device(capacity=BLOCK_SIZE * 100)
         for lba in (30, 7, 55):
             device.write_block(lba, bytes([lba] * 16))
+        record(device)
         assert device._slot_index is None
         device.read_rows_ndarray(np.array([7]), np.array([0]), 16)
         written, slots = device._slot_index
@@ -378,10 +381,9 @@ class TestReadRowsNdarray:
         assert slots.tolist() == [device._block_slots[7], device._block_slots[30],
                                   device._block_slots[55], 0]
         device.schedule_read(7, _single_range_sgl(0, 16), 0.0)
-        device.reset_stats()
-        device.reset_queues()
-        device.reset_rng()
+        reset(device, RUN_ROLES)
         assert device._slot_index[0] is written  # reads and resets leave it alone
+        assert device.stats.writes == 3  # as built: the writes are kept
         device.write_block(8, b"x")
         assert device._slot_index is None
 
@@ -412,33 +414,24 @@ class TestReadRowsNdarray:
 class TestDeviceResetSplit:
     def test_reset_stats_leaves_channels_busy(self):
         device = _make_device()
+        record(device)
         device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
         busy_before = device.channel_free.copy()
-        device.reset_stats()
+        reset(device, {COUNTER})
         assert device.stats.reads == 0
         assert device.channel_free.tolist() == busy_before.tolist()
 
     def test_reset_queues_frees_channels_and_keeps_stats(self):
         device = _make_device()
+        record(device)
         device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
-        assert device.outstanding_at(0.0) > 0
-        device.reset_queues()
-        assert device.outstanding_at(0.0) == 0
+        assert (device.channel_free > 0.0).any()
+        reset(device, {QUEUE})
         assert device.channel_free.tolist() == [0.0] * device.spec.internal_parallelism
         assert device.stats.reads == 1
 
 
 class TestDeviceWriteTiming:
-    def test_write_completion_after_arrival(self):
-        device = _make_device()
-        completion = device.schedule_write(0, bytes(4096), arrival_time=0.5)
-        assert completion > 0.5
-
-    def test_outstanding_at(self):
-        device = _make_device()
-        device.schedule_read(0, _single_range_sgl(0, 64), 0.0)
-        assert device.outstanding_at(0.0) >= 0
-
     def test_expected_latency_delegates_to_model(self):
         device = _make_device()
         assert device.expected_latency(0.0) >= device.spec.base_read_latency

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from helpers import golden_encode
 
+from repro.sim.state import COUNTER, QUEUE, record, reset
 from repro.sim.units import BLOCK_SIZE, GB
 from repro.storage import (
     BlockLayout,
@@ -34,6 +35,7 @@ def _engine(config=None, num_devices=1, spec_factory=nand_flash_spec):
     layout = BlockLayout([d.spec.capacity_bytes for d in devices])
     layout.add_table("t", num_rows=4096, row_bytes=128)
     engine = IOEngine(devices, config)
+    record(engine)
     return engine, layout
 
 
@@ -154,7 +156,7 @@ class TestIOEngineSubmission:
     def test_reset_stats_clears_everything(self):
         engine, layout = _engine()
         _submit(engine, layout, range(5))
-        engine.reset_stats()
+        reset(engine, {COUNTER})
         assert engine.stats.ios_submitted == 0
 
     def test_engine_requires_devices(self):
@@ -453,7 +455,7 @@ class TestGateEdgeCases:
 
 
 class TestResetSplit:
-    """reset_stats owns counters, reset_queues owns behavioural state."""
+    """Resetting counters leaves the queues, resetting queues the counters."""
 
     def test_reset_stats_leaves_outstanding_pools(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
@@ -461,7 +463,7 @@ class TestResetSplit:
         _submit(engine, layout, range(16))
         pools_before = _pool_multisets(engine)
         assert any(pools_before[0].values())
-        engine.reset_stats()
+        reset(engine, {COUNTER})
         assert engine.stats.ios_submitted == 0
         assert engine.stats.throttled_submissions == 0
         assert _pool_multisets(engine) == pools_before
@@ -474,7 +476,7 @@ class TestResetSplit:
         engine, layout = _engine(config)
         _submit(engine, layout, range(16))
         stats_before = engine.stats
-        engine.reset_queues()
+        reset(engine, {QUEUE})
         assert engine.stats is stats_before
         per_device, per_table = _pool_multisets(engine)
         assert all(pool == [] for pool in per_device.values())
@@ -484,8 +486,8 @@ class TestResetSplit:
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
         engine, layout = _engine(config)
         _submit(engine, layout, range(16))
-        engine.reset_queues()
-        engine.reset_stats()
+        reset(engine, {QUEUE})
+        reset(engine, {COUNTER})
         _submit(engine, layout, range(4))
         # With the pools cleared, a small burst fits without throttling.
         assert engine.stats.throttled_submissions == 0
