@@ -35,7 +35,7 @@ def _measure_batch_latency(spec_factory, offered_iops: float, seed: int = 0) -> 
         for lookup in range(LOOKUPS_PER_BATCH):
             sgl = ScatterGatherList()
             sgl.add((lookup * ROW_BYTES) % 3968, ROW_BYTES)
-            _, done, _ = device.schedule_read(lookup % device.num_blocks, sgl, now)
+            done, _ = device.schedule_read(lookup % device.num_blocks, sgl, now)
             completions.append(done)
         batch_latencies.append(max(completions) - now)
         now += inter_arrival

@@ -21,8 +21,7 @@ from _util import emit, run_once
 
 def _cache_organisation_rows():
     budget = 1 * MIB
-    small_row = bytes(64)
-    large_row = bytes(320)
+    small_row, large_row = 64, 320  # row sizes in bytes
     rows = []
     for name, cache in (
         ("memory-optimised", MemoryOptimizedCache(budget)),

@@ -46,8 +46,8 @@ def _run_reads(reader, engine):
     latencies = []
     now = 0.0
     for index in indices:
-        result = reader.read_rows_batch("t", np.array([index], dtype=np.int64), now)
-        latencies.append(float(result.completion_times[0]) - now)
+        completions = reader.read_rows_batch("t", np.array([index], dtype=np.int64), now)
+        latencies.append(float(completions[0]) - now)
         now += 50e-6
     return {
         "mean_latency_us": float(np.mean(latencies)) * 1e6,

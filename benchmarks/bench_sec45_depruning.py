@@ -81,8 +81,7 @@ def _run(deprune: bool, requests, pruned):
     )
     completions = []
     for indices in requests:
-        _, done = sdm.pooled_embeddings({"user_0": indices}, 0.0)
-        completions.append(done)
+        completions.append(sdm.serve({"user_0": indices}, 0.0))
     steady = completions[NUM_REQUESTS // 3 :]
     return {
         # Requests actually issued to the SM subsystem (pruned rows are

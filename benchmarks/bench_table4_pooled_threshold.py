@@ -4,8 +4,6 @@ Sweeps the minimum-sequence-length knob of the pooled embedding cache; longer
 thresholds trade a slightly lower hit rate for longer (more valuable) hits.
 """
 
-import numpy as np
-
 from repro.analysis import format_table
 from repro.core import PooledEmbeddingCache
 from repro.dlrm import M1_SPEC, build_scaled_model
@@ -36,9 +34,9 @@ def build_table4():
         cache = PooledEmbeddingCache(4 * MIB, len_threshold=threshold)
         for query in queries:
             for table_name, indices in query.user_indices.items():
-                if cache.probe_batch(table_name, indices) is None and cache.eligible(indices):
-                    dim = model.table(table_name).spec.dim
-                    cache.put_batch(table_name, indices, np.zeros(dim, dtype=np.float32))
+                if not cache.probe_batch(table_name, indices) and cache.eligible(indices):
+                    pooled_bytes = 4 * model.table(table_name).spec.dim  # float32
+                    cache.put_batch(table_name, indices, pooled_bytes)
         rows.append(
             [threshold, cache.stats.hit_rate * 100.0, cache.stats.average_hit_length]
         )

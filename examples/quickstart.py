@@ -55,6 +55,8 @@ def main() -> None:
 
     # Verify tiered serving is numerically identical to DRAM-only serving:
     # the same spec with the `dram` backend rebuilds an identical model.
+    # Serving computes timings only; a result's scores are computed from
+    # the model the first time they are read.
     reference_spec = ScenarioSpec.from_dict(
         {**QUICKSTART_SPEC.to_dict(), "backend": {"name": "dram"}}
     )

@@ -143,7 +143,7 @@ def run_hotness_split_demo() -> None:
             model, WorkloadConfig(item_batch=model.item_batch, num_users=200), seed=0
         )
         for query in generator.generate(300):
-            sdm.pooled_embeddings(query.user_indices, 0.0)
+            sdm.serve(query.user_indices, 0.0)
             sdm.on_query_complete()
         summary = sdm.tier_summaries()
         total = sum(tier["rows_served"] for tier in summary)

@@ -14,12 +14,6 @@ from repro.cache.soa import SoALRUCache
 from repro.cache.memory_optimized import MemoryOptimizedCache
 from repro.cache.cpu_optimized import CPUOptimizedCache
 from repro.cache.unified import UnifiedRowCache, UnifiedCacheConfig
-from repro.cache.admission import (
-    AdmissionPolicy,
-    AlwaysAdmit,
-    ProbabilisticAdmission,
-    SizeThresholdAdmission,
-)
 
 __all__ = [
     "CacheStats",
@@ -30,8 +24,4 @@ __all__ = [
     "CPUOptimizedCache",
     "UnifiedRowCache",
     "UnifiedCacheConfig",
-    "AdmissionPolicy",
-    "AlwaysAdmit",
-    "ProbabilisticAdmission",
-    "SizeThresholdAdmission",
 ]

@@ -39,7 +39,11 @@ class CacheStats(Counters):
 
 
 class RowCache(abc.ABC):
-    """Byte-budgeted key/value cache for embedding rows."""
+    """Byte-budgeted cache of embedding rows.
+
+    An entry is a key and the byte size of the row it stands for; the cache
+    budgets, evicts and counts by those sizes and holds no row bytes.
+    """
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER}
 
@@ -50,12 +54,14 @@ class RowCache(abc.ABC):
         self.stats = CacheStats()
 
     @abc.abstractmethod
-    def get(self, key: CacheKey) -> Optional[bytes]:
-        """Return the cached value or ``None``; records a hit or miss."""
+    def get(self, key: CacheKey) -> Optional[int]:
+        """Return the cached entry's size in bytes or ``None``; records a
+        hit or miss."""
 
     @abc.abstractmethod
-    def put(self, key: CacheKey, value: bytes) -> bool:
-        """Insert a value, evicting as needed.  Returns ``False`` if rejected."""
+    def put(self, key: CacheKey, size: int) -> bool:
+        """Insert an entry of ``size`` bytes, evicting as needed.  Returns
+        ``False`` if rejected."""
 
     @abc.abstractmethod
     def contains(self, key: CacheKey) -> bool:

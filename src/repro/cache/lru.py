@@ -46,12 +46,13 @@ class LRUCache(RowCache):
         self.per_item_overhead_bytes = per_item_overhead_bytes
         self.lookup_cpu_seconds = lookup_cpu_seconds
         self.insert_cpu_seconds = insert_cpu_seconds
-        self._entries: "OrderedDict[CacheKey, bytes]" = OrderedDict()
+        # Key -> the entry's size in bytes.
+        self._entries: "OrderedDict[CacheKey, int]" = OrderedDict()
         self._used_bytes = 0
 
     # ------------------------------------------------------------- internals
-    def _entry_size(self, value: bytes) -> int:
-        return len(value) + self.per_item_overhead_bytes
+    def _entry_size(self, size: int) -> int:
+        return size + self.per_item_overhead_bytes
 
     def _evict_until_fits(self, needed: int) -> None:
         while self._entries and self._used_bytes + needed > self.capacity_bytes:
@@ -63,28 +64,28 @@ class LRUCache(RowCache):
         self.stats.cpu_seconds += self.lookup_cpu_seconds
 
     # ------------------------------------------------------------------ API
-    def get(self, key: CacheKey) -> Optional[bytes]:
+    def get(self, key: CacheKey) -> Optional[int]:
         self._charge_lookup()
-        value = self._entries.get(key)
-        if value is None:
+        size = self._entries.get(key)
+        if size is None:
             self.stats.misses += 1
             return None
         self._entries.move_to_end(key)
         self.stats.hits += 1
-        return value
+        return size
 
-    def put(self, key: CacheKey, value: bytes) -> bool:
+    def put(self, key: CacheKey, size: int) -> bool:
         self.stats.cpu_seconds += self.insert_cpu_seconds
-        size = self._entry_size(value)
-        if size > self.capacity_bytes:
+        entry_size = self._entry_size(size)
+        if entry_size > self.capacity_bytes:
             self.stats.rejected_inserts += 1
             return False
         if key in self._entries:
             self._used_bytes -= self._entry_size(self._entries[key])
             del self._entries[key]
-        self._evict_until_fits(size)
-        self._entries[key] = value
-        self._used_bytes += size
+        self._evict_until_fits(entry_size)
+        self._entries[key] = size
+        self._used_bytes += entry_size
         self.stats.inserts += 1
         return True
 
@@ -92,10 +93,10 @@ class LRUCache(RowCache):
         return key in self._entries
 
     def invalidate(self, key: CacheKey) -> bool:
-        value = self._entries.pop(key, None)
-        if value is None:
+        size = self._entries.pop(key, None)
+        if size is None:
             return False
-        self._used_bytes -= self._entry_size(value)
+        self._used_bytes -= self._entry_size(size)
         return True
 
     @property

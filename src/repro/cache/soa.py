@@ -12,8 +12,8 @@ with a handful of NumPy operations instead of one dict transaction per row:
   two arrays, so no key tuple exists per entry.  Any other hashable key
   (including a negative stored index, which must not alias ``index[-1]``)
   lives in a small side dict,
-* row payloads live in contiguous per-row-length storage pools, so a batched
-  probe gathers all hit rows as one ``(hits, row_bytes)`` uint8 matrix,
+* an entry holds no row bytes: a slot records the row's length, which is
+  what the byte budget counts, and a batched probe returns a hit mask,
 * recency is an append-only log of slots: every touch (hit or insert) appends
   the slot and stamps it with its 1-based log position.  Stamps are therefore
   monotone, the log is sorted by stamp, an entry is *live* iff its slot still
@@ -28,6 +28,7 @@ per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 
 from __future__ import annotations
 
+from itertools import accumulate
 from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -105,26 +106,6 @@ class _IdAllocator:
         self.num_free += int(ids.size)
 
 
-class _RowPool:
-    """Contiguous storage for fixed-length rows."""
-
-    __slots__ = ("data", "rows")
-
-    def __init__(self, row_len: int) -> None:
-        self.data = np.empty((16, max(row_len, 1)), dtype=np.uint8)
-        self.rows = _IdAllocator()
-
-    def fit(self) -> None:
-        """Grow the storage to cover every row id handed out so far."""
-        if self.rows.high > self.data.shape[0]:
-            grown = np.empty(
-                (max(self.rows.high, self.data.shape[0] * 2), self.data.shape[1]),
-                dtype=np.uint8,
-            )
-            grown[: self.data.shape[0]] = self.data
-            self.data = grown
-
-
 class SoALRUCache(RowCache):
     """Byte-budgeted LRU cache over structure-of-arrays storage.
 
@@ -137,7 +118,7 @@ class SoALRUCache(RowCache):
     mutation — insertion, eviction, promotion — is a fixed number of array
     operations per call.
 
-    State, per slot: payload length, pool row, table id (``-1`` for a
+    State, per slot: entry size (the row's length), table id (``-1`` for a
     side-dict key), stored index and recency stamp (``0`` marks a free slot).
     ``_log[i]`` is the slot touched at stamp ``i + 1``.  Everything
     :meth:`_drop_entries` sets is the cache's contents.
@@ -145,8 +126,8 @@ class SoALRUCache(RowCache):
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = dict.fromkeys(
         (
-            "_table_ids", "_table_names", "_slots", "_slot_len", "_slot_row", "_slot_table",
-            "_slot_stored", "_slot_stamp", "_pools", "_indexes", "_other_slot", "_other_key",
+            "_table_ids", "_table_names", "_slots", "_slot_len", "_slot_table",
+            "_slot_stored", "_slot_stamp", "_indexes", "_other_slot", "_other_key",
             "_log", "_log_head", "_log_tail", "_count", "_used_bytes",
         ),
         CONTENTS,
@@ -181,11 +162,9 @@ class SoALRUCache(RowCache):
         self._table_names: List[str] = []
         self._slots = _IdAllocator()
         self._slot_len = np.zeros(0, dtype=np.int64)
-        self._slot_row = np.zeros(0, dtype=np.int64)
         self._slot_table = np.zeros(0, dtype=np.int64)
         self._slot_stored = np.zeros(0, dtype=np.int64)
         self._slot_stamp = np.zeros(0, dtype=np.int64)
-        self._pools: Dict[int, _RowPool] = {}
         self._indexes: List[np.ndarray] = []
         # Keys outside the (table, stored >= 0) shape: key <-> slot.
         self._other_slot: Dict[CacheKey, int] = {}
@@ -232,17 +211,10 @@ class SoALRUCache(RowCache):
         if self._slots.high <= old:
             return
         new = max(self._slots.high, old * 2, 16)
-        for name in ("_slot_len", "_slot_row", "_slot_table", "_slot_stored", "_slot_stamp"):
+        for name in ("_slot_len", "_slot_table", "_slot_stored", "_slot_stamp"):
             grown = np.zeros(new, dtype=np.int64)
             grown[:old] = getattr(self, name)
             setattr(self, name, grown)
-
-    def _pool_for(self, row_len: int) -> _RowPool:
-        pool = self._pools.get(row_len)
-        if pool is None:
-            pool = _RowPool(row_len)
-            self._pools[row_len] = pool
-        return pool
 
     def _entry_size(self, value_len: int) -> int:
         return value_len + self.per_item_overhead_bytes
@@ -301,16 +273,10 @@ class SoALRUCache(RowCache):
         self._slot_stamp[slots] = np.arange(self._log_tail + 1, tail + 1, dtype=np.int64)
         self._log_tail = tail
 
-    def _insert_entry(self, key: CacheKey, value: bytes) -> None:
+    def _insert_entry(self, key: CacheKey, row_len: int) -> None:
         slot = self._slots.alloc_one()
         self._fit_slots()
-        row_len = len(value)
-        pool = self._pool_for(row_len)
-        row = pool.rows.alloc_one()
-        pool.fit()
-        pool.data[row, :row_len] = np.frombuffer(value, dtype=np.uint8)
         self._slot_len[slot] = row_len
-        self._slot_row[slot] = row
         parts = self._row_key_parts(key)
         if parts is None:
             self._slot_table[slot] = -1
@@ -327,7 +293,6 @@ class SoALRUCache(RowCache):
 
     def _remove_slot(self, slot: int) -> None:
         row_len = int(self._slot_len[slot])
-        self._pools[row_len].rows.release_one(int(self._slot_row[slot]))
         table = int(self._slot_table[slot])
         if table < 0:
             del self._other_slot[self._other_key.pop(slot)]
@@ -349,9 +314,6 @@ class SoALRUCache(RowCache):
             else:
                 self._indexes[table][stored[members]] = -1
         lens = self._slot_len[slots]
-        rows = self._slot_row[slots]
-        for row_len, members in _groups(lens):
-            self._pools[row_len].rows.release(rows[members])
         self._slot_stamp[slots] = 0
         self._slots.release(slots)
         self._count -= int(slots.size)
@@ -413,19 +375,13 @@ class SoALRUCache(RowCache):
         self._remove_slots(victims)
         return int(victims.size)
 
-    def _insert_rows(self, table: int, stored: np.ndarray, values: np.ndarray) -> np.ndarray:
-        """Store new, distinct rows of one table and return their slots; the
-        caller made room and stamps them."""
+    def _insert_rows(self, table: int, stored: np.ndarray, row_len: int) -> np.ndarray:
+        """Enter new, distinct ``row_len``-byte rows of one table and return
+        their slots; the caller made room and stamps them."""
         count = int(stored.size)
-        row_len = int(values.shape[1])
         slots = self._slots.alloc(count)
         self._fit_slots()
-        pool = self._pool_for(row_len)
-        rows = pool.rows.alloc(count)
-        pool.fit()
-        pool.data[rows, :row_len] = values
         self._slot_len[slots] = row_len
-        self._slot_row[slots] = rows
         self._slot_table[slots] = table
         self._slot_stored[slots] = stored
         self._index_for(table, int(stored.max()) + 1)[stored] = slots
@@ -456,7 +412,7 @@ class SoALRUCache(RowCache):
         return slots
 
     # ------------------------------------------------------------ scalar API
-    def get(self, key: CacheKey) -> Optional[bytes]:
+    def get(self, key: CacheKey) -> Optional[int]:
         self.stats.cpu_seconds += self.lookup_cpu_seconds
         slot = self._find(key)
         if slot < 0:
@@ -464,20 +420,19 @@ class SoALRUCache(RowCache):
             return None
         self.stats.hits += 1
         self._touch(slot)
-        row_len = int(self._slot_len[slot])
-        return self._pools[row_len].data[int(self._slot_row[slot]), :row_len].tobytes()
+        return int(self._slot_len[slot])
 
-    def put(self, key: CacheKey, value: bytes) -> bool:
+    def put(self, key: CacheKey, size: int) -> bool:
         self.stats.cpu_seconds += self.insert_cpu_seconds
-        size = self._entry_size(len(value))
-        if size > self.capacity_bytes:
+        entry_size = self._entry_size(size)
+        if entry_size > self.capacity_bytes:
             self.stats.rejected_inserts += 1
             return False
         slot = self._find(key)
         if slot >= 0:
             self._remove_slot(slot)
-        self._evict_until_fits(size)
-        self._insert_entry(key, value)
+        self._evict_until_fits(entry_size)
+        self._insert_entry(key, size)
         self.stats.inserts += 1
         return True
 
@@ -519,37 +474,31 @@ class SoALRUCache(RowCache):
         stored_indices: np.ndarray,
         row_len: int,
         promote_mask: Optional[np.ndarray] = None,
-        promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> Tuple[np.ndarray, int]:
         """Probe ``(table_name, stored)`` for a whole batch of stored rows.
 
         Equivalent to calling :meth:`get` once per row in input order — same
         hit/miss/CPU accounting, same final LRU order (for duplicate rows the
         last occurrence wins, as it would row by row).  Returns a boolean hit
-        mask aligned with the input, the hit rows as one
-        ``(num_hits, row_len)`` uint8 matrix in input order, and the number
-        of promotion fills admitted.
+        mask aligned with the input and the number of promotion fills
+        admitted.
 
         With ``promote_mask`` (boolean, aligned with the input) the call
         replays an interleaved walk instead: each marked row's ``get`` is
-        immediately followed by ``put(key, row)`` with the next row of
-        ``promote_values`` — the promotion fill the tier chain performs when a
-        row misses here and hits a slower cache.  Recency order, the
-        ``cpu_seconds`` chain and the evicted entries equal that per-row
-        sequence provided the marked rows are distinct misses and
-        :meth:`promotion_hazard` returned ``False`` for this batch; the
-        caller owns that precondition.  Rows too large for the cache are
-        rejected exactly as :meth:`put` rejects them.
+        immediately followed by ``put(key, row_len)`` — the promotion fill
+        the tier chain performs when a row misses here and hits a slower
+        cache.  Recency order, the ``cpu_seconds`` chain and the evicted
+        entries equal that per-row sequence provided the marked rows are
+        distinct misses and :meth:`promotion_hazard` returned ``False`` for
+        this batch; the caller owns that precondition.  Rows too large for
+        the cache are rejected exactly as :meth:`put` rejects them.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         slots = self.lookup_slots(table_name, stored)
-        if promote_mask is not None and promote_values is not None and promote_values.shape[0]:
-            values, admitted = self.probe_and_promote(
-                table_name, stored, slots, row_len, promote_mask, promote_values
-            )
-            return slots >= 0, values, admitted
-        (values,) = self.probe_run([(table_name, stored, slots, row_len)])
-        return slots >= 0, values, 0
+        if promote_mask is not None and bool(promote_mask.any()):
+            return self.probe_and_promote(table_name, stored, slots, row_len, promote_mask)
+        (hit_mask,) = self.probe_run([(table_name, stored, slots, row_len)])
+        return hit_mask, 0
 
     def probe_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
         """Probe a run of batches resolved by :meth:`lookup_slots`, one
@@ -558,8 +507,7 @@ class SoALRUCache(RowCache):
         Equivalent to :meth:`probe_batch` once per batch in order: the run's
         lookups are charged as one chain of ``lookup_cpu_seconds``
         increments, hits and misses are counted once, and the hits are
-        touched in batch order.  Returns each batch's hit rows as a
-        ``(num_hits, row_len)`` uint8 matrix in input order.
+        touched in batch order.  Returns each batch's boolean hit mask.
         """
         sizes = [int(slots.size) for _, _, slots, _ in batches]
         total = sum(sizes)
@@ -568,45 +516,40 @@ class SoALRUCache(RowCache):
                 self.stats.cpu_seconds, self.lookup_cpu_seconds, total
             )
         slots = batches[0][2] if len(batches) == 1 else np.concatenate([b[2] for b in batches])
-        hit_slots = slots[slots >= 0]
+        hit_mask = slots >= 0
+        hit_slots = slots[hit_mask]
         hits = int(hit_slots.size)
         self.stats.hits += hits
         self.stats.misses += total - hits
-        counts = sizes if hits == total else [int(np.count_nonzero(b[2] >= 0)) for b in batches]
-        values = self._hit_payloads(batches, hit_slots, counts)
         if hits:
+            self._check_row_lens(batches, sizes, hit_mask, hit_slots)
             self._touch_run(hit_slots)
-        return values
+        if len(batches) == 1:
+            return [hit_mask]
+        bounds = list(accumulate(sizes, initial=0))
+        return [hit_mask[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def _hit_payloads(
-        self, batches: Sequence[ResolvedBatch], hit_slots: np.ndarray, counts: Sequence[int]
-    ) -> List[np.ndarray]:
-        """Each batch's hit payloads, stacked, from the run's ``hit_slots``
-        (``counts[i]`` of them batch ``i``'s); every one must be as long as
-        its batch's ``row_len``."""
-        pool_rows = _EMPTY_IDS
-        if hit_slots.size:
-            row_lens = np.array([row_len for _, _, _, row_len in batches]).repeat(counts)
-            wrong = self._slot_len[hit_slots] != row_lens
-            if bool(wrong.any()):
-                batch = int(np.searchsorted(np.cumsum(counts), int(np.argmax(wrong)), side="right"))
-                table_name, _, _, row_len = batches[batch]
-                raise ValueError(
-                    f"table {table_name!r}: cached row length differs from "
-                    f"probe row_len {row_len}"
-                )
-            pool_rows = self._slot_row[hit_slots]
-        values: List[np.ndarray] = []
-        start = 0
-        for (_, _, _, row_len), count in zip(batches, counts):
-            rows = pool_rows[start : start + count]
-            values.append(
-                self._pools[row_len].data.take(rows, axis=0)[:, :row_len]
-                if count
-                else np.empty((0, row_len), dtype=np.uint8)
+    def _check_row_lens(
+        self,
+        batches: Sequence[ResolvedBatch],
+        sizes: Sequence[int],
+        hit_mask: np.ndarray,
+        hit_slots: np.ndarray,
+    ) -> None:
+        """Every hit's cached length equals its batch's ``row_len``; the
+        run's hits are ``hit_slots``, where the batches' concatenated
+        ``hit_mask`` is set."""
+        row_lens = [row_len for _, _, _, row_len in batches]
+        expected = row_lens[0] if len(set(row_lens)) == 1 else np.repeat(row_lens, sizes)[hit_mask]
+        wrong = self._slot_len[hit_slots] != expected
+        if bool(wrong.any()):
+            position = int(np.flatnonzero(hit_mask)[int(np.argmax(wrong))])
+            batch = int(np.searchsorted(np.cumsum(sizes), position, side="right"))
+            table_name, _, _, row_len = batches[batch]
+            raise ValueError(
+                f"table {table_name!r}: cached row length differs from "
+                f"probe row_len {row_len}"
             )
-            start += count
-        return values
 
     def probe_and_promote(
         self,
@@ -615,13 +558,12 @@ class SoALRUCache(RowCache):
         slots: np.ndarray,
         row_len: int,
         promote_mask: np.ndarray,
-        promote_values: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
         """:meth:`probe_batch` with promotion fills interleaved, for rows
         ``stored`` that :meth:`lookup_slots` resolved to ``slots``; returns
-        ``(values, admitted)``."""
+        ``(hit_mask, admitted)``."""
         count = int(stored.size)
-        fills = int(promote_values.shape[0])
+        fills = int(np.count_nonzero(promote_mask))
         # Row by row: the probe's charge, then the fill's.  Zero padding is
         # bitwise-neutral (x + 0.0 == x for the non-negative total).
         costs = np.zeros((count, 2), dtype=np.float64)
@@ -633,15 +575,14 @@ class SoALRUCache(RowCache):
         hit_slots = slots[hit_mask]
         self.stats.hits += int(hit_slots.size)
         self.stats.misses += count - int(hit_slots.size)
-        (values,) = self._hit_payloads(
-            [(table_name, stored, slots, row_len)], hit_slots, [int(hit_slots.size)]
-        )
+        if hit_slots.size:
+            self._check_row_lens([(table_name, stored, slots, row_len)], [count], hit_mask, hit_slots)
         if self._entry_size(row_len) > self.capacity_bytes:
             # Every fill is rejected: charged above, nothing evicted.
             self.stats.rejected_inserts += fills
             if hit_slots.size:
                 self._touch_run(hit_slots)
-            return values, 0
+            return hit_mask, 0
         touches = int(hit_slots.size) + fills
         self._reserve_log(touches)
         # One stamp per hit and per fill in the same walk order: the probe's
@@ -652,11 +593,11 @@ class SoALRUCache(RowCache):
         stamps = self._log_tail + np.cumsum(events.ravel()).reshape(count, 2)
         self._touch_batch(hit_slots, stamps[hit_mask, 0])
         self.stats.evictions += self._evict_for(fills, self._entry_size(row_len))
-        filled = self._insert_rows(self._table_id(table_name), stored[promote_mask], promote_values)
+        filled = self._insert_rows(self._table_id(table_name), stored[promote_mask], row_len)
         self._touch_batch(filled, stamps[promote_mask, 1])
         self.stats.inserts += fills
         self._log_tail += touches
-        return values, fills
+        return hit_mask, fills
 
     def promotion_hazard(self, slots: np.ndarray, num_fills: int, row_len: int) -> bool:
         """Would ``num_fills`` promotion fills interleaved with a batch's
@@ -681,25 +622,23 @@ class SoALRUCache(RowCache):
         hit_slots = slots[slots >= 0]
         return bool(hit_slots.size) and int(self._slot_stamp[hit_slots].min()) <= new_head
 
-    def fill_batch(
-        self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
-    ) -> int:
-        """Insert a batch of rows; equivalent to per-row :meth:`put` calls.
+    def fill_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
+        """Insert a batch of ``row_len``-byte rows; equivalent to per-row
+        :meth:`put` calls.
 
-        ``values`` is a ``(len(stored_indices), row_len)`` uint8 matrix.
         Returns the number of rows admitted.  New, distinct rows — the miss
         path — take a fixed number of array operations: one LRU-prefix
-        eviction, one payload store.  A batch larger than the cache
-        materialises only the tail that survives its own evictions; the rows
-        before it count as inserted and evicted.  Only a batch that replaces
-        a cached row, repeats a row or carries a negative index is replayed
-        through :meth:`put`, whose interleaving it depends on.
+        eviction, one insertion.  A batch larger than the cache enters only
+        the tail that survives its own evictions; the rows before it count
+        as inserted and evicted.  Only a batch that replaces a cached row,
+        repeats a row or carries a negative index is replayed through
+        :meth:`put`, whose interleaving it depends on.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
         if count == 0:
             return 0
-        size = self._entry_size(int(values.shape[1]))
+        size = self._entry_size(row_len)
         if size > self.capacity_bytes:
             self.stats.cpu_seconds = charge_repeatedly(
                 self.stats.cpu_seconds, self.insert_cpu_seconds, count
@@ -713,8 +652,7 @@ class SoALRUCache(RowCache):
             or bool((self.lookup_slots(table_name, stored) >= 0).any())
         ):
             return sum(
-                self.put((table_name, int(stored[position])), values[position].tobytes())
-                for position in range(count)
+                self.put((table_name, int(stored[position])), row_len) for position in range(count)
             )
         self.stats.cpu_seconds = charge_repeatedly(
             self.stats.cpu_seconds, self.insert_cpu_seconds, count
@@ -728,9 +666,7 @@ class SoALRUCache(RowCache):
         else:
             self.stats.evictions += self._evict_for(count, size)
         self._touch_run(
-            self._insert_rows(
-                self._table_id(table_name), stored[count - survivors :], values[count - survivors :]
-            )
+            self._insert_rows(self._table_id(table_name), stored[count - survivors :], row_len)
         )
         self.stats.inserts += count
         return count

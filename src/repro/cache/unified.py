@@ -16,7 +16,6 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.admission import AdmissionPolicy, AlwaysAdmit
 from repro.cache.base import CacheKey, CacheStats
 from repro.cache.cpu_optimized import CPUOptimizedCache
 from repro.cache.memory_optimized import MemoryOptimizedCache
@@ -62,13 +61,8 @@ class UnifiedRowCache:
     #: The state lives in the internal caches.
     STATE_ROLES: ClassVar[Mapping[str, str]] = {}
 
-    def __init__(
-        self,
-        config: UnifiedCacheConfig,
-        admission: Optional[AdmissionPolicy] = None,
-    ) -> None:
+    def __init__(self, config: UnifiedCacheConfig) -> None:
         self.config = config
-        self.admission = admission if admission is not None else AlwaysAdmit()
         partitions = config.num_partitions
         memory_budget = int(config.capacity_bytes * config.memory_optimized_fraction)
         cpu_budget = config.capacity_bytes - memory_budget
@@ -100,28 +94,28 @@ class UnifiedRowCache:
         return [self._memory_caches[index], self._cpu_caches[index]]
 
     # ------------------------------------------------------------------ API
-    def get(self, key: CacheKey, size_hint: Optional[int] = None) -> Optional[bytes]:
-        """Look up a row.  ``size_hint`` (the row byte size, known from the
-        table spec) avoids probing both internal caches."""
+    def get(self, key: CacheKey, size_hint: Optional[int] = None) -> Optional[int]:
+        """Look up a row; its size in bytes on a hit.  ``size_hint`` (the
+        row byte size, known from the table spec) avoids probing both
+        internal caches."""
         caches = self._route_for_lookup(key, size_hint)
         for position, cache in enumerate(caches):
-            value = cache.get(key)
-            if value is not None:
+            size = cache.get(key)
+            if size is not None:
                 # Credit back the misses recorded by earlier probes so the
                 # unified hit rate counts one logical lookup.
                 for probed in caches[:position]:
                     probed.stats.misses -= 1
-                return value
+                return size
         # Only count one logical miss even if both internal caches were probed.
         for probed in caches[1:]:
             probed.stats.misses -= 1
         return None
 
-    def put(self, key: CacheKey, value: bytes) -> bool:
-        if not self.admission.admit(key, value):
-            self._route(key, len(value)).stats.rejected_inserts += 1
-            return False
-        return self._route(key, len(value)).put(key, value)
+    def put(self, key: CacheKey, size: int) -> bool:
+        """Enter a row of ``size`` bytes into the internal cache its size
+        routes it to."""
+        return self._route(key, size).put(key, size)
 
     def contains(self, key: CacheKey) -> bool:
         index = self._partition_index(key)
@@ -131,8 +125,8 @@ class UnifiedRowCache:
     @property
     def batchable(self) -> bool:
         """Whether batches reach one internal cache as array operations:
-        a single partition (no per-key routing) and admit-everything."""
-        return self.config.num_partitions == 1 and isinstance(self.admission, AlwaysAdmit)
+        a single partition, so no key is routed on its own."""
+        return self.config.num_partitions == 1
 
     def _batch_cache(self, row_len: int) -> SoALRUCache:
         """The single internal cache all ``(table, stored)`` keys of one size
@@ -147,27 +141,25 @@ class UnifiedRowCache:
         stored_indices: np.ndarray,
         row_len: int,
         promote_mask: Optional[np.ndarray] = None,
-        promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> Tuple[np.ndarray, int]:
         """Batched :meth:`get` with a size hint, one key per stored row.
 
-        Returns ``(hit_mask, values, admitted)`` where ``values`` stacks the
-        hit rows as a ``(num_hits, row_len)`` uint8 matrix in input order.
-        ``promote_mask``/``promote_values`` interleave promotion fills with
-        the probes — each marked row is :meth:`put` right after its
-        :meth:`get` — and ``admitted`` counts the fills the cache accepted.
+        Returns ``(hit_mask, admitted)``.  ``promote_mask`` interleaves
+        promotion fills with the probes — each marked row is :meth:`put`
+        right after its :meth:`get` — and ``admitted`` counts the fills the
+        cache accepted.
 
         A :attr:`batchable` cache does this in a handful of array ops (see
         :meth:`SoALRUCache.probe_batch`; with fills the caller must have
         cleared the batch through :meth:`promotion_hazard`).  Any other
-        cache walks the keys one by one, which keeps partition routing and
-        the admission policy exact.
+        cache walks the keys one by one, which keeps partition routing
+        exact.
         """
         if self.batchable:
             return self._batch_cache(row_len).probe_batch(
-                table_name, stored_indices, row_len, promote_mask, promote_values
+                table_name, stored_indices, row_len, promote_mask
             )
-        return self._probe_keys(table_name, stored_indices, row_len, promote_mask, promote_values)
+        return self._probe_keys(table_name, stored_indices, row_len, promote_mask)
 
     def lookup_batch(self, table_name: str, stored: np.ndarray, row_len: int) -> np.ndarray:
         """Resolve rows ``row_len`` bytes long: each row's slot in the
@@ -189,14 +181,13 @@ class UnifiedRowCache:
         batch, the same as :meth:`probe_batch` without fills.
 
         Each batch is ``(table_name, stored, slots, row_len)`` with ``slots``
-        from :meth:`lookup_batch`.  Returns each batch's hit rows as a
-        ``(num_hits, row_len)`` uint8 matrix in input order.  A batchable
-        cache probes each internal cache once for the whole run
+        from :meth:`lookup_batch`.  Returns each batch's boolean hit mask.
+        A batchable cache probes each internal cache once for the whole run
         (:meth:`SoALRUCache.probe_run`).
         """
         if not self.batchable:
             return [
-                self._probe_keys(table_name, stored, row_len)[1]
+                self._probe_keys(table_name, stored, row_len)[0]
                 for table_name, stored, _, row_len in batches
             ]
         # Each internal cache takes its share of the run, in order; keyed by
@@ -207,12 +198,12 @@ class UnifiedRowCache:
             routed.setdefault(row_len <= threshold, []).append(position)
         if len(routed) == 1:
             return self._batch_cache(batches[0][3]).probe_run(batches)
-        values: List[np.ndarray] = [np.empty(0, dtype=np.uint8)] * len(batches)
+        masks: List[np.ndarray] = [np.empty(0, dtype=bool)] * len(batches)
         for members in routed.values():
             cache = self._batch_cache(batches[members[0]][3])
-            for position, rows in zip(members, cache.probe_run([batches[at] for at in members])):
-                values[position] = rows
-        return values
+            for position, mask in zip(members, cache.probe_run([batches[at] for at in members])):
+                masks[position] = mask
+        return masks
 
     def probe_and_promote(
         self,
@@ -221,18 +212,14 @@ class UnifiedRowCache:
         slots: np.ndarray,
         row_len: int,
         promote_mask: np.ndarray,
-        promote_values: np.ndarray,
     ) -> Tuple[np.ndarray, int]:
         """:meth:`probe_batch` with promotion fills for rows resolved by
-        :meth:`lookup_batch`; returns ``(values, admitted)``."""
+        :meth:`lookup_batch`; returns ``(hit_mask, admitted)``."""
         if self.batchable:
             return self._batch_cache(row_len).probe_and_promote(
-                table_name, stored, slots, row_len, promote_mask, promote_values
+                table_name, stored, slots, row_len, promote_mask
             )
-        _, values, admitted = self._probe_keys(
-            table_name, stored, row_len, promote_mask, promote_values
-        )
-        return values, admitted
+        return self._probe_keys(table_name, stored, row_len, promote_mask)
 
     def _probe_keys(
         self,
@@ -240,25 +227,18 @@ class UnifiedRowCache:
         stored_indices: np.ndarray,
         row_len: int,
         promote_mask: Optional[np.ndarray] = None,
-        promote_values: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, np.ndarray, int]:
+    ) -> Tuple[np.ndarray, int]:
         """:meth:`probe_batch` one key at a time through :meth:`get` and
         :meth:`put`."""
         stored = np.asarray(stored_indices, dtype=np.int64)
         hit_mask = np.zeros(stored.size, dtype=bool)
-        hits: List[bytes] = []
-        admitted = fill = 0
+        admitted = 0
         for position in range(stored.size):
             key = (table_name, int(stored[position]))
-            value = self.get(key, size_hint=row_len)
-            if value is not None:
-                hit_mask[position] = True
-                hits.append(value)
-            if promote_mask is not None and promote_values is not None and promote_mask[position]:
-                admitted += self.put(key, promote_values[fill].tobytes())
-                fill += 1
-        values = np.frombuffer(b"".join(hits), dtype=np.uint8).reshape(len(hits), row_len)
-        return hit_mask, values, admitted
+            hit_mask[position] = self.get(key, size_hint=row_len) is not None
+            if promote_mask is not None and promote_mask[position]:
+                admitted += self.put(key, row_len)
+        return hit_mask, admitted
 
     def promotion_hazard(self, slots: np.ndarray, num_fills: int, row_len: int) -> bool:
         """Whether ``num_fills`` promotion fills interleaved with a batched
@@ -274,18 +254,14 @@ class UnifiedRowCache:
             return True
         return self._batch_cache(row_len).promotion_hazard(slots, num_fills, row_len)
 
-    def fill_batch(
-        self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
-    ) -> int:
-        """Batched :meth:`put`, one key per stored row of a uint8 matrix;
+    def fill_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
+        """Batched :meth:`put`, one ``row_len``-byte row per stored index;
         returns the number of rows admitted."""
         if self.batchable:
-            return self._batch_cache(int(values.shape[1])).fill_batch(
-                table_name, stored_indices, values
-            )
+            return self._batch_cache(row_len).fill_batch(table_name, stored_indices, row_len)
         stored = np.asarray(stored_indices, dtype=np.int64)
         return sum(
-            self.put((table_name, int(stored[position])), values[position].tobytes())
+            self.put((table_name, int(stored[position])), row_len)
             for position in range(stored.size)
         )
 

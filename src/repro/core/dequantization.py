@@ -17,6 +17,11 @@ import numpy as np
 from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec
 
 
+def dequantized_row_bytes(dim: int) -> int:
+    """Bytes of one row expanded to float32 (no quantisation parameters)."""
+    return dim * np.dtype(np.float32).itemsize
+
+
 @dataclass
 class DequantizedTable:
     """A table expanded to float32 rows for SM storage."""
@@ -35,24 +40,11 @@ class DequantizedTable:
     @property
     def row_bytes(self) -> int:
         """Serialized bytes per row on SM (float32 elements, no quant params)."""
-        return self.spec.dim * 4
+        return dequantized_row_bytes(self.spec.dim)
 
     @property
     def size_bytes(self) -> int:
         return self.spec.num_rows * self.row_bytes
-
-    def row_bytes_at(self, index: int) -> bytes:
-        if not 0 <= index < self.spec.num_rows:
-            raise IndexError(
-                f"row {index} out of range for table {self.spec.name!r} "
-                f"with {self.spec.num_rows} rows"
-            )
-        return self.data[index].astype(np.float32).tobytes()
-
-    @staticmethod
-    def decode_row(raw: bytes) -> np.ndarray:
-        """Decode a serialized float32 row back to a vector."""
-        return np.frombuffer(raw, dtype=np.float32).copy()
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,10 @@ enough overhead to be practical, observing ~5% hit rate; Table 4 sweeps the
 
 Keys are an order-invariant hash of the index multiset, so ``[3, 1, 2]`` and
 ``[2, 3, 1]`` hit the same entry (pooling is a sum and therefore order
-invariant).
+invariant).  An entry is a key and the pooled vector's size in bytes: the
+cache decides hits, evictions and counts, and a hit's vector is the pooling
+of the request itself, computed when scores are read
+(:meth:`~repro.dlrm.inference.InferenceEngine.score`).
 """
 
 from __future__ import annotations
@@ -107,7 +110,8 @@ class PooledCacheStats:
 
 
 class PooledEmbeddingCache:
-    """Caches pooled (already dequantised and summed) embedding vectors."""
+    """Caches pooled (already dequantised and summed) embedding vectors,
+    by key and size."""
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = {"stats": COUNTER}
 
@@ -115,8 +119,8 @@ class PooledEmbeddingCache:
         if len_threshold < 0:
             raise ValueError(f"len_threshold must be non-negative: {len_threshold}")
         self.len_threshold = len_threshold
-        # Pooled vectors are float32; per-item overhead mirrors the
-        # CPU-optimised cache since values are comparatively large.
+        # Per-item overhead mirrors the CPU-optimised cache since pooled
+        # float32 vectors are comparatively large.
         self._cache = LRUCache(capacity_bytes, per_item_overhead_bytes=56)
         self.stats = PooledCacheStats()
 
@@ -136,38 +140,34 @@ class PooledEmbeddingCache:
         """Algorithm 1's ``doPooledEmbCache`` predicate."""
         return len(indices) > self.len_threshold
 
-    def get(self, table_name: str, indices: Sequence[int]) -> Optional[np.ndarray]:
+    def get(self, table_name: str, indices: Sequence[int]) -> bool:
         """:meth:`probe_batch` for a plain index sequence."""
         return self.probe_batch(table_name, np.asarray(indices, dtype=np.int64))
 
-    def put(self, table_name: str, indices: Sequence[int], pooled: np.ndarray) -> bool:
+    def put(self, table_name: str, indices: Sequence[int], size_bytes: int) -> bool:
         """:meth:`put_batch` for a plain index sequence."""
-        return self.put_batch(table_name, np.asarray(indices, dtype=np.int64), pooled)
+        return self.put_batch(table_name, np.asarray(indices, dtype=np.int64), size_bytes)
 
-    def probe_batch(self, table_name: str, indices: np.ndarray) -> Optional[np.ndarray]:
-        """Return the cached pooled vector for this exact index multiset."""
+    def probe_batch(self, table_name: str, indices: np.ndarray) -> bool:
+        """Whether the pooled vector of this exact index multiset is cached."""
         array = np.asarray(indices, dtype=np.int64)
         if not int(array.size) > self.len_threshold:
             self.stats.skipped_short += 1
-            return None
+            return False
         self.stats.lookups += 1
-        raw = self._cache.get((table_name, order_invariant_hash_batch(array)))
-        if raw is None:
+        if self._cache.get((table_name, order_invariant_hash_batch(array))) is None:
             self.stats.misses += 1
-            return None
+            return False
         self.stats.hits += 1
         self.stats.hit_index_count += int(array.size)
-        return np.frombuffer(raw, dtype=np.float32).copy()
+        return True
 
-    def put_batch(self, table_name: str, indices: np.ndarray, pooled: np.ndarray) -> bool:
-        """Insert the pooled vector computed for this index multiset."""
+    def put_batch(self, table_name: str, indices: np.ndarray, size_bytes: int) -> bool:
+        """Enter the ``size_bytes``-byte pooled vector of this index multiset."""
         array = np.asarray(indices, dtype=np.int64)
         if not int(array.size) > self.len_threshold:
             return False
-        vector = np.asarray(pooled, dtype=np.float32)
-        inserted = self._cache.put(
-            (table_name, order_invariant_hash_batch(array)), vector.tobytes()
-        )
+        inserted = self._cache.put((table_name, order_invariant_hash_batch(array)), size_bytes)
         if inserted:
             self.stats.inserts += 1
         return inserted

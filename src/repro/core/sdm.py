@@ -12,25 +12,30 @@ accounted.  It implements :class:`~repro.dlrm.inference.EmbeddingBackend`,
 so an :class:`~repro.dlrm.inference.InferenceEngine` can serve queries
 through it and the end-to-end latency reflects whether the slow-tier fetch
 is hidden behind the item-side work (Equation 3 of the paper).
+
+Serving moves keys, lengths and times, never row bytes: the value
+transforms SDM applies — pruning (a pruned row pools as zero), de-pruning
+and dequantise-at-load — change no pooled value, so they act here only
+through the stored row count and row size.  Values come from
+:meth:`~repro.dlrm.inference.InferenceEngine.score`, which pools a pruned
+table through :attr:`pruned_tables`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
-from repro.core.depruning import deprune_table
-from repro.core.dequantization import dequantize_table
+from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.pruning import PRUNED, PrunedEmbeddingTable
-from repro.dlrm.quantization import dequantize_rows
 from repro.hierarchy.chain import FetchPlan, TierChain
 from repro.hierarchy.placement import (
     TieredPlacement,
@@ -51,15 +56,8 @@ CACHE_PROBE_SECONDS = 2.0e-7
 POOLED_PROBE_SECONDS = 5.0e-7
 #: Bytes per entry of the rank mapping tensor kept in FM for row-split tables.
 RANK_INDEX_BYTES = 4
-
-
-def _stored_rows(
-    source: np.ndarray, rank_order: Optional[np.ndarray], stored: Union[slice, np.ndarray]
-) -> np.ndarray:
-    """Stored rows ``stored`` (a slice or an index array) of a table whose
-    unranked rows are ``source``; a hotness-ranked table stores row
-    ``rank_order[i]`` at stored index ``i``."""
-    return source[stored] if rank_order is None else source[rank_order[stored]]
+#: Bytes per element of a pooled (float32) vector.
+FLOAT32_BYTES = 4
 
 
 @dataclass
@@ -69,12 +67,9 @@ class _SMTable:
     spec: EmbeddingTableSpec
     stored_rows: int
     row_bytes: int
-    decode_batch: Callable[[np.ndarray], np.ndarray]
     cache_enabled: bool
     mapping: Optional[np.ndarray] = None
     mapping_fm_bytes: int = 0
-    rank_order: Optional[np.ndarray] = None
-    dequantized: bool = False
 
 
 @dataclass(slots=True)
@@ -86,10 +81,7 @@ class _TableLookup:
     #: ``None`` for a table served straight from fast memory.
     state: Optional[_SMTable] = None
     pooled_probed: bool = False
-    #: The pooled cache's vector on a pooled-cache hit.
-    pooled: Optional[np.ndarray] = None
-    #: Pruned tables: which requested rows the mapping tensor keeps.
-    valid: Optional[np.ndarray] = None
+    pooled_hit: bool = False
     plan: Optional[FetchPlan] = None
 
     @property
@@ -226,7 +218,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             ),
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
-            fast_row_source=self._fast_rows_matrix,
         )
         # The flat device list across every tier.
         self.devices = [device for tier in self.device_tiers for device in tier.devices]
@@ -243,97 +234,42 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     def device_tiers(self) -> List[DeviceTier]:
         return [tier for tier in self.tiers if isinstance(tier, DeviceTier)]
 
-    def _sm_source_for(self, table_name: str) -> Tuple[_SMTable, np.ndarray]:
-        """Decide what bytes are stored below tier 0 for one table.
-
-        Returns the table's serving state and its stored rows as one
-        ``(stored_rows, row_bytes)`` uint8 matrix (before any rank ordering).
-        """
-        decision = self.placement.for_table(table_name)
+    def _sm_table_for(self, table_name: str) -> _SMTable:
+        """What is stored below tier 0 for one table: how many rows, how
+        long each, and the FM mapping tensor of a pruned table."""
+        cache_enabled = self.placement.for_table(table_name).cache_enabled
         spec = self.model.table(table_name).spec
-
-        if table_name in self.pruned_tables:
-            pruned = self.pruned_tables[table_name]
-            if self.config.deprune_at_load:
-                # Algorithm 2: a zero matrix with the live rows scattered in.
-                table = deprune_table(pruned).table
-                state = _SMTable(
-                    spec=table.spec,
-                    stored_rows=table.spec.num_rows,
-                    row_bytes=table.spec.row_bytes,
-                    decode_batch=self._make_quantized_batch_decoder(table.spec),
-                    cache_enabled=decision.cache_enabled,
-                )
-                return state, table.data
-            state = _SMTable(
-                spec=pruned.original_spec,
+        pruned = self.pruned_tables.get(table_name)
+        if pruned is not None and not self.config.deprune_at_load:
+            return _SMTable(
+                spec=spec,
                 stored_rows=pruned.table.spec.num_rows,
                 row_bytes=pruned.table.spec.row_bytes,
-                decode_batch=self._make_quantized_batch_decoder(pruned.table.spec),
-                cache_enabled=decision.cache_enabled,
+                cache_enabled=cache_enabled,
                 mapping=pruned.mapping,
                 mapping_fm_bytes=pruned.mapping_tensor_bytes,
             )
-            return state, pruned.table.data
-
-        if self.config.dequantize_at_load:
-            dequantized = dequantize_table(self.model.table(table_name)).table
-            state = _SMTable(
-                spec=spec,
-                stored_rows=spec.num_rows,
-                row_bytes=dequantized.row_bytes,
-                decode_batch=self._decode_float_batch,
-                cache_enabled=decision.cache_enabled,
-                dequantized=True,
-            )
-            return state, dequantized.data.view(np.uint8)
-
-        state = _SMTable(
-            spec=spec,
-            stored_rows=spec.num_rows,
-            row_bytes=spec.row_bytes,
-            decode_batch=self._make_quantized_batch_decoder(spec),
-            cache_enabled=decision.cache_enabled,
+        # Algorithm 2 stores a de-pruned table whole, its pruned rows zero
+        # and quantised like the rest; dequantise-at-load stores the rows of
+        # an unpruned table as float32.
+        row_bytes = spec.row_bytes
+        if pruned is None and self.config.dequantize_at_load:
+            row_bytes = dequantized_row_bytes(spec.dim)
+        return _SMTable(
+            spec=spec, stored_rows=spec.num_rows, row_bytes=row_bytes, cache_enabled=cache_enabled
         )
-        return state, self.model.table(table_name).data
-
-    @staticmethod
-    def _make_quantized_batch_decoder(
-        spec: EmbeddingTableSpec,
-    ) -> Callable[[np.ndarray], np.ndarray]:
-        dim, bits = spec.dim, spec.quant_bits
-
-        def decode_batch(rows: np.ndarray) -> np.ndarray:
-            return dequantize_rows(rows, dim, bits)
-
-        return decode_batch
-
-    @staticmethod
-    def _decode_float_batch(rows: np.ndarray) -> np.ndarray:
-        return np.ascontiguousarray(rows).view(np.float32)
-
-    def _fast_rows_matrix(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
-        """Row source for stored rows homed on the fast tier.
-
-        Only row-split tables route stored rows to tier 0 (tables homed
-        whole on the fast tier are served by :meth:`_serve_from_fm`), and
-        row splits exclude pruned/dequantised tables, so the stored bytes
-        are exactly the in-memory table rows.
-        """
-        state = self._sm_tables[table_name]
-        return _stored_rows(self.model.table(table_name).data, state.rank_order, stored_indices)
 
     def _load_sm_tables(self) -> None:
-        """Lay out and write every device-homed table segment onto its tier."""
+        """Lay out every device-homed table segment on its tier."""
         for table_name in self.placement.storage_tables():
             if table_name not in self.model.tables:
                 raise KeyError(
                     f"placement references table {table_name!r} that the model lacks"
                 )
             decision = self.placement.for_table(table_name)
-            state, source = self._sm_source_for(table_name)
+            state = self._sm_table_for(table_name)
             if decision.is_split or decision.rank_order is not None:
-                if table_name in self.pruned_tables or state.dequantized:
+                if table_name in self.pruned_tables or self.config.dequantize_at_load:
                     raise ValueError(
                         f"table {table_name!r}: row-split placement cannot be "
                         f"combined with pruned or dequantize-at-load tables"
@@ -343,7 +279,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     # mapping tensor (row id -> stored rank) lives in FM —
                     # exactly like the pruning mapping, and with the same
                     # per-lookup cost.
-                    state.rank_order = decision.rank_order
                     mapping = np.empty(state.stored_rows, dtype=np.int64)
                     mapping[decision.rank_order] = np.arange(
                         state.stored_rows, dtype=np.int64
@@ -360,14 +295,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 tier = self.tiers[segment.tier]
                 assert isinstance(tier, DeviceTier)
                 tier.add_segment(
-                    table_name,
-                    segment.start,
-                    segment.end,
-                    state.row_bytes,
-                    _stored_rows(
-                        source, state.rank_order, slice(segment.start, segment.end)
-                    ),
-                    whole_table=whole,
+                    table_name, segment.start, segment.end, state.row_bytes, whole_table=whole
                 )
 
     # ------------------------------------------------------------ accounting
@@ -463,13 +391,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         return counters
 
     # --------------------------------------------------------------- serving
-    def pooled_embeddings(
-        self,
-        requests: Mapping[str, Sequence[int]],
-        start_time: float,
-    ) -> Tuple[Dict[str, np.ndarray], float]:
+    def serve(self, requests: Mapping[str, Sequence[int]], start_time: float) -> float:
         """Serve a query's tables in request order, walking the row caches
-        once per run of tables.
+        once per run of tables; returns the completion time.
 
         A table is planned (:meth:`_plan_lookup`) while the tables ahead of
         it in its run are fill-free, so nothing its plan reads can change
@@ -480,7 +404,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         complete one by one, each with the timing, IO and spans it would
         have on its own.
         """
-        results: Dict[str, np.ndarray] = {}
+        if not requests:
+            return start_time
         run: List[_TableLookup] = []
         # The latest table completion: tables served one after another
         # (no inter-op parallelism) each start from it.
@@ -488,18 +413,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         for table_name, indices in requests.items():
             lookup = self._plan_lookup(table_name, np.asarray(indices, dtype=np.int64))
             if run and lookup.plan is not None and lookup.plan.promotes:
-                completion = self._serve_run(run, start_time, completion, results)
+                completion = self._serve_run(run, start_time, completion)
                 run = []
             run.append(lookup)
             if not lookup.fill_free:
-                completion = self._serve_run(run, start_time, completion, results)
+                completion = self._serve_run(run, start_time, completion)
                 run = []
         if run:
-            completion = self._serve_run(run, start_time, completion, results)
-        if not results:
-            return results, start_time
+            completion = self._serve_run(run, start_time, completion)
         self.stats.user_embedding_seconds += completion - start_time
-        return results, completion
+        return completion
 
     def on_query_complete(self) -> None:
         self.stats.queries += 1
@@ -527,8 +450,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
             lookup.pooled_probed = True
             self.stats.pooled_cache_lookups += 1
-            lookup.pooled = self.pooled_cache.probe_batch(table_name, indices)
-            if lookup.pooled is not None:
+            lookup.pooled_hit = self.pooled_cache.probe_batch(table_name, indices)
+            if lookup.pooled_hit:
                 self.stats.pooled_cache_hits += 1
                 return lookup
 
@@ -538,49 +461,38 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         stored = indices
         if state.mapping is not None:
             stored = state.mapping[indices]
-            lookup.valid = stored != PRUNED
-            stored = stored[lookup.valid]
+            stored = stored[stored != PRUNED]
             self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
         lookup.plan = self.chain.plan(
             table_name, stored, row_len=state.row_bytes, cache_enabled=state.cache_enabled
         )
         return lookup
 
-    def _serve_run(
-        self,
-        run: List[_TableLookup],
-        start_time: float,
-        completion: float,
-        results: Dict[str, np.ndarray],
-    ) -> float:
-        """Probe a run of planned tables, then complete them in order into
-        ``results``; returns the latest completion."""
+    def _serve_run(self, run: List[_TableLookup], start_time: float, completion: float) -> float:
+        """Probe a run of planned tables, then complete them in order;
+        returns the latest completion."""
         plans = [lookup.plan for lookup in run if lookup.plan is not None]
         if plans:
             self.chain.probe_run(plans)
         for lookup in run:
             table_start = start_time if self.config.inter_op_parallelism else completion
-            results[lookup.table_name], done = self._complete_lookup(lookup, table_start)
-            completion = max(completion, done)
+            completion = max(completion, self._complete_lookup(lookup, table_start))
         return completion
 
-    def _serve_from_fm(
-        self, table_name: str, indices: np.ndarray, start_time: float
-    ) -> Tuple[np.ndarray, float]:
+    def _serve_from_fm(self, table_name: str, indices: np.ndarray, start_time: float) -> float:
         table = self.model.table(table_name)
-        vector = table.bag(indices)
-        elapsed = self.compute.embedding_read_time(len(indices), table.spec.row_bytes)
+        table.check_indices(indices)
+        row_bytes = table.spec.row_bytes
+        elapsed = self.compute.embedding_read_time(len(indices), row_bytes)
         self.stats.fm_direct_lookups += len(indices)
         fast = self.tiers[0]
         fast.stats.rows_served += len(indices)
-        fast.stats.bytes_served += len(indices) * table.spec.row_bytes
-        return vector, start_time + elapsed
+        fast.stats.bytes_served += len(indices) * row_bytes
+        return start_time + elapsed
 
-    def _complete_lookup(
-        self, lookup: _TableLookup, start_time: float
-    ) -> Tuple[np.ndarray, float]:
-        """Serve one planned table from ``start_time``: its pooled vector
-        and completion time."""
+    def _complete_lookup(self, lookup: _TableLookup, start_time: float) -> float:
+        """Serve one planned table from ``start_time``; returns its
+        completion time."""
         table_name, indices, state = lookup.table_name, lookup.indices, lookup.state
         if state is None:
             return self._serve_from_fm(table_name, indices, start_time)
@@ -594,10 +506,10 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     "sdm",
                     cursor - POOLED_PROBE_SECONDS,
                     POOLED_PROBE_SECONDS,
-                    args={"table": table_name, "hit": lookup.pooled is not None},
+                    args={"table": table_name, "hit": lookup.pooled_hit},
                 )
-            if lookup.pooled is not None:
-                return lookup.pooled, cursor
+            if lookup.pooled_hit:
+                return cursor
         plan = lookup.plan
         assert plan is not None
         stored = plan.stored
@@ -637,17 +549,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             )
         cursor = outcome.completion_time
 
-        # Dequantise the whole fetched matrix in one call and pool in the
-        # original request order (a pruned row pools as zeros), so results
-        # are bit-identical to the in-memory reference path.
+        # Dequantising and pooling the fetched rows is charged by their bytes.
         fetched_bytes = int(stored.size) * state.row_bytes
-        if lookup.valid is None:
-            rows = state.decode_batch(outcome.rows)
-        else:
-            rows = np.zeros((len(indices), state.spec.dim), dtype=np.float32)
-            if stored.size:
-                rows[lookup.valid] = state.decode_batch(outcome.rows)
-        pooled = rows.sum(axis=0)
         dequant_seconds = fetched_bytes / self.compute.dequant_bytes_per_second
         if recorder.enabled and fetched_bytes:
             recorder.span(
@@ -657,5 +560,5 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         cursor += dequant_seconds
 
         if self.pooled_cache is not None:
-            self.pooled_cache.put_batch(table_name, indices, pooled)
-        return pooled, cursor
+            self.pooled_cache.put_batch(table_name, indices, state.spec.dim * FLOAT32_BYTES)
+        return cursor

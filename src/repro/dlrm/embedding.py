@@ -1,8 +1,11 @@
 """Embedding tables and pooled (embedding-bag) lookups.
 
 An :class:`EmbeddingTable` stores its rows in the row-wise quantised byte
-layout (the same bytes that would live on the SM tier), so a lookup returns
-real data whether it came from DRAM, the FM row cache, or a simulated SSD.
+layout; its spec's ``row_bytes`` is the size every tier below the model
+budgets, lays out and times a row by.  Only the values plane reads the
+bytes: :meth:`EmbeddingTable.bag` and :func:`pool_bags`, which
+:meth:`~repro.dlrm.inference.InferenceEngine.score` calls.  The serving
+stack (caches, tier chain, devices) carries row keys and sizes, not rows.
 """
 
 from __future__ import annotations
@@ -221,13 +224,13 @@ class EmbeddingTable:
         return cls.from_float(spec, values)
 
     # -------------------------------------------------------------- lookups
-    def _check_indices(self, indices: Sequence[int]) -> np.ndarray:
+    def check_indices(self, indices: Sequence[int]) -> np.ndarray:
         """``indices`` as a bounds-checked int64 vector.
 
-        The one check every lookup goes through (``bag``, ``lookup_raw`` and
-        :func:`pool_bags`), so nothing is coerced silently: floats would
-        truncate, booleans would read rows 0 and 1, and a nested list would
-        fail far from here.
+        The one check every lookup goes through (``bag``, ``lookup_raw``,
+        :func:`pool_bags` and the fast-memory backends' ``serve``), so
+        nothing is coerced silently: floats would truncate, booleans would
+        read rows 0 and 1, and a nested list would fail far from here.
         """
         if not isinstance(indices, (np.ndarray, list, tuple, range)):
             indices = list(indices)
@@ -256,12 +259,12 @@ class EmbeddingTable:
 
     def row_bytes_at(self, index: int) -> bytes:
         """Raw serialized bytes of one row (what the SM tier stores)."""
-        idx = self._check_indices([index])[0]
+        idx = self.check_indices([index])[0]
         return self.data[idx].tobytes()
 
     def lookup_raw(self, indices: Sequence[int]) -> np.ndarray:
         """Raw serialized bytes of several rows, shape ``(n, row_bytes)``."""
-        idx = self._check_indices(indices)
+        idx = self.check_indices(indices)
         return self.data[idx]
 
     def lookup_dense(self, indices: Sequence[int]) -> np.ndarray:
@@ -345,7 +348,7 @@ def pool_bags(
     group_dim: Dict[int, int] = {}  # quant_bits -> widest dim
     group_rows: Dict[int, List[np.ndarray]] = {}  # quant_bits -> buffer rows, per table
     for position, (table, bags) in enumerate(zip(tables, bags_per_table)):
-        flat = table._check_indices(bags.indices)
+        flat = table.check_indices(bags.indices)
         rows = destination[row_bounds[position] : row_bounds[position + 1]]
         buffer[rows, : table.spec.row_bytes] = table.data.take(flat, axis=0)
         bits = table.spec.quant_bits

@@ -4,8 +4,16 @@ The key structural property the paper exploits (section 2.2) is that user
 embeddings and item embeddings execute independently, and only the top MLP
 depends on both: as long as fetching the user embeddings from slow memory
 finishes no later than the item-side work, SM latency is hidden from the end
-to end query latency (Equation 3/4).  The engine models exactly that overlap
-and produces both the numerical scores and a latency breakdown.
+to end query latency (Equation 3/4).  The engine models exactly that overlap.
+
+Serving is split in two planes.  The timing plane carries keys, lengths and
+times: a backend's :meth:`EmbeddingBackend.serve` returns only when the
+lookups complete, and :meth:`InferenceEngine.run_query` only the latency
+breakdown.  Values come from one pure function,
+:meth:`InferenceEngine.score`, which pools the query's bags from the model
+and runs the MLPs; :attr:`QueryResult.scores` calls it the first time it is
+read.  No simulated metric depends on a value, so a run that never reads
+scores never computes one.
 
 Backends implement :class:`EmbeddingBackend`; the DRAM reference backend
 lives here and the SDM backend in :mod:`repro.core.sdm`.
@@ -14,13 +22,16 @@ lives here and the SDM backend in :mod:`repro.core.sdm`.
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.dlrm.embedding import Bags, EmbeddingTable, pool_bags
 from repro.dlrm.model import DLRMModel
+from repro.dlrm.pruning import PrunedEmbeddingTable
 from repro.sim.state import COUNTER, QUEUE, RUN_ROLES, reset
 
 
@@ -107,15 +118,25 @@ class Query:
 
 @dataclass
 class QueryResult:
-    """Scores plus latency breakdown for one query."""
+    """Latency breakdown for one query, and its scores on demand.
+
+    ``scores`` is computed by ``engine.score(query)`` the first time it is
+    read and kept from then on.
+    """
 
     query_id: int
-    scores: np.ndarray
     latency: float
     bottom_mlp_time: float
     user_embedding_time: float
     item_embedding_time: float
     top_mlp_time: float
+    query: Query = field(repr=False, compare=False)
+    engine: "InferenceEngine" = field(repr=False, compare=False)
+
+    @cached_property
+    def scores(self) -> np.ndarray:
+        """The ``(item_batch,)`` float32 scores of the query's candidates."""
+        return self.engine.score(self.query)
 
     @property
     def embedding_time(self) -> float:
@@ -132,10 +153,13 @@ def _batch_size(requests: Mapping[str, Bags]) -> int:
 
 
 class EmbeddingBackend(abc.ABC):
-    """Serves pooled embeddings for a set of tables.
+    """Serves embedding lookups for a set of tables: the timing plane.
 
     ``start_time`` and the returned completion time are simulated seconds;
     implementations decide whether lookups for different tables overlap.
+    A backend computes no values: :meth:`InferenceEngine.score` pools the
+    model's tables, through ``pruned_tables`` for the tables a backend
+    serves pruned (a pruned row pools as zero).
 
     The run state a backend and its parts declare (:mod:`repro.sim.state`)
     is reset by role with three verbs, each putting the as-built values
@@ -144,38 +168,28 @@ class EmbeddingBackend(abc.ABC):
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = {}
 
+    #: Tables this backend serves pruned, by name.
+    pruned_tables: Mapping[str, PrunedEmbeddingTable] = MappingProxyType({})
+
     @abc.abstractmethod
-    def pooled_embeddings(
-        self,
-        requests: Mapping[str, Sequence[int]],
-        start_time: float,
-    ) -> Tuple[Dict[str, np.ndarray], float]:
-        """Return ({table: pooled vector}, completion_time) for one sample."""
+    def serve(self, requests: Mapping[str, Sequence[int]], start_time: float) -> float:
+        """Serve one sample's lookups, ``{table: indices}``; returns the
+        completion time."""
 
-    def pooled_embeddings_batch(
-        self,
-        requests: Mapping[str, Bags],
-        start_time: float,
-    ) -> Tuple[Dict[str, np.ndarray], float]:
-        """Return ({table: (B, dim) pooled matrix}, completion_time) for B samples.
+    def serve_batch(self, requests: Mapping[str, Bags], start_time: float) -> float:
+        """Serve B samples' lookups back to back; returns the completion time.
 
-        ``requests`` maps each table to its bags, one per sample; the
-        samples are served back to back, sample ``b + 1`` starting when
-        sample ``b`` completes.  This per-sample loop defines the result;
-        an override must reproduce its vectors and completion time exactly.
+        ``requests`` maps each table to its bags, one per sample; sample
+        ``b + 1`` starts when sample ``b`` completes.  This per-sample loop
+        defines the result; an override must reproduce its completion time
+        exactly.
         """
-        per_sample: List[Dict[str, np.ndarray]] = []
         cursor = start_time
         for position in range(_batch_size(requests)):
-            pooled, cursor = self.pooled_embeddings(
+            cursor = self.serve(
                 {table_name: bags[position] for table_name, bags in requests.items()}, cursor
             )
-            per_sample.append(pooled)
-        stacked = {
-            table_name: np.stack([pooled[table_name] for pooled in per_sample])
-            for table_name in requests
-        }
-        return stacked, cursor
+        return cursor
 
     def on_query_complete(self) -> None:
         """Hook called once per query (used for per-query statistics)."""
@@ -206,46 +220,41 @@ class InMemoryBackend(EmbeddingBackend):
         self.tables = dict(tables)
         self.compute = compute
 
-    def pooled_embeddings(
-        self,
-        requests: Mapping[str, Sequence[int]],
-        start_time: float,
-    ) -> Tuple[Dict[str, np.ndarray], float]:
-        pooled: Dict[str, np.ndarray] = {}
+    def _checked_row_bytes(self, table_name: str, indices: Sequence[int]) -> int:
+        """The row size of a table whose rows ``indices`` are looked up,
+        once they are checked (:meth:`EmbeddingTable.check_indices`)."""
+        if table_name not in self.tables:
+            raise KeyError(f"backend has no table {table_name!r}")
+        table = self.tables[table_name]
+        table.check_indices(indices)
+        return table.spec.row_bytes
+
+    def serve(self, requests: Mapping[str, Sequence[int]], start_time: float) -> float:
         elapsed = 0.0
         for table_name, indices in requests.items():
-            if table_name not in self.tables:
-                raise KeyError(f"backend has no table {table_name!r}")
-            table = self.tables[table_name]
-            pooled[table_name] = table.bag(indices)
-            elapsed += self.compute.embedding_read_time(len(indices), table.spec.row_bytes)
-        return pooled, start_time + elapsed
+            row_bytes = self._checked_row_bytes(table_name, indices)
+            elapsed += self.compute.embedding_read_time(len(indices), row_bytes)
+        return start_time + elapsed
 
-    def pooled_embeddings_batch(
-        self,
-        requests: Mapping[str, Bags],
-        start_time: float,
-    ) -> Tuple[Dict[str, np.ndarray], float]:
+    def serve_batch(self, requests: Mapping[str, Bags], start_time: float) -> float:
         batch = _batch_size(requests)
         if not requests:
-            return {}, float(start_time)
-        tables: List[EmbeddingTable] = []
-        for table_name in requests:
-            if table_name not in self.tables:
-                raise KeyError(f"backend has no table {table_name!r}")
-            tables.append(self.tables[table_name])
-        pooled, lengths = pool_bags(tables, list(requests.values()))
+            return float(start_time)
+        row_bytes = [
+            [self._checked_row_bytes(table_name, bags.indices)]
+            for table_name, bags in requests.items()
+        ]
+        lengths = np.concatenate([bags.lengths for bags in requests.values()])
         # One (tables, B) matrix of read times, summed table by table in the
         # order the per-sample loop adds them.
         read_times = self.compute.embedding_read_time(
-            lengths.reshape(len(tables), batch),
-            np.array([[table.spec.row_bytes] for table in tables]),
+            lengths.reshape(len(requests), batch), np.array(row_bytes)
         )
         elapsed = np.add.accumulate(read_times, axis=0)[-1]
         # Sample b + 1 starts when sample b completes: replay that chain of
         # float additions left to right so the completion time is bit-equal.
         cursor = np.add.accumulate(np.concatenate(([start_time], elapsed)))[-1]
-        return dict(zip(requests, pooled)), float(cursor)
+        return float(cursor)
 
 
 class InferenceEngine:
@@ -268,7 +277,8 @@ class InferenceEngine:
         )
 
     def run_query(self, query: Query, start_time: float = 0.0) -> QueryResult:
-        """Execute one query and return scores plus the latency breakdown."""
+        """Execute one query and return its latency breakdown; its scores
+        are computed when read (:attr:`QueryResult.scores`)."""
         item_batch = query.item_batch
         if item_batch == 0:
             raise ValueError(f"query {query.query_id} has no candidate items")
@@ -278,16 +288,12 @@ class InferenceEngine:
 
         # User-side embeddings: fetched once, broadcast to every item.  These
         # are the tables the SDM backend may serve from slow memory.
-        user_pooled, user_done = self.user_backend.pooled_embeddings(
-            query.user_indices, start_time + bottom_time
-        )
+        user_done = self.user_backend.serve(query.user_indices, start_time + bottom_time)
         user_time = user_done - (start_time + bottom_time)
 
         # Item-side embeddings: one lookup set per candidate item, served back
         # to back in one batched call, independently of the user side.
-        item_pooled, item_done = self.item_backend.pooled_embeddings_batch(
-            query.item_indices, start_time + bottom_time
-        )
+        item_done = self.item_backend.serve_batch(query.item_indices, start_time + bottom_time)
         item_time = item_done - (start_time + bottom_time)
 
         # Top MLP: depends on both sides, so it starts when the slower side
@@ -296,19 +302,46 @@ class InferenceEngine:
         top_flops = self.model.top_mlp.flops_per_sample() * item_batch
         top_time = self.compute.mlp_time(top_flops)
 
-        scores = self.model.score_batch(query.dense_features, user_pooled, item_pooled)
-
         latency = bottom_time + embedding_time + top_time
         self.user_backend.on_query_complete()
         return QueryResult(
             query_id=query.query_id,
-            scores=scores,
             latency=latency,
             bottom_mlp_time=bottom_time,
             user_embedding_time=user_time,
             item_embedding_time=item_time,
             top_mlp_time=top_time,
+            query=query,
+            engine=self,
         )
+
+    def score(self, query: Query) -> np.ndarray:
+        """The query's ``(item_batch,)`` float32 scores: the values plane.
+
+        A pure function of the model, the user backend's pruned tables and
+        the query.  Each user table pools its indices with ``bag`` — through
+        the backend's pruned table where it has one, so a pruned row pools
+        as zero — and the item tables pool every candidate's bags with
+        :func:`~repro.dlrm.embedding.pool_bags`.  Every value transform a
+        backend applies beyond pruning (de-pruning, dequantise-at-load)
+        leaves the pooled values unchanged.
+        """
+        item_tables = [self.model.table(table_name) for table_name in query.item_indices]
+        item_pooled, _ = pool_bags(item_tables, list(query.item_indices.values()))
+        return self.model.score_batch(
+            query.dense_features,
+            self.user_pooled(query.user_indices),
+            dict(zip(query.item_indices, item_pooled)),
+        )
+
+    def user_pooled(self, user_indices: Mapping[str, Sequence[int]]) -> Dict[str, np.ndarray]:
+        """The pooled vector of every user table: ``bag`` over its indices,
+        through the user backend's pruned table where it has one."""
+        pruned = self.user_backend.pruned_tables
+        return {
+            table_name: (pruned.get(table_name) or self.model.table(table_name)).bag(indices)
+            for table_name, indices in user_indices.items()
+        }
 
     def run_queries(self, queries: Sequence[Query], start_time: float = 0.0) -> List[QueryResult]:
         """Run queries back-to-back (closed loop), advancing simulated time."""

@@ -16,9 +16,12 @@ from repro.dlrm.mlp import MLP
 class DLRMModel:
     """A materialised DLRM.
 
-    The model owns its embedding tables in fast memory; the SDM layer serves
-    *the same bytes* from the slow tier, which is what lets tests assert that
-    tiered serving produces numerically identical results.
+    The model owns its embedding tables and MLP weights, and every value a
+    query's scores are computed from
+    (:meth:`~repro.dlrm.inference.InferenceEngine.score`).  Backends that
+    place the tables in tiers (SDM) model the time and traffic of serving
+    them and carry no values, so tiered and DRAM-only serving score the
+    same by construction.
     """
 
     name: str

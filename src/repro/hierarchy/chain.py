@@ -6,7 +6,7 @@ that says where every stored row lives.  Serving one row homed on tier ``k``:
 
 1. probe the row caches of tiers ``0 .. k-1`` in order (each probe costs host
    CPU time),
-2. on a full miss, read the row from tier ``k`` — fast-memory bytes for rows
+2. on a full miss, read the row from tier ``k`` — a fast-memory read for rows
    homed on tier 0, a device IO otherwise,
 3. promote the row into upper-tier caches according to the configurable
    promotion policy (``all`` — every cache above the home tier; ``top`` —
@@ -25,7 +25,10 @@ The walk is split in three so that the requests of one query can share it:
   requests, leaving the recency order and counters the requests' own walks
   would have left one after another;
 * :meth:`TierChain.fetch_batch` completes one probed plan, in request order:
-  the walk's time, the tier-0 gather, the misses' IO and the fills.
+  the walk's time, the tier-0 reads, the misses' IO and the fills.
+
+The chain moves keys and times only: which rows hit where, what they cost
+and when they complete.  No row bytes travel through it.
 
 A plan stays valid while no row enters or leaves a cache, so a run may
 collect requests for as long as each one is :attr:`FetchPlan.fill_free`;
@@ -41,7 +44,12 @@ import numpy as np
 
 from repro.cache.unified import UnifiedRowCache
 from repro.hierarchy.placement import TieredPlacement
-from repro.hierarchy.tier import PROMOTION_POLICIES, MemoryTier, first_occurrence_groups
+from repro.hierarchy.tier import (
+    PROMOTION_POLICIES,
+    DeviceTier,
+    MemoryTier,
+    first_occurrence_groups,
+)
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.clock import charge_repeatedly
 from repro.sim.state import OBSERVER
@@ -57,13 +65,8 @@ CacheProbe = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 
 @dataclass
 class BatchFetchOutcome:
-    """Result of fetching one batch of stored rows through the chain.
+    """Result of fetching one batch of stored rows through the chain."""
 
-    ``rows`` stacks the payloads as one uint8 matrix, row ``i`` being the
-    ``i``-th stored row asked for.
-    """
-
-    rows: np.ndarray
     completion_time: float
     device_reads: int = 0
     cache_hits: int = 0
@@ -92,8 +95,6 @@ class FetchPlan:
     unserved: np.ndarray
     #: Cache probes the walk makes, one per row and cache it reaches.
     num_probes: int
-    #: The payloads: the probe writes the cache hits, completion the rest.
-    rows: np.ndarray
     #: Some row hits in a cache below a promotion target, so the probe
     #: fills a faster cache mid-walk: the request is probed alone, under
     #: the promotion certificate.
@@ -101,15 +102,6 @@ class FetchPlan:
     #: Completing the request changes nothing a later plan reads: it fills
     #: no row into a cache, promotes none, and probes batchable caches only.
     fill_free: bool
-
-
-def _place_hits(
-    rows: np.ndarray, positions: Optional[np.ndarray], slots: np.ndarray, hits: np.ndarray
-) -> None:
-    """Write one probed cache's hit payloads into the rows matrix."""
-    if hits.shape[0]:
-        contained = slots >= 0
-        rows[contained if positions is None else positions[contained]] = hits
 
 
 class TierChain:
@@ -227,7 +219,6 @@ class TierChain:
             found=found,
             unserved=unserved,
             num_probes=num_probes,
-            rows=np.empty((count, row_len), dtype=np.uint8),
             promotes=promotes,
             fill_free=batchable and not (promotes or fills),
         )
@@ -281,8 +272,7 @@ class TierChain:
         """Probe every cache once for a run of planned requests.
 
         A cache sees the run's rows request by request, in order — the
-        touches and counters each request's own probe would leave — and
-        every hit's payload lands in its request's rows matrix.  The run is
+        touches and counters each request's own probe would leave.  The run is
         exact because each request but the last is
         :attr:`~FetchPlan.fill_free`: completing them in order between this
         probe and the next changes nothing a later plan of the run read.
@@ -300,19 +290,13 @@ class TierChain:
             plan.unserved = np.nonzero(plan.found < 0)[0]
             return
         for tier_index in self._cached_tiers:
-            probed = [plan for plan in plans if tier_index in plan.probes]
-            if not probed:
-                continue
             batches = [
                 (plan.table_name, plan.probes[tier_index][1], plan.probes[tier_index][2], plan.row_len)
-                for plan in probed
+                for plan in plans
+                if tier_index in plan.probes
             ]
-            for plan, hits in zip(probed, self.tiers[tier_index].probe_cache_run(batches)):
-                if hits.shape[0] == plan.rows.shape[0]:
-                    plan.rows = hits  # every row hit here: the payloads are the matrix
-                else:
-                    positions, _, slots = plan.probes[tier_index]
-                    _place_hits(plan.rows, positions, slots, hits)
+            if batches:
+                self.tiers[tier_index].probe_cache_run(batches)
 
     def _walk_range(
         self,
@@ -338,9 +322,8 @@ class TierChain:
         certificate, because probe-then-fill of one row *is* the per-row
         sequence.
 
-        Writes the range's hit payloads into ``plan.rows``, the cache that
-        served each row into ``plan.found`` and its probes into
-        ``plan.num_probes``.
+        Writes the cache that served each row into ``plan.found`` and the
+        range's probes into ``plan.num_probes``.
         """
         keys, homes = plan.stored[lo:hi], plan.home_tiers[lo:hi]
         probes, found = (
@@ -368,11 +351,8 @@ class TierChain:
                 self._walk_range(plan, mid, hi)
                 return
 
-        # Mutating probes, one per cached tier.  Caches are independent, so
-        # the slowest goes first: its hits are the payloads promoted into
-        # the faster ones.
-        payloads = plan.rows[lo:hi]
-        for tier_index in reversed(self._cached_tiers):
+        # Mutating probes, one per cached tier (the caches are independent).
+        for tier_index in self._cached_tiers:
             probe = probes.get(tier_index)
             if probe is None:
                 continue
@@ -381,14 +361,11 @@ class TierChain:
             tier = self.tiers[tier_index]
             promoted = promoted_into.get(tier_index)
             if promoted is None:
-                (hits,) = tier.probe_cache_run([batch])
+                tier.probe_cache_run([batch])
             else:
-                hits = tier.probe_cache_and_promote(
-                    batch,
-                    promoted if positions is None else promoted[positions],
-                    payloads[promoted],
+                tier.probe_cache_and_promote(
+                    batch, promoted if positions is None else promoted[positions]
                 )
-            _place_hits(payloads, positions, slots, hits)
             plan.num_probes += int(probed_keys.size)
         plan.found[lo:hi] = found
 
@@ -416,8 +393,8 @@ class TierChain:
         ``plan`` is the request's plan when a run probe
         (:meth:`probe_run`) already walked the caches for it; without one
         the request is planned and probed here, as a run of one.  Either
-        way this completes it: tier-0 payloads are one matrix gather, each
-        device tier gets one grouped ``read_rows_batch``, and time is
+        way this completes it: each device tier gets one grouped
+        ``read_rows_batch``, and time is
         charged as a per-row walk would charge it — per row, one probe
         increment per cache probed, then the hit's or fast read's
         increment, summed with ``np.add.accumulate``, whose left-to-right
@@ -427,11 +404,11 @@ class TierChain:
             plan = self.plan(table_name, stored, row_len=row_len, cache_enabled=cache_enabled)
             self.probe_run([plan])
         table_name, row_len = plan.table_name, plan.row_len
-        stored, home_tiers, found, rows_out = plan.stored, plan.home_tiers, plan.found, plan.rows
+        stored, home_tiers, found = plan.stored, plan.home_tiers, plan.found
         count = int(stored.size)
 
-        # Rows no cache served: tier-0-homed ones are one matrix gather from
-        # the in-memory tables, the rest are misses.
+        # Rows no cache served: tier-0-homed ones are fast-memory reads, the
+        # rest are misses.
         unserved = plan.unserved
         fast_rows = misses = unserved
         if unserved.size:
@@ -441,7 +418,6 @@ class TierChain:
         num_fast = int(fast_rows.size)
         if num_fast:
             fast = self.tiers[0]
-            rows_out[fast_rows] = fast.read_rows_batch(table_name, stored[fast_rows], start_time)[0]
             fast.stats.rows_served += num_fast
             fast.stats.bytes_served += num_fast * row_len
 
@@ -480,10 +456,10 @@ class TierChain:
             cursor = float(np.add.accumulate(chain)[-1])
 
         cache_hits = count - int(unserved.size)
-        outcome = BatchFetchOutcome(rows=rows_out, completion_time=start_time, cache_hits=cache_hits)
+        outcome = BatchFetchOutcome(completion_time=start_time, cache_hits=cache_hits)
         recorder = self.recorder
         if recorder.enabled and cursor > start_time:
-            # The serial host walk: cache probes, hit copies, fast-tier reads.
+            # The serial host walk: cache probes, cache hits, fast-tier reads.
             recorder.span(
                 "walk",
                 "chain",
@@ -504,14 +480,14 @@ class TierChain:
         io_done = cursor
         for tier_index, rows_at in first_occurrence_groups(home_tiers, misses):
             tier = self.tiers[tier_index]
+            assert isinstance(tier, DeviceTier)
             targets = self._promotion_targets(tier_index) if plan.cache_enabled else []
             num_reads = int(rows_at.size)
             miss_stored = stored[rows_at]
-            matrix, completions = tier.read_rows_batch(table_name, miss_stored, cursor)
-            rows_out[rows_at] = matrix
+            completions = tier.read_rows_batch(table_name, miss_stored, cursor)
             group_done = max(cursor, float(completions.max()))
             for target in targets:
-                self.tiers[target].fill_cache_batch(table_name, miss_stored, matrix)
+                self.tiers[target].fill_cache_batch(table_name, miss_stored, row_len)
             outcome.device_reads += num_reads
             outcome.reads_by_tier[tier_index] = num_reads
             io_done = max(io_done, group_done)

@@ -14,7 +14,7 @@ promotes tiers to pluggable objects:
   and latency/bandwidth accounting, an optional per-tier row cache, and
   cumulative :class:`TierStats`.
 * :class:`FastTier` / :class:`DeviceTier` — the two concrete kinds: byte-
-  addressable fast memory (rows served straight from the in-memory model) and
+  addressable fast memory (rows read at fast-memory cost) and
   device-backed tiers (a :class:`~repro.storage.block_layout.BlockLayout`
   over :class:`~repro.storage.device.SimulatedDevice` instances behind an
   io_uring-style engine).
@@ -25,7 +25,6 @@ An ordered list of tiers — fastest first — is what
 
 from __future__ import annotations
 
-import abc
 from dataclasses import dataclass
 from typing import (
     Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
@@ -36,7 +35,7 @@ import numpy as np
 from repro.cache.soa import ResolvedBatch
 from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
 from repro.sim.state import COUNTER, Counters
-from repro.sim.units import BLOCK_SIZE, parse_size
+from repro.sim.units import parse_size
 from repro.storage.access import AccessPath, DirectIOReader, MmapReader
 from repro.storage.block_layout import BlockLayout
 from repro.storage.device import DeviceStats, SimulatedDevice
@@ -305,7 +304,7 @@ class TierStats(Counters):
         return self.cache_hits / self.cache_probes
 
 
-class MemoryTier(abc.ABC):
+class MemoryTier:
     """Runtime protocol of one tier in the hierarchy.
 
     A tier owns its capacity/latency model, an optional per-tier row cache
@@ -323,65 +322,48 @@ class MemoryTier(abc.ABC):
     def is_fast(self) -> bool:
         return self.spec.is_fast
 
-    @abc.abstractmethod
-    def read_rows_batch(
-        self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Read rows homed on this tier, all issued at ``start_time``:
-        ``(rows_matrix, completion_times)`` in input order."""
-
-    def probe_cache_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
+    def probe_cache_run(self, batches: Sequence[ResolvedBatch]) -> None:
         """Probe this tier's row cache for a run of resolved batches, one
         probe per stored row in order (:meth:`UnifiedRowCache.probe_run`);
-        counts towards the tier's stats.  Returns each batch's hit rows
-        stacked as a ``(num_hits, row_len)`` uint8 matrix in input order."""
+        counts towards the tier's stats.  The batches' slots already say
+        which rows hit."""
         assert self.cache is not None
-        values = self.cache.probe_run(batches)
+        hit_masks = self.cache.probe_run(batches)
         stats = self.stats
-        for rows, (_, stored, _, row_len) in zip(values, batches):
-            hits = int(rows.shape[0])
+        for hit_mask, (_, stored, _, row_len) in zip(hit_masks, batches):
+            hits = int(np.count_nonzero(hit_mask))
             stats.cache_probes += int(stored.size)
             stats.cache_hits += hits
             stats.rows_served += hits
             stats.bytes_served += hits * row_len
-        return values
 
-    def probe_cache_and_promote(
-        self,
-        batch: ResolvedBatch,
-        promote_mask: np.ndarray,
-        promote_values: np.ndarray,
-    ) -> np.ndarray:
+    def probe_cache_and_promote(self, batch: ResolvedBatch, promote_mask: np.ndarray) -> None:
         """:meth:`probe_cache_run` for one batch whose rows marked in
-        ``promote_mask`` are additionally filled with the rows of
-        ``promote_values`` right after their probe — the promotion of a row
-        found in a slower cache, interleaved where the walk performs it.
-        The chain passes more than one row only when
+        ``promote_mask`` are additionally filled right after their probe —
+        the promotion of a row found in a slower cache, interleaved where
+        the walk performs it.  The chain passes more than one row only when
         :meth:`UnifiedRowCache.promotion_hazard` cleared them; fills the
         cache rejects do not count as promoted."""
         assert self.cache is not None
         table_name, stored, slots, row_len = batch
-        values, admitted = self.cache.probe_and_promote(
-            table_name, stored, slots, row_len, promote_mask, promote_values
+        hit_mask, admitted = self.cache.probe_and_promote(
+            table_name, stored, slots, row_len, promote_mask
         )
-        num_hits = int(values.shape[0])
+        num_hits = int(np.count_nonzero(hit_mask))
         self.stats.cache_probes += int(stored.size)
         self.stats.cache_hits += num_hits
         self.stats.rows_served += num_hits
         self.stats.bytes_served += num_hits * row_len
         self.stats.promoted_rows += admitted
-        return values
 
-    def fill_cache_batch(
-        self, table_name: str, stored_indices: np.ndarray, values: np.ndarray
-    ) -> int:
-        """Insert rows read from a slower tier into this tier's cache, one
-        insert per matrix row, in order.  Returns the number of admitted
-        rows, which is what ``promoted_rows`` counts."""
+    def fill_cache_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
+        """Insert ``row_len``-byte rows read from a slower tier into this
+        tier's cache, one insert per row, in order.  Returns the number of
+        admitted rows, which is what ``promoted_rows`` counts."""
         if self.cache is None:
             return 0
         admitted = self.cache.fill_batch(
-            table_name, np.asarray(stored_indices, dtype=np.int64), values
+            table_name, np.asarray(stored_indices, dtype=np.int64), row_len
         )
         self.stats.promoted_rows += admitted
         return admitted
@@ -409,38 +391,17 @@ class MemoryTier(abc.ABC):
 class FastTier(MemoryTier):
     """Tier 0: byte-addressable fast memory.
 
-    Rows homed here are served straight from the in-memory model at fast-
-    memory cost; the tier's cache is the unified row cache fronting every
-    slower tier (the paper's FM row cache).
+    Rows homed here are read at fast-memory cost, which the chain charges;
+    the tier's cache is the unified row cache fronting every slower tier
+    (the paper's FM row cache).
     """
 
-    def __init__(
-        self,
-        spec: TierSpec,
-        cache: Optional[UnifiedRowCache] = None,
-        row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
-    ) -> None:
+    def __init__(self, spec: TierSpec, cache: Optional[UnifiedRowCache] = None) -> None:
         if not spec.is_fast:
             raise ValueError(f"FastTier needs a dram spec, got {spec.technology.value!r}")
         self.spec = spec
         self.cache = cache
         self.stats = TierStats()
-        #: ``(table_name, stored_indices) -> (n, row_bytes)`` uint8 matrix.
-        self._row_source = row_source
-
-    def read_rows_batch(
-        self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Serve tier-0-homed rows straight from the in-memory table arrays:
-        one advanced-indexing gather, available at ``start_time``.
-
-        Side-effect free; the chain charges the fast-memory time and does
-        the stats accounting.
-        """
-        if self._row_source is None:
-            raise RuntimeError("FastTier has no row source; rows cannot be homed on it")
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        return self._row_source(table_name, stored), np.full(stored.size, start_time)
 
     def fm_footprint_bytes(self) -> int:
         return self.cache.capacity_bytes if self.cache is not None else 0
@@ -530,20 +491,17 @@ class DeviceTier(MemoryTier):
         start: int,
         end: int,
         row_bytes: int,
-        rows: np.ndarray,
         whole_table: bool = False,
     ) -> None:
-        """Allocate and write stored rows ``[start, end)`` of a table.
+        """Allocate stored rows ``[start, end)`` of a table, ``row_bytes``
+        each, and count their load on the extent's device.
 
-        ``rows`` holds the segment's serialized rows as one ``(end - start,
-        row_bytes)`` uint8 matrix, row ``i`` being stored row ``start + i``;
-        anything else is rejected, since a short or long row would silently
-        shift every row behind it.  Rows are packed ``rows_per_block`` to a
-        block (the block's tail and the last block's unused slots stay zero)
-        and written with one :meth:`SimulatedDevice.write_blocks` call.
-        Whole-table segments keep the bare table name as layout key, which
-        is also the key of the per-table outstanding-IO limits.
-        Segments of one table must not overlap.
+        Rows are laid out ``rows_per_block`` to a block
+        (:class:`~repro.storage.block_layout.BlockLayout`), and the load is
+        one whole-block write per block of the extent
+        (:meth:`SimulatedDevice.load`).  Whole-table segments keep the bare
+        table name as layout key, which is also the key of the per-table
+        outstanding-IO limits.  Segments of one table must not overlap.
         """
         if end <= start:
             raise ValueError(f"segment [{start}, {end}) of {table_name!r} is empty")
@@ -552,30 +510,13 @@ class DeviceTier(MemoryTier):
         homed.sort(key=lambda segment: segment.start)
         if any(below.end > above.start for below, above in zip(homed, homed[1:])):
             raise ValueError(f"segment [{start}, {end}) of {table_name!r} overlaps another")
-        rows = np.asarray(rows)
-        if rows.shape != (end - start, row_bytes) or rows.dtype != np.uint8:
-            raise ValueError(
-                f"segment [{start}, {end}) of {table_name!r} needs a uint8 row matrix "
-                f"of shape {(end - start, row_bytes)}, got {rows.dtype} {rows.shape}"
-            )
         extent = self.layout.add_table(key, end - start, row_bytes)
         self._segments[table_name] = homed
         self._segment_bounds[table_name] = (
             np.append(np.array([segment.start for segment in homed], dtype=np.int64), _ROW_LIMIT),
             np.append(np.array([segment.end for segment in homed], dtype=np.int64), _ROW_LIMIT),
         )
-        rows_per_block = extent.rows_per_block
-        blocks = np.zeros((extent.num_blocks, BLOCK_SIZE), dtype=np.uint8)
-        # (block, slot, byte) view of the blocks' row area.
-        slots = blocks[:, : rows_per_block * row_bytes].reshape(
-            extent.num_blocks, rows_per_block, row_bytes
-        )
-        full_blocks, tail_rows = divmod(end - start, rows_per_block)
-        packed = full_blocks * rows_per_block
-        slots[:full_blocks] = rows[:packed].reshape(full_blocks, rows_per_block, row_bytes)
-        if tail_rows:
-            slots[full_blocks, :tail_rows] = rows[packed:]
-        self.devices[extent.device_index].write_blocks(extent.first_lba, blocks)
+        self.devices[extent.device_index].load(extent.first_lba, extent.num_blocks)
 
     def has_table(self, table_name: str) -> bool:
         return table_name in self._segments
@@ -583,8 +524,9 @@ class DeviceTier(MemoryTier):
     # -------------------------------------------------------------- serving
     def read_rows_batch(
         self, table_name: str, stored_indices: np.ndarray, start_time: float
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Read rows from this tier's devices through its access path.
+    ) -> np.ndarray:
+        """Read rows from this tier's devices through its access path: each
+        row's completion time, in input order.
 
         A batch inside one segment (layout key) -- every batch of a table
         homed whole -- passes straight through; otherwise the rows are
@@ -607,22 +549,20 @@ class DeviceTier(MemoryTier):
         row_len = self.layout.extent(segments[0].key).row_bytes
         if count and int(segment_of.min()) == int(segment_of.max()):
             segment = segments[int(segment_of[0])]
-            result = self.access_path.read_rows_batch(segment.key, stored - segment.start, start_time)
-            matrix, completions = result.rows, result.completion_times
+            completions = self.access_path.read_rows_batch(
+                segment.key, stored - segment.start, start_time
+            )
         else:
-            matrix = np.empty((count, row_len), dtype=np.uint8)
             completions = np.empty(count, dtype=np.float64)
             for index, members in first_occurrence_groups(segment_of, np.arange(count)):
                 segment = segments[index]
-                result = self.access_path.read_rows_batch(
+                completions[members] = self.access_path.read_rows_batch(
                     segment.key, stored[members] - segment.start, start_time
                 )
-                matrix[members] = result.rows
-                completions[members] = result.completion_times
         self.stats.ios += count
         self.stats.rows_served += count
         self.stats.bytes_served += count * row_len
-        return matrix, completions
+        return completions
 
     def cache_hit_seconds(self, num_bytes: int) -> float:
         # A row cached in this tier's memory still crosses the tier's media:
@@ -662,7 +602,6 @@ def build_tiers(
     device_cache_config: Callable[[TierSpec], Optional[UnifiedCacheConfig]] = lambda spec: None,
     use_mmap: bool = False,
     seed: int = 0,
-    fast_row_source: Optional[Callable[[str, np.ndarray], np.ndarray]] = None,
 ) -> List[MemoryTier]:
     """Materialise runtime tiers from an ordered spec list (fastest first).
 
@@ -674,7 +613,7 @@ def build_tiers(
     device_seed_offset = 0
     for spec in specs:
         if spec.is_fast:
-            tiers.append(FastTier(spec, cache=fast_cache, row_source=fast_row_source))
+            tiers.append(FastTier(spec, cache=fast_cache))
             continue
         tiers.append(
             DeviceTier(

@@ -29,7 +29,6 @@ from repro.storage.io_engine import (
 )
 from repro.storage.access import (
     AccessPath,
-    BatchReadResult,
     DirectIOReader,
     MmapReader,
 )
@@ -58,7 +57,6 @@ __all__ = [
     "IOMode",
     "IORequestBatch",
     "AccessPath",
-    "BatchReadResult",
     "DirectIOReader",
     "MmapReader",
     "EnduranceModel",

@@ -6,15 +6,14 @@ locality, mmap wastes fast-memory space on full 4 KiB pages and is roughly 3x
 slower per access (section 4.1).  Both paths are modelled here so the
 comparison can be reproduced.
 
-Either path resolves a table's rows to one extent on one device, so it
-submits one-device batches to the IO engine and gathers the payloads from
-that device's block store (:meth:`SimulatedDevice.read_rows_ndarray`).
+Either path resolves a table's rows to one extent on one device and
+submits one-device batches to the IO engine.  A read yields each row's
+completion time; no row bytes are moved.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
 from typing import ClassVar, Dict, Mapping, Tuple
 
 import numpy as np
@@ -25,26 +24,15 @@ from repro.storage.block_layout import BlockLayout
 from repro.storage.io_engine import IOEngine, IORequestBatch
 
 
-@dataclass
-class BatchReadResult:
-    """Outcome of reading a batch of rows of one table.
-
-    ``rows`` stacks the payloads as one ``(n, row_bytes)`` uint8 matrix in
-    request order; ``completion_times`` is the per-row completion array.
-    """
-
-    rows: np.ndarray
-    completion_times: np.ndarray
-
-
 class AccessPath(abc.ABC):
     """Interface shared by the DIRECT-IO and mmap read paths."""
 
     @abc.abstractmethod
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> BatchReadResult:
-        """Read a batch of rows of one table, all issued at ``start_time``."""
+    ) -> np.ndarray:
+        """Read a batch of rows of one table, all issued at ``start_time``:
+        the float64 completion time of every row, in request order."""
 
     @abc.abstractmethod
     def fm_footprint_bytes(self) -> int:
@@ -64,21 +52,18 @@ class DirectIOReader(AccessPath):
 
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> BatchReadResult:
-        """Whole-batch DIRECT-IO read: locate, submit and gather as arrays.
+    ) -> np.ndarray:
+        """Whole-batch DIRECT-IO read: locate and submit as arrays.
 
         One :meth:`IOEngine.submit_row_reads_batch` call carries the batch
         through queue-depth gating and device scheduling on the extent's
-        device; the payload gather is one indexed read from that device's
-        block store.
+        device.
         """
         rows = np.asarray(row_indices, dtype=np.int64)
         locations = self.layout.locate_batch(table_name, rows)
         batch = IORequestBatch.from_locations(table_name, locations)
         self.engine.submit_row_reads_batch(batch, start_time)
-        device = self.engine.devices[locations.device_index]
-        data = device.read_rows_ndarray(locations.lba, locations.offset, locations.length)
-        return BatchReadResult(rows=data, completion_times=batch.completion_time)
+        return batch.completion_time
 
     def fm_footprint_bytes(self) -> int:
         return 0
@@ -128,7 +113,7 @@ class MmapReader(AccessPath):
 
     def read_rows_batch(
         self, table_name: str, row_indices: np.ndarray, start_time: float
-    ) -> BatchReadResult:
+    ) -> np.ndarray:
         """Page-cache walk in request order, one device IO per page fault.
 
         The walk is serial because the dependency is real: a fault maps the
@@ -164,10 +149,7 @@ class MmapReader(AccessPath):
                 self._fault_times.pop(evicted, None)
             self._pages[page_key] = None
             self._fault_times[page_key] = completions[position] = start_time + latency
-        data = self.engine.devices[device_index].read_rows_ndarray(
-            locations.lba, locations.offset, locations.length
-        )
-        return BatchReadResult(rows=data, completion_times=completions)
+        return completions
 
     def fm_footprint_bytes(self) -> int:
         return len(self._pages) * BLOCK_SIZE

@@ -1,19 +1,15 @@
 """Discrete-event simulation of a slow-memory (SM) block device.
 
-The device stores real bytes (so embedding reads return real data the DLRM
-layer can dequantise and pool) and models service time with a multi-channel
-queue: each IO occupies one internal channel for ``1 / max_iops *
+The device models timing and counts, not contents: a table load is counted
+as block writes, and a read is an LBA, a scatter-gather list and a time.
+Service time comes from a multi-channel queue: each IO occupies one internal channel for ``1 / max_iops *
 parallelism`` seconds, so aggregate throughput saturates at the spec's IOPS
 ceiling while latency stays near the unloaded base latency until the device
 approaches saturation -- the behaviour Figure 3 of the paper shows for Nand
 Flash and Optane SSDs.
 
-Block contents live in one contiguous uint8 ndarray (a slot per written
-block, slot 0 reserved as the all-zero image of never-written blocks).  A
-whole batch of row reads resolves its LBAs to slots with one ``searchsorted``
-over a sorted index of the written LBAs and gathers one window per row;
-a whole batch of read IOs is timed by one :class:`BatchReadScheduler` loop.
-:meth:`SimulatedDevice.schedule_read` is the scalar reference for both.
+A whole batch of read IOs is timed by one :class:`BatchReadScheduler` loop;
+:meth:`SimulatedDevice.schedule_read` is its scalar reference.
 """
 
 from __future__ import annotations
@@ -22,12 +18,12 @@ import heapq
 import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.sim.rng import make_rng
-from repro.sim.state import COUNTER, DERIVED, QUEUE, RNG, Counters
+from repro.sim.state import COUNTER, QUEUE, RNG, Counters
 from repro.sim.units import BLOCK_SIZE
 from repro.storage.latency_model import LoadedLatencyModel
 from repro.storage.sgl import ScatterGatherList
@@ -173,33 +169,24 @@ class BatchReadScheduler:
 
 
 class SimulatedDevice:
-    """A simulated NVMe (or CXL/DIMM) device holding real block data.
+    """A simulated NVMe (or CXL/DIMM) device: an LBA range, its channels
+    and its counters.
 
-    The stored blocks are built by the table load and never change while
-    serving; the stats (the load's writes included), the channels and the
-    tail-latency stream are run state.
+    The table load is counted once (:meth:`load`) and nothing is written
+    while serving; the stats (the load's writes included), the channels and
+    the tail-latency stream are run state.
     """
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = {
         "stats": COUNTER,
         "channel_free": QUEUE,
         "rng": RNG,
-        # Built lazily from _block_slots and dropped by every write.
-        "_slot_index": DERIVED,
     }
 
     def __init__(self, spec: DeviceSpec, seed: int = 0) -> None:
         self.spec = spec
         self.stats = DeviceStats()
         self.latency_model = LoadedLatencyModel(spec)
-        # Written blocks live as rows of one contiguous store; slot 0 is the
-        # reserved all-zero image returned for never-written blocks.
-        self._block_slots: Dict[int, int] = {}
-        self._block_store: np.ndarray = np.zeros((1, BLOCK_SIZE), dtype=np.uint8)
-        self._num_slots = 1
-        # Sorted (written LBAs, their slots); built on first use by the
-        # batched gather, dropped by every write.
-        self._slot_index: Optional[Tuple[np.ndarray, np.ndarray]] = None
         self.channel_free: np.ndarray = np.zeros(spec.internal_parallelism, dtype=float)
         self.rng = make_rng(seed, "device", spec.name)
         self._num_blocks = spec.capacity_bytes // BLOCK_SIZE
@@ -221,120 +208,17 @@ class SimulatedDevice:
         if lbas.size and (lbas.min() < 0 or lbas.max() >= self._num_blocks):
             self._check_lba(int(lbas[(lbas < 0) | (lbas >= self._num_blocks)][0]))
 
-    def _grow_store(self, num_slots: int) -> None:
-        grown = np.zeros((num_slots, BLOCK_SIZE), dtype=np.uint8)
-        grown[: self._num_slots] = self._block_store[: self._num_slots]
-        self._block_store = grown
-
-    def _slot_for_write(self, lba: int) -> int:
-        slot = self._block_slots.get(lba)
-        if slot is not None:
-            return slot
-        if self._num_slots == self._block_store.shape[0]:
-            self._grow_store(2 * self._num_slots)
-        slot = self._num_slots
-        self._num_slots += 1
-        self._block_slots[lba] = slot
-        return slot
-
-    def write_block(self, lba: int, data: bytes, offset: int = 0) -> None:
-        """Write ``data`` into a block (content only; use :meth:`write` for timing)."""
-        self._check_lba(lba)
-        if offset < 0 or offset + len(data) > BLOCK_SIZE:
-            raise ValueError(
-                f"write of {len(data)} B at offset {offset} exceeds the {BLOCK_SIZE} B block"
-            )
-        self._slot_index = None
-        slot = self._slot_for_write(lba)
-        self._block_store[slot, offset : offset + len(data)] = np.frombuffer(
-            data, dtype=np.uint8
-        )
-        self.stats.bytes_written += len(data)
-        self.stats.writes += 1
-
-    def write_blocks(self, first_lba: int, blocks: np.ndarray) -> None:
-        """Write whole blocks to consecutive LBAs starting at ``first_lba``.
-
-        ``blocks`` is an ``(n, BLOCK_SIZE)`` uint8 matrix.  Contents and
-        ``stats`` end up exactly as after ``n`` :meth:`write_block` calls;
-        when none of the LBAs was written before (a table load) the slots are
-        allocated once, right-sized, and filled with one slice assignment.
-        """
-        blocks = np.asarray(blocks)
-        if blocks.ndim != 2 or blocks.shape[1] != BLOCK_SIZE or blocks.dtype != np.uint8:
-            raise ValueError(
-                f"blocks must be an (n, {BLOCK_SIZE}) uint8 matrix, got "
-                f"{blocks.dtype} {blocks.shape}"
-            )
-        count = blocks.shape[0]
-        if count == 0:
+    def load(self, first_lba: int, num_blocks: int) -> None:
+        """Count the load of ``num_blocks`` whole blocks at consecutive LBAs
+        from ``first_lba``: one write of ``BLOCK_SIZE`` bytes each."""
+        if num_blocks < 0:
+            raise ValueError(f"num_blocks must be non-negative: {num_blocks}")
+        if num_blocks == 0:
             return
         self._check_lba(first_lba)
-        self._check_lba(first_lba + count - 1)
-        self._slot_index = None
-        lbas = range(first_lba, first_lba + count)
-        if self._block_slots.keys().isdisjoint(lbas):
-            first_slot = self._num_slots
-            if first_slot + count > self._block_store.shape[0]:
-                self._grow_store(first_slot + count)
-            self._block_store[first_slot : first_slot + count] = blocks
-            self._block_slots.update(zip(lbas, range(first_slot, first_slot + count)))
-            self._num_slots += count
-        else:
-            for lba, block in zip(lbas, blocks):
-                slot = self._slot_for_write(lba)  # may reallocate the store
-                self._block_store[slot] = block
-        self.stats.bytes_written += count * BLOCK_SIZE
-        self.stats.writes += count
-
-    def read_block_data(self, lba: int, offset: int = 0, length: Optional[int] = None) -> bytes:
-        """Return the stored bytes without any timing (used by tests)."""
-        self._check_lba(lba)
-        if length is None:
-            length = BLOCK_SIZE - offset
-        if offset < 0 or offset + length > BLOCK_SIZE:
-            raise ValueError(
-                f"read of {length} B at offset {offset} exceeds the {BLOCK_SIZE} B block"
-            )
-        slot = self._block_slots.get(lba, 0)
-        return self._block_store[slot, offset : offset + length].tobytes()
-
-    def read_rows_ndarray(self, lbas: np.ndarray, offsets: np.ndarray, length: int) -> np.ndarray:
-        """Gather equal-length byte ranges as one ``(n, length)`` uint8 matrix.
-
-        The batched counterpart of per-row :meth:`read_block_data` calls, no
-        timing: each LBA is looked up in the sorted index of written LBAs
-        (a never-written one resolves to slot 0, the zero image), and row
-        ``i`` is window ``offsets[i]`` of its block -- one index per row, one
-        ``length``-byte copy each.
-        """
-        lbas = np.asarray(lbas, dtype=np.int64)
-        offsets = np.asarray(offsets, dtype=np.int64)
-        self.check_lbas(lbas)
-        if not 0 <= length <= BLOCK_SIZE:
-            raise ValueError(f"length must be within the {BLOCK_SIZE} B block: {length}")
-        if lbas.size and (offsets.min() < 0 or offsets.max() + length > BLOCK_SIZE):
-            bad = int(offsets[(offsets < 0) | (offsets + length > BLOCK_SIZE)][0])
-            raise ValueError(
-                f"read of {length} B at offset {bad} exceeds the {BLOCK_SIZE} B block"
-            )
-        if self._slot_index is None:
-            count = len(self._block_slots)
-            written = np.fromiter(self._block_slots, dtype=np.int64, count=count)
-            slots = np.fromiter(self._block_slots.values(), dtype=np.int64, count=count)
-            order = np.argsort(written)
-            # Closed by an entry past every valid LBA: each lookup lands on one.
-            written = np.append(written[order], self._num_blocks)
-            self._slot_index = (written, np.append(slots[order], 0))
-        written, slots = self._slot_index
-        found = written.searchsorted(lbas)
-        # Every length-byte window of every block, as sliding_window_view
-        # would build them (the constructor checks they lie in the store).
-        store = self._block_store
-        windows_shape = (store.shape[0], BLOCK_SIZE - length + 1, length)
-        windows = np.ndarray(windows_shape, np.uint8, store, 0, (BLOCK_SIZE, 1, 1))
-        result: np.ndarray = windows[np.where(written[found] == lbas, slots[found], 0), offsets]
-        return result
+        self._check_lba(first_lba + num_blocks - 1)
+        self.stats.bytes_written += num_blocks * BLOCK_SIZE
+        self.stats.writes += num_blocks
 
     # ---------------------------------------------------------------- timing
     def _tail_penalty(self) -> float:
@@ -351,12 +235,8 @@ class SimulatedDevice:
         sgl: ScatterGatherList,
         arrival_time: float,
         sub_block_enabled: bool = True,
-    ) -> Tuple[bytes, float, int]:
-        """Serve one read IO.
-
-        Returns ``(data, completion_time, transferred_bytes)`` where ``data``
-        contains only the requested byte ranges concatenated in order.
-        """
+    ) -> Tuple[float, int]:
+        """Serve one read IO: ``(completion_time, transferred_bytes)``."""
         self._check_lba(lba)
         if arrival_time < 0:
             raise ValueError(f"arrival_time must be non-negative: {arrival_time}")
@@ -378,16 +258,11 @@ class SimulatedDevice:
             + self._tail_penalty()
         )
 
-        pieces = [
-            self.read_block_data(lba, entry.offset, entry.length) for entry in sgl.entries
-        ]
-        data = b"".join(pieces)
-
         self.stats.reads += 1
         self.stats.bytes_requested += requested
         self.stats.bytes_transferred += transferred
         self.stats.busy_time += service + transfer
-        return data, completion, transferred
+        return completion, transferred
 
     def schedule_read_batch(self, count: int) -> BatchReadScheduler:
         """Open a :class:`BatchReadScheduler` session for ``count`` read IOs.

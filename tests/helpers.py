@@ -18,6 +18,7 @@ from repro.dlrm import (
     EmbeddingTable,
     EmbeddingTableSpec,
     InferenceEngine,
+    InMemoryBackend,
     MLP,
     Query,
 )
@@ -129,6 +130,20 @@ def reference_pooled(model: DLRMModel, query: Query) -> Dict[str, np.ndarray]:
         name: model.table(name).bag(indices)
         for name, indices in query.user_indices.items()
     }
+
+
+def assert_scores_match_dram(model: DLRMModel, backend: Any, queries: List[Query]) -> None:
+    """Serve ``queries`` through ``backend`` and check that the scores its
+    engine computes, and the user tables' pooled vectors, equal those of a
+    DRAM engine on the same model bit for bit."""
+    compute = ComputeSpec()
+    engine = InferenceEngine(model, compute, backend)
+    dram = InferenceEngine(model, compute, InMemoryBackend(model.tables, compute))
+    for query in queries:
+        np.testing.assert_array_equal(engine.run_query(query).scores, dram.run_query(query).scores)
+        pooled = engine.user_pooled(query.user_indices)
+        for table_name, vector in reference_pooled(model, query).items():
+            np.testing.assert_array_equal(pooled[table_name], vector)
 
 
 def golden_encode(value: Any) -> Any:

@@ -8,7 +8,8 @@ is promoted with ``put`` right away, time accrues with ``+=``, tier
 statistics are kept by hand, and every miss is read from its home tier
 with a one-row ``read_rows_batch`` call once the host walk is done.  It
 shares no planning, certificate or array code with the product path, which
-must agree with it bit for bit (``tests/test_batched_parity.py``).
+must agree with it bit for bit (``tests/test_batched_parity.py``): the
+timing, the statistics and every cache's contents.
 """
 
 from typing import Dict, List
@@ -19,9 +20,9 @@ from repro.hierarchy.chain import BatchFetchOutcome, TierChain
 from repro.hierarchy.tier import MemoryTier
 
 
-def _promote(tier: MemoryTier, key, value: bytes) -> None:
+def _promote(tier: MemoryTier, key, size: int) -> None:
     assert tier.cache is not None
-    if tier.cache.put(key, value):
+    if tier.cache.put(key, size):
         tier.stats.promoted_rows += 1
 
 
@@ -42,12 +43,12 @@ def reference_fetch_batch(
 
     cursor = start_time
     cache_hits = 0
-    payloads: Dict[int, bytes] = {}
     misses: Dict[int, List[int]] = {}
 
-    # The serial host walk: probes, hit copies, promotions, fast-tier reads.
+    # The serial host walk: probes, hits, promotions, fast-tier reads.
     for row, (index, home) in enumerate(zip(stored, home_tiers)):
         key = (table_name, index)
+        served = False
         if cache_enabled:
             for tier_index in cached:
                 if tier_index >= home:
@@ -55,31 +56,28 @@ def reference_fetch_batch(
                 tier = chain.tiers[tier_index]
                 cursor += chain.cache_probe_seconds
                 tier.stats.cache_probes += 1
-                value = tier.cache.get(key, size_hint=row_len)
-                if value is None:
+                size = tier.cache.get(key, size_hint=row_len)
+                if size is None:
                     continue
                 tier.stats.cache_hits += 1
                 tier.stats.rows_served += 1
-                tier.stats.bytes_served += len(value)
-                # Bytes cached below tier 0 still cross that tier's media,
+                tier.stats.bytes_served += size
+                # Rows cached below tier 0 still cross that tier's media,
                 # and the hit re-enters the faster caches it fell out of.
-                cursor += tier.cache_hit_seconds(len(value))
+                cursor += tier.cache_hit_seconds(size)
                 for target in receivers:
                     if target < tier_index:
-                        _promote(chain.tiers[target], key, value)
-                payloads[row] = value
+                        _promote(chain.tiers[target], key, size)
                 cache_hits += 1
+                served = True
                 break
-        if row in payloads:
+        if served:
             continue
         if home == 0:
             fast = chain.tiers[0]
-            rows, _ = fast.read_rows_batch(table_name, np.array([index]), cursor)
-            data = rows[0].tobytes()
-            cursor += chain.fm_lookup_overhead + len(data) / chain.fm_bandwidth
+            cursor += chain.fm_lookup_overhead + row_len / chain.fm_bandwidth
             fast.stats.rows_served += 1
-            fast.stats.bytes_served += len(data)
-            payloads[row] = data
+            fast.stats.bytes_served += row_len
             continue
         misses.setdefault(home, []).append(row)
 
@@ -90,23 +88,17 @@ def reference_fetch_batch(
     for tier_index, rows in misses.items():
         tier = chain.tiers[tier_index]
         for row in rows:
-            matrix, completions = tier.read_rows_batch(
+            completions = tier.read_rows_batch(
                 table_name, np.array([stored[row]], dtype=np.int64), cursor
             )
-            data = matrix[0].tobytes()
-            payloads[row] = data
             io_done = max(io_done, float(completions[0]))
             if cache_enabled:
                 for target in receivers:
                     if target < tier_index:
-                        _promote(chain.tiers[target], (table_name, stored[row]), data)
+                        _promote(chain.tiers[target], (table_name, stored[row]), row_len)
         reads_by_tier[tier_index] = len(rows)
 
-    rows_out = np.frombuffer(
-        b"".join(payloads[row] for row in range(len(stored))), dtype=np.uint8
-    ).reshape(len(stored), row_len)
     return BatchFetchOutcome(
-        rows=rows_out,
         completion_time=max(cursor, io_done),
         device_reads=sum(reads_by_tier.values()),
         cache_hits=cache_hits,

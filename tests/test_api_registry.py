@@ -17,7 +17,7 @@ from repro.api import (
 from repro.core import SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
 from repro.core.config import PlacementPolicy
-from repro.dlrm import ComputeSpec, InMemoryBackend
+from repro.dlrm import ComputeSpec, InferenceEngine, InMemoryBackend
 from repro.dlrm.inference import EmbeddingBackend
 from repro.storage import Technology
 
@@ -79,12 +79,11 @@ class TestBuiltinBackends:
         )
         dram = create_backend("dram", model, compute)
         request = {"user_0": [1, 5, 9], "user_1": [3, 4]}
-        pooled_sdm, _ = sdm.pooled_embeddings(request, 0.0)
-        pooled_dram, _ = dram.pooled_embeddings(request, 0.0)
+        assert sdm.serve(request, 0.0) > 0.0 and dram.serve(request, 0.0) > 0.0
+        pooled_sdm = InferenceEngine(model, compute, sdm).user_pooled(request)
+        pooled_dram = InferenceEngine(model, compute, dram).user_pooled(request)
         for table in request:
-            np.testing.assert_allclose(
-                pooled_sdm[table], pooled_dram[table], rtol=1e-4, atol=1e-5
-            )
+            np.testing.assert_array_equal(pooled_sdm[table], pooled_dram[table])
 
 
 class TestOptionCoercion:

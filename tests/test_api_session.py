@@ -514,3 +514,67 @@ class TestOpenLoopCLI:
                          "--values", "100,200", "--arrival", "closed",
                          "--rows", "256", "--queries", "10"]) == 2
         assert "open-loop" in capsys.readouterr().err
+
+
+def _reseeded(model, seed):
+    """``model`` with every table's values and both MLPs' weights drawn
+    from another seed: the same structure, different numbers."""
+    from repro.dlrm import MLP, DLRMModel, EmbeddingTable
+
+    def mlp(original):
+        return MLP(original.layer_sizes, seed=seed, name=original.name)
+
+    return DLRMModel(
+        name=model.name,
+        bottom_mlp=mlp(model.bottom_mlp),
+        top_mlp=mlp(model.top_mlp),
+        tables={name: EmbeddingTable.random(t.spec, seed=seed) for name, t in model.tables.items()},
+        dense_dim=model.dense_dim,
+        item_batch=model.item_batch,
+    )
+
+
+class TestTableValuesMoveNoSimulatedMetric:
+    """Metamorphic: changing only the embedding values and MLP weights moves
+    no simulated metric.  Every result the paper reports is a time or a
+    count, so the timing plane must not read a value."""
+
+    SPECS = {
+        "sdm": {},
+        "sdm-64KiB-cache": {
+            "backend": {"name": "sdm", "options": {"row_cache_capacity_bytes": 64 * 1024}}
+        },
+        "pooled": {"backend": {"name": "pooled"}},
+        "tiered-3-promote-all-split": {
+            "backend": {"name": "tiered", "options": {"promotion": "all", "split_rows": True}}
+        },
+        "dram-open": {
+            "backend": {"name": "dram"},
+            "traffic": {"mode": "open", "offered_qps": 4000.0},
+        },
+        "sdm-open-warm": {
+            "traffic": {"mode": "open", "offered_qps": 4000.0},
+            "serving": {"warmup_queries": 20},
+        },
+    }
+
+    @pytest.mark.parametrize("name", sorted(SPECS))
+    def test_reseeded_values_give_a_byte_equal_result(self, name):
+        spec = ScenarioSpec.from_dict(
+            {
+                "model": {"max_rows_per_table": 512},
+                "workload": {"num_queries": 80},
+                "serving": {"warmup_queries": 0},
+                **self.SPECS[name],
+            }
+        )
+        original = Session(spec)
+        reseeded = Session(spec)
+        model = _reseeded(original.model, seed=7)
+        assert not any(
+            np.array_equal(model.table(t).data, original.model.table(t).data) for t in model.tables
+        )
+        assert not np.array_equal(model.top_mlp.weights[0], original.model.top_mlp.weights[0])
+        reseeded.adopt_backend(model)
+        expected = json.dumps(original.run().to_dict(), sort_keys=True)
+        assert json.dumps(reseeded.run().to_dict(), sort_keys=True) == expected

@@ -5,7 +5,9 @@ and compared the two live.  The scalar walk is gone; what it produced for
 every configuration below was frozen, at the last commit that had it, into
 ``tests/golden/serve_parity.json`` (per-query completion times, a digest
 of the pooled bytes, every statistics object, row-cache eviction order,
-IO-engine, device and page-cache counters).  The single path must equal
+IO-engine, device and page-cache counters).  The serve path carries no
+values, so the pooled bytes are those of the values plane
+(:meth:`InferenceEngine.user_pooled`, what scores are computed from).  The single path must equal
 those records exactly, and must also equal ``tests/reference_walk.py`` — a
 plain per-row statement of the same semantics — run live on a twin.
 ``tests/golden/regen.py`` rewrites the goldens from the current tree; a
@@ -24,7 +26,7 @@ from reference_walk import reference_fetch_batch
 from repro.cache.unified import UnifiedRowCache
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
-from repro.dlrm import MLP, DLRMModel, EmbeddingTable, EmbeddingTableSpec
+from repro.dlrm import MLP, DLRMModel, EmbeddingTable, EmbeddingTableSpec, InferenceEngine
 from repro.dlrm.pruning import prune_table
 from repro.hierarchy import DeviceTier, TierChain
 from repro.storage import IOEngineConfig, MmapReader
@@ -195,11 +197,13 @@ def build_reference_sdm(variant: dict) -> SoftwareDefinedMemory:
 def serve(sdm: SoftwareDefinedMemory, after_query=None):
     """``[(pooled bytes by table, completion time)]`` of the query stream."""
     generator = QueryGenerator(sdm.model, WorkloadConfig(item_batch=1, num_users=100), seed=3)
+    values = InferenceEngine(sdm.model, sdm.compute, sdm)
     trace = []
     cursor = 0.0
     for query in generator.generate(NUM_QUERIES):
-        pooled, done = sdm.pooled_embeddings(query.user_indices, cursor)
+        done = sdm.serve(query.user_indices, cursor)
         sdm.on_query_complete()
+        pooled = values.user_pooled(query.user_indices)
         trace.append(({name: vec.tobytes() for name, vec in sorted(pooled.items())}, done))
         cursor = done + 1e-4
         if after_query is not None:
@@ -344,9 +348,8 @@ def test_repeated_promoted_row_splits_and_matches():
     assert len(lower_only) >= 2
     request = {"user_0": [lower_only[0], lower_only[1], lower_only[0]]}
     hits_before = sdm.tiers[0].stats.cache_hits
-    served = [each.pooled_embeddings(request, 1.0) for each in (sdm, reference)]
-    assert served[0][0]["user_0"].tobytes() == served[1][0]["user_0"].tobytes()
-    assert served[0][1] == served[1][1]
+    served = [each.serve(request, 1.0) for each in (sdm, reference)]
+    assert served[0] == served[1]
     assert sdm.tiers[0].stats.cache_hits == hits_before + 1  # the repeat
     assert parity_record(sdm, []) == parity_record(reference, [])
 
@@ -368,5 +371,5 @@ def test_batched_mode_actually_takes_the_batched_path():
         0.0,
         row_len=sdm._sm_tables["user_0"].row_bytes,
     )
-    assert outcome.rows.shape[0] == 4
     assert outcome.device_reads == 4
+    assert outcome.cache_hits == 0

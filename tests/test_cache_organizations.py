@@ -16,7 +16,7 @@ class TestOrganizationTradeoffs:
         entries into the same byte budget -- the reason the unified cache
         routes small rows there (Figure 6)."""
         capacity = 64 * 1024
-        row = bytes(64)
+        row = 64
         memory_cache = MemoryOptimizedCache(capacity)
         cpu_cache = CPUOptimizedCache(capacity)
         for index in range(4096):
@@ -27,8 +27,8 @@ class TestOrganizationTradeoffs:
     def test_cpu_optimised_lookups_cost_less_cpu(self):
         memory_cache = MemoryOptimizedCache(1024)
         cpu_cache = CPUOptimizedCache(1024)
-        memory_cache.put("k", b"v")
-        cpu_cache.put("k", b"v")
+        memory_cache.put("k", 1)
+        cpu_cache.put("k", 1)
         for _ in range(100):
             memory_cache.get("k")
             cpu_cache.get("k")
@@ -38,7 +38,7 @@ class TestOrganizationTradeoffs:
         """For >256B rows the metadata overhead is a small fraction either
         way, so the CPU-optimised organisation is the better choice."""
         capacity = 256 * 1024
-        row = bytes(512)
+        row = 512
         memory_cache = MemoryOptimizedCache(capacity)
         cpu_cache = CPUOptimizedCache(capacity)
         for index in range(1024):
@@ -49,10 +49,10 @@ class TestOrganizationTradeoffs:
 
     def test_both_behave_as_lru(self):
         for cache in (MemoryOptimizedCache(64), CPUOptimizedCache(128)):
-            cache.put("a", b"0123456789")
-            cache.put("b", b"0123456789")
+            cache.put("a", 10)
+            cache.put("b", 10)
             cache.get("a")
-            cache.put("c", bytes(40))
+            cache.put("c", 40)
             assert cache.contains("a") or cache.contains("c")
 
     def test_capacity_validation(self):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.core import PlacementPolicy, SDMConfig, SoftwareDefinedMemory
-from repro.dlrm import EmbeddingTableSpec, prune_table
+from repro.dlrm import EmbeddingTableSpec, InferenceEngine, prune_table
 from repro.hierarchy import (
     TieredTablePlacement,
     TierSegment,
@@ -263,10 +263,9 @@ class TestPlacementEdgeCases:
         )
         mapping = pruned["user_0"].mapping
         pruned_rows = np.nonzero(mapping == -1)[0][:8].tolist()
-        pooled, done = sdm.pooled_embeddings({"user_0": pruned_rows}, 0.0)
-        np.testing.assert_array_equal(
-            pooled["user_0"], np.zeros_like(pooled["user_0"])
-        )
+        done = sdm.serve({"user_0": pruned_rows}, 0.0)
+        pooled = InferenceEngine(model, sdm.compute, sdm).user_pooled({"user_0": pruned_rows})
+        np.testing.assert_array_equal(pooled["user_0"], np.zeros_like(pooled["user_0"]))
         assert sdm.stats.sm_ios == 0
         assert sdm.stats.pruned_rows_skipped == len(pruned_rows)
         assert done > 0.0  # the mapping lookups still cost host time

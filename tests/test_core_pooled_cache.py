@@ -72,48 +72,45 @@ class TestPooledCacheBatchProbes:
 
     def test_batch_and_scalar_entries_interoperate(self):
         cache = PooledEmbeddingCache(capacity_bytes=64 * 1024)
-        pooled = np.ones(8, dtype=np.float32)
+        size = 32
         indices = [4, 2, 9]
-        cache.put("t", indices, pooled)
-        via_batch = cache.probe_batch("t", np.asarray(indices, dtype=np.int64))
-        assert via_batch is not None
-        np.testing.assert_array_equal(via_batch, pooled)
-        cache.put_batch("u", np.asarray(indices, dtype=np.int64), pooled)
-        via_scalar = cache.get("u", indices)
-        assert via_scalar is not None
-        np.testing.assert_array_equal(via_scalar, pooled)
+        cache.put("t", indices, size)
+        assert cache.probe_batch("t", np.asarray(indices, dtype=np.int64))
+        cache.put_batch("u", np.asarray(indices, dtype=np.int64), size)
+        assert cache.get("u", indices)
+        assert cache.used_bytes == 2 * (32 + 56)
 
     def test_stats_match_scalar_probes(self):
         scalar = PooledEmbeddingCache(capacity_bytes=64 * 1024, len_threshold=2)
         batched = PooledEmbeddingCache(capacity_bytes=64 * 1024, len_threshold=2)
-        pooled = np.zeros(4, dtype=np.float32)
+        size = 16
         workload = [[1, 2, 3], [9], [1, 2, 3], [5, 6, 7, 8], [3, 2, 1]]
         for indices in workload:
-            if scalar.get("t", indices) is None:
-                scalar.put("t", indices, pooled)
+            if not scalar.get("t", indices):
+                scalar.put("t", indices, size)
             array = np.asarray(indices, dtype=np.int64)
-            if batched.probe_batch("t", array) is None:
-                batched.put_batch("t", array, pooled)
+            if not batched.probe_batch("t", array):
+                batched.put_batch("t", array, size)
         assert scalar.stats == batched.stats
         assert scalar.item_count == batched.item_count
     def test_miss_then_hit(self):
         cache = PooledEmbeddingCache(64 * 1024, len_threshold=1)
-        vector = np.arange(8, dtype=np.float32)
-        assert cache.get("t", [1, 2, 3]) is None
-        cache.put("t", [1, 2, 3], vector)
-        np.testing.assert_array_equal(cache.get("t", [1, 2, 3]), vector)
+        size = 32
+        assert not cache.get("t", [1, 2, 3])
+        cache.put("t", [1, 2, 3], size)
+        assert cache.get("t", [1, 2, 3])
 
     def test_hit_is_order_invariant(self):
         cache = PooledEmbeddingCache(64 * 1024)
-        vector = np.ones(4, dtype=np.float32)
-        cache.put("t", [4, 5, 6], vector)
-        assert cache.get("t", [6, 4, 5]) is not None
+        size = 16
+        cache.put("t", [4, 5, 6], size)
+        assert cache.get("t", [6, 4, 5])
 
     def test_len_threshold_skips_short_requests(self):
         cache = PooledEmbeddingCache(64 * 1024, len_threshold=4)
-        vector = np.ones(4, dtype=np.float32)
-        assert not cache.put("t", [1, 2], vector)
-        assert cache.get("t", [1, 2]) is None
+        size = 16
+        assert not cache.put("t", [1, 2], size)
+        assert not cache.get("t", [1, 2])
         assert cache.stats.lookups == 0
         assert cache.stats.skipped_short > 0
 
@@ -124,12 +121,12 @@ class TestPooledCacheBatchProbes:
 
     def test_different_tables_do_not_collide(self):
         cache = PooledEmbeddingCache(64 * 1024)
-        cache.put("a", [1, 2], np.zeros(2, dtype=np.float32))
-        assert cache.get("b", [1, 2]) is None
+        cache.put("a", [1, 2], 8)
+        assert not cache.get("b", [1, 2])
 
     def test_stats_hit_rate_and_avg_length(self):
         cache = PooledEmbeddingCache(64 * 1024)
-        cache.put("t", [1, 2, 3, 4], np.zeros(2, dtype=np.float32))
+        cache.put("t", [1, 2, 3, 4], 8)
         cache.get("t", [1, 2, 3, 4])
         cache.get("t", [9, 9, 9])
         assert cache.stats.hit_rate == pytest.approx(0.5)
@@ -137,24 +134,17 @@ class TestPooledCacheBatchProbes:
 
     def test_capacity_eviction(self):
         cache = PooledEmbeddingCache(1024)
-        vector = np.zeros(64, dtype=np.float32)  # 256B each + overhead
+        size = 256  # bytes each, plus overhead
         for sequence_id in range(20):
-            cache.put("t", [sequence_id, sequence_id + 1], vector)
+            cache.put("t", [sequence_id, sequence_id + 1], size)
         assert cache.used_bytes <= cache.capacity_bytes
-
-    def test_returned_vector_is_a_copy(self):
-        cache = PooledEmbeddingCache(64 * 1024)
-        cache.put("t", [1, 2], np.zeros(4, dtype=np.float32))
-        out = cache.get("t", [1, 2])
-        out[0] = 99.0
-        np.testing.assert_array_equal(cache.get("t", [1, 2]), np.zeros(4, dtype=np.float32))
 
     def test_clear_and_reset(self):
         cache = PooledEmbeddingCache(64 * 1024)
         record(cache)
-        cache.put("t", [1, 2], np.zeros(4, dtype=np.float32))
+        cache.put("t", [1, 2], 16)
         reset(cache, {CONTENTS})
-        assert cache.get("t", [1, 2]) is None
+        assert not cache.get("t", [1, 2])
         reset(cache, {COUNTER})
         assert cache.stats.lookups == 0
 

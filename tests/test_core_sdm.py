@@ -4,13 +4,19 @@ import numpy as np
 import pytest
 
 from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory
-from repro.dlrm import prune_table
+from repro.dlrm import ComputeSpec, InferenceEngine, prune_table
 from repro.hierarchy import compute_tiered_placement, parse_tiers
 from repro.sim.state import CONTENTS, COUNTER, reset
 from repro.sim.units import BLOCK_SIZE
 from repro.storage import IOEngineConfig, Technology
 
-from helpers import reference_pooled, small_model, small_queries, small_sdm, small_sdm_config
+from helpers import (
+    assert_scores_match_dram,
+    small_model,
+    small_queries,
+    small_sdm,
+    small_sdm_config,
+)
 
 
 class TestSDMSetup:
@@ -55,50 +61,37 @@ class TestSDMSetup:
 
 
 class TestSDMNumericalCorrectness:
+    """Serving through SDM carries no values: the scores its engine computes
+    equal a DRAM engine's, whatever the serve path did in between."""
+
     def test_pooled_embeddings_match_dram_reference(self):
-        """The headline invariant: serving from SM + cache returns exactly the
-        same pooled vectors as serving from DRAM."""
+        """The headline invariant: serving from SM + cache scores exactly as
+        serving from DRAM."""
         model = small_model()
-        sdm = small_sdm(model)
-        for query in small_queries(model, 10):
-            pooled, _ = sdm.pooled_embeddings(query.user_indices, start_time=0.0)
-            reference = reference_pooled(model, query)
-            for table_name, vector in reference.items():
-                np.testing.assert_allclose(pooled[table_name], vector, rtol=1e-5, atol=1e-6)
+        assert_scores_match_dram(model, small_sdm(model), small_queries(model, 10))
 
     def test_correctness_preserved_across_repeated_queries(self):
         """Cache hits (row cache and pooled cache) must not change results."""
         model = small_model()
         sdm = small_sdm(model)
         query = small_queries(model, 1)[0]
-        first, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-        second, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-        for table_name in first:
-            np.testing.assert_allclose(first[table_name], second[table_name], rtol=1e-6)
+        assert_scores_match_dram(model, sdm, [query, query])
+        assert sdm.pooled_cache.stats.hits > 0
 
     def test_correctness_with_mmap_access_path(self):
         model = small_model()
         sdm = small_sdm(model, access_path=AccessPathKind.MMAP)
-        query = small_queries(model, 1)[0]
-        pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-        for table_name, vector in reference_pooled(model, query).items():
-            np.testing.assert_allclose(pooled[table_name], vector, rtol=1e-5, atol=1e-6)
+        assert_scores_match_dram(model, sdm, small_queries(model, 1))
 
     def test_correctness_with_dequantize_at_load(self):
         model = small_model()
         sdm = small_sdm(model, dequantize_at_load=True)
-        query = small_queries(model, 1)[0]
-        pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-        for table_name, vector in reference_pooled(model, query).items():
-            np.testing.assert_allclose(pooled[table_name], vector, rtol=1e-5, atol=1e-5)
+        assert_scores_match_dram(model, sdm, small_queries(model, 1))
 
     def test_correctness_without_sub_block_reads(self):
         model = small_model()
         sdm = small_sdm(model, io=IOEngineConfig(sub_block_reads=False))
-        query = small_queries(model, 1)[0]
-        pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-        for table_name, vector in reference_pooled(model, query).items():
-            np.testing.assert_allclose(pooled[table_name], vector, rtol=1e-5, atol=1e-6)
+        assert_scores_match_dram(model, sdm, small_queries(model, 1))
 
     def test_fm_direct_tables_served_from_model(self):
         model = small_model()
@@ -109,8 +102,11 @@ class TestSDMNumericalCorrectness:
         )
         assert sdm.placement.for_table("user_0").tiers() == (0,)
         assert "user_0" not in sdm._sm_tables
-        pooled, _ = sdm.pooled_embeddings({"user_0": [1, 2, 3]}, 0.0)
-        np.testing.assert_allclose(pooled["user_0"], model.table("user_0").bag([1, 2, 3]))
+        done = sdm.serve({"user_0": [1, 2, 3]}, 0.0)
+        assert done == sdm.compute.embedding_read_time(3, model.table("user_0").spec.row_bytes)
+        assert sdm.stats.fm_direct_lookups == 3
+        with pytest.raises(IndexError):  # the model's table checks the rows
+            sdm.serve({"user_0": [model.table("user_0").spec.num_rows]}, 0.0)
 
 
 class TestSDMPrunedTables:
@@ -124,21 +120,20 @@ class TestSDMPrunedTables:
         )
         return model, pruned, sdm
 
-    def test_pruned_serving_matches_pruned_reference(self):
-        model, pruned, sdm = self._pruned_setup(deprune=False)
+    def _assert_values_are_the_pruned_tables(self, model, pruned, sdm):
+        # The values plane pools a pruned table through the backend's
+        # pruned table: a pruned row pools as zero.
         indices = [0, 3, 17, 42, 100, 200]
-        pooled, _ = sdm.pooled_embeddings({"user_0": indices}, 0.0)
-        np.testing.assert_allclose(
-            pooled["user_0"], pruned["user_0"].bag(indices), rtol=1e-5, atol=1e-6
-        )
+        sdm.serve({"user_0": indices}, 0.0)
+        pooled = InferenceEngine(model, ComputeSpec(), sdm).user_pooled({"user_0": indices})
+        np.testing.assert_array_equal(pooled["user_0"], pruned["user_0"].bag(indices))
+        assert not np.array_equal(pooled["user_0"], model.table("user_0").bag(indices))
+
+    def test_pruned_serving_matches_pruned_reference(self):
+        self._assert_values_are_the_pruned_tables(*self._pruned_setup(deprune=False))
 
     def test_depruned_serving_matches_pruned_reference(self):
-        model, pruned, sdm = self._pruned_setup(deprune=True)
-        indices = [0, 3, 17, 42, 100, 200]
-        pooled, _ = sdm.pooled_embeddings({"user_0": indices}, 0.0)
-        np.testing.assert_allclose(
-            pooled["user_0"], pruned["user_0"].bag(indices), rtol=1e-5, atol=1e-6
-        )
+        self._assert_values_are_the_pruned_tables(*self._pruned_setup(deprune=True))
 
     def test_mapping_tensor_consumes_fm_only_without_depruning(self):
         _, pruned, with_mapping = self._pruned_setup(deprune=False)
@@ -155,7 +150,7 @@ class TestSDMPrunedTables:
         model, pruned, sdm = self._pruned_setup(deprune=False)
         mapping = pruned["user_0"].mapping
         pruned_index = int(np.nonzero(mapping == -1)[0][0])
-        sdm.pooled_embeddings({"user_0": [pruned_index]}, 0.0)
+        sdm.serve({"user_0": [pruned_index]}, 0.0)
         assert sdm.stats.pruned_rows_skipped == 1
 
 
@@ -164,16 +159,16 @@ class TestSDMTimingAndStats:
         model = small_model()
         sdm = small_sdm(model, pooled_cache_enabled=False)
         query = small_queries(model, 1)[0]
-        _, cold_done = sdm.pooled_embeddings(query.user_indices, 0.0)
-        _, warm_done = sdm.pooled_embeddings(query.user_indices, 0.0)
+        cold_done = sdm.serve(query.user_indices, 0.0)
+        warm_done = sdm.serve(query.user_indices, 0.0)
         assert warm_done < cold_done
 
     def test_pooled_cache_hit_is_fastest(self):
         model = small_model()
         sdm = small_sdm(model)
         query = small_queries(model, 1)[0]
-        sdm.pooled_embeddings(query.user_indices, 0.0)
-        _, pooled_hit_done = sdm.pooled_embeddings(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
+        pooled_hit_done = sdm.serve(query.user_indices, 0.0)
         assert sdm.pooled_cache.stats.hits > 0
         assert pooled_hit_done < 1e-4
 
@@ -182,7 +177,7 @@ class TestSDMTimingAndStats:
         sdm = small_sdm(model, pooled_cache_enabled=False)
         queries = small_queries(model, 50)
         for query in queries:
-            sdm.pooled_embeddings(query.user_indices, 0.0)
+            sdm.serve(query.user_indices, 0.0)
         assert sdm.row_cache_hit_rate > 0.2
         assert sdm.stats.sm_ios < sdm.stats.sm_row_lookups
 
@@ -191,8 +186,8 @@ class TestSDMTimingAndStats:
         query = small_queries(model, 1)[0]
         parallel = small_sdm(small_model(num_user=4), inter_op_parallelism=True)
         serial = small_sdm(small_model(num_user=4), inter_op_parallelism=False)
-        _, parallel_done = parallel.pooled_embeddings(query.user_indices, 0.0)
-        _, serial_done = serial.pooled_embeddings(query.user_indices, 0.0)
+        parallel_done = parallel.serve(query.user_indices, 0.0)
+        serial_done = serial.serve(query.user_indices, 0.0)
         assert parallel_done < serial_done
 
     def test_queries_counted_via_on_query_complete(self):
@@ -205,7 +200,7 @@ class TestSDMTimingAndStats:
         model = small_model()
         sdm = small_sdm(model)
         query = small_queries(model, 1)[0]
-        sdm.pooled_embeddings(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
         reset(sdm, {CONTENTS, COUNTER})
         assert sdm.stats.sm_row_lookups == 0
         assert sdm.row_cache.item_count == 0
@@ -214,21 +209,19 @@ class TestSDMTimingAndStats:
         model = small_model()
         sdm = small_sdm(model)
         query = small_queries(model, 1)[0]
-        sdm.pooled_embeddings(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
         stats = sdm.device_stats()
         assert stats.reads > 0
 
     def test_empty_request_dict_returns_immediately(self):
         sdm = small_sdm()
-        pooled, done = sdm.pooled_embeddings({}, 5.0)
-        assert pooled == {}
-        assert done == 5.0
+        assert sdm.serve({}, 5.0) == 5.0
 
     def test_empty_indices_rejected(self):
         sdm = small_sdm()
         for empty in ([], np.empty(0, dtype=np.int64)):
             with pytest.raises(ValueError, match="request has no indices"):
-                sdm.pooled_embeddings({"user_0": empty}, 0.0)
+                sdm.serve({"user_0": empty}, 0.0)
 
     @pytest.mark.parametrize("backend_name", ["sdm", "tiered", "dram"])
     def test_row_zero_alone_is_a_lookup(self, backend_name):
@@ -241,10 +234,7 @@ class TestSDMTimingAndStats:
         backend = create_backend(backend_name, model)
         for indices in (np.array([0]), np.array([0, 5, 1])):
             requests = {name: indices for name in ("user_0", "user_1")}
-            pooled, done = backend.pooled_embeddings(requests, 0.0)
-            assert done > 0.0
-            for name in requests:
-                np.testing.assert_array_equal(pooled[name], model.table(name).bag(indices))
+            assert backend.serve(requests, 0.0) > 0.0
 
     def test_cache_disabled_tables_always_do_io(self):
         model = small_model()
@@ -255,53 +245,28 @@ class TestSDMTimingAndStats:
             pooled_cache_enabled=False,
         )
         query = small_queries(model, 1)[0]
-        sdm.pooled_embeddings(query.user_indices, 0.0)
-        sdm.pooled_embeddings(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
         assert sdm.row_cache.stats.lookups == 0
         assert sdm.stats.sm_ios == 2 * sum(len(v) for v in query.user_indices.values())
 
 
 class TestSDMLoadPath:
-    """The matrix table load writes the blocks the per-row load wrote."""
-
-    @staticmethod
-    def _row_bytes(sdm, model, pruned_tables, name, stored_index):
-        # The per-row source the matrix load replaced, one row at a time.
-        state = sdm._sm_tables[name]
-        if state.rank_order is not None:
-            return model.table(name).row_bytes_at(int(state.rank_order[stored_index]))
-        if state.dequantized:
-            return model.table(name).lookup_dense([stored_index])[0].astype(np.float32).tobytes()
-        if name in pruned_tables:
-            pruned = pruned_tables[name]
-            if sdm.config.deprune_at_load:
-                mapped = int(pruned.mapping[stored_index])
-                if mapped == -1:
-                    return bytes(state.row_bytes)
-                return pruned.table.row_bytes_at(mapped)
-            return pruned.table.row_bytes_at(stored_index)
-        return model.table(name).row_bytes_at(stored_index)
+    """The table load lays every stored row out and counts one whole-block
+    write per block of each extent."""
 
     def _assert_blocks_match_per_row_load(self, sdm, model, pruned_tables=None):
-        pruned_tables = pruned_tables or {}
         checked_partial_block = False
         for tier in sdm.device_tiers:
             for name, segments in tier._segments.items():
                 row_bytes = sdm._sm_tables[name].row_bytes
                 for segment in segments:
                     extent = tier.layout.extent(segment.key)
-                    device = tier.devices[extent.device_index]
                     assert extent.num_rows == segment.end - segment.start
-                    for block in range(extent.num_blocks):
-                        expected = bytearray(BLOCK_SIZE)
-                        first = block * extent.rows_per_block
-                        rows = range(first, min(first + extent.rows_per_block, extent.num_rows))
-                        for slot, local in enumerate(rows):
-                            expected[slot * row_bytes : (slot + 1) * row_bytes] = self._row_bytes(
-                                sdm, model, pruned_tables, name, segment.start + local
-                            )
-                        checked_partial_block |= len(rows) < extent.rows_per_block
-                        assert device.read_block_data(extent.first_lba + block) == bytes(expected)
+                    assert extent.row_bytes == row_bytes
+                    assert extent.rows_per_block == BLOCK_SIZE // row_bytes
+                    assert extent.num_blocks == -(-extent.num_rows // extent.rows_per_block)
+                    checked_partial_block |= extent.num_rows % extent.rows_per_block != 0
             written = sum(tier.layout.extent(s.key).num_blocks for ss in tier._segments.values() for s in ss)
             assert tier.device_stats().writes == written
             assert tier.device_stats().bytes_written == written * BLOCK_SIZE
@@ -324,17 +289,19 @@ class TestSDMLoadPath:
         sdm = SoftwareDefinedMemory(
             model, small_sdm_config(tiers=tiers, split_rows=True), placement=placement
         )
-        ranked = [name for name, state in sdm._sm_tables.items() if state.rank_order is not None]
+        ranked = [
+            name
+            for name in sdm._sm_tables
+            if sdm.placement.for_table(name).rank_order is not None
+        ]
         assert ranked, "expected a hotness-ranked split table"
         self._assert_blocks_match_per_row_load(sdm, model)
-        # Tier 0 serves its share of the same stored rows from the one source.
-        fast = sdm.tiers[0]
-        stored = np.array([0, 3, 1])
+        # A ranked table stores row rank_order[i] at stored index i, through
+        # an FM mapping tensor that inverts the ranking.
         for name in ranked:
-            expected = [self._row_bytes(sdm, model, {}, name, int(i)) for i in stored]
-            rows, available = fast.read_rows_batch(name, stored, 0.5)
-            assert [row.tobytes() for row in rows] == expected
-            assert available.tolist() == [0.5] * 3  # fast memory: no IO wait
+            state, rank_order = sdm._sm_tables[name], sdm.placement.for_table(name).rank_order
+            assert np.array_equal(state.mapping[rank_order], np.arange(state.stored_rows))
+            assert state.mapping_fm_bytes == 4 * state.stored_rows
 
     @pytest.mark.parametrize("deprune", [False, True])
     def test_pruned_tables(self, deprune):

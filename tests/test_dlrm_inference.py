@@ -21,7 +21,7 @@ class LoopBackend(InMemoryBackend):
     """DRAM backend that serves batches with the base-class per-sample loop:
     the reference the batched override must reproduce exactly."""
 
-    pooled_embeddings_batch = EmbeddingBackend.pooled_embeddings_batch
+    serve_batch = EmbeddingBackend.serve_batch
 
 
 def _mixed_width_tables():
@@ -83,19 +83,31 @@ class TestQuery:
 
 class TestInMemoryBackend:
     def test_pooled_values_match_table_bag(self):
-        model = small_model()
-        backend = InMemoryBackend(model.tables, ComputeSpec())
+        # Serving returns the completion time only; the values are the
+        # model's own bags, pooled when the scores are computed.
+        model = small_model(item_batch=2)
+        compute = ComputeSpec()
+        backend = InMemoryBackend(model.tables, compute)
         requests = {name: [0, 2] for name in model.tables}
-        pooled, done = backend.pooled_embeddings(requests, start_time=1.0)
-        assert done > 1.0
+        done = backend.serve(requests, start_time=1.0)
+        elapsed = 0.0
         for name in requests:
-            np.testing.assert_allclose(pooled[name], model.table(name).bag([0, 2]))
+            elapsed += compute.embedding_read_time(2, model.table(name).spec.row_bytes)
+        assert done == 1.0 + elapsed
+        query = small_queries(model, 1)[0]
+        user = {name: model.table(name).bag(rows) for name, rows in query.user_indices.items()}
+        items = {
+            name: np.stack([model.table(name).bag(bags[b]) for b in range(len(bags))])
+            for name, bags in query.item_indices.items()
+        }
+        expected = model.score_batch(query.dense_features, user, items)
+        assert np.array_equal(InferenceEngine(model, compute, backend).score(query), expected)
 
     def test_unknown_table_rejected(self):
         model = small_model()
         backend = InMemoryBackend(model.tables, ComputeSpec())
         with pytest.raises(KeyError):
-            backend.pooled_embeddings({"nope": [0]}, 0.0)
+            backend.serve({"nope": [0]}, 0.0)
 
     @pytest.mark.parametrize("batch", [1, 16])
     def test_batch_equals_per_sample_loop_bit_for_bit(self, batch):
@@ -113,19 +125,14 @@ class TestInMemoryBackend:
             }
             bags["wide"][0] = [9] * len(bags["wide"][0])  # repeats inside a bag
             requests = {name: Bags.from_lists(table_bags, name) for name, table_bags in bags.items()}
-            pooled, done = batched.pooled_embeddings_batch(requests, start_time=0.125)
-            expected, expected_done = loop.pooled_embeddings_batch(requests, start_time=0.125)
-            assert done == expected_done
-            assert list(pooled) == list(expected)
-            for name, matrix in pooled.items():
-                assert matrix.dtype == np.float32
-                assert matrix.shape == (batch, tables[name].spec.dim)
-                assert np.array_equal(matrix, expected[name])
+            done = batched.serve_batch(requests, start_time=0.125)
+            assert done == loop.serve_batch(requests, start_time=0.125)
+            assert done > 0.125
 
     def test_batch_of_no_tables_completes_at_once(self):
         for backend_type in (InMemoryBackend, LoopBackend):
             backend = backend_type(_mixed_width_tables(), ComputeSpec())
-            assert backend.pooled_embeddings_batch({}, 2.0) == ({}, 2.0)
+            assert backend.serve_batch({}, 2.0) == 2.0
 
     @pytest.mark.parametrize("backend_type", [InMemoryBackend, LoopBackend])
     @pytest.mark.parametrize(
@@ -142,7 +149,7 @@ class TestInMemoryBackend:
         backend = backend_type(_mixed_width_tables(), ComputeSpec())
         with pytest.raises(error):
             packed = {name: Bags.from_lists(bags, name) for name, bags in requests.items()}
-            backend.pooled_embeddings_batch(packed, 0.0)
+            backend.serve_batch(packed, 0.0)
 
 
 class TestInferenceEngine:
@@ -228,6 +235,28 @@ class TestInferenceEngine:
             with pytest.raises(error):
                 query.item_indices = {name: Bags.from_lists(bags) for name, bags in bad_items.items()}
                 engine.run_query(query)
+
+    def test_scores_are_computed_once_when_first_read(self, monkeypatch):
+        model = small_model(item_batch=2)
+        engine = InferenceEngine(model, ComputeSpec(), InMemoryBackend(model.tables, ComputeSpec()))
+        query = small_queries(model, 1)[0]
+        calls = []
+        score = InferenceEngine.score
+
+        def counting(self, scored):
+            calls.append(scored)
+            return score(self, scored)
+
+        monkeypatch.setattr(InferenceEngine, "score", counting)
+        result = engine.run_query(query)
+        assert calls == []  # serving computes no value
+        first = result.scores
+        assert result.scores is first
+        assert calls == [query]
+
+    def test_backends_serve_no_pruned_tables_by_default(self):
+        model = small_model()
+        assert dict(InMemoryBackend(model.tables, ComputeSpec()).pruned_tables) == {}
 
     def test_default_item_backend_is_in_memory(self):
         model = small_model(item_batch=2)

@@ -23,7 +23,7 @@ from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.quantization import dequantize_rows, quantize_rows
 
 from helpers import (
-    reference_pooled,
+    assert_scores_match_dram,
     small_model,
     small_queries,
     small_sdm_config,
@@ -34,7 +34,7 @@ THREE_TIERS = "dram:8KiB,cxl:8KiB:4KiB,nand:64MiB"
 
 def _serve_many(sdm, model, count=50):
     for query in small_queries(model, count):
-        sdm.pooled_embeddings(query.user_indices, 0.0)
+        sdm.serve(query.user_indices, 0.0)
         sdm.on_query_complete()
 
 
@@ -68,11 +68,9 @@ class TestTwoTierParity:
             ),
         )
         for query in small_queries(model_a, 40):
-            pooled_a, done_a = legacy.pooled_embeddings(query.user_indices, 0.0)
-            pooled_b, done_b = explicit.pooled_embeddings(query.user_indices, 0.0)
+            done_a = legacy.serve(query.user_indices, 0.0)
+            done_b = explicit.serve(query.user_indices, 0.0)
             assert done_a == done_b  # bit-identical simulated time
-            for name in pooled_a:
-                np.testing.assert_array_equal(pooled_a[name], pooled_b[name])
         assert legacy.stats.sm_ios == explicit.stats.sm_ios
         assert legacy.row_cache_hit_rate == explicit.row_cache_hit_rate
         assert legacy.fm_footprint_bytes() == explicit.fm_footprint_bytes()
@@ -119,10 +117,8 @@ class TestThreeTierEndToEnd:
     def test_three_tier_numerics_match_dram_reference(self):
         model = small_model(num_user=3, num_item=1)
         sdm = SoftwareDefinedMemory(model, small_sdm_config(tiers=THREE_TIERS))
-        for query in small_queries(model, 50):
-            pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-            for name, vector in reference_pooled(model, query).items():
-                np.testing.assert_allclose(pooled[name], vector, rtol=1e-5, atol=1e-6)
+        assert_scores_match_dram(model, sdm, small_queries(model, 50))
+        assert sdm.tiers[2].stats.rows_served > 0
 
     def test_row_split_numerics_match_dram_reference(self):
         model = small_model(num_user=3, num_item=1)
@@ -138,10 +134,7 @@ class TestThreeTierEndToEnd:
             decision.is_split
             for decision in sdm.placement.decisions.values()
         )
-        for query in small_queries(model, 50):
-            pooled, _ = sdm.pooled_embeddings(query.user_indices, 0.0)
-            for name, vector in reference_pooled(model, query).items():
-                np.testing.assert_allclose(pooled[name], vector, rtol=1e-5, atol=1e-6)
+        assert_scores_match_dram(model, sdm, small_queries(model, 50))
 
     def test_middle_tier_is_faster_than_bottom_tier(self):
         """A table homed on CXL completes strictly faster than on NAND."""
@@ -155,8 +148,8 @@ class TestThreeTierEndToEnd:
             small_sdm_config(tiers="dram:0,nand:64MiB", pooled_cache_enabled=False),
         )
         query = small_queries(model, 1)[0]
-        _, cxl_done = on_cxl.pooled_embeddings(query.user_indices, 0.0)
-        _, nand_done = on_nand.pooled_embeddings(query.user_indices, 0.0)
+        cxl_done = on_cxl.serve(query.user_indices, 0.0)
+        nand_done = on_nand.serve(query.user_indices, 0.0)
         assert cxl_done < nand_done
 
     def test_cli_three_tier_run_json(self, capsys):
@@ -283,8 +276,7 @@ class TestPromotionPolicies:
         )
         slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
         assert mid.cache_hit_seconds(64) > 0.0
-        rows = np.repeat(np.arange(16, dtype=np.uint8)[:, None], 64, axis=1)
-        slow.add_segment("t", 0, 16, 64, rows, whole_table=True)
+        slow.add_segment("t", 0, 16, 64, whole_table=True)
         placement = TieredPlacement(num_tiers=3)
         placement.add(
             TieredTablePlacement(
@@ -305,7 +297,6 @@ class TestPromotionPolicies:
         # media time on top of the probes, and re-promotes into tier 0.
         assert fast_cache.invalidate(("t", 3))
         outcome = chain.fetch_batch("t", **fetch)
-        assert outcome.rows.tolist() == [[3] * 64]
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
         assert fast_cache.item_count == 1  # re-promoted
@@ -328,7 +319,7 @@ class TestStrictConfiguration:
             model, small_sdm_config(tiers="dram:0,nand:64MiB"), placement=partial
         )
         with pytest.raises(KeyError, match="user_1"):
-            sdm.pooled_embeddings({"user_1": [1, 2]}, 0.0)
+            sdm.serve({"user_1": [1, 2]}, 0.0)
 
     def test_empty_tiers_value_rejected(self):
         with pytest.raises(ValueError, match="names no tiers"):
@@ -367,28 +358,6 @@ class TestVectorisedDecodeParity:
         for index in range(rows.shape[0]):
             single = dequantize_rows(rows[index][None, :], dim, bits)[0]
             np.testing.assert_array_equal(batch[index], single)
-
-    def test_sdm_decoders_agree(self):
-        model = small_model(num_user=1, num_item=0)
-        sdm = SoftwareDefinedMemory(
-            model, small_sdm_config(pooled_cache_enabled=False)
-        )
-        state = sdm._sm_tables["user_0"]
-        raws = [
-            model.table("user_0").row_bytes_at(index) for index in range(16)
-        ]
-        matrix = np.frombuffer(b"".join(raws), dtype=np.uint8).reshape(16, -1)
-        # The serve path's decoder over the stored bytes is the model's own
-        # dequantisation of the same rows.
-        np.testing.assert_array_equal(
-            state.decode_batch(matrix), model.table("user_0").lookup_dense(range(16))
-        )
-
-    def test_float_batch_decoder_round_trips(self):
-        rows = np.random.default_rng(0).normal(size=(8, 12)).astype(np.float32)
-        matrix = np.frombuffer(rows.tobytes(), dtype=np.uint8).reshape(8, -1)
-        decoded = SoftwareDefinedMemory._decode_float_batch(matrix)
-        np.testing.assert_array_equal(decoded, rows)
 
 
 class TestSpecTierPaths:

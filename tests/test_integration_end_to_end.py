@@ -93,7 +93,7 @@ class TestSDMvsDRAMServing:
         )
         queries = generator.generate(300)
         for query in queries:
-            sdm.pooled_embeddings(query.user_indices, 0.0)
+            sdm.serve(query.user_indices, 0.0)
         assert sdm.row_cache_hit_rate > 0.8
 
 
@@ -145,12 +145,12 @@ class TestColdVsWarmCache:
         sdm = small_sdm(model)
         queries = small_queries(model, 60)
         for query in queries[:30]:
-            sdm.pooled_embeddings(query.user_indices, 0.0)
+            sdm.serve(query.user_indices, 0.0)
         warm_rate = sdm.row_cache_hit_rate
         assert warm_rate > 0
 
         reset(sdm, {CONTENTS, COUNTER})
         for query in queries[:5]:
-            sdm.pooled_embeddings(query.user_indices, 0.0)
+            sdm.serve(query.user_indices, 0.0)
         cold_rate = sdm.row_cache_hit_rate
         assert cold_rate <= warm_rate

@@ -6,11 +6,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from repro.cache import LRUCache
+from repro.core import SoftwareDefinedMemory
 from repro.core.pooled_cache import order_invariant_hash
 from repro.dlrm.quantization import dequantize_rows, quantize_rows, quantized_row_bytes
+from repro.hierarchy import DeviceTier, TierSpec
 from repro.sim.units import BLOCK_SIZE
-from repro.storage import BlockLayout, ScatterGatherList
+from repro.storage import BlockLayout, IOEngineConfig, ScatterGatherList
 from repro.workload.locality import spatial_locality_ratio, temporal_locality_cdf
+
+from helpers import small_model, small_sdm_config
 
 
 class TestQuantizationProperties:
@@ -74,12 +78,10 @@ class TestLRUCacheProperties:
     def test_capacity_invariant_under_arbitrary_insertions(self, operations, capacity):
         cache = LRUCache(capacity, per_item_overhead_bytes=8)
         for key, size in operations:
-            cache.put(key, bytes(size))
+            cache.put(key, size)
             assert cache.used_bytes <= capacity
         # internal accounting matches the entries actually present
-        recomputed = sum(
-            len(cache.get(key) or b"") + 8 for key in list(cache.keys())
-        )
+        recomputed = sum((cache.get(key) or 0) + 8 for key in list(cache.keys()))
         assert cache.used_bytes == recomputed
 
     @given(
@@ -89,10 +91,10 @@ class TestLRUCacheProperties:
     def test_get_after_put_returns_value_if_present(self, keys):
         cache = LRUCache(10_000)
         for key in keys:
-            cache.put(key, str(key).encode())
+            cache.put(key, len(str(key)))
         for key in set(keys):
-            value = cache.get(key)
-            assert value is None or value == str(key).encode()
+            size = cache.get(key)
+            assert size is None or size == len(str(key))
 
 
 class TestBlockLayoutProperties:
@@ -125,6 +127,120 @@ class TestBlockLayoutProperties:
             key = (location.lba, location.offset)
             assert key not in seen
             seen.add(key)
+
+
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=400),
+                st.integers(min_value=9, max_value=BLOCK_SIZE),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        num_devices=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_rows_map_one_to_one_into_their_extents_without_overlap(self, tables, num_devices):
+        # Serving reads no row bytes, so nothing downstream would notice a
+        # row laid over another: the layout itself must map every row of
+        # every table to its own byte range inside its table's extent.
+        layout = BlockLayout([16 * 1024 * 1024] * num_devices)  # fits 6 x 400 blocks
+        for index, (num_rows, row_bytes) in enumerate(tables):
+            layout.add_table(f"t{index}", num_rows, row_bytes)
+        ranges = {device: [] for device in range(num_devices)}
+        for index, (num_rows, row_bytes) in enumerate(tables):
+            extent = layout.extent(f"t{index}")
+            located = layout.locate_batch(f"t{index}", np.arange(num_rows))
+            assert located.device_index == extent.device_index
+            assert located.length == row_bytes
+            assert located.lba.min() >= extent.first_lba
+            assert located.lba.max() < extent.first_lba + extent.num_blocks
+            assert located.offset.min() >= 0
+            assert located.offset.max() + row_bytes <= BLOCK_SIZE
+            for row in {0, num_rows // 2, num_rows - 1}:
+                scalar = layout.locate(f"t{index}", row)
+                assert (scalar.lba, scalar.offset) == (located.lba[row], located.offset[row])
+            starts = located.lba * BLOCK_SIZE + located.offset
+            ranges[extent.device_index].append(np.stack([starts, starts + row_bytes], axis=1))
+        for device_ranges in ranges.values():
+            if not device_ranges:
+                continue
+            spans = np.concatenate(device_ranges)
+            spans = spans[np.argsort(spans[:, 0], kind="stable")]
+            # Sorted by start, each range ends before the next begins: no two
+            # rows of any tables share a byte.
+            assert (spans[1:, 0] >= spans[:-1, 1]).all()
+
+    @given(
+        tables=st.lists(
+            st.tuples(
+                st.integers(min_value=1, max_value=300),
+                st.sampled_from([24, 40, 72, 136, 264]),
+            ),
+            min_size=1,
+            max_size=4,
+        ),
+        num_devices=st.integers(min_value=1, max_value=3),
+        seed=st.integers(min_value=0, max_value=2**16),
+        sub_block=st.booleans(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_io_engine_requests_rows_times_row_bytes(self, tables, num_devices, seed, sub_block):
+        tier = DeviceTier(
+            TierSpec.from_value({"technology": "nand", "capacity": "12MiB", "devices": num_devices}),
+            io_config=IOEngineConfig(sub_block_reads=sub_block),
+        )
+        rng = np.random.default_rng(seed)
+        expected = 0
+        for index, (num_rows, row_bytes) in enumerate(tables):
+            tier.add_segment(f"t{index}", 0, num_rows, row_bytes, whole_table=True)
+            rows = rng.integers(0, num_rows, size=int(rng.integers(1, 2 * num_rows + 1)))
+            tier.read_rows_batch(f"t{index}", np.concatenate([np.arange(num_rows), rows]), 0.0)
+            expected += (num_rows + rows.size) * row_bytes
+        stats = tier.io_engine.stats
+        assert stats.bytes_requested == expected
+        assert tier.device_stats().bytes_requested == expected
+        assert stats.bytes_transferred >= expected
+        assert tier.stats.bytes_served == expected
+
+    @given(
+        fast_kib=st.integers(min_value=0, max_value=8),
+        mid_kib=st.integers(min_value=1, max_value=48),
+        num_rows=st.integers(min_value=64, max_value=320),
+        num_user=st.integers(min_value=1, max_value=3),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_split_row_segments_partition_the_stored_rows(
+        self, fast_kib, mid_kib, num_rows, num_user
+    ):
+        model = small_model(num_user=num_user, num_item=1, num_rows=num_rows)
+        sdm = SoftwareDefinedMemory(
+            model,
+            small_sdm_config(
+                tiers=f"dram:{fast_kib}KiB,cxl:{mid_kib}KiB,nand:64MiB", split_rows=True
+            ),
+        )
+        for name, state in sdm._sm_tables.items():
+            decision = sdm.placement.for_table(name)
+            segments = sorted(decision.segments, key=lambda segment: segment.start)
+            # Contiguous from 0 to the stored row count: every stored row is
+            # homed exactly once.
+            assert segments[0].start == 0 and segments[-1].end == state.stored_rows
+            assert all(a.end == b.start for a, b in zip(segments, segments[1:]))
+            homes = decision.tiers_of_rows(np.arange(state.stored_rows))
+            for segment in segments:
+                assert (homes[segment.start : segment.end] == segment.tier).all()
+                if segment.tier == 0:
+                    continue
+                # The device tier laid out exactly this segment.
+                tier = sdm.tiers[segment.tier]
+                assert (segment.start, segment.end) in {
+                    (homed.start, homed.end) for homed in tier._segments[name]
+                }
+            for index, tier in enumerate(sdm.tiers[1:], start=1):
+                homed = sum(s.end - s.start for s in tier._segments.get(name, []))
+                assert homed == int((homes == index).sum())
 
 
 class TestSGLProperties:

@@ -111,7 +111,7 @@ class TestMmapFaultsLandAtTheBoundary:
         rows = np.arange(4, dtype=np.int64)
 
         faulted = reader.read_rows_batch(table, rows, 0.0)
-        assert reader.page_faults > 0 and faulted.completion_times.min() > 0.0
+        assert reader.page_faults > 0 and faulted.min() > 0.0
         pages, faults = reader.fm_footprint_bytes(), reader.page_faults
 
         sdm.reset_queues()
@@ -120,5 +120,4 @@ class TestMmapFaultsLandAtTheBoundary:
         # it is asked for instead of at the warm-up clock's completion time.
         landed = reader.read_rows_batch(table, rows, 0.0)
         assert reader.page_faults == faults and reader.fm_footprint_bytes() == pages
-        assert landed.completion_times.tolist() == [0.0] * rows.size
-        np.testing.assert_array_equal(landed.rows, faulted.rows)
+        assert landed.tolist() == [0.0] * rows.size

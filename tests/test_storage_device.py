@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.sim.state import COUNTER, QUEUE, RUN_ROLES, record, reset
+from repro.sim.state import COUNTER, QUEUE, record, reset
 from repro.sim.units import BLOCK_SIZE, GB
 from repro.storage import (
     ScatterGatherList,
@@ -24,27 +24,13 @@ def _single_range_sgl(offset, length):
 
 
 class TestDeviceData:
-    def test_read_returns_written_bytes(self):
-        device = _make_device()
-        payload = bytes(range(64))
-        device.write_block(3, payload, offset=128)
-        assert device.read_block_data(3, 128, 64) == payload
-
-    def test_unwritten_blocks_read_as_zeros(self):
-        device = _make_device()
-        assert device.read_block_data(7, 0, 16) == bytes(16)
-
-    def test_write_beyond_block_rejected(self):
-        device = _make_device()
-        with pytest.raises(ValueError):
-            device.write_block(0, bytes(10), offset=BLOCK_SIZE - 4)
-
     def test_lba_out_of_range_rejected(self):
         device = _make_device(capacity=BLOCK_SIZE * 4)
         with pytest.raises(IndexError):
-            device.write_block(4, b"x")
+            device.load(4, 1)
         with pytest.raises(IndexError):
-            device.read_block_data(100)
+            device.check_lbas(np.array([0, 100]))
+        device.check_lbas(np.array([0, 3]))
 
     def test_num_blocks_derived_from_capacity(self):
         device = _make_device(capacity=BLOCK_SIZE * 10)
@@ -52,111 +38,52 @@ class TestDeviceData:
 
     def test_write_stats_accumulate(self):
         device = _make_device()
-        device.write_block(0, bytes(100))
-        device.write_block(1, bytes(50))
-        assert device.stats.writes == 2
-        assert device.stats.bytes_written == 150
+        device.load(0, 2)
+        device.load(5, 1)
+        assert device.stats.writes == 3
+        assert device.stats.bytes_written == 3 * BLOCK_SIZE
 
 
 class TestWriteBlocks:
-    """``write_blocks`` is ``write_block`` per row of the matrix, faster."""
-
-    @staticmethod
-    def _blocks(count, seed=0):
-        rng = np.random.default_rng(seed)
-        return rng.integers(0, 256, size=(count, BLOCK_SIZE), dtype=np.uint8)
-
-    @staticmethod
-    def _per_block(device, first_lba, blocks):
-        for offset, block in enumerate(blocks):
-            device.write_block(first_lba + offset, block.tobytes())
-
-    @staticmethod
-    def _image(device, lbas):
-        return [device.read_block_data(lba) for lba in lbas]
-
-    def test_matches_per_block_writes_growing_from_an_empty_store(self):
-        batched, scalar = _make_device(), _make_device()
-        for first_lba, count in ((5, 37), (100, 1), (101, 300)):
-            blocks = self._blocks(count, seed=first_lba)
-            batched.write_blocks(first_lba, blocks)
-            self._per_block(scalar, first_lba, blocks)
-        lbas = range(0, 410)
-        assert self._image(batched, lbas) == self._image(scalar, lbas)
-        assert batched.stats == scalar.stats
-        assert batched.stats.writes == 338
-        assert batched.stats.bytes_written == 338 * BLOCK_SIZE
-        # Right-sized: one slot per written block plus the zero image.
-        assert batched._block_store.shape[0] == 339
-
-    def test_overwrites_existing_lbas(self):
-        batched, scalar = _make_device(), _make_device()
-        for device in (batched, scalar):
-            device.write_block(12, bytes([9] * 64), offset=32)
-            device.write_block(3, bytes([7] * BLOCK_SIZE))
-        blocks = self._blocks(6, seed=1)
-        batched.write_blocks(10, blocks)  # LBA 12 already holds data
-        self._per_block(scalar, 10, blocks)
-        lbas = range(0, 20)
-        assert self._image(batched, lbas) == self._image(scalar, lbas)
-        assert batched.read_block_data(12) == blocks[2].tobytes()
-        assert batched.read_block_data(3) == bytes([7] * BLOCK_SIZE)
-        assert batched.stats == scalar.stats
-        assert batched._block_slots == scalar._block_slots
-
-    def test_rows_gather_back_through_the_batched_read(self):
-        device = _make_device()
-        blocks = self._blocks(8, seed=2)
-        device.write_blocks(20, blocks)
-        lbas = np.array([27, 20, 23, 99])
-        rows = device.read_rows_ndarray(lbas, np.array([0, 64, 4000, 8]), 96)
-        assert rows[0].tobytes() == blocks[7, :96].tobytes()
-        assert rows[1].tobytes() == blocks[0, 64:160].tobytes()
-        assert rows[2].tobytes() == blocks[3, 4000:4096].tobytes()
-        assert rows[3].tobytes() == bytes(96)
+    """``load`` counts a table load: one whole-block write per block."""
 
     def test_out_of_range_rejected_before_anything_is_written(self):
         device = _make_device(capacity=BLOCK_SIZE * 8)
         with pytest.raises(IndexError):
-            device.write_blocks(6, self._blocks(3))
+            device.load(6, 3)
         with pytest.raises(IndexError):
-            device.write_blocks(-1, self._blocks(2))
+            device.load(-1, 2)
         assert device.stats.writes == 0
-        assert device._block_slots == {}
+        device.load(6, 2)  # the last two blocks fit
+        assert device.stats.writes == 2
 
     def test_wrong_shape_or_dtype_rejected(self):
         device = _make_device()
-        with pytest.raises(ValueError, match="uint8 matrix"):
-            device.write_blocks(0, np.zeros((2, BLOCK_SIZE - 1), dtype=np.uint8))
-        with pytest.raises(ValueError, match="uint8 matrix"):
-            device.write_blocks(0, np.zeros(BLOCK_SIZE, dtype=np.uint8))
-        with pytest.raises(ValueError, match="uint8 matrix"):
-            device.write_blocks(0, np.zeros((2, BLOCK_SIZE), dtype=np.float32))
-        device.write_blocks(0, np.zeros((0, BLOCK_SIZE), dtype=np.uint8))
-        assert device.stats.writes == 0
+        with pytest.raises(ValueError, match="non-negative"):
+            device.load(0, -1)
+        device.load(0, 0)
+        assert device.stats.writes == 0 and device.stats.bytes_written == 0
 
 
 class TestDeviceReadTiming:
     def test_read_returns_requested_data_and_positive_latency(self):
         device = _make_device()
-        device.write_block(0, bytes([7] * 256))
-        data, completion, transferred = device.schedule_read(
+        completion, transferred = device.schedule_read(
             0, _single_range_sgl(0, 256), arrival_time=0.0
         )
-        assert data == bytes([7] * 256)
         assert completion > 0.0
         assert transferred >= 256
 
     def test_sub_block_read_transfers_less_than_full_block(self):
         device = _make_device()
-        _, _, with_sub = device.schedule_read(0, _single_range_sgl(0, 128), 0.0, True)
-        _, _, without_sub = device.schedule_read(0, _single_range_sgl(0, 128), 0.0, False)
+        _, with_sub = device.schedule_read(0, _single_range_sgl(0, 128), 0.0, True)
+        _, without_sub = device.schedule_read(0, _single_range_sgl(0, 128), 0.0, False)
         assert with_sub < without_sub
         assert without_sub == BLOCK_SIZE
 
     def test_unloaded_latency_close_to_base_latency(self):
         device = _make_device(optane_ssd_spec, capacity=10 * GB)
-        _, completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
+        completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
         assert completion < 5 * device.spec.base_read_latency
 
     def test_latency_grows_when_saturated(self):
@@ -165,7 +92,7 @@ class TestDeviceReadTiming:
         # much higher latency than the first.
         completions = []
         for _ in range(2000):
-            _, completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
+            completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
             completions.append(completion)
         assert completions[-1] > completions[0] * 2
 
@@ -174,14 +101,14 @@ class TestDeviceReadTiming:
         count = 5000
         last_completion = 0.0
         for _ in range(count):
-            _, completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
+            completion, _ = device.schedule_read(0, _single_range_sgl(0, 128), 0.0)
             last_completion = max(last_completion, completion)
         achieved_iops = count / last_completion
         assert achieved_iops <= device.spec.max_read_iops * 1.05
 
     def test_arrival_time_respected(self):
         device = _make_device()
-        _, completion, _ = device.schedule_read(0, _single_range_sgl(0, 64), arrival_time=1.0)
+        completion, _ = device.schedule_read(0, _single_range_sgl(0, 64), arrival_time=1.0)
         assert completion > 1.0
 
     def test_negative_arrival_rejected(self):
@@ -230,7 +157,7 @@ class TestBatchReadScheduler:
         arrivals = arrivals if arrivals is not None else [0.0] * count
         scalar_times = []
         for arrival in arrivals:
-            _, completion, _ = scalar.schedule_read(0, _single_range_sgl(0, 128), arrival)
+            completion, _ = scalar.schedule_read(0, _single_range_sgl(0, 128), arrival)
             scalar_times.append(completion)
         # The single-entry SGL for (0, 128) transfers its DWORD-aligned span.
         transferred = _single_range_sgl(0, 128).transferred_bytes(True)
@@ -302,113 +229,13 @@ class TestBatchReadScheduler:
 
 
 class TestReadRowsNdarray:
-    def test_gather_matches_per_row_reads(self):
-        device = _make_device()
-        device.write_block(2, bytes(range(200)), offset=0)
-        device.write_block(5, bytes(reversed(range(200))), offset=100)
-        lbas = np.array([2, 5, 2, 9], dtype=np.int64)  # lba 9 never written
-        offsets = np.array([0, 100, 64, 0], dtype=np.int64)
-        matrix = device.read_rows_ndarray(lbas, offsets, 64)
-        assert matrix.shape == (4, 64)
-        for row, (lba, offset) in enumerate(zip(lbas, offsets)):
-            assert matrix[row].tobytes() == device.read_block_data(int(lba), int(offset), 64)
-
-    @staticmethod
-    def _assert_gather_equals_per_row_reads(device, lbas, offsets, length):
-        matrix = device.read_rows_ndarray(np.array(lbas), np.array(offsets), length)
-        assert matrix.shape == (len(lbas), length) and matrix.dtype == np.uint8
-        assert matrix.flags.c_contiguous and matrix.flags.writeable
-        for row, (lba, offset) in enumerate(zip(lbas, offsets)):
-            expected = device.read_block_data(lba, offset, length)
-            assert matrix[row].tobytes() == expected, (lba, offset)
-
-    def test_sparse_out_of_order_overwritten_and_never_written_lbas(self):
-        device = _make_device(capacity=BLOCK_SIZE * 1000)
-        rng = np.random.default_rng(5)
-        for lba in (700, 3, 512, 40, 41, 999):  # written out of order, far apart
-            device.write_block(lba, rng.integers(0, 256, BLOCK_SIZE, dtype=np.uint8).tobytes())
-        device.write_block(40, bytes([7] * 300), offset=1000)  # overwrites part of 40
-        device.write_blocks(511, rng.integers(0, 256, (3, BLOCK_SIZE), dtype=np.uint8))  # and 512
-        lbas = [999, 3, 40, 40, 0, 513, 998, 512, 700, 2, 41, 511, 4]
-        offsets = [0, 4000, 1000, 904, 8, 1, 4000, 2048, 77, 0, 3, 5, 96]
-        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 96)
-        # Never-written LBAs -- below, between and above the written ones --
-        # read as zeros.
-        gaps = device.read_rows_ndarray(np.array([0, 2, 4, 998]), np.zeros(4, dtype=np.int64), 64)
-        assert not gaps.any()
-
-    def test_lba_above_every_written_one(self):
-        device = _make_device(capacity=BLOCK_SIZE * 100)
-        device.write_block(10, bytes([1] * 64))
-        self._assert_gather_equals_per_row_reads(device, [99, 10, 11, 99], [0, 0, 0, 4032], 64)
-
-    def test_empty_device_and_empty_batch(self):
-        device = _make_device(capacity=BLOCK_SIZE * 100)
-        self._assert_gather_equals_per_row_reads(device, [0, 99, 50], [0, 8, 4000], 96)
-        none = np.zeros(0, dtype=np.int64)
-        assert device.read_rows_ndarray(none, none, 32).shape == (0, 32)
-        device.write_block(5, bytes([3] * 32))
-        assert device.read_rows_ndarray(none, none, 32).shape == (0, 32)
-
-    def test_a_write_after_a_read_rebuilds_the_index(self):
-        device = _make_device(capacity=BLOCK_SIZE * 100)
-        device.write_block(20, bytes([1] * 128))
-        lbas, offsets = [20, 21, 5, 60, 61, 62], [0, 0, 0, 0, 0, 0]
-        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)  # builds the index
-        device.write_block(5, bytes([2] * 128))  # a new LBA below the indexed ones
-        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
-        assert device.read_rows_ndarray(np.array([5]), np.array([0]), 128).tolist() == [[2] * 128]
-        device.write_blocks(60, np.full((3, BLOCK_SIZE), 9, dtype=np.uint8))  # grows the store
-        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
-        assert (device.read_rows_ndarray(np.array([62, 60]), np.array([0, 4000]), 96) == 9).all()
-        device.write_block(20, bytes([4] * 128))  # overwrite in place
-        self._assert_gather_equals_per_row_reads(device, lbas, offsets, 128)
-        device.write_blocks(19, np.full((3, BLOCK_SIZE), 8, dtype=np.uint8))  # 20 again, 19/21 new
-        self._assert_gather_equals_per_row_reads(device, lbas + [19], offsets + [0], 128)
-
-    def test_the_index_is_derived_from_the_written_blocks_only(self):
-        # The one piece of mutable state the gather added: it mirrors
-        # _block_slots (which a backend's restore_pristine keeps, as a
-        # construction-time product), whatever was read in between.
-        device = _make_device(capacity=BLOCK_SIZE * 100)
-        for lba in (30, 7, 55):
-            device.write_block(lba, bytes([lba] * 16))
-        record(device)
-        assert device._slot_index is None
-        device.read_rows_ndarray(np.array([7]), np.array([0]), 16)
-        written, slots = device._slot_index
-        assert written.tolist() == [7, 30, 55, device.num_blocks]
-        assert slots.tolist() == [device._block_slots[7], device._block_slots[30],
-                                  device._block_slots[55], 0]
-        device.schedule_read(7, _single_range_sgl(0, 16), 0.0)
-        reset(device, RUN_ROLES)
-        assert device._slot_index[0] is written  # reads and resets leave it alone
-        assert device.stats.writes == 3  # as built: the writes are kept
-        device.write_block(8, b"x")
-        assert device._slot_index is None
-
     def test_bad_lba_rejected(self):
         device = _make_device(capacity=BLOCK_SIZE * 4)
         with pytest.raises(IndexError):
-            device.read_rows_ndarray(
-                np.array([0, 4], dtype=np.int64), np.zeros(2, dtype=np.int64), 16
-            )
-
-    def test_range_beyond_block_rejected(self):
-        device = _make_device()
-        with pytest.raises(ValueError):
-            device.read_rows_ndarray(
-                np.zeros(1, dtype=np.int64),
-                np.array([BLOCK_SIZE - 8], dtype=np.int64),
-                64,
-            )
-        none = np.zeros(0, dtype=np.int64)
-        for length in (-1, BLOCK_SIZE + 1):  # whatever the batch holds
-            with pytest.raises(ValueError):
-                device.read_rows_ndarray(none, none, length)
-        whole = device.read_rows_ndarray(np.array([0, 7]), np.zeros(2, dtype=np.int64), BLOCK_SIZE)
-        assert whole.shape == (2, BLOCK_SIZE)
-        assert device.read_rows_ndarray(np.array([3]), np.array([BLOCK_SIZE]), 0).shape == (1, 0)
+            device.check_lbas(np.array([0, 4], dtype=np.int64))
+        with pytest.raises(IndexError):
+            device.check_lbas(np.array([-1], dtype=np.int64))
+        device.check_lbas(np.zeros(0, dtype=np.int64))
 
 
 class TestDeviceResetSplit:
