@@ -12,7 +12,9 @@ Two parts:
 
 from repro import ScenarioSpec, Session, format_table
 from repro.api import BackendChoice, ModelChoice, ServingChoice, WorkloadChoice
-from repro.cache import CPUOptimizedCache, MemoryOptimizedCache, UnifiedCacheConfig, UnifiedRowCache
+import numpy as np
+
+from repro.cache import CPU_OPTIMIZED, MEMORY_OPTIMIZED, UnifiedRowCache
 from repro.core import PlacementPolicy
 from repro.sim.units import MIB
 
@@ -22,21 +24,21 @@ from _util import emit, run_once
 def _cache_organisation_rows():
     budget = 1 * MIB
     small_row, large_row = 64, 320  # row sizes in bytes
+    probed = np.arange(5_000)
     rows = []
     for name, cache in (
-        ("memory-optimised", MemoryOptimizedCache(budget)),
-        ("cpu-optimised", CPUOptimizedCache(budget)),
-        ("unified dual cache", UnifiedRowCache(UnifiedCacheConfig(capacity_bytes=budget))),
+        ("memory-optimised", MEMORY_OPTIMIZED.build(budget)),
+        ("cpu-optimised", CPU_OPTIMIZED.build(budget)),
+        ("unified dual cache", UnifiedRowCache(budget)),
     ):
-        for index in range(16_000):
-            cache.put(("small", index), small_row)
-        for index in range(1_000):
-            cache.put(("large", index), large_row)
-        for index in range(5_000):
-            if isinstance(cache, UnifiedRowCache):
-                cache.get(("small", index), size_hint=64)
-            else:
-                cache.get(("small", index))
+        cache.fill_batch("small", np.arange(16_000), small_row)
+        cache.fill_batch("large", np.arange(1_000), large_row)
+        slots = (
+            cache.lookup_batch("small", probed, small_row)
+            if isinstance(cache, UnifiedRowCache)
+            else cache.lookup_slots("small", probed)
+        )
+        cache.probe_run([("small", probed, slots, small_row)])
         stats = cache.stats
         rows.append([name, cache.item_count, stats.cpu_seconds * 1e6])
     return rows

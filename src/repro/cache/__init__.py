@@ -1,27 +1,32 @@
 """Fast-memory (FM) software-managed cache substrate.
 
-A stand-in for CacheLib as used by the paper (section 4.3): an LRU row cache
-offered in two flavours -- a memory-optimised variant with low per-item
-metadata overhead but a bucket search on lookup, and a CPU-optimised variant
-with higher per-item overhead but constant-time lookups -- plus the unified
-router that sends small embedding rows (dim <= 255 B) to the memory-optimised
-cache and larger rows to the CPU-optimised cache.
+A stand-in for CacheLib as used by the paper (section 4.3): the unified row
+cache is two byte-budgeted LRU caches keyed by ``(table, stored >= 0)`` -- a
+memory-optimised organisation with low per-item metadata overhead but a
+bucket search on lookup, and a CPU-optimised one with higher per-item
+overhead but constant-time lookups -- and routes small embedding rows
+(<= 255 B) to the first and larger rows to the second.  The tier chain
+drives it through one batch API; :class:`LRUCache` and the scalar
+``get``/``put`` are the per-row reference.
 """
 
 from repro.cache.base import CacheStats, RowCache
 from repro.cache.lru import LRUCache
 from repro.cache.soa import SoALRUCache
-from repro.cache.memory_optimized import MemoryOptimizedCache
-from repro.cache.cpu_optimized import CPUOptimizedCache
-from repro.cache.unified import UnifiedRowCache, UnifiedCacheConfig
+from repro.cache.unified import (
+    CPU_OPTIMIZED,
+    MEMORY_OPTIMIZED,
+    CacheOrganization,
+    UnifiedRowCache,
+)
 
 __all__ = [
     "CacheStats",
     "RowCache",
     "LRUCache",
     "SoALRUCache",
-    "MemoryOptimizedCache",
-    "CPUOptimizedCache",
+    "CacheOrganization",
+    "MEMORY_OPTIMIZED",
+    "CPU_OPTIMIZED",
     "UnifiedRowCache",
-    "UnifiedCacheConfig",
 ]

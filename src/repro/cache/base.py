@@ -63,14 +63,6 @@ class RowCache(abc.ABC):
         """Insert an entry of ``size`` bytes, evicting as needed.  Returns
         ``False`` if rejected."""
 
-    @abc.abstractmethod
-    def contains(self, key: CacheKey) -> bool:
-        """Membership test without recording a hit/miss or touching LRU order."""
-
-    @abc.abstractmethod
-    def invalidate(self, key: CacheKey) -> bool:
-        """Drop one entry (used during model update).  Returns whether present."""
-
     @property
     @abc.abstractmethod
     def used_bytes(self) -> int:

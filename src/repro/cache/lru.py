@@ -1,8 +1,7 @@
 """Byte-budgeted LRU cache.
 
-This is the core eviction machinery shared by the memory-optimised and
-CPU-optimised cache organisations; the two differ only in per-item metadata
-overhead and per-lookup CPU cost (see their modules).
+The plain dict-backed statement of the eviction machinery:
+:class:`~repro.cache.soa.SoALRUCache` must match it in every observable.
 """
 
 from __future__ import annotations
@@ -87,16 +86,6 @@ class LRUCache(RowCache):
         self._entries[key] = size
         self._used_bytes += entry_size
         self.stats.inserts += 1
-        return True
-
-    def contains(self, key: CacheKey) -> bool:
-        return key in self._entries
-
-    def invalidate(self, key: CacheKey) -> bool:
-        size = self._entries.pop(key, None)
-        if size is None:
-            return False
-        self._used_bytes -= self._entry_size(size)
         return True
 
     @property

@@ -6,12 +6,11 @@ modelled CPU seconds, eviction order, ``used_bytes`` — but organised as
 parallel arrays so a whole batch of row keys can be probed, filled or evicted
 with a handful of NumPy operations instead of one dict transaction per row:
 
-* keys of the hot shape ``(table_name, stored_index)`` (stored index >= 0)
-  are resolved through a per-table int64 direct-index array (stored index ->
-  slot, ``-1`` absent); each slot records its ``(table id, stored index)`` in
-  two arrays, so no key tuple exists per entry.  Any other hashable key
-  (including a negative stored index, which must not alias ``index[-1]``)
-  lives in a small side dict,
+* a key is ``(table_name, stored_index)`` with ``stored_index >= 0``
+  (anything else is a ``ValueError``: a negative index would alias
+  ``index[-1]``), resolved through a per-table int64 direct-index array
+  (stored index -> slot, ``-1`` absent); each slot records its ``(table id,
+  stored index)`` in two arrays, so no key tuple exists per entry,
 * an entry holds no row bytes: a slot records the row's length, which is
   what the byte budget counts, and a batched probe returns a hit mask,
 * recency is an append-only log of slots: every touch (hit or insert) appends
@@ -111,15 +110,14 @@ class SoALRUCache(RowCache):
 
     Constructor parameters and scalar ``get``/``put`` semantics mirror
     :class:`~repro.cache.lru.LRUCache` exactly; the batch methods
-    (:meth:`probe_batch`, :meth:`probe_run`, :meth:`fill_batch`,
-    :meth:`contains_batch`) are the array-native equivalents of calling the
-    scalar operations once per row in input order.  Scalar operations stay
-    O(1) Python (they touch array elements, never whole arrays); batch
-    mutation — insertion, eviction, promotion — is a fixed number of array
-    operations per call.
+    (:meth:`probe_batch`, :meth:`probe_run`, :meth:`fill_batch`) are the
+    array-native equivalents of calling the scalar operations once per row
+    in input order.  Scalar operations stay O(1) Python (they touch array
+    elements, never whole arrays); batch mutation — insertion, eviction,
+    promotion — is a fixed number of array operations per call.
 
-    State, per slot: entry size (the row's length), table id (``-1`` for a
-    side-dict key), stored index and recency stamp (``0`` marks a free slot).
+    State, per slot: entry size (the row's length), table id, stored index
+    and recency stamp (``0`` marks a free slot).
     ``_log[i]`` is the slot touched at stamp ``i + 1``.  Everything
     :meth:`_drop_entries` sets is the cache's contents.
     """
@@ -127,8 +125,8 @@ class SoALRUCache(RowCache):
     STATE_ROLES: ClassVar[Mapping[str, str]] = dict.fromkeys(
         (
             "_table_ids", "_table_names", "_slots", "_slot_len", "_slot_table",
-            "_slot_stored", "_slot_stamp", "_indexes", "_other_slot", "_other_key",
-            "_log", "_log_head", "_log_tail", "_count", "_used_bytes",
+            "_slot_stored", "_slot_stamp", "_indexes", "_log", "_log_head",
+            "_log_tail", "_count", "_used_bytes",
         ),
         CONTENTS,
     )
@@ -166,9 +164,6 @@ class SoALRUCache(RowCache):
         self._slot_stored = np.zeros(0, dtype=np.int64)
         self._slot_stamp = np.zeros(0, dtype=np.int64)
         self._indexes: List[np.ndarray] = []
-        # Keys outside the (table, stored >= 0) shape: key <-> slot.
-        self._other_slot: Dict[CacheKey, int] = {}
-        self._other_key: Dict[int, CacheKey] = {}
         self._log = np.zeros(64, dtype=np.int64)
         self._log_head = 0
         self._log_tail = 0
@@ -176,7 +171,9 @@ class SoALRUCache(RowCache):
         self._used_bytes = 0
 
     @staticmethod
-    def _row_key_parts(key: CacheKey) -> Optional[Tuple[str, int]]:
+    def _row_key_parts(key: CacheKey) -> Tuple[str, int]:
+        """``(table_name, stored)`` of a row key, checked before the key
+        touches any state or counter."""
         if (
             isinstance(key, tuple)
             and len(key) == 2
@@ -186,7 +183,7 @@ class SoALRUCache(RowCache):
             and key[1] >= 0
         ):
             return key[0], int(key[1])
-        return None
+        raise ValueError(f"row cache keys are (table, stored >= 0): {key!r}")
 
     def _table_id(self, table_name: str) -> int:
         table = self._table_ids.get(table_name)
@@ -219,16 +216,13 @@ class SoALRUCache(RowCache):
     def _entry_size(self, value_len: int) -> int:
         return value_len + self.per_item_overhead_bytes
 
-    def _find(self, key: CacheKey) -> int:
-        """Slot holding ``key``, or ``-1``."""
-        parts = self._row_key_parts(key)
-        if parts is None:
-            return self._other_slot.get(key, -1)
-        table = self._table_ids.get(parts[0])
+    def _find(self, table_name: str, stored: int) -> int:
+        """Slot holding row ``stored`` of ``table_name``, or ``-1``."""
+        table = self._table_ids.get(table_name)
         if table is None:
             return -1
         index = self._indexes[table]
-        return int(index[parts[1]]) if parts[1] < index.size else -1
+        return int(index[stored]) if stored < index.size else -1
 
     def _reserve_log(self, extra: int) -> None:
         """Make room for ``extra`` appends, compacting the log when full.
@@ -273,31 +267,21 @@ class SoALRUCache(RowCache):
         self._slot_stamp[slots] = np.arange(self._log_tail + 1, tail + 1, dtype=np.int64)
         self._log_tail = tail
 
-    def _insert_entry(self, key: CacheKey, row_len: int) -> None:
+    def _insert_entry(self, table_name: str, stored: int, row_len: int) -> None:
         slot = self._slots.alloc_one()
         self._fit_slots()
         self._slot_len[slot] = row_len
-        parts = self._row_key_parts(key)
-        if parts is None:
-            self._slot_table[slot] = -1
-            self._other_slot[key] = slot
-            self._other_key[slot] = key
-        else:
-            table = self._table_id(parts[0])
-            self._slot_table[slot] = table
-            self._slot_stored[slot] = parts[1]
-            self._index_for(table, parts[1] + 1)[parts[1]] = slot
+        table = self._table_id(table_name)
+        self._slot_table[slot] = table
+        self._slot_stored[slot] = stored
+        self._index_for(table, stored + 1)[stored] = slot
         self._touch(slot)
         self._count += 1
         self._used_bytes += self._entry_size(row_len)
 
     def _remove_slot(self, slot: int) -> None:
         row_len = int(self._slot_len[slot])
-        table = int(self._slot_table[slot])
-        if table < 0:
-            del self._other_slot[self._other_key.pop(slot)]
-        else:
-            self._indexes[table][self._slot_stored[slot]] = -1
+        self._indexes[int(self._slot_table[slot])][self._slot_stored[slot]] = -1
         self._slot_stamp[slot] = 0
         self._slots.release_one(slot)
         self._count -= 1
@@ -308,11 +292,7 @@ class SoALRUCache(RowCache):
         tables = self._slot_table[slots]
         stored = self._slot_stored[slots]
         for table, members in _groups(tables):
-            if table < 0:
-                for slot in slots[members].tolist():
-                    del self._other_slot[self._other_key.pop(slot)]
-            else:
-                self._indexes[table][stored[members]] = -1
+            self._indexes[table][stored[members]] = -1
         lens = self._slot_len[slots]
         self._slot_stamp[slots] = 0
         self._slots.release(slots)
@@ -394,7 +374,8 @@ class SoALRUCache(RowCache):
 
         Non-mutating.  The slots stay valid until an entry is inserted or
         removed; probes only touch recency, so a run of probes can share one
-        resolution (:meth:`probe_run`).
+        resolution (:meth:`probe_run`).  A negative index is a
+        ``ValueError``.
         """
         if stored.size == 0:
             return _EMPTY_IDS
@@ -403,18 +384,18 @@ class SoALRUCache(RowCache):
         # As unsigned, a negative index is huge: one reduction bounds both ends.
         if int(stored.view(np.uint64).max()) < index.size:
             return index[stored]
+        if int(stored.min()) < 0:
+            raise ValueError(f"table {table_name!r}: negative stored index")
         slots = np.full(stored.size, -1, dtype=np.int64)
-        in_range = (stored >= 0) & (stored < index.size)
+        in_range = stored < index.size
         slots[in_range] = index[stored[in_range]]
-        if self._other_slot:
-            for position in np.nonzero(stored < 0)[0].tolist():
-                slots[position] = self._other_slot.get((table_name, int(stored[position])), -1)
         return slots
 
     # ------------------------------------------------------------ scalar API
     def get(self, key: CacheKey) -> Optional[int]:
+        table_name, stored = self._row_key_parts(key)
         self.stats.cpu_seconds += self.lookup_cpu_seconds
-        slot = self._find(key)
+        slot = self._find(table_name, stored)
         if slot < 0:
             self.stats.misses += 1
             return None
@@ -423,27 +404,18 @@ class SoALRUCache(RowCache):
         return int(self._slot_len[slot])
 
     def put(self, key: CacheKey, size: int) -> bool:
+        table_name, stored = self._row_key_parts(key)
         self.stats.cpu_seconds += self.insert_cpu_seconds
         entry_size = self._entry_size(size)
         if entry_size > self.capacity_bytes:
             self.stats.rejected_inserts += 1
             return False
-        slot = self._find(key)
+        slot = self._find(table_name, stored)
         if slot >= 0:
             self._remove_slot(slot)
         self._evict_until_fits(entry_size)
-        self._insert_entry(key, size)
+        self._insert_entry(table_name, stored, size)
         self.stats.inserts += 1
-        return True
-
-    def contains(self, key: CacheKey) -> bool:
-        return self._find(key) >= 0
-
-    def invalidate(self, key: CacheKey) -> bool:
-        slot = self._find(key)
-        if slot < 0:
-            return False
-        self._remove_slot(slot)
         return True
 
     @property
@@ -458,14 +430,14 @@ class SoALRUCache(RowCache):
         """Iterate keys from least to most recently used (for inspection)."""
         live = np.nonzero(self._slot_stamp > 0)[0]
         ordered = live[np.argsort(self._slot_stamp[live], kind="stable")]
-        keys: List[CacheKey] = []
-        for slot, table, stored in zip(
-            ordered.tolist(),
-            self._slot_table[ordered].tolist(),
-            self._slot_stored[ordered].tolist(),
-        ):
-            keys.append(self._other_key[slot] if table < 0 else (self._table_names[table], stored))
-        return iter(keys)
+        return iter(
+            [
+                (self._table_names[table], stored)
+                for table, stored in zip(
+                    self._slot_table[ordered].tolist(), self._slot_stored[ordered].tolist()
+                )
+            ]
+        )
 
     # ------------------------------------------------------------- batch API
     def probe_batch(
@@ -630,9 +602,9 @@ class SoALRUCache(RowCache):
         path — take a fixed number of array operations: one LRU-prefix
         eviction, one insertion.  A batch larger than the cache enters only
         the tail that survives its own evictions; the rows before it count
-        as inserted and evicted.  Only a batch that replaces a cached row,
-        repeats a row or carries a negative index is replayed through
-        :meth:`put`, whose interleaving it depends on.
+        as inserted and evicted.  Only a batch that replaces a cached row or
+        repeats a row is replayed through :meth:`put`, whose interleaving it
+        depends on.  A negative index is a ``ValueError``.
         """
         stored = np.asarray(stored_indices, dtype=np.int64)
         count = int(stored.size)
@@ -646,10 +618,10 @@ class SoALRUCache(RowCache):
             self.stats.rejected_inserts += count
             return 0
         ordered = np.sort(stored)
-        if (
-            int(ordered[0]) < 0
-            or bool((ordered[1:] == ordered[:-1]).any())
-            or bool((self.lookup_slots(table_name, stored) >= 0).any())
+        if int(ordered[0]) < 0:
+            raise ValueError(f"table {table_name!r}: negative stored index")
+        if bool((ordered[1:] == ordered[:-1]).any()) or bool(
+            (self.lookup_slots(table_name, stored) >= 0).any()
         ):
             return sum(
                 self.put((table_name, int(stored[position])), row_len) for position in range(count)

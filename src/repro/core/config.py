@@ -68,9 +68,10 @@ class SDMConfig:
         The SM devices attached to the host (e.g. 2x 2 TB Nand Flash on
         HW-SS, 2x 400 GB Optane on HW-AO).
     row_cache_capacity_bytes:
-        FM byte budget of the unified row cache.
-    memory_optimized_fraction / small_row_threshold_bytes / num_cache_partitions:
-        Unified-cache organisation knobs (section 4.3).
+        FM byte budget of the unified row cache (section 4.3).  Its split
+        between the memory-optimised and CPU-optimised organisations and
+        the row length that routes between them are fixed by
+        :mod:`repro.cache.unified`.
     pooled_cache_enabled / pooled_cache_capacity_bytes / pooled_len_threshold:
         Pooled embedding cache (section 4.4, Algorithm 1).  ``pooled_len_threshold``
         is the paper's ``LenThreshold``: only requests with more indices are
@@ -116,9 +117,6 @@ class SDMConfig:
     device_capacity_bytes: Optional[int] = None
 
     row_cache_capacity_bytes: int = 8 * MIB
-    memory_optimized_fraction: float = 0.8
-    small_row_threshold_bytes: int = 255
-    num_cache_partitions: int = 1
 
     pooled_cache_enabled: bool = True
     pooled_cache_capacity_bytes: int = 4 * MIB
@@ -173,10 +171,6 @@ class SDMConfig:
         if self.row_cache_capacity_bytes <= 0:
             raise ValueError(
                 f"row_cache_capacity_bytes must be positive: {self.row_cache_capacity_bytes}"
-            )
-        if not 0.0 < self.memory_optimized_fraction < 1.0:
-            raise ValueError(
-                f"memory_optimized_fraction must be in (0, 1): {self.memory_optimized_fraction}"
             )
         if self.pooled_cache_capacity_bytes <= 0:
             raise ValueError(

@@ -28,7 +28,7 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
+from repro.cache.unified import UnifiedRowCache
 from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
 from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
@@ -208,27 +208,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                 "tier 0 needs a positive row-cache budget; omit 'cache' to use "
                 "row_cache_capacity_bytes"
             )
-        self.row_cache = UnifiedRowCache(self._cache_config(cache_bytes))
+        self.row_cache = UnifiedRowCache(cache_bytes)
         self.tiers: List[MemoryTier] = build_tiers(
             self.tier_specs,
             io_config=config.io,
             fast_cache=self.row_cache,
-            device_cache_config=lambda spec: (
-                self._cache_config(spec.cache_bytes) if spec.cache_bytes else None
-            ),
             use_mmap=config.access_path is AccessPathKind.MMAP,
             seed=config.seed,
         )
         # The flat device list across every tier.
         self.devices = [device for tier in self.device_tiers for device in tier.devices]
-
-    def _cache_config(self, capacity_bytes: int) -> UnifiedCacheConfig:
-        return UnifiedCacheConfig(
-            capacity_bytes=capacity_bytes,
-            memory_optimized_fraction=self.config.memory_optimized_fraction,
-            small_row_threshold_bytes=self.config.small_row_threshold_bytes,
-            num_partitions=self.config.num_cache_partitions,
-        )
 
     @property
     def device_tiers(self) -> List[DeviceTier]:
@@ -460,6 +449,13 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # tensor stores every row under its own index.
         stored = indices
         if state.mapping is not None:
+            # As unsigned, a negative index is huge: one reduction bounds
+            # both ends, where the gather would wrap a negative one.
+            if int(indices.view(np.uint64).max()) >= state.mapping.size:
+                raise IndexError(
+                    f"rows out of range for table {table_name!r} "
+                    f"with {state.mapping.size} rows"
+                )
             stored = state.mapping[indices]
             stored = stored[stored != PRUNED]
             self.stats.pruned_rows_skipped += len(indices) - int(stored.size)

@@ -100,7 +100,7 @@ class FetchPlan:
     #: the promotion certificate.
     promotes: bool
     #: Completing the request changes nothing a later plan reads: it fills
-    #: no row into a cache, promotes none, and probes batchable caches only.
+    #: no row into a cache and promotes none.
     fill_free: bool
 
 
@@ -195,10 +195,9 @@ class TierChain:
         # The fastest cache that receives promotions; past the slowest tier
         # when none does, so that no row is below it.
         receiver = self._promotion_tiers[0] if self._promotion_tiers else len(self.tiers)
-        num_probes, promotes, batchable = 0, False, True
+        num_probes, promotes = 0, False
         for tier_index, (_, probed_keys, slots) in probes.items():
             num_probes += int(probed_keys.size)
-            batchable = batchable and self._caches[tier_index].batchable
             # A hit below the receiver is promoted into it mid-walk.
             promotes = promotes or (
                 tier_index > receiver and bool(np.count_nonzero(slots >= 0))
@@ -220,7 +219,7 @@ class TierChain:
             unserved=unserved,
             num_probes=num_probes,
             promotes=promotes,
-            fill_free=batchable and not (promotes or fills),
+            fill_free=not (promotes or fills),
         )
 
     def _resolve(

@@ -27,13 +27,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    Any, Callable, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
+    Any, ClassVar, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union,
 )
 
 import numpy as np
 
 from repro.cache.soa import ResolvedBatch
-from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
+from repro.cache.unified import UnifiedRowCache
 from repro.sim.state import COUNTER, Counters
 from repro.sim.units import parse_size
 from repro.storage.access import AccessPath, DirectIOReader, MmapReader
@@ -444,7 +444,6 @@ class DeviceTier(MemoryTier):
         self,
         spec: TierSpec,
         io_config: Optional[IOEngineConfig] = None,
-        cache_config: Optional[UnifiedCacheConfig] = None,
         use_mmap: bool = False,
         seed: int = 0,
         device_seed_offset: int = 0,
@@ -473,11 +472,7 @@ class DeviceTier(MemoryTier):
             if use_mmap
             else DirectIOReader(self.io_engine, self.layout)
         )
-        self.cache = (
-            UnifiedRowCache(cache_config)
-            if cache_config is not None and spec.cache_bytes
-            else None
-        )
+        self.cache = UnifiedRowCache(spec.cache_bytes) if spec.cache_bytes else None
         self.stats = TierStats()
         # Per table: its segments in stored-row order, and their (starts,
         # ends) as arrays closed by _ROW_LIMIT.
@@ -599,7 +594,6 @@ def build_tiers(
     *,
     io_config: Optional[IOEngineConfig] = None,
     fast_cache: Optional[UnifiedRowCache] = None,
-    device_cache_config: Callable[[TierSpec], Optional[UnifiedCacheConfig]] = lambda spec: None,
     use_mmap: bool = False,
     seed: int = 0,
 ) -> List[MemoryTier]:
@@ -619,7 +613,6 @@ def build_tiers(
             DeviceTier(
                 spec,
                 io_config=io_config,
-                cache_config=device_cache_config(spec),
                 use_mmap=use_mmap,
                 seed=seed,
                 device_seed_offset=device_seed_offset,

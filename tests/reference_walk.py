@@ -56,7 +56,7 @@ def reference_fetch_batch(
                 tier = chain.tiers[tier_index]
                 cursor += chain.cache_probe_seconds
                 tier.stats.cache_probes += 1
-                size = tier.cache.get(key, size_hint=row_len)
+                size = tier.cache.get(key, row_len)
                 if size is None:
                     continue
                 tier.stats.cache_hits += 1

@@ -37,7 +37,7 @@ NUM_QUERIES = 40
 
 # Configuration axes the serve path must cover: quantisation width, pruning
 # (with and without depruning), access path, tier count, promotion policy,
-# row splitting, cache partitioning, a second cached tier whose hits are
+# row splitting, a second cached tier whose hits are
 # promoted mid-walk, caches small enough to force evictions (and promotion
 # hazards) mid-batch, a cache too small to ever hold a row, queue-depth
 # limits tight enough to throttle mid-batch, and the full-block (no
@@ -103,12 +103,6 @@ VARIANTS = {
         "tiers": "dram:2KiB:40,cxl:4KiB:3KiB,nand:1GiB",
         "promotion": "all",
     },
-    "two-caches-four-partitions": {
-        "tiers": TWO_CACHES,
-        "promotion": "all",
-        "num_cache_partitions": 4,
-    },
-    "four-partitions": {"num_cache_partitions": 4},
     "tiny-cache": {"row_cache_capacity_bytes": 4 * 1024},
     "throttled-io": {"row_cache_capacity_bytes": 4 * 1024, "io": THROTTLED},
     "full-block-io": {
@@ -118,7 +112,7 @@ VARIANTS = {
 }
 
 # Variants whose batches hit promotion hazards, i.e. exercise range splitting.
-SPLITTING_VARIANTS = ("two-caches-hazards", "two-caches-pooled-off", "two-caches-four-partitions")
+SPLITTING_VARIANTS = ("two-caches-hazards", "two-caches-pooled-off")
 
 
 def _model(quant_bits: int = 8, user_tables: int = 2, user_rows: int = 256) -> DLRMModel:
@@ -223,11 +217,10 @@ def parity_record(sdm: SoftwareDefinedMemory, trace) -> dict:
         if tier.cache is None:
             caches.append(None)
             continue
-        partitions = [*tier.cache._memory_caches, *tier.cache._cpu_caches]
         caches.append(
             [
-                {"stats": partition.stats, "lru_to_mru": list(partition.keys())}
-                for partition in partitions
+                {"stats": cache.stats, "lru_to_mru": list(cache.keys())}
+                for cache in (tier.cache._memory_cache, tier.cache._cpu_cache)
             ]
         )
     device_tiers = [tier for tier in sdm.tiers if isinstance(tier, DeviceTier)]
@@ -319,8 +312,8 @@ def test_oversize_row_is_rejected_and_the_cache_stays_within_capacity():
     def within_capacity(sdm):
         for tier in sdm.tiers:
             if tier.cache is not None:
-                for partition in (*tier.cache._memory_caches, *tier.cache._cpu_caches):
-                    assert partition.used_bytes <= partition.capacity_bytes
+                for cache in (tier.cache._memory_cache, tier.cache._cpu_cache):
+                    assert cache.used_bytes <= cache.capacity_bytes
 
     sdm = build_sdm(VARIANTS["two-caches-oversize-row"])
     serve(sdm, after_query=within_capacity)
@@ -339,12 +332,9 @@ def test_repeated_promoted_row_splits_and_matches():
     sdm, reference = build_sdm(variant), build_reference_sdm(variant)
     assert serve(sdm) == serve(reference)
     state = sdm._sm_tables["user_0"]
-    lower_only = [
-        row
-        for row in range(state.stored_rows)
-        if sdm.tiers[1].cache.contains(("user_0", row))
-        and not sdm.tiers[0].cache.contains(("user_0", row))
-    ]
+    rows = np.arange(state.stored_rows)
+    held = [tier.cache.lookup_batch("user_0", rows, state.row_bytes) >= 0 for tier in sdm.tiers[:2]]
+    lower_only = rows[held[1] & ~held[0]].tolist()
     assert len(lower_only) >= 2
     request = {"user_0": [lower_only[0], lower_only[1], lower_only[0]]}
     hits_before = sdm.tiers[0].stats.cache_hits

@@ -34,8 +34,6 @@ class TestSDMConfig:
         with pytest.raises(ValueError):
             SDMConfig(row_cache_capacity_bytes=0)
         with pytest.raises(ValueError):
-            SDMConfig(memory_optimized_fraction=1.5)
-        with pytest.raises(ValueError):
             SDMConfig(pooled_cache_capacity_bytes=0)
         with pytest.raises(ValueError):
             SDMConfig(pooled_len_threshold=-1)

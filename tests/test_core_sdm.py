@@ -318,3 +318,44 @@ class TestSDMLoadPath:
         sdm = small_sdm(model, dequantize_at_load=True)
         assert sdm._sm_tables["user_0"].row_bytes == 4 * 16
         self._assert_blocks_match_per_row_load(sdm, model)
+
+
+def _mapped_sdm(kind):
+    """An SDM whose ``user_0`` is served from stored rows through a mapping
+    tensor (``pruned``, ``ranked``) or under its own indices (``plain``).
+    The pooled cache is off: its key hash would reject a negative index
+    before the table is reached."""
+    model = small_model(num_user=2, num_item=1, num_rows=250)
+    if kind == "pruned":
+        pruned = {"user_0": prune_table(model.table("user_0"), 0.3, seed=1)}
+        return SoftwareDefinedMemory(
+            model, small_sdm_config(pooled_cache_enabled=False), pruned_tables=pruned
+        )
+    if kind == "ranked":
+        tiers = "dram:2KiB,cxl:6KiB,nand:64MiB"
+        ranking = np.random.default_rng(3).permutation(250)
+        placement = compute_tiered_placement(
+            model.table_specs,
+            parse_tiers(tiers),
+            granularity="rows",
+            row_hotness={"user_0": ranking},
+        )
+        return SoftwareDefinedMemory(
+            model,
+            small_sdm_config(tiers=tiers, split_rows=True, pooled_cache_enabled=False),
+            placement=placement,
+        )
+    return small_sdm(model, pooled_cache_enabled=False)
+
+
+class TestOutOfRangeIndices:
+    @pytest.mark.parametrize("kind", ["plain", "pruned", "ranked"])
+    @pytest.mark.parametrize("index", [-1, 250])
+    def test_index_outside_the_table_is_rejected(self, kind, index):
+        # A mapping-tensor gather would wrap -1 onto the table's last row.
+        sdm = _mapped_sdm(kind)
+        assert (sdm._sm_tables["user_0"].mapping is not None) == (kind != "plain")
+        with pytest.raises(IndexError, match="out of range"):
+            sdm.serve({"user_0": np.array([index, 3])}, 0.0)
+        assert sdm.stats.sm_ios == 0
+        assert sdm.serve({"user_0": np.array([249, 3])}, 0.0) > 0.0

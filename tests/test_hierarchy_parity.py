@@ -257,7 +257,7 @@ class TestPromotionPolicies:
             small_sdm_config(promotion="sideways")
 
     def test_mid_tier_cache_hit_pays_media_time_and_repromotes(self):
-        from repro.cache.unified import UnifiedCacheConfig, UnifiedRowCache
+        from repro.cache.unified import UnifiedRowCache
         from repro.hierarchy import (
             DeviceTier,
             FastTier,
@@ -268,12 +268,9 @@ class TestPromotionPolicies:
             TierSpec,
         )
 
-        fast_cache = UnifiedRowCache(UnifiedCacheConfig(capacity_bytes=4096))
+        fast_cache = UnifiedRowCache(4096)
         fast = FastTier(TierSpec.from_value("dram:0"), cache=fast_cache)
-        mid = DeviceTier(
-            TierSpec.from_value("cxl:64KiB:16KiB"),
-            cache_config=UnifiedCacheConfig(capacity_bytes=16 * 1024),
-        )
+        mid = DeviceTier(TierSpec.from_value("cxl:64KiB:16KiB"))
         slow = DeviceTier(TierSpec.from_value("nand:1MiB"))
         assert mid.cache_hit_seconds(64) > 0.0
         slow.add_segment("t", 0, 16, 64, whole_table=True)
@@ -293,13 +290,16 @@ class TestPromotionPolicies:
         # First fetch: NAND read, filled into both upper caches.
         chain.fetch_batch("t", **fetch)
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
-        # Evict from tier 0; the next access hits tier 1's cache, pays its
-        # media time on top of the probes, and re-promotes into tier 0.
-        assert fast_cache.invalidate(("t", 3))
+        # Evict it from tier 0 with rows of another table; the next access
+        # hits tier 1's cache, pays its media time on top of the probes, and
+        # re-promotes into tier 0.
+        row = np.array([3])
+        fast_cache.fill_batch("u", np.arange(64), 64)
+        assert fast_cache.lookup_batch("t", row, 64)[0] < 0
         outcome = chain.fetch_batch("t", **fetch)
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
-        assert fast_cache.item_count == 1  # re-promoted
+        assert fast_cache.lookup_batch("t", row, 64)[0] >= 0  # re-promoted
 
 
 class TestStrictConfiguration:

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.cache import LRUCache
+from repro.cache import LRUCache, SoALRUCache, UnifiedRowCache
 from repro.core import SoftwareDefinedMemory
 from repro.core.pooled_cache import order_invariant_hash
 from repro.dlrm.quantization import dequantize_rows, quantize_rows, quantized_row_bytes
@@ -95,6 +95,57 @@ class TestLRUCacheProperties:
         for key in set(keys):
             size = cache.get(key)
             assert size is None or size == len(str(key))
+
+    # LRU inclusion: a cache holds the longest most-recent prefix of the
+    # distinct keys that fits its budget, so a larger budget holds a superset
+    # and every access that hits in the smaller cache hits in the larger.
+    # The unified cache is two LRUs whose budgets both grow with its own.
+    # Largest row per cache kind, so that no entry outgrows the smallest
+    # budget drawn (32 B overhead; 56 B in the CPU-optimised share).
+    _INCLUSION_ROWS = {"lru": 64, "soa": 64, "unified": 512}
+    _INCLUSION_MIN_CAPACITY = {"lru": 96, "soa": 96, "unified": 2840}
+
+    @staticmethod
+    def _hit_flags(kind, trace, row_lens, capacity):
+        """Serve ``trace`` as the tier chain does: probe each key, fill it
+        on a miss.  Returns each access's hit flag."""
+        flags = []
+        if kind == "lru":
+            cache = LRUCache(capacity)
+            for key in trace:
+                hit = cache.get(key) is not None
+                if not hit:
+                    cache.put(key, row_lens[key])
+                flags.append(hit)
+            return flags
+        cache = SoALRUCache(capacity) if kind == "soa" else UnifiedRowCache(capacity)
+        lookup = cache.lookup_slots if kind == "soa" else cache.lookup_batch
+        for key in trace:
+            stored, row_len = np.array([key]), row_lens[key]
+            slots = lookup("t", stored) if kind == "soa" else lookup("t", stored, row_len)
+            (hit,) = cache.probe_run([("t", stored, slots, row_len)])[0].tolist()
+            if not hit:
+                cache.fill_batch("t", stored, row_len)
+            flags.append(hit)
+        return flags
+
+    @pytest.mark.parametrize("kind", ["lru", "soa", "unified"])
+    @given(
+        trace=st.lists(st.integers(min_value=0, max_value=39), min_size=1, max_size=300),
+        data=st.data(),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_hits_never_decrease_as_capacity_grows(self, kind, trace, data):
+        largest, smallest = self._INCLUSION_ROWS[kind], self._INCLUSION_MIN_CAPACITY[kind]
+        row_lens = data.draw(
+            st.lists(st.integers(min_value=1, max_value=largest), min_size=40, max_size=40)
+        )
+        capacity = data.draw(st.integers(min_value=smallest, max_value=8 * smallest))
+        larger = capacity + data.draw(st.integers(min_value=1, max_value=8 * smallest))
+        small = self._hit_flags(kind, trace, row_lens, capacity)
+        large = self._hit_flags(kind, trace, row_lens, larger)
+        assert all(hit_large for hit_small, hit_large in zip(small, large) if hit_small)
+        assert sum(large) >= sum(small)
 
 
 class TestBlockLayoutProperties:

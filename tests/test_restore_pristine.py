@@ -115,9 +115,6 @@ VARIANTS = {
     # A run attaches a recorder to the backend and its chain.
     "traced": _ledger_spec("tiered-open").replace("telemetry.trace", True),
     "mmap": _ledger_spec("cold-closed", name="sdm", options={**_COLD, "access_path": "mmap"}),
-    "4-partitions": _ledger_spec(
-        "cold-closed", name="sdm", options={**_COLD, "num_cache_partitions": 4}
-    ),
     "pooled": _ledger_spec("cold-closed", name="pooled", options={}),
     "dram": _ledger_spec("cold-closed", name="dram", options={}),
 }
