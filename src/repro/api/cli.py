@@ -676,7 +676,8 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--no-reuse",
         action="store_true",
-        help="build a fresh backend per point instead of reusing worker-resident ones",
+        help="build a fresh backend and query stream per point instead of reusing "
+        "worker-resident ones",
     )
     campaign_parser.add_argument(
         "--replicates", type=int, default=1, help="seed replicates per grid point"

@@ -89,6 +89,22 @@ class Session:
         self._model = model
         self._backend = backend
 
+    def adopt_queries(self, queries: List[Query]) -> None:
+        """Serve an already-generated query stream instead of generating one.
+
+        The campaign runtimes keep each stream they generate resident in the
+        worker, keyed by :meth:`ScenarioSpec.stream_hash`; adopting it skips
+        query generation.  The caller owns the contract: the stream must come
+        from a spec whose ``model`` and ``workload`` sections equal this
+        session's.  Queries are read-only, so any number of sessions may share
+        one stream.  Only valid before the session generates its own.
+        """
+        if self._queries is not None:
+            raise RuntimeError(
+                "adopt_queries must be called before the session generates its own queries"
+            )
+        self._queries = queries
+
     # ------------------------------------------------------------ lazy parts
     @property
     def model(self) -> DLRMModel:

@@ -1,7 +1,7 @@
 """Declarative scenario descriptions for the unified experiment API.
 
 A :class:`ScenarioSpec` is a frozen, serialisable description of one
-end-to-end experiment: which paper model to materialise (and at what scale),
+end-to-end experiment: which paper model to build (and at what scale),
 which embedding backend serves the user tables, what the synthetic query
 stream looks like, and how the host serves it (concurrency, warmup, SLO,
 optional fleet/power accounting).  Everything a :class:`~repro.api.session.Session`
@@ -17,6 +17,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
 
+from repro.dlrm.embedding import check_positive_int
 from repro.dlrm.model_config import ALL_MODEL_SPECS, ModelSpec, figure1_model_spec
 from repro.serving.latency import LatencyTarget
 from repro.sim.units import MILLISECOND
@@ -35,7 +36,13 @@ def model_spec_by_name(name: str) -> ModelSpec:
 
 @dataclass(frozen=True)
 class ModelChoice:
-    """Which paper model to materialise, and at what laptop scale."""
+    """Which paper model to build, and at what laptop scale.
+
+    The four numbers are checked here, each error naming its dotted path
+    (``model.max_rows_per_table``): the build generates no table values, so
+    a value that is not a positive integer would otherwise fail late or not
+    at all.
+    """
 
     spec: str = "M1"
     max_tables_per_group: int = 4
@@ -45,6 +52,12 @@ class ModelChoice:
 
     def __post_init__(self) -> None:
         model_spec_by_name(self.spec)  # fail fast on unknown names
+        check_positive_int(self.max_tables_per_group, "model.max_tables_per_group")
+        check_positive_int(self.max_rows_per_table, "model.max_rows_per_table")
+        if self.item_batch is not None:
+            check_positive_int(self.item_batch, "model.item_batch")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"model.seed must be an integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -464,7 +477,7 @@ class ScenarioSpec:
         """Content-address of the *built* serving stack this spec implies.
 
         Covers exactly the sections :class:`~repro.api.session.Session`
-        consumes when materialising the model and backend — ``model`` and
+        consumes when building the model and backend — ``model`` and
         ``backend`` (the latter includes the tier hierarchy, which lives in
         ``backend.options.tiers``).  Workload, traffic, serving and telemetry
         only shape *how* the built stack is driven, so two points of a
@@ -472,8 +485,21 @@ class ScenarioSpec:
         and can reuse one worker-resident backend (see
         :mod:`repro.runtime.runtimes`) instead of rebuilding it.
         """
+        return self._sections_hash("model", "backend")
+
+    def stream_hash(self) -> str:
+        """Content-address of the query stream this spec implies.
+
+        Covers the ``model`` and ``workload`` sections (seeds included): the
+        stream is a pure function of the built model's tables and the
+        workload, so campaign points that share this hash can serve one
+        worker-resident stream (see :mod:`repro.runtime.runtimes`).
+        """
+        return self._sections_hash("model", "workload")
+
+    def _sections_hash(self, *sections: str) -> str:
         data = self.to_dict()
-        payload = {section: data[section] for section in ("model", "backend")}
+        payload = {section: data[section] for section in sections}
         return hashlib.sha256(
             self._canonical_encode(payload).encode("utf-8")
         ).hexdigest()

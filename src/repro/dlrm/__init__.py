@@ -1,12 +1,12 @@
 """DLRM substrate: embedding tables, quantisation, pruning, MLPs, inference.
 
 Implements the model architecture of Naumov et al. (2019) as used by the
-paper: a bottom MLP over dense features, embedding tables materialising
-categorical features (split into *user* and *item* tables), a feature
-interaction, and a top MLP producing the ranking score.  Embedding rows are
-stored row-wise quantised (int8/int4) exactly as they would be laid out on
-the SM tier, so the SDM read path returns bytes this package can dequantise
-and pool.
+paper: a bottom MLP over dense features, embedding tables for categorical
+features (split into *user* and *item* tables), a feature interaction, and a
+top MLP producing the ranking score.  Embedding rows are row-wise quantised
+(int8/int4) in the byte layout the SM tier stores, whose row sizes the
+serving stack budgets and times.  Values are read only to compute scores,
+and a random table generates its rows on that first read.
 """
 
 from repro.dlrm.quantization import (

@@ -1,18 +1,21 @@
 """Embedding tables and pooled (embedding-bag) lookups.
 
-An :class:`EmbeddingTable` stores its rows in the row-wise quantised byte
+An :class:`EmbeddingTable` holds its rows in the row-wise quantised byte
 layout; its spec's ``row_bytes`` is the size every tier below the model
 budgets, lays out and times a row by.  Only the values plane reads the
 bytes: :meth:`EmbeddingTable.bag` and :func:`pool_bags`, which
 :meth:`~repro.dlrm.inference.InferenceEngine.score` calls.  The serving
-stack (caches, tier chain, devices) carries row keys and sizes, not rows.
+stack (caches, tier chain, devices) carries row keys and sizes, not rows,
+so a random table (:meth:`EmbeddingTable.random`) generates its bytes only
+when something first reads them.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import InitVar, dataclass, replace
 from itertools import accumulate
-from typing import Dict, List, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -22,6 +25,13 @@ from repro.dlrm.quantization import (
     quantized_row_bytes,
 )
 from repro.sim.rng import make_rng
+
+
+def check_positive_int(value: Any, what: str) -> None:
+    """Raise ``ValueError`` naming ``what`` unless ``value`` is a positive
+    integer.  Booleans are rejected although Python counts them as ints."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -61,10 +71,8 @@ class EmbeddingTableSpec:
     pruned_fraction: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.num_rows <= 0:
-            raise ValueError(f"table {self.name!r}: num_rows must be positive: {self.num_rows}")
-        if self.dim <= 0:
-            raise ValueError(f"table {self.name!r}: dim must be positive: {self.dim}")
+        check_positive_int(self.num_rows, f"table {self.name!r}: num_rows")
+        check_positive_int(self.dim, f"table {self.name!r}: dim")
         if self.quant_bits not in (4, 8):
             raise ValueError(f"table {self.name!r}: quant_bits must be 4 or 8: {self.quant_bits}")
         if self.avg_pooling_factor <= 0:
@@ -187,22 +195,77 @@ class Bags:
         return self.offsets[1:] - self.offsets[:-1]
 
 
-class EmbeddingTable:
-    """A materialised embedding table in the quantised byte layout."""
+@dataclass(frozen=True)
+class RandomRows:
+    """The bytes of a random table, as a recipe: ``spec.num_rows x spec.dim``
+    normal values drawn from ``make_rng(seed, "embedding", spec.name)``, then
+    row-wise quantised.  Small and picklable; :meth:`generate` is pure."""
 
-    def __init__(self, spec: EmbeddingTableSpec, quantized_rows: np.ndarray) -> None:
+    spec: EmbeddingTableSpec
+    seed: int = 0
+
+    def generate(self) -> np.ndarray:
+        rng = make_rng(self.seed, "embedding", self.spec.name)
+        values = rng.normal(0.0, 0.1, size=(self.spec.num_rows, self.spec.dim))
+        return quantize_rows(values.astype(np.float32), bits=self.spec.quant_bits)
+
+
+class EmbeddingTable:
+    """An embedding table in the quantised byte layout.
+
+    ``quantized_rows`` is either the ``(num_rows, row_bytes)`` byte matrix or
+    a :class:`RandomRows` recipe, which is generated the first time ``data``
+    is read (:attr:`materialised` tells which has happened).  Everything but
+    the values — sizes, bounds checks, the serving stack — reads the spec
+    only, so a run that reads no values generates none.  ``data`` is
+    read-only: one model can back several resident backends, so none may
+    write through it, and a shared table is generated once.
+    """
+
+    def __init__(
+        self, spec: EmbeddingTableSpec, quantized_rows: Union[np.ndarray, RandomRows]
+    ) -> None:
+        self.spec = spec
+        self._source: Optional[RandomRows] = None
+        self._data: Optional[np.ndarray] = None
+        if isinstance(quantized_rows, RandomRows):
+            if quantized_rows.spec != spec:
+                raise ValueError(
+                    f"table {spec.name!r}: the random-rows recipe is for table "
+                    f"{quantized_rows.spec.name!r} with another spec"
+                )
+            self._source = quantized_rows
+        else:
+            self._data = self._checked(quantized_rows)
+
+    def _checked(self, quantized_rows: np.ndarray) -> np.ndarray:
         quantized_rows = np.asarray(quantized_rows, dtype=np.uint8)
-        expected_shape = (spec.num_rows, spec.row_bytes)
+        expected_shape = (self.spec.num_rows, self.spec.row_bytes)
         if quantized_rows.shape != expected_shape:
             raise ValueError(
-                f"table {spec.name!r}: expected quantised data of shape {expected_shape}, "
+                f"table {self.spec.name!r}: expected quantised data of shape {expected_shape}, "
                 f"got {quantized_rows.shape}"
             )
-        self.spec = spec
-        # A read-only view (the caller's array keeps its own flags): one model
-        # can back several resident backends, so none may write through it.
-        self.data = quantized_rows.view()
-        self.data.setflags(write=False)
+        # A read-only view: the caller's array keeps its own flags.
+        return _read_only(quantized_rows)
+
+    @property
+    def data(self) -> np.ndarray:
+        """The read-only ``(num_rows, row_bytes)`` uint8 rows."""
+        if self._data is None:
+            self._data = self._checked(self._source.generate())
+        return self._data
+
+    @property
+    def materialised(self) -> bool:
+        """Whether the rows exist in memory (always, for explicit data)."""
+        return self._data is not None
+
+    def __setstate__(self, state: Dict[str, Any]) -> None:
+        # Unpickled and deep-copied arrays come back writeable.
+        self.__dict__.update(state)
+        if self._data is not None:
+            self._data.setflags(write=False)
 
     # ------------------------------------------------------------- builders
     @classmethod
@@ -218,10 +281,8 @@ class EmbeddingTable:
 
     @classmethod
     def random(cls, spec: EmbeddingTableSpec, seed: int = 0) -> "EmbeddingTable":
-        """Build a table with random (but reproducible) embedding values."""
-        rng = make_rng(seed, "embedding", spec.name)
-        values = rng.normal(0.0, 0.1, size=(spec.num_rows, spec.dim)).astype(np.float32)
-        return cls.from_float(spec, values)
+        """A table of random (but reproducible) values, generated on first read."""
+        return cls(spec, RandomRows(spec, seed))
 
     # -------------------------------------------------------------- lookups
     def check_indices(self, indices: Sequence[int]) -> np.ndarray:
@@ -289,7 +350,7 @@ class EmbeddingTable:
 
     @property
     def size_bytes(self) -> int:
-        return int(self.data.nbytes)
+        return self.spec.size_bytes
 
     def __repr__(self) -> str:
         return (

@@ -14,14 +14,15 @@ from repro.dlrm.mlp import MLP
 
 @dataclass
 class DLRMModel:
-    """A materialised DLRM.
+    """A DLRM: its table specs, embedding tables and MLP weights.
 
-    The model owns its embedding tables and MLP weights, and every value a
-    query's scores are computed from
+    The model owns every value a query's scores are computed from
     (:meth:`~repro.dlrm.inference.InferenceEngine.score`).  Backends that
     place the tables in tiers (SDM) model the time and traffic of serving
     them and carry no values, so tiered and DRAM-only serving score the
-    same by construction.
+    same by construction.  Sizes and structure come from the table specs;
+    a random table generates its values when they are first read, so a
+    run that reads no scores generates no table.
     """
 
     name: str
@@ -63,7 +64,7 @@ class DLRMModel:
 
     @property
     def embedding_size_bytes(self) -> int:
-        return sum(t.size_bytes for t in self.tables.values())
+        return sum(spec.size_bytes for spec in self.table_specs)
 
     def table(self, name: str) -> EmbeddingTable:
         if name not in self.tables:

@@ -17,7 +17,7 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec
+from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec, check_positive_int
 from repro.dlrm.mlp import MLP
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.quantization import QUANT_PARAM_BYTES
@@ -308,7 +308,7 @@ def build_scaled_model(
     item_batch: Optional[int] = None,
     seed: int = 0,
 ) -> DLRMModel:
-    """Materialise a laptop-scale DLRM that mirrors ``spec``'s structure.
+    """Build a laptop-scale DLRM that mirrors ``spec``'s structure.
 
     Row counts, table counts and MLP widths are scaled down so the model fits
     comfortably in memory and queries execute in microseconds of host time,
@@ -316,11 +316,14 @@ def build_scaled_model(
     pooling factors, batched item lookups) follows the spec.  The scaled model
     is what the end-to-end SDM experiments run against; capacity-level
     results use the analytic :meth:`ModelSpec.table_profiles` instead.
+
+    The build draws the MLP weights but no table values: each table is
+    :meth:`EmbeddingTable.random`, generated the first time its values are
+    read, byte for byte what an eager build would hold.  Every argument is
+    still checked here.
     """
-    if max_tables_per_group <= 0:
-        raise ValueError(f"max_tables_per_group must be positive: {max_tables_per_group}")
-    if max_rows_per_table <= 0:
-        raise ValueError(f"max_rows_per_table must be positive: {max_rows_per_table}")
+    check_positive_int(max_tables_per_group, "max_tables_per_group")
+    check_positive_int(max_rows_per_table, "max_rows_per_table")
 
     profiles = spec.table_profiles(seed=seed)
     user_profiles = [p for p in profiles if p.spec.is_user][:max_tables_per_group]

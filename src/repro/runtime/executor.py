@@ -164,8 +164,9 @@ def run_campaign(
     a failed outcome — a failure never aborts its siblings, and only
     successful results are persisted, so quarantined points retry on resume.
     ``reuse_backends`` lets workers keep built backends resident across
-    points that share a ``backend_hash`` (bit-identical by contract; disable
-    to force a fresh build per point).  When ``store`` is given, points
+    points that share a ``backend_hash``, and generated query streams across
+    points that share a ``stream_hash`` (bit-identical by contract; disable
+    to force a fresh build and stream per point).  When ``store`` is given, points
     already present are served from it, pool workers append fresh results
     directly to per-worker store shards, and serial/dry paths persist
     through the driver.

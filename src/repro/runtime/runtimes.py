@@ -31,9 +31,15 @@ construction and placement entirely — the dominant cost of small-scenario
 grids.  Points that differ along a *backend* axis (a cache-size sweep) miss
 on the hash but still share the model: a miss adopts the model of any
 resident entry whose ``spec.model`` section is equal and builds only the
-backend.  A built model is immutable (table data is a read-only array), so
-several resident backends can serve from one.  Reuse is bit-identical to
-fresh builds by contract, and the parity tests pin it.
+backend.  A built model is immutable (table data is a read-only array,
+generated once, on the first read of its values), so several resident
+backends can serve from one.  The worker keeps the query streams it
+generates in the same way: a second LRU with the same limit, keyed by
+:meth:`~repro.api.spec.ScenarioSpec.stream_hash` (the ``model`` + ``workload``
+sections), so the cells of a rate x cache-size grid that share a replicate
+serve one stream instead of regenerating it per cell.  Queries are read-only,
+so sharing one is safe.  :func:`clear_backend_cache` drops both.  Reuse is
+bit-identical to fresh builds by contract, and the parity tests pin it.
 """
 
 from __future__ import annotations
@@ -70,6 +76,10 @@ POOL_ERRORS = (BrokenProcessPool, OSError, PermissionError)
 _BACKEND_CACHE: "OrderedDict[str, Tuple[Any, Any, Any]]" = OrderedDict()
 _BACKEND_CACHE_LIMIT = 8
 
+#: Generated query streams resident in this process, keyed by
+#: ``spec.stream_hash()`` and bounded like the backends.
+_STREAM_CACHE: "OrderedDict[str, Any]" = OrderedDict()
+
 
 def backend_cache_info() -> Tuple[int, Tuple[str, ...]]:
     """(size, keys) of this process's resident-backend cache (tests/tuning)."""
@@ -77,8 +87,16 @@ def backend_cache_info() -> Tuple[int, Tuple[str, ...]]:
 
 
 def clear_backend_cache() -> None:
-    """Drop every resident backend (tests; also frees their device arrays)."""
+    """Drop every resident backend and query stream (tests; ledger passes)."""
     _BACKEND_CACHE.clear()
+    _STREAM_CACHE.clear()
+
+
+def _remember(cache: "OrderedDict[str, Any]", key: str, value: Any) -> None:
+    """Insert ``value`` as the newest entry, evicting the oldest past the limit."""
+    cache[key] = value
+    while len(cache) > _BACKEND_CACHE_LIMIT:
+        cache.popitem(last=False)
 
 
 def estimated_cost(spec: ScenarioSpec) -> float:
@@ -168,7 +186,8 @@ def run_point(
     just the model of a resident entry built from an equal ``spec.model``
     section, if there is one (model construction is a pure function of that
     section and the built model is read-only), builds what is left, and
-    caches the result for the next point that shares the hash.
+    caches the result for the next point that shares the hash.  The query
+    stream is reused the same way, under ``spec.stream_hash()``.
     """
     # Imported lazily: repro.runtime builds on repro.api, not vice versa, and
     # pool workers re-import this module before anything else.
@@ -176,9 +195,8 @@ def run_point(
 
     spec = ScenarioSpec.from_dict(spec_dict)
     session = Session(spec)
-    key: Optional[str] = None
     if reuse:
-        key = spec.backend_hash()
+        key, stream_key = spec.backend_hash(), spec.stream_hash()
         cached = _BACKEND_CACHE.get(key)
         if cached is not None:
             _, model, backend = cached
@@ -190,11 +208,16 @@ def run_point(
                 if model_choice == spec.model:
                     session.adopt_backend(model)
                     break
+        queries = _STREAM_CACHE.get(stream_key)
+        if queries is not None:
+            session.adopt_queries(queries)
+            _STREAM_CACHE.move_to_end(stream_key)
     result: Dict[str, Any] = session.run().to_dict()
-    if key is not None and key not in _BACKEND_CACHE:
-        _BACKEND_CACHE[key] = (spec.model, session.model, session.backend)
-        while len(_BACKEND_CACHE) > _BACKEND_CACHE_LIMIT:
-            _BACKEND_CACHE.popitem(last=False)
+    if reuse:
+        if key not in _BACKEND_CACHE:
+            _remember(_BACKEND_CACHE, key, (spec.model, session.model, session.backend))
+        if stream_key not in _STREAM_CACHE:
+            _remember(_STREAM_CACHE, stream_key, session.queries())
     if store_root is not None:
         ExperimentStore(store_root).put(
             spec, result, index=index, coords=coords, shard=f"w{os.getpid()}"

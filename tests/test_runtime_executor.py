@@ -1,5 +1,6 @@
 """Executor determinism (serial == pool == reuse), quarantine, store resume."""
 
+import json
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
@@ -208,6 +209,84 @@ class TestModelSharing:
             table.data[0, 0] = 1
         with pytest.raises(RuntimeError, match="adopt_backend"):
             sharing.adopt_backend(session.model)
+
+
+class TestStreamSharing:
+    """Points sharing ``stream_hash`` (model + workload) serve one stream."""
+
+    @staticmethod
+    def _rate_cache_grid() -> CampaignSpec:
+        base = small_base().replace(
+            "traffic", TrafficSpec(mode="open", arrival="constant", offered_qps=500.0)
+        )
+        return CampaignSpec.from_grid(
+            base,
+            {
+                "traffic.offered_qps": [300.0, 3000.0],
+                "backend.options.row_cache_capacity_bytes": [4096, 1 << 20],
+            },
+            name="exec",
+            replicates=2,
+        )
+
+    def test_a_grid_generates_each_stream_once(self, monkeypatch, tmp_path):
+        from repro.workload.generator import QueryGenerator
+
+        campaign = self._rate_cache_grid()
+        keys = {point.spec.stream_hash() for point in campaign.points()}
+        assert len(campaign.points()) == 8 and len(keys) == 2
+        generated = []
+        generate = QueryGenerator.generate
+
+        def counting(self, *args, **kwargs):
+            generated.append(self)
+            return generate(self, *args, **kwargs)
+
+        monkeypatch.setattr(QueryGenerator, "generate", counting)
+        runtimes_module.clear_backend_cache()
+        shared = ExperimentStore(tmp_path / "shared")
+        outcomes = run_campaign(campaign, runtime="serial", store=shared)
+        assert len(generated) == 2
+        assert set(runtimes_module._STREAM_CACHE) == keys
+        del generated[:]
+        fresh = ExperimentStore(tmp_path / "fresh")
+        run_campaign(campaign, runtime="serial", store=fresh, reuse_backends=False)
+        assert len(generated) == 8
+        assert all(outcome.ok for outcome in outcomes)
+
+        def stored(store):
+            records = store.records().items()
+            return {key: json.dumps(record["result"], sort_keys=True) for key, record in records}
+
+        assert stored(shared) == stored(fresh)
+        runtimes_module.clear_backend_cache()
+
+    def test_clear_drops_streams_and_the_limit_holds(self):
+        runtimes_module.clear_backend_cache()
+        limit = runtimes_module._BACKEND_CACHE_LIMIT
+        for seed in range(limit + 2):
+            runtimes_module.run_point(small_base().replace("workload.seed", seed).to_dict())
+        streams = runtimes_module._STREAM_CACHE
+        assert len(streams) == limit
+        newest = [small_base().replace("workload.seed", s) for s in range(2, limit + 2)]
+        assert list(streams) == [spec.stream_hash() for spec in newest]  # two evicted
+        assert runtimes_module.backend_cache_info()[0] == 1
+        runtimes_module.clear_backend_cache()
+        assert len(streams) == 0 and runtimes_module.backend_cache_info() == (0, ())
+
+    def test_reuse_off_keeps_no_stream(self):
+        runtimes_module.clear_backend_cache()
+        runtimes_module.run_point(small_base().to_dict(), reuse=False)
+        assert len(runtimes_module._STREAM_CACHE) == 0
+
+    def test_adopt_queries_only_before_generating(self):
+        session = Session(small_base())
+        queries = session.queries()
+        other = Session(small_base().replace("serving.concurrency", 2))
+        other.adopt_queries(queries)
+        assert other.queries() is queries
+        with pytest.raises(RuntimeError, match="adopt_queries"):
+            session.adopt_queries(queries)
 
 
 class TestQuarantine:
