@@ -5,12 +5,12 @@ Two parts:
    a fixed FM budget and CPU cost per million lookups;
  * direct-DRAM placement budget sweep for an inferenceEval-style workload
    (user batch == item batch), showing QPS improving as more of the hottest
-   tables are pinned in DRAM.  The sweep is a one-line
-   :meth:`repro.Session.sweep` over the SDM backend's ``dram_budget_bytes``
+   tables are pinned in DRAM.  The sweep is a one-axis campaign
+   (:func:`repro.run_campaign`) over the SDM backend's ``dram_budget_bytes``
    option.
 """
 
-from repro import ScenarioSpec, Session, format_table
+from repro import CampaignSpec, ScenarioSpec, Session, format_table, run_campaign
 from repro.api import BackendChoice, ModelChoice, ServingChoice, WorkloadChoice
 import numpy as np
 
@@ -62,16 +62,16 @@ def _placement_sweep_rows():
         workload=WorkloadChoice(num_queries=60, item_batch=4, num_users=300, seed=2),
         serving=ServingChoice(concurrency=1, warmup_queries=10),
     )
-    session = Session(spec)
-    user_bytes = sum(t.size_bytes for t in session.model.tables.values() if t.spec.is_user)
-    points = session.sweep(
-        "backend.options.dram_budget_bytes",
-        [int(user_bytes * fraction) for fraction in (0.0, 0.25, 0.5)],
+    model = Session(spec).model
+    user_bytes = sum(t.size_bytes for t in model.tables.values() if t.spec.is_user)
+    budgets = [int(user_bytes * fraction) for fraction in (0.0, 0.25, 0.5)]
+    outcomes = run_campaign(
+        CampaignSpec.from_grid(spec, {"backend.options.dram_budget_bytes": budgets})
     )
     labels = ("0% DRAM budget", "25%", "50%")
     return [
-        [label, point.result.achieved_qps, point.result.latency["mean"] * 1e6]
-        for label, point in zip(labels, points)
+        [label, outcome.result.achieved_qps, outcome.result.latency["mean"] * 1e6]
+        for label, outcome in zip(labels, outcomes)
     ]
 
 

@@ -9,7 +9,7 @@ serving.
 
 The same scenario runs from the command line:
 
-    python -m repro run --model M1 --backend sdm
+    python -m repro run --set model.spec=M1 --set backend.name=sdm
 
 Run with:  python examples/quickstart.py
 """

@@ -36,7 +36,7 @@ Quickstart::
 
 or from the command line::
 
-    python -m repro run --model M1 --backend sdm
+    python -m repro run --set model.spec=M1 --set backend.name=sdm
 
 The hand-wired layers remain importable for fine-grained control; the most
 common entry points are re-exported here.
@@ -50,7 +50,6 @@ from repro.api import (
     ScenarioSpec,
     ServingChoice,
     Session,
-    SweepPoint,
     TelemetrySpec,
     TrafficSpec,
     UnknownBackendError,
@@ -60,7 +59,7 @@ from repro.api import (
     register_backend,
 )
 from repro.analysis import format_series, format_table
-from repro.api.results import campaign_table, sweep_table
+from repro.api.results import campaign_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.runtime import (
     CampaignAxis,
@@ -108,8 +107,6 @@ __all__ = [
     "Session",
     "ScenarioResult",
     "PowerSummary",
-    "SweepPoint",
-    "sweep_table",
     "campaign_table",
     # repro.runtime -- campaign orchestration
     "CampaignAxis",

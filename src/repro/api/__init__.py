@@ -16,7 +16,6 @@ from repro.api.spec import (
     TelemetrySpec,
     TrafficSpec,
     WorkloadChoice,
-    iter_spec_paths,
     model_spec_by_name,
     spec_path_error,
 )
@@ -34,12 +33,10 @@ from repro.api.registry import (
 from repro.api.results import (
     PowerSummary,
     ScenarioResult,
-    SweepPoint,
     campaign_table,
     metric_path_error,
     scenario_metric_error,
     scenario_metrics,
-    sweep_table,
 )
 from repro.api.session import Session
 from repro.api.backends import sdm_config_from_options  # registers built-ins on import
@@ -53,15 +50,12 @@ __all__ = [
     "ServingChoice",
     "TelemetrySpec",
     "model_spec_by_name",
-    "iter_spec_paths",
     "spec_path_error",
     "metric_path_error",
     "scenario_metric_error",
     "Session",
     "ScenarioResult",
     "PowerSummary",
-    "SweepPoint",
-    "sweep_table",
     "campaign_table",
     "scenario_metrics",
     "BackendFactory",

@@ -1,42 +1,47 @@
 """``python -m repro`` — run scenarios from the command line.
 
-Subcommands::
+A scenario value has one name, its dotted spec path (the paths of
+:meth:`~repro.api.spec.ScenarioSpec.replace`): ``--set PATH=VALUE`` sets it
+for ``run`` and ``campaign``, and ``--grid PATH=V1,V2,...`` makes it a
+campaign axis.  Subcommands::
 
     python -m repro run                # serve an M1 SDM scenario end to end
-    python -m repro run --backend dram --queries 100 --json
-    python -m repro run --spec scenario.json --option num_devices=4
-    python -m repro run --arrival poisson --offered-qps 120   # open loop
+    python -m repro run --set backend.name=dram --set workload.num_queries=100 --json
+    python -m repro run --spec scenario.json --set backend.options.num_devices=4
+    python -m repro run --arrival poisson --set traffic.offered_qps=120.0   # open loop
     python -m repro run --tiers dram:64KiB,cxl:1MiB,nand:1GiB # 3-tier hierarchy
-    python -m repro sweep --param serving.concurrency --values 1,2,4
-    python -m repro sweep --param tiers.1.capacity --values 256KiB,1MiB,4MiB \\
+    python -m repro campaign --grid tiers.1.capacity=256KiB,1MiB,4MiB \\
         --tiers dram:64KiB,cxl:1MiB,nand:1GiB
-    python -m repro list-devices
-    python -m repro sweep --param traffic.offered_qps --values 40,80,160
+    python -m repro campaign --grid traffic.offered_qps=40,80,160  # open loop
     python -m repro campaign --grid backend.name=dram,sdm \\
         --grid serving.concurrency=1,2 --parallel 4 --out runs/demo
     python -m repro campaign --out runs/demo --resume ...   # skip done points
     python -m repro compare runs/baseline runs/demo
+    python -m repro list-devices
     python -m repro lint src examples benchmarks
     python -m repro list-backends
 
-Output is either the :mod:`repro.analysis.reporting` table format (default)
-or JSON (``--json``) for downstream tooling.  ``compare`` exits non-zero when
-it finds regressions, so it slots directly into CI.
+The other scenario flags do more than set one path: ``--tiers`` parses a
+hierarchy and picks the ``tiered`` backend over ``sdm``, ``--arrival`` also
+sets the traffic mode, and ``--seed`` sets the model, workload and traffic
+seeds.  Output is a table, or JSON with ``--json``; ``compare`` exits
+non-zero when it finds regressions, so it slots directly into CI.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.analysis.reporting import format_table
 from repro.api.registry import available_backends
-from repro.api.results import campaign_table, scenario_metrics, sweep_table
+from repro.api.results import campaign_table, scenario_metric_error
 from repro.api.session import Session
-from repro.api.spec import ScenarioSpec
+from repro.api.spec import OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, spec_path_error
 from repro.hierarchy import TECHNOLOGY_ALIASES, parse_tiers
 from repro.lint.cli import add_lint_parser
 from repro.sim.units import MICROSECOND, format_bytes
@@ -66,29 +71,36 @@ def _parse_value(text: str) -> Any:
     return text
 
 
-def _parse_options(pairs: Sequence[str]) -> Dict[str, Any]:
-    options: Dict[str, Any] = {}
+def _parse_paths(pairs: Sequence[str], flag: str, *, axis: bool) -> Dict[str, Any]:
+    """``PATH=VALUE`` pairs (``PATH=V1,V2,...`` for an ``axis``) keyed by spec
+    path in command-line order; a bad or repeated path is a user error."""
+    parsed: Dict[str, Any] = {}
     for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--option expects key=value, got {pair!r}")
-        key, _, raw = pair.partition("=")
-        options[key] = _parse_value(raw)
-    return options
+        path, equals, raw = pair.partition("=")
+        if not equals:
+            shape = "param=v1,v2,..." if axis else "param=value"
+            raise ValueError(f"{flag} expects {shape}, got {pair!r}")
+        error = spec_path_error(path)
+        if error is not None:
+            raise ValueError(error)
+        if path in parsed:
+            raise ValueError(f"{flag} {path!r} is given twice")
+        if axis:
+            values = [_parse_value(token) for token in raw.split(",") if token]
+            if not values:
+                raise ValueError(f"{flag} {path!r} must list at least one value")
+            parsed[path] = values
+        else:
+            parsed[path] = _parse_value(raw)
+    return parsed
 
 
 def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--spec", metavar="FILE", help="JSON ScenarioSpec to start from")
-    parser.add_argument("--name", help="scenario name")
-    parser.add_argument("--model", help="paper model: M1, M2, M3 or fig1")
-    parser.add_argument("--tables", type=int, help="max tables per group in the scaled model")
-    parser.add_argument("--rows", type=int, help="max rows per table in the scaled model")
-    parser.add_argument("--backend", help="registered backend name (see list-backends)")
     parser.add_argument(
-        "--option",
-        action="append",
-        default=[],
-        metavar="KEY=VALUE",
-        help="backend option (repeatable), e.g. --option num_devices=4",
+        "--set", action="append", default=[], metavar="PATH=VALUE",
+        help="set one spec value by its dotted path (repeatable, applied in order), "
+        "e.g. --set workload.num_queries=100 or --set backend.options.num_devices=4",
     )
     parser.add_argument(
         "--tiers",
@@ -96,126 +108,68 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
         help=(
             "memory hierarchy, fastest first: tech:capacity[:cache] entries "
             "joined by commas, e.g. dram:64KiB,cxl:1MiB,nand:1GiB "
-            "(see list-devices for technologies)"
+            "(see list-devices for technologies); selects tiered over sdm"
         ),
     )
-    parser.add_argument("--queries", type=int, help="number of queries to serve")
-    parser.add_argument("--users", type=int, help="user population size")
-    parser.add_argument("--item-batch", type=int, help="candidate items ranked per query")
-    parser.add_argument("--seed", type=int, help="workload and model seed")
-    parser.add_argument("--concurrency", type=int, help="serving streams per host")
-    parser.add_argument("--warmup", type=int, help="warmup queries before measurement")
+    parser.add_argument("--seed", type=int, help="model, workload and traffic seed")
     parser.add_argument(
         "--arrival",
         choices=["closed", "poisson", "constant"],
         help="traffic shape: closed loop (default) or an open-loop arrival process",
     )
-    parser.add_argument(
-        "--offered-qps",
-        type=float,
-        help="open-loop offered load in arrivals per second (implies --arrival poisson)",
-    )
-    parser.add_argument(
-        "--queue-depth",
-        type=int,
-        help="open-loop admission queue capacity, 0 sheds immediately (implies --arrival poisson)",
-    )
-    parser.add_argument(
-        "--serve-batch",
-        type=int,
-        help="open-loop queries a freed stream drains per dispatch (implies --arrival poisson)",
-    )
-    parser.add_argument(
-        "--sample-interval",
-        type=float,
-        help="simulated seconds between timeline metric windows (0 disables)",
-    )
-    parser.add_argument("--platform", help="host platform for power accounting, e.g. HW-SS")
-    parser.add_argument("--baseline-platform", help="baseline platform to compare power against")
-    parser.add_argument("--qps-per-host", type=float, help="analytic per-host QPS for fleet sizing")
-    parser.add_argument(
-        "--baseline-qps-per-host", type=float, help="baseline platform's per-host QPS"
-    )
-    parser.add_argument("--fleet-qps", type=float, help="region-level QPS demand (Eq. 7)")
     parser.add_argument("--json", action="store_true", help="emit JSON instead of tables")
 
 
-_SCENARIO_PATHS = {
-    "name": "name",
-    "model": "model.spec",
-    "tables": "model.max_tables_per_group",
-    "rows": "model.max_rows_per_table",
-    "backend": "backend.name",
-    "queries": "workload.num_queries",
-    "users": "workload.num_users",
-    "seed": "workload.seed",
-    "concurrency": "serving.concurrency",
-    "warmup": "serving.warmup_queries",
-    "platform": "serving.platform",
-    "baseline_platform": "serving.baseline_platform",
-    "qps_per_host": "serving.qps_per_host",
-    "baseline_qps_per_host": "serving.baseline_qps_per_host",
-    "fleet_qps": "serving.fleet_qps",
-    "sample_interval": "telemetry.sample_interval",
-}
+def _traffic_mode(
+    spec: ScenarioSpec, arrival: Optional[str], sets: Mapping[str, Any], grid: Mapping[str, Any]
+) -> ScenarioSpec:
+    """The one open-loop rule, shared by ``run --set`` and ``campaign --grid``.
+
+    The closed loop reads none of :data:`OPEN_LOOP_ONLY_PARAMS`, so setting
+    or sweeping one on a closed-loop spec switches traffic to open (a grid
+    gives the base spec its first offered load); asking for closed-loop
+    traffic as well is a user error rather than a dropped value.
+    """
+    open_only = sorted((set(sets) | set(grid)) & OPEN_LOOP_ONLY_PARAMS)
+    if open_only and (arrival == "closed" or sets.get("traffic.mode") == "closed"):
+        raise ValueError(
+            f"{open_only[0]} needs open-loop traffic, but closed-loop traffic "
+            f"was asked for"
+        )
+    if "traffic.offered_qps" in grid:
+        spec = spec.replace("traffic.offered_qps", grid["traffic.offered_qps"][0])
+    if arrival == "closed":
+        return spec.replace("traffic.mode", "closed")
+    if arrival is not None:
+        spec = spec.replace("traffic.arrival", arrival)
+    if arrival is not None or open_only:
+        return spec.replace("traffic.mode", "open")
+    return spec
 
 
-def _spec_from_args(args: argparse.Namespace) -> ScenarioSpec:
+def _spec_from_args(args: argparse.Namespace, grid: Mapping[str, List[Any]]) -> ScenarioSpec:
     if args.spec:
         with open(args.spec, encoding="utf-8") as handle:
             spec = ScenarioSpec.from_dict(json.load(handle))
     else:
         spec = ScenarioSpec()
-    for attr, path in _SCENARIO_PATHS.items():
-        value = getattr(args, attr)
-        if value is not None:
-            spec = spec.replace(path, value)
-    if args.item_batch is not None:
-        spec = spec.replace("model.item_batch", args.item_batch)
-        spec = spec.replace("workload.item_batch", args.item_batch)
-    if args.seed is not None:
-        spec = spec.replace("model.seed", args.seed)
-        spec = spec.replace("traffic.seed", args.seed)
-    # Set the open-loop parameters before flipping the mode: TrafficSpec
-    # validates that open mode has an offered load the moment it is built.
-    if args.offered_qps is not None:
-        spec = spec.replace("traffic.offered_qps", args.offered_qps)
-    if args.queue_depth is not None:
-        spec = spec.replace("traffic.queue_depth", args.queue_depth)
-    if args.serve_batch is not None:
-        spec = spec.replace("traffic.serve_batch", args.serve_batch)
-    if args.arrival is not None:
-        if args.arrival != "closed":
-            spec = spec.replace("traffic.arrival", args.arrival)
-        spec = spec.replace("traffic.mode", "closed" if args.arrival == "closed" else "open")
-    elif (
-        args.offered_qps is not None
-        or args.queue_depth is not None
-        or args.serve_batch is not None
-    ):
-        # An offered load (or queue depth / drain batch) only means something
-        # in open loop; silently running closed-loop would ignore it.
-        # `--arrival closed` opts out explicitly.
-        spec = spec.replace("traffic.mode", "open")
     if args.tiers is not None:
-        # Normalise to a list of mappings so grid axes like tiers.1.capacity
-        # can address individual entries, and default the backend to the
-        # hierarchy-aware one unless the user picked something explicitly.
+        # A list of mappings, so paths like tiers.1.capacity can address
+        # single entries; a later --set backend.name=... overrides the switch.
         tier_dicts = [tier.to_dict() for tier in parse_tiers(args.tiers)]
         spec = spec.replace("backend.options.tiers", tier_dicts)
-        if args.backend is None and spec.backend.name == "sdm":
+        if spec.backend.name == "sdm":
             spec = spec.replace("backend.name", "tiered")
-    for key, value in _parse_options(args.option).items():
-        spec = spec.replace(f"backend.options.{key}", value)
-    # Telemetry output flags (run subcommand only) imply the matching knobs.
-    if getattr(args, "trace_out", None):
-        spec = spec.replace("telemetry.trace", True)
-    if getattr(args, "timeline_out", None) and spec.telemetry.sample_interval <= 0:
-        raise ValueError(
-            "--timeline-out needs a sampling cadence: pass --sample-interval "
-            "(simulated seconds) or set telemetry.sample_interval in --spec"
-        )
-    return spec
+    if args.seed is not None:
+        for path in ("model.seed", "workload.seed", "traffic.seed"):
+            spec = spec.replace(path, args.seed)
+    sets = _parse_paths(args.set, "--set", axis=False)
+    both = sorted(set(sets) & set(grid))
+    if both:
+        raise ValueError(f"{both[0]!r} is given both by --set and by --grid")
+    for path, value in sets.items():
+        spec = spec.replace(path, value)
+    return _traffic_mode(spec, args.arrival, sets, grid)
 
 
 def _write_json(path: str, payload: Any, label: str) -> None:
@@ -226,7 +180,15 @@ def _write_json(path: str, payload: Any, label: str) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    result = Session(_spec_from_args(args)).run()
+    spec = _spec_from_args(args, {})
+    if args.trace_out:
+        spec = spec.replace("telemetry.trace", True)
+    if args.timeline_out and spec.telemetry.sample_interval <= 0:
+        raise ValueError(
+            "--timeline-out needs a sampling cadence: pass --set "
+            "telemetry.sample_interval=SECONDS (simulated) or set it in --spec"
+        )
+    result = Session(spec).run()
     if args.trace_out:
         _write_json(args.trace_out, result.trace, "trace")
     if args.timeline_out:
@@ -251,19 +213,15 @@ def _cmd_report(args: argparse.Namespace) -> int:
             )
         records = sorted(store, key=lambda record: record.get("index", 0))
         if args.json:
-            print(
-                json.dumps(
-                    [
-                        {
-                            "scenario": record.get("scenario"),
-                            "coords": record.get("coords"),
-                            "report": report_dict(record["result"]),
-                        }
-                        for record in records
-                    ],
-                    indent=2,
-                )
-            )
+            reports = [
+                {
+                    "scenario": record.get("scenario"),
+                    "coords": record.get("coords"),
+                    "report": report_dict(record["result"]),
+                }
+                for record in records
+            ]
+            print(json.dumps(reports, indent=2))
             return 0
         for record in records:
             print(render_report(record["result"]))
@@ -283,73 +241,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    values = [_parse_value(token) for token in args.values.split(",") if token]
-    if not values:
-        raise ValueError("--values must list at least one value")
-    if not args.json and args.metric not in scenario_metrics():
-        # Validate before the (expensive) sweep runs, not after.
-        raise ValueError(
-            f"unknown sweep metric {args.metric!r}; choices: {scenario_metrics()}"
-        )
-    spec = _spec_from_args(args)
-    if args.param == "traffic.offered_qps" and spec.traffic.mode == "closed":
-        if args.arrival == "closed":
-            raise ValueError(
-                "sweeping traffic.offered_qps needs open-loop traffic, "
-                "but --arrival closed was given"
-            )
-        # Sweeping the offered load implies open-loop traffic; seed the spec
-        # with the first swept value so the open-mode validation passes.
-        spec = spec.replace("traffic.offered_qps", values[0])
-        spec = spec.replace("traffic.mode", "open")
-    points = Session(spec).sweep(args.param, values)
-    if args.json:
-        print(
-            json.dumps(
-                [
-                    {"param": p.param, "value": p.value, "result": p.result.to_dict()}
-                    for p in points
-                ],
-                indent=2,
-            )
-        )
-    else:
-        print(sweep_table(points, metric=args.metric))
-    return 0
-
-
-def _parse_grid(pairs: Sequence[str]) -> List[Tuple[str, List[Any]]]:
-    axes: List[Tuple[str, List[Any]]] = []
-    for pair in pairs:
-        if "=" not in pair:
-            raise ValueError(f"--grid expects param=v1,v2,..., got {pair!r}")
-        param, _, raw = pair.partition("=")
-        values = [_parse_value(token) for token in raw.split(",") if token]
-        if not values:
-            raise ValueError(f"--grid {param!r} must list at least one value")
-        axes.append((param, values))
-    return axes
-
-
 def _campaign_from_args(args: argparse.Namespace) -> CampaignSpec:
-    axes = _parse_grid(args.grid)
-    spec = _spec_from_args(args)
-    grid_params = {param for param, _ in axes}
-    if spec.traffic.mode == "closed" and "traffic.offered_qps" in grid_params:
-        if args.arrival == "closed":
-            raise ValueError(
-                "a traffic.offered_qps grid axis needs open-loop traffic, "
-                "but --arrival closed was given"
-            )
-        # An offered-load axis implies open-loop traffic; seed the spec with
-        # the axis' first value so the open-mode validation passes.
-        first = next(values[0] for param, values in axes if param == "traffic.offered_qps")
-        spec = spec.replace("traffic.offered_qps", first)
-        spec = spec.replace("traffic.mode", "open")
-    return CampaignSpec.from_grid(
-        spec, dict(axes), name=spec.name, replicates=args.replicates
-    )
+    grid = _parse_paths(args.grid, "--grid", axis=True)
+    spec = _spec_from_args(args, grid)
+    return CampaignSpec.from_grid(spec, grid, name=spec.name, replicates=args.replicates)
 
 
 class _CampaignProgress:
@@ -396,7 +291,6 @@ class _CampaignProgress:
             origin = "ran"
         else:
             origin = outcome.status
-
         line = (
             f"[{done}/{total}] {outcome.scenario} ({origin}) | "
             f"{self._ran} ran, {self._cached} from store"
@@ -412,12 +306,17 @@ class _CampaignProgress:
 
 def _runtime_from_args(args: argparse.Namespace) -> Union[str, Runtime]:
     """``--parallel N`` sizes the pool; it is the pool unless ``--runtime``
-    names another engine."""
+    names another engine, which cannot take a pool size."""
     if args.parallel < 1:
         raise ValueError(f"--parallel must be positive: {args.parallel}")
-    if args.parallel > 1 and args.runtime in (None, "pool"):
+    if args.parallel == 1:
+        return args.runtime or "serial"
+    if args.runtime in (None, "pool"):
         return LocalPoolRuntime(workers=args.parallel)
-    return args.runtime or "serial"
+    raise ValueError(
+        f"--parallel {args.parallel} sizes the pool, but --runtime {args.runtime} "
+        f"runs no pool"
+    )
 
 
 def _cmd_campaign(args: argparse.Namespace) -> int:
@@ -426,11 +325,9 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if not args.json:
         # Validate before the (expensive) grid runs, not after.
         for metric in metrics:
-            if metric not in scenario_metrics():
-                raise ValueError(
-                    f"unknown metric {metric!r}; valid ScenarioResult metrics: "
-                    f"{scenario_metrics()}"
-                )
+            error = scenario_metric_error(metric)
+            if error is not None:
+                raise ValueError(error)
     if args.resume and not args.out:
         raise ValueError("--resume needs --out pointing at an existing run directory")
     store = None
@@ -566,18 +463,8 @@ def _cmd_list_devices(args: argparse.Namespace) -> int:
     ]
     print(
         format_table(
-            [
-                "technology",
-                "aliases",
-                "capacity",
-                "latency (us)",
-                "IOPS",
-                "granularity (B)",
-                "read BW (GB/s)",
-                "DWPD",
-                "$/GB vs DRAM",
-                "sourcing",
-            ],
+            ["technology", "aliases", "capacity", "latency (us)", "IOPS",
+             "granularity (B)", "read BW (GB/s)", "DWPD", "$/GB vs DRAM", "sourcing"],
             rows,
             title="Table 1 device spectrum (--tiers technologies; plus 'dram' for tier 0)",
         )
@@ -612,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--timeline-out",
         metavar="FILE",
-        help="write the timeline windows as JSON (needs --sample-interval)",
+        help="write the timeline windows as JSON (needs telemetry.sample_interval)",
     )
     run_parser.set_defaults(handler=_cmd_run)
 
@@ -625,34 +512,13 @@ def build_parser() -> argparse.ArgumentParser:
     report_parser.add_argument("--json", action="store_true", help="emit JSON")
     report_parser.set_defaults(handler=_cmd_report)
 
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help=(
-            "run a one-dimensional parameter study in this process (for a "
-            "process pool: campaign --grid param=v1,v2 --parallel N)"
-        ),
-    )
-    _add_scenario_arguments(sweep_parser)
-    sweep_parser.add_argument(
-        "--param", required=True, help="dotted spec path, e.g. serving.concurrency"
-    )
-    sweep_parser.add_argument("--values", required=True, help="comma-separated values")
-    sweep_parser.add_argument(
-        "--metric", default="achieved_qps", help="ScenarioResult attribute to tabulate"
-    )
-    sweep_parser.set_defaults(handler=_cmd_sweep)
-
     campaign_parser = subparsers.add_parser(
         "campaign", help="run a multi-axis scenario grid, optionally persisted"
     )
     _add_scenario_arguments(campaign_parser)
     campaign_parser.add_argument(
-        "--grid",
-        action="append",
-        default=[],
-        required=True,
-        metavar="PARAM=V1,V2,...",
-        help="grid axis (repeatable), e.g. --grid backend.name=dram,sdm",
+        "--grid", action="append", default=[], required=True, metavar="PATH=V1,V2,...",
+        help="grid axis by dotted spec path (repeatable), e.g. --grid backend.name=dram,sdm",
     )
     campaign_parser.add_argument(
         "--parallel", type=int, default=1, help="worker processes for fresh points"
@@ -668,9 +534,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     campaign_parser.add_argument(
-        "--retries",
-        type=int,
-        default=0,
+        "--retries", type=int, default=0,
         help="extra attempts per failing point before quarantining it",
     )
     campaign_parser.add_argument(
@@ -686,8 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="DIR", help="experiment store directory (enables memoisation)"
     )
     campaign_parser.add_argument(
-        "--resume",
-        action="store_true",
+        "--resume", action="store_true",
         help="serve already-completed points from --out instead of refusing",
     )
     campaign_parser.add_argument(
@@ -713,9 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="result metric to compare (repeatable), e.g. latency_seconds.p99:lower",
     )
     compare_parser.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.0,
+        "--tolerance", type=float, default=0.0,
         help="relative worsening allowed before a metric counts as regressed",
     )
     compare_parser.add_argument("--json", action="store_true", help="emit JSON")
@@ -743,8 +604,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     except BrokenPipeError:
         # Normal when piping into `head` etc.; exit quietly.  Detach stdout so
         # the interpreter's shutdown flush doesn't raise a second time.
-        import os
-
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as error:

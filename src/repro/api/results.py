@@ -194,15 +194,6 @@ class ScenarioResult:
         )
 
 
-@dataclass(frozen=True)
-class SweepPoint:
-    """One point of a :meth:`Session.sweep`: the swept value and its result."""
-
-    param: str
-    value: Any
-    result: ScenarioResult
-
-
 def scenario_metrics() -> List[str]:
     """The metric names a :class:`ScenarioResult` exposes (its field names)."""
     return sorted(f.name for f in dataclasses.fields(ScenarioResult))
@@ -245,7 +236,7 @@ def scenario_metric_error(metric: str) -> Optional[str]:
     """Validate a :class:`ScenarioResult` *field* name (table metrics).
 
     Returns ``None`` for a valid field, an error message otherwise.  The
-    message is what :func:`sweep_table` / :func:`campaign_table` raise and
+    message is what :func:`campaign_table` raises and
     what the ``repro lint`` METRIC001 rule reports.
     """
     if metric in {f.name for f in dataclasses.fields(ScenarioResult)}:
@@ -325,16 +316,6 @@ def _metric_value(result: ScenarioResult, metric: str) -> Any:
     if error is not None:
         raise ValueError(error)
     return getattr(result, metric)
-
-
-def sweep_table(points: List[SweepPoint], metric: str = "achieved_qps") -> str:
-    """Format a one-dimensional sweep as a two-column series table."""
-    if not points:
-        raise ValueError("sweep_table needs at least one point")
-    rows: List[Tuple[Any, Any]] = [
-        (point.value, _metric_value(point.result, metric)) for point in points
-    ]
-    return format_table([points[0].param, metric], rows, title="sweep")
 
 
 def campaign_table(

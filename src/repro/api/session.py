@@ -11,18 +11,18 @@ hand-written examples used to do::
     result = Session(ScenarioSpec()).run()
     print(result.summary_table())
 
-``sweep`` reruns the scenario across values of one spec parameter (addressed
-with the dotted paths of :meth:`ScenarioSpec.replace`), each in a fresh
-session so runs are independent.
+A study over one or more spec values (the dotted paths of
+:meth:`ScenarioSpec.replace`) is a campaign: :func:`repro.runtime.run_campaign`
+over :meth:`repro.runtime.CampaignSpec.from_grid`.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 from repro.api.registry import create_backend
-from repro.api.results import PowerSummary, ScenarioResult, SweepPoint
-from repro.api.spec import OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, model_spec_by_name
+from repro.api.results import PowerSummary, ScenarioResult
+from repro.api.spec import ScenarioSpec, model_spec_by_name
 from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend, InferenceEngine, Query
 from repro.dlrm.model import DLRMModel
@@ -46,7 +46,7 @@ class Session:
     first use, so cheap operations (inspecting the workload, listing traces)
     never pay for device setup.  Serving state (caches, statistics)
     accumulates across repeated :meth:`run` calls on the same session; use a
-    fresh session — as :meth:`sweep` does — for independent runs.
+    fresh session — as each campaign point does — for independent runs.
     """
 
     def __init__(self, spec: ScenarioSpec, compute: Optional[ComputeSpec] = None) -> None:
@@ -223,33 +223,6 @@ class Session:
             queue_depth=traffic.queue_depth,
             serve_batch=traffic.serve_batch,
         )
-
-    # Sweeping one of these with closed-loop traffic would silently produce
-    # identical points; campaign grids share the same guard via CampaignSpec.
-    _OPEN_LOOP_ONLY_PARAMS = OPEN_LOOP_ONLY_PARAMS
-
-    def sweep(self, param: str, values: Sequence[Any]) -> List[SweepPoint]:
-        """Run the scenario once per value of ``param`` (dotted spec path).
-
-        Each point runs in a fresh :class:`Session` in this process, one
-        after the other, so cache state does not leak between points and the
-        session's ``ComputeSpec`` and each raw ``host_result`` are kept.
-        For points on a process pool, run the same axis as a one-axis
-        :func:`repro.runtime.run_campaign`.
-        """
-        if not values:
-            raise ValueError("sweep needs at least one value")
-        if param in self._OPEN_LOOP_ONLY_PARAMS and self.spec.traffic.mode == "closed":
-            raise ValueError(
-                f"sweeping {param!r} has no effect with closed-loop traffic; "
-                f"set traffic.mode='open' (e.g. TrafficSpec(mode='open', "
-                f"arrival='poisson', offered_qps=...))"
-            )
-        points: List[SweepPoint] = []
-        for value in values:
-            session = Session(self.spec.replace(param, value), compute=self.compute)
-            points.append(SweepPoint(param=param, value=value, result=session.run()))
-        return points
 
     # -------------------------------------------------------------- internals
     def _backend_stats(self) -> dict:

@@ -15,7 +15,7 @@ import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple
 
 from repro.dlrm.embedding import check_positive_int
 from repro.dlrm.model_config import ALL_MODEL_SPECS, ModelSpec, figure1_model_spec
@@ -237,8 +237,9 @@ _SECTION_TYPES = {
 }
 
 #: Traffic parameters the closed loop never reads: varying one of these with
-#: closed-loop traffic silently produces identical experiments, so sweeps and
-#: campaign grids over them reject closed-loop base specs up front.
+#: closed-loop traffic silently produces identical experiments, so campaign
+#: grids over them reject closed-loop base specs up front, and the CLI's
+#: ``--set``/``--grid`` on one opens the loop.
 OPEN_LOOP_ONLY_PARAMS = frozenset(
     {
         "traffic.offered_qps",
@@ -259,28 +260,12 @@ def section_fields(section: str) -> Tuple[str, ...]:
     return tuple(f.name for f in dataclasses.fields(_SECTION_TYPES[section]))
 
 
-def iter_spec_paths() -> Iterator[str]:
-    """Every closed-form dotted path :meth:`ScenarioSpec.replace` accepts.
-
-    Yields ``"name"``, each section name, and every ``section.field`` pair.
-    ``backend.options.*`` (and the ``tiers....`` shorthand into it) is
-    open-ended — backend factories define their own option names — so those
-    paths validate structurally via :func:`spec_path_error` instead of being
-    enumerable here.
-    """
-    yield "name"
-    for section in _SECTION_TYPES:
-        yield section
-        for name in section_fields(section):
-            yield f"{section}.{name}"
-
-
 def spec_path_error(path: str) -> Optional[str]:
     """Statically validate a dotted spec path against the schema.
 
     Returns ``None`` when ``path`` is a structurally valid
-    :meth:`ScenarioSpec.replace` / :meth:`Session.sweep` / campaign-grid
-    address, and a human-readable error message otherwise.  This is the
+    :meth:`ScenarioSpec.replace` / campaign-grid / CLI ``--set`` address,
+    and a human-readable error message otherwise.  This is the
     introspection hook the ``repro lint`` SPEC001 rule (and any external
     tooling) checks spec-path strings against without building a spec.
 
@@ -513,7 +498,7 @@ class ScenarioSpec:
         fields), a section field (``"serving.concurrency"``), a backend
         option (``"backend.options.num_devices"``) or a position inside a
         structured option (``"backend.options.tiers.1.capacity"``) — the
-        addressing scheme :meth:`Session.sweep` and campaign grids use.
+        addressing scheme campaign grids and the CLI's ``--set`` use.
         ``"tiers...."`` paths are shorthand for ``"backend.options.tiers...."``
         so tier geometries sweep like any other knob.
         """

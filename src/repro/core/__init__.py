@@ -26,7 +26,6 @@ from repro.core.pooled_cache import (
     order_invariant_hash_batch,
     profile_subsequence_schemes,
 )
-from repro.core.depruning import DepruneResult, deprune_table
 from repro.core.dequantization import DequantizedTable, dequantize_table
 from repro.core.warmup import warmup_capacity_overhead, warmup_hit_rate_curve
 from repro.core.model_update import ModelUpdatePlanner, UpdateStrategy
@@ -48,8 +47,6 @@ __all__ = [
     "order_invariant_hash",
     "order_invariant_hash_batch",
     "profile_subsequence_schemes",
-    "DepruneResult",
-    "deprune_table",
     "DequantizedTable",
     "dequantize_table",
     "warmup_capacity_overhead",

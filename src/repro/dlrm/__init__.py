@@ -19,7 +19,7 @@ from repro.dlrm.quantization import (
 from repro.dlrm.embedding import Bags, EmbeddingTable, EmbeddingTableSpec, pool_bags
 from repro.dlrm.pruning import PrunedEmbeddingTable, prune_table
 from repro.dlrm.mlp import MLP
-from repro.dlrm.interaction import concat_interaction, dot_interaction
+from repro.dlrm.interaction import concat_interaction
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.model_config import (
     M1_SPEC,
@@ -53,7 +53,6 @@ __all__ = [
     "prune_table",
     "MLP",
     "concat_interaction",
-    "dot_interaction",
     "DLRMModel",
     "ModelSpec",
     "TableProfile",

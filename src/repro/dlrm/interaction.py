@@ -14,25 +14,3 @@ def concat_interaction(dense: np.ndarray, pooled_embeddings: Sequence[np.ndarray
         raise ValueError(f"dense vector must be 1-D, got shape {dense.shape}")
     parts = [dense] + [np.asarray(vec, dtype=np.float32).reshape(-1) for vec in pooled_embeddings]
     return np.concatenate(parts)
-
-
-def dot_interaction(dense: np.ndarray, pooled_embeddings: Sequence[np.ndarray]) -> np.ndarray:
-    """DLRM-style pairwise dot-product interaction.
-
-    All pooled embeddings and the dense vector must share the same dimension;
-    the output is the dense vector concatenated with the upper triangle of
-    the pairwise dot-product matrix.
-    """
-    dense = np.asarray(dense, dtype=np.float32)
-    if dense.ndim != 1:
-        raise ValueError(f"dense vector must be 1-D, got shape {dense.shape}")
-    vectors = [dense] + [np.asarray(vec, dtype=np.float32).reshape(-1) for vec in pooled_embeddings]
-    dims = {vec.shape[0] for vec in vectors}
-    if len(dims) != 1:
-        raise ValueError(
-            f"dot interaction requires equal dims for dense and pooled embeddings, got {sorted(dims)}"
-        )
-    stacked = np.stack(vectors)
-    products = stacked @ stacked.T
-    upper = products[np.triu_indices(len(vectors), k=1)]
-    return np.concatenate([dense, upper.astype(np.float32)])

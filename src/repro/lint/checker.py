@@ -14,7 +14,6 @@ The checker owns the three policy decisions the rules themselves stay out of:
 
 from __future__ import annotations
 
-import ast
 import os
 import re
 from pathlib import Path
@@ -135,12 +134,3 @@ def lint_paths(
         findings.extend(lint_file(filename, rules=rules))
     findings.sort(key=Finding.sort_key)
     return findings
-
-
-def parse_ok(source: str) -> bool:
-    """Cheap syntax probe used by tests."""
-    try:
-        ast.parse(source)
-    except SyntaxError:
-        return False
-    return True

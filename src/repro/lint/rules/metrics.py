@@ -2,9 +2,9 @@
 
 Metric strings reach the result schema by two different routes:
 
-* *field* names (``"achieved_qps"``) passed to :func:`sweep_table` /
-  :func:`campaign_table` — checked against the ``ScenarioResult`` dataclass
-  fields via :func:`repro.api.results.scenario_metric_error`;
+* *field* names (``"achieved_qps"``) passed to :func:`campaign_table` —
+  checked against the ``ScenarioResult`` dataclass fields via
+  :func:`repro.api.results.scenario_metric_error`;
 * *result-dict* paths (``"latency_seconds.p99"``) passed to
   :func:`compare_runs` / ``MetricSpec`` — checked against the ``to_dict``
   schema via :func:`repro.api.results.metric_path_error` (an optional
@@ -23,7 +23,6 @@ from repro.lint.registry import Rule, register
 #: Callables taking ScenarioResult *field* names, with the positions/keywords
 #: the metric strings travel in.
 _FIELD_METRIC_CALLS = {
-    "sweep_table": (1, ("metric",)),
     "campaign_table": (1, ("metric", "metrics")),
 }
 
@@ -56,7 +55,7 @@ class MetricNameRule(Rule):
     id = "METRIC001"
     title = "unknown ScenarioResult metric name"
     rationale = (
-        "sweep_table/campaign_table metrics must be ScenarioResult fields and "
+        "campaign_table metrics must be ScenarioResult fields and "
         "compare_runs metrics must be addressable result-dict paths.  Both "
         "are only validated when the (expensive) run reaches the reporting "
         "step; this rule checks the literals against the schema statically."

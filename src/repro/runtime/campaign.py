@@ -141,7 +141,7 @@ class CampaignSpec:
                 self.base.replace(axis.param, value)
         # A grid over open-loop-only traffic knobs on a closed-loop base would
         # expand into identical experiments per value — reject it up front
-        # (same guard as Session.sweep), unless the grid also opens the loop.
+        # unless the grid also opens the loop.
         if self.base.traffic.mode == "closed" and not (
             {"traffic", "traffic.mode"} & set(params)
         ):

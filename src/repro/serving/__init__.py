@@ -30,7 +30,7 @@ from repro.serving.capacity_planner import (
     sm_bound_qps,
     ssds_needed,
 )
-from repro.serving.scaleout import ScaleOutPlan, plan_scale_out, plan_scale_out_from_result
+from repro.serving.scaleout import ScaleOutPlan, plan_scale_out
 from repro.serving.multitenancy import MultiTenancyScenario, evaluate_multi_tenancy
 from repro.serving.engine import (
     HostSimulationResult,
@@ -41,7 +41,6 @@ from repro.serving.engine import (
 from repro.serving.fleet import (
     RollingUpdateConfig,
     RollingUpdateReport,
-    rolling_update_from_host_result,
     simulate_rolling_update,
 )
 
@@ -68,7 +67,6 @@ __all__ = [
     "ssds_needed",
     "ScaleOutPlan",
     "plan_scale_out",
-    "plan_scale_out_from_result",
     "MultiTenancyScenario",
     "evaluate_multi_tenancy",
     "ServingEngine",
@@ -78,6 +76,5 @@ __all__ = [
     "RollingUpdateConfig",
     "RollingUpdateReport",
     "capacity_plan_from_host_result",
-    "rolling_update_from_host_result",
     "simulate_rolling_update",
 ]

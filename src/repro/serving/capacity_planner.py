@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.dlrm.model_config import TableProfile
 from repro.serving.engine import HostSimulationResult
 from repro.serving.latency import LatencyTarget
 from repro.serving.platform import HostPlatform
@@ -35,22 +34,6 @@ def qps_per_host(
     memory_bound = platform.fast_memory_bandwidth / bytes_per_query
     compute_bound = platform.compute_flops / flops_per_query
     return min(memory_bound, compute_bound)
-
-
-def query_latency_estimate(
-    platform: HostPlatform,
-    bytes_per_query: float,
-    flops_per_query: float,
-) -> float:
-    """Equation 6: sum of the memory and compute service times of one query."""
-    if bytes_per_query <= 0:
-        raise ValueError(f"bytes_per_query must be positive: {bytes_per_query}")
-    if flops_per_query <= 0:
-        raise ValueError(f"flops_per_query must be positive: {flops_per_query}")
-    return (
-        bytes_per_query / platform.fast_memory_bandwidth
-        + flops_per_query / platform.compute_flops
-    )
 
 
 def hosts_needed(total_qps: float, host_qps: float) -> int:
@@ -203,13 +186,3 @@ def capacity_plan_from_host_result(
         helper_hosts_per_host=helper_hosts_per_host,
     )
     return plan_deployment(scenario, power_model)
-
-
-def profile_flops_per_query(profiles: Sequence[TableProfile], mlp_flops: float, item_batch: int) -> float:
-    """Rough compute demand per query: MLP flops for every ranked item."""
-    if mlp_flops <= 0:
-        raise ValueError(f"mlp_flops must be positive: {mlp_flops}")
-    if item_batch <= 0:
-        raise ValueError(f"item_batch must be positive: {item_batch}")
-    del profiles  # embedding compute is negligible next to the MLPs
-    return mlp_flops * item_batch

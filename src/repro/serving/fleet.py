@@ -17,10 +17,7 @@ from typing import List
 
 from repro.core.model_update import ModelUpdatePlanner, UpdateStrategy
 from repro.core.warmup import warmup_capacity_overhead
-from repro.serving.capacity_planner import CapacityPlan, capacity_plan_from_host_result
-from repro.serving.engine import HostSimulationResult
-from repro.serving.latency import LatencyTarget
-from repro.serving.platform import HostPlatform
+from repro.serving.capacity_planner import CapacityPlan
 
 
 @dataclass(frozen=True)
@@ -174,27 +171,3 @@ def simulate_rolling_update(
         minimum_effective_qps=minimum_qps,
         capacity_overhead=overhead,
     )
-
-
-def rolling_update_from_host_result(
-    scenario_name: str,
-    platform: HostPlatform,
-    host_result: HostSimulationResult,
-    target: LatencyTarget,
-    fleet_qps: float,
-    update_planner: ModelUpdatePlanner,
-    config: RollingUpdateConfig,
-    time_step_seconds: float = 30.0,
-) -> RollingUpdateReport:
-    """Simulate a rolling update over a fleet sized by a *measured* host run.
-
-    The fleet is planned from the throughput the host simulation sustained at
-    the SLO (:func:`~repro.serving.capacity_planner.capacity_plan_from_host_result`),
-    so an open-loop run that saturates — queueing delay eating the latency
-    budget — yields a larger fleet and a correspondingly different update
-    wave, instead of assuming the analytic closed-loop service rate.
-    """
-    plan = capacity_plan_from_host_result(
-        scenario_name, platform, host_result, target, fleet_qps
-    )
-    return simulate_rolling_update(plan, update_planner, config, time_step_seconds)

@@ -10,11 +10,8 @@ failure domain, which is exactly what the SDM configuration avoids
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from repro.serving.engine import HostSimulationResult
-from repro.serving.latency import LatencyTarget
 from repro.serving.platform import HostPlatform
 from repro.serving.power import PowerModel
 from repro.sim.units import MICROSECOND
@@ -78,41 +75,4 @@ def plan_scale_out(
         num_helper_hosts=num_helpers,
         remote_fetch_latency=remote_fetch_latency,
         hosts_per_query=1.0 + 1.0,  # the main host plus (at least) one helper
-    )
-
-
-def plan_scale_out_from_result(
-    main_platform: HostPlatform,
-    helper_platform: HostPlatform,
-    host_result: HostSimulationResult,
-    target: LatencyTarget,
-    fleet_qps: float,
-    main_hosts_per_helper: float = 5.0,
-    user_capacity_bytes: float = 0.0,
-    remote_fetch_latency: float = 300 * MICROSECOND,
-) -> ScaleOutPlan:
-    """Plan a scale-out deployment sized by a *measured* host simulation.
-
-    The number of main hosts comes from the fleet demand divided by the
-    per-host throughput the simulation sustained at the SLO
-    (:meth:`~repro.serving.engine.HostSimulationResult.qps_at_latency`), so an
-    open-loop run that saturates — queueing delay pushing the observed
-    percentile over budget — directly inflates the host count, exactly the
-    effect scale-out deployments pay for (section 5.2, Table 9).
-    """
-    if fleet_qps <= 0:
-        raise ValueError(f"fleet_qps must be positive: {fleet_qps}")
-    qps_per_host = host_result.qps_at_latency(target)
-    if qps_per_host <= 0:
-        raise ValueError(
-            f"host simulation sustains no throughput at the SLO: {qps_per_host}"
-        )
-    num_main_hosts = math.ceil(fleet_qps / qps_per_host)
-    return plan_scale_out(
-        main_platform,
-        helper_platform,
-        num_main_hosts,
-        main_hosts_per_helper=main_hosts_per_helper,
-        user_capacity_bytes=user_capacity_bytes,
-        remote_fetch_latency=remote_fetch_latency,
     )

@@ -1,11 +1,11 @@
 """METRIC001 positive fixture: metric names that miss the result schema."""
 
-from repro.api.results import campaign_table, sweep_table
+from repro.api.results import campaign_table
 from repro.runtime import MetricSpec, compare_runs
 
 
-def tables(points, outcomes):
-    a = sweep_table(points, metric="achieved_qpz")
+def tables(outcomes):
+    a = campaign_table(outcomes, "achieved_qpz")
     b = campaign_table(outcomes, metrics=["makespan_secondz"])
     return a, b
 

@@ -1,11 +1,11 @@
 """METRIC001 negative fixture: real fields and addressable result paths."""
 
-from repro.api.results import campaign_table, sweep_table
+from repro.api.results import campaign_table
 from repro.runtime import MetricSpec, compare_runs
 
 
-def tables(points, outcomes):
-    a = sweep_table(points, metric="achieved_qps")
+def tables(outcomes):
+    a = campaign_table(outcomes, "achieved_qps")
     b = campaign_table(outcomes, metrics=["achieved_qps", "makespan_seconds"])
     return a, b
 

@@ -16,7 +16,6 @@ from repro.api.results import (
 )
 from repro.api.spec import (
     ScenarioSpec,
-    iter_spec_paths,
     section_fields,
     spec_path_error,
 )
@@ -77,19 +76,7 @@ class TestSpecPathError:
         assert spec_path_error("serving.concurency") is not None
 
 
-class TestIterSpecPaths:
-    def test_yields_sections_and_fields(self):
-        paths = set(iter_spec_paths())
-        assert "name" in paths
-        assert "serving" in paths
-        assert "serving.concurrency" in paths
-        assert "workload.num_queries" in paths
-        assert "traffic.offered_qps" in paths
-
-    def test_every_emitted_path_validates(self):
-        for path in iter_spec_paths():
-            assert spec_path_error(path) is None, path
-
+class TestSectionFields:
     def test_section_fields_match_dataclasses(self):
         assert "concurrency" in section_fields("serving")
         assert "num_queries" in section_fields("workload")

@@ -1,9 +1,9 @@
-"""ScenarioResult serialisation and the sweep/campaign table formatters."""
+"""ScenarioResult serialisation and the campaign table formatter."""
 
 import pytest
 
-from repro import ScenarioResult, Session, ScenarioSpec, campaign_table, sweep_table
-from repro.api import ModelChoice, PowerSummary, ServingChoice, SweepPoint, WorkloadChoice
+from repro import ScenarioResult, Session, ScenarioSpec, campaign_table
+from repro.api import ModelChoice, PowerSummary, ServingChoice, WorkloadChoice
 from repro.api.results import scenario_metrics
 
 
@@ -55,31 +55,6 @@ class TestScenarioResultFromDict:
         assert ScenarioResult.from_dict(result.to_dict()).to_dict() == result.to_dict()
 
 
-class TestSweepTableValidation:
-    def test_unknown_metric_raises_value_error_listing_fields(self):
-        points = [SweepPoint(param="p", value=1, result=make_result())]
-        with pytest.raises(ValueError) as excinfo:
-            sweep_table(points, metric="achieved_qpz")
-        message = str(excinfo.value)
-        assert "achieved_qpz" in message
-        assert "achieved_qps" in message  # the valid fields are listed
-        assert "latency" in message
-
-    def test_known_metric_still_formats(self):
-        points = [SweepPoint(param="p", value=1, result=make_result())]
-        assert "achieved_qps" in sweep_table(points, metric="achieved_qps")
-
-    def test_empty_points_rejected(self):
-        with pytest.raises(ValueError, match="at least one point"):
-            sweep_table([])
-
-    def test_scenario_metrics_lists_dataclass_fields(self):
-        metrics = scenario_metrics()
-        assert "achieved_qps" in metrics
-        assert "latency" in metrics
-        assert metrics == sorted(metrics)
-
-
 class TestCampaignTable:
     def _outcomes(self):
         return [
@@ -105,6 +80,20 @@ class TestCampaignTable:
     def test_shares_sweep_table_metric_validation(self):
         with pytest.raises(ValueError, match="valid ScenarioResult metrics"):
             campaign_table(self._outcomes(), "nope")
+
+    def test_unknown_metric_raises_value_error_listing_fields(self):
+        with pytest.raises(ValueError) as excinfo:
+            campaign_table(self._outcomes(), "achieved_qpz")
+        message = str(excinfo.value)
+        assert "achieved_qpz" in message
+        assert "achieved_qps" in message  # the valid fields are listed
+        assert "latency" in message
+
+    def test_scenario_metrics_lists_dataclass_fields(self):
+        metrics = scenario_metrics()
+        assert "achieved_qps" in metrics
+        assert "latency" in metrics
+        assert metrics == sorted(metrics)
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one outcome"):

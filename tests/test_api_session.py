@@ -1,5 +1,6 @@
 """Tests for ScenarioSpec round-tripping, the Session facade and the CLI."""
 
+import argparse
 import json
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from repro import (
+    CampaignSpec,
     ComputeSpec,
     InferenceEngine,
     M1_SPEC,
@@ -20,6 +22,7 @@ from repro import (
     SoftwareDefinedMemory,
     WorkloadConfig,
     build_scaled_model,
+    run_campaign,
 )
 from repro.api import BackendChoice, ModelChoice, ServingChoice, TrafficSpec, WorkloadChoice
 from repro.api.cli import main as cli_main
@@ -27,6 +30,13 @@ from repro.sim.units import MIB
 from repro.storage import Technology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
+
+#: A small closed-loop run, spelled by spec path.
+SMALL_RUN = [
+    "--set", "model.max_rows_per_table=256",
+    "--set", "workload.num_queries=20",
+    "--set", "serving.warmup_queries=0",
+]
 
 QUICKSTART_SPEC = ScenarioSpec(
     name="quickstart-parity",
@@ -191,17 +201,21 @@ class TestSession:
         assert result.backend_stats["row cache hit rate"] > 0.0
 
     def test_sweep_runs_each_value_in_a_fresh_session(self, small_spec):
-        points = Session(small_spec).sweep("serving.concurrency", [1, 2])
-        assert [point.value for point in points] == [1, 2]
-        assert all(point.result.num_queries == 30 for point in points)
+        campaign = CampaignSpec.from_grid(small_spec, {"serving.concurrency": [1, 2]})
+        outcomes = run_campaign(campaign, reuse_backends=False)
+        assert [dict(outcome.coords) for outcome in outcomes] == [
+            {"serving.concurrency": 1}, {"serving.concurrency": 2}
+        ]
+        results = [outcome.result for outcome in outcomes]
+        assert all(result.num_queries == 30 for result in results)
         # More streams never reduce simulated closed-loop throughput.
-        assert points[1].result.achieved_qps >= points[0].result.achieved_qps
+        assert results[1].achieved_qps >= results[0].achieved_qps
 
     def test_sweep_over_backend_options(self, small_spec):
-        points = Session(small_spec).sweep(
-            "backend.options.num_devices", [1, 2]
-        )
-        assert [len(point.result.host_result.latencies) for point in points] == [30, 30]
+        campaign = CampaignSpec.from_grid(small_spec, {"backend.options.num_devices": [1, 2]})
+        outcomes = run_campaign(campaign)
+        assert [outcome.result.num_queries for outcome in outcomes] == [30, 30]
+        assert outcomes[0].spec_hash != outcomes[1].spec_hash
 
     def test_result_table_renders(self, small_spec):
         table = Session(small_spec).run().summary_table()
@@ -245,8 +259,9 @@ class TestCLI:
     def test_run_scenario(self, capsys):
         payload = self._run_json(
             capsys,
-            ["run", "--rows", "256", "--queries", "30", "--warmup", "5",
-             "--users", "50", "--json"],
+            ["run", "--set", "model.max_rows_per_table=256", "--set", "workload.num_queries=30",
+             "--set", "serving.warmup_queries=5", "--set", "workload.num_users=50",
+             "--json"],
         )
         assert payload["backend"] == "sdm"
         assert payload["num_queries"] == 25
@@ -255,19 +270,21 @@ class TestCLI:
     def test_run_with_backend_options(self, capsys):
         payload = self._run_json(
             capsys,
-            ["run", "--rows", "256", "--queries", "20", "--warmup", "0",
-             "--backend", "sdm", "--option", "num_devices=1",
-             "--option", "pooled_cache_enabled=false", "--json"],
+            ["run", *SMALL_RUN, "--set", "backend.name=sdm",
+             "--set", "backend.options.num_devices=1",
+             "--set", "backend.options.pooled_cache_enabled=false", "--json"],
         )
         assert payload["backend_stats"]["pooled cache hit rate"] == 0.0
 
     def test_sweep(self, capsys):
         payload = self._run_json(
             capsys,
-            ["sweep", "--param", "serving.concurrency", "--values", "1,2",
-             "--rows", "256", "--queries", "20", "--warmup", "0", "--json"],
+            ["campaign", "--grid", "serving.concurrency=1,2", *SMALL_RUN, "--quiet",
+             "--json"],
         )
-        assert [point["value"] for point in payload] == [1, 2]
+        assert [point["coords"] for point in payload] == [
+            [["serving.concurrency", 1]], [["serving.concurrency", 2]]
+        ]
 
     def test_spec_file_round_trip(self, capsys, tmp_path):
         spec_file = tmp_path / "scenario.json"
@@ -286,8 +303,8 @@ class TestCLI:
         """Acceptance: `python -m repro run` executes an M1 SDM scenario."""
         env_src = str(REPO_ROOT / "src")
         completed = subprocess.run(
-            [sys.executable, "-m", "repro", "run", "--model", "M1", "--backend", "sdm",
-             "--rows", "256", "--queries", "20", "--warmup", "0", "--json"],
+            [sys.executable, "-m", "repro", "run", "--set", "model.spec=M1",
+             "--set", "backend.name=sdm", *SMALL_RUN, "--json"],
             capture_output=True,
             text=True,
             cwd=REPO_ROOT,
@@ -440,20 +457,28 @@ class TestOpenLoopSession:
         closed = ScenarioSpec.from_dict(
             {**self._open_spec().to_dict(), "traffic": {"mode": "closed"}}
         )
-        for param in ("traffic.offered_qps", "traffic.queue_depth", "traffic.arrival"):
+        for param, values in (
+            ("traffic.offered_qps", [100.0, 200.0]),
+            ("traffic.queue_depth", [1, 2]),
+            ("traffic.arrival", ["poisson", "constant"]),
+        ):
             with pytest.raises(ValueError, match="closed-loop"):
-                Session(closed).sweep(param, [1, 2])
+                CampaignSpec.from_grid(closed, {param: values})
 
     def test_sweep_over_offered_qps(self):
         # The small scenario sustains a few thousand QPS closed-loop; sweep a
         # point well below and a point well above that capacity.
-        points = Session(self._open_spec()).sweep(
-            "traffic.offered_qps", [500.0, 50_000.0]
+        campaign = CampaignSpec.from_grid(
+            self._open_spec(), {"traffic.offered_qps": [500.0, 50_000.0]}
         )
-        assert [point.value for point in points] == [500.0, 50_000.0]
+        outcomes = run_campaign(campaign)
+        assert [outcome.coords for outcome in outcomes] == [
+            (("traffic.offered_qps", 500.0),), (("traffic.offered_qps", 50_000.0),)
+        ]
+        low, high = (outcome.result for outcome in outcomes)
         # Above the saturation knee, queueing delay dominates the p99.
-        assert points[1].result.queueing["p99"] > points[0].result.queueing["p99"]
-        assert points[1].result.latency["p99"] > points[0].result.latency["p99"]
+        assert high.queueing["p99"] > low.queueing["p99"]
+        assert high.latency["p99"] > low.latency["p99"]
 
 
 class TestOpenLoopCLI:
@@ -464,56 +489,147 @@ class TestOpenLoopCLI:
     def test_run_open_loop_arguments(self, capsys):
         payload = self._run_json(
             capsys,
-            ["run", "--rows", "256", "--queries", "30", "--warmup", "5",
-             "--users", "50", "--arrival", "poisson", "--offered-qps", "200",
-             "--queue-depth", "16", "--json"],
+            ["run", *SMALL_RUN, "--arrival", "poisson",
+             "--set", "traffic.offered_qps=200.0", "--set", "traffic.queue_depth=16",
+             "--json"],
         )
         assert payload["traffic_mode"] == "open"
         assert payload["offered_qps"] > 0
         assert payload["queueing_seconds"] is not None
 
     def test_arrival_closed_keeps_closed_loop(self, capsys):
-        payload = self._run_json(
-            capsys,
-            ["run", "--rows", "256", "--queries", "20", "--warmup", "0",
-             "--arrival", "closed", "--json"],
-        )
+        payload = self._run_json(capsys, ["run", *SMALL_RUN, "--arrival", "closed", "--json"])
         assert payload["traffic_mode"] == "closed"
 
     def test_open_loop_without_offered_qps_is_a_user_error(self, capsys):
-        assert cli_main(["run", "--rows", "256", "--queries", "10",
-                         "--arrival", "poisson"]) == 2
+        assert cli_main(["run", *SMALL_RUN, "--arrival", "poisson"]) == 2
+        assert "offered_qps" in capsys.readouterr().err
+
+    def test_queue_depth_alone_without_rate_is_a_user_error(self, capsys):
+        assert cli_main(["run", *SMALL_RUN, "--set", "traffic.queue_depth=8"]) == 2
         assert "offered_qps" in capsys.readouterr().err
 
     def test_offered_qps_alone_implies_open_loop(self, capsys):
         payload = self._run_json(
-            capsys,
-            ["run", "--rows", "256", "--queries", "20", "--warmup", "0",
-             "--offered-qps", "150", "--json"],
+            capsys, ["run", *SMALL_RUN, "--set", "traffic.offered_qps=150.0", "--json"]
         )
         assert payload["traffic_mode"] == "open"
         assert payload["queueing_seconds"] is not None
 
-    def test_queue_depth_alone_without_rate_is_a_user_error(self, capsys):
-        assert cli_main(["run", "--rows", "256", "--queries", "10",
-                         "--queue-depth", "8"]) == 2
-        assert "offered_qps" in capsys.readouterr().err
-
     def test_sweep_over_offered_qps_implies_open_loop(self, capsys):
         payload = self._run_json(
             capsys,
-            ["sweep", "--param", "traffic.offered_qps", "--values", "100,1000",
-             "--rows", "256", "--queries", "20", "--warmup", "0", "--json"],
+            ["campaign", "--grid", "traffic.offered_qps=100,1000", *SMALL_RUN,
+             "--quiet", "--json"],
         )
         assert [point["result"]["traffic_mode"] for point in payload] == ["open", "open"]
         qps = [point["result"]["achieved_qps"] for point in payload]
         assert qps[0] != qps[1]  # the offered load actually took effect
 
     def test_sweep_offered_qps_with_arrival_closed_is_a_user_error(self, capsys):
-        assert cli_main(["sweep", "--param", "traffic.offered_qps",
-                         "--values", "100,200", "--arrival", "closed",
-                         "--rows", "256", "--queries", "10"]) == 2
-        assert "open-loop" in capsys.readouterr().err
+        """The open-loop rule in both spellings: an offered load with
+        --arrival closed is an error, not a silently dropped value."""
+        for argv in (
+            ["run", "--set", "traffic.offered_qps=100.0"],
+            ["campaign", "--grid", "traffic.offered_qps=100,200"],
+        ):
+            assert cli_main([*argv, *SMALL_RUN, "--arrival", "closed"]) == 2
+            err = capsys.readouterr().err
+            assert "traffic.offered_qps needs open-loop traffic" in err
+
+    def test_open_loop_path_with_set_closed_mode_is_a_user_error(self, capsys):
+        argv = ["run", *SMALL_RUN, "--set", "traffic.mode=closed",
+                "--set", "traffic.serve_batch=4"]
+        assert cli_main(argv) == 2
+        assert "traffic.serve_batch needs open-loop traffic" in capsys.readouterr().err
+
+
+class TestSetFlag:
+    """``--set PATH=VALUE`` is the one name of a scenario value."""
+
+    #: Each deleted alias flag and the --set form of the same value.  A
+    #: float field takes a float literal (``200.0``): ``200`` parses as an
+    #: int, a different canonical spec.
+    SET_FORMS = {
+        "--name": ["name=demo"],
+        "--model": ["model.spec=M2"],
+        "--tables": ["model.max_tables_per_group=3"],
+        "--rows": ["model.max_rows_per_table=256"],
+        "--backend": ["backend.name=dram"],
+        "--queries": ["workload.num_queries=30"],
+        "--users": ["workload.num_users=50"],
+        "--concurrency": ["serving.concurrency=4"],
+        "--warmup": ["serving.warmup_queries=5"],
+        "--platform": ["serving.platform=HW-SS"],
+        "--baseline-platform": ["serving.baseline_platform=HW-L"],
+        "--qps-per-host": ["serving.qps_per_host=240.0"],
+        "--baseline-qps-per-host": ["serving.baseline_qps_per_host=120.0"],
+        "--fleet-qps": ["serving.fleet_qps=288000.0"],
+        "--sample-interval": ["telemetry.sample_interval=0.01"],
+        "--option": ["backend.options.num_devices=4"],
+        # workload.item_batch=None inherits model.item_batch, so the first
+        # --set alone runs the same scenario; the second pins the very spec.
+        "--item-batch": ["model.item_batch=8", "workload.item_batch=8"],
+        "--offered-qps": ["traffic.offered_qps=200.0"],
+        "--queue-depth": ["traffic.offered_qps=200.0", "traffic.queue_depth=16"],
+        "--serve-batch": ["traffic.offered_qps=200.0", "traffic.serve_batch=4"],
+    }
+    #: The spec each flag built, pinned from the last tree that had it.
+    GOLDEN = json.loads((REPO_ROOT / "tests" / "golden" / "cli_flags.json").read_text())
+
+    def test_every_deleted_flag_has_a_set_form(self):
+        assert sorted(self.SET_FORMS) == sorted(self.GOLDEN)
+        assert len(self.SET_FORMS) == 20
+
+    @pytest.mark.parametrize("flag", sorted(SET_FORMS))
+    def test_set_builds_the_spec_the_deleted_flag_built(self, flag):
+        from repro.api.cli import _spec_from_args, build_parser
+
+        argv = ["run"] + [arg for pair in self.SET_FORMS[flag] for arg in ("--set", pair)]
+        spec = _spec_from_args(build_parser().parse_args(argv), {})
+        assert spec.canonical_json() == self.GOLDEN[flag]["canonical_json"]
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["run", *self.GOLDEN[flag]["flag_argv"]])
+
+    def test_run_parser_has_only_the_kept_flags(self):
+        from repro.api.cli import build_parser
+
+        subparsers = next(
+            action for action in build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
+        )
+        assert "sweep" not in subparsers.choices
+        flags = {
+            option
+            for action in subparsers.choices["run"]._actions
+            for option in action.option_strings
+        }
+        assert flags == {
+            "-h", "--help", "--spec", "--set", "--tiers", "--seed", "--arrival",
+            "--json", "--trace-out", "--timeline-out",
+        }
+
+    def test_sets_apply_in_order_after_the_spec_file(self, tmp_path):
+        from repro.api.cli import _spec_from_args, build_parser
+
+        spec_file = tmp_path / "scenario.json"
+        spec_file.write_text(json.dumps(ScenarioSpec(name="from-file").to_dict()))
+        args = build_parser().parse_args(
+            ["run", "--spec", str(spec_file), "--tiers", "dram:0,nand:1GiB",
+             "--set", "tiers.1.capacity=2GiB", "--set", "backend.name=sdm"]
+        )
+        spec = _spec_from_args(args, {})
+        assert spec.name == "from-file"
+        # --tiers picks the tiered backend; a later --set overrides it.
+        assert spec.backend.name == "sdm"
+        assert spec.backend.options["tiers"][1]["capacity"] == "2GiB"
+
+    def test_bad_set_path_is_a_user_error(self, capsys):
+        assert cli_main(["run", "--set", "serving.concurency=2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ServingChoice has no field 'concurency'")
+        assert cli_main(["run", "--set", "serving.concurrency"]) == 2
+        assert "param=value" in capsys.readouterr().err
 
 
 def _reseeded(model, seed):

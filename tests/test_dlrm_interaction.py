@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.dlrm import concat_interaction, dot_interaction
+from repro.dlrm import concat_interaction
 
 
 class TestConcatInteraction:
@@ -22,25 +22,3 @@ class TestConcatInteraction:
         with pytest.raises(ValueError):
             concat_interaction(np.zeros((2, 2)), [])
 
-
-class TestDotInteraction:
-    def test_output_length(self):
-        dense = np.ones(4, dtype=np.float32)
-        pooled = [np.ones(4), np.ones(4)]
-        out = dot_interaction(dense, pooled)
-        # dense (4) + upper triangle of 3x3 interaction matrix (3 pairs)
-        assert out.shape == (4 + 3,)
-
-    def test_pairwise_dot_values(self):
-        dense = np.array([1.0, 0.0], dtype=np.float32)
-        a = np.array([0.0, 1.0], dtype=np.float32)
-        out = dot_interaction(dense, [a])
-        assert out[-1] == pytest.approx(0.0)  # dense . a
-
-    def test_mismatched_dims_rejected(self):
-        with pytest.raises(ValueError):
-            dot_interaction(np.ones(4), [np.ones(3)])
-
-    def test_rejects_matrix_dense(self):
-        with pytest.raises(ValueError):
-            dot_interaction(np.zeros((2, 2)), [np.zeros(2)])

@@ -157,11 +157,11 @@ class TestThreeTierEndToEnd:
             cli_main(
                 [
                     "run",
-                    "--rows", "256",
-                    "--queries", "40",
-                    "--warmup", "0",
+                    "--set", "model.max_rows_per_table=256",
+                    "--set", "workload.num_queries=40",
+                    "--set", "serving.warmup_queries=0",
                     "--tiers", "dram:48KiB,cxl:48KiB:8KiB,nand:64MiB",
-                    "--option", "row_cache_capacity_bytes=65536",
+                    "--set", "backend.options.row_cache_capacity_bytes=65536",
                     "--json",
                 ]
             )
@@ -186,20 +186,23 @@ class TestThreeTierEndToEnd:
         assert (
             cli_main(
                 [
-                    "sweep",
-                    "--param", "tiers.1.capacity",
-                    "--values", "8KiB,1MiB",
+                    "campaign",
+                    "--grid", "tiers.1.capacity=8KiB,1MiB",
                     "--tiers", "dram:0,cxl:8KiB,nand:64MiB",
-                    "--rows", "256",
-                    "--queries", "20",
-                    "--warmup", "0",
+                    "--set", "model.max_rows_per_table=256",
+                    "--set", "workload.num_queries=20",
+                    "--set", "serving.warmup_queries=0",
+                    "--quiet",
                     "--json",
                 ]
             )
             == 0
         )
         payload = json.loads(capsys.readouterr().out)
-        assert [point["value"] for point in payload] == ["8KiB", "1MiB"]
+        assert [point["coords"] for point in payload] == [
+            [["tiers.1.capacity", "8KiB"]],
+            [["tiers.1.capacity", "1MiB"]],
+        ]
         served = [point["result"]["tiers"][1]["rows_served"] for point in payload]
         assert served[1] > served[0]  # larger CXL tier homes more tables
 

@@ -8,9 +8,13 @@ import pytest
 from repro.api.cli import main as cli_main
 from repro.obs.trace import validate_chrome_trace
 
+SMALL_ARGS = [
+    "--set", "model.max_rows_per_table=256", "--set", "serving.warmup_queries=0",
+    "--set", "workload.num_users=40",
+]
 RUN_ARGS = [
-    "run", "--rows", "256", "--queries", "16", "--warmup", "0", "--users", "40",
-    "--arrival", "constant", "--offered-qps", "400", "--queue-depth", "4",
+    "run", *SMALL_ARGS, "--set", "workload.num_queries=16", "--arrival", "constant",
+    "--set", "traffic.offered_qps=400.0", "--set", "traffic.queue_depth=4",
 ]
 
 
@@ -28,7 +32,7 @@ class TestRunTelemetryFlags:
         timeline_path = tmp_path / "timeline.json"
         assert (
             cli_main(
-                [*RUN_ARGS, "--sample-interval", "0.01",
+                [*RUN_ARGS, "--set", "telemetry.sample_interval=0.01",
                  "--timeline-out", str(timeline_path)]
             )
             == 0
@@ -41,10 +45,10 @@ class TestRunTelemetryFlags:
         assert (
             cli_main([*RUN_ARGS, "--timeline-out", str(tmp_path / "t.json")]) == 2
         )
-        assert "--sample-interval" in capsys.readouterr().err
+        assert "telemetry.sample_interval" in capsys.readouterr().err
 
     def test_json_result_carries_the_timeline(self, capsys):
-        assert cli_main([*RUN_ARGS, "--sample-interval", "0.01", "--json"]) == 0
+        assert cli_main([*RUN_ARGS, "--set", "telemetry.sample_interval=0.01", "--json"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["timeline"]["num_windows"] >= 1
 
@@ -59,7 +63,7 @@ class TestRunTelemetryFlags:
 class TestReportCommand:
     @pytest.fixture()
     def result_file(self, capsys, tmp_path):
-        assert cli_main([*RUN_ARGS, "--sample-interval", "0.01", "--json"]) == 0
+        assert cli_main([*RUN_ARGS, "--set", "telemetry.sample_interval=0.01", "--json"]) == 0
         path = tmp_path / "result.json"
         path.write_text(capsys.readouterr().out, encoding="utf-8")
         return path
@@ -80,8 +84,8 @@ class TestReportCommand:
         store = tmp_path / "run"
         assert (
             cli_main(
-                ["campaign", "--rows", "256", "--queries", "12", "--warmup", "0",
-                 "--users", "40", "--sample-interval", "0.02",
+                ["campaign", *SMALL_ARGS, "--set", "workload.num_queries=12",
+                 "--set", "telemetry.sample_interval=0.02",
                  "--grid", "serving.concurrency=1,2",
                  "--out", str(store), "--quiet"]
             )
@@ -108,8 +112,8 @@ class TestCampaignProgress:
     def test_progress_lands_on_stderr(self, capsys, tmp_path):
         assert (
             cli_main(
-                ["campaign", "--rows", "256", "--queries", "12", "--warmup", "0",
-                 "--users", "40", "--grid", "serving.concurrency=1,2",
+                ["campaign", *SMALL_ARGS, "--set", "workload.num_queries=12",
+                 "--grid", "serving.concurrency=1,2",
                  "--out", str(tmp_path / "run")]
             )
             == 0
@@ -121,8 +125,8 @@ class TestCampaignProgress:
     def test_quiet_suppresses_progress(self, capsys, tmp_path):
         assert (
             cli_main(
-                ["campaign", "--rows", "256", "--queries", "12", "--warmup", "0",
-                 "--users", "40", "--grid", "serving.concurrency=1",
+                ["campaign", *SMALL_ARGS, "--set", "workload.num_queries=12",
+                 "--grid", "serving.concurrency=1",
                  "--out", str(tmp_path / "run"), "--quiet"]
             )
             == 0

@@ -6,7 +6,10 @@ import pytest
 
 from repro.api.cli import main as cli_main
 
-BASE_ARGS = ["--rows", "256", "--queries", "12", "--warmup", "0", "--users", "40"]
+BASE_ARGS = [
+    "--set", "model.max_rows_per_table=256", "--set", "workload.num_queries=12",
+    "--set", "serving.warmup_queries=0", "--set", "workload.num_users=40",
+]
 
 
 def run_json(capsys, argv, expect=0):
@@ -101,8 +104,31 @@ class TestCampaignCLI:
                          "--parallel", "0"]) == 2
         assert "--parallel must be positive" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("runtime", ["serial", "dry"])
+    def test_parallel_with_a_poolless_runtime_is_a_user_error(self, capsys, runtime):
+        assert cli_main(["campaign", *BASE_ARGS, "--grid", "serving.concurrency=1,2",
+                         "--runtime", runtime, "--parallel", "4"]) == 2
+        assert f"--runtime {runtime} runs no pool" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["--grid", "serving.concurrency=1,2", "--grid", "serving.concurrency=4"],
+            ["--grid", "serving.concurrency=1,2",
+             "--set", "workload.num_users=50", "--set", "workload.num_users=60"],
+            ["--grid", "serving.concurrency=1,2", "--set", "serving.concurrency=4"],
+        ],
+        ids=["grid-twice", "set-twice", "set-and-grid"],
+    )
+    def test_repeated_path_is_a_user_error(self, capsys, argv):
+        """A path given twice would silently drop one of its values."""
+        assert cli_main(["campaign", *BASE_ARGS, *argv]) == 2
+        err = capsys.readouterr().err
+        assert "'serving.concurrency'" in err or "'workload.num_users'" in err
+
     def test_no_reuse_flag_produces_identical_results(self, capsys):
-        argv = ["campaign", *BASE_ARGS, "--grid", "workload.num_users=40,60",
+        # BASE_ARGS less its workload.num_users, which is the axis here.
+        argv = ["campaign", *BASE_ARGS[:6], "--grid", "workload.num_users=40,60",
                 "--quiet", "--json"]
         reused = run_json(capsys, argv)
         fresh = run_json(capsys, argv + ["--no-reuse"])

@@ -82,23 +82,15 @@ class TestDeterminism:
             assert [o.metrics for o in outcomes] == [o.metrics for o in oracle], name
 
     def test_sweep_parallel_matches_serial_metrics(self):
-        """``Session.sweep`` and the same axis as a one-axis pool campaign —
-        the two spellings of a one-dimensional study — agree metric for
-        metric; only the scenario name differs (campaign points are named
-        after their coordinates)."""
+        """A one-axis study on the pool agrees metric for metric with the
+        same axis run serially, each point on a fresh backend."""
         spec = small_base()
         values = [1, 2]
-        serial = Session(spec).sweep("serving.concurrency", values)
-        campaign = CampaignSpec(
-            name=spec.name, base=spec, axes=(("serving.concurrency", tuple(values)),)
-        )
+        campaign = CampaignSpec.from_grid(spec, {"serving.concurrency": values})
+        serial = run_campaign(campaign, runtime="serial", reuse_backends=False)
         parallel = run_campaign(campaign, runtime=LocalPoolRuntime(workers=2))
         assert [dict(outcome.coords)["serving.concurrency"] for outcome in parallel] == values
-        for s, p in zip(serial, parallel):
-            assert s.result.host_result is not None
-            expected, actual = s.result.to_dict(), dict(p.metrics)
-            assert actual.pop("scenario") != expected.pop("scenario")
-            assert actual == expected
+        assert [p.metrics for p in parallel] == [s.metrics for s in serial]
 
 
 class TestBackendReuse:

@@ -13,7 +13,6 @@ from repro.serving import (
     sm_bound_qps,
     ssds_needed,
 )
-from repro.serving.capacity_planner import profile_flops_per_query, query_latency_estimate
 from repro.sim.units import MICROSECOND
 from repro.storage import nand_flash_spec, optane_ssd_spec
 
@@ -32,12 +31,6 @@ class TestRooflines:
             2 * qps_per_host(HW_SS, 1e3, flops)
         )
 
-    def test_latency_estimate_sums_components(self):
-        latency = query_latency_estimate(HW_L, 1e6, 1e9)
-        assert latency == pytest.approx(
-            1e6 / HW_L.fast_memory_bandwidth + 1e9 / HW_L.compute_flops
-        )
-
     def test_hosts_needed_ceils(self):
         assert hosts_needed(1000, 120) == 9
         assert hosts_needed(288_000, 240) == 1200  # M1 region demand on HW-L
@@ -47,8 +40,6 @@ class TestRooflines:
             qps_per_host(HW_L, 0, 1)
         with pytest.raises(ValueError):
             hosts_needed(0, 1)
-        with pytest.raises(ValueError):
-            profile_flops_per_query([], 0, 1)
 
 
 class TestSmBoundQps:

@@ -7,8 +7,7 @@ import pytest
 
 from repro.serving import LatencyTarget, OpenLoopResult, ServingEngine
 from repro.serving import capacity_plan_from_host_result
-from repro.serving.platform import HW_S, HW_SS
-from repro.serving.scaleout import plan_scale_out_from_result
+from repro.serving.platform import HW_SS
 from repro.workload.generator import generate_arrival_times
 
 from helpers import small_engine, small_model, small_queries, small_sdm
@@ -317,15 +316,3 @@ class TestCapacityFromMeasurement:
         relaxed = capacity_plan_from_host_result("ok", HW_SS, result, healthy, fleet_qps)
         strained = capacity_plan_from_host_result("hot", HW_SS, result, violated, fleet_qps)
         assert strained.num_hosts > relaxed.num_hosts
-
-    def test_scale_out_plan_consumes_open_loop_result(self):
-        serving, queries = _fresh(30)
-        arrivals = generate_arrival_times(30, process="constant", offered_qps=200.0)
-        result = serving.run_open_loop(queries, arrivals)
-        target = LatencyTarget(95, result.percentile_latency(95) * 2)
-        fleet_qps = 20 * result.qps_at_latency(target)
-        plan = plan_scale_out_from_result(HW_SS, HW_S, result, target, fleet_qps=fleet_qps)
-        assert plan.num_main_hosts == math.ceil(fleet_qps / result.qps_at_latency(target))
-        assert plan.num_helper_hosts >= 1
-        with pytest.raises(ValueError):
-            plan_scale_out_from_result(HW_SS, HW_S, result, target, fleet_qps=0.0)

@@ -108,42 +108,3 @@ class TestSimulateRollingUpdate:
         incremental = _report(strategy=UpdateStrategy.INCREMENTAL)
         assert incremental.wave_duration_seconds < full.wave_duration_seconds
 
-
-class TestRollingUpdateFromHostResult:
-    def test_fleet_sized_by_measured_throughput(self):
-        from repro.serving import HW_SS, LatencyTarget
-        from repro.serving.fleet import rolling_update_from_host_result
-        from repro.serving.engine import OpenLoopResult
-
-        host_result = OpenLoopResult(
-            num_queries=100, concurrency=2, makespan_seconds=1.0,
-            latencies=[0.010] * 100, offered_queries=100,
-            queue_delays=[0.0] * 100, service_times=[0.010] * 100,
-        )
-        target = LatencyTarget(95, 0.025)
-        report = rolling_update_from_host_result(
-            "measured", HW_SS, host_result, target, fleet_qps=100.0 * 100,
-            update_planner=_planner(), config=RollingUpdateConfig(),
-        )
-        # SLO met: capacity is 2 streams / 10 ms service time = 200 QPS per
-        # host (not the 100 QPS offered), so 10,000 fleet QPS needs 50 hosts.
-        assert report.plan.num_hosts == 50
-        assert report.minimum_effective_qps < report.plan.num_hosts * 200.0
-
-    def test_saturated_host_inflates_the_fleet(self):
-        from repro.serving import HW_SS, LatencyTarget
-        from repro.serving.fleet import rolling_update_from_host_result
-        from repro.serving.engine import OpenLoopResult
-
-        saturated = OpenLoopResult(
-            num_queries=100, concurrency=2, makespan_seconds=1.0,
-            latencies=[0.050] * 100, offered_queries=100,
-            queue_delays=[0.040] * 100, service_times=[0.010] * 100,
-        )
-        target = LatencyTarget(95, 0.025)
-        report = rolling_update_from_host_result(
-            "saturated", HW_SS, saturated, target, fleet_qps=100.0 * 100,
-            update_planner=_planner(), config=RollingUpdateConfig(),
-        )
-        # p95 (50 ms) is twice the budget: per-host QPS halves, hosts double.
-        assert report.plan.num_hosts == 200
