@@ -31,14 +31,15 @@ def _cache_organisation_rows():
         ("cpu-optimised", CPU_OPTIMIZED.build(budget)),
         ("unified dual cache", UnifiedRowCache(budget)),
     ):
-        cache.fill_batch("small", np.arange(16_000), small_row)
-        cache.fill_batch("large", np.arange(1_000), large_row)
+        # Two tables' rows, each table its own key range.
+        cache.fill_batch(small_row, np.arange(16_000))
+        cache.fill_batch(large_row, 16_000 + np.arange(1_000))
         slots = (
-            cache.lookup_batch("small", probed, small_row)
+            cache.lookup_batch(small_row, probed)
             if isinstance(cache, UnifiedRowCache)
-            else cache.lookup_slots("small", probed)
+            else cache.lookup_slots(probed)
         )
-        cache.probe_run([("small", probed, slots, small_row)])
+        cache.probe_run([(probed, slots, small_row)])
         stats = cache.stats
         rows.append([name, cache.item_count, stats.cpu_seconds * 1e6])
     return rows

@@ -6,11 +6,12 @@ modelled CPU seconds, eviction order, ``used_bytes`` — but organised as
 parallel arrays so a whole batch of row keys can be probed, filled or evicted
 with a handful of NumPy operations instead of one dict transaction per row:
 
-* a key is ``(table_name, stored_index)`` with ``stored_index >= 0``
-  (anything else is a ``ValueError``: a negative index would alias
-  ``index[-1]``), resolved through a per-table int64 direct-index array
-  (stored index -> slot, ``-1`` absent); each slot records its ``(table id,
-  stored index)`` in two arrays, so no key tuple exists per entry,
+* a key is one int ``>= 0`` that names a stored row (anything else is a
+  ``ValueError``: a negative key would alias ``index[-1]``), resolved
+  through one int64 direct-index array (key -> slot, ``-1`` absent); each
+  slot records its key in one array.  The cache knows no tables: the tier
+  chain numbers every stored row of every table once
+  (:meth:`~repro.hierarchy.chain.TierChain.row_keys`),
 * an entry holds no row bytes: a slot records the row's length, which is
   what the byte budget counts, and a batched probe returns a hit mask,
 * recency is an append-only log of slots: every touch (hit or insert) appends
@@ -28,7 +29,7 @@ per-row ``+=`` loop would, so ``stats.cpu_seconds`` stays bitwise equal.
 from __future__ import annotations
 
 from itertools import accumulate
-from typing import ClassVar, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import ClassVar, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -39,18 +40,9 @@ from repro.sim.state import CONTENTS
 _EMPTY_IDS = np.zeros(0, dtype=np.int64)
 _EMPTY_IDS.setflags(write=False)
 
-#: One batch of a run probe: ``(table_name, stored, slots, row_len)``, the
-#: slots as the cache resolved the stored rows (``-1``: absent).
-ResolvedBatch = Tuple[str, np.ndarray, np.ndarray, int]
-
-
-def _groups(values: np.ndarray) -> List[Tuple[int, Union[slice, np.ndarray]]]:
-    """``(value, selector of its members)`` per distinct value of a
-    non-empty array; a single group — the common case — costs one compare."""
-    first = int(values[0])
-    if bool((values == first).all()):
-        return [(first, slice(None))]
-    return [(value, values == value) for value in np.unique(values).tolist()]
+#: One batch of a run probe: ``(keys, slots, row_len)``, the slots as the
+#: cache resolved the keys (``-1``: absent).
+ResolvedBatch = Tuple[np.ndarray, np.ndarray, int]
 
 
 class _IdAllocator:
@@ -110,23 +102,22 @@ class SoALRUCache(RowCache):
 
     Constructor parameters and scalar ``get``/``put`` semantics mirror
     :class:`~repro.cache.lru.LRUCache` exactly; the batch methods
-    (:meth:`probe_batch`, :meth:`probe_run`, :meth:`fill_batch`) are the
+    (:meth:`probe_run`, :meth:`probe_and_promote`, :meth:`fill_batch`) are the
     array-native equivalents of calling the scalar operations once per row
     in input order.  Scalar operations stay O(1) Python (they touch array
     elements, never whole arrays); batch mutation — insertion, eviction,
     promotion — is a fixed number of array operations per call.
 
-    State, per slot: entry size (the row's length), table id, stored index
-    and recency stamp (``0`` marks a free slot).
+    State, per slot: entry size (the row's length), key and recency stamp
+    (``0`` marks a free slot).
     ``_log[i]`` is the slot touched at stamp ``i + 1``.  Everything
     :meth:`_drop_entries` sets is the cache's contents.
     """
 
     STATE_ROLES: ClassVar[Mapping[str, str]] = dict.fromkeys(
         (
-            "_table_ids", "_table_names", "_slots", "_slot_len", "_slot_table",
-            "_slot_stored", "_slot_stamp", "_indexes", "_log", "_log_head",
-            "_log_tail", "_count", "_used_bytes",
+            "_slots", "_slot_len", "_slot_key", "_slot_stamp", "_index", "_log",
+            "_log_head", "_log_tail", "_count", "_used_bytes",
         ),
         CONTENTS,
     )
@@ -150,20 +141,12 @@ class SoALRUCache(RowCache):
 
     # ------------------------------------------------------------- internals
     def _drop_entries(self) -> None:
-        """(Re)initialise all cached state; counters are left alone.
-
-        Table ids go too: they are handed out in first-seen order, so a
-        cleared cache that kept them would number the next run's tables
-        differently from a freshly built one.
-        """
-        self._table_ids: Dict[str, int] = {}
-        self._table_names: List[str] = []
+        """(Re)initialise all cached state; counters are left alone."""
         self._slots = _IdAllocator()
         self._slot_len = np.zeros(0, dtype=np.int64)
-        self._slot_table = np.zeros(0, dtype=np.int64)
-        self._slot_stored = np.zeros(0, dtype=np.int64)
+        self._slot_key = np.zeros(0, dtype=np.int64)
         self._slot_stamp = np.zeros(0, dtype=np.int64)
-        self._indexes: List[np.ndarray] = []
+        self._index = _EMPTY_IDS
         self._log = np.zeros(64, dtype=np.int64)
         self._log_head = 0
         self._log_tail = 0
@@ -171,35 +154,19 @@ class SoALRUCache(RowCache):
         self._used_bytes = 0
 
     @staticmethod
-    def _row_key_parts(key: CacheKey) -> Tuple[str, int]:
-        """``(table_name, stored)`` of a row key, checked before the key
-        touches any state or counter."""
-        if (
-            isinstance(key, tuple)
-            and len(key) == 2
-            and isinstance(key[0], str)
-            and isinstance(key[1], (int, np.integer))
-            and not isinstance(key[1], bool)
-            and key[1] >= 0
-        ):
-            return key[0], int(key[1])
-        raise ValueError(f"row cache keys are (table, stored >= 0): {key!r}")
+    def _checked_key(key: CacheKey) -> int:
+        """A row key as an int, checked before it touches any state or
+        counter."""
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool) and key >= 0:
+            return int(key)
+        raise ValueError(f"row cache keys are ints >= 0: {key!r}")
 
-    def _table_id(self, table_name: str) -> int:
-        table = self._table_ids.get(table_name)
-        if table is None:
-            table = len(self._table_names)
-            self._table_ids[table_name] = table
-            self._table_names.append(table_name)
-            self._indexes.append(_EMPTY_IDS)
-        return table
-
-    def _index_for(self, table: int, min_size: int) -> np.ndarray:
-        index = self._indexes[table]
+    def _index_for(self, min_size: int) -> np.ndarray:
+        index = self._index
         if index.size < min_size:
             grown = np.full(max(min_size, index.size * 2, 64), -1, dtype=np.int64)
             grown[: index.size] = index
-            self._indexes[table] = index = grown
+            self._index = index = grown
         return index
 
     def _fit_slots(self) -> None:
@@ -208,7 +175,7 @@ class SoALRUCache(RowCache):
         if self._slots.high <= old:
             return
         new = max(self._slots.high, old * 2, 16)
-        for name in ("_slot_len", "_slot_table", "_slot_stored", "_slot_stamp"):
+        for name in ("_slot_len", "_slot_key", "_slot_stamp"):
             grown = np.zeros(new, dtype=np.int64)
             grown[:old] = getattr(self, name)
             setattr(self, name, grown)
@@ -216,13 +183,10 @@ class SoALRUCache(RowCache):
     def _entry_size(self, value_len: int) -> int:
         return value_len + self.per_item_overhead_bytes
 
-    def _find(self, table_name: str, stored: int) -> int:
-        """Slot holding row ``stored`` of ``table_name``, or ``-1``."""
-        table = self._table_ids.get(table_name)
-        if table is None:
-            return -1
-        index = self._indexes[table]
-        return int(index[stored]) if stored < index.size else -1
+    def _find(self, key: int) -> int:
+        """Slot holding ``key``, or ``-1``."""
+        index = self._index
+        return int(index[key]) if key < index.size else -1
 
     def _reserve_log(self, extra: int) -> None:
         """Make room for ``extra`` appends, compacting the log when full.
@@ -267,21 +231,19 @@ class SoALRUCache(RowCache):
         self._slot_stamp[slots] = np.arange(self._log_tail + 1, tail + 1, dtype=np.int64)
         self._log_tail = tail
 
-    def _insert_entry(self, table_name: str, stored: int, row_len: int) -> None:
+    def _insert_entry(self, key: int, row_len: int) -> None:
         slot = self._slots.alloc_one()
         self._fit_slots()
         self._slot_len[slot] = row_len
-        table = self._table_id(table_name)
-        self._slot_table[slot] = table
-        self._slot_stored[slot] = stored
-        self._index_for(table, stored + 1)[stored] = slot
+        self._slot_key[slot] = key
+        self._index_for(key + 1)[key] = slot
         self._touch(slot)
         self._count += 1
         self._used_bytes += self._entry_size(row_len)
 
     def _remove_slot(self, slot: int) -> None:
         row_len = int(self._slot_len[slot])
-        self._indexes[int(self._slot_table[slot])][self._slot_stored[slot]] = -1
+        self._index[self._slot_key[slot]] = -1
         self._slot_stamp[slot] = 0
         self._slots.release_one(slot)
         self._count -= 1
@@ -289,10 +251,7 @@ class SoALRUCache(RowCache):
 
     def _remove_slots(self, slots: np.ndarray) -> None:
         """Bulk :meth:`_remove_slot`."""
-        tables = self._slot_table[slots]
-        stored = self._slot_stored[slots]
-        for table, members in _groups(tables):
-            self._indexes[table][stored[members]] = -1
+        self._index[self._slot_key[slots]] = -1
         lens = self._slot_len[slots]
         self._slot_stamp[slots] = 0
         self._slots.release(slots)
@@ -355,47 +314,44 @@ class SoALRUCache(RowCache):
         self._remove_slots(victims)
         return int(victims.size)
 
-    def _insert_rows(self, table: int, stored: np.ndarray, row_len: int) -> np.ndarray:
-        """Enter new, distinct ``row_len``-byte rows of one table and return
-        their slots; the caller made room and stamps them."""
-        count = int(stored.size)
+    def _insert_rows(self, keys: np.ndarray, row_len: int) -> np.ndarray:
+        """Enter new, distinct ``row_len``-byte rows and return their slots;
+        the caller made room and stamps them."""
+        count = int(keys.size)
         slots = self._slots.alloc(count)
         self._fit_slots()
         self._slot_len[slots] = row_len
-        self._slot_table[slots] = table
-        self._slot_stored[slots] = stored
-        self._index_for(table, int(stored.max()) + 1)[stored] = slots
+        self._slot_key[slots] = keys
+        self._index_for(int(keys.max()) + 1)[keys] = slots
         self._count += count
         self._used_bytes += count * self._entry_size(row_len)
         return slots
 
-    def lookup_slots(self, table_name: str, stored: np.ndarray) -> np.ndarray:
-        """Slot of every ``(table_name, stored)`` key, ``-1`` when absent.
+    def lookup_slots(self, keys: np.ndarray) -> np.ndarray:
+        """Slot of every key of an int64 array, ``-1`` when absent.
 
         Non-mutating.  The slots stay valid until an entry is inserted or
         removed; probes only touch recency, so a run of probes can share one
-        resolution (:meth:`probe_run`).  A negative index is a
-        ``ValueError``.
+        resolution (:meth:`probe_run`).  A negative key is a ``ValueError``.
         """
-        if stored.size == 0:
+        if keys.size == 0:
             return _EMPTY_IDS
-        table = self._table_ids.get(table_name)
-        index = _EMPTY_IDS if table is None else self._indexes[table]
-        # As unsigned, a negative index is huge: one reduction bounds both ends.
-        if int(stored.view(np.uint64).max()) < index.size:
-            return index[stored]
-        if int(stored.min()) < 0:
-            raise ValueError(f"table {table_name!r}: negative stored index")
-        slots = np.full(stored.size, -1, dtype=np.int64)
-        in_range = stored < index.size
-        slots[in_range] = index[stored[in_range]]
+        index = self._index
+        # As unsigned, a negative key is huge: one reduction bounds both ends.
+        if int(keys.view(np.uint64).max()) < index.size:
+            return index[keys]
+        if int(keys.min()) < 0:
+            raise ValueError("negative row cache key")
+        slots = np.full(keys.size, -1, dtype=np.int64)
+        in_range = keys < index.size
+        slots[in_range] = index[keys[in_range]]
         return slots
 
     # ------------------------------------------------------------ scalar API
     def get(self, key: CacheKey) -> Optional[int]:
-        table_name, stored = self._row_key_parts(key)
+        row_key = self._checked_key(key)
         self.stats.cpu_seconds += self.lookup_cpu_seconds
-        slot = self._find(table_name, stored)
+        slot = self._find(row_key)
         if slot < 0:
             self.stats.misses += 1
             return None
@@ -404,17 +360,17 @@ class SoALRUCache(RowCache):
         return int(self._slot_len[slot])
 
     def put(self, key: CacheKey, size: int) -> bool:
-        table_name, stored = self._row_key_parts(key)
+        row_key = self._checked_key(key)
         self.stats.cpu_seconds += self.insert_cpu_seconds
         entry_size = self._entry_size(size)
         if entry_size > self.capacity_bytes:
             self.stats.rejected_inserts += 1
             return False
-        slot = self._find(table_name, stored)
+        slot = self._find(row_key)
         if slot >= 0:
             self._remove_slot(slot)
         self._evict_until_fits(entry_size)
-        self._insert_entry(table_name, stored, size)
+        self._insert_entry(row_key, size)
         self.stats.inserts += 1
         return True
 
@@ -426,115 +382,76 @@ class SoALRUCache(RowCache):
     def item_count(self) -> int:
         return self._count
 
-    def keys(self) -> Iterator[CacheKey]:
+    def keys(self) -> Iterator[int]:
         """Iterate keys from least to most recently used (for inspection)."""
         live = np.nonzero(self._slot_stamp > 0)[0]
         ordered = live[np.argsort(self._slot_stamp[live], kind="stable")]
-        return iter(
-            [
-                (self._table_names[table], stored)
-                for table, stored in zip(
-                    self._slot_table[ordered].tolist(), self._slot_stored[ordered].tolist()
-                )
-            ]
-        )
+        return iter(self._slot_key[ordered].tolist())
 
     # ------------------------------------------------------------- batch API
-    def probe_batch(
-        self,
-        table_name: str,
-        stored_indices: np.ndarray,
-        row_len: int,
-        promote_mask: Optional[np.ndarray] = None,
-    ) -> Tuple[np.ndarray, int]:
-        """Probe ``(table_name, stored)`` for a whole batch of stored rows.
-
-        Equivalent to calling :meth:`get` once per row in input order — same
-        hit/miss/CPU accounting, same final LRU order (for duplicate rows the
-        last occurrence wins, as it would row by row).  Returns a boolean hit
-        mask aligned with the input and the number of promotion fills
-        admitted.
-
-        With ``promote_mask`` (boolean, aligned with the input) the call
-        replays an interleaved walk instead: each marked row's ``get`` is
-        immediately followed by ``put(key, row_len)`` — the promotion fill
-        the tier chain performs when a row misses here and hits a slower
-        cache.  Recency order, the ``cpu_seconds`` chain and the evicted
-        entries equal that per-row sequence provided the marked rows are
-        distinct misses and :meth:`promotion_hazard` returned ``False`` for
-        this batch; the caller owns that precondition.  Rows too large for
-        the cache are rejected exactly as :meth:`put` rejects them.
-        """
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        slots = self.lookup_slots(table_name, stored)
-        if promote_mask is not None and bool(promote_mask.any()):
-            return self.probe_and_promote(table_name, stored, slots, row_len, promote_mask)
-        (hit_mask,) = self.probe_run([(table_name, stored, slots, row_len)])
-        return hit_mask, 0
-
     def probe_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
         """Probe a run of batches resolved by :meth:`lookup_slots`, one
         batch after another.
 
-        Equivalent to :meth:`probe_batch` once per batch in order: the run's
-        lookups are charged as one chain of ``lookup_cpu_seconds``
-        increments, hits and misses are counted once, and the hits are
-        touched in batch order.  Returns each batch's boolean hit mask.
+        Equivalent to calling :meth:`get` once per key, batch by batch, in
+        order — same hit/miss/CPU accounting, same final LRU order (for a
+        repeated key the last occurrence wins).  The run's lookups are
+        charged as one chain of ``lookup_cpu_seconds`` increments, hits and
+        misses are counted once, and the hits are touched in batch order.
+        Returns each batch's boolean hit mask.
         """
-        sizes = [int(slots.size) for _, _, slots, _ in batches]
+        sizes = [int(slots.size) for _, slots, _ in batches]
         total = sum(sizes)
         if total:
             self.stats.cpu_seconds = charge_repeatedly(
                 self.stats.cpu_seconds, self.lookup_cpu_seconds, total
             )
-        slots = batches[0][2] if len(batches) == 1 else np.concatenate([b[2] for b in batches])
+        slots = batches[0][1] if len(batches) == 1 else np.concatenate([b[1] for b in batches])
         hit_mask = slots >= 0
         hit_slots = slots[hit_mask]
         hits = int(hit_slots.size)
         self.stats.hits += hits
         self.stats.misses += total - hits
         if hits:
-            self._check_row_lens(batches, sizes, hit_mask, hit_slots)
+            row_lens = [row_len for _, _, row_len in batches]
+            self._check_row_lens(
+                hit_slots,
+                row_lens[0] if len(set(row_lens)) == 1 else np.repeat(row_lens, sizes)[hit_mask],
+            )
             self._touch_run(hit_slots)
         if len(batches) == 1:
             return [hit_mask]
         bounds = list(accumulate(sizes, initial=0))
         return [hit_mask[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
-    def _check_row_lens(
-        self,
-        batches: Sequence[ResolvedBatch],
-        sizes: Sequence[int],
-        hit_mask: np.ndarray,
-        hit_slots: np.ndarray,
-    ) -> None:
-        """Every hit's cached length equals its batch's ``row_len``; the
-        run's hits are ``hit_slots``, where the batches' concatenated
-        ``hit_mask`` is set."""
-        row_lens = [row_len for _, _, _, row_len in batches]
-        expected = row_lens[0] if len(set(row_lens)) == 1 else np.repeat(row_lens, sizes)[hit_mask]
+    def _check_row_lens(self, hit_slots: np.ndarray, expected: Union[int, np.ndarray]) -> None:
+        """Every hit's cached length equals the ``row_len`` its probe
+        expects (one int, or one per hit)."""
         wrong = self._slot_len[hit_slots] != expected
         if bool(wrong.any()):
-            position = int(np.flatnonzero(hit_mask)[int(np.argmax(wrong))])
-            batch = int(np.searchsorted(np.cumsum(sizes), position, side="right"))
-            table_name, _, _, row_len = batches[batch]
+            slot = int(hit_slots[int(np.argmax(wrong))])
             raise ValueError(
-                f"table {table_name!r}: cached row length differs from "
-                f"probe row_len {row_len}"
+                f"row key {int(self._slot_key[slot])}: cached row length "
+                f"{int(self._slot_len[slot])} differs from the probe's"
             )
 
     def probe_and_promote(
-        self,
-        table_name: str,
-        stored: np.ndarray,
-        slots: np.ndarray,
-        row_len: int,
-        promote_mask: np.ndarray,
+        self, keys: np.ndarray, slots: np.ndarray, row_len: int, promote_mask: np.ndarray
     ) -> Tuple[np.ndarray, int]:
-        """:meth:`probe_batch` with promotion fills interleaved, for rows
-        ``stored`` that :meth:`lookup_slots` resolved to ``slots``; returns
-        ``(hit_mask, admitted)``."""
-        count = int(stored.size)
+        """:meth:`probe_run` of one batch of ``keys`` resolved to ``slots``
+        (:meth:`lookup_slots`), with each key marked in ``promote_mask``
+        put right after its probe; returns ``(hit_mask, admitted)``.
+
+        This replays an interleaved walk: each marked key's :meth:`get` is
+        immediately followed by ``put(key, row_len)`` — the promotion fill
+        the tier chain performs when a row misses here and hits a slower
+        cache.  Recency order, the ``cpu_seconds`` chain and the evicted
+        entries equal that per-row sequence provided the marked keys are
+        distinct misses and :meth:`promotion_hazard` returned ``False`` for
+        this batch; the caller owns that precondition.  Rows too large for
+        the cache are rejected exactly as :meth:`put` rejects them.
+        """
+        count = int(keys.size)
         fills = int(np.count_nonzero(promote_mask))
         # Row by row: the probe's charge, then the fill's.  Zero padding is
         # bitwise-neutral (x + 0.0 == x for the non-negative total).
@@ -548,7 +465,7 @@ class SoALRUCache(RowCache):
         self.stats.hits += int(hit_slots.size)
         self.stats.misses += count - int(hit_slots.size)
         if hit_slots.size:
-            self._check_row_lens([(table_name, stored, slots, row_len)], [count], hit_mask, hit_slots)
+            self._check_row_lens(hit_slots, row_len)
         if self._entry_size(row_len) > self.capacity_bytes:
             # Every fill is rejected: charged above, nothing evicted.
             self.stats.rejected_inserts += fills
@@ -565,7 +482,7 @@ class SoALRUCache(RowCache):
         stamps = self._log_tail + np.cumsum(events.ravel()).reshape(count, 2)
         self._touch_batch(hit_slots, stamps[hit_mask, 0])
         self.stats.evictions += self._evict_for(fills, self._entry_size(row_len))
-        filled = self._insert_rows(self._table_id(table_name), stored[promote_mask], row_len)
+        filled = self._insert_rows(keys[promote_mask], row_len)
         self._touch_batch(filled, stamps[promote_mask, 1])
         self.stats.inserts += fills
         self._log_tail += touches
@@ -594,9 +511,9 @@ class SoALRUCache(RowCache):
         hit_slots = slots[slots >= 0]
         return bool(hit_slots.size) and int(self._slot_stamp[hit_slots].min()) <= new_head
 
-    def fill_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
-        """Insert a batch of ``row_len``-byte rows; equivalent to per-row
-        :meth:`put` calls.
+    def fill_batch(self, row_len: int, keys: np.ndarray) -> int:
+        """Insert a batch of ``row_len``-byte rows, one per key; equivalent
+        to per-row :meth:`put` calls.
 
         Returns the number of rows admitted.  New, distinct rows — the miss
         path — take a fixed number of array operations: one LRU-prefix
@@ -604,10 +521,10 @@ class SoALRUCache(RowCache):
         the tail that survives its own evictions; the rows before it count
         as inserted and evicted.  Only a batch that replaces a cached row or
         repeats a row is replayed through :meth:`put`, whose interleaving it
-        depends on.  A negative index is a ``ValueError``.
+        depends on.  A negative key is a ``ValueError``.
         """
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        count = int(stored.size)
+        keys = np.asarray(keys, dtype=np.int64)
+        count = int(keys.size)
         if count == 0:
             return 0
         size = self._entry_size(row_len)
@@ -617,15 +534,11 @@ class SoALRUCache(RowCache):
             )
             self.stats.rejected_inserts += count
             return 0
-        ordered = np.sort(stored)
+        ordered = np.sort(keys)
         if int(ordered[0]) < 0:
-            raise ValueError(f"table {table_name!r}: negative stored index")
-        if bool((ordered[1:] == ordered[:-1]).any()) or bool(
-            (self.lookup_slots(table_name, stored) >= 0).any()
-        ):
-            return sum(
-                self.put((table_name, int(stored[position])), row_len) for position in range(count)
-            )
+            raise ValueError("negative row cache key")
+        if bool((ordered[1:] == ordered[:-1]).any()) or bool((self.lookup_slots(keys) >= 0).any()):
+            return sum(self.put(key, row_len) for key in keys.tolist())
         self.stats.cpu_seconds = charge_repeatedly(
             self.stats.cpu_seconds, self.insert_cpu_seconds, count
         )
@@ -637,13 +550,6 @@ class SoALRUCache(RowCache):
             self._drop_entries()
         else:
             self.stats.evictions += self._evict_for(count, size)
-        self._touch_run(
-            self._insert_rows(self._table_id(table_name), stored[count - survivors :], row_len)
-        )
+        self._touch_run(self._insert_rows(keys[count - survivors :], row_len))
         self.stats.inserts += count
         return count
-
-    def contains_batch(self, table_name: str, stored_indices: np.ndarray) -> np.ndarray:
-        """Vectorised membership test; no stats, no LRU effect."""
-        stored = np.asarray(stored_indices, dtype=np.int64)
-        return self.lookup_slots(table_name, stored) >= 0

@@ -8,9 +8,11 @@ CPU-optimised cache.  The memory-optimised cache holds
 :data:`MEMORY_OPTIMIZED_FRACTION` of the byte budget, since the majority of
 tables (and hence cached rows) are small.
 
-Both are :class:`~repro.cache.soa.SoALRUCache` instances keyed by
-``(table, stored >= 0)``; the two organisations differ only in their
-parameters (:data:`MEMORY_OPTIMIZED`, :data:`CPU_OPTIMIZED`).
+Both are :class:`~repro.cache.soa.SoALRUCache` instances keyed by one int
+per stored row (:meth:`~repro.hierarchy.chain.TierChain.row_keys`), so like
+CacheLib they know nothing about embedding tables; the two organisations
+differ only in their parameters (:data:`MEMORY_OPTIMIZED`,
+:data:`CPU_OPTIMIZED`).
 """
 
 from __future__ import annotations
@@ -102,7 +104,8 @@ class UnifiedRowCache:
 
     # ------------------------------------------------------------ scalar API
     def get(self, key: CacheKey, row_len: int) -> Optional[int]:
-        """Look up a row ``row_len`` bytes long; its size on a hit."""
+        """Look up the row keyed ``key``, ``row_len`` bytes long; its size
+        on a hit."""
         return self._cache_for(row_len).get(key)
 
     def put(self, key: CacheKey, size: int) -> bool:
@@ -111,29 +114,30 @@ class UnifiedRowCache:
         return self._cache_for(size).put(key, size)
 
     # ------------------------------------------------------------- batch API
-    def lookup_batch(self, table_name: str, stored: np.ndarray, row_len: int) -> np.ndarray:
-        """Resolve rows ``row_len`` bytes long: each row's slot in the
-        internal cache such rows route to, ``-1`` when absent.  Non-mutating.
+    def lookup_batch(self, row_len: int, keys: np.ndarray) -> np.ndarray:
+        """Resolve the rows keyed ``keys``, ``row_len`` bytes long: each
+        row's slot in the internal cache such rows route to, ``-1`` when
+        absent.  Non-mutating.
 
         The resolution stays valid while no row is inserted or removed, so
         the probes of a run (:meth:`probe_run`) and a promotion certificate
         (:meth:`promotion_hazard`) consume it instead of looking the rows up
         again.
         """
-        return self._cache_for(row_len).lookup_slots(table_name, stored)
+        return self._cache_for(row_len).lookup_slots(keys)
 
     def probe_run(self, batches: Sequence[ResolvedBatch]) -> List[np.ndarray]:
         """Probe a run of resolved batches, one after another: the same as
         :meth:`get` row by row, batch by batch.
 
-        Each batch is ``(table_name, stored, slots, row_len)`` with ``slots``
-        from :meth:`lookup_batch`.  Returns each batch's boolean hit mask.
-        Each internal cache is probed once for its share of the run
+        Each batch is ``(keys, slots, row_len)`` with ``slots`` from
+        :meth:`lookup_batch`.  Returns each batch's boolean hit mask.  Each
+        internal cache is probed once for its share of the run
         (:meth:`SoALRUCache.probe_run`).
         """
-        small = [row_len <= SMALL_ROW_THRESHOLD_BYTES for _, _, _, row_len in batches]
+        small = [row_len <= SMALL_ROW_THRESHOLD_BYTES for _, _, row_len in batches]
         if len(set(small)) == 1:
-            return self._cache_for(batches[0][3]).probe_run(batches)
+            return self._cache_for(batches[0][2]).probe_run(batches)
         masks: List[np.ndarray] = [np.empty(0, dtype=bool)] * len(batches)
         for cache, routed in ((self._memory_cache, True), (self._cpu_cache, False)):
             members = [position for position, is_small in enumerate(small) if is_small == routed]
@@ -142,20 +146,13 @@ class UnifiedRowCache:
         return masks
 
     def probe_and_promote(
-        self,
-        table_name: str,
-        stored: np.ndarray,
-        slots: np.ndarray,
-        row_len: int,
-        promote_mask: np.ndarray,
+        self, keys: np.ndarray, slots: np.ndarray, row_len: int, promote_mask: np.ndarray
     ) -> Tuple[np.ndarray, int]:
         """:meth:`probe_run` of one batch resolved by :meth:`lookup_batch`,
         with a promotion fill right after the probe of each row marked in
         ``promote_mask``; returns ``(hit_mask, admitted)``.  The caller has
         cleared the batch through :meth:`promotion_hazard`."""
-        return self._cache_for(row_len).probe_and_promote(
-            table_name, stored, slots, row_len, promote_mask
-        )
+        return self._cache_for(row_len).probe_and_promote(keys, slots, row_len, promote_mask)
 
     def promotion_hazard(self, slots: np.ndarray, num_fills: int, row_len: int) -> bool:
         """Whether ``num_fills`` promotion fills interleaved with a batched
@@ -168,10 +165,10 @@ class UnifiedRowCache:
         """
         return self._cache_for(row_len).promotion_hazard(slots, num_fills, row_len)
 
-    def fill_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
-        """Batched :meth:`put`, one ``row_len``-byte row per stored index;
-        returns the number of rows admitted."""
-        return self._cache_for(row_len).fill_batch(table_name, stored_indices, row_len)
+    def fill_batch(self, row_len: int, keys: np.ndarray) -> int:
+        """Batched :meth:`put`, one ``row_len``-byte row per key; returns
+        the number of rows admitted."""
+        return self._cache_for(row_len).fill_batch(row_len, keys)
 
     # ----------------------------------------------------------------- stats
     @property

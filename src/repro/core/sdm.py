@@ -419,9 +419,14 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     # ------------------------------------------------------------- internals
     def _plan_lookup(self, table_name: str, indices: np.ndarray) -> _TableLookup:
         """Settle what serving one table needs before the tables ahead of it
-        complete: its counters, its pooled-cache probe (no table ahead of it
-        in a run writes that cache), its mapping-tensor gather and the
-        chain's plan of its stored rows."""
+        complete: its pooled-cache probe (no table ahead of it in a run
+        writes that cache), its mapping-tensor gather, the chain's plan of
+        its stored rows and its counters.
+
+        A request out of the table's range is an ``IndexError`` that moves
+        no counter and probes no cache: it is bounds-checked before the
+        pooled probe or the gather, which would take any index, and
+        otherwise by the chain's plan, before the counters move."""
         if indices.size == 0:
             raise ValueError(f"table {table_name!r}: request has no indices")
         state = self._sm_tables.get(table_name)
@@ -431,37 +436,38 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             # serve from fast memory.
             self.placement.for_table(table_name)
             return _TableLookup(table_name, indices)
-        self.stats.sm_table_requests += 1
-        self.stats.sm_row_lookups += len(indices)
         lookup = _TableLookup(table_name, indices, state)
-
         # Algorithm 1: try the pooled embedding cache first.
-        if self.pooled_cache is not None and self.pooled_cache.eligible(indices):
-            lookup.pooled_probed = True
+        pooled = self.pooled_cache
+        lookup.pooled_probed = pooled is not None and pooled.eligible(indices)
+        if lookup.pooled_probed or state.mapping is not None:
+            # Indices address the mapping tensor when there is one, else the
+            # stored rows.  As unsigned, a negative index is huge: one
+            # reduction bounds both ends, where a gather would wrap it.
+            num_rows = state.stored_rows if state.mapping is None else int(state.mapping.size)
+            if int(indices.view(np.uint64).max()) >= num_rows:
+                raise IndexError(
+                    f"rows out of range for table {table_name!r} with {num_rows} rows"
+                )
+        if lookup.pooled_probed:
             self.stats.pooled_cache_lookups += 1
-            lookup.pooled_hit = self.pooled_cache.probe_batch(table_name, indices)
+            lookup.pooled_hit = pooled.probe_batch(table_name, indices)
             if lookup.pooled_hit:
                 self.stats.pooled_cache_hits += 1
-                return lookup
-
-        # Resolve the stored index of each requested (unpruned-space) index
-        # with one batched mapping-tensor gather; a table without a mapping
-        # tensor stores every row under its own index.
-        stored = indices
-        if state.mapping is not None:
-            # As unsigned, a negative index is huge: one reduction bounds
-            # both ends, where the gather would wrap a negative one.
-            if int(indices.view(np.uint64).max()) >= state.mapping.size:
-                raise IndexError(
-                    f"rows out of range for table {table_name!r} "
-                    f"with {state.mapping.size} rows"
-                )
-            stored = state.mapping[indices]
-            stored = stored[stored != PRUNED]
-            self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
-        lookup.plan = self.chain.plan(
-            table_name, stored, row_len=state.row_bytes, cache_enabled=state.cache_enabled
-        )
+        if not lookup.pooled_hit:
+            # Resolve the stored index of each requested (unpruned-space)
+            # index with one batched mapping-tensor gather; a table without
+            # a mapping tensor stores every row under its own index.
+            stored = indices
+            if state.mapping is not None:
+                stored = state.mapping[indices]
+                stored = stored[stored != PRUNED]
+                self.stats.pruned_rows_skipped += len(indices) - int(stored.size)
+            lookup.plan = self.chain.plan(
+                table_name, stored, row_len=state.row_bytes, cache_enabled=state.cache_enabled
+            )
+        self.stats.sm_table_requests += 1
+        self.stats.sm_row_lookups += len(indices)
         return lookup
 
     def _serve_run(self, run: List[_TableLookup], start_time: float, completion: float) -> float:

@@ -28,7 +28,10 @@ The walk is split in three so that the requests of one query can share it:
   the walk's time, the tier-0 reads, the misses' IO and the fills.
 
 The chain moves keys and times only: which rows hit where, what they cost
-and when they complete.  No row bytes travel through it.
+and when they complete.  No row bytes travel through it.  The row caches
+know no tables: at construction the chain gives every placed table one
+contiguous range of int64 cache keys, in placement order, one key per
+stored row (:meth:`TierChain.row_keys`), and the caches see only those.
 
 A plan stays valid while no row enters or leaves a cache, so a run may
 collect requests for as long as each one is :attr:`FetchPlan.fill_free`;
@@ -58,7 +61,7 @@ _NO_ROWS = np.zeros(0, dtype=np.int64)
 _NO_ROWS.setflags(write=False)
 
 #: One cache a plan probes: the positions of the request's rows that probe
-#: it (``None``: every row), their stored indices, and the cache's slots for
+#: it (``None``: every row), their cache keys, and the cache's slots for
 #: them (``-1``: absent).
 CacheProbe = Tuple[Optional[np.ndarray], np.ndarray, np.ndarray]
 
@@ -84,6 +87,8 @@ class FetchPlan:
 
     table_name: str
     stored: np.ndarray
+    #: The rows' cache keys (:meth:`TierChain.row_keys`).
+    keys: np.ndarray
     row_len: int
     cache_enabled: bool
     home_tiers: np.ndarray
@@ -135,6 +140,14 @@ class TierChain:
         self.cache_probe_seconds = cache_probe_seconds
         self.fm_lookup_overhead = fm_lookup_overhead
         self.fm_bandwidth = fm_bandwidth
+        # One cache key per stored row: each placed table's key range starts
+        # where the previous table's ends.  The owner has resolved every
+        # decision to the rows actually stored before building the chain.
+        self._key_base: Dict[str, int] = {}
+        next_key = 0
+        for name, decision in placement.decisions.items():
+            self._key_base[name] = next_key
+            next_key += decision.num_rows
         #: Span recorder for probe / storage-IO waits; the no-op default
         #: keeps the serve path bit-identical to an uninstrumented build.
         self.recorder: TraceRecorder = NULL_RECORDER
@@ -164,6 +177,13 @@ class TierChain:
         the slower cache it was found in — is promoted into."""
         return self._promotion_target_indices[source_tier]
 
+    def row_keys(self, table_name: str, stored: np.ndarray) -> np.ndarray:
+        """The cache keys of stored rows ``stored`` of a placed table: the
+        first key of the table's range plus each stored index.  Keys of
+        distinct tables never collide while the stored indices are in range,
+        which :meth:`plan` checks."""
+        return np.asarray(stored, dtype=np.int64) + self._key_base[table_name]
+
     # ----------------------------------------------------------------- plan
     def plan(
         self,
@@ -188,8 +208,9 @@ class TierChain:
             if count
             else np.zeros(0, dtype=np.int64)
         )
+        keys = stored + self._key_base[table_name]  # row_keys, inline
         if cache_enabled and count:
-            probes, found, unserved = self._resolve(table_name, stored, home_tiers, row_len)
+            probes, found, unserved = self._resolve(keys, home_tiers, row_len)
         else:
             probes, found, unserved = {}, np.full(count, -1, dtype=np.int64), np.arange(count)
         # The fastest cache that receives promotions; past the slowest tier
@@ -211,6 +232,7 @@ class TierChain:
         return FetchPlan(
             table_name=table_name,
             stored=stored,
+            keys=keys,
             row_len=row_len,
             cache_enabled=cache_enabled,
             home_tiers=home_tiers,
@@ -223,7 +245,7 @@ class TierChain:
         )
 
     def _resolve(
-        self, table_name: str, keys: np.ndarray, homes: np.ndarray, row_len: int
+        self, keys: np.ndarray, homes: np.ndarray, row_len: int
     ) -> Tuple[Dict[int, CacheProbe], np.ndarray, np.ndarray]:
         """What rows ``keys`` (homed on ``homes``) probe, cache by cache in
         walk order; the first cache holding each (``-1``: none); and the
@@ -248,7 +270,7 @@ class TierChain:
             if reached < reach.size:
                 positions = np.nonzero(reach)[0] if walking is None else walking[reach]
             probed_keys = keys if positions is None else keys[positions]
-            slots = cache.lookup_batch(table_name, probed_keys, row_len)
+            slots = cache.lookup_batch(row_len, probed_keys)
             probes[tier_index] = (positions, probed_keys, slots)
             contained = slots >= 0
             held = int(np.count_nonzero(contained))
@@ -290,7 +312,7 @@ class TierChain:
             return
         for tier_index in self._cached_tiers:
             batches = [
-                (plan.table_name, plan.probes[tier_index][1], plan.probes[tier_index][2], plan.row_len)
+                (plan.probes[tier_index][1], plan.probes[tier_index][2], plan.row_len)
                 for plan in plans
                 if tier_index in plan.probes
             ]
@@ -324,11 +346,9 @@ class TierChain:
         Writes the cache that served each row into ``plan.found`` and the
         range's probes into ``plan.num_probes``.
         """
-        keys, homes = plan.stored[lo:hi], plan.home_tiers[lo:hi]
+        keys, homes = plan.keys[lo:hi], plan.home_tiers[lo:hi]
         probes, found = (
-            resolution
-            if resolution is not None
-            else self._resolve(plan.table_name, keys, homes, plan.row_len)[:2]
+            resolution if resolution is not None else self._resolve(keys, homes, plan.row_len)[:2]
         )
         # Every row found below cached tier t is filled into t right after
         # missing there (the fastest receiver takes every promoted row).
@@ -356,7 +376,7 @@ class TierChain:
             if probe is None:
                 continue
             positions, probed_keys, slots = probe
-            batch = (plan.table_name, probed_keys, slots, plan.row_len)
+            batch = (probed_keys, slots, plan.row_len)
             tier = self.tiers[tier_index]
             promoted = promoted_into.get(tier_index)
             if promoted is None:
@@ -482,11 +502,10 @@ class TierChain:
             assert isinstance(tier, DeviceTier)
             targets = self._promotion_targets(tier_index) if plan.cache_enabled else []
             num_reads = int(rows_at.size)
-            miss_stored = stored[rows_at]
-            completions = tier.read_rows_batch(table_name, miss_stored, cursor)
+            completions = tier.read_rows_batch(table_name, stored[rows_at], cursor)
             group_done = max(cursor, float(completions.max()))
             for target in targets:
-                self.tiers[target].fill_cache_batch(table_name, miss_stored, row_len)
+                self.tiers[target].fill_cache_batch(row_len, plan.keys[rows_at])
             outcome.device_reads += num_reads
             outcome.reads_by_tier[tier_index] = num_reads
             io_done = max(io_done, group_done)

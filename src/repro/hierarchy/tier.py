@@ -324,15 +324,15 @@ class MemoryTier:
 
     def probe_cache_run(self, batches: Sequence[ResolvedBatch]) -> None:
         """Probe this tier's row cache for a run of resolved batches, one
-        probe per stored row in order (:meth:`UnifiedRowCache.probe_run`);
+        probe per row key in order (:meth:`UnifiedRowCache.probe_run`);
         counts towards the tier's stats.  The batches' slots already say
         which rows hit."""
         assert self.cache is not None
         hit_masks = self.cache.probe_run(batches)
         stats = self.stats
-        for hit_mask, (_, stored, _, row_len) in zip(hit_masks, batches):
+        for hit_mask, (keys, _, row_len) in zip(hit_masks, batches):
             hits = int(np.count_nonzero(hit_mask))
-            stats.cache_probes += int(stored.size)
+            stats.cache_probes += int(keys.size)
             stats.cache_hits += hits
             stats.rows_served += hits
             stats.bytes_served += hits * row_len
@@ -345,26 +345,22 @@ class MemoryTier:
         :meth:`UnifiedRowCache.promotion_hazard` cleared them; fills the
         cache rejects do not count as promoted."""
         assert self.cache is not None
-        table_name, stored, slots, row_len = batch
-        hit_mask, admitted = self.cache.probe_and_promote(
-            table_name, stored, slots, row_len, promote_mask
-        )
+        keys, slots, row_len = batch
+        hit_mask, admitted = self.cache.probe_and_promote(keys, slots, row_len, promote_mask)
         num_hits = int(np.count_nonzero(hit_mask))
-        self.stats.cache_probes += int(stored.size)
+        self.stats.cache_probes += int(keys.size)
         self.stats.cache_hits += num_hits
         self.stats.rows_served += num_hits
         self.stats.bytes_served += num_hits * row_len
         self.stats.promoted_rows += admitted
 
-    def fill_cache_batch(self, table_name: str, stored_indices: np.ndarray, row_len: int) -> int:
+    def fill_cache_batch(self, row_len: int, keys: np.ndarray) -> int:
         """Insert ``row_len``-byte rows read from a slower tier into this
-        tier's cache, one insert per row, in order.  Returns the number of
-        admitted rows, which is what ``promoted_rows`` counts."""
+        tier's cache, one insert per row key, in order.  Returns the number
+        of admitted rows, which is what ``promoted_rows`` counts."""
         if self.cache is None:
             return 0
-        admitted = self.cache.fill_batch(
-            table_name, np.asarray(stored_indices, dtype=np.int64), row_len
-        )
+        admitted = self.cache.fill_batch(row_len, keys)
         self.stats.promoted_rows += admitted
         return admitted
 

@@ -2,9 +2,10 @@
 
 Implements the warehouse-scale accounting of sections 2.3 and 5: hardware
 platform configurations (Table 7), the QPS/latency/resource rooflines of
-Equations 5-7, the normalised power model behind Tables 8, 9 and 11, the
-scale-out alternative, the multi-tenancy study, and a host-level serving
-simulator that runs a scaled model end to end through an SDM backend.
+Equations 5-7, the normalised power model behind Tables 8, 9 and 11 (the
+scale-out alternative of Table 9 is a deployment with helper hosts), the
+multi-tenancy study, and a host-level serving simulator that runs a scaled
+model end to end through an SDM backend.
 """
 
 from repro.serving.platform import (
@@ -26,22 +27,15 @@ from repro.serving.capacity_planner import (
     hosts_needed,
     plan_deployment,
     qps_per_host,
-    capacity_plan_from_host_result,
     sm_bound_qps,
     ssds_needed,
 )
-from repro.serving.scaleout import ScaleOutPlan, plan_scale_out
 from repro.serving.multitenancy import MultiTenancyScenario, evaluate_multi_tenancy
 from repro.serving.engine import (
     HostSimulationResult,
     OpenLoopResult,
     QueryRecord,
     ServingEngine,
-)
-from repro.serving.fleet import (
-    RollingUpdateConfig,
-    RollingUpdateReport,
-    simulate_rolling_update,
 )
 
 __all__ = [
@@ -65,16 +59,10 @@ __all__ = [
     "plan_deployment",
     "sm_bound_qps",
     "ssds_needed",
-    "ScaleOutPlan",
-    "plan_scale_out",
     "MultiTenancyScenario",
     "evaluate_multi_tenancy",
     "ServingEngine",
     "HostSimulationResult",
     "OpenLoopResult",
     "QueryRecord",
-    "RollingUpdateConfig",
-    "RollingUpdateReport",
-    "capacity_plan_from_host_result",
-    "simulate_rolling_update",
 ]

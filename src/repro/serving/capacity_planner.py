@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from repro.serving.engine import HostSimulationResult
-from repro.serving.latency import LatencyTarget
 from repro.serving.platform import HostPlatform
 from repro.serving.power import PowerModel
 from repro.storage.latency_model import LoadedLatencyModel
@@ -151,38 +149,3 @@ def plan_deployment(
         host_power=power_model.host_power(scenario.platform),
         helper_host_power=helper_power,
     )
-
-
-def capacity_plan_from_host_result(
-    scenario_name: str,
-    platform: HostPlatform,
-    host_result: HostSimulationResult,
-    target: LatencyTarget,
-    fleet_qps: float,
-    helper_platform: Optional[HostPlatform] = None,
-    helper_hosts_per_host: float = 0.0,
-    power_model: Optional[PowerModel] = None,
-) -> CapacityPlan:
-    """Size a fleet from a *measured* host simulation instead of an analytic QPS.
-
-    The per-host throughput is what the simulation demonstrated sustainable at
-    the SLO (:meth:`~repro.serving.engine.HostSimulationResult.qps_at_latency`):
-    for an open-loop run that is the measured throughput, shed down when the
-    observed percentile exceeds the budget — so capacity plans inherit the
-    queueing delay and admission backpressure the event-driven engine models,
-    rather than assuming the host runs exactly at its closed-loop service rate.
-    """
-    qps_per_host = host_result.qps_at_latency(target)
-    if qps_per_host <= 0:
-        raise ValueError(
-            f"host simulation sustains no throughput at the SLO: {qps_per_host}"
-        )
-    scenario = DeploymentScenario(
-        name=scenario_name,
-        platform=platform,
-        qps_per_host=qps_per_host,
-        total_qps=fleet_qps,
-        helper_platform=helper_platform,
-        helper_hosts_per_host=helper_hosts_per_host,
-    )
-    return plan_deployment(scenario, power_model)

@@ -3,8 +3,9 @@
 ``reference_fetch_batch(chain, ...)`` takes the arguments of
 :meth:`repro.hierarchy.chain.TierChain.fetch_batch` and serves the batch
 the plainest way the semantics can be written down: each row probes the
-caches above its home tier in order through ``UnifiedRowCache.get``, a hit
-is promoted with ``put`` right away, time accrues with ``+=``, tier
+caches above its home tier in order through ``UnifiedRowCache.get`` under
+the key ``TierChain.row_keys`` gives it, a hit is promoted with ``put``
+right away, time accrues with ``+=``, tier
 statistics are kept by hand, and every miss is read from its home tier
 with a one-row ``read_rows_batch`` call once the host walk is done.  It
 shares no planning, certificate or array code with the product path, which
@@ -38,6 +39,7 @@ def reference_fetch_batch(
     stored = [int(index) for index in stored]
     decision = chain.placement.for_table(table_name)
     home_tiers = [int(tier) for tier in decision.tiers_of_rows(stored)] if stored else []
+    keys = chain.row_keys(table_name, stored).tolist()
     cached = [index for index, tier in enumerate(chain.tiers) if tier.cache is not None]
     receivers = {"none": [], "top": cached[:1], "all": cached}[chain.promotion]
 
@@ -46,8 +48,7 @@ def reference_fetch_batch(
     misses: Dict[int, List[int]] = {}
 
     # The serial host walk: probes, hits, promotions, fast-tier reads.
-    for row, (index, home) in enumerate(zip(stored, home_tiers)):
-        key = (table_name, index)
+    for row, (key, home) in enumerate(zip(keys, home_tiers)):
         served = False
         if cache_enabled:
             for tier_index in cached:
@@ -95,7 +96,7 @@ def reference_fetch_batch(
             if cache_enabled:
                 for target in receivers:
                     if target < tier_index:
-                        _promote(chain.tiers[target], (table_name, stored[row]), row_len)
+                        _promote(chain.tiers[target], keys[row], row_len)
         reads_by_tier[tier_index] = len(rows)
 
     return BatchFetchOutcome(

@@ -205,6 +205,17 @@ def serve(sdm: SoftwareDefinedMemory, after_query=None):
     return trace
 
 
+def row_names(sdm: SoftwareDefinedMemory) -> dict:
+    """Every cache key of the chain -> its ``(table, stored)``, decoded
+    through ``TierChain.row_keys``."""
+    names = {}
+    for table_name, decision in sdm.placement.decisions.items():
+        stored = np.arange(decision.num_rows)
+        keys = sdm.chain.row_keys(table_name, stored).tolist()
+        names.update(zip(keys, ((table_name, row) for row in stored.tolist())))
+    return names
+
+
 def parity_record(sdm: SoftwareDefinedMemory, trace) -> dict:
     """Everything observable about one served stream, as JSON data."""
     digest = hashlib.sha256()
@@ -212,6 +223,7 @@ def parity_record(sdm: SoftwareDefinedMemory, trace) -> dict:
         for name, raw in pooled.items():
             digest.update(name.encode())
             digest.update(raw)
+    names = row_names(sdm)
     caches = []
     for tier in sdm.tiers:
         if tier.cache is None:
@@ -219,7 +231,7 @@ def parity_record(sdm: SoftwareDefinedMemory, trace) -> dict:
             continue
         caches.append(
             [
-                {"stats": cache.stats, "lru_to_mru": list(cache.keys())}
+                {"stats": cache.stats, "lru_to_mru": [names[key] for key in cache.keys()]}
                 for cache in (tier.cache._memory_cache, tier.cache._cpu_cache)
             ]
         )
@@ -268,6 +280,36 @@ def test_batched_serve_is_bit_identical_to_scalar(variant):
 def test_serve_equals_the_reference_walk(variant):
     sdm, reference = build_sdm(VARIANTS[variant]), build_reference_sdm(VARIANTS[variant])
     assert parity_record(sdm, serve(sdm)) == parity_record(reference, serve(reference))
+
+
+@pytest.mark.parametrize("variant", sorted(VARIANTS))
+def test_row_keys_never_alias_across_tables(variant):
+    sdm = build_sdm(VARIANTS[variant])
+    first_row = np.zeros(1, dtype=np.int64)
+    ranges = {}
+    for table_name, decision in sdm.placement.decisions.items():
+        stored = np.arange(decision.num_rows)
+        keys = sdm.chain.row_keys(table_name, stored)
+        assert np.array_equal(keys, keys[0] + stored)  # one contiguous range
+        ranges[table_name] = (int(keys[0]), int(keys[-1]) + 1)
+    # The ranges are disjoint and tile [0, total), one key per stored row.
+    ordered = sorted(ranges.values())
+    assert [lo for lo, _ in ordered] == [0] + [hi for _, hi in ordered[:-1]]
+    for table_name, state in sdm._sm_tables.items():
+        lo, hi = ranges[table_name]
+        assert hi - lo == state.stored_rows
+    if variant == "pruned":
+        lo, hi = ranges["user_0"]
+        assert hi - lo < sdm.model.table("user_0").spec.num_rows
+    # Row 0 of one table, cached, is no other table's row 0 in either
+    # internal cache.
+    for table_name in ranges:
+        cache = UnifiedRowCache(64 * 1024)
+        for internal, row_len in ((cache._memory_cache, 64), (cache._cpu_cache, 512)):
+            internal.fill_batch(row_len, sdm.chain.row_keys(table_name, first_row))
+            for other in ranges:
+                slot = internal.lookup_slots(sdm.chain.row_keys(other, first_row))[0]
+                assert (slot >= 0) == (other == table_name), (table_name, other)
 
 
 @pytest.mark.parametrize("variant", ["pooled-off", "serial-tables", "warm-pooled-off"])
@@ -333,7 +375,8 @@ def test_repeated_promoted_row_splits_and_matches():
     assert serve(sdm) == serve(reference)
     state = sdm._sm_tables["user_0"]
     rows = np.arange(state.stored_rows)
-    held = [tier.cache.lookup_batch("user_0", rows, state.row_bytes) >= 0 for tier in sdm.tiers[:2]]
+    keys = sdm.chain.row_keys("user_0", rows)
+    held = [tier.cache.lookup_batch(state.row_bytes, keys) >= 0 for tier in sdm.tiers[:2]]
     lower_only = rows[held[1] & ~held[0]].tolist()
     assert len(lower_only) >= 2
     request = {"user_0": [lower_only[0], lower_only[1], lower_only[0]]}

@@ -8,7 +8,7 @@ from repro.cache import CPU_OPTIMIZED, MEMORY_OPTIMIZED
 
 def _filled(organization, capacity, row, count):
     cache = organization.build(capacity)
-    cache.fill_batch("t", np.arange(count), row)
+    cache.fill_batch(row, np.arange(count))
     return cache
 
 
@@ -28,8 +28,8 @@ class TestOrganizationTradeoffs:
         memory_cache = _filled(MEMORY_OPTIMIZED, 1024, 1, 1)
         cpu_cache = _filled(CPU_OPTIMIZED, 1024, 1, 1)
         for _ in range(100):
-            memory_cache.get(("t", 0))
-            cpu_cache.get(("t", 0))
+            memory_cache.get(0)
+            cpu_cache.get(0)
         assert cpu_cache.stats.cpu_seconds < memory_cache.stats.cpu_seconds
 
     def test_overhead_difference_negligible_for_large_rows(self):
@@ -42,12 +42,12 @@ class TestOrganizationTradeoffs:
 
     def test_both_behave_as_lru(self):
         for cache in (MEMORY_OPTIMIZED.build(64), CPU_OPTIMIZED.build(128)):
-            cache.put(("t", 0), 10)
-            cache.put(("t", 1), 10)
-            cache.get(("t", 0))
-            cache.put(("t", 2), 40)
-            assert ("t", 1) not in list(cache.keys())
-            assert ("t", 2) in list(cache.keys())
+            cache.put(0, 10)
+            cache.put(1, 10)
+            cache.get(0)
+            cache.put(2, 40)
+            assert 1 not in list(cache.keys())
+            assert 2 in list(cache.keys())
 
     def test_capacity_validation(self):
         with pytest.raises(ValueError):

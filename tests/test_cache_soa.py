@@ -5,7 +5,8 @@ its contract is *bit-identical observables* to ``LRUCache`` — same hits,
 misses, evictions, eviction order, ``used_bytes`` and modelled CPU
 seconds — whether it is driven through the scalar API or the batch API.
 These tests drive both caches through mirrored operation sequences and
-compare every observable.
+compare every observable.  Keys are row keys: one int ``>= 0`` per stored
+row, as the tier chain numbers them.
 """
 
 import numpy as np
@@ -36,6 +37,23 @@ def _holds(cache, key):
     return key in list(cache.keys())
 
 
+def _contains(soa, keys):
+    """Batch membership: the keys' resolved slots, no stats, no recency."""
+    return soa.lookup_slots(np.asarray(keys, dtype=np.int64)) >= 0
+
+
+def _probe(soa, keys, row_len=ROW_LEN, promote_mask=None):
+    """One batch probe as the tier chain makes it: resolve the keys, then
+    probe them, with a promotion fill after each key ``promote_mask``
+    marks.  Returns ``(hit_mask, admitted)``."""
+    keys = np.asarray(keys, dtype=np.int64)
+    slots = soa.lookup_slots(keys)
+    if promote_mask is not None and bool(promote_mask.any()):
+        return soa.probe_and_promote(keys, slots, row_len, promote_mask)
+    (hit_mask,) = soa.probe_run([(keys, slots, row_len)])
+    return hit_mask, 0
+
+
 def _assert_same_observables(reference, soa):
     assert soa.stats.hits == reference.stats.hits
     assert soa.stats.misses == reference.stats.misses
@@ -53,8 +71,7 @@ class TestScalarEquivalence:
         reference, soa = _pair(capacity=40 * 16, overhead=8)
         rng = make_rng(0, "soa-test", "scalar-ops")
         for _ in range(2000):
-            stored = int(rng.integers(0, 64))
-            key = ("t", stored)
+            key = int(rng.integers(0, 64))
             op = rng.random()
             if op < 0.5:
                 assert soa.get(key) == reference.get(key)
@@ -67,7 +84,7 @@ class TestScalarEquivalence:
 
     def test_non_row_keys_rejected(self):
         _, soa = _pair()
-        for key in ("plain-string", ("tuple", "of", "strings"), (0, 1), ("t", False)):
+        for key in ("plain-string", ("t", 0), -1, False, 1.0):
             with pytest.raises(ValueError):
                 soa.put(key, 2)
             with pytest.raises(ValueError):
@@ -77,34 +94,34 @@ class TestScalarEquivalence:
     def test_oversized_value_rejected(self):
         reference, soa = _pair(capacity=16)
         for cache in (reference, soa):
-            assert not cache.put(("t", 0), 64)
+            assert not cache.put(0, 64)
         _assert_same_observables(reference, soa)
 
     def test_clear(self):
         reference, soa = _pair()
         for cache in (reference, soa):
-            cache.put(("t", 1), 1)
-            cache.put(("t", 2), 1)
+            cache.put(1, 1)
+            cache.put(2, 1)
         _assert_same_observables(reference, soa)
         for cache in (reference, soa):
             reset(cache, {CONTENTS})
         _assert_same_observables(reference, soa)
         # The index survives a clear: new inserts must still be found.
         for cache in (reference, soa):
-            cache.put(("t", 2), 1)
-        assert soa.get(("t", 2)) == reference.get(("t", 2))
+            cache.put(2, 1)
+        assert soa.get(2) == reference.get(2)
         _assert_same_observables(reference, soa)
 
     def test_eviction_order_is_lru(self):
         reference, soa = _pair(capacity=3 * 4, overhead=0)
         for cache in (reference, soa):
-            cache.put(("t", 0), 4)
-            cache.put(("t", 1), 4)
-            cache.put(("t", 2), 4)
-            cache.get(("t", 0))  # touch: 0 becomes most recent
-            cache.put(("t", 3), 4)  # evicts 1, the least recent
-        assert _holds(soa, ("t", 0)) and _holds(reference, ("t", 0))
-        assert not _holds(soa, ("t", 1)) and not _holds(reference, ("t", 1))
+            cache.put(0, 4)
+            cache.put(1, 4)
+            cache.put(2, 4)
+            cache.get(0)  # touch: 0 becomes most recent
+            cache.put(3, 4)  # evicts 1, the least recent
+        assert _holds(soa, 0) and _holds(reference, 0)
+        assert not _holds(soa, 1) and not _holds(reference, 1)
         _assert_same_observables(reference, soa)
 
 
@@ -113,14 +130,14 @@ class TestBatchEquivalence:
         reference, soa = _pair(capacity=4096)
         rng = make_rng(0, "soa-test", "probe-batch")
         row_len = 8
-        for stored in range(24):
+        for key in range(24):
             value = row_len
-            reference.put(("t", stored), value)
-            soa.put(("t", stored), value)
+            reference.put(key, value)
+            soa.put(key, value)
         for _ in range(50):
-            stored = rng.integers(0, 44, size=16)  # includes misses
-            expected = [reference.get(("t", int(s))) for s in stored]
-            hit_mask, admitted = soa.probe_batch("t", stored, row_len)
+            keys = rng.integers(0, 44, size=16)  # includes misses
+            expected = [reference.get(int(key)) for key in keys]
+            hit_mask, admitted = _probe(soa, keys, row_len)
             assert list(hit_mask) == [size is not None for size in expected]
             assert admitted == 0
             _assert_same_observables(reference, soa)
@@ -130,137 +147,135 @@ class TestBatchEquivalence:
         rng = make_rng(0, "soa-test", "fill-batch")
         row_len = 8
         for _ in range(40):
-            stored = rng.integers(0, 64, size=8)
-            for s in stored:
-                reference.put(("t", int(s)), row_len)
-            soa.fill_batch("t", stored, row_len)
+            keys = rng.integers(0, 64, size=8)
+            for key in keys:
+                reference.put(int(key), row_len)
+            soa.fill_batch(row_len, keys)
             _assert_same_observables(reference, soa)
 
     def test_contains_batch_has_no_side_effects(self):
+        # Resolving keys to slots is the batch membership test.
         _, soa = _pair()
-        soa.put(("t", 3), 1)
-        before = (soa.stats.hits, soa.stats.misses, soa.stats.cpu_seconds)
-        mask = soa.contains_batch("t", np.array([64, 0, 3, 99]))
+        soa.put(3, 1)
+        before = (soa.stats.hits, soa.stats.misses, soa.stats.cpu_seconds, list(soa.keys()))
+        mask = _contains(soa, [64, 0, 3, 99])
         assert list(mask) == [False, False, True, False]
-        assert (soa.stats.hits, soa.stats.misses, soa.stats.cpu_seconds) == before
+        assert (soa.stats.hits, soa.stats.misses, soa.stats.cpu_seconds, list(soa.keys())) == before
 
     def test_probe_batch_duplicate_rows_keep_last_stamp(self):
         reference, soa = _pair(capacity=2 * 4)
         for cache in (reference, soa):
-            cache.put(("t", 0), 4)
-            cache.put(("t", 1), 4)
+            cache.put(0, 4)
+            cache.put(1, 4)
         # Scalar walk: get(0), get(1), get(0) leaves 1 least-recent.
-        for s in (0, 1, 0):
-            reference.get(("t", s))
-        soa.probe_batch("t", np.array([0, 1, 0]), 4)
+        for key in (0, 1, 0):
+            reference.get(key)
+        _probe(soa, [0, 1, 0], 4)
         for cache in (reference, soa):
-            cache.put(("t", 2), 4)  # evicts 1 in both
-        assert not _holds(soa, ("t", 1)) and not _holds(reference, ("t", 1))
+            cache.put(2, 4)  # evicts 1 in both
+        assert not _holds(soa, 1) and not _holds(reference, 1)
         _assert_same_observables(reference, soa)
 
     def test_probe_batch_row_length_mismatch_raises(self):
         _, soa = _pair()
-        soa.put(("t", 0), 4)
-        with pytest.raises(ValueError):
-            soa.probe_batch("t", np.array([0]), 8)
+        soa.put(0, 4)
+        with pytest.raises(ValueError, match="row key 0"):
+            _probe(soa, [0], 8)
 
     def test_fill_batch_oversized_rows_all_rejected(self):
         reference, soa = _pair(capacity=4)
-        stored = np.array([0, 1, 2])
-        for s in stored:
-            reference.put(("t", int(s)), 64)
-        soa.fill_batch("t", stored, 64)
+        keys = np.array([0, 1, 2])
+        for key in keys:
+            reference.put(int(key), 64)
+        soa.fill_batch(64, keys)
         _assert_same_observables(reference, soa)
 
     def test_empty_batches_are_noops(self):
         _, soa = _pair()
-        hit_mask, admitted = soa.probe_batch("t", np.empty(0, dtype=np.int64), 4)
+        hit_mask, admitted = _probe(soa, np.empty(0, dtype=np.int64), 4)
         assert hit_mask.size == 0 and admitted == 0
-        soa.fill_batch("t", np.empty(0, dtype=np.int64), 4)
+        soa.fill_batch(4, np.empty(0, dtype=np.int64))
         assert soa.stats.inserts == 0 and soa.stats.cpu_seconds == 0.0
 
 
-def _replay_fill(reference, table, stored, row_len=ROW_LEN):
-    return sum(reference.put((table, int(s)), row_len) for s in stored)
+def _replay_fill(reference, keys, row_len=ROW_LEN):
+    return sum(reference.put(int(key), row_len) for key in keys)
 
 
-def _replay_probe(reference, table, stored, row_len=ROW_LEN, promote_mask=None):
+def _replay_probe(reference, keys, row_len=ROW_LEN, promote_mask=None):
     """The scalar walk on one cache: get every row in order, and put a
     promoted row right after its get.  Returns each row's hit flag."""
     hits = []
-    for position, s in enumerate(stored):
-        hits.append(reference.get((table, int(s))) is not None)
+    for position, key in enumerate(keys):
+        hits.append(reference.get(int(key)) is not None)
         if promote_mask is not None and promote_mask[position]:
-            reference.put((table, int(s)), row_len)
+            reference.put(int(key), row_len)
     return hits
 
 
 class TestNegativeIndices:
     def test_negative_stored_index_does_not_alias_the_last_row(self):
         _, soa = _pair()
-        soa.fill_batch("t", np.arange(3), 3)
-        # index[-1] would be row 63, the direct index's last element: every
+        soa.fill_batch(3, np.arange(3))
+        # index[-1] would be key 63, the direct index's last element: every
         # entry point rejects the key instead of reading or writing it.
         with pytest.raises(ValueError):
-            soa.put(("t", -1), 3)
+            soa.put(-1, 3)
         with pytest.raises(ValueError):
-            soa.get(("t", -1))
+            soa.get(-1)
         with pytest.raises(ValueError):
-            soa.fill_batch("t", np.array([5, -1]), 3)
+            soa.fill_batch(3, np.array([5, -1]))
         with pytest.raises(ValueError):
-            soa.lookup_slots("t", np.array([63, -1]))
+            soa.lookup_slots(np.array([63, -1]))
         with pytest.raises(ValueError):
-            soa.probe_batch("t", np.array([-1, 5]), 3)
-        assert list(soa.keys()) == [("t", 0), ("t", 1), ("t", 2)]
+            _probe(soa, [-1, 5], 3)
+        assert list(soa.keys()) == [0, 1, 2]
         assert soa.stats.lookups == 0 and soa.stats.inserts == 3
         assert soa.stats.cpu_seconds == 3 * soa.insert_cpu_seconds
-        assert not soa.contains_batch("t", np.array([63]))[0]
+        assert not _contains(soa, [63])[0]
 
 
 class TestBatchMutation:
     def test_random_interleaved_operations_match_lru(self):
-        # Every operation the serve path issues, in random order, over two
-        # tables with different row lengths sharing one byte budget.
+        # Every operation the serve path issues, in random order, over the
+        # key ranges of two tables with different row lengths sharing one
+        # byte budget.
         reference, soa = _pair(capacity=40 * 16, overhead=8)
         rng = make_rng(0, "soa-test", "interleaved")
-        row_lens = {"a": 8, "b": 24}
+        first_keys, row_lens = {"a": 0, "b": 96}, {"a": 8, "b": 24}
         for _ in range(1500):
             table = "a" if rng.random() < 0.6 else "b"
-            row_len = row_lens[table]
+            first, row_len = first_keys[table], row_lens[table]
             op = rng.random()
             if op < 0.15:
-                key = (table, int(rng.integers(0, 96)))
+                key = first + int(rng.integers(0, 96))
                 assert soa.get(key) == reference.get(key)
             elif op < 0.3:
-                stored = int(rng.integers(0, 96))
+                key = first + int(rng.integers(0, 96))
                 value = row_len
-                assert soa.put((table, stored), value) == reference.put((table, stored), value)
+                assert soa.put(key, value) == reference.put(key, value)
             elif op < 0.55:
-                stored = rng.integers(0, 96, size=int(rng.integers(1, 24)))
-                hit_mask, _ = soa.probe_batch(table, stored, row_len)
-                assert list(hit_mask) == _replay_probe(reference, table, stored, row_len)
+                keys = first + rng.integers(0, 96, size=int(rng.integers(1, 24)))
+                hit_mask, _ = _probe(soa, keys, row_len)
+                assert list(hit_mask) == _replay_probe(reference, keys, row_len)
             elif op < 0.8:
                 # Fills: fresh rows, replacements and in-batch duplicates.
-                stored = rng.integers(0, 96, size=int(rng.integers(1, 24)))
-                assert soa.fill_batch(table, stored, row_len) == _replay_fill(
-                    reference, table, stored, row_len
-                )
+                keys = first + rng.integers(0, 96, size=int(rng.integers(1, 24)))
+                assert soa.fill_batch(row_len, keys) == _replay_fill(reference, keys, row_len)
             else:
                 # Probe with promotion: distinct rows, the misses among a
                 # random subset promoted; skipped when the certificate
                 # reports a hazard, exactly as the tier chain does.
-                stored = rng.permutation(96)[: int(rng.integers(1, 24))]
-                present = soa.contains_batch(table, stored)
-                promote_mask = ~present & (rng.random(stored.size) < 0.7)
+                keys = first + rng.permutation(96)[: int(rng.integers(1, 24))]
+                present = _contains(soa, keys)
+                promote_mask = ~present & (rng.random(keys.size) < 0.7)
                 fills = int(promote_mask.sum())
-                if soa.promotion_hazard(soa.lookup_slots(table, stored), fills, row_len):
+                if soa.promotion_hazard(soa.lookup_slots(keys), fills, row_len):
                     continue
-                hit_mask, admitted = soa.probe_batch(table, stored, row_len, promote_mask)
+                hit_mask, admitted = _probe(soa, keys, row_len, promote_mask)
                 assert list(hit_mask) == list(present)
                 assert admitted == fills
-                assert list(hit_mask) == _replay_probe(
-                    reference, table, stored, row_len, promote_mask
-                )
+                assert list(hit_mask) == _replay_probe(reference, keys, row_len, promote_mask)
             _assert_same_observables(reference, soa)
         assert soa.stats.evictions > 100  # the budget was under pressure
 
@@ -270,54 +285,52 @@ class TestBatchMutation:
         # rows count as inserted and evicted, only the tail survives.
         reference, soa = _pair(capacity=5 * 16, overhead=8)
         for cache in (reference, soa):
-            cache.put(("t", 90), ROW_LEN)
-            cache.put(("u", 0), 8)
-        stored = np.arange(count)
-        assert soa.fill_batch("t", stored, ROW_LEN) == count
-        _replay_fill(reference, "t", stored)
+            cache.put(90, ROW_LEN)
+            cache.put(100, 8)
+        keys = np.arange(count)
+        assert soa.fill_batch(ROW_LEN, keys) == count
+        _replay_fill(reference, keys)
         _assert_same_observables(reference, soa)
-        for s in stored:
-            assert soa.get(("t", int(s))) == reference.get(("t", int(s)))
+        for key in keys:
+            assert soa.get(int(key)) == reference.get(int(key))
         _assert_same_observables(reference, soa)
 
     def test_fill_batch_replacements_and_duplicates(self):
         reference, soa = _pair(capacity=8 * 16, overhead=8)
         first = np.arange(6)
         # Alternating row lengths: a replacement must store the new size.
-        for row_len, stored in zip(
+        for row_len, keys in zip(
             (8, 4, 8, 6), (first, np.array([2, 9, 2, 10]), np.array([11, 0, 12]), np.array([7, 7]))
         ):
-            assert soa.fill_batch("t", stored, row_len) == _replay_fill(
-                reference, "t", stored, row_len
-            )
+            assert soa.fill_batch(row_len, keys) == _replay_fill(reference, keys, row_len)
             _assert_same_observables(reference, soa)
-        for s in range(13):
-            assert soa.get(("t", s)) == reference.get(("t", s))
+        for key in range(13):
+            assert soa.get(key) == reference.get(key)
 
     def test_recency_log_compaction_mid_sequence(self):
         # The log starts at 64 entries; a resident set probed over and over
         # fills it with dead entries and forces compactions (which renumber
         # every stamp) between evictions, scalar touches and batch touches.
         reference, soa = _pair(capacity=10 * 16, overhead=8)
-        stored = np.arange(10)
-        soa.fill_batch("t", stored, ROW_LEN)
-        _replay_fill(reference, "t", stored)
+        keys = np.arange(10)
+        soa.fill_batch(ROW_LEN, keys)
+        _replay_fill(reference, keys)
         rng = make_rng(0, "soa-test", "compaction")
         compactions = 0
         for step in range(400):
             tail_before = soa._log_tail
             if step % 7 == 3:
-                key = ("t", int(rng.integers(0, 14)))
+                key = int(rng.integers(0, 14))
                 assert soa.get(key) == reference.get(key)
             elif step % 11 == 5:
                 fresh = np.array([10 + step % 4])
-                if not soa.contains_batch("t", fresh)[0]:
-                    soa.fill_batch("t", fresh, ROW_LEN)
-                    _replay_fill(reference, "t", fresh)
+                if not _contains(soa, fresh)[0]:
+                    soa.fill_batch(ROW_LEN, fresh)
+                    _replay_fill(reference, fresh)
             else:
                 probe = rng.integers(0, 14, size=9)
-                hit_mask, _ = soa.probe_batch("t", probe, 8)
-                assert list(hit_mask) == _replay_probe(reference, "t", probe)
+                hit_mask, _ = _probe(soa, probe, 8)
+                assert list(hit_mask) == _replay_probe(reference, probe)
             compactions += soa._log_tail < tail_before
             _assert_same_observables(reference, soa)
         assert compactions >= 5
@@ -333,11 +346,11 @@ class TestPromotionCertificate:
         diverged = False
         # Promoted rows walk first here, so their evictions precede the hits;
         # the certificate is order-blind, hence must cover the worst order.
-        for s in promoted_rows:
-            assert replay.get(("t", int(s))) is None
-            replay.put(("t", int(s)), row_len)
-        for s in hit_rows:
-            diverged |= replay.get(("t", int(s))) is None
+        for key in promoted_rows:
+            assert replay.get(int(key)) is None
+            replay.put(int(key), row_len)
+        for key in hit_rows:
+            diverged |= replay.get(int(key)) is None
         return diverged
 
     def test_certificate_matches_brute_force_replay(self):
@@ -350,18 +363,18 @@ class TestPromotionCertificate:
 
             def build():
                 cache = SoALRUCache(capacity, per_item_overhead_bytes=overhead)
-                for s in resident:
-                    cache.put(("t", int(s)), row_len)
+                for key in resident:
+                    cache.put(int(key), row_len)
                 return cache
 
             soa = build()
-            present = np.flatnonzero(soa.contains_batch("t", np.arange(40)))
+            present = np.flatnonzero(_contains(soa, np.arange(40)))
             absent = np.arange(40, 80)
             hit_rows = rng.permutation(present)[: int(rng.integers(0, present.size + 1))]
             promoted_rows = absent[: int(rng.integers(0, 16))]
             before = (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes)
             hazard = soa.promotion_hazard(
-                soa.lookup_slots("t", hit_rows), promoted_rows.size, row_len
+                soa.lookup_slots(hit_rows), promoted_rows.size, row_len
             )
             assert (list(soa.keys()), soa.stats.cpu_seconds, soa.used_bytes) == before
             diverges = self._scalar_replay_diverges(build, hit_rows, promoted_rows, row_len)
@@ -378,15 +391,15 @@ class TestPromotionCertificate:
         # see, so it is no hazard; the ordered probe rejects it as put does.
         reference, soa = _pair(capacity=4 * 16, overhead=8)
         for cache in (reference, soa):
-            cache.put(("u", 1), ROW_LEN)
-        stored = np.array([2, 7, 1, 9])
+            cache.put(101, ROW_LEN)
+        keys = np.array([2, 7, 1, 9])
         promote_mask = np.array([False, True, False, True])
         assert not soa.promotion_hazard(np.empty(0, dtype=np.int64), 2, 64)
-        hit_mask, admitted = soa.probe_batch("t", stored, 64, promote_mask)
+        hit_mask, admitted = _probe(soa, keys, 64, promote_mask)
         assert admitted == 0 and not hit_mask.any()
-        assert _replay_probe(reference, "t", stored, 64, promote_mask) == [False] * 4
+        assert _replay_probe(reference, keys, 64, promote_mask) == [False] * 4
         assert soa.stats.rejected_inserts == 2 and soa.stats.evictions == 0
-        assert _holds(soa, ("u", 1))
+        assert _holds(soa, 101)
         _assert_same_observables(reference, soa)
 
     def test_cleared_batch_replays_exactly_in_any_interleaving(self):
@@ -398,15 +411,15 @@ class TestPromotionCertificate:
             reference, soa = _pair(capacity=12 * 16, overhead=8)
             resident = rng.permutation(30)[:12]
             for cache in (reference, soa):
-                for s in resident:
-                    cache.put(("t", int(s)), ROW_LEN)
-            stored = rng.permutation(60)[: int(rng.integers(2, 16))]
-            present = soa.contains_batch("t", stored)
-            promote_mask = ~present & (rng.random(stored.size) < 0.8)
-            if soa.promotion_hazard(soa.lookup_slots("t", stored), int(promote_mask.sum()), 8):
+                for key in resident:
+                    cache.put(int(key), ROW_LEN)
+            keys = rng.permutation(60)[: int(rng.integers(2, 16))]
+            present = _contains(soa, keys)
+            promote_mask = ~present & (rng.random(keys.size) < 0.8)
+            if soa.promotion_hazard(soa.lookup_slots(keys), int(promote_mask.sum()), 8):
                 continue
-            hit_mask, _ = soa.probe_batch("t", stored, 8, promote_mask)
-            assert list(hit_mask) == _replay_probe(reference, "t", stored, 8, promote_mask)
+            hit_mask, _ = _probe(soa, keys, 8, promote_mask)
+            assert list(hit_mask) == _replay_probe(reference, keys, 8, promote_mask)
             assert list(hit_mask) == list(present)
             _assert_same_observables(reference, soa)
             checked += 1

@@ -323,8 +323,7 @@ class TestSDMLoadPath:
 def _mapped_sdm(kind):
     """An SDM whose ``user_0`` is served from stored rows through a mapping
     tensor (``pruned``, ``ranked``) or under its own indices (``plain``).
-    The pooled cache is off: its key hash would reject a negative index
-    before the table is reached."""
+    The pooled cache is off, so every request reaches the table's rows."""
     model = small_model(num_user=2, num_item=1, num_rows=250)
     if kind == "pruned":
         pruned = {"user_0": prune_table(model.table("user_0"), 0.3, seed=1)}
@@ -359,3 +358,27 @@ class TestOutOfRangeIndices:
             sdm.serve({"user_0": np.array([index, 3])}, 0.0)
         assert sdm.stats.sm_ios == 0
         assert sdm.serve({"user_0": np.array([249, 3])}, 0.0) > 0.0
+
+
+class TestRejectedRequest:
+    @staticmethod
+    def _stats(sdm):
+        """Every SDM, pooled-cache, tier, row-cache and IO counter."""
+        pooled = None if sdm.pooled_cache is None else repr(sdm.pooled_cache.stats)
+        return repr(sdm.stats), pooled, sdm.telemetry_counters()
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("index", [-1, 250])
+    def test_out_of_range_request_is_an_index_error_that_moves_nothing(self, pooled, index):
+        sdm = small_sdm(small_model(num_rows=250), pooled_cache_enabled=pooled)
+        sdm.serve({"user_0": np.array([7, 3, 5])}, 0.0)
+        before = self._stats(sdm)
+        with pytest.raises(IndexError, match="out of range for table 'user_0'"):
+            sdm.serve({"user_0": np.array([index, 3, 5])}, 1.0)
+        assert self._stats(sdm) == before
+        # Not vacuous: the same request in range moves the counters,
+        # the pooled cache's among them.
+        sdm.serve({"user_0": np.array([249, 3, 5])}, 1.0)
+        assert self._stats(sdm)[0] != before[0]
+        if pooled:
+            assert self._stats(sdm)[1] != before[1]

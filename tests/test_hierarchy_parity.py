@@ -293,16 +293,16 @@ class TestPromotionPolicies:
         # First fetch: NAND read, filled into both upper caches.
         chain.fetch_batch("t", **fetch)
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
-        # Evict it from tier 0 with rows of another table; the next access
-        # hits tier 1's cache, pays its media time on top of the probes, and
-        # re-promotes into tier 0.
-        row = np.array([3])
-        fast_cache.fill_batch("u", np.arange(64), 64)
-        assert fast_cache.lookup_batch("t", row, 64)[0] < 0
+        # Evict it from tier 0 with rows keyed past the chain's keys; the
+        # next access hits tier 1's cache, pays its media time on top of the
+        # probes, and re-promotes into tier 0.
+        key = chain.row_keys("t", np.array([3]))
+        fast_cache.fill_batch(64, 16 + np.arange(64))
+        assert fast_cache.lookup_batch(64, key)[0] < 0
         outcome = chain.fetch_batch("t", **fetch)
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
-        assert fast_cache.lookup_batch("t", row, 64)[0] >= 0  # re-promoted
+        assert fast_cache.lookup_batch(64, key)[0] >= 0  # re-promoted
 
 
 class TestStrictConfiguration:

@@ -119,13 +119,12 @@ class TestLRUCacheProperties:
                 flags.append(hit)
             return flags
         cache = SoALRUCache(capacity) if kind == "soa" else UnifiedRowCache(capacity)
-        lookup = cache.lookup_slots if kind == "soa" else cache.lookup_batch
         for key in trace:
-            stored, row_len = np.array([key]), row_lens[key]
-            slots = lookup("t", stored) if kind == "soa" else lookup("t", stored, row_len)
-            (hit,) = cache.probe_run([("t", stored, slots, row_len)])[0].tolist()
+            keys, row_len = np.array([key]), row_lens[key]
+            slots = cache.lookup_slots(keys) if kind == "soa" else cache.lookup_batch(row_len, keys)
+            (hit,) = cache.probe_run([(keys, slots, row_len)])[0].tolist()
             if not hit:
-                cache.fill_batch("t", stored, row_len)
+                cache.fill_batch(row_len, keys)
             flags.append(hit)
         return flags
 

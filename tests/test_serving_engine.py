@@ -1,13 +1,10 @@
 """Tests for the event-driven serving engine (open loop + closed-loop parity)."""
 
-import math
-
 import numpy as np
 import pytest
 
+from repro.analysis.metrics import percentile
 from repro.serving import LatencyTarget, OpenLoopResult, ServingEngine
-from repro.serving import capacity_plan_from_host_result
-from repro.serving.platform import HW_SS
 from repro.workload.generator import generate_arrival_times
 
 from helpers import small_engine, small_model, small_queries, small_sdm
@@ -280,17 +277,17 @@ class TestOpenLoopResultMetrics:
 
 class TestCapacityFromMeasurement:
     def test_fleet_plan_consumes_open_loop_result(self):
+        # A fleet is sized by the rate a measured host sustains at its SLO:
+        # when the SLO holds, the larger of the measured throughput and one
+        # query per stream per p95 service time.
         serving, queries = _fresh(40)
         arrivals = generate_arrival_times(30, process="poisson", offered_qps=400.0, seed=1)
         result = serving.run_open_loop(queries, arrivals, warmup_queries=10)
         target = LatencyTarget(95, result.percentile_latency(95) * 2)
-        sustainable = result.qps_at_latency(target)
-        fleet_qps = 10 * sustainable
-        plan = capacity_plan_from_host_result(
-            "measured", HW_SS, result, target, fleet_qps=fleet_qps
+        service_capacity = result.concurrency / percentile(result.service_times, 95)
+        assert result.qps_at_latency(target) == pytest.approx(
+            max(result.achieved_qps, service_capacity)
         )
-        assert plan.num_hosts == math.ceil(fleet_qps / sustainable)
-        assert plan.scenario.qps_per_host == pytest.approx(sustainable)
 
     def test_underloaded_measurement_does_not_inflate_the_fleet(self):
         # A host offered far below its capacity must not be sized as if the
@@ -312,7 +309,7 @@ class TestCapacityFromMeasurement:
         result = serving.run_open_loop(queries, arrivals, warmup_queries=10)
         healthy = LatencyTarget(95, result.percentile_latency(95) * 2)
         violated = LatencyTarget(95, result.percentile_latency(95) / 4)
-        fleet_qps = 100 * result.achieved_qps
-        relaxed = capacity_plan_from_host_result("ok", HW_SS, result, healthy, fleet_qps)
-        strained = capacity_plan_from_host_result("hot", HW_SS, result, violated, fleet_qps)
-        assert strained.num_hosts > relaxed.num_hosts
+        # Over budget, the host must shed load: it sustains a quarter of its
+        # measured throughput, so a fleet needs more such hosts.
+        assert result.qps_at_latency(violated) == pytest.approx(result.achieved_qps / 4)
+        assert result.qps_at_latency(violated) < result.qps_at_latency(healthy)
