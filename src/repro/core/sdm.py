@@ -32,7 +32,7 @@ from repro.cache.unified import UnifiedRowCache
 from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
 from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
-from repro.dlrm.embedding import EmbeddingTableSpec
+from repro.dlrm.embedding import EmbeddingTableSpec, check_requests
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.pruning import PRUNED, PrunedEmbeddingTable
@@ -134,9 +134,23 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             raise ValueError(
                 f"pruned tables not present in the model: {sorted(unknown_pruned)}"
             )
+        for table_name, pruned in self.pruned_tables.items():
+            # Its mapping tensor is what a request addresses.
+            rows = model.table(table_name).spec.num_rows
+            if pruned.original_spec.num_rows != rows:
+                raise ValueError(
+                    f"table {table_name!r}: the pruned table maps "
+                    f"{pruned.original_spec.num_rows} rows but the model table has {rows}"
+                )
 
         self.tier_specs: Tuple[TierSpec, ...] = config.resolved_tiers()
         self._init_placement(placement)
+        # The bound of every table the backend serves: its model row count.
+        self._num_rows = {
+            name: table.spec.num_rows
+            for name, table in model.tables.items()
+            if name in self.placement.decisions
+        }
         self._build_tiers()
 
         self.pooled_cache: Optional[PooledEmbeddingCache] = None
@@ -392,6 +406,9 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         :meth:`~repro.hierarchy.chain.TierChain.probe_run`, then its tables
         complete one by one, each with the timing, IO and spans it would
         have on its own.
+
+        The whole query is checked first (:func:`check_requests`), so a
+        rejected query moves no counter, cache, device or span.
         """
         if not requests:
             return start_time
@@ -399,8 +416,8 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         # The latest table completion: tables served one after another
         # (no inter-op parallelism) each start from it.
         completion = start_time
-        for table_name, indices in requests.items():
-            lookup = self._plan_lookup(table_name, np.asarray(indices, dtype=np.int64))
+        for table_name, indices in zip(requests, check_requests(requests, self._num_rows)):
+            lookup = self._plan_lookup(table_name, indices)
             if run and lookup.plan is not None and lookup.plan.promotes:
                 completion = self._serve_run(run, start_time, completion)
                 run = []
@@ -421,34 +438,16 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         """Settle what serving one table needs before the tables ahead of it
         complete: its pooled-cache probe (no table ahead of it in a run
         writes that cache), its mapping-tensor gather, the chain's plan of
-        its stored rows and its counters.
-
-        A request out of the table's range is an ``IndexError`` that moves
-        no counter and probes no cache: it is bounds-checked before the
-        pooled probe or the gather, which would take any index, and
-        otherwise by the chain's plan, before the counters move."""
-        if indices.size == 0:
-            raise ValueError(f"table {table_name!r}: request has no indices")
+        its stored rows and its counters.  ``indices`` come checked from
+        :meth:`serve`, in range of the model table, which is as long as the
+        table's mapping tensor or, without one, its stored rows."""
         state = self._sm_tables.get(table_name)
         if state is None:
-            # Raises KeyError for tables the placement never decided — a
-            # partial user-supplied placement must fail loudly, not silently
-            # serve from fast memory.
-            self.placement.for_table(table_name)
             return _TableLookup(table_name, indices)
         lookup = _TableLookup(table_name, indices, state)
         # Algorithm 1: try the pooled embedding cache first.
         pooled = self.pooled_cache
         lookup.pooled_probed = pooled is not None and pooled.eligible(indices)
-        if lookup.pooled_probed or state.mapping is not None:
-            # Indices address the mapping tensor when there is one, else the
-            # stored rows.  As unsigned, a negative index is huge: one
-            # reduction bounds both ends, where a gather would wrap it.
-            num_rows = state.stored_rows if state.mapping is None else int(state.mapping.size)
-            if int(indices.view(np.uint64).max()) >= num_rows:
-                raise IndexError(
-                    f"rows out of range for table {table_name!r} with {num_rows} rows"
-                )
         if lookup.pooled_probed:
             self.stats.pooled_cache_lookups += 1
             lookup.pooled_hit = pooled.probe_batch(table_name, indices)
@@ -482,9 +481,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
         return completion
 
     def _serve_from_fm(self, table_name: str, indices: np.ndarray, start_time: float) -> float:
-        table = self.model.table(table_name)
-        table.check_indices(indices)
-        row_bytes = table.spec.row_bytes
+        row_bytes = self.model.table(table_name).spec.row_bytes
         elapsed = self.compute.embedding_read_time(len(indices), row_bytes)
         self.stats.fm_direct_lookups += len(indices)
         fast = self.tiers[0]

@@ -15,7 +15,7 @@ from __future__ import annotations
 import numbers
 from dataclasses import InitVar, dataclass, replace
 from itertools import accumulate
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -32,6 +32,53 @@ def check_positive_int(value: Any, what: str) -> None:
     integer.  Booleans are rejected although Python counts them as ints."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value <= 0:
         raise ValueError(f"{what} must be a positive integer, got {value!r}")
+
+
+def check_requests(
+    requests: Mapping[str, Sequence[int]], num_rows: Mapping[str, int]
+) -> List[np.ndarray]:
+    """A query's requests, ``{table: indices}``, as one int64 index vector
+    per table in request order: the one check of query input.
+
+    Every table must be in ``num_rows`` (``KeyError``) and every request a
+    non-empty one-dimensional integer sequence: nothing is coerced, so
+    floats would truncate, booleans would read rows 0 and 1, and a nested
+    list would fail far from here.  Then one comparison bounds every index
+    of the query by its table's row count, unsigned, so a negative index is
+    huge; only when it fails is the first bad table looked for, to name it
+    in the ``IndexError``.
+    """
+    vectors = []
+    for table_name, indices in requests.items():
+        if table_name not in num_rows:
+            raise KeyError(f"no table {table_name!r}")
+        where = f"table {table_name!r}: "
+        if not isinstance(indices, (np.ndarray, list, tuple, range)):
+            indices = list(indices)
+        try:
+            idx = np.asarray(indices)
+        except ValueError:  # ragged nesting
+            raise ValueError(f"{where}indices must be one-dimensional") from None
+        if idx.size == 0:
+            raise ValueError(f"{where}lookup needs at least one index; the request has no indices")
+        if idx.dtype.kind not in "iu":
+            raise TypeError(f"{where}indices must be integers, got dtype {idx.dtype}")
+        if idx.ndim != 1:
+            raise ValueError(f"{where}indices must be one-dimensional, got shape {idx.shape}")
+        vectors.append(idx.astype(np.int64, copy=False))
+    if not vectors:
+        return vectors
+    bounds = np.array([num_rows[table_name] for table_name in requests], dtype=np.uint64)
+    flat = np.concatenate(vectors).view(np.uint64)
+    if (flat >= np.repeat(bounds, [idx.size for idx in vectors])).any():
+        for table_name, idx, bound in zip(requests, vectors, bounds):
+            bad = idx[idx.view(np.uint64) >= bound]
+            if bad.size:
+                raise IndexError(
+                    f"table {table_name!r}: indices out of range [0, {bound}): "
+                    f"index {bad[0]} is out of range for table {table_name!r}"
+                )
+    return vectors
 
 
 @dataclass(frozen=True)
@@ -121,8 +168,8 @@ class Bags:
     read-only int64.  The constructor checks the layout once — ``offsets``
     starts at 0, rises strictly (no bag is empty) and ends at
     ``indices.size`` — so consumers read the arrays as they are; row bounds
-    are checked by the table that is looked up.  ``table`` only names the
-    table in those errors.  Bags compare by identity.
+    are checked once per query, by :func:`check_requests`.  ``table`` only
+    names the table in the layout errors.  Bags compare by identity.
     """
 
     indices: np.ndarray
@@ -286,37 +333,9 @@ class EmbeddingTable:
 
     # -------------------------------------------------------------- lookups
     def check_indices(self, indices: Sequence[int]) -> np.ndarray:
-        """``indices`` as a bounds-checked int64 vector.
-
-        The one check every lookup goes through (``bag``, ``lookup_raw``,
-        :func:`pool_bags` and the fast-memory backends' ``serve``), so
-        nothing is coerced silently: floats would truncate, booleans would
-        read rows 0 and 1, and a nested list would fail far from here.
-        """
-        if not isinstance(indices, (np.ndarray, list, tuple, range)):
-            indices = list(indices)
-        try:
-            idx = np.asarray(indices)
-        except ValueError:  # ragged nesting
-            raise ValueError(
-                f"table {self.spec.name!r}: indices must be one-dimensional"
-            ) from None
-        if idx.size == 0:
-            raise ValueError(f"table {self.spec.name!r}: lookup needs at least one index")
-        if idx.dtype.kind not in "iu":
-            raise TypeError(
-                f"table {self.spec.name!r}: indices must be integers, got dtype {idx.dtype}"
-            )
-        if idx.ndim != 1:
-            raise ValueError(
-                f"table {self.spec.name!r}: indices must be one-dimensional, got shape {idx.shape}"
-            )
-        idx = idx.astype(np.int64, copy=False)
-        if idx.min() < 0 or idx.max() >= self.spec.num_rows:
-            raise IndexError(
-                f"table {self.spec.name!r}: indices out of range [0, {self.spec.num_rows})"
-            )
-        return idx
+        """``indices`` as a bounds-checked int64 vector: the one-table call
+        of :func:`check_requests`."""
+        return check_requests({self.spec.name: indices}, {self.spec.name: self.spec.num_rows})[0]
 
     def row_bytes_at(self, index: int) -> bytes:
         """Raw serialized bytes of one row (what the SM tier stores)."""
@@ -378,9 +397,10 @@ def pool_bags(
     laid out step-major — the k-th row of every bag longer than k, bags
     ordered longest first so that each step is a contiguous prefix of the
     accumulator — and added one step at a time; a bag's sum never mixes with
-    another bag's.  Each table pays one bounds check and one gather, and its
-    rows are scattered into one byte buffer as wide as the widest row, which
-    is dequantised once per ``quant_bits`` at that group's widest ``dim``.
+    another bag's.  All tables pay one bounds check (:func:`check_requests`)
+    and each table one gather, whose rows are scattered into one byte buffer
+    as wide as the widest row, which is dequantised once per ``quant_bits``
+    at that group's widest ``dim``.
     The columns past a narrower table's own ``dim`` hold padding that no
     returned matrix includes.
     """
@@ -388,6 +408,10 @@ def pool_bags(
         raise ValueError(f"{len(tables)} tables but {len(bags_per_table)} bag lists")
     if not tables:
         return [], np.empty(0, dtype=np.int64)
+    requests = {table.spec.name: bags.indices for table, bags in zip(tables, bags_per_table)}
+    if len(requests) != len(tables):
+        raise ValueError("the tables must have distinct names")
+    flats = check_requests(requests, {table.spec.name: table.spec.num_rows for table in tables})
     bag_bounds = list(accumulate(map(len, bags_per_table), initial=0))
     num_bags = bag_bounds[-1]
     lengths = np.concatenate([bags.lengths for bags in bags_per_table])
@@ -408,8 +432,7 @@ def pool_bags(
     row_bounds = np.append(bag_start, num_rows)[bag_bounds].tolist()
     group_dim: Dict[int, int] = {}  # quant_bits -> widest dim
     group_rows: Dict[int, List[np.ndarray]] = {}  # quant_bits -> buffer rows, per table
-    for position, (table, bags) in enumerate(zip(tables, bags_per_table)):
-        flat = table.check_indices(bags.indices)
+    for position, (table, flat) in enumerate(zip(tables, flats)):
         rows = destination[row_bounds[position] : row_bounds[position + 1]]
         buffer[rows, : table.spec.row_bytes] = table.data.take(flat, axis=0)
         bits = table.spec.quant_bits

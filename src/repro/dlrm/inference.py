@@ -29,7 +29,7 @@ from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from repro.dlrm.embedding import Bags, EmbeddingTable, pool_bags
+from repro.dlrm.embedding import Bags, EmbeddingTable, check_requests, pool_bags
 from repro.dlrm.model import DLRMModel
 from repro.dlrm.pruning import PrunedEmbeddingTable
 from repro.sim.state import COUNTER, QUEUE, RUN_ROLES, reset
@@ -219,31 +219,21 @@ class InMemoryBackend(EmbeddingBackend):
     def __init__(self, tables: Mapping[str, EmbeddingTable], compute: ComputeSpec) -> None:
         self.tables = dict(tables)
         self.compute = compute
-
-    def _checked_row_bytes(self, table_name: str, indices: Sequence[int]) -> int:
-        """The row size of a table whose rows ``indices`` are looked up,
-        once they are checked (:meth:`EmbeddingTable.check_indices`)."""
-        if table_name not in self.tables:
-            raise KeyError(f"backend has no table {table_name!r}")
-        table = self.tables[table_name]
-        table.check_indices(indices)
-        return table.spec.row_bytes
+        self._num_rows = {name: table.spec.num_rows for name, table in self.tables.items()}
 
     def serve(self, requests: Mapping[str, Sequence[int]], start_time: float) -> float:
         elapsed = 0.0
-        for table_name, indices in requests.items():
-            row_bytes = self._checked_row_bytes(table_name, indices)
-            elapsed += self.compute.embedding_read_time(len(indices), row_bytes)
+        for table_name, indices in zip(requests, check_requests(requests, self._num_rows)):
+            row_bytes = self.tables[table_name].spec.row_bytes
+            elapsed += self.compute.embedding_read_time(indices.size, row_bytes)
         return start_time + elapsed
 
     def serve_batch(self, requests: Mapping[str, Bags], start_time: float) -> float:
         batch = _batch_size(requests)
         if not requests:
             return float(start_time)
-        row_bytes = [
-            [self._checked_row_bytes(table_name, bags.indices)]
-            for table_name, bags in requests.items()
-        ]
+        check_requests({name: bags.indices for name, bags in requests.items()}, self._num_rows)
+        row_bytes = [[self.tables[table_name].spec.row_bytes] for table_name in requests]
         lengths = np.concatenate([bags.lengths for bags in requests.values()])
         # One (tables, B) matrix of read times, summed table by table in the
         # order the per-sample loop adds them.

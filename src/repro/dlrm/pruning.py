@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec
+from repro.dlrm.embedding import EmbeddingTable, EmbeddingTableSpec, check_requests
 
 #: Sentinel in the mapping tensor for a pruned (removed) row.
 PRUNED = -1
@@ -62,12 +62,8 @@ class PrunedEmbeddingTable:
 
         Pruned rows dequantise to zero vectors, matching serving semantics.
         """
-        idx = np.asarray(list(indices), dtype=np.int64)
-        if np.any(idx < 0) or np.any(idx >= self.mapping.size):
-            raise IndexError(
-                f"indices out of range [0, {self.mapping.size}) for pruned table "
-                f"{self.original_spec.name!r}"
-            )
+        name = self.original_spec.name
+        (idx,) = check_requests({name: indices}, {name: int(self.mapping.size)})
         mapped = self.mapping[idx]
         out = np.zeros((idx.size, self.original_spec.dim), dtype=np.float32)
         live = mapped != PRUNED

@@ -97,26 +97,14 @@ class FileContext:
             yield current
             current = self._parents.get(current)
 
-    def resolve_call(self, node: ast.Call) -> Optional[str]:
-        """Qualified name of a call target through the file's import aliases.
+    def resolve_imported_call(self, node: ast.Call) -> Optional[str]:
+        """Qualified name of a call target whose root name is an import,
+        through the file's import aliases; ``None`` for any other call.
 
         ``np.random.seed(0)`` resolves to ``"numpy.random.seed"`` when the
-        file did ``import numpy as np``; calls on local objects (whose root
-        name was never imported) resolve to their literal dotted form.
-        """
-        name = dotted_name(node.func)
-        if name is None:
-            return None
-        root, dot, rest = name.partition(".")
-        resolved_root = self.imports.get(root, root)
-        return f"{resolved_root}{dot}{rest}" if dot else resolved_root
-
-    def resolve_imported_call(self, node: ast.Call) -> Optional[str]:
-        """Like :meth:`resolve_call`, but only when the root name is an import.
-
-        Rules matching module APIs (``time.time``, ``numpy.random.seed``) use
-        this so a local variable that happens to be called ``time`` or
-        ``random`` cannot false-positive.
+        file did ``import numpy as np``.  Rules matching module APIs use this
+        so a local variable that happens to be called ``time`` or ``random``
+        cannot false-positive.
         """
         name = dotted_name(node.func)
         if name is None:

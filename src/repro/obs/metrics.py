@@ -70,10 +70,6 @@ class Timeline:
                 totals[key] = totals.get(key, 0) + value
         return totals
 
-    def series(self, counter: str) -> List[float]:
-        """One counter's per-window deltas, zero where it is absent."""
-        return [window.counters.get(counter, 0) for window in self.windows]
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "interval_seconds": self.interval,

@@ -54,6 +54,14 @@ class TestSDMSetup:
                 pruned_tables={"ghost": pruned},
             )
 
+    def test_pruned_table_must_map_the_model_tables_rows(self):
+        # A request addresses a pruned table's mapping tensor, bounded by the
+        # model table's row count: the two must agree.
+        model = small_model(num_rows=256)
+        pruned = prune_table(small_model(num_rows=200).table("user_0"), 0.2)
+        with pytest.raises(ValueError, match="table 'user_0': the pruned table maps 200 rows"):
+            SoftwareDefinedMemory(model, small_sdm_config(), pruned_tables={"user_0": pruned})
+
     def test_pooled_cache_optional(self):
         sdm = small_sdm(small_model(), pooled_cache_enabled=False)
         assert sdm.pooled_cache is None
@@ -363,9 +371,11 @@ class TestOutOfRangeIndices:
 class TestRejectedRequest:
     @staticmethod
     def _stats(sdm):
-        """Every SDM, pooled-cache, tier, row-cache and IO counter."""
+        """Every SDM, pooled-cache, tier, row-cache and IO counter, the row
+        cache's keys in recency order and the devices' counters."""
         pooled = None if sdm.pooled_cache is None else repr(sdm.pooled_cache.stats)
-        return repr(sdm.stats), pooled, sdm.telemetry_counters()
+        keys = [list(lru.keys()) for lru in (sdm.row_cache._memory_cache, sdm.row_cache._cpu_cache)]
+        return repr(sdm.stats), pooled, sdm.telemetry_counters(), keys, repr(sdm.device_stats())
 
     @pytest.mark.parametrize("pooled", [True, False])
     @pytest.mark.parametrize("index", [-1, 250])
@@ -382,3 +392,54 @@ class TestRejectedRequest:
         assert self._stats(sdm)[0] != before[0]
         if pooled:
             assert self._stats(sdm)[1] != before[1]
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            (np.array([-1]), IndexError),
+            (np.array([250, 3]), IndexError),
+            (np.empty(0, dtype=np.int64), ValueError),
+            ([1.7, 2.2], TypeError),  # would truncate to rows 1 and 2
+            ([True, False], TypeError),  # would read rows 1 and 0
+        ],
+    )
+    def test_a_rejected_table_anywhere_in_the_query_moves_nothing(
+        self, pooled, position, bad, error
+    ):
+        sdm = small_sdm(small_model(num_user=3, num_rows=250), pooled_cache_enabled=pooled)
+        sdm.serve({f"user_{t}": np.array([7, 3, 5]) for t in range(3)}, 0.0)
+        before = self._stats(sdm)
+        # Rows no earlier query read: serving any table would move its
+        # devices and fill the row cache.
+        query = {f"user_{t}": np.arange(20, 40) + 50 * t for t in range(3)}
+        bad_name = f"user_{position}"
+        with pytest.raises(error, match=f"table '{bad_name}'"):
+            sdm.serve(dict(query, **{bad_name: bad}), 1.0)
+        assert self._stats(sdm) == before
+        sdm.serve(query, 1.0)  # not vacuous: in range, the query moves all three
+        after = self._stats(sdm)
+        assert all(after[part] != before[part] for part in (0, 3, 4))
+
+    @pytest.mark.parametrize("pooled", [True, False])
+    def test_a_rejected_fm_pinned_table_moves_nothing(self, pooled):
+        sdm = small_sdm(
+            small_model(num_rows=250), pooled_cache_enabled=pooled, pinned_fm_tables=("user_1",)
+        )
+        assert "user_0" in sdm._sm_tables and "user_1" not in sdm._sm_tables
+        before = self._stats(sdm)
+        with pytest.raises(IndexError, match="out of range for table 'user_1'"):
+            sdm.serve({"user_0": np.array([5, 6]), "user_1": np.array([999])}, 0.0)
+        assert self._stats(sdm) == before
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    def test_an_unknown_table_is_a_key_error_that_moves_nothing(self, position):
+        sdm = small_sdm(small_model(num_user=2, num_rows=250))
+        query = {"user_0": np.array([5, 6]), "user_1": np.array([8])}
+        names = list(query)
+        names.insert(position, "ghost")
+        before = self._stats(sdm)
+        with pytest.raises(KeyError, match="ghost"):
+            sdm.serve({name: query.get(name, np.array([1])) for name in names}, 0.0)
+        assert self._stats(sdm) == before

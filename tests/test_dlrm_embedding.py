@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.dlrm import Bags, EmbeddingTable, EmbeddingTableSpec, dequantize_rows, pool_bags
+from repro.dlrm import (
+    Bags,
+    EmbeddingTable,
+    EmbeddingTableSpec,
+    dequantize_rows,
+    pool_bags,
+    prune_table,
+)
 
 
 def _spec(**kwargs):
@@ -139,9 +146,11 @@ class TestEmbeddingTable:
 
     def test_bag_batch_error_paths_match_bag(self):
         table = EmbeddingTable.random(_spec(num_rows=4), seed=0)
+        pruned = prune_table(table, 0.3)
         for bad_bag, error in (([], ValueError), ([4], IndexError), ([-1], IndexError)):
-            with pytest.raises(error):
-                table.bag(bad_bag)
+            for bag in (table.bag, pruned.bag):
+                with pytest.raises(error):
+                    bag(bad_bag)
             with pytest.raises(error):
                 table.bag_batch([[0, 1], bad_bag, [2]])
         with pytest.raises(ValueError):
@@ -158,7 +167,8 @@ class TestEmbeddingTable:
     )
     def test_indices_are_never_coerced(self, indices, error):
         table = EmbeddingTable.random(_spec(num_rows=4, name="strict"), seed=0)
-        for lookup in (table.bag, table.lookup_raw, table.lookup_dense):
+        pruned = prune_table(table, 0.3)
+        for lookup in (table.bag, table.lookup_raw, table.lookup_dense, pruned.bag):
             with pytest.raises(error, match="table 'strict'"):
                 lookup(indices)
         for pack in (table.bag_batch, lambda bags: Bags.from_lists(bags, "strict")):
@@ -312,6 +322,8 @@ class TestPoolBags:
             _pool_lists(tables, [[[0, -1]], [[0]]])
         with pytest.raises(ValueError, match="2 tables but 1 bag lists"):
             pool_bags(tables, [Bags.from_lists([[0]])])
+        with pytest.raises(ValueError, match="distinct names"):
+            _pool_lists([tables[0], tables[0]], [[[0]], [[1]]])
 
 
 class TestBags:

@@ -134,6 +134,10 @@ class TestInMemoryBackend:
             backend = backend_type(_mixed_width_tables(), ComputeSpec())
             assert backend.serve_batch({}, 2.0) == 2.0
 
+    def test_sample_of_no_tables_completes_at_once(self):
+        backend = InMemoryBackend(_mixed_width_tables(), ComputeSpec())
+        assert backend.serve({}, 2.0) == 2.0
+
     @pytest.mark.parametrize("backend_type", [InMemoryBackend, LoopBackend])
     @pytest.mark.parametrize(
         "requests, error",
@@ -142,6 +146,8 @@ class TestInMemoryBackend:
             ({"wide": [[0], [64]]}, IndexError),  # out of range
             ({"wide": [[0], [-1]]}, IndexError),
             ({"nope": [[0]]}, KeyError),  # unknown table
+            ({"wide": [[0], [1]], "narrow": [[0], [48]]}, IndexError),  # not the first table
+            ({"wide": [[0]], "nope": [[0]]}, KeyError),
             ({"wide": [[0]], "narrow": [[0], [1]]}, ValueError),  # tables disagree on B
         ],
     )
