@@ -7,7 +7,7 @@ capacity (rows/MiB), hit rate and steady-state latency with and without
 de-quantisation at load.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import SDMConfig, SoftwareDefinedMemory, dequantize_table
 from repro.dlrm import ComputeSpec, InferenceEngine
 from repro.sim.units import KIB

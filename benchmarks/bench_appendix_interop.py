@@ -5,7 +5,7 @@ across tables; the paper observed ~20% lower latency per query and hence
 ~20% more QPS per host at the latency target for M1.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, M1_SPEC, build_scaled_model
 from repro.serving import ServingEngine

@@ -8,7 +8,7 @@ modes and the measured CPU seconds for a fixed IO count.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.sim.units import GB
 from repro.storage import (
     BlockLayout,

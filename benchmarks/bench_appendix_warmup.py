@@ -5,7 +5,7 @@ measured hit-rate warmup curve of a freshly loaded SDM instance, which the
 paper observes to converge within minutes of serving.
 """
 
-from repro.analysis import format_series, format_table
+from repro import format_series, format_table
 from repro.core import SDMConfig, SoftwareDefinedMemory, warmup_capacity_overhead, warmup_hit_rate_curve
 from repro.dlrm import ComputeSpec, InferenceEngine, M1_SPEC, build_scaled_model
 from repro.sim.units import MIB

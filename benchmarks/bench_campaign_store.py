@@ -10,9 +10,8 @@ costs in practice: a JSONL read instead of a simulation.
 import tempfile
 from pathlib import Path
 
-from repro import CampaignSpec, ExperimentStore, ScenarioSpec, run_campaign
+from repro import CampaignSpec, ExperimentStore, ScenarioSpec, format_table, run_campaign
 from repro.api import ModelChoice, ServingChoice, WorkloadChoice
-from repro.analysis import format_table
 
 from _util import emit, run_once
 

@@ -7,7 +7,7 @@ scatter's summary statistics from the synthetic table profiles.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core.bandwidth import capacity_split, table_bandwidth_summary
 from repro.dlrm import figure1_model_spec
 from repro.sim.units import GB

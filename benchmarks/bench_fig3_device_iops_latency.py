@@ -8,7 +8,7 @@ latency of a 20-lookup batch, alongside the analytic loaded-latency estimate.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.sim.units import GB, MICROSECOND
 from repro.storage import (
     LoadedLatencyModel,

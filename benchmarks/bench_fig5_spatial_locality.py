@@ -8,7 +8,7 @@ row cache beat block-granular approaches.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.sim.units import BLOCK_SIZE
 from repro.workload import ZipfGenerator, spatial_locality_windows
 

@@ -7,7 +7,7 @@ plus the extra host memcpy.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.sim.units import GB
 from repro.storage import (
     BlockLayout,

@@ -13,7 +13,7 @@ pruned row with only 2.5% probability.
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import EmbeddingTable, EmbeddingTableSpec, MLP, DLRMModel, prune_table
 from repro.dlrm.pruning import PRUNED

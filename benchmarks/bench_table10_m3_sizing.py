@@ -5,7 +5,7 @@ rate, the SM tier must sustain ~36-38 MIOPS, which takes 9-10 Optane SSDs at
 4 MIOPS each.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.serving import ssds_needed
 from repro.storage import optane_ssd_spec
 

@@ -6,7 +6,7 @@ makes co-location compute bound (~90% utilisation) at ~1% extra host power,
 cutting fleet power per unit of work by ~29%.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.serving import HW_FA, HW_FAO, MultiTenancyScenario
 from repro.serving.multitenancy import compare_multi_tenancy
 from repro.sim.units import GB

@@ -4,7 +4,7 @@ Regenerates the technology comparison the paper uses to motivate Nand Flash
 and Optane SSD as the deployed SM options.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.sim.units import MICROSECOND
 from repro.storage import TABLE1_SPECS
 

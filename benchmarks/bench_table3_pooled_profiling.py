@@ -6,7 +6,7 @@ to the hottest indices, and the full-sequence scheme (c = P) the paper
 deploys.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import profile_subsequence_schemes
 from repro.dlrm import M1_SPEC
 

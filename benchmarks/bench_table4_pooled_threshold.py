@@ -4,7 +4,7 @@ Sweeps the minimum-sequence-length knob of the pooled embedding cache; longer
 thresholds trade a slightly lower hit rate for longer (more valuable) hits.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import PooledEmbeddingCache
 from repro.dlrm import M1_SPEC, build_scaled_model
 from repro.sim.units import MIB

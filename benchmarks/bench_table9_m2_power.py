@@ -6,7 +6,7 @@ measures 230 QPS/host), so it needs many more hosts.  HW-AO + SDM keeps the
 450 QPS/host and removes the helpers, saving ~5% fleet power.
 """
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.serving import (
     DeploymentScenario,
     HW_AN,

@@ -16,7 +16,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 import numpy as np
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.dlrm import M2_SPEC, build_scaled_model
 from repro.sim.units import BLOCK_SIZE
 from repro.workload import (

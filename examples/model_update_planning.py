@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import ModelUpdatePlanner, UpdateStrategy, warmup_capacity_overhead
 from repro.sim.units import GB, TB, format_time
 from repro.storage import nand_flash_spec, optane_ssd_spec, update_interval_days

@@ -13,7 +13,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis import format_table
+from repro import format_table
 from repro.core import AutoTuner, PlacementPolicy, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, M2_SPEC, build_scaled_model
 from repro.serving import LatencyTarget, ServingEngine

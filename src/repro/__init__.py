@@ -23,9 +23,9 @@ through Software Defined Memory" (ICDCS 2022).  The package is organised as:
   analysis (Figures 4 and 5).
 * :mod:`repro.serving` -- platforms (Table 7), power/capacity planning
   (Eq. 5-7), scale-out, multi-tenancy, host-level serving simulation.
-* :mod:`repro.analysis` -- percentiles and report formatting.
+* :mod:`repro.analysis` -- percentiles.
 * :mod:`repro.obs` -- observability: sim-time span tracing (Chrome trace
-  export), interval time-series metrics and run reports.
+  export), interval time-series metrics, run reports and table formatting.
 
 Quickstart::
 
@@ -58,9 +58,9 @@ from repro.api import (
     create_backend,
     register_backend,
 )
-from repro.analysis import format_series, format_table
 from repro.api.results import campaign_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
+from repro.obs.report import format_series, format_table
 from repro.runtime import (
     CampaignAxis,
     CampaignSpec,

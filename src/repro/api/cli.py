@@ -37,7 +37,7 @@ import sys
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
-from repro.analysis.reporting import format_table
+from repro.obs.report import format_table
 from repro.api.registry import available_backends
 from repro.api.results import campaign_table, scenario_metric_error
 from repro.api.session import Session

@@ -13,7 +13,7 @@ import dataclasses
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.analysis.reporting import format_table
+from repro.obs.report import format_table
 from repro.api.spec import coord_label
 from repro.serving.engine import HostSimulationResult
 
@@ -132,7 +132,7 @@ class ScenarioResult:
         }
 
     def summary_rows(self) -> List[List[Any]]:
-        """Metric/value rows in :func:`repro.analysis.format_table` shape."""
+        """Metric/value rows in :func:`repro.obs.report.format_table` shape."""
         rows: List[List[Any]] = [
             ["backend", self.backend_name],
             ["queries served", self.num_queries],

@@ -58,10 +58,6 @@ class Session:
         self._generator: Optional[QueryGenerator] = None
         self._queries: Optional[List[Query]] = None
 
-    @classmethod
-    def from_dict(cls, data, compute: Optional[ComputeSpec] = None) -> "Session":
-        return cls(ScenarioSpec.from_dict(data), compute=compute)
-
     def adopt_backend(
         self, model: DLRMModel, backend: Optional[EmbeddingBackend] = None
     ) -> None:

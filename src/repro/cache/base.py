@@ -72,7 +72,3 @@ class RowCache(abc.ABC):
     @abc.abstractmethod
     def item_count(self) -> int:
         """Number of cached entries."""
-
-    @property
-    def occupancy(self) -> float:
-        return self.used_bytes / self.capacity_bytes

@@ -22,39 +22,15 @@ from repro.dlrm.model_config import TableProfile
 
 @dataclass(frozen=True)
 class BandwidthRequirement:
-    """Aggregate bandwidth/IOPS demand of a model at a given QPS."""
+    """Per-query embedding demand of a model at a given QPS: ``qps`` times
+    the bytes per query is Eq. 2's bandwidth, times the user lookups per
+    query Eq. 8's IOPS."""
 
     qps: float
     user_bytes_per_query: float
     item_bytes_per_query: float
     user_lookups_per_query: float
     item_lookups_per_query: float
-
-    @property
-    def bytes_per_query(self) -> float:
-        return self.user_bytes_per_query + self.item_bytes_per_query
-
-    @property
-    def total_bandwidth(self) -> float:
-        """Bytes/second demanded by embedding reads (Eq. 2)."""
-        return self.qps * self.bytes_per_query
-
-    @property
-    def user_bandwidth(self) -> float:
-        return self.qps * self.user_bytes_per_query
-
-    @property
-    def item_bandwidth(self) -> float:
-        return self.qps * self.item_bytes_per_query
-
-    @property
-    def user_iops(self) -> float:
-        """Row lookups per second against user tables (Eq. 8 numerator)."""
-        return self.qps * self.user_lookups_per_query
-
-    @property
-    def item_iops(self) -> float:
-        return self.qps * self.item_lookups_per_query
 
 
 def bytes_per_query(profiles: Sequence[TableProfile]) -> float:

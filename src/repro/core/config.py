@@ -10,7 +10,7 @@ access path (DIRECT-IO vs mmap) and inter-op parallelism (A.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Optional, Tuple
 
 from repro.hierarchy.tier import PROMOTION_POLICIES, TierSpec, parse_tiers
@@ -41,6 +41,12 @@ class AccessPathKind(str, enum.Enum):
 
     DIRECT_IO = "direct_io"
     MMAP = "mmap"
+
+
+#: The fields a ``tiers`` list replaces (:meth:`SDMConfig.resolved_tiers`).
+_TWO_TIER_FIELDS = frozenset(
+    {"device_technology", "num_devices", "device_capacity_bytes", "dram_budget_bytes"}
+)
 
 
 @dataclass(frozen=True)
@@ -96,9 +102,10 @@ class SDMConfig:
         Optional N-tier memory hierarchy (fastest first), e.g.
         ``"dram:64KiB,cxl:4MiB,nand:1GiB"`` or a list of
         :class:`~repro.hierarchy.tier.TierSpec`/mapping entries.  When set,
-        the device fields and ``dram_budget_bytes`` are ignored and tier 0's
-        capacity is the FM placement budget; ``placement_policy`` then only
-        contributes the PER_TABLE_CACHE cache-disable threshold.
+        the device fields, ``dram_budget_bytes`` and ``placement_policy=
+        "fixed_fm_sm"`` are rejected and tier 0's capacity is the FM
+        placement budget; ``placement_policy`` then only contributes the
+        PER_TABLE_CACHE cache-disable threshold.
     promotion:
         Which upper-tier row caches a row read from a slower tier is
         promoted into: ``"all"`` (every cache above the home tier — the
@@ -153,6 +160,20 @@ class SDMConfig:
                     "for the two-tier stack the device fields describe"
                 )
             object.__setattr__(self, "tiers", parsed)
+            # The tier list replaces the two-tier spelling; a field of that
+            # spelling set alongside it would be silently ignored.
+            spelled = [
+                f.name
+                for f in fields(self)
+                if f.name in _TWO_TIER_FIELDS and getattr(self, f.name) != f.default
+            ]
+            if self.placement_policy is PlacementPolicy.FIXED_FM_SM:
+                spelled.append("placement_policy='fixed_fm_sm'")
+            if spelled:
+                raise ValueError(
+                    f"with tiers set, {', '.join(spelled)} would be ignored; "
+                    "drop them or describe that geometry in tiers"
+                )
         if self.promotion not in PROMOTION_POLICIES:
             raise ValueError(
                 f"promotion must be one of {PROMOTION_POLICIES}: {self.promotion!r}"

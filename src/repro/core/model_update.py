@@ -36,12 +36,6 @@ class UpdatePlan:
     sustainable_interval_seconds: float
     host_serving_during_update: bool
 
-    def sustainable_at_interval(self, interval_seconds: float) -> bool:
-        """Whether refreshing at ``interval_seconds`` stays within endurance."""
-        if interval_seconds <= 0:
-            raise ValueError(f"interval_seconds must be positive: {interval_seconds}")
-        return self.sustainable_interval_seconds <= interval_seconds
-
 
 class ModelUpdatePlanner:
     """Plans model refreshes for a set of SM devices."""

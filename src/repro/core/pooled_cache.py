@@ -140,14 +140,6 @@ class PooledEmbeddingCache:
         """Algorithm 1's ``doPooledEmbCache`` predicate."""
         return len(indices) > self.len_threshold
 
-    def get(self, table_name: str, indices: Sequence[int]) -> bool:
-        """:meth:`probe_batch` for a plain index sequence."""
-        return self.probe_batch(table_name, np.asarray(indices, dtype=np.int64))
-
-    def put(self, table_name: str, indices: Sequence[int], size_bytes: int) -> bool:
-        """:meth:`put_batch` for a plain index sequence."""
-        return self.put_batch(table_name, np.asarray(indices, dtype=np.int64), size_bytes)
-
     def probe_batch(self, table_name: str, indices: np.ndarray) -> bool:
         """Whether the pooled vector of this exact index multiset is cached."""
         array = np.asarray(indices, dtype=np.int64)

@@ -13,7 +13,7 @@ when something first reads them.
 from __future__ import annotations
 
 import numbers
-from dataclasses import InitVar, dataclass, replace
+from dataclasses import InitVar, dataclass
 from itertools import accumulate
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -147,9 +147,6 @@ class EmbeddingTableSpec:
         """Average bytes read from this table per single-sample query."""
         return self.avg_pooling_factor * self.row_bytes
 
-    def with_rows(self, num_rows: int) -> "EmbeddingTableSpec":
-        return replace(self, num_rows=num_rows)
-
 
 def _read_only(array: np.ndarray) -> np.ndarray:
     """``array`` itself when it is read-only, else a read-only view of it."""
@@ -199,24 +196,6 @@ class Bags:
             raise TypeError(f"{where}indices must be integers, got dtype {indices.dtype}")
         object.__setattr__(self, "indices", _read_only(indices.astype(np.int64, copy=False)))
         object.__setattr__(self, "offsets", _read_only(offsets.astype(np.int64, copy=False)))
-
-    @classmethod
-    def from_lists(cls, bags: Sequence[Sequence[int]], table: str = "") -> "Bags":
-        """Pack one index sequence per bag (lists or 1-D arrays)."""
-        where = f"table {table!r}: " if table else ""
-        arrays = []
-        for bag in bags:
-            try:
-                array = np.asarray(bag)
-            except ValueError:  # ragged nesting
-                raise ValueError(f"{where}indices must be one-dimensional") from None
-            if array.ndim != 1:
-                raise ValueError(f"{where}indices must be one-dimensional, got shape {array.shape}")
-            arrays.append(array)
-        offsets = np.zeros(len(arrays) + 1, dtype=np.int64)
-        offsets[1:] = np.cumsum([array.size for array in arrays], dtype=np.int64)
-        indices = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
-        return cls(indices, offsets, table)
 
     def __len__(self) -> int:
         return self.offsets.size - 1
@@ -316,17 +295,6 @@ class EmbeddingTable:
 
     # ------------------------------------------------------------- builders
     @classmethod
-    def from_float(cls, spec: EmbeddingTableSpec, values: np.ndarray) -> "EmbeddingTable":
-        """Quantise a float matrix into a table."""
-        values = np.asarray(values, dtype=np.float32)
-        if values.shape != (spec.num_rows, spec.dim):
-            raise ValueError(
-                f"table {spec.name!r}: expected float values of shape "
-                f"{(spec.num_rows, spec.dim)}, got {values.shape}"
-            )
-        return cls(spec, quantize_rows(values, bits=spec.quant_bits))
-
-    @classmethod
     def random(cls, spec: EmbeddingTableSpec, seed: int = 0) -> "EmbeddingTable":
         """A table of random (but reproducible) values, generated on first read."""
         return cls(spec, RandomRows(spec, seed))
@@ -336,11 +304,6 @@ class EmbeddingTable:
         """``indices`` as a bounds-checked int64 vector: the one-table call
         of :func:`check_requests`."""
         return check_requests({self.spec.name: indices}, {self.spec.name: self.spec.num_rows})[0]
-
-    def row_bytes_at(self, index: int) -> bytes:
-        """Raw serialized bytes of one row (what the SM tier stores)."""
-        idx = self.check_indices([index])[0]
-        return self.data[idx].tobytes()
 
     def lookup_raw(self, indices: Sequence[int]) -> np.ndarray:
         """Raw serialized bytes of several rows, shape ``(n, row_bytes)``."""
@@ -355,17 +318,6 @@ class EmbeddingTable:
     def bag(self, indices: Sequence[int]) -> np.ndarray:
         """Sum-pooled dense vector over ``indices`` (EmbeddingBag / SLS)."""
         return self.lookup_dense(indices).sum(axis=0)
-
-    def bag_batch(self, bags: Union[Bags, Sequence[Sequence[int]]]) -> np.ndarray:
-        """Sum-pooled dense vectors of several bags, shape ``(len(bags), dim)``.
-
-        The one-table call of :func:`pool_bags` (index sequences are packed
-        with :meth:`Bags.from_lists`): row ``b`` is bit-identical to
-        ``bag(bags[b])``.
-        """
-        if not isinstance(bags, Bags):
-            bags = Bags.from_lists(bags, self.spec.name)
-        return pool_bags([self], [bags])[0][0]
 
     @property
     def size_bytes(self) -> int:

@@ -112,9 +112,6 @@ class Query:
     def total_user_lookups(self) -> int:
         return sum(indices.size for indices in self.user_indices.values())
 
-    def total_item_lookups(self) -> int:
-        return sum(bags.indices.size for bags in self.item_indices.values())
-
 
 @dataclass
 class QueryResult:

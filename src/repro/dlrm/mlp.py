@@ -73,8 +73,5 @@ class MLP:
         """Multiply-accumulate FLOPs for one input sample."""
         return int(sum(2 * w.shape[0] * w.shape[1] for w in self.weights))
 
-    def num_parameters(self) -> int:
-        return int(sum(w.size + b.size for w, b in zip(self.weights, self.biases)))
-
     def __repr__(self) -> str:
         return f"MLP(name={self.name!r}, layers={self.layer_sizes})"

@@ -155,17 +155,3 @@ class DLRMModel:
         """Reference single-sample forward pass entirely from fast memory."""
         pooled = self.pooled_embeddings(sparse_indices)
         return self.score(dense_features, pooled)
-
-    # ------------------------------------------------------------- accounting
-    def mlp_flops_per_sample(self) -> int:
-        return self.bottom_mlp.flops_per_sample() + self.top_mlp.flops_per_sample()
-
-    def num_parameters(self) -> int:
-        embedding_params = sum(
-            t.spec.num_rows * t.spec.dim for t in self.tables.values()
-        )
-        return (
-            embedding_params
-            + self.bottom_mlp.num_parameters()
-            + self.top_mlp.num_parameters()
-        )

@@ -107,17 +107,6 @@ class ModelSpec:
         return self.user_tables.num_tables + self.item_tables.num_tables
 
     @property
-    def user_capacity_fraction(self) -> float:
-        """Fraction of embedding capacity contributed by user tables (paper: >2/3)."""
-        return self.user_tables.capacity_bytes / (
-            self.user_tables.capacity_bytes + self.item_tables.capacity_bytes
-        )
-
-    @property
-    def user_batch(self) -> int:
-        return self.user_tables.batch_size
-
-    @property
     def item_batch(self) -> int:
         return self.item_tables.batch_size
 
@@ -171,10 +160,6 @@ class ModelSpec:
             self.item_tables, False, self.item_zipf_alpha, seed, "item"
         )
         return user + item
-
-    def mlp_layer_sizes(self) -> List[int]:
-        """A plausible MLP shape matching the layer count and average width."""
-        return [self.avg_mlp_size] * self.num_mlp_layers
 
 
 # --------------------------------------------------------------------------

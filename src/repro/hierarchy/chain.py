@@ -40,6 +40,7 @@ the first that is not closes it.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -107,6 +108,14 @@ class FetchPlan:
     #: Completing the request changes nothing a later plan reads: it fills
     #: no row into a cache and promotes none.
     fill_free: bool
+
+
+@functools.lru_cache(maxsize=1024)
+def _probe_seconds(cost: float, count: int) -> float:
+    """``count`` probe charges of ``cost`` summed from zero, as the walk
+    accrues them; a trace argument, memoised so a traced walk does not pay
+    an accumulation per span."""
+    return charge_repeatedly(0.0, cost, count)
 
 
 class TierChain:
@@ -485,9 +494,7 @@ class TierChain:
                 start_time,
                 cursor - start_time,
                 args={
-                    "probe_seconds": charge_repeatedly(
-                        0.0, self.cache_probe_seconds, plan.num_probes
-                    ),
+                    "probe_seconds": _probe_seconds(self.cache_probe_seconds, plan.num_probes),
                     "cache_hits": cache_hits,
                     "fast_rows": num_fast,
                 },

@@ -104,25 +104,11 @@ class TieredTablePlacement:
     def is_split(self) -> bool:
         return len(self.segments) > 1
 
-    @property
-    def home_tier(self) -> int:
-        """Tier of a whole-table placement (fastest segment's tier otherwise)."""
-        return min(segment.tier for segment in self.segments)
-
     def tiers(self) -> Tuple[int, ...]:
         return tuple(sorted({segment.tier for segment in self.segments}))
 
-    def tier_of_row(self, stored_index: int) -> int:
-        for segment in self.segments:
-            if segment.start <= stored_index < segment.end:
-                return segment.tier
-        raise IndexError(
-            f"stored row {stored_index} out of range for table {self.table_name!r} "
-            f"with {self.num_rows} rows"
-        )
-
     def tiers_of_rows(self, stored_indices: np.ndarray) -> np.ndarray:
-        """Vectorised ``tier_of_row`` over an int array of stored indices."""
+        """The home tier of each stored row in ``stored_indices``."""
         stored = np.asarray(stored_indices, dtype=np.int64)
         # As unsigned, a negative index is huge: one reduction bounds both ends.
         if stored.size and int(stored.view(np.uint64).max()) >= self.num_rows:

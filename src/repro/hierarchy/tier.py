@@ -509,9 +509,6 @@ class DeviceTier(MemoryTier):
         )
         self.devices[extent.device_index].load(extent.first_lba, extent.num_blocks)
 
-    def has_table(self, table_name: str) -> bool:
-        return table_name in self._segments
-
     # -------------------------------------------------------------- serving
     def read_rows_batch(
         self, table_name: str, stored_indices: np.ndarray, start_time: float

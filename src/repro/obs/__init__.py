@@ -11,7 +11,9 @@ Three pieces, all driven by the serving stack:
   :class:`Timeline` of window deltas (hit-rate / QPS / queue-depth curves
   over time instead of one end-of-run aggregate).
 * :mod:`repro.obs.report` — renders stored results + timelines as text or
-  JSON (the ``python -m repro report`` subcommand).
+  JSON (the ``python -m repro report`` subcommand), and formats the
+  plain-text tables (:func:`format_table`, :func:`format_series`) every
+  report, CLI listing and benchmark prints.
 
 :mod:`repro.obs.profile` is the repository's single audited wall-clock
 module (DET001 allow-lists exactly that file); campaign ETA lines go through

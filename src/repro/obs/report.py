@@ -1,4 +1,5 @@
-"""Run reports: turn stored results + timelines into text or JSON.
+"""Run reports: turn stored results + timelines into text or JSON, and the
+plain-text tables every report, CLI listing and benchmark prints.
 
 ``python -m repro report TARGET`` renders a report for a result JSON file
 (the output of ``run --json``) or every record of a stored campaign
@@ -14,9 +15,67 @@ stored records without rebuilding any simulation state.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.obs.metrics import Timeline, window_rate, window_ratio
+
+Cell = Union[str, int, float]
+
+
+def _render_cell(value: Cell, float_fmt: str) -> str:
+    if isinstance(value, bool):
+        return str(value)
+    if isinstance(value, float):
+        return format(value, float_fmt)
+    return str(value)
+
+
+def format_table(
+    headers: Sequence[str],
+    rows: Iterable[Sequence[Cell]],
+    title: str = "",
+    float_fmt: str = ".3f",
+) -> str:
+    """Render an aligned ASCII table.
+
+    >>> print(format_table(["a", "b"], [[1, 2.0]]))
+    a | b
+    --+------
+    1 | 2.000
+    """
+    rendered_rows: List[List[str]] = [
+        [_render_cell(cell, float_fmt) for cell in row] for row in rows
+    ]
+    widths = [len(header) for header in headers]
+    for row in rendered_rows:
+        if len(row) != len(headers):
+            raise ValueError(
+                f"row has {len(row)} cells but table has {len(headers)} headers: {row}"
+            )
+        for index, cell in enumerate(row):
+            widths[index] = max(widths[index], len(cell))
+
+    lines: List[str] = []
+    if title:
+        lines.append(title)
+    lines.append(" | ".join(header.ljust(width) for header, width in zip(headers, widths)))
+    lines.append("-+-".join("-" * width for width in widths))
+    for row in rendered_rows:
+        lines.append(" | ".join(cell.ljust(width) for cell, width in zip(row, widths)))
+    return "\n".join(lines)
+
+
+def format_series(
+    name: str,
+    points: Union[Mapping[Cell, Cell], Sequence[Tuple[Cell, Cell]]],
+    x_label: str = "x",
+    y_label: str = "y",
+    float_fmt: str = ".3f",
+) -> str:
+    """Render a named (x, y) series as a two column table (figure data)."""
+    pairs = list(points.items()) if isinstance(points, Mapping) else list(points)
+    return format_table([x_label, y_label], pairs, title=name, float_fmt=float_fmt)
+
 
 #: Timeline counters always shown as per-window columns when present.
 _DEFAULT_RATE_COLUMNS: Tuple[Tuple[str, str], ...] = (
@@ -112,7 +171,6 @@ def render_report(result_dict: Mapping[str, Any], *, title: Optional[str] = None
     """The text report for one stored result dict (summary + timeline)."""
     # Imported lazily: repro.api imports repro.obs at module load, so a
     # module-level import here would be circular.
-    from repro.analysis.reporting import format_table
     from repro.api.results import ScenarioResult
 
     result = ScenarioResult.from_dict(result_dict)

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Simulated seconds → Chrome trace microseconds.
 _US = 1e6
@@ -86,8 +86,32 @@ class TraceRecorder:
 NULL_RECORDER = TraceRecorder()
 
 
+#: One recorded event: phase, name, category, simulated time (seconds),
+#: duration (seconds), track, args.
+_Event = Tuple[str, str, Optional[str], float, float, int, Optional[Mapping[str, Any]]]
+
+
+def _chrome_event(record: _Event) -> Dict[str, Any]:
+    """The Chrome trace-event dict of one recorded event."""
+    phase, name, category, time, duration, tid, args = record
+    event: Dict[str, Any] = {"name": name}
+    if phase != "C":
+        event["cat"] = category
+    event["ph"] = phase
+    if phase == "i":
+        event["s"] = "t"
+    event["ts"] = time * _US
+    if phase == "X":
+        event["dur"] = duration * _US
+    event["pid"] = SIM_PID
+    event["tid"] = tid
+    if args or phase == "C":
+        event["args"] = dict(args or {})
+    return event
+
+
 class ChromeTraceRecorder(TraceRecorder):
-    """Collects spans as Chrome trace-event dicts, exportable as JSON.
+    """Collects spans as tuples, exported as Chrome trace-event JSON.
 
     Events accumulate in memory up to ``max_events``; past the cap new spans
     are counted in ``dropped_events`` instead of stored, so a runaway trace
@@ -104,7 +128,7 @@ class ChromeTraceRecorder(TraceRecorder):
         self.max_events = max_events
         self.dropped_events = 0
         self._paused_enabled = True
-        self._events: List[Dict[str, Any]] = []
+        self._events: List[_Event] = []
         self._thread_names: Dict[int, str] = {0: "admission"}
 
     def __len__(self) -> int:
@@ -127,14 +151,11 @@ class ChromeTraceRecorder(TraceRecorder):
         """Label one simulated-host thread track (e.g. ``1`` → ``stream 0``)."""
         self._thread_names[tid] = name
 
-    def _append(self, event: Dict[str, Any]) -> None:
-        if len(self._events) >= self.max_events:
-            self.dropped_events += 1
-            return
-        self._events.append(event)
-
     # span/instant/counter re-check ``enabled`` so pause() holds even for
-    # callers that skip the hot-path ``if recorder.enabled:`` guard.
+    # callers that skip the hot-path ``if recorder.enabled:`` guard.  Each
+    # stores one tuple, ``args`` by reference: the Chrome event dicts are
+    # built, and the seconds scaled, only at export, so a span costs the
+    # serve path no dict.
     def span(
         self,
         name: str,
@@ -147,18 +168,12 @@ class ChromeTraceRecorder(TraceRecorder):
     ) -> None:
         if not self.enabled:
             return
-        event: Dict[str, Any] = {
-            "name": name,
-            "cat": category,
-            "ph": "X",
-            "ts": start * _US,
-            "dur": duration * _US,
-            "pid": SIM_PID,
-            "tid": self.track if tid is None else tid,
-        }
-        if args:
-            event["args"] = dict(args)
-        self._append(event)
+        if len(self._events) < self.max_events:
+            self._events.append(
+                ("X", name, category, start, duration, self.track if tid is None else tid, args)
+            )
+        else:
+            self.dropped_events += 1
 
     def instant(
         self,
@@ -171,32 +186,20 @@ class ChromeTraceRecorder(TraceRecorder):
     ) -> None:
         if not self.enabled:
             return
-        event: Dict[str, Any] = {
-            "name": name,
-            "cat": category,
-            "ph": "i",
-            "s": "t",
-            "ts": time * _US,
-            "pid": SIM_PID,
-            "tid": self.track if tid is None else tid,
-        }
-        if args:
-            event["args"] = dict(args)
-        self._append(event)
+        if len(self._events) < self.max_events:
+            self._events.append(
+                ("i", name, category, time, 0.0, self.track if tid is None else tid, args)
+            )
+        else:
+            self.dropped_events += 1
 
     def counter(self, name: str, time: float, values: Mapping[str, float]) -> None:
         if not self.enabled:
             return
-        self._append(
-            {
-                "name": name,
-                "ph": "C",
-                "ts": time * _US,
-                "pid": SIM_PID,
-                "tid": 0,
-                "args": dict(values),
-            }
-        )
+        if len(self._events) < self.max_events:
+            self._events.append(("C", name, None, time, 0.0, 0, values))
+        else:
+            self.dropped_events += 1
 
     # ------------------------------------------------------------- exporting
     def to_chrome_trace(self) -> Dict[str, Any]:
@@ -221,7 +224,7 @@ class ChromeTraceRecorder(TraceRecorder):
                 }
             )
         return {
-            "traceEvents": metadata + list(self._events),
+            "traceEvents": metadata + [_chrome_event(event) for event in self._events],
             "displayTimeUnit": "ms",
             "otherData": {
                 "clock": "simulated seconds x 1e6",

@@ -274,18 +274,3 @@ class CampaignSpec:
             ],
             "replicates": self.replicates,
         }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "CampaignSpec":
-        unknown = set(data) - {"name", "base", "axes", "replicates"}
-        if unknown:
-            raise ValueError(f"unknown CampaignSpec keys: {sorted(unknown)}")
-        return cls(
-            name=data.get("name", "campaign"),
-            base=ScenarioSpec.from_dict(data.get("base", {})),
-            axes=tuple(
-                CampaignAxis(axis["param"], tuple(axis["values"]))
-                for axis in data.get("axes", ())
-            ),
-            replicates=int(data.get("replicates", 1)),
-        )

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis.reporting import format_table
+from repro.obs.report import format_table
 from repro.runtime.store import ExperimentStore
 
 #: Result-dict metrics where larger numbers are better; everything else

@@ -3,7 +3,8 @@
 A store is one run directory::
 
     <root>/
-        campaign.json         # CampaignSpec.to_dict() of the campaign that ran here
+        campaign.json         # CampaignSpec.to_dict() of the campaign that ran here,
+                              # for people: the program reads only the results
         results.jsonl         # records appended by the campaign driver itself
         results-<shard>.jsonl # records appended directly by pool workers
 
@@ -116,9 +117,6 @@ class ExperimentStore:
     def get(self, spec_hash: str) -> Optional[Dict[str, Any]]:
         return self.records().get(spec_hash)
 
-    def get_spec(self, spec: ScenarioSpec) -> Optional[Dict[str, Any]]:
-        return self.get(spec.spec_hash())
-
     # ---------------------------------------------------------------- writing
     @staticmethod
     def _record(
@@ -183,13 +181,10 @@ class ExperimentStore:
 
     # ------------------------------------------------------------- metadata
     def write_campaign(self, campaign_dict: Mapping[str, Any]) -> None:
+        """Write ``campaign.json``: what the grid was, for whoever opens the
+        directory.  Kept on purpose although nothing reads it back --
+        ``--resume`` and ``repro report`` need only the results files."""
         self.root.mkdir(parents=True, exist_ok=True)
         with open(self.campaign_path, "w", encoding="utf-8") as handle:
             json.dump(dict(campaign_dict), handle, indent=2, sort_keys=True)
             handle.write("\n")
-
-    def read_campaign(self) -> Optional[Dict[str, Any]]:
-        if not self.campaign_path.exists():
-            return None
-        with open(self.campaign_path, encoding="utf-8") as handle:
-            return json.load(handle)

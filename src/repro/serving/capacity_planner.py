@@ -125,10 +125,6 @@ class CapacityPlan:
     def total_hosts(self) -> int:
         return self.num_hosts + self.num_helper_hosts
 
-    @property
-    def power_per_kqps(self) -> float:
-        return self.total_power / (self.scenario.total_qps / 1000.0)
-
 
 def plan_deployment(
     scenario: DeploymentScenario, power_model: Optional[PowerModel] = None

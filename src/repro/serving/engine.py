@@ -55,11 +55,6 @@ class QueryRecord:
     completion_time: float
 
     @property
-    def queue_delay(self) -> float:
-        """Time spent waiting in the admission queue before dispatch."""
-        return self.start_time - self.arrival_time
-
-    @property
     def service_time(self) -> float:
         """Time spent actually executing on a serving stream."""
         return self.completion_time - self.start_time
@@ -136,30 +131,9 @@ class OpenLoopResult(HostSimulationResult):
     service_times: List[float] = field(default_factory=list)
     records: List[QueryRecord] = field(default_factory=list)
 
-    @property
-    def served_queries(self) -> int:
-        return self.num_queries
-
-    @property
-    def drop_rate(self) -> float:
-        """Fraction of offered queries shed at admission."""
-        if self.offered_queries <= 0:
-            return 0.0
-        return self.dropped_queries / self.offered_queries
-
-    @property
-    def mean_queue_delay(self) -> float:
-        if not self.queue_delays:
-            return 0.0
-        return sum(self.queue_delays) / len(self.queue_delays)
-
     def queueing_percentiles(self) -> Dict[str, float]:
         """Queue-delay percentiles (p50/p95/p99 + mean) of served queries."""
         return latency_percentiles(self.queue_delays)
-
-    def service_percentiles(self) -> Dict[str, float]:
-        """Service-time percentiles (p50/p95/p99 + mean) of served queries."""
-        return latency_percentiles(self.service_times)
 
     def qps_at_latency(self, target: LatencyTarget) -> float:
         """Throughput sustainable at the SLO, from the measured open-loop run.

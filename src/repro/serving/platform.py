@@ -8,7 +8,7 @@ as the baseline of each experiment*, which is how the paper reports it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.sim.units import GB, TB
@@ -61,14 +61,6 @@ class HostPlatform:
 
     # --------------------------------------------------------------- derived
     @property
-    def has_ssd(self) -> bool:
-        return len(self.ssds) > 0
-
-    @property
-    def has_accelerator(self) -> bool:
-        return self.accelerator is not None
-
-    @property
     def compute_flops(self) -> float:
         """Compute available for the MLPs (accelerator if present, else CPU)."""
         if self.accelerator is not None:
@@ -87,16 +79,9 @@ class HostPlatform:
         return sum(ssd.capacity_bytes for ssd in self.ssds)
 
     @property
-    def total_sm_iops(self) -> float:
-        return sum(ssd.max_read_iops for ssd in self.ssds)
-
-    @property
     def power_with_ssds(self) -> float:
         """Relative host power including attached SM devices."""
         return self.relative_power * (1.0 + self.ssd_power_fraction * len(self.ssds))
-
-    def with_ssds(self, ssds: Tuple[DeviceSpec, ...]) -> "HostPlatform":
-        return replace(self, ssds=ssds)
 
 
 # --------------------------------------------------------------------------

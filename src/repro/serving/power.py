@@ -10,7 +10,6 @@ host power divided by utilisation for the multi-tenancy roofline (Table 11).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
 
 from repro.serving.platform import HostPlatform
 
@@ -41,10 +40,6 @@ class PowerModel:
         if num_hosts < 0:
             raise ValueError(f"num_hosts must be non-negative: {num_hosts}")
         return self.host_power(platform) * num_hosts
-
-    def mixed_fleet_power(self, hosts: Mapping[HostPlatform, float]) -> float:
-        """Total power of a fleet mixing several platforms (e.g. scale-out)."""
-        return sum(self.fleet_power(platform, count) for platform, count in hosts.items())
 
     def utilisation_normalised_power(
         self, platform: HostPlatform, utilisation: float

@@ -50,11 +50,5 @@ class SimClock:
             self._now = float(timestamp)
         return self._now
 
-    def reset(self, start: float = 0.0) -> None:
-        """Reset the clock, typically between independent experiments."""
-        if start < 0:
-            raise ValueError(f"clock cannot reset to negative time: {start}")
-        self._now = float(start)
-
     def __repr__(self) -> str:
         return f"SimClock(now={self._now:.9f})"

@@ -28,11 +28,6 @@ class Event:
     sequence: int
     callback: Callable[[], Any] = field(compare=False)
     payload: Any = field(default=None, compare=False)
-    cancelled: bool = field(default=False, compare=False)
-
-    def cancel(self) -> None:
-        """Mark the event so the queue skips it when its time comes."""
-        self.cancelled = True
 
 
 class EventQueue:
@@ -43,7 +38,7 @@ class EventQueue:
         self._counter = itertools.count()
 
     def __len__(self) -> int:
-        return sum(1 for event in self._heap if not event.cancelled)
+        return len(self._heap)
 
     def schedule(self, time: float, callback: Callable[[], Any], payload: Any = None) -> Event:
         """Add an event at absolute simulated ``time``."""
@@ -54,22 +49,16 @@ class EventQueue:
         return event
 
     def peek_time(self) -> Optional[float]:
-        """Return the time of the next live event, or ``None`` when empty."""
-        self._drop_cancelled()
+        """Return the time of the next event, or ``None`` when empty."""
         if not self._heap:
             return None
         return self._heap[0].time
 
     def pop(self) -> Optional[Event]:
-        """Remove and return the next live event, or ``None`` when empty."""
-        self._drop_cancelled()
+        """Remove and return the next event, or ``None`` when empty."""
         if not self._heap:
             return None
         return heapq.heappop(self._heap)
-
-    def _drop_cancelled(self) -> None:
-        while self._heap and self._heap[0].cancelled:
-            heapq.heappop(self._heap)
 
 
 class Simulator:
@@ -78,12 +67,6 @@ class Simulator:
     def __init__(self, clock: Optional[SimClock] = None) -> None:
         self.clock = clock if clock is not None else SimClock()
         self.queue = EventQueue()
-        self._processed = 0
-
-    @property
-    def processed_events(self) -> int:
-        """Number of events executed so far."""
-        return self._processed
 
     def schedule_at(self, time: float, callback: Callable[[], Any], payload: Any = None) -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
@@ -93,12 +76,6 @@ class Simulator:
             )
         return self.queue.schedule(time, callback, payload)
 
-    def schedule_after(self, delay: float, callback: Callable[[], Any], payload: Any = None) -> Event:
-        """Schedule ``callback`` ``delay`` seconds from now."""
-        if delay < 0:
-            raise ValueError(f"cannot schedule event with negative delay: {delay}")
-        return self.queue.schedule(self.clock.now + delay, callback, payload)
-
     def step(self) -> bool:
         """Run the next event.  Returns ``False`` when the queue is empty."""
         event = self.queue.pop()
@@ -106,7 +83,6 @@ class Simulator:
             return False
         self.clock.advance_to(event.time)
         event.callback()
-        self._processed += 1
         return True
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> int:

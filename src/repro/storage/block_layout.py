@@ -9,7 +9,7 @@ block), so a single row read touches exactly one block.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
 import numpy as np
 
@@ -24,12 +24,6 @@ class RowLocation:
     lba: int
     offset: int
     length: int
-
-    @property
-    def block_aligned_range(self) -> Tuple[int, int]:
-        """The (start, end) byte range of the containing block."""
-        start = self.lba * BLOCK_SIZE
-        return start, start + BLOCK_SIZE
 
 
 @dataclass(frozen=True)
@@ -132,9 +126,6 @@ class BlockLayout:
         self._next_lba[device_index] += num_blocks
         self._extents[table_name] = extent
         return extent
-
-    def has_table(self, table_name: str) -> bool:
-        return table_name in self._extents
 
     def tables(self) -> List[str]:
         return list(self._extents)

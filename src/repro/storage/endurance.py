@@ -6,8 +6,8 @@ how frequently the embedding tables stored on SM can be refreshed:
     UpdateInterval = 365 * ModelSize / (pDWPD * SMCapacity)
 
 where pDWPD is the physical drive writes per day rating.  Appendix A.3
-discusses full vs incremental updates; the :class:`EnduranceModel` tracks
-bytes written and exposes both the paper's formula and a rate-based view.
+discusses full vs incremental updates; :class:`EnduranceModel` gives the
+rate-based view of the same budget.
 """
 
 from __future__ import annotations
@@ -36,33 +36,11 @@ def update_interval_days(model_size_bytes: float, dwpd: float, sm_capacity_bytes
     return 365.0 * model_size_bytes / (dwpd * sm_capacity_bytes)
 
 
-@dataclass
+@dataclass(frozen=True)
 class EnduranceModel:
-    """Tracks write volume against a device's endurance budget."""
+    """A device's endurance budget as a sustainable update rate."""
 
     spec: DeviceSpec
-    lifetime_years: float = 5.0
-    bytes_written: float = 0.0
-
-    def __post_init__(self) -> None:
-        if self.lifetime_years <= 0:
-            raise ValueError(f"lifetime_years must be positive: {self.lifetime_years}")
-
-    @property
-    def lifetime_write_budget_bytes(self) -> float:
-        """Total bytes the device may absorb over its rated lifetime."""
-        days = self.lifetime_years * 365.0
-        return self.spec.endurance_dwpd * self.spec.capacity_bytes * days
-
-    def record_write(self, num_bytes: float) -> None:
-        if num_bytes < 0:
-            raise ValueError(f"num_bytes must be non-negative: {num_bytes}")
-        self.bytes_written += num_bytes
-
-    @property
-    def life_consumed_fraction(self) -> float:
-        """Fraction of the endurance budget already consumed."""
-        return self.bytes_written / self.lifetime_write_budget_bytes
 
     def min_update_interval_seconds(self, update_bytes: float) -> float:
         """Smallest sustainable interval between updates of ``update_bytes``.
@@ -74,9 +52,3 @@ class EnduranceModel:
             raise ValueError(f"update_bytes must be positive: {update_bytes}")
         allowed_bytes_per_day = self.spec.endurance_dwpd * self.spec.capacity_bytes
         return update_bytes / allowed_bytes_per_day * SECONDS_PER_DAY
-
-    def supports_update_interval(self, update_bytes: float, interval_seconds: float) -> bool:
-        """Whether refreshing ``update_bytes`` every ``interval_seconds`` is sustainable."""
-        if interval_seconds <= 0:
-            raise ValueError(f"interval_seconds must be positive: {interval_seconds}")
-        return self.min_update_interval_seconds(update_bytes) <= interval_seconds

@@ -86,13 +86,3 @@ class ScatterGatherList:
             else:
                 merged.append((start, end))
         return sum(end - start for start, end in merged)
-
-    def bus_savings_fraction(self) -> float:
-        """Fraction of bus bandwidth saved by sub-block reads.
-
-        The paper reports around 75% savings for typical 128-256 B embedding
-        rows read out of 4 KiB blocks.
-        """
-        full = self.transferred_bytes(sub_block_enabled=False)
-        small = self.transferred_bytes(sub_block_enabled=True)
-        return 1.0 - small / full

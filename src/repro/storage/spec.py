@@ -120,10 +120,6 @@ class DeviceSpec:
                 f"{self.tail_latency_probability}"
             )
 
-    @property
-    def capacity_gb(self) -> float:
-        return self.capacity_bytes / GB
-
     def with_capacity(self, capacity_bytes: int) -> "DeviceSpec":
         """Return a copy of the spec with a different capacity."""
         return replace(self, capacity_bytes=capacity_bytes)

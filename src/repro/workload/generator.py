@@ -140,9 +140,9 @@ class QueryGenerator:
     a fixed number of draws from each — decisions read pre-drawn uniforms
     instead of branching on whether to draw.  That layout makes
     :meth:`generate` one batched NumPy draw per purpose for the whole stream,
-    while ``generate(n)`` stays exactly ``[generate_query() for _ in
-    range(n)]``: NumPy generators produce the same value sequence whatever
-    the request chunking.
+    while ``generate(n)`` stays exactly ``n`` calls of ``generate(1)``:
+    NumPy generators produce the same value sequence whatever the request
+    chunking.
 
     Tables never share state (each has its own Zipf generator, sequence pool
     and user memory), so :meth:`generate` works table by table: one
@@ -282,10 +282,6 @@ class QueryGenerator:
         return bags
 
     # -------------------------------------------------------------------- API
-    def generate_query(self, item_batch: Optional[int] = None) -> Query:
-        """Generate the next query in the stream."""
-        return self.generate(1, item_batch)[0]
-
     def generate(self, num_queries: int, item_batch: Optional[int] = None) -> List[Query]:
         """Generate a list of queries with one batched RNG draw per purpose."""
         if num_queries <= 0:

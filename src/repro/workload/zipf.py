@@ -168,17 +168,3 @@ class ZipfGenerator:
     def sample(self, count: int = 1, unique: bool = False) -> np.ndarray:
         """:meth:`sample_ids` as an int64 ndarray."""
         return np.array(self.sample_ids(count, unique), dtype=np.int64)
-
-    def expected_top_fraction_coverage(self, fraction: float) -> float:
-        """Analytic fraction of accesses landing on the hottest ``fraction`` of rows."""
-        if not 0.0 < fraction <= 1.0:
-            raise ValueError(f"fraction must be in (0, 1]: {fraction}")
-        top = max(int(round(fraction * self.num_items)), 1)
-        return float(self._cdf[top - 1])
-
-    def popularity_rank_of(self, index: int) -> int:
-        """Rank (0 = hottest) of a row id, useful for assertions in tests."""
-        positions = np.where(self._id_map == index)[0]
-        if positions.size == 0:
-            raise ValueError(f"index {index} is not in [0, {self.num_items})")
-        return int(positions[0])

@@ -13,6 +13,7 @@ import numpy as np
 
 from repro.core import SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import (
+    Bags,
     ComputeSpec,
     DLRMModel,
     EmbeddingTable,
@@ -21,6 +22,7 @@ from repro.dlrm import (
     InMemoryBackend,
     MLP,
     Query,
+    pool_bags,
 )
 from repro.workload import QueryGenerator, WorkloadConfig
 
@@ -164,3 +166,19 @@ def golden_encode(value: Any) -> Any:
     if isinstance(value, (np.generic, np.ndarray)):
         return golden_encode(value.tolist())
     return value
+
+
+def pack_bags(bags, table: str = "") -> Bags:
+    """Pack one index sequence per bag into one :class:`~repro.dlrm.Bags`
+    CSR pair, which checks the layout; ``table`` names the table in its
+    errors."""
+    arrays = [np.asarray(bag) for bag in bags]
+    offsets = np.cumsum([0] + [array.size for array in arrays], dtype=np.int64)
+    indices = np.concatenate(arrays) if arrays else np.empty(0, dtype=np.int64)
+    return Bags(indices, offsets, table)
+
+
+def pool_one(table: EmbeddingTable, bags) -> np.ndarray:
+    """:func:`~repro.dlrm.pool_bags` of one table's bags, given as index
+    sequences: the ``(len(bags), dim)`` pooled matrix."""
+    return pool_bags([table], [pack_bags(bags, table.spec.name)])[0][0]

@@ -624,6 +624,14 @@ class TestSetFlag:
         assert spec.backend.name == "sdm"
         assert spec.backend.options["tiers"][1]["capacity"] == "2GiB"
 
+    def test_device_field_beside_tiers_is_a_user_error(self, capsys):
+        argv = ["run", *SMALL_RUN, "--tiers", "dram:64KiB,nand:1GiB",
+                "--set", "backend.options.num_devices=4"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: with tiers set, num_devices would be ignored")
+        assert len(err.strip().splitlines()) == 1
+
     def test_bad_set_path_is_a_user_error(self, capsys):
         assert cli_main(["run", "--set", "serving.concurency=2"]) == 2
         err = capsys.readouterr().err

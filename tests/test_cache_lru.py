@@ -115,11 +115,6 @@ class TestLRUAccounting:
         cache.get("a")
         assert cache.stats.cpu_seconds > 0
 
-    def test_occupancy(self):
-        cache = _cache(capacity=100)
-        cache.put("a", 50)
-        assert cache.occupancy == pytest.approx(0.5)
-
     def test_reset_stats_keeps_contents(self):
         cache = _cache()
         cache.put("a", 1)

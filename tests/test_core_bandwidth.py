@@ -38,18 +38,22 @@ class TestBandwidthRequirement:
         expected = 1 * 10 * row_bytes + 20 * 5 * row_bytes
         assert bytes_per_query(profiles) == pytest.approx(expected)
 
-    def test_bandwidth_scales_with_qps(self):
+    def test_requirement_splits_user_and_item_demand(self):
         profiles = _profiles()
         requirement = bandwidth_requirement(profiles, qps=100)
-        assert requirement.total_bandwidth == pytest.approx(100 * bytes_per_query(profiles))
+        assert requirement.qps == 100
+        assert requirement.user_bytes_per_query + requirement.item_bytes_per_query == (
+            pytest.approx(bytes_per_query(profiles))
+        )
 
-    def test_item_bandwidth_dominates_due_to_batching(self):
+    def test_item_bytes_dominate_due_to_batching(self):
         requirement = bandwidth_requirement(_profiles(), qps=10)
-        assert requirement.item_bandwidth > requirement.user_bandwidth
+        assert requirement.item_bytes_per_query > requirement.user_bytes_per_query
 
-    def test_user_iops_eq8(self):
+    def test_user_lookups_eq8(self):
         requirement = bandwidth_requirement(_profiles(), qps=100)
-        assert requirement.user_iops == pytest.approx(100 * 10)
+        assert requirement.user_lookups_per_query == pytest.approx(10)
+        assert requirement.item_lookups_per_query == pytest.approx(20 * 5)
 
     def test_invalid_qps_rejected(self):
         with pytest.raises(ValueError):
@@ -82,6 +86,15 @@ class TestIOPSRequirement:
             100 * 10
         )
         assert iops_requirement(profiles, 100, sm_table_names=[]) == 0
+
+    def test_iops_is_qps_times_the_user_lookups(self):
+        # Eq. 8 as the requirement's fields spell it, linear in QPS.
+        profiles = _profiles()
+        for qps in (1, 100, 2500):
+            requirement = bandwidth_requirement(profiles, qps=qps)
+            assert iops_requirement(profiles, qps) == pytest.approx(
+                requirement.qps * requirement.user_lookups_per_query
+            )
 
     def test_invalid_hit_rate_rejected(self):
         with pytest.raises(ValueError):

@@ -44,3 +44,69 @@ class TestSDMConfig:
 
     def test_pinned_tables_default_empty(self):
         assert SDMConfig().pinned_fm_tables == ()
+
+    def test_tiers_reject_the_two_tier_fields_they_replace(self):
+        # A tier list is the whole geometry: a device field, a DRAM budget or
+        # the fixed FM/SM policy next to it would be silently dropped.
+        with pytest.raises(ValueError) as raised:
+            SDMConfig(
+                tiers="dram:64KiB,nand:1GiB",
+                num_devices=4,
+                device_technology=Technology.OPTANE_SSD,
+                device_capacity_bytes=1 << 30,
+                dram_budget_bytes=5,
+                placement_policy=PlacementPolicy.FIXED_FM_SM,
+            )
+        for name in (
+            "num_devices",
+            "device_technology",
+            "device_capacity_bytes",
+            "dram_budget_bytes",
+            "fixed_fm_sm",
+        ):
+            assert name in str(raised.value)
+        with pytest.raises(ValueError, match="num_devices"):
+            SDMConfig(tiers="dram:64KiB,nand:1GiB", num_devices=4)
+
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("num_devices", 4),
+            ("device_technology", Technology.OPTANE_SSD),
+            ("device_capacity_bytes", 1 << 30),
+            ("dram_budget_bytes", 5),
+            ("placement_policy", PlacementPolicy.FIXED_FM_SM),
+        ],
+    )
+    def test_tiers_reject_each_replaced_field_alone(self, field, value):
+        with pytest.raises(ValueError, match="with tiers set") as raised:
+            SDMConfig(tiers="dram:64KiB,nand:1GiB", **{field: value})
+        message = str(raised.value)
+        assert field in message
+        others = {"num_devices", "device_technology", "device_capacity_bytes", "dram_budget_bytes"}
+        assert not [name for name in others - {field} if name in message]
+
+    def test_tiers_accept_replaced_fields_left_at_their_defaults(self):
+        # The rule is "set to a non-default value": spelling a default out
+        # next to a tier list is not a second geometry.
+        config = SDMConfig(
+            tiers="dram:64KiB,nand:1GiB",
+            device_technology=Technology.NAND_FLASH,
+            num_devices=2,
+            device_capacity_bytes=None,
+            dram_budget_bytes=0,
+            placement_policy="sm_only_with_cache",
+        )
+        assert [tier.capacity_bytes for tier in config.resolved_tiers()] == [64 << 10, 1 << 30]
+
+    def test_tiers_accept_the_fields_they_read(self):
+        config = SDMConfig(
+            tiers="dram:64KiB,nand:1GiB",
+            device_technology=Technology.NAND_FLASH,
+            num_devices=2,
+            placement_policy=PlacementPolicy.PER_TABLE_CACHE,
+        )
+        assert [tier.technology for tier in config.resolved_tiers()] == [
+            Technology.DRAM,
+            Technology.NAND_FLASH,
+        ]

@@ -206,7 +206,7 @@ class TestPlacementEdgeCases:
             assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}, policy
         tiered = compute_tiered_placement(_specs(), parse_tiers("dram:0,nand:64MiB"))
         assert set(tiered.storage_tables()) == {"user_hot", "user_cold_big"}
-        assert tiered.for_table("item_a").home_tier == 0
+        assert tiered.for_table("item_a").tiers() == (0,)
 
     def test_negative_budget_rejected_and_tiny_budget_pins_nothing(self):
         from repro.hierarchy import TierSpec

@@ -68,49 +68,44 @@ class TestOrderInvariantHashBatch:
 
 
 class TestPooledCacheBatchProbes:
-    """probe_batch/put_batch: scalar get/put with a vectorised key hash."""
+    """probe_batch/put_batch: full-sequence probes keyed by the vectorised hash."""
 
-    def test_batch_and_scalar_entries_interoperate(self):
-        cache = PooledEmbeddingCache(capacity_bytes=64 * 1024)
-        size = 32
-        indices = [4, 2, 9]
-        cache.put("t", indices, size)
-        assert cache.probe_batch("t", np.asarray(indices, dtype=np.int64))
-        cache.put_batch("u", np.asarray(indices, dtype=np.int64), size)
-        assert cache.get("u", indices)
-        assert cache.used_bytes == 2 * (32 + 56)
-
-    def test_stats_match_scalar_probes(self):
-        scalar = PooledEmbeddingCache(capacity_bytes=64 * 1024, len_threshold=2)
-        batched = PooledEmbeddingCache(capacity_bytes=64 * 1024, len_threshold=2)
+    def test_probe_then_fill_accounting(self):
+        # The serve path's loop: probe each sequence, fill it on a miss.
+        cache = PooledEmbeddingCache(capacity_bytes=64 * 1024, len_threshold=2)
         size = 16
-        workload = [[1, 2, 3], [9], [1, 2, 3], [5, 6, 7, 8], [3, 2, 1]]
-        for indices in workload:
-            if not scalar.get("t", indices):
-                scalar.put("t", indices, size)
+        for table, indices in [
+            ("t", [1, 2, 3]), ("t", [9]), ("t", [1, 2, 3]), ("t", [5, 6, 7, 8]),
+            ("t", [3, 2, 1]), ("u", [1, 2, 3]),
+        ]:
             array = np.asarray(indices, dtype=np.int64)
-            if not batched.probe_batch("t", array):
-                batched.put_batch("t", array, size)
-        assert scalar.stats == batched.stats
-        assert scalar.item_count == batched.item_count
+            if not cache.probe_batch(table, array):
+                cache.put_batch(table, array, size)
+        stats = cache.stats
+        assert (stats.lookups, stats.hits, stats.misses, stats.skipped_short) == (5, 2, 3, 1)
+        assert stats.inserts == 3 and stats.hit_index_count == 6
+        # Table "u" keys its own entry for the same indices.
+        assert cache.item_count == 3
+        assert cache.used_bytes == 3 * (size + 56)
+
     def test_miss_then_hit(self):
         cache = PooledEmbeddingCache(64 * 1024, len_threshold=1)
         size = 32
-        assert not cache.get("t", [1, 2, 3])
-        cache.put("t", [1, 2, 3], size)
-        assert cache.get("t", [1, 2, 3])
+        assert not cache.probe_batch("t", [1, 2, 3])
+        cache.put_batch("t", [1, 2, 3], size)
+        assert cache.probe_batch("t", [1, 2, 3])
 
     def test_hit_is_order_invariant(self):
         cache = PooledEmbeddingCache(64 * 1024)
         size = 16
-        cache.put("t", [4, 5, 6], size)
-        assert cache.get("t", [6, 4, 5])
+        cache.put_batch("t", [4, 5, 6], size)
+        assert cache.probe_batch("t", [6, 4, 5])
 
     def test_len_threshold_skips_short_requests(self):
         cache = PooledEmbeddingCache(64 * 1024, len_threshold=4)
         size = 16
-        assert not cache.put("t", [1, 2], size)
-        assert not cache.get("t", [1, 2])
+        assert not cache.put_batch("t", [1, 2], size)
+        assert not cache.probe_batch("t", [1, 2])
         assert cache.stats.lookups == 0
         assert cache.stats.skipped_short > 0
 
@@ -121,14 +116,14 @@ class TestPooledCacheBatchProbes:
 
     def test_different_tables_do_not_collide(self):
         cache = PooledEmbeddingCache(64 * 1024)
-        cache.put("a", [1, 2], 8)
-        assert not cache.get("b", [1, 2])
+        cache.put_batch("a", [1, 2], 8)
+        assert not cache.probe_batch("b", [1, 2])
 
     def test_stats_hit_rate_and_avg_length(self):
         cache = PooledEmbeddingCache(64 * 1024)
-        cache.put("t", [1, 2, 3, 4], 8)
-        cache.get("t", [1, 2, 3, 4])
-        cache.get("t", [9, 9, 9])
+        cache.put_batch("t", [1, 2, 3, 4], 8)
+        cache.probe_batch("t", [1, 2, 3, 4])
+        cache.probe_batch("t", [9, 9, 9])
         assert cache.stats.hit_rate == pytest.approx(0.5)
         assert cache.stats.average_hit_length == pytest.approx(4.0)
 
@@ -136,15 +131,15 @@ class TestPooledCacheBatchProbes:
         cache = PooledEmbeddingCache(1024)
         size = 256  # bytes each, plus overhead
         for sequence_id in range(20):
-            cache.put("t", [sequence_id, sequence_id + 1], size)
+            cache.put_batch("t", [sequence_id, sequence_id + 1], size)
         assert cache.used_bytes <= cache.capacity_bytes
 
     def test_clear_and_reset(self):
         cache = PooledEmbeddingCache(64 * 1024)
         record(cache)
-        cache.put("t", [1, 2], 16)
+        cache.put_batch("t", [1, 2], 16)
         reset(cache, {CONTENTS})
-        assert not cache.get("t", [1, 2])
+        assert not cache.probe_batch("t", [1, 2])
         reset(cache, {COUNTER})
         assert cache.stats.lookups == 0
 

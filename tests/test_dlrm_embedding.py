@@ -12,6 +12,8 @@ from repro.dlrm import (
     prune_table,
 )
 
+from helpers import pack_bags, pool_one
+
 
 def _spec(**kwargs):
     defaults = dict(
@@ -32,9 +34,6 @@ class TestEmbeddingTableSpec:
     def test_bytes_per_query(self):
         spec = _spec(dim=64, avg_pooling_factor=10)
         assert spec.bytes_per_query == pytest.approx(720)
-
-    def test_with_rows(self):
-        assert _spec().with_rows(10).num_rows == 10
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -62,11 +61,6 @@ class TestEmbeddingTable:
         b = EmbeddingTable.random(spec, seed=2)
         assert not np.array_equal(a.data, b.data)
 
-    def test_from_float_shape_checked(self):
-        spec = _spec(num_rows=4, dim=8)
-        with pytest.raises(ValueError):
-            EmbeddingTable.from_float(spec, np.zeros((4, 9), dtype=np.float32))
-
     def test_wrong_quantized_shape_rejected(self):
         spec = _spec(num_rows=4, dim=8)
         with pytest.raises(ValueError):
@@ -90,11 +84,6 @@ class TestEmbeddingTable:
         spec = _spec(num_rows=8, dim=4)
         table = EmbeddingTable.random(spec, seed=0)
         np.testing.assert_allclose(table.bag([1, 2, 3]), table.bag([3, 1, 2]), rtol=1e-6)
-
-    def test_row_bytes_at_matches_data(self):
-        spec = _spec(num_rows=4, dim=8)
-        table = EmbeddingTable.random(spec, seed=0)
-        assert table.row_bytes_at(2) == table.data[2].tobytes()
 
     def test_out_of_range_lookup_rejected(self):
         table = EmbeddingTable.random(_spec(num_rows=4), seed=0)
@@ -122,7 +111,7 @@ class TestEmbeddingTable:
 
     @pytest.mark.parametrize("quant_bits", [4, 8])
     @pytest.mark.parametrize("num_bags", [1, 16])
-    def test_bag_batch_rows_equal_bag_bit_for_bit(self, quant_bits, num_bags):
+    def test_pool_bags_rows_equal_bag_bit_for_bit(self, quant_bits, num_bags):
         table = EmbeddingTable.random(_spec(num_rows=64, dim=16, quant_bits=quant_bits), seed=0)
         rng = np.random.default_rng(num_bags)
         for _ in range(20):
@@ -132,19 +121,19 @@ class TestEmbeddingTable:
                 rng.integers(0, 64, size=rng.integers(1, 13)).tolist() for _ in range(num_bags)
             ]
             bags[0] = [5, 5, 5][: len(bags[0])] + bags[0][3:]
-            pooled = table.bag_batch(bags)
+            pooled = pool_one(table, bags)
             assert pooled.dtype == np.float32
             assert pooled.shape == (num_bags, 16)
             for row, bag in zip(pooled, bags):
                 assert np.array_equal(row, table.bag(bag))
 
-    def test_bag_batch_accepts_array_bags(self):
+    def test_pool_bags_accepts_array_bags(self):
         table = EmbeddingTable.random(_spec(num_rows=8, dim=4), seed=0)
         bags = [np.array([1, 2, 3]), np.array([7])]
         expected = np.stack([table.bag(bag) for bag in bags])
-        np.testing.assert_array_equal(table.bag_batch(bags), expected)
+        np.testing.assert_array_equal(pool_one(table, bags), expected)
 
-    def test_bag_batch_error_paths_match_bag(self):
+    def test_pool_bags_error_paths_match_bag(self):
         table = EmbeddingTable.random(_spec(num_rows=4), seed=0)
         pruned = prune_table(table, 0.3)
         for bad_bag, error in (([], ValueError), ([4], IndexError), ([-1], IndexError)):
@@ -152,9 +141,9 @@ class TestEmbeddingTable:
                 with pytest.raises(error):
                     bag(bad_bag)
             with pytest.raises(error):
-                table.bag_batch([[0, 1], bad_bag, [2]])
+                pool_one(table, [[0, 1], bad_bag, [2]])
         with pytest.raises(ValueError):
-            table.bag_batch([])
+            pool_one(table, [])
 
     @pytest.mark.parametrize(
         "indices, error",
@@ -171,11 +160,11 @@ class TestEmbeddingTable:
         for lookup in (table.bag, table.lookup_raw, table.lookup_dense, pruned.bag):
             with pytest.raises(error, match="table 'strict'"):
                 lookup(indices)
-        for pack in (table.bag_batch, lambda bags: Bags.from_lists(bags, "strict")):
-            with pytest.raises(error, match="table 'strict'"):
-                pack([indices, indices])
-        with pytest.raises((TypeError, ValueError), match="table 'strict'"):
-            table.bag_batch([[0, 1], [1.7, 2.2], [[1, 2], [3, 0]]])
+        with pytest.raises(error, match="table 'strict'"):
+            pool_one(table, [indices, indices])
+        # One bad bag among good ones fails the whole CSR pair.
+        with pytest.raises(TypeError, match="table 'strict'"):
+            pool_one(table, [[0, 1], [1.7, 2.2], [3]])
 
     def test_unsigned_and_narrow_integer_indices_accepted(self):
         table = EmbeddingTable.random(_spec(num_rows=8, dim=4), seed=0)
@@ -195,12 +184,11 @@ class TestEmbeddingTable:
         with pytest.raises(ValueError, match="read-only"):
             table.data[1:3] = 0
         # Every lookup path reads through the view; gathers are fresh copies.
-        assert table.row_bytes_at(2) == raw[2].tobytes()
         gathered = table.lookup_raw([4, 1])
         assert gathered.flags.writeable
         np.testing.assert_array_equal(gathered, raw[[4, 1]])
         np.testing.assert_array_equal(
-            table.bag_batch([[0, 1], [5]]), [table.bag([0, 1]), table.bag([5])]
+            pool_one(table, [[0, 1], [5]]), [table.bag([0, 1]), table.bag([5])]
         )
 
     def test_size_bytes_matches_spec(self):
@@ -240,7 +228,7 @@ def _pool_lists(tables, bags_per_table):
     """:func:`pool_bags` over plain index lists, packed table by table."""
     return pool_bags(
         tables,
-        [Bags.from_lists(bags, table.spec.name) for table, bags in zip(tables, bags_per_table)],
+        [pack_bags(bags, table.spec.name) for table, bags in zip(tables, bags_per_table)],
     )
 
 
@@ -281,12 +269,11 @@ class TestPoolBags:
         pooled, lengths = _pool_lists(tables, bags_per_table)
         _assert_pooled_equals_bag(tables, bags_per_table, pooled, lengths)
 
-    def test_one_table_is_bag_batch(self):
+    def test_one_table(self):
         (table,) = _mixed_tables()[:1]
         bags = _ragged_bags(np.random.default_rng(0), table, 7)
         pooled, lengths = _pool_lists([table], [bags])
         _assert_pooled_equals_bag([table], [bags], pooled, lengths)
-        assert np.array_equal(pooled[0], table.bag_batch(bags))
 
     def test_tables_may_differ_in_bag_count(self):
         tables = _mixed_tables()
@@ -321,14 +308,14 @@ class TestPoolBags:
         with pytest.raises(IndexError, match="table 'a'"):
             _pool_lists(tables, [[[0, -1]], [[0]]])
         with pytest.raises(ValueError, match="2 tables but 1 bag lists"):
-            pool_bags(tables, [Bags.from_lists([[0]])])
+            pool_bags(tables, [pack_bags([[0]])])
         with pytest.raises(ValueError, match="distinct names"):
             _pool_lists([tables[0], tables[0]], [[[0]], [[1]]])
 
 
 class TestBags:
-    def test_from_lists_packs_one_csr_pair(self):
-        bags = Bags.from_lists([[3, 1], [7], np.array([0, 2, 5])])
+    def test_packed_bags_are_one_csr_pair(self):
+        bags = pack_bags([[3, 1], [7], np.array([0, 2, 5])])
         assert len(bags) == 3
         assert bags.indices.dtype == np.int64 and bags.offsets.dtype == np.int64
         assert bags.indices.tolist() == [3, 1, 7, 0, 2, 5]
@@ -336,7 +323,7 @@ class TestBags:
         assert bags.lengths.tolist() == [2, 1, 3]
         assert [bag.tolist() for bag in bags] == [[3, 1], [7], [0, 2, 5]]
         assert bags[-1].tolist() == [0, 2, 5]
-        assert len(Bags.from_lists([])) == 0
+        assert len(pack_bags([])) == 0
 
     def test_items_and_slices_are_read_only_views(self):
         indices = np.arange(10, dtype=np.int64)
@@ -378,4 +365,4 @@ class TestBags:
         with pytest.raises(ValueError, match="one-dimensional"):
             Bags(np.zeros((2, 2), dtype=np.int64), np.array([0, 4]))
         with pytest.raises(ValueError, match="table 't': bag 1 is empty"):
-            Bags.from_lists([[0], [], [1]], "t")
+            pack_bags([[0], [], [1]], "t")

@@ -62,10 +62,6 @@ class TestMLP:
         mlp = MLP([8, 16, 4])
         assert mlp.flops_per_sample() == 2 * (8 * 16 + 16 * 4)
 
-    def test_num_parameters(self):
-        mlp = MLP([8, 16, 4])
-        assert mlp.num_parameters() == (8 * 16 + 16) + (16 * 4 + 4)
-
     def test_wrong_input_dim_rejected(self):
         with pytest.raises(ValueError):
             MLP([8, 4]).forward(np.zeros(5))

@@ -5,7 +5,7 @@ import pytest
 
 from repro.dlrm import DLRMModel, MLP
 
-from helpers import small_model
+from helpers import pool_one, small_model
 
 
 class TestDLRMModelStructure:
@@ -25,16 +25,6 @@ class TestDLRMModelStructure:
         model = small_model()
         with pytest.raises(KeyError):
             model.table("nope")
-
-    def test_num_parameters_counts_embeddings_and_mlps(self):
-        model = small_model(num_user=1, num_item=1, num_rows=32, dim=8)
-        embedding_params = 2 * 32 * 8
-        expected = (
-            embedding_params
-            + model.bottom_mlp.num_parameters()
-            + model.top_mlp.num_parameters()
-        )
-        assert model.num_parameters() == expected
 
     def test_mismatched_top_mlp_rejected(self):
         model = small_model()
@@ -114,7 +104,7 @@ class TestDLRMForward:
         for batch in (1, 16):
             bags = rng.integers(0, 256, size=(batch, 4)).tolist()
             item_pooled = {
-                spec.name: model.table(spec.name).bag_batch(bags)
+                spec.name: pool_one(model.table(spec.name), bags)
                 for spec in model.item_table_specs
             }
             scores = model.score_batch(dense, user_pooled, item_pooled)
@@ -136,7 +126,7 @@ class TestDLRMForward:
         }
         bags = rng.integers(0, 256, size=(16, 6)).tolist()
         item_pooled = {
-            spec.name: model.table(spec.name).bag_batch(bags) for spec in model.item_table_specs
+            spec.name: pool_one(model.table(spec.name), bags) for spec in model.item_table_specs
         }
         scores = model.score_batch(dense, user_pooled, item_pooled)
         for position in range(16):
@@ -181,6 +171,3 @@ class TestDLRMForward:
         score_a = model.forward(dense, {name: [0] for name in model.tables})
         score_b = model.forward(dense, {name: [1] for name in model.tables})
         assert score_a != score_b
-
-    def test_mlp_flops_positive(self):
-        assert small_model().mlp_flops_per_sample() > 0

@@ -35,12 +35,13 @@ class TestTable6Specs:
 
     def test_user_batch_is_one_for_all_models(self):
         for spec in (M1_SPEC, M2_SPEC, M3_SPEC):
-            assert spec.user_batch == 1
+            assert spec.user_tables.batch_size == 1
 
     def test_user_capacity_is_majority(self):
         """The paper observes >2/3 of capacity comes from user embeddings."""
         for spec in (M1_SPEC, M2_SPEC, M3_SPEC):
-            assert spec.user_capacity_fraction >= 0.6
+            user, item = spec.user_tables.capacity_bytes, spec.item_tables.capacity_bytes
+            assert user / (user + item) >= 0.6
 
     def test_figure1_model_shape(self):
         spec = figure1_model_spec()
@@ -89,11 +90,6 @@ class TestTableProfiles:
         item = [p for p in profiles if not p.spec.is_user]
         assert sum(p.size_bytes for p in user) > sum(p.size_bytes for p in item)
         assert sum(p.bytes_per_query for p in item) > sum(p.bytes_per_query for p in user)
-
-    def test_mlp_layer_sizes(self):
-        sizes = M1_SPEC.mlp_layer_sizes()
-        assert len(sizes) == M1_SPEC.num_mlp_layers
-        assert all(size == M1_SPEC.avg_mlp_size for size in sizes)
 
 
 class TestBuildScaledModel:

@@ -17,6 +17,7 @@ from repro import M1_SPEC, ScenarioSpec, Session, build_scaled_model
 from repro.api import create_backend
 from repro.dlrm import EmbeddingTable, EmbeddingTableSpec, InferenceEngine, prune_table
 from repro.dlrm.embedding import RandomRows
+from repro.dlrm.quantization import quantize_rows
 from repro.sim.rng import make_rng
 
 #: SHA-256 over the per-table SHA-256 hex digests (model order) of the
@@ -34,7 +35,7 @@ def _spec(**kwargs):
 def _eager(spec, seed):
     """The eager build's table: every value drawn and quantised up front."""
     values = make_rng(seed, "embedding", spec.name).normal(0.0, 0.1, size=(spec.num_rows, spec.dim))
-    return EmbeddingTable.from_float(spec, values.astype(np.float32))
+    return EmbeddingTable(spec, quantize_rows(values.astype(np.float32), bits=spec.quant_bits))
 
 
 def _materialised(model):
@@ -81,7 +82,6 @@ class TestTableOnDemand:
     def test_explicit_data_is_materialised(self):
         raw = np.zeros((64, _spec().row_bytes), dtype=np.uint8)
         assert EmbeddingTable(_spec(), raw).materialised
-        assert EmbeddingTable.from_float(_spec(), np.zeros((64, 16), np.float32)).materialised
 
     def test_materialised_is_read_only(self):
         table = EmbeddingTable.random(_spec())

@@ -25,7 +25,7 @@ class TestTableGranularity:
         specs = small_table_specs(num_user=3, num_item=1)
         placement = compute_tiered_placement(specs, _three_tiers())
         homes = {
-            name: placement.for_table(name).home_tier
+            name: placement.for_table(name).tiers()[0]
             for name in ("user_0", "user_1", "user_2")
         }
         # Equal density: visit order decides; one table per 8KiB tier.
@@ -35,9 +35,9 @@ class TestTableGranularity:
         specs = small_table_specs(num_user=1, num_item=2)
         tiers = parse_tiers("dram:0,nand:64MiB")
         placement = compute_tiered_placement(specs, tiers)
-        assert placement.for_table("item_0").home_tier == 0
-        assert placement.for_table("item_1").home_tier == 0
-        assert placement.for_table("user_0").home_tier == 1
+        assert placement.for_table("item_0").tiers() == (0,)
+        assert placement.for_table("item_1").tiers() == (0,)
+        assert placement.for_table("user_0").tiers() == (1,)
 
     def test_pinned_tables_home_fast(self):
         specs = small_table_specs(num_user=2)
@@ -45,7 +45,7 @@ class TestTableGranularity:
         placement = compute_tiered_placement(
             specs, tiers, pinned_fast_tables=["user_1"]
         )
-        assert placement.for_table("user_1").home_tier == 0
+        assert placement.for_table("user_1").tiers() == (0,)
         assert not placement.for_table("user_1").cache_enabled
 
     def test_cache_disable_threshold(self):
@@ -66,7 +66,7 @@ class TestTableGranularity:
         # 256 rows of 24 B = 6144 B of payload but 2 full blocks on a device.
         specs = small_table_specs(num_user=1, num_item=0)
         placement = compute_tiered_placement(specs, parse_tiers("dram:0,nand:8KiB"))
-        assert placement.for_table("user_0").home_tier == 1
+        assert placement.for_table("user_0").tiers() == (1,)
         with pytest.raises(ValueError, match="does not fit"):
             compute_tiered_placement(specs, parse_tiers("dram:0,nand:4KiB"))
 
@@ -123,10 +123,8 @@ class TestRowGranularity:
         )
         tiers = decision.tiers_of_rows(np.array([0, 9, 10, 29]))
         np.testing.assert_array_equal(tiers, [0, 0, 2, 2])
-        assert decision.tier_of_row(9) == 0
-        assert decision.tier_of_row(10) == 2
         with pytest.raises(IndexError):
-            decision.tier_of_row(30)
+            decision.tiers_of_rows(np.array([30]))
 
     def test_tiers_of_rows_follows_reassigned_segments(self):
         # The lookup arrays are built once per assignment of ``segments``;

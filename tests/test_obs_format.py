@@ -1,8 +1,13 @@
-"""Tests for table/series formatting."""
+"""Tests for the plain-text table and series formatting in repro.obs.report."""
+
+import importlib
 
 import pytest
 
-from repro.analysis import format_series, format_table
+import repro
+import repro.analysis
+import repro.obs.report
+from repro import format_series, format_table
 
 
 class TestFormatTable:
@@ -46,3 +51,15 @@ class TestFormatSeries:
     def test_pair_sequence_input(self):
         text = format_series("s", [(0.1, 1.0), (0.2, 2.0)])
         assert text.count("\n") == 4  # title + header + separator + 2 rows
+
+
+class TestHome:
+    def test_repro_exports_the_report_modules_formatters(self):
+        assert repro.format_table is repro.obs.report.format_table
+        assert repro.format_series is repro.obs.report.format_series
+
+    def test_analysis_keeps_percentile_only(self):
+        assert repro.analysis.__all__ == ["percentile"]
+        assert not hasattr(repro.analysis, "format_table")
+        with pytest.raises(ModuleNotFoundError):
+            importlib.import_module("repro.analysis.reporting")

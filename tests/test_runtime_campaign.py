@@ -138,7 +138,7 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="concurrency must be positive"):
             CampaignSpec(base=small_base(), axes=(("serving.concurrency", [1, 0]),))
 
-    def test_to_dict_round_trip(self):
+    def test_to_dict_is_json_and_names_every_axis(self):
         campaign = CampaignSpec.from_grid(
             small_base(),
             {
@@ -149,17 +149,12 @@ class TestCampaignSpec:
             replicates=2,
         )
         data = json.loads(json.dumps(campaign.to_dict()))  # must be JSON-able
-        rebuilt = CampaignSpec.from_dict(data)
-        assert rebuilt.name == campaign.name
-        assert rebuilt.base == campaign.base
-        assert rebuilt.replicates == 2
-        assert [p.spec_hash() for p in rebuilt.points()] == [
-            p.spec_hash() for p in campaign.points()
+        assert data["name"] == campaign.name
+        assert ScenarioSpec.from_dict(data["base"]) == campaign.base
+        assert data["replicates"] == 2
+        assert [axis["param"] for axis in data["axes"]] == [
+            axis.param for axis in campaign.axes
         ]
-
-    def test_from_dict_rejects_unknown_keys(self):
-        with pytest.raises(ValueError, match="unknown CampaignSpec keys"):
-            CampaignSpec.from_dict({"axis": []})
 
 
 def _spec_matrix():

@@ -54,6 +54,16 @@ class TestCampaignCLI:
                          "--grid", "serving.concurrency=1", "--resume"]) == 2
         assert "--out" in capsys.readouterr().err
 
+    def test_device_axis_on_a_tiered_spec_fails_every_point(self, capsys):
+        # A tier list is the whole geometry, so an axis over a device field
+        # of the two-tier spelling would vary nothing; each point says so.
+        argv = ["campaign", *BASE_ARGS, "--tiers", "dram:64KiB,nand:1GiB",
+                "--grid", "backend.options.num_devices=1,4", "--quiet"]
+        assert cli_main(argv) == 1
+        err = capsys.readouterr().err
+        assert "2 point(s) quarantined" in err
+        assert err.count("ValueError: with tiers set, num_devices would be ignored") == 2
+
     def test_malformed_grid_is_a_user_error(self, capsys):
         assert cli_main(["campaign", *BASE_ARGS, "--grid", "serving.concurrency"]) == 2
         assert "param=v1,v2" in capsys.readouterr().err

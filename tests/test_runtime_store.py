@@ -33,7 +33,7 @@ class TestExperimentStore:
         spec = ScenarioSpec(name="point-a")
         record = store.put(spec, result_dict(), index=3, coords=[("p", 1)])
         assert store.get(spec.spec_hash()) == record
-        assert store.get_spec(spec) == record
+        assert store.get(spec.spec_hash()) == record
         assert record["index"] == 3
         assert record["coords"] == [["p", 1]]
         assert spec.spec_hash() in store
@@ -84,10 +84,10 @@ class TestExperimentStore:
 
     def test_campaign_metadata_round_trip(self, tmp_path):
         store = ExperimentStore(tmp_path / "run")
-        assert store.read_campaign() is None
+        assert not store.campaign_path.exists()
         meta = {"name": "c", "axes": [{"param": "x", "values": [1, 2]}]}
         store.write_campaign(meta)
-        assert store.read_campaign() == meta
+        assert json.loads(store.campaign_path.read_text()) == meta
 
 
 class TestShardedStore:
@@ -110,9 +110,9 @@ class TestShardedStore:
         store.put(shard_b, result_dict(achieved_qps=3.0), shard="w2")
         reopened = ExperimentStore(tmp_path / "run")
         assert len(reopened) == 3
-        assert reopened.get_spec(main_spec)["result"]["achieved_qps"] == 1.0
-        assert reopened.get_spec(shard_a)["result"]["achieved_qps"] == 2.0
-        assert reopened.get_spec(shard_b)["result"]["achieved_qps"] == 3.0
+        assert reopened.get(main_spec.spec_hash())["result"]["achieved_qps"] == 1.0
+        assert reopened.get(shard_a.spec_hash())["result"]["achieved_qps"] == 2.0
+        assert reopened.get(shard_b.spec_hash())["result"]["achieved_qps"] == 3.0
 
     def test_merge_order_is_deterministic_main_then_sorted_shards(self, tmp_path):
         store = ExperimentStore(tmp_path / "run")
@@ -124,7 +124,7 @@ class TestShardedStore:
         store.put(spec, result_dict(achieved_qps=2.0), shard="w1")
         reopened = ExperimentStore(tmp_path / "run")
         assert len(reopened) == 1
-        assert reopened.get_spec(spec)["result"]["achieved_qps"] == 3.0
+        assert reopened.get(spec.spec_hash())["result"]["achieved_qps"] == 3.0
         assert [p.name for p in reopened.result_paths()] == [
             "results.jsonl",
             "results-w1.jsonl",
@@ -139,7 +139,7 @@ class TestShardedStore:
         reopened = ExperimentStore(tmp_path / "run")
         assert reopened.shard_paths() == []
         assert len(reopened) == 1
-        assert reopened.get_spec(spec) is not None
+        assert reopened.get(spec.spec_hash()) is not None
 
     def test_truncated_shard_line_is_skipped(self, tmp_path):
         store = ExperimentStore(tmp_path / "run")
@@ -155,7 +155,7 @@ class TestShardedStore:
         store = ExperimentStore(tmp_path / "run")
         spec = ScenarioSpec(name="registered")
         record = store.register(spec, result_dict(), index=1, coords=[("p", 2)])
-        assert store.get_spec(spec) == record
+        assert store.get(spec.spec_hash()) == record
         assert record["coords"] == [["p", 2]]
         assert not store.result_paths()
         assert len(ExperimentStore(tmp_path / "run")) == 0

@@ -121,12 +121,6 @@ class TestDeploymentPlanning:
         assert plan.num_helper_hosts == 300
         assert plan.total_hosts == 1800
 
-    def test_power_per_kqps(self):
-        plan = plan_deployment(
-            DeploymentScenario("x", HW_L, qps_per_host=100, total_qps=10_000)
-        )
-        assert plan.power_per_kqps == pytest.approx(plan.total_power / 10.0)
-
     def test_scenario_validation(self):
         with pytest.raises(ValueError):
             DeploymentScenario("bad", HW_L, qps_per_host=0, total_qps=10)

@@ -33,10 +33,10 @@ class TestPowerModel:
         assert model.fleet_power(HW_L, 1200) == pytest.approx(1200)
         assert model.fleet_power(HW_SS, 2400) == pytest.approx(960)
 
-    def test_mixed_fleet_power_table9_baseline(self):
+    def test_fleet_power_table9_baseline(self):
         """Table 9 scale-out row: 1500 HW-AN + 300 HW-S = 1575 units."""
         model = PowerModel()
-        total = model.mixed_fleet_power({HW_AN: 1500, HW_S: 300})
+        total = model.fleet_power(HW_AN, 1500) + model.fleet_power(HW_S, 300)
         assert total == pytest.approx(1575)
 
     def test_negative_host_count_rejected(self):

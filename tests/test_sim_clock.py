@@ -40,14 +40,5 @@ class TestSimClock:
         clock.advance_to(5.0)
         assert clock.now == 10.0
 
-    def test_reset(self):
-        clock = SimClock(10.0)
-        clock.reset()
-        assert clock.now == 0.0
-
-    def test_reset_to_negative_rejected(self):
-        with pytest.raises(ValueError):
-            SimClock().reset(-2.0)
-
     def test_repr_contains_time(self):
         assert "0.5" in repr(SimClock(0.5))

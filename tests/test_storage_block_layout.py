@@ -92,14 +92,6 @@ class TestRowLocation:
         with pytest.raises(KeyError):
             layout.locate("missing", 0)
 
-    def test_block_aligned_range(self):
-        layout = BlockLayout([1 * MIB])
-        layout.add_table("t", num_rows=10, row_bytes=100)
-        location = layout.locate("t", 1)
-        start, end = location.block_aligned_range
-        assert end - start == BLOCK_SIZE
-        assert start == location.lba * BLOCK_SIZE
-
     def test_total_allocated_bytes_sums_devices(self):
         layout = BlockLayout([1 * MIB, 1 * MIB])
         layout.add_table("a", 32, 128)
@@ -108,9 +100,8 @@ class TestRowLocation:
             layout.allocated_bytes(0) + layout.allocated_bytes(1)
         )
 
-    def test_has_table_and_tables_listing(self):
+    def test_tables_listing(self):
         layout = BlockLayout([1 * MIB])
         layout.add_table("a", 8, 64)
-        assert layout.has_table("a")
-        assert not layout.has_table("b")
         assert layout.tables() == ["a"]
+        assert "b" not in layout.tables()

@@ -32,20 +32,6 @@ class TestUpdateIntervalFormula:
 
 
 class TestEnduranceModel:
-    def test_lifetime_budget(self):
-        model = EnduranceModel(nand_flash_spec(2 * TB), lifetime_years=5)
-        expected = 5.0 * 2 * TB * 5 * 365
-        assert model.lifetime_write_budget_bytes == pytest.approx(expected)
-
-    def test_life_consumed_fraction(self):
-        model = EnduranceModel(nand_flash_spec(2 * TB))
-        model.record_write(model.lifetime_write_budget_bytes / 4)
-        assert model.life_consumed_fraction == pytest.approx(0.25)
-
-    def test_negative_write_rejected(self):
-        with pytest.raises(ValueError):
-            EnduranceModel(nand_flash_spec()).record_write(-1)
-
     def test_min_update_interval_scales_with_update_size(self):
         model = EnduranceModel(nand_flash_spec(2 * TB))
         small = model.min_update_interval_seconds(100 * GB)
@@ -62,17 +48,19 @@ class TestEnduranceModel:
             < nand.min_update_interval_seconds(update_bytes) / 10
         )
 
-    def test_supports_update_interval(self):
-        model = EnduranceModel(optane_ssd_spec(400 * GB))
-        minimum = model.min_update_interval_seconds(100 * GB)
-        assert model.supports_update_interval(100 * GB, minimum * 2)
-        assert not model.supports_update_interval(100 * GB, minimum / 2)
+    def test_rate_view_agrees_with_the_paper_formula(self):
+        # Rewriting the whole device is one full model update: the minimum
+        # interval is then 1 / DWPD days, which the formula gives as
+        # 365 * ModelSize / (DWPD * SMCapacity) on a 365-day horizon.
+        for spec in (nand_flash_spec(2 * TB), optane_ssd_spec(400 * GB)):
+            model = EnduranceModel(spec)
+            days = model.min_update_interval_seconds(spec.capacity_bytes) / 86_400
+            assert days == pytest.approx(1.0 / spec.endurance_dwpd)
+            assert days == pytest.approx(
+                update_interval_days(spec.capacity_bytes, spec.endurance_dwpd, spec.capacity_bytes)
+                / 365
+            )
 
-    def test_invalid_interval_rejected(self):
-        model = EnduranceModel(nand_flash_spec())
+    def test_invalid_update_size_rejected(self):
         with pytest.raises(ValueError):
-            model.supports_update_interval(GB, 0)
-        with pytest.raises(ValueError):
-            model.min_update_interval_seconds(0)
-        with pytest.raises(ValueError):
-            EnduranceModel(nand_flash_spec(), lifetime_years=0)
+            EnduranceModel(nand_flash_spec()).min_update_interval_seconds(0)

@@ -73,9 +73,6 @@ class TestDeviceSpecValidation:
         assert spec.capacity_bytes == 2 * TB
         assert smaller.max_read_iops == spec.max_read_iops
 
-    def test_capacity_gb_property(self):
-        assert nand_flash_spec(2 * TB).capacity_gb == pytest.approx(2000.0)
-
     def test_service_time_matches_aggregate_iops(self):
         spec = optane_ssd_spec()
         # parallelism channels each serving one IO per service_time gives max IOPS.

@@ -69,19 +69,19 @@ class TestWorkloadConfig:
 class TestQueryGenerator:
     def test_queries_cover_all_tables(self):
         model = small_model()
-        query = QueryGenerator(model, WorkloadConfig(item_batch=2)).generate_query()
+        query = QueryGenerator(model, WorkloadConfig(item_batch=2)).generate(1)[0]
         assert set(query.user_indices) == {s.name for s in model.user_table_specs}
         assert set(query.item_indices) == {s.name for s in model.item_table_specs}
 
     def test_item_batch_respected(self):
         model = small_model()
-        query = QueryGenerator(model, WorkloadConfig(item_batch=4)).generate_query()
+        query = QueryGenerator(model, WorkloadConfig(item_batch=4)).generate(1)[0]
         assert query.item_batch == 4
 
     def test_item_batch_override_per_call(self):
         model = small_model()
         generator = QueryGenerator(model, WorkloadConfig(item_batch=4))
-        assert generator.generate_query(item_batch=2).item_batch == 2
+        assert generator.generate(1, item_batch=2)[0].item_batch == 2
 
     def test_indices_within_table_range(self):
         model = small_model(num_rows=64)
@@ -163,13 +163,13 @@ class TestQueryGenerator:
         with pytest.raises(ValueError):
             QueryGenerator(model).generate(0)
 
-    def test_generate_equals_repeated_generate_query(self):
+    def test_generate_equals_one_query_at_a_time(self):
         # The batched per-purpose RNG draws must reproduce the one-query-at-a-
         # time stream exactly, whatever the chunking.
         model = small_model()
         whole = QueryGenerator(model, WorkloadConfig(item_batch=3), seed=7).generate(30)
         stepper = QueryGenerator(model, WorkloadConfig(item_batch=3), seed=7)
-        single = [stepper.generate_query() for _ in range(30)]
+        single = [stepper.generate(1)[0] for _ in range(30)]
         chunker = QueryGenerator(model, WorkloadConfig(item_batch=3), seed=7)
         chunked = chunker.generate(11) + chunker.generate(19)
         for reference, a, b in zip(whole, single, chunked):

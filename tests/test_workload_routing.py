@@ -21,7 +21,7 @@ class TestRequestRouter:
 
     def test_sticky_routing_stable_across_router_instances(self):
         model = small_model()
-        query = QueryGenerator(model, WorkloadConfig(item_batch=1)).generate_query()
+        query = QueryGenerator(model, WorkloadConfig(item_batch=1)).generate(1)[0]
         a = RequestRouter(8, RoutingPolicy.USER_STICKY).route(query)
         b = RequestRouter(8, RoutingPolicy.USER_STICKY).route(query)
         assert a == b

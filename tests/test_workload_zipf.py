@@ -30,9 +30,12 @@ class TestZipfGenerator:
         assert top_10pct > 0.5
 
     def test_higher_alpha_is_more_skewed(self):
-        low = ZipfGenerator(1000, alpha=0.6, seed=0)
-        high = ZipfGenerator(1000, alpha=1.4, seed=0)
-        assert high.expected_top_fraction_coverage(0.1) > low.expected_top_fraction_coverage(0.1)
+        def top_10pct_share(alpha):
+            samples = ZipfGenerator(1000, alpha=alpha, seed=0).sample(20_000)
+            counts = np.sort(np.bincount(samples, minlength=1000))[::-1]
+            return counts[:100].sum() / counts.sum()
+
+        assert top_10pct_share(1.4) > top_10pct_share(0.6)
 
     def test_unique_sampling_has_no_duplicates(self):
         generator = ZipfGenerator(200, 1.05, seed=0)
@@ -53,13 +56,6 @@ class TestZipfGenerator:
         with pytest.raises(ValueError):
             ZipfGenerator(10, 0.0)
 
-    def test_expected_coverage_bounds(self):
-        generator = ZipfGenerator(100, 1.0)
-        assert generator.expected_top_fraction_coverage(1.0) == pytest.approx(1.0)
-        assert 0 < generator.expected_top_fraction_coverage(0.01) < 1.0
-        with pytest.raises(ValueError):
-            generator.expected_top_fraction_coverage(0.0)
-
     def test_shuffled_ids_scatter_popular_rows(self):
         """With id shuffling the hottest rows are not the low ids (this is
         what destroys spatial locality in Figure 5)."""
@@ -74,12 +70,6 @@ class TestZipfGenerator:
         samples = generator.sample(5000)
         values, counts = np.unique(samples, return_counts=True)
         assert values[np.argmax(counts)] < 10
-
-    def test_popularity_rank(self):
-        generator = ZipfGenerator(100, 1.0, seed=0, shuffle_ids=False)
-        assert generator.popularity_rank_of(0) == 0
-        with pytest.raises(ValueError):
-            generator.popularity_rank_of(1000)
 
 
 class ReferenceZipf(ZipfGenerator):
