@@ -35,8 +35,7 @@ from repro.api.results import (
     ScenarioResult,
     campaign_table,
     metric_path_error,
-    scenario_metric_error,
-    scenario_metrics,
+    metric_value,
 )
 from repro.api.session import Session
 from repro.api.backends import sdm_config_from_options  # registers built-ins on import
@@ -52,12 +51,11 @@ __all__ = [
     "model_spec_by_name",
     "spec_path_error",
     "metric_path_error",
-    "scenario_metric_error",
+    "metric_value",
     "Session",
     "ScenarioResult",
     "PowerSummary",
     "campaign_table",
-    "scenario_metrics",
     "BackendFactory",
     "BackendRegistryError",
     "DuplicateBackendError",

@@ -39,7 +39,7 @@ from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.obs.report import format_table
 from repro.api.registry import available_backends
-from repro.api.results import campaign_table, scenario_metric_error
+from repro.api.results import campaign_table, metric_path_error
 from repro.api.session import Session
 from repro.api.spec import OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, spec_path_error
 from repro.hierarchy import TECHNOLOGY_ALIASES, parse_tiers
@@ -322,12 +322,11 @@ def _runtime_from_args(args: argparse.Namespace) -> Union[str, Runtime]:
 def _cmd_campaign(args: argparse.Namespace) -> int:
     campaign = _campaign_from_args(args)
     metrics = args.metric or ["achieved_qps"]
-    if not args.json:
-        # Validate before the (expensive) grid runs, not after.
-        for metric in metrics:
-            error = scenario_metric_error(metric)
-            if error is not None:
-                raise ValueError(error)
+    # Check before the (expensive) grid runs, not after.
+    for metric in metrics:
+        error = metric_path_error(metric)
+        if error is not None:
+            raise ValueError(error)
     if args.resume and not args.out:
         raise ValueError("--resume needs --out pointing at an existing run directory")
     store = None
@@ -556,8 +555,9 @@ def build_parser() -> argparse.ArgumentParser:
     campaign_parser.add_argument(
         "--metric",
         action="append",
-        metavar="NAME",
-        help="ScenarioResult attribute column (repeatable; default achieved_qps)",
+        metavar="PATH",
+        help="stored result metric column (repeatable; default achieved_qps), "
+        "e.g. latency_seconds.p99",
     )
     campaign_parser.add_argument(
         "--quiet", action="store_true", help="suppress per-point progress on stderr"

@@ -31,17 +31,27 @@ class PowerSummary:
     baseline_fleet_power: Optional[float] = None
     power_saving: Optional[float] = None
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "platform": self.platform,
-            "host_power": self.host_power,
-            "num_hosts": self.num_hosts,
-            "fleet_power": self.fleet_power,
-            "baseline_platform": self.baseline_platform,
-            "baseline_num_hosts": self.baseline_num_hosts,
-            "baseline_fleet_power": self.baseline_fleet_power,
-            "power_saving": self.power_saving,
-        }
+
+#: Stored keys that differ from their :class:`ScenarioResult` field names.
+_STORED_NAMES = {
+    "backend_name": "backend",
+    "latency": "latency_seconds",
+    "queueing": "queueing_seconds",
+}
+
+#: Fields that stay in memory: the raw host simulation and the Chrome trace.
+_UNSTORED = frozenset({"host_result", "trace"})
+
+
+def _copied(value: Any) -> Any:
+    """A stored value's own copy: dicts, lists of dicts and the power summary."""
+    if isinstance(value, PowerSummary):
+        return dataclasses.asdict(value)
+    if isinstance(value, dict):
+        return dict(value)
+    if isinstance(value, list):
+        return [dict(item) for item in value]
+    return value
 
 
 @dataclass
@@ -76,60 +86,21 @@ class ScenarioResult:
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioResult":
         """Rebuild a result from :meth:`to_dict` output.
 
-        The inverse of :meth:`to_dict` for everything it serialises; the raw
-        ``host_result`` is not serialised, so it comes back as ``None``.  This
-        is how campaign results cross process boundaries and re-enter from the
-        experiment store.
+        The inverse of :meth:`to_dict`; the unstored ``host_result`` and
+        ``trace`` come back as ``None`` and a missing key takes its field's
+        default.  This is how campaign results cross process boundaries and
+        re-enter from the experiment store.
         """
-        power = data.get("power")
-        queueing = data.get("queueing_seconds")
-        return cls(
-            scenario=data["scenario"],
-            backend_name=data["backend"],
-            num_queries=data["num_queries"],
-            concurrency=data["concurrency"],
-            makespan_seconds=data["makespan_seconds"],
-            achieved_qps=data["achieved_qps"],
-            latency=dict(data["latency_seconds"]),
-            meets_slo=data["meets_slo"],
-            slo_headroom=data["slo_headroom"],
-            backend_stats=dict(data.get("backend_stats") or {}),
-            power=PowerSummary(**power) if power is not None else None,
-            host_result=None,
-            traffic_mode=data.get("traffic_mode", "closed"),
-            offered_qps=data.get("offered_qps"),
-            serve_batch=data.get("serve_batch", 1),
-            dropped_queries=data.get("dropped_queries", 0),
-            queueing=dict(queueing) if queueing is not None else None,
-            tiers=[dict(tier) for tier in data["tiers"]] if data.get("tiers") else None,
-            timeline=dict(data["timeline"]) if data.get("timeline") else None,
-        )
+        values = {name: _copied(data[key]) for name, key in _STORED if key in data}
+        if values.get("power") is not None:
+            values["power"] = PowerSummary(**values["power"])
+        return cls(**values)
 
     # ------------------------------------------------------------- reporting
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-serialisable summary (drops the raw per-query results)."""
-        return {
-            "scenario": self.scenario,
-            "backend": self.backend_name,
-            "num_queries": self.num_queries,
-            "concurrency": self.concurrency,
-            "makespan_seconds": self.makespan_seconds,
-            "achieved_qps": self.achieved_qps,
-            "latency_seconds": dict(self.latency),
-            "meets_slo": self.meets_slo,
-            "slo_headroom": self.slo_headroom,
-            "backend_stats": dict(self.backend_stats),
-            "power": self.power.to_dict() if self.power is not None else None,
-            "traffic_mode": self.traffic_mode,
-            "offered_qps": self.offered_qps,
-            "serve_batch": self.serve_batch,
-            "dropped_queries": self.dropped_queries,
-            "queueing_seconds": dict(self.queueing) if self.queueing is not None else None,
-            "tiers": (
-                [dict(tier) for tier in self.tiers] if self.tiers is not None else None
-            ),
-            "timeline": dict(self.timeline) if self.timeline is not None else None,
-        }
+        """JSON-serialisable summary: every field but ``host_result`` and
+        ``trace``, in field order, under its stored key."""
+        return {key: _copied(getattr(self, name)) for name, key in _STORED}
 
     def summary_rows(self) -> List[List[Any]]:
         """Metric/value rows in :func:`repro.obs.report.format_table` shape."""
@@ -194,67 +165,41 @@ class ScenarioResult:
         )
 
 
-def scenario_metrics() -> List[str]:
-    """The metric names a :class:`ScenarioResult` exposes (its field names)."""
-    return sorted(f.name for f in dataclasses.fields(ScenarioResult))
-
+#: ``(field name, stored key)`` of every stored field, in field order.
+_STORED: Tuple[Tuple[str, str], ...] = tuple(
+    (f.name, _STORED_NAMES.get(f.name, f.name))
+    for f in dataclasses.fields(ScenarioResult)
+    if f.name not in _UNSTORED
+)
 
 #: Percentile sub-keys under ``latency_seconds`` and ``queueing_seconds``.
 PERCENTILE_KEYS: Tuple[str, ...] = ("mean", "p50", "p95", "p99")
 
+#: Stored dicts a metric path descends into: what their keys are called and
+#: which keys exist (``None``: backend-defined, so not checked statically).
+_METRIC_DICTS: Dict[str, Tuple[str, Optional[Tuple[str, ...]]]] = {
+    "latency_seconds": ("percentile", PERCENTILE_KEYS),
+    "queueing_seconds": ("percentile", PERCENTILE_KEYS),
+    "power": ("PowerSummary field", tuple(f.name for f in dataclasses.fields(PowerSummary))),
+    "backend_stats": ("backend stat", None),
+}
+
 
 def result_dict_keys() -> Tuple[str, ...]:
-    """Top-level keys of :meth:`ScenarioResult.to_dict` (the stored form).
-
-    These are the first segments of the dotted metric paths
-    :class:`~repro.runtime.compare.MetricSpec` addresses; a test pins them
-    against an actual ``to_dict`` so they cannot drift from the schema.
-    """
-    return (
-        "scenario",
-        "backend",
-        "num_queries",
-        "concurrency",
-        "makespan_seconds",
-        "achieved_qps",
-        "latency_seconds",
-        "meets_slo",
-        "slo_headroom",
-        "backend_stats",
-        "power",
-        "traffic_mode",
-        "offered_qps",
-        "serve_batch",
-        "dropped_queries",
-        "queueing_seconds",
-        "tiers",
-        "timeline",
-    )
-
-
-def scenario_metric_error(metric: str) -> Optional[str]:
-    """Validate a :class:`ScenarioResult` *field* name (table metrics).
-
-    Returns ``None`` for a valid field, an error message otherwise.  The
-    message is what :func:`campaign_table` raises and
-    what the ``repro lint`` METRIC001 rule reports.
-    """
-    if metric in {f.name for f in dataclasses.fields(ScenarioResult)}:
-        return None
-    return (
-        f"unknown metric {metric!r}; valid ScenarioResult metrics: "
-        f"{scenario_metrics()}"
-    )
+    """Top-level keys of :meth:`ScenarioResult.to_dict` (the stored form),
+    which are the first segments of every metric path."""
+    return tuple(key for _, key in _STORED)
 
 
 def metric_path_error(path: str) -> Optional[str]:
-    """Validate a dotted *result-dict* metric path (``"latency_seconds.p99"``).
+    """Check a dotted metric path into the stored result (``"latency_seconds.p99"``).
 
-    These are the paths ``repro compare`` / :func:`repro.runtime.compare_runs`
-    look up inside stored :meth:`ScenarioResult.to_dict` records.  Returns
-    ``None`` when the path is addressable, an error message otherwise.
-    ``backend_stats.*`` and ``power.*`` leaves are backend/platform defined,
-    so only their first segment is checked.
+    Every metric -- a ``campaign_table`` / ``repro campaign --metric`` column,
+    a ``repro compare`` / :class:`~repro.runtime.compare.MetricSpec` path --
+    names one scalar of :meth:`ScenarioResult.to_dict`.  Returns ``None``
+    when the path is addressable, an error message otherwise.  The keys
+    under ``backend_stats`` are backend-defined, so only their depth is
+    checked.
     """
     parts = path.split(".")
     if any(not part for part in parts):
@@ -265,57 +210,44 @@ def metric_path_error(path: str) -> Optional[str]:
             f"unknown metric path {path!r}; result keys: "
             f"{sorted(result_dict_keys())}"
         )
-    if head in ("latency_seconds", "queueing_seconds"):
-        if len(parts) == 1:
-            return (
-                f"metric path {path!r} needs a percentile sub-key, e.g. "
-                f"{head}.p99; choices: {list(PERCENTILE_KEYS)}"
-            )
-        if parts[1] not in PERCENTILE_KEYS:
-            return (
-                f"metric path {path!r}: unknown percentile {parts[1]!r}; "
-                f"choices: {list(PERCENTILE_KEYS)}"
-            )
-        if len(parts) > 2:
-            return f"metric path {path!r} descends below a scalar percentile"
-        return None
-    if head == "power":
-        if len(parts) == 1:
-            return None
-        power_fields = {f.name for f in dataclasses.fields(PowerSummary)}
-        if parts[1] not in power_fields:
-            return (
-                f"metric path {path!r}: PowerSummary has no field {parts[1]!r}; "
-                f"valid fields: {sorted(power_fields)}"
-            )
-        if len(parts) > 2:
-            return f"metric path {path!r} descends below a scalar power field"
-        return None
-    if head == "backend_stats":
-        if len(parts) > 2:
-            return f"metric path {path!r} descends below a scalar backend stat"
-        return None
     if head == "tiers":
         return (
             f"metric path {path!r}: per-tier stats are a list and not "
-            f"addressable by compare metrics"
+            f"addressable by metrics"
         )
     if head == "timeline":
         return (
             f"metric path {path!r}: the timeline is a window series and not "
-            f"addressable by compare metrics; use 'repro report' instead"
+            f"addressable by metrics; use 'repro report' instead"
         )
-    if len(parts) > 1:
-        return f"metric path {path!r} descends below the scalar key {head!r}"
+    if head not in _METRIC_DICTS:
+        if len(parts) > 1:
+            return f"metric path {path!r} descends below the scalar key {head!r}"
+        return None
+    label, keys = _METRIC_DICTS[head]
+    if len(parts) == 1:
+        choices = f"; choices: {list(keys)}" if keys is not None else ""
+        return f"metric path {path!r} is a dict; name one {label} below it{choices}"
+    if keys is not None and parts[1] not in keys:
+        return (
+            f"metric path {path!r}: unknown {label} {parts[1]!r}; "
+            f"choices: {list(keys)}"
+        )
+    if len(parts) > 2:
+        return f"metric path {path!r} descends below a scalar {label}"
     return None
 
 
-def _metric_value(result: ScenarioResult, metric: str) -> Any:
-    """``getattr`` with a typo-friendly error listing the valid metrics."""
-    error = scenario_metric_error(metric)
-    if error is not None:
-        raise ValueError(error)
-    return getattr(result, metric)
+def metric_value(stored: Mapping[str, Any], path: str) -> Any:
+    """The value a checked metric ``path`` names in a stored result, or
+    ``None`` where the result lacks it (queueing on a closed-loop point, a
+    backend stat the backend does not report)."""
+    node: Any = stored
+    for part in path.split("."):
+        if not isinstance(node, Mapping):
+            return None
+        node = node.get(part)
+    return node
 
 
 def campaign_table(
@@ -329,8 +261,8 @@ def campaign_table(
     ``outcomes`` are the :class:`~repro.runtime.executor.PointOutcome` objects
     ``run_campaign`` returns (anything with ``coords`` pairs and a
     ``ScenarioResult``-valued ``result`` works).  Columns are the grid axes in
-    campaign order followed by one column per requested metric; metric names
-    are validated against the :class:`ScenarioResult` fields up front.
+    campaign order followed by one column per metric path, checked with
+    :func:`metric_path_error` before any row is formatted.
     """
     if not outcomes:
         raise ValueError("campaign_table needs at least one outcome")
@@ -338,7 +270,9 @@ def campaign_table(
     if not metric_names:
         raise ValueError("campaign_table needs at least one metric")
     for metric in metric_names:
-        _metric_value(outcomes[0].result, metric)  # validate before formatting
+        error = metric_path_error(metric)
+        if error is not None:
+            raise ValueError(error)
     def coord_pairs(outcome: Any) -> Sequence[Tuple[str, Any]]:
         # Prefer the expansion's disambiguated labels; fall back to labelling
         # the raw coordinate values (e.g. for hand-built outcome rows).
@@ -350,9 +284,8 @@ def campaign_table(
     params = [param for param, _ in coord_pairs(outcomes[0])]
     rows: List[List[Any]] = []
     for outcome in outcomes:
+        stored = outcome.result.to_dict()
         row: List[Any] = [value for _, value in coord_pairs(outcome)]
-        for metric in metric_names:
-            value = _metric_value(outcome.result, metric)
-            row.append(round(value, 4) if isinstance(value, float) else value)
+        row.extend(metric_value(stored, metric) for metric in metric_names)
         rows.append(row)
-    return format_table(params + metric_names, rows, title=title)
+    return format_table(params + metric_names, rows, title=title, float_fmt=".6g")

@@ -1,14 +1,11 @@
-"""METRIC001: metric names must exist on ``ScenarioResult``.
+"""METRIC001: metric names must be paths into the stored ``ScenarioResult``.
 
-Metric strings reach the result schema by two different routes:
-
-* *field* names (``"achieved_qps"``) passed to :func:`campaign_table` —
-  checked against the ``ScenarioResult`` dataclass fields via
-  :func:`repro.api.results.scenario_metric_error`;
-* *result-dict* paths (``"latency_seconds.p99"``) passed to
-  :func:`compare_runs` / ``MetricSpec`` — checked against the ``to_dict``
-  schema via :func:`repro.api.results.metric_path_error` (an optional
-  ``:higher``/``:lower`` direction suffix is stripped first).
+Every metric string -- a :func:`campaign_table` column, a
+:func:`compare_runs` / ``MetricSpec`` metric -- is a dotted path into
+:meth:`ScenarioResult.to_dict` (``"achieved_qps"``, ``"latency_seconds.p99"``),
+checked against that schema by :func:`repro.api.results.metric_path_error`.
+``compare_runs`` and ``MetricSpec.parse`` also take a ``:higher``/``:lower``
+direction suffix, which is checked and stripped first.
 """
 
 from __future__ import annotations
@@ -20,17 +17,13 @@ from repro.lint.context import FileContext, dotted_name
 from repro.lint.findings import Finding
 from repro.lint.registry import Rule, register
 
-#: Callables taking ScenarioResult *field* names, with the positions/keywords
-#: the metric strings travel in.
-_FIELD_METRIC_CALLS = {
-    "campaign_table": (1, ("metric", "metrics")),
-}
-
-#: Callables taking result-dict *paths* (MetricSpec form).
-_PATH_METRIC_CALLS = {
-    "compare_runs": (None, ("metrics",)),
-    "MetricSpec.parse": (0, ()),
-    "MetricSpec": (0, ("path",)),
+#: Callables taking metric paths: the position and keywords the strings
+#: travel in, and whether a direction suffix is allowed.
+_METRIC_CALLS = {
+    "campaign_table": (1, ("metric", "metrics"), False),
+    "compare_runs": (None, ("metrics",), True),
+    "MetricSpec.parse": (0, (), True),
+    "MetricSpec": (0, ("path",), False),
 }
 
 
@@ -50,20 +43,20 @@ def _string_constants(node: ast.AST) -> List[ast.Constant]:
 
 @register
 class MetricNameRule(Rule):
-    """METRIC001: metric strings must name real ScenarioResult metrics."""
+    """METRIC001: metric strings must be paths into the stored result."""
 
     id = "METRIC001"
-    title = "unknown ScenarioResult metric name"
+    title = "unknown ScenarioResult metric path"
     rationale = (
-        "campaign_table metrics must be ScenarioResult fields and "
-        "compare_runs metrics must be addressable result-dict paths.  Both "
-        "are only validated when the (expensive) run reaches the reporting "
-        "step; this rule checks the literals against the schema statically."
+        "campaign_table and compare_runs metrics must be addressable paths "
+        "into the stored result.  Both check them before anything runs, but "
+        "only when the script gets that far; this rule checks the literals "
+        "against the schema statically."
     )
     library_only = False
 
     def check(self, ctx: FileContext) -> Iterator[Finding]:
-        from repro.api.results import metric_path_error, scenario_metric_error
+        from repro.api.results import metric_path_error
 
         for node in ast.walk(ctx.tree):
             if not isinstance(node, ast.Call):
@@ -73,20 +66,14 @@ class MetricNameRule(Rule):
                 continue
             tail = name.split(".")[-1]
             dotted_tail = ".".join(name.split(".")[-2:])
-            for table, (position, keywords) in _FIELD_METRIC_CALLS.items():
-                if tail != table:
+            for target, (position, keywords, directed) in _METRIC_CALLS.items():
+                if dotted_tail != target and tail != target:
                     continue
                 for constant in self._metric_arguments(node, position, keywords):
-                    error = scenario_metric_error(constant.value)
-                    if error is not None:
-                        yield ctx.finding(self.id, constant, error)
-            for target, (position, keywords) in _PATH_METRIC_CALLS.items():
-                if name != target and dotted_tail != target and tail != target:
-                    continue
-                for constant in self._metric_arguments(node, position, keywords):
-                    path = constant.value.partition(":")[0]
-                    direction = constant.value.partition(":")[2]
-                    if direction and direction not in ("higher", "lower"):
+                    path, direction = constant.value, ""
+                    if directed:
+                        path, _, direction = constant.value.partition(":")
+                    if direction not in ("", "higher", "lower"):
                         yield ctx.finding(
                             self.id,
                             constant,
@@ -97,7 +84,7 @@ class MetricNameRule(Rule):
                     error = metric_path_error(path)
                     if error is not None:
                         yield ctx.finding(self.id, constant, error)
-                break  # a call matches at most one path-metric signature
+                break  # a call matches at most one metric signature
 
     @staticmethod
     def _metric_arguments(node, position, keywords):

@@ -6,8 +6,10 @@ full grid coordinates — so the comparison works for both regression CI (same
 specs, changed code) and config A/B studies (same grid, changed base spec).
 When a matched pair's canonical spec hashes differ, the pair is flagged as
 *spec drift* so a deliberate A/B is distinguishable from an accidental one.
-Each metric carries a direction (higher- or lower-is-better) and a regression
-is a change in the *worse* direction by more than ``tolerance`` (relative).
+Each metric is a dotted path into the stored result, checked by
+:func:`repro.api.results.metric_path_error` when it is parsed, and carries a
+direction (higher- or lower-is-better); a regression is a change in the
+*worse* direction by more than ``tolerance`` (relative).
 """
 
 from __future__ import annotations
@@ -16,13 +18,23 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from repro.api.results import metric_path_error, metric_value
 from repro.obs.report import format_table
 from repro.runtime.store import ExperimentStore
 
-#: Result-dict metrics where larger numbers are better; everything else
+#: Metric paths where larger numbers are better; every other path
 #: (latencies, queue delays, drop counts, power) defaults to lower-is-better.
 _HIGHER_IS_BETTER = frozenset(
-    {"achieved_qps", "offered_qps", "slo_headroom", "meets_slo", "num_queries"}
+    {
+        "achieved_qps",
+        "offered_qps",
+        "slo_headroom",
+        "meets_slo",
+        "num_queries",
+        "backend_stats.row cache hit rate",
+        "backend_stats.pooled cache hit rate",
+        "power.power_saving",
+    }
 )
 
 #: Default comparison set: throughput, tail latency, shed traffic.
@@ -35,10 +47,15 @@ DEFAULT_METRICS: Tuple[str, ...] = (
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """One compared metric: dotted path into the result dict + direction."""
+    """One compared metric: a checked path into the stored result + direction."""
 
     path: str
     higher_is_better: bool
+
+    def __post_init__(self) -> None:
+        error = metric_path_error(self.path)
+        if error is not None:
+            raise ValueError(error)
 
     @classmethod
     def parse(cls, text: str) -> "MetricSpec":
@@ -51,19 +68,8 @@ class MetricSpec:
         if direction:
             higher = direction == "higher"
         else:
-            higher = path.split(".")[0] in _HIGHER_IS_BETTER
+            higher = path in _HIGHER_IS_BETTER
         return cls(path=path, higher_is_better=higher)
-
-
-def _lookup(result: Dict[str, Any], path: str) -> Optional[float]:
-    node: Any = result
-    for part in path.split("."):
-        if not isinstance(node, dict) or part not in node:
-            return None
-        node = node[part]
-    if isinstance(node, bool):
-        return float(node)
-    return float(node) if isinstance(node, (int, float)) else None
 
 
 @dataclass(frozen=True)
@@ -134,9 +140,9 @@ class RunComparison:
             [
                 delta.scenario,
                 delta.metric,
-                round(delta.baseline, 6),
-                round(delta.candidate, 6),
-                round(delta.delta, 6),
+                delta.baseline,
+                delta.candidate,
+                delta.delta,
                 "REGRESSED" if delta.regressed else "ok",
             ]
             for delta in self.deltas
@@ -149,6 +155,7 @@ class RunComparison:
             ["scenario", "metric", "baseline", "candidate", "delta", "verdict"],
             rows,
             title=title,
+            float_fmt=".6g",
         )
         notes = []
         if self.only_in_baseline:
@@ -187,7 +194,9 @@ def compare_runs(
     ``metrics`` entries are :class:`MetricSpec` or strings in
     :meth:`MetricSpec.parse` form; ``tolerance`` is the relative change in
     the worse direction a metric may move before it counts as a regression
-    (``0.05`` = 5%).
+    (``0.05`` = 5%).  A metric that gives a number on none of the matched
+    points raises ``ValueError``: a misspelt backend stat must not pass as
+    zero regressions.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative: {tolerance}")
@@ -228,9 +237,9 @@ def compare_runs(
         if not specs_match:
             comparison.spec_drift.append(name)
         for metric in specs:
-            before = _lookup(base_rec.get("result") or {}, metric.path)
-            after = _lookup(cand_rec.get("result") or {}, metric.path)
-            if before is None or after is None:
+            before = metric_value(base_rec.get("result") or {}, metric.path)
+            after = metric_value(cand_rec.get("result") or {}, metric.path)
+            if not isinstance(before, (int, float)) or not isinstance(after, (int, float)):
                 # e.g. queueing metrics on a closed-loop point: not comparable.
                 continue
             comparison.deltas.append(
@@ -238,10 +247,18 @@ def compare_runs(
                     scenario=name,
                     metric=metric.path,
                     higher_is_better=metric.higher_is_better,
-                    baseline=before,
-                    candidate=after,
+                    baseline=float(before),
+                    candidate=float(after),
                     regressed=_is_regression(metric, before, after, tolerance),
                     specs_match=specs_match,
                 )
             )
+    if comparison.compared_points:
+        compared = {delta.metric for delta in comparison.deltas}
+        for metric in specs:
+            if metric.path not in compared:
+                raise ValueError(
+                    f"metric {metric.path!r} gives a number on none of the "
+                    f"{comparison.compared_points} matched point(s)"
+                )
     return comparison

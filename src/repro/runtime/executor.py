@@ -91,10 +91,10 @@ class PointOutcome:
 
     @functools.cached_property
     def metrics(self) -> Dict[str, Any]:
-        """The result as the JSON-able dict that travels and is stored.
+        """The result's stored form (:meth:`ScenarioResult.to_dict`): the
+        JSON-able dict that ``campaign --json`` prints and the store holds.
 
-        Cached: the conversion walks every latency sample, and callers (the
-        CLI table, comparisons) read it repeatedly per outcome.
+        Cached, so repeated reads share one dict.
         """
         if self.result is None:
             raise ValueError(

@@ -7,7 +7,8 @@ from repro.runtime import MetricSpec, compare_runs
 def tables(outcomes):
     a = campaign_table(outcomes, "achieved_qpz")
     b = campaign_table(outcomes, metrics=["makespan_secondz"])
-    return a, b
+    c = campaign_table(outcomes, "latency")
+    return a, b, c
 
 
 def comparisons():

@@ -1,4 +1,4 @@
-"""METRIC001 negative fixture: real fields and addressable result paths."""
+"""METRIC001 negative fixture: addressable paths into the stored result."""
 
 from repro.api.results import campaign_table
 from repro.runtime import MetricSpec, compare_runs
@@ -6,7 +6,7 @@ from repro.runtime import MetricSpec, compare_runs
 
 def tables(outcomes):
     a = campaign_table(outcomes, "achieved_qps")
-    b = campaign_table(outcomes, metrics=["achieved_qps", "makespan_seconds"])
+    b = campaign_table(outcomes, metrics=["achieved_qps", "latency_seconds.p99"])
     return a, b
 
 

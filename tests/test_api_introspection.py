@@ -10,12 +10,18 @@ from repro.api.results import (
     PowerSummary,
     ScenarioResult,
     metric_path_error,
+    metric_value,
     result_dict_keys,
-    scenario_metric_error,
-    scenario_metrics,
 )
+from repro.api.session import Session
 from repro.api.spec import (
+    BackendChoice,
+    ModelChoice,
     ScenarioSpec,
+    ServingChoice,
+    TelemetrySpec,
+    TrafficSpec,
+    WorkloadChoice,
     section_fields,
     spec_path_error,
 )
@@ -84,18 +90,6 @@ class TestSectionFields:
             section_fields("nope")
 
 
-class TestScenarioMetricError:
-    def test_accepts_every_dataclass_field(self):
-        for name in scenario_metrics():
-            assert scenario_metric_error(name) is None
-
-    def test_rejects_unknowns_listing_choices(self):
-        error = scenario_metric_error("achieved_qpz")
-        assert error is not None
-        assert "achieved_qpz" in error
-        assert "achieved_qps" in error
-
-
 class TestMetricPathError:
     @pytest.mark.parametrize(
         "path",
@@ -121,12 +115,25 @@ class TestMetricPathError:
             ("achieved_qps.p99", "achieved_qps"),
             ("no_such_metric", "no_such_metric"),
             ("tiers.0", "tiers"),
+            ("power", "PowerSummary field"),
+            ("backend_stats", "backend stat"),
+            ("backend_stats.row cache hit rate.x", "backend stat"),
+            # Field names that are not stored keys are not metrics.
+            ("latency", "latency"),
+            ("backend_name", "backend_name"),
+            ("host_result", "host_result"),
+            ("trace", "trace"),
         ],
     )
     def test_unaddressable_paths_name_the_problem(self, path, fragment):
         error = metric_path_error(path)
         assert error is not None
         assert fragment in error
+
+    def test_unknown_keys_list_the_result_keys(self):
+        error = metric_path_error("achieved_qpz")
+        assert "achieved_qpz" in error and "achieved_qps" in error
+        assert "latency_seconds" in error
 
     def test_percentile_keys_match_summary_shape(self):
         result = ScenarioResult(
@@ -138,8 +145,71 @@ class TestMetricPathError:
         assert set(PERCENTILE_KEYS) == set(result.to_dict()["latency_seconds"])
 
 
+def stored_leaves(node, prefix=""):
+    """(path, value) for every container and leaf under a stored dict."""
+    for key, value in node.items():
+        path = f"{prefix}{key}"
+        yield path, value
+        if isinstance(value, dict):
+            yield from stored_leaves(value, f"{path}.")
+        elif isinstance(value, list):
+            for index, item in enumerate(value):
+                yield f"{path}.{index}", item
+                yield from stored_leaves(item, f"{path}.{index}.")
+
+
+class TestStoredSchema:
+    """Every number the stored form holds is a metric, except inside the
+    per-tier list and the timeline window series; no container is."""
+
+    @pytest.fixture(scope="class")
+    def stored(self):
+        spec = ScenarioSpec(
+            model=ModelChoice(max_tables_per_group=2, max_rows_per_table=256),
+            backend=BackendChoice(name="tiered"),
+            workload=WorkloadChoice(num_queries=20, num_users=40),
+            traffic=TrafficSpec(mode="open", arrival="poisson", offered_qps=2000.0),
+            serving=ServingChoice(
+                concurrency=1, warmup_queries=0, platform="HW-SS",
+                baseline_platform="HW-L", fleet_qps=100000.0,
+            ),
+            telemetry=TelemetrySpec(sample_interval=0.002),
+        )
+        stored = Session(spec).run().to_dict()
+        assert stored["traffic_mode"] == "open"
+        assert stored["power"]["power_saving"] is not None
+        assert stored["tiers"] and stored["queueing_seconds"] and stored["timeline"]
+        return stored
+
+    def test_every_number_is_a_checked_metric(self, stored):
+        numbers = [
+            (path, value)
+            for path, value in stored_leaves(stored)
+            if isinstance(value, (int, float))
+        ]
+        assert len(numbers) > 20
+        for path, value in numbers:
+            if path.split(".")[0] in ("tiers", "timeline"):
+                assert metric_path_error(path) is not None, path
+                continue
+            assert metric_path_error(path) is None, path
+            assert metric_value(stored, path) == value, path
+
+    def test_every_container_is_rejected(self, stored):
+        containers = [
+            path for path, value in stored_leaves(stored)
+            if isinstance(value, (dict, list))
+        ]
+        assert {
+            "latency_seconds", "queueing_seconds", "power", "backend_stats",
+            "tiers", "tiers.0", "timeline",
+        } <= set(containers)
+        for path in containers:
+            assert metric_path_error(path) is not None, path
+
+
 class TestResultDictKeys:
-    def test_pinned_against_a_real_to_dict(self):
+    def test_match_to_dict_in_order(self):
         result = ScenarioResult(
             scenario="s", backend_name="dram", num_queries=4, concurrency=1,
             makespan_seconds=0.1, achieved_qps=40.0,
@@ -151,7 +221,7 @@ class TestResultDictKeys:
             backend_stats={"hit rate": 0.9},
             tiers=[{"name": "dram"}],
         )
-        assert set(result.to_dict()) <= set(result_dict_keys())
+        assert tuple(result.to_dict()) == result_dict_keys()
 
     def test_power_paths_track_the_dataclass(self):
         for field in dataclasses.fields(PowerSummary):

@@ -4,7 +4,6 @@ import pytest
 
 from repro import ScenarioResult, Session, ScenarioSpec, campaign_table
 from repro.api import ModelChoice, PowerSummary, ServingChoice, WorkloadChoice
-from repro.api.results import scenario_metrics
 
 
 def make_result(**overrides):
@@ -54,6 +53,25 @@ class TestScenarioResultFromDict:
         result = Session(spec).run()
         assert ScenarioResult.from_dict(result.to_dict()).to_dict() == result.to_dict()
 
+    def test_to_dict_copies_and_drops_unstored_fields(self):
+        result = make_result(trace={"traceEvents": []}, tiers=[{"tier": 0}])
+        stored = result.to_dict()
+        assert "trace" not in stored and "host_result" not in stored
+        stored["latency_seconds"]["p99"] = 1.0
+        stored["tiers"][0]["tier"] = 9
+        assert result.latency["p99"] == 0.03
+        assert result.tiers == [{"tier": 0}]
+        assert ScenarioResult.from_dict(stored).trace is None
+
+    def test_missing_optional_keys_take_field_defaults(self):
+        stored = make_result().to_dict()
+        for key in ("backend_stats", "serve_batch", "queueing_seconds", "tiers", "timeline"):
+            del stored[key]
+        rebuilt = ScenarioResult.from_dict(stored)
+        assert rebuilt.backend_stats == {}
+        assert rebuilt.serve_batch == 1
+        assert rebuilt.queueing is None and rebuilt.tiers is None
+
 
 class TestCampaignTable:
     def _outcomes(self):
@@ -77,23 +95,25 @@ class TestCampaignTable:
     def test_single_metric_string_accepted(self):
         assert "achieved_qps" in campaign_table(self._outcomes(), "achieved_qps")
 
-    def test_shares_sweep_table_metric_validation(self):
-        with pytest.raises(ValueError, match="valid ScenarioResult metrics"):
+    def test_metrics_are_checked_paths(self):
+        with pytest.raises(ValueError, match="unknown metric path 'nope'"):
             campaign_table(self._outcomes(), "nope")
+
+    def test_nested_paths_print_significant_digits(self):
+        outcomes = self._outcomes()
+        outcomes[0].result.latency["p99"] = 4.6e-5
+        table = campaign_table(outcomes, ["latency_seconds.p99", "meets_slo"])
+        assert "latency_seconds.p99" in table
+        assert "4.6e-05" in table and "0.03" in table
+        assert "True" in table
 
     def test_unknown_metric_raises_value_error_listing_fields(self):
         with pytest.raises(ValueError) as excinfo:
             campaign_table(self._outcomes(), "achieved_qpz")
         message = str(excinfo.value)
         assert "achieved_qpz" in message
-        assert "achieved_qps" in message  # the valid fields are listed
-        assert "latency" in message
-
-    def test_scenario_metrics_lists_dataclass_fields(self):
-        metrics = scenario_metrics()
-        assert "achieved_qps" in metrics
-        assert "latency" in metrics
-        assert metrics == sorted(metrics)
+        assert "achieved_qps" in message  # the result keys are listed
+        assert "latency_seconds" in message
 
     def test_empty_inputs_rejected(self):
         with pytest.raises(ValueError, match="at least one outcome"):

@@ -111,6 +111,10 @@ class TestRuleSpecifics:
         assert any("sideways" in f.message for f in findings)
         assert any("p98" in f.message or "p98" in f.snippet for f in findings)
 
+    def test_metric001_flags_field_names_that_are_not_stored_keys(self):
+        findings = lint_fixture("METRIC001", "bad")
+        assert any("'latency'" in f.message for f in findings)
+
     def test_frozen001_counts_every_violation_kind(self):
         findings = lint_fixture("FROZEN001", "bad")
         messages = [f.message for f in findings]

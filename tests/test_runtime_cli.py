@@ -87,12 +87,28 @@ class TestCampaignCLI:
         assert "serving.concurrency" in out
         assert "achieved_qps" in out and "num_queries" in out
 
-    def test_unknown_table_metric_is_a_user_error(self, capsys):
+    @pytest.mark.parametrize("metric", ["achieved_qpz", "latency", "host_result"])
+    def test_unknown_table_metric_is_a_user_error_before_any_point_runs(
+        self, capsys, metric
+    ):
         assert cli_main(
             ["campaign", *BASE_ARGS, "--grid", "serving.concurrency=1",
-             "--metric", "achieved_qpz", "--quiet"]
+             "--metric", metric]
         ) == 2
-        assert "valid ScenarioResult metrics" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"error: unknown metric path {metric!r}" in err
+        assert "[1/1]" not in err  # no progress line: nothing ran
+
+    def test_nested_table_metric_prints_its_digits(self, capsys):
+        assert cli_main(
+            ["campaign", *BASE_ARGS, "--grid", "serving.concurrency=1,2",
+             "--metric", "latency_seconds.p99", "--quiet"]
+        ) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "latency_seconds.p99" in lines[1]
+        p99_cells = [line.split("|")[-1].strip() for line in lines[3:]]
+        assert len(p99_cells) == 2
+        assert all(float(cell) > 0 for cell in p99_cells)
 
     def test_progress_lands_on_stderr(self, capsys, tmp_path):
         assert cli_main(
@@ -240,3 +256,18 @@ class TestCompareCLI:
         )
         path = metric.split(":")[0]
         assert {delta["metric"] for delta in payload["deltas"]} == {path}
+
+    @pytest.mark.parametrize(
+        "metric", ["achieved_qsp", "backend_stats.nonexistent", "power"]
+    )
+    def test_a_metric_that_compares_nothing_is_a_user_error(
+        self, capsys, tmp_path, metric
+    ):
+        self._populate(capsys, tmp_path / "run")
+        assert cli_main(
+            ["compare", str(tmp_path / "run"), str(tmp_path / "run"),
+             "--metric", metric]
+        ) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

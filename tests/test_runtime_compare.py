@@ -4,6 +4,7 @@ import pytest
 
 from repro import ExperimentStore, ScenarioSpec, compare_runs
 from repro.runtime import MetricSpec
+from repro.runtime.compare import _is_regression
 
 
 def result_dict(qps=100.0, p99=0.010, dropped=0, **overrides):
@@ -100,13 +101,43 @@ class TestCompareRuns:
         assert "spec drift" in comparison.table()
 
     def test_missing_metric_values_are_skipped(self, tmp_path):
-        base = make_store(tmp_path, "base", {"a": result_dict()})
-        cand = make_store(tmp_path, "cand", {"a": result_dict()})
+        queueing = {"mean": 0.001, "p50": 0.001, "p95": 0.002, "p99": 0.003}
+        points = {
+            "closed": result_dict(),
+            "open": result_dict(traffic_mode="open", queueing_seconds=queueing),
+        }
+        base = make_store(tmp_path, "base", points)
+        cand = make_store(tmp_path, "cand", points)
         comparison = compare_runs(
             base, cand, metrics=["queueing_seconds.p99", "achieved_qps"]
         )
         # Closed-loop points have no queueing percentiles: only qps compares.
-        assert [delta.metric for delta in comparison.deltas] == ["achieved_qps"]
+        assert [(delta.scenario, delta.metric) for delta in comparison.deltas] == [
+            ("closed", "achieved_qps"),
+            ("open", "queueing_seconds.p99"),
+            ("open", "achieved_qps"),
+        ]
+
+    @pytest.mark.parametrize(
+        "metric",
+        ["queueing_seconds.p99", "backend_stats.nonexistent", "scenario"],
+    )
+    def test_a_metric_with_no_number_on_any_point_raises(self, tmp_path, metric):
+        base = make_store(tmp_path, "base", {"a": result_dict(), "b": result_dict()})
+        with pytest.raises(ValueError, match="none of the 2 matched point"):
+            compare_runs(base, base, metrics=[metric])
+
+    @pytest.mark.parametrize("metric", ["achieved_qsp", "power", "backend_stats"])
+    def test_unaddressable_metrics_raise_before_comparing(self, tmp_path, metric):
+        base = make_store(tmp_path, "base", {"a": result_dict()})
+        with pytest.raises(ValueError, match="metric path"):
+            compare_runs(base, base, metrics=[metric])
+
+    def test_table_prints_significant_digits(self, tmp_path):
+        base = make_store(tmp_path, "base", {"a": result_dict(p99=4.6e-5)})
+        cand = make_store(tmp_path, "cand", {"a": result_dict(p99=4.8e-5)})
+        table = compare_runs(base, cand, metrics=["latency_seconds.p99"]).table()
+        assert "4.6e-05" in table and "4.8e-05" in table and "2e-06" in table
 
     def test_to_dict_is_json_shaped(self, tmp_path):
         base = make_store(tmp_path, "base", {"a": result_dict()})
@@ -134,3 +165,25 @@ class TestMetricSpec:
     def test_parse_rejects_bad_direction(self):
         with pytest.raises(ValueError, match="higher"):
             MetricSpec.parse("achieved_qps:sideways")
+
+    @pytest.mark.parametrize("text", ["achieved_qsp", "power", "latency", "x:lower"])
+    def test_paths_are_checked_when_parsed(self, text):
+        with pytest.raises(ValueError, match="metric path"):
+            MetricSpec.parse(text)
+        with pytest.raises(ValueError, match="metric path"):
+            MetricSpec(text.partition(":")[0], higher_is_better=True)
+
+    @pytest.mark.parametrize(
+        "path",
+        [
+            "backend_stats.row cache hit rate",
+            "backend_stats.pooled cache hit rate",
+            "power.power_saving",
+        ],
+    )
+    def test_rates_and_savings_default_to_higher_is_better(self, path):
+        metric = MetricSpec.parse(path)
+        assert metric.higher_is_better
+        assert not _is_regression(metric, 0.5, 0.6, tolerance=0.0)
+        assert _is_regression(metric, 0.6, 0.5, tolerance=0.0)
+        assert not MetricSpec.parse(f"{path}:lower").higher_is_better
