@@ -6,8 +6,8 @@ Two parts:
  * direct-DRAM placement budget sweep for an inferenceEval-style workload
    (user batch == item batch), showing QPS improving as more of the hottest
    tables are pinned in DRAM.  The sweep is a one-axis campaign
-   (:func:`repro.run_campaign`) over the SDM backend's ``dram_budget_bytes``
-   option.
+   (:func:`repro.run_campaign`) over tier 0's capacity in the SDM backend's
+   default tier list (``tiers.0.capacity``).
 """
 
 from repro import CampaignSpec, ScenarioSpec, Session, format_table, run_campaign
@@ -15,7 +15,7 @@ from repro.api import BackendChoice, ModelChoice, ServingChoice, WorkloadChoice
 import numpy as np
 
 from repro.cache import CPU_OPTIMIZED, MEMORY_OPTIMIZED, UnifiedRowCache
-from repro.core import PlacementPolicy
+from repro.core import DEFAULT_TIERS
 from repro.sim.units import MIB
 
 from _util import emit, run_once
@@ -53,7 +53,7 @@ def _placement_sweep_rows():
         backend=BackendChoice(
             name="sdm",
             options=dict(
-                placement_policy=PlacementPolicy.FIXED_FM_SM,
+                tiers=[tier.to_dict() for tier in DEFAULT_TIERS],
                 row_cache_capacity_bytes=256 * 1024,
                 pooled_cache_enabled=False,
             ),
@@ -67,7 +67,7 @@ def _placement_sweep_rows():
     user_bytes = sum(t.size_bytes for t in model.tables.values() if t.spec.is_user)
     budgets = [int(user_bytes * fraction) for fraction in (0.0, 0.25, 0.5)]
     outcomes = run_campaign(
-        CampaignSpec.from_grid(spec, {"backend.options.dram_budget_bytes": budgets})
+        CampaignSpec.from_grid(spec, {"tiers.0.capacity": budgets})
     )
     labels = ("0% DRAM budget", "25%", "50%")
     return [

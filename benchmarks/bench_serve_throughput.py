@@ -135,7 +135,6 @@ def _serving(model: DLRMModel, row_cache_bytes: int):
         SDMConfig(
             row_cache_capacity_bytes=row_cache_bytes,
             pooled_cache_enabled=False,
-            num_devices=2,
             seed=0,
         ),
     )

@@ -16,7 +16,6 @@ from repro import ScenarioSpec, Session, format_table
 from repro.api import BackendChoice, ModelChoice, ServingChoice, WorkloadChoice
 from repro.serving import HW_L, HW_SS
 from repro.sim.units import MIB
-from repro.storage import Technology
 
 from _util import emit, run_once
 
@@ -32,7 +31,6 @@ TABLE8_SPEC = ScenarioSpec(
     backend=BackendChoice(
         name="sdm",
         options=dict(
-            device_technology=Technology.NAND_FLASH,
             row_cache_capacity_bytes=2 * MIB,
             pooled_cache_enabled=False,
         ),

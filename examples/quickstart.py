@@ -23,18 +23,16 @@ import numpy as np
 
 from repro import BackendChoice, ScenarioSpec, Session
 from repro.sim.units import MIB, format_bytes
-from repro.storage import Technology
 
 QUICKSTART_SPEC = ScenarioSpec(
     name="quickstart-m1",
     # model: scaled-down M1 -- same structure (user/item tables, pooling
     # factors, batched item lookups), row counts shrunk to run in seconds.
-    # backend: user tables on 2x Nand Flash, hot rows cached in FM.
+    # backend: the default tier list puts the user tables on 2x Nand Flash
+    # (repro.core.DEFAULT_TIERS), hot rows cached in FM.
     backend=BackendChoice(
         name="sdm",
         options=dict(
-            device_technology=Technology.NAND_FLASH,
-            num_devices=2,
             row_cache_capacity_bytes=4 * MIB,
             pooled_cache_capacity_bytes=1 * MIB,
         ),

@@ -1,9 +1,10 @@
 """Serving-configuration tuning: the paper's Tuning APIs in action.
 
 Uses the :class:`~repro.core.autotune.AutoTuner` to sweep the knobs the paper
-exposes (row-cache size, pooled-cache LenThreshold, placement DRAM budget and
-SM technology) for a scaled M2-like model, scoring each configuration by the
-throughput the host sustains at a p95 latency target.
+exposes (row-cache size, pooled-cache LenThreshold, and the tier list: SM
+technology and the DRAM budget that homes tables in fast memory) for a scaled
+M2-like model, scoring each configuration by the throughput the host sustains
+at a p95 latency target.
 
 Run with:  python examples/tuning_study.py
 """
@@ -14,14 +15,29 @@ from pathlib import Path
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from repro import format_table
-from repro.core import AutoTuner, PlacementPolicy, SDMConfig, SoftwareDefinedMemory
+from repro.core import AutoTuner, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, M2_SPEC, build_scaled_model
 from repro.serving import LatencyTarget, ServingEngine
 from repro.sim.units import KIB, MIB, MILLISECOND
-from repro.storage import Technology
 from repro.workload import QueryGenerator, WorkloadConfig
 
 TARGET = LatencyTarget(percentile=95, budget_seconds=10 * MILLISECOND)
+
+
+def host(sm: str, capacity: str, dram_budget: int) -> list:
+    """A tier list: DRAM homing ``dram_budget`` bytes of tables over 2 SM devices."""
+    return [
+        {"technology": "dram", "capacity": dram_budget},
+        {"technology": sm, "capacity": capacity, "devices": 2},
+    ]
+
+
+#: Nand Flash and Optane hosts (2 devices each), without and with a DRAM budget.
+HOSTS = [
+    host(sm, capacity, budget)
+    for sm, capacity in (("nand", "4TB"), ("optane", "800GB"))
+    for budget in (0, 2 * MIB)
+]
 
 
 def evaluate(config: SDMConfig) -> float:
@@ -39,17 +55,12 @@ def evaluate(config: SDMConfig) -> float:
 
 
 def main() -> None:
-    base = SDMConfig(
-        placement_policy=PlacementPolicy.FIXED_FM_SM,
-        pooled_cache_capacity_bytes=512 * KIB,
-    )
     tuner = AutoTuner(
-        base_config=base,
+        base_config=SDMConfig(pooled_cache_capacity_bytes=512 * KIB),
         search_space={
-            "device_technology": [Technology.NAND_FLASH, Technology.OPTANE_SSD],
+            "tiers": HOSTS,
             "row_cache_capacity_bytes": [128 * KIB, 1 * MIB],
             "pooled_len_threshold": [1, 8],
-            "dram_budget_bytes": [0, 2 * MIB],
         },
         evaluate=evaluate,
     )
@@ -57,13 +68,13 @@ def main() -> None:
 
     rows = []
     for result in results[:8]:
-        overrides = result.overrides
+        config = result.config
         rows.append(
             [
-                overrides["device_technology"].value,
-                overrides["row_cache_capacity_bytes"] // KIB,
-                overrides["pooled_len_threshold"],
-                overrides["dram_budget_bytes"] // KIB,
+                config.tiers[1].technology.value,
+                config.row_cache_capacity_bytes // KIB,
+                config.pooled_len_threshold,
+                config.tiers[0].capacity_bytes // KIB,
                 result.score,
             ]
         )

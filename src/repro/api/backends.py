@@ -6,9 +6,10 @@ Four backends ship with the package:
   every table lives in fast memory.  No options.
 * ``sdm`` — the full Software Defined Memory stack
   (:class:`~repro.core.sdm.SoftwareDefinedMemory`); options are
-  :class:`~repro.core.config.SDMConfig` fields, with enum-valued fields
-  (``device_technology``, ``placement_policy``, ``access_path``) also
-  accepted as strings for config-file friendliness.
+  :class:`~repro.core.config.SDMConfig` fields, with ``access_path`` also
+  accepted as a string for config-file friendliness.  The geometry is the
+  ``tiers`` option, by default the paper's host
+  (:data:`~repro.core.config.DEFAULT_TIERS`).
 * ``pooled`` — SDM tuned for the pooled-embedding-cache path of section 4.4:
   the pooled cache takes the FM budget and every request is eligible
   (``pooled_len_threshold=0``); useful for isolating Algorithm 1's effect.
@@ -16,9 +17,8 @@ Four backends ship with the package:
   (:mod:`repro.hierarchy`).  The ``tiers`` option is an ordered list
   (fastest first) of ``{technology, capacity, cache}`` entries or a
   ``"dram:64KiB,cxl:1MiB,nand:1GiB"`` string; per-tier hit rates and bytes
-  served land in the :class:`~repro.api.results.ScenarioResult`.  The plain
-  ``sdm`` backend also accepts ``tiers`` — ``tiered`` only differs in
-  requiring a hierarchy (supplying a laptop-scale 3-tier default).
+  served land in the :class:`~repro.api.results.ScenarioResult`.  It differs
+  from ``sdm`` only in its default list, a laptop-scale 3-tier hierarchy.
 """
 
 from __future__ import annotations
@@ -27,20 +27,16 @@ import dataclasses
 import enum
 from typing import Any, Dict, Mapping, Type
 
-from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
+from repro.core.config import DEFAULT_TIERS, AccessPathKind, SDMConfig
 from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend, InMemoryBackend
 from repro.dlrm.model import DLRMModel
 from repro.sim.units import MIB
-from repro.storage.spec import Technology
+from repro.hierarchy.tier import parse_tiers
 
 from repro.api.registry import register_backend
 
-_ENUM_FIELDS: Dict[str, Type[enum.Enum]] = {
-    "device_technology": Technology,
-    "placement_policy": PlacementPolicy,
-    "access_path": AccessPathKind,
-}
+_ENUM_FIELDS: Dict[str, Type[enum.Enum]] = {"access_path": AccessPathKind}
 
 
 def _coerce_enum(field_name: str, enum_type: Type[enum.Enum], value: Any) -> enum.Enum:
@@ -98,13 +94,14 @@ def _build_sdm(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBa
 
 @register_backend("pooled", description="SDM serving through the pooled embedding cache (Alg. 1)")
 def _build_pooled(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    config = sdm_config_from_options(
-        options,
-        pooled_cache_enabled=True,
-        pooled_len_threshold=0,
-        pooled_cache_capacity_bytes=8 * MIB,
-        row_cache_capacity_bytes=1 * MIB,
+    defaults: Dict[str, Any] = dict(
+        pooled_cache_enabled=True, pooled_len_threshold=0, pooled_cache_capacity_bytes=8 * MIB
     )
+    tiers = parse_tiers(options.get("tiers", DEFAULT_TIERS))
+    if not tiers or tiers[0].cache_bytes is None:
+        # The row cache gives way to the pooled cache, unless tier 0 sizes it.
+        defaults["row_cache_capacity_bytes"] = 1 * MIB
+    config = sdm_config_from_options(options, **defaults)
     if not config.pooled_cache_enabled:
         raise ValueError("the 'pooled' backend requires pooled_cache_enabled=True")
     return SoftwareDefinedMemory(model, config, compute=compute)
@@ -112,15 +109,10 @@ def _build_pooled(model: DLRMModel, compute: ComputeSpec, **options) -> Embeddin
 
 #: Laptop-scale default hierarchy for the ``tiered`` backend: a small DRAM
 #: budget, a CXL middle tier sized for a few hot tables, NAND for the rest.
-DEFAULT_TIERS = "dram:64KiB,cxl:1MiB:64KiB,nand:1GiB"
+TIERED_DEFAULT_TIERS = "dram:64KiB,cxl:1MiB:64KiB,nand:1GiB"
 
 
 @register_backend("tiered", description="SDM across an N-tier memory hierarchy (repro.hierarchy)")
 def _build_tiered(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    config = sdm_config_from_options(options, tiers=DEFAULT_TIERS)
-    if config.tiers is None:
-        raise ValueError(
-            "the 'tiered' backend needs a non-empty 'tiers' option, e.g. "
-            f"tiers={DEFAULT_TIERS!r}"
-        )
+    config = sdm_config_from_options(options, tiers=TIERED_DEFAULT_TIERS)
     return SoftwareDefinedMemory(model, config, compute=compute)

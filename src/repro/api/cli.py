@@ -7,7 +7,7 @@ campaign axis.  Subcommands::
 
     python -m repro run                # serve an M1 SDM scenario end to end
     python -m repro run --set backend.name=dram --set workload.num_queries=100 --json
-    python -m repro run --spec scenario.json --set backend.options.num_devices=4
+    python -m repro run --spec scenario.json --set backend.options.row_cache_capacity_bytes=1048576
     python -m repro run --arrival poisson --set traffic.offered_qps=120.0   # open loop
     python -m repro run --tiers dram:64KiB,cxl:1MiB,nand:1GiB # 3-tier hierarchy
     python -m repro campaign --grid tiers.1.capacity=256KiB,1MiB,4MiB \\
@@ -100,7 +100,8 @@ def _add_scenario_arguments(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--set", action="append", default=[], metavar="PATH=VALUE",
         help="set one spec value by its dotted path (repeatable, applied in order), "
-        "e.g. --set workload.num_queries=100 or --set backend.options.num_devices=4",
+        "e.g. --set workload.num_queries=100 or "
+        "--set backend.options.pooled_cache_enabled=false",
     )
     parser.add_argument(
         "--tiers",

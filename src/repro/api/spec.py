@@ -496,8 +496,9 @@ class ScenarioSpec:
         ``path`` addresses a spec field (``"name"``), a whole section
         (``"backend"`` — ``value`` is a section instance or a mapping of its
         fields), a section field (``"serving.concurrency"``), a backend
-        option (``"backend.options.num_devices"``) or a position inside a
-        structured option (``"backend.options.tiers.1.capacity"``) — the
+        option (``"backend.options.row_cache_capacity_bytes"``) or a
+        position inside a structured option
+        (``"backend.options.tiers.1.capacity"``) — the
         addressing scheme campaign grids and the CLI's ``--set`` use.
         ``"tiers...."`` paths are shorthand for ``"backend.options.tiers...."``
         so tier geometries sweep like any other knob.

@@ -10,7 +10,7 @@ and CPU work.  :class:`~repro.core.sdm.SoftwareDefinedMemory` implements the
 :class:`~repro.dlrm.inference.InferenceEngine` can serve a model through it.
 """
 
-from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
+from repro.core.config import DEFAULT_TIERS, AccessPathKind, SDMConfig
 from repro.core.bandwidth import (
     BandwidthRequirement,
     bytes_per_query,
@@ -34,6 +34,7 @@ from repro.core.autotune import AutoTuner, TuningResult
 
 __all__ = [
     "SDMConfig",
+    "DEFAULT_TIERS",
     "AccessPathKind",
     "BandwidthRequirement",
     "bytes_per_query",
@@ -41,7 +42,6 @@ __all__ = [
     "iops_requirement",
     "sm_time_budget",
     "table_bandwidth_summary",
-    "PlacementPolicy",
     "PooledEmbeddingCache",
     "PooledCacheStats",
     "order_invariant_hash",

@@ -24,12 +24,12 @@ table through :attr:`pruned_tables`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.unified import UnifiedRowCache
-from repro.core.config import AccessPathKind, PlacementPolicy, SDMConfig
+from repro.core.config import AccessPathKind, SDMConfig
 from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec, check_requests
@@ -42,7 +42,7 @@ from repro.hierarchy.placement import (
     compute_tiered_placement,
     whole_table_segments,
 )
-from repro.hierarchy.tier import DeviceTier, MemoryTier, TierSpec, build_tiers
+from repro.hierarchy.tier import DeviceTier, MemoryTier, build_tiers
 from repro.obs.metrics import stats_counters
 from repro.obs.trace import NULL_RECORDER, TraceRecorder
 from repro.sim.state import COUNTER, OBSERVER, record
@@ -143,7 +143,6 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     f"{pruned.original_spec.num_rows} rows but the model table has {rows}"
                 )
 
-        self.tier_specs: Tuple[TierSpec, ...] = config.resolved_tiers()
         self._init_placement(placement)
         # The bound of every table the backend serves: its model row count.
         self._num_rows = {
@@ -187,31 +186,26 @@ class SoftwareDefinedMemory(EmbeddingBackend):
                     f"placement must be a TieredPlacement or None, got "
                     f"{type(placement).__name__}"
                 )
-            if placement.num_tiers > len(self.tier_specs):
+            if placement.num_tiers > len(self.config.tiers):
                 raise ValueError(
                     f"placement references {placement.num_tiers} tiers but the "
-                    f"config resolves to {len(self.tier_specs)}"
+                    f"config has {len(self.config.tiers)}"
                 )
             # Work on a copy: loading re-anchors whole-table segments on the
             # stored row count, which must not mutate the caller's object.
             self.placement = placement.copy()
             return
-        threshold = (
-            self.config.cache_disable_alpha_threshold
-            if self.config.placement_policy is PlacementPolicy.PER_TABLE_CACHE
-            else None
-        )
         self.placement = compute_tiered_placement(
             self.model.table_specs,
-            self.tier_specs,
+            self.config.tiers,
             pinned_fast_tables=self.config.pinned_fm_tables,
-            cache_disable_alpha_threshold=threshold,
+            cache_disable_alpha_threshold=self.config.cache_disable_alpha_threshold,
             granularity="rows" if self.config.split_rows else "table",
         )
 
     def _build_tiers(self) -> None:
         config = self.config
-        fast_spec = self.tier_specs[0]
+        fast_spec = config.tiers[0]
         cache_bytes = (
             fast_spec.cache_bytes
             if fast_spec.cache_bytes is not None
@@ -224,7 +218,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
             )
         self.row_cache = UnifiedRowCache(cache_bytes)
         self.tiers: List[MemoryTier] = build_tiers(
-            self.tier_specs,
+            config.tiers,
             io_config=config.io,
             fast_cache=self.row_cache,
             use_mmap=config.access_path is AccessPathKind.MMAP,

@@ -4,10 +4,10 @@ The one placement algorithm (section 4.6, Table 5): item tables and pinned
 tables stay in fast memory, and each user table — or, at row granularity,
 hotness-ranked row ranges within a table — is assigned to the fastest tier
 with room, in descending bandwidth-density order (bytes/query per byte of
-capacity).  The paper's policies are tier budgets for it: SM-only is a
-zero-capacity tier 0, FIXED_FM_SM gives tier 0 the DRAM budget, and
-PER_TABLE_CACHE adds the cache-disable threshold
-(see :meth:`repro.core.config.SDMConfig.resolved_tiers`).
+capacity).  The paper's policies are tier budgets for it:
+``sm_only_with_cache`` is a zero-capacity tier 0, ``fixed_fm_sm`` gives
+tier 0 the DRAM budget, and ``per_table_cache`` adds the cache-disable
+threshold (see :class:`repro.core.config.SDMConfig`).
 
 Two granularities:
 
@@ -238,7 +238,7 @@ def compute_tiered_placement(
     row-id order without a profile) on the faster tier.  A table homed whole
     on tier 0 is served from fast memory, so its row cache is off.
 
-    ``cache_disable_alpha_threshold`` is the PER_TABLE_CACHE policy: tables
+    ``cache_disable_alpha_threshold`` is the ``per_table_cache`` policy: tables
     with access skew below the threshold bypass the row caches.
 
     Raises ``ValueError`` when a table (or its tail) fits no tier — the

@@ -102,7 +102,7 @@ class TierSpec:
     capacity_bytes:
         Placement budget of the tier.  For the fast tier this bounds how many
         user tables (or hot row ranges) are homed directly in fast memory
-        (``SDMConfig.dram_budget_bytes`` under FIXED_FM_SM), so ``0`` is
+        (the DRAM budget of the paper's fixed FM/SM placement), so ``0`` is
         legal there.
     cache_bytes:
         Row-cache budget fronting slower tiers.  ``None`` keeps the tier's

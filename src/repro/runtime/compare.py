@@ -194,9 +194,11 @@ def compare_runs(
     ``metrics`` entries are :class:`MetricSpec` or strings in
     :meth:`MetricSpec.parse` form; ``tolerance`` is the relative change in
     the worse direction a metric may move before it counts as a regression
-    (``0.05`` = 5%).  A metric that gives a number on none of the matched
-    points raises ``ValueError``: a misspelt backend stat must not pass as
-    zero regressions.
+    (``0.05`` = 5%).  Two runs with no point in common, or a metric that
+    gives a number on none of the matched points, raise ``ValueError``: a
+    mismatched run or a misspelt backend stat must not pass as zero
+    regressions.  A partial overlap compares the shared points and lists the
+    rest in ``only_in_baseline`` / ``only_in_candidate``.
     """
     if tolerance < 0:
         raise ValueError(f"tolerance must be non-negative: {tolerance}")
@@ -253,12 +255,16 @@ def compare_runs(
                     specs_match=specs_match,
                 )
             )
-    if comparison.compared_points:
-        compared = {delta.metric for delta in comparison.deltas}
-        for metric in specs:
-            if metric.path not in compared:
-                raise ValueError(
-                    f"metric {metric.path!r} gives a number on none of the "
-                    f"{comparison.compared_points} matched point(s)"
-                )
+    if not comparison.compared_points:
+        raise ValueError(
+            f"no point of {str(base_store.root)!r} matches a point of "
+            f"{str(cand_store.root)!r}; there is nothing to compare"
+        )
+    compared = {delta.metric for delta in comparison.deltas}
+    for metric in specs:
+        if metric.path not in compared:
+            raise ValueError(
+                f"metric {metric.path!r} gives a number on none of the "
+                f"{comparison.compared_points} matched point(s)"
+            )
     return comparison

@@ -11,7 +11,7 @@ from typing import Any, Dict, List, Optional
 
 import numpy as np
 
-from repro.core import SDMConfig, SoftwareDefinedMemory
+from repro.core import DEFAULT_TIERS, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import (
     Bags,
     ComputeSpec,
@@ -24,6 +24,7 @@ from repro.dlrm import (
     Query,
     pool_bags,
 )
+from repro.hierarchy import parse_tiers
 from repro.workload import QueryGenerator, WorkloadConfig
 
 
@@ -90,13 +91,12 @@ def small_model(
 
 
 def small_sdm_config(**overrides) -> SDMConfig:
-    """An SDM config sized for the small test model."""
-    defaults = dict(
-        row_cache_capacity_bytes=256 * 1024,
-        pooled_cache_capacity_bytes=128 * 1024,
-        num_devices=2,
-        seed=0,
-    )
+    """An SDM config sized for the small test model: a 256 KiB row cache,
+    unless tier 0 names a cache of its own."""
+    defaults: Dict[str, Any] = dict(pooled_cache_capacity_bytes=128 * 1024, seed=0)
+    tiers = parse_tiers(overrides.get("tiers", DEFAULT_TIERS))
+    if not tiers or tiers[0].cache_bytes is None:
+        defaults["row_cache_capacity_bytes"] = 256 * 1024
     defaults.update(overrides)
     return SDMConfig(**defaults)
 

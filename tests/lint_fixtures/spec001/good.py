@@ -3,7 +3,7 @@
 GRID_AXES = {
     "tiers.1.capacity": ["256KiB", "1MiB"],
     "serving.concurrency": [1, 2, 4],
-    "backend.options.num_devices": [1, 4],
+    "tiers.1.devices": [1, 4],
 }
 
 SWEEP_PARAM = "traffic.offered_qps"

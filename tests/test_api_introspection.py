@@ -34,7 +34,7 @@ class TestSpecPathError:
             "name",
             "model.spec",
             "backend.name",
-            "backend.options.num_devices",
+            "backend.options.row_cache_capacity_bytes",
             "backend.options.tiers.1.capacity",
             "tiers.1.capacity",  # the documented shorthand
             "tiers.0.cache_bytes",

@@ -16,7 +16,6 @@ from repro.api import (
 )
 from repro.core import SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
-from repro.core.config import PlacementPolicy
 from repro.dlrm import ComputeSpec, InferenceEngine, InMemoryBackend
 from repro.dlrm.inference import EmbeddingBackend
 from repro.storage import Technology
@@ -45,7 +44,10 @@ class TestBuiltinBackends:
         backend = create_backend(
             "sdm",
             model,
-            num_devices=3,
+            tiers=[
+                {"technology": "dram", "capacity": 0},
+                {"technology": "nand", "capacity": "6TB", "devices": 3},
+            ],
             row_cache_capacity_bytes=256 * 1024,
             pooled_cache_capacity_bytes=128 * 1024,
         )
@@ -58,17 +60,44 @@ class TestBuiltinBackends:
         assert backend.pooled_cache is not None
         assert backend.config.pooled_len_threshold == 0
 
+    def test_pooled_row_cache_default_gives_way_to_a_tier0_cache(self, model):
+        # The pooled backend's 1 MiB row cache is its own default, not a user
+        # setting, so a tier list that sizes tier 0's cache is not a clash.
+        assert create_backend("pooled", model).row_cache.capacity_bytes == 1024 * 1024
+        tiers = "dram:0:512KiB,nand:1GiB"
+        backend = create_backend("pooled", model, tiers=tiers)
+        assert backend.row_cache.capacity_bytes == 512 * 1024
+        with pytest.raises(ValueError, match="tier 0 names a cache"):
+            create_backend("pooled", model, tiers=tiers, row_cache_capacity_bytes=64 * 1024)
+
+    def test_tiered_rejects_a_second_spelling_of_the_tier0_cache(self, model):
+        tiers = "dram:256KiB:512KiB,cxl:2MiB:4MiB,nand:1GiB"
+        assert create_backend("tiered", model, tiers=tiers).row_cache.capacity_bytes == (
+            512 * 1024
+        )
+        for row_cache in (64 * 1024, 8 * 1024 * 1024 + 1):
+            with pytest.raises(ValueError, match="row_cache_capacity_bytes"):
+                create_backend("tiered", model, tiers=tiers, row_cache_capacity_bytes=row_cache)
+
     def test_pooled_rejects_disabling_its_cache(self, model):
         with pytest.raises(ValueError, match="pooled_cache_enabled"):
             create_backend("pooled", model, pooled_cache_enabled=False)
 
     def test_dram_rejects_options(self, model):
         with pytest.raises(ValueError, match="takes no options"):
-            create_backend("dram", model, num_devices=2)
+            create_backend("dram", model, row_cache_capacity_bytes=2)
 
-    def test_sdm_rejects_unknown_options(self, model):
+    @pytest.mark.parametrize(
+        "option",
+        # After a typo, the deleted two-tier geometry fields: ``tiers`` spells it.
+        ["not_a_knob", "num_devices", "device_technology", "device_capacity_bytes",
+         "dram_budget_bytes", "placement_policy"],
+    )
+    def test_sdm_rejects_unknown_options(self, model, option):
         with pytest.raises(ValueError, match="unknown SDM options"):
-            create_backend("sdm", model, not_a_knob=1)
+            create_backend("sdm", model, **{option: 1})
+        with pytest.raises(ValueError, match="unknown SDM options"):
+            sdm_config_from_options({option: 2})
 
     def test_sdm_backend_serves_same_scores_as_dram(self, model):
         compute = ComputeSpec()
@@ -90,26 +119,35 @@ class TestOptionCoercion:
     def test_enum_fields_accept_strings(self):
         config = sdm_config_from_options(
             {
-                "device_technology": "pcie_3dxp_optane",
-                "placement_policy": "fixed_fm_sm",
+                "tiers": [
+                    {"technology": "dram", "capacity": 4096},
+                    {"technology": "pcie_3dxp_optane", "capacity": "1GiB"},
+                ],
                 "access_path": "mmap",
             }
         )
-        assert config.device_technology is Technology.OPTANE_SSD
-        assert config.placement_policy is PlacementPolicy.FIXED_FM_SM
+        assert config.tiers[1].technology is Technology.OPTANE_SSD
+        assert config.tiers[0].capacity_bytes == 4096
         assert config.access_path is AccessPathKind.MMAP
 
     def test_enum_fields_accept_names_case_insensitive(self):
-        config = sdm_config_from_options({"device_technology": "nand_flash"})
-        assert config.device_technology is Technology.NAND_FLASH
+        config = sdm_config_from_options(
+            {"tiers": "dram:0,nand_flash:1GiB", "access_path": "Direct_IO"}
+        )
+        assert config.tiers[1].technology is Technology.NAND_FLASH
+        assert config.access_path is AccessPathKind.DIRECT_IO
 
     def test_bad_enum_value_lists_choices(self):
-        with pytest.raises(ValueError, match="not a valid Technology"):
-            sdm_config_from_options({"device_technology": "floppy_disk"})
+        with pytest.raises(ValueError, match="not a valid AccessPathKind"):
+            sdm_config_from_options({"access_path": "floppy_disk"})
+        with pytest.raises(ValueError, match="unknown memory technology"):
+            sdm_config_from_options({"tiers": "dram:0,floppy_disk:1GiB"})
 
     def test_defaults_overridden_by_options(self):
-        config = sdm_config_from_options({"num_devices": 4}, num_devices=2, seed=7)
-        assert config.num_devices == 4
+        config = sdm_config_from_options(
+            {"row_cache_capacity_bytes": 4096}, row_cache_capacity_bytes=1024, seed=7
+        )
+        assert config.row_cache_capacity_bytes == 4096
         assert config.seed == 7
 
     def test_pinned_tables_coerced_to_tuple(self):

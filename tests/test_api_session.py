@@ -26,8 +26,8 @@ from repro import (
 )
 from repro.api import BackendChoice, ModelChoice, ServingChoice, TrafficSpec, WorkloadChoice
 from repro.api.cli import main as cli_main
+from repro.core import DEFAULT_TIERS
 from repro.sim.units import MIB
-from repro.storage import Technology
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -44,8 +44,6 @@ QUICKSTART_SPEC = ScenarioSpec(
     backend=BackendChoice(
         name="sdm",
         options=dict(
-            device_technology=Technology.NAND_FLASH,
-            num_devices=2,
             row_cache_capacity_bytes=4 * MIB,
             pooled_cache_capacity_bytes=1 * MIB,
         ),
@@ -63,7 +61,6 @@ class TestScenarioSpec:
     def test_json_round_trip(self):
         spec = QUICKSTART_SPEC
         rebuilt = ScenarioSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
-        # Technology is a str enum, so the JSON string compares equal.
         assert rebuilt == spec
 
     def test_defaults_round_trip(self):
@@ -91,8 +88,8 @@ class TestScenarioSpec:
         assert ScenarioSpec().serving.concurrency == 2  # original untouched
 
     def test_replace_backend_option(self):
-        spec = ScenarioSpec().replace("backend.options.num_devices", 4)
-        assert spec.backend.options["num_devices"] == 4
+        spec = ScenarioSpec().replace("backend.options.row_cache_capacity_bytes", 4096)
+        assert spec.backend.options["row_cache_capacity_bytes"] == 4096
 
     def test_replace_unknown_path_rejected(self):
         with pytest.raises(ValueError, match="unknown spec path"):
@@ -111,8 +108,6 @@ class TestSessionParity:
         sdm = SoftwareDefinedMemory(
             model,
             SDMConfig(
-                device_technology=Technology.NAND_FLASH,
-                num_devices=2,
                 row_cache_capacity_bytes=4 * MIB,
                 pooled_cache_capacity_bytes=1 * MIB,
             ),
@@ -212,7 +207,10 @@ class TestSession:
         assert results[1].achieved_qps >= results[0].achieved_qps
 
     def test_sweep_over_backend_options(self, small_spec):
-        campaign = CampaignSpec.from_grid(small_spec, {"backend.options.num_devices": [1, 2]})
+        base = small_spec.replace(
+            "backend.options.tiers", [tier.to_dict() for tier in DEFAULT_TIERS]
+        )
+        campaign = CampaignSpec.from_grid(base, {"tiers.1.devices": [1, 2]})
         outcomes = run_campaign(campaign)
         assert [outcome.result.num_queries for outcome in outcomes] == [30, 30]
         assert outcomes[0].spec_hash != outcomes[1].spec_hash
@@ -271,7 +269,7 @@ class TestCLI:
         payload = self._run_json(
             capsys,
             ["run", *SMALL_RUN, "--set", "backend.name=sdm",
-             "--set", "backend.options.num_devices=1",
+             "--set", "backend.options.row_cache_capacity_bytes=65536",
              "--set", "backend.options.pooled_cache_enabled=false", "--json"],
         )
         assert payload["backend_stats"]["pooled cache hit rate"] == 0.0
@@ -629,7 +627,7 @@ class TestSetFlag:
                 "--set", "backend.options.num_devices=4"]
         assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: with tiers set, num_devices would be ignored")
+        assert err.startswith("error: unknown SDM options ['num_devices']")
         assert len(err.strip().splitlines()) == 1
 
     def test_bad_set_path_is_a_user_error(self, capsys):

@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import golden_encode
+from helpers import golden_encode, small_sdm_config
 from reference_walk import reference_fetch_batch
 
 from repro.cache.unified import UnifiedRowCache
-from repro.core import SDMConfig, SoftwareDefinedMemory
+from repro.core import SoftwareDefinedMemory
 from repro.core.config import AccessPathKind
 from repro.dlrm import MLP, DLRMModel, EmbeddingTable, EmbeddingTableSpec, InferenceEngine
 from repro.dlrm.pruning import prune_table
@@ -161,14 +161,7 @@ def build_sdm(variant: dict) -> SoftwareDefinedMemory:
     pruned = None
     if pruned_fraction:
         pruned = {"user_0": prune_table(model.table("user_0"), pruned_fraction, seed=1)}
-    config = SDMConfig(
-        row_cache_capacity_bytes=options.pop("row_cache_capacity_bytes", 256 * 1024),
-        pooled_cache_capacity_bytes=128 * 1024,
-        num_devices=2,
-        seed=0,
-        **options,
-    )
-    return SoftwareDefinedMemory(model, config, pruned_tables=pruned)
+    return SoftwareDefinedMemory(model, small_sdm_config(**options), pruned_tables=pruned)
 
 
 def build_reference_sdm(variant: dict) -> SoftwareDefinedMemory:

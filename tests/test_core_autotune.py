@@ -40,7 +40,7 @@ class TestAutoTuner:
     def test_candidates_deterministic_order(self):
         tuner = AutoTuner(
             base_config=SDMConfig(),
-            search_space={"pooled_len_threshold": [1, 2], "num_devices": [1, 2]},
+            search_space={"pooled_len_threshold": [1, 2], "promotion": ["all", "top"]},
             evaluate=lambda config: 0.0,
         )
         assert tuner.candidates() == tuner.candidates()
@@ -61,4 +61,4 @@ class TestAutoTuner:
         with pytest.raises(ValueError):
             AutoTuner(SDMConfig(), {}, lambda c: 0.0)
         with pytest.raises(ValueError):
-            AutoTuner(SDMConfig(), {"num_devices": []}, lambda c: 0.0)
+            AutoTuner(SDMConfig(), {"tiers": []}, lambda c: 0.0)

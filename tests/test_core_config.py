@@ -2,14 +2,15 @@
 
 import pytest
 
-from repro.core import AccessPathKind, PlacementPolicy, SDMConfig
+from repro.core import DEFAULT_TIERS, AccessPathKind, SDMConfig
 from repro.storage import IOEngineConfig, Technology
 
 
 class TestSDMConfig:
     def test_defaults_are_the_papers_choices(self):
         config = SDMConfig()
-        assert config.placement_policy is PlacementPolicy.SM_ONLY_WITH_CACHE
+        assert config.tiers[0].capacity_bytes == 0  # sm_only_with_cache
+        assert config.cache_disable_alpha_threshold is None
         assert config.access_path is AccessPathKind.DIRECT_IO
         assert config.io.sub_block_reads is True
         assert config.inter_op_parallelism is True
@@ -19,10 +20,13 @@ class TestSDMConfig:
 
     def test_with_overrides_returns_modified_copy(self):
         base = SDMConfig()
-        changed = base.with_overrides(device_technology=Technology.OPTANE_SSD, num_devices=4)
-        assert changed.device_technology is Technology.OPTANE_SSD
-        assert changed.num_devices == 4
-        assert base.num_devices == 2
+        changed = base.with_overrides(
+            tiers=[{"technology": "dram", "capacity": 0},
+                   {"technology": "optane", "capacity": "1.6TB", "devices": 4}]
+        )
+        assert changed.tiers[1].technology is Technology.OPTANE_SSD
+        assert changed.tiers[1].num_devices == 4
+        assert base.tiers[1].num_devices == 2
 
     def test_io_config_embedded(self):
         config = SDMConfig(io=IOEngineConfig(max_outstanding_per_device=8))
@@ -30,7 +34,8 @@ class TestSDMConfig:
 
     def test_invalid_values_rejected(self):
         with pytest.raises(ValueError):
-            SDMConfig(num_devices=0)
+            SDMConfig(tiers=[{"technology": "dram", "capacity": 0},
+                             {"technology": "nand", "capacity": "1GiB", "devices": 0}])
         with pytest.raises(ValueError):
             SDMConfig(row_cache_capacity_bytes=0)
         with pytest.raises(ValueError):
@@ -38,75 +43,36 @@ class TestSDMConfig:
         with pytest.raises(ValueError):
             SDMConfig(pooled_len_threshold=-1)
         with pytest.raises(ValueError):
-            SDMConfig(dram_budget_bytes=-1)
+            SDMConfig(tiers=[{"technology": "dram", "capacity": -1}, "nand:1GiB"])
         with pytest.raises(ValueError):
-            SDMConfig(device_capacity_bytes=0)
+            SDMConfig(tiers="dram:0,nand:0")
 
     def test_pinned_tables_default_empty(self):
         assert SDMConfig().pinned_fm_tables == ()
 
-    def test_tiers_reject_the_two_tier_fields_they_replace(self):
-        # A tier list is the whole geometry: a device field, a DRAM budget or
-        # the fixed FM/SM policy next to it would be silently dropped.
+    def test_default_tiers_are_the_papers_host(self):
+        # A DRAM tier homing no user table, its cache left to
+        # row_cache_capacity_bytes, over two 2 TB Nand Flash devices.
+        fast, device = SDMConfig().tiers
+        assert (fast.technology, fast.capacity_bytes, fast.cache_bytes) == (
+            Technology.DRAM, 0, None
+        )
+        assert (device.technology, device.capacity_bytes, device.num_devices) == (
+            Technology.NAND_FLASH, 4_000_000_000_000, 2
+        )
+        assert SDMConfig().tiers == DEFAULT_TIERS
+
+    def test_tiers_parse_from_any_spelling(self):
+        config = SDMConfig(tiers="dram:64KiB,nand:1GiB")
+        assert [tier.capacity_bytes for tier in config.tiers] == [64 << 10, 1 << 30]
+        assert SDMConfig(tiers=[t.to_dict() for t in config.tiers]) == config
+
+    def test_tier0_cache_and_row_cache_capacity_are_one_setting(self):
+        # Tier 0's cache is the row cache: naming it twice would drop one.
         with pytest.raises(ValueError) as raised:
-            SDMConfig(
-                tiers="dram:64KiB,nand:1GiB",
-                num_devices=4,
-                device_technology=Technology.OPTANE_SSD,
-                device_capacity_bytes=1 << 30,
-                dram_budget_bytes=5,
-                placement_policy=PlacementPolicy.FIXED_FM_SM,
-            )
-        for name in (
-            "num_devices",
-            "device_technology",
-            "device_capacity_bytes",
-            "dram_budget_bytes",
-            "fixed_fm_sm",
-        ):
-            assert name in str(raised.value)
-        with pytest.raises(ValueError, match="num_devices"):
-            SDMConfig(tiers="dram:64KiB,nand:1GiB", num_devices=4)
-
-    @pytest.mark.parametrize(
-        "field, value",
-        [
-            ("num_devices", 4),
-            ("device_technology", Technology.OPTANE_SSD),
-            ("device_capacity_bytes", 1 << 30),
-            ("dram_budget_bytes", 5),
-            ("placement_policy", PlacementPolicy.FIXED_FM_SM),
-        ],
-    )
-    def test_tiers_reject_each_replaced_field_alone(self, field, value):
-        with pytest.raises(ValueError, match="with tiers set") as raised:
-            SDMConfig(tiers="dram:64KiB,nand:1GiB", **{field: value})
-        message = str(raised.value)
-        assert field in message
-        others = {"num_devices", "device_technology", "device_capacity_bytes", "dram_budget_bytes"}
-        assert not [name for name in others - {field} if name in message]
-
-    def test_tiers_accept_replaced_fields_left_at_their_defaults(self):
-        # The rule is "set to a non-default value": spelling a default out
-        # next to a tier list is not a second geometry.
-        config = SDMConfig(
-            tiers="dram:64KiB,nand:1GiB",
-            device_technology=Technology.NAND_FLASH,
-            num_devices=2,
-            device_capacity_bytes=None,
-            dram_budget_bytes=0,
-            placement_policy="sm_only_with_cache",
-        )
-        assert [tier.capacity_bytes for tier in config.resolved_tiers()] == [64 << 10, 1 << 30]
-
-    def test_tiers_accept_the_fields_they_read(self):
-        config = SDMConfig(
-            tiers="dram:64KiB,nand:1GiB",
-            device_technology=Technology.NAND_FLASH,
-            num_devices=2,
-            placement_policy=PlacementPolicy.PER_TABLE_CACHE,
-        )
-        assert [tier.technology for tier in config.resolved_tiers()] == [
-            Technology.DRAM,
-            Technology.NAND_FLASH,
-        ]
+            SDMConfig(tiers="dram:0:512KiB,nand:1GiB", row_cache_capacity_bytes=64 << 10)
+        assert "row_cache_capacity_bytes" in str(raised.value)
+        assert "tier 0 names a cache" in str(raised.value)
+        # Either spelling alone is fine.
+        assert SDMConfig(tiers="dram:0:512KiB,nand:1GiB").tiers[0].cache_bytes == 512 << 10
+        assert SDMConfig(tiers="dram:0,nand:1GiB", row_cache_capacity_bytes=64 << 10)

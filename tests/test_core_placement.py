@@ -1,14 +1,18 @@
 """Tests for placement policies (Table 5) and placement edge cases.
 
-The policies are tier budgets for the one placement function: every case
-drives ``compute_tiered_placement`` with the tiers an ``SDMConfig`` resolves
-to, the way ``SoftwareDefinedMemory`` does.
+The policies are tier lists for the one placement function:
+``sm_only_with_cache`` is the default list, ``fixed_fm_sm`` sets tier 0's
+capacity to the DRAM budget, and ``per_table_cache`` adds the cache-disable
+threshold.  Every case drives ``compute_tiered_placement`` with an
+``SDMConfig``'s tiers, the way ``SoftwareDefinedMemory`` does.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from repro.core import PlacementPolicy, SDMConfig, SoftwareDefinedMemory
+from repro.core import DEFAULT_TIERS, SDMConfig, SoftwareDefinedMemory
 from repro.dlrm import EmbeddingTableSpec, InferenceEngine, prune_table
 from repro.hierarchy import (
     TieredTablePlacement,
@@ -18,18 +22,19 @@ from repro.hierarchy import (
 )
 
 
-def _place(specs, policy=PlacementPolicy.SM_ONLY_WITH_CACHE, **config_fields):
+def _tiers(dram_budget=0):
+    """The default list with tier 0's capacity set to ``dram_budget``."""
+    return (replace(DEFAULT_TIERS[0], capacity_bytes=dram_budget),) + DEFAULT_TIERS[1:]
+
+
+def _place(specs, dram_budget=0, **config_fields):
     """The placement an SDM with this config computes for ``specs``."""
-    config = SDMConfig(placement_policy=policy, **config_fields)
+    config = SDMConfig(tiers=_tiers(dram_budget), **config_fields)
     return compute_tiered_placement(
         specs,
-        config.resolved_tiers(),
+        config.tiers,
         pinned_fast_tables=config.pinned_fm_tables,
-        cache_disable_alpha_threshold=(
-            config.cache_disable_alpha_threshold
-            if config.placement_policy is PlacementPolicy.PER_TABLE_CACHE
-            else None
-        ),
+        cache_disable_alpha_threshold=config.cache_disable_alpha_threshold,
     )
 
 
@@ -64,36 +69,36 @@ def _specs():
 
 class TestSmOnlyPolicy:
     def test_all_user_tables_on_sm(self):
-        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        placement = _place(_specs())
         assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
     def test_item_tables_stay_in_fm(self):
-        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        placement = _place(_specs())
         assert placement.for_table("item_a").tiers() == (0,)
         assert not placement.for_table("item_a").cache_enabled
 
     def test_cache_enabled_for_sm_tables(self):
-        placement = _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        placement = _place(_specs())
         assert all(
             placement.for_table(name).cache_enabled for name in placement.storage_tables()
         )
 
-    def test_dram_budget_is_not_read(self):
+    def test_is_the_default_list(self):
         specs = _specs()
-        total = sum(s.size_bytes for s in specs)
-        placement = _place(specs, PlacementPolicy.SM_ONLY_WITH_CACHE, dram_budget_bytes=total)
-        assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
+        default = compute_tiered_placement(specs, SDMConfig().tiers)
+        assert default == _place(specs)
+        assert set(default.storage_tables()) == {"user_hot", "user_cold_big"}
 
 
 class TestFixedFmSmPolicy:
     def test_zero_budget_equals_sm_only(self):
-        placement = _place(_specs(), PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=0)
-        assert placement == _place(_specs(), PlacementPolicy.SM_ONLY_WITH_CACHE)
+        placement = _place(_specs(), dram_budget=0)
+        assert placement == compute_tiered_placement(_specs(), DEFAULT_TIERS)
 
     def test_budget_pins_highest_density_table(self):
         specs = _specs()
         hot_size = specs[0].size_bytes
-        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=hot_size)
+        placement = _place(specs, dram_budget=hot_size)
         assert placement.for_table("user_hot").tiers() == (0,)
         # Served from fast memory, so no row cache in front of it.
         assert not placement.for_table("user_hot").cache_enabled
@@ -104,20 +109,20 @@ class TestFixedFmSmPolicy:
         # The dense table comes last in the model and still gets the budget.
         specs = _specs()[::-1]
         hot_size = specs[-1].size_bytes
-        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=hot_size)
+        placement = _place(specs, dram_budget=hot_size)
         assert placement.tables_on(1) == ["user_cold_big"]
         assert list(placement.decisions) == [spec.name for spec in specs]
 
     def test_huge_budget_pins_everything(self):
         specs = _specs()
         total = sum(s.size_bytes for s in specs)
-        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=total)
+        placement = _place(specs, dram_budget=total)
         assert placement.storage_tables() == []
 
     def test_fm_direct_bytes_within_budget(self):
         specs = _specs()
         budget = specs[0].size_bytes + 10
-        placement = _place(specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=budget)
+        placement = _place(specs, dram_budget=budget)
         spec_map = {s.name: s for s in specs}
         user_fm = [n for n in placement.tables_on(0) if spec_map[n].is_user]
         assert user_fm == ["user_hot"]
@@ -126,40 +131,30 @@ class TestFixedFmSmPolicy:
 
 class TestPerTableCachePolicy:
     def test_low_locality_tables_skip_cache(self):
-        placement = _place(
-            _specs(), PlacementPolicy.PER_TABLE_CACHE, cache_disable_alpha_threshold=0.6
-        )
+        placement = _place(_specs(), cache_disable_alpha_threshold=0.6)
         assert placement.for_table("user_hot").cache_enabled
         assert not placement.for_table("user_cold_big").cache_enabled
 
     def test_all_user_tables_still_on_sm(self):
-        placement = _place(_specs(), PlacementPolicy.PER_TABLE_CACHE)
+        placement = _place(_specs(), cache_disable_alpha_threshold=0.6)
         assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
-    def test_threshold_is_only_read_under_per_table_cache(self):
-        placement = _place(
-            _specs(), PlacementPolicy.SM_ONLY_WITH_CACHE, cache_disable_alpha_threshold=0.6
-        )
+    def test_no_threshold_keeps_every_cache(self):
+        assert SDMConfig().cache_disable_alpha_threshold is None
+        placement = _place(_specs())
         assert placement.for_table("user_cold_big").cache_enabled
 
 
 class TestPinnedTablesAndValidation:
     def test_pinned_table_never_on_sm(self):
-        placement = _place(
-            _specs(),
-            PlacementPolicy.SM_ONLY_WITH_CACHE,
-            pinned_fm_tables=("user_cold_big",),
-        )
+        placement = _place(_specs(), pinned_fm_tables=("user_cold_big",))
         assert placement.for_table("user_cold_big").tiers() == (0,)
         assert not placement.for_table("user_cold_big").cache_enabled
 
     def test_pinned_table_not_charged_to_the_budget(self):
         specs = _specs()
         placement = _place(
-            specs,
-            PlacementPolicy.FIXED_FM_SM,
-            dram_budget_bytes=specs[0].size_bytes,
-            pinned_fm_tables=("user_cold_big",),
+            specs, dram_budget=specs[0].size_bytes, pinned_fm_tables=("user_cold_big",)
         )
         # The budget still fits user_hot although the pinned table is larger.
         assert placement.storage_tables() == []
@@ -189,21 +184,22 @@ class TestPinnedTablesAndValidation:
         )
         assert placement.tier_bytes(spec_map, 0) == specs[2].size_bytes
 
-    def test_policy_accepts_string_value(self):
+    def test_budget_accepts_the_string_spelling(self):
         specs = _specs()
-        placement = _place(specs, "fixed_fm_sm", dram_budget_bytes=specs[0].size_bytes)
+        config = SDMConfig(tiers=f"dram:{specs[0].size_bytes},nand:1GiB")
+        placement = compute_tiered_placement(specs, config.tiers)
         assert placement.tables_on(1) == ["user_cold_big"]
-        with pytest.raises(ValueError, match="not a valid PlacementPolicy"):
-            SDMConfig(placement_policy="fastest")
+        with pytest.raises(ValueError, match="unknown memory technology"):
+            SDMConfig(tiers="dram:0,fastest:1GiB")
 
 
 class TestPlacementEdgeCases:
     """Edge geometries: zero FM budget, oversized tables, all-pruned rows."""
 
     def test_zero_fm_budget_sends_every_user_table_to_sm(self):
-        for policy in PlacementPolicy:
-            placement = _place(_specs(), policy, dram_budget_bytes=0)
-            assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}, policy
+        for threshold in (None, 0.6):  # sm_only_with_cache, per_table_cache
+            placement = _place(_specs(), cache_disable_alpha_threshold=threshold)
+            assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
         tiered = compute_tiered_placement(_specs(), parse_tiers("dram:0,nand:64MiB"))
         assert set(tiered.storage_tables()) == {"user_hot", "user_cold_big"}
         assert tiered.for_table("item_a").tiers() == (0,)
@@ -212,15 +208,13 @@ class TestPlacementEdgeCases:
         from repro.hierarchy import TierSpec
         from repro.storage.spec import Technology
 
-        with pytest.raises(ValueError, match="dram_budget_bytes"):
-            SDMConfig(dram_budget_bytes=-1)
+        with pytest.raises(ValueError, match="non-negative"):
+            SDMConfig(tiers=[{"technology": "dram", "capacity": -1}, "nand:1GiB"])
         with pytest.raises(ValueError, match="non-negative"):
             TierSpec(technology=Technology.DRAM, capacity_bytes=-4096)
         specs = _specs()
         smallest = min(s.size_bytes for s in specs if s.is_user)
-        placement = _place(
-            specs, PlacementPolicy.FIXED_FM_SM, dram_budget_bytes=smallest - 1
-        )
+        placement = _place(specs, dram_budget=smallest - 1)
         assert set(placement.storage_tables()) == {"user_hot", "user_cold_big"}
 
     def test_table_larger_than_every_tier_combined_rejected(self):
@@ -282,11 +276,15 @@ def _sm_layout(sdm):
 
 class TestPoliciesMoveOnlyThePlacement:
     """A policy comparison is meaningful only when nothing but the placement
-    moves.  The density-sorted FIXED_FM_SM branch of the old two-tier
+    moves.  The density-sorted fixed FM/SM branch of the old two-tier
     function also laid the SM tables out in density order, so the same
     placement served differently under another policy name."""
 
-    HOST = {"num_devices": 2, "row_cache_capacity_bytes": 64 * 1024}
+    HOST = {"row_cache_capacity_bytes": 64 * 1024}
+
+    @staticmethod
+    def _tier_dicts(dram_budget):
+        return [tier.to_dict() for tier in _tiers(dram_budget)]
 
     @staticmethod
     def _run(options):
@@ -299,17 +297,15 @@ class TestPoliciesMoveOnlyThePlacement:
         return Session(spec).run().to_dict()
 
     def test_zero_budget_fixed_fm_sm_serves_exactly_like_sm_only(self):
-        sm_only = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
-        fixed = self._run(
-            {**self.HOST, "placement_policy": "fixed_fm_sm", "dram_budget_bytes": 0}
-        )
+        sm_only = self._run(self.HOST)
+        fixed = self._run({**self.HOST, "tiers": self._tier_dicts(0)})
         assert fixed == sm_only
         assert sm_only["tiers"][1]["ios"] > 0  # the devices did serve
 
     def test_the_same_host_spelled_as_a_tiers_list_serves_the_same(self):
         from repro.storage.spec import TABLE1_SPECS, Technology
 
-        sm_only = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
+        sm_only = self._run(self.HOST)
         device_bytes = TABLE1_SPECS[Technology.NAND_FLASH].capacity_bytes
         spelled = self._run(
             {
@@ -341,11 +337,7 @@ class TestPoliciesMoveOnlyThePlacement:
         for homed_in_fm in range(len(names) + 1):
             sdm = SoftwareDefinedMemory(
                 model,
-                SDMConfig(
-                    placement_policy=PlacementPolicy.FIXED_FM_SM,
-                    dram_budget_bytes=budget,
-                    **host,
-                ),
+                SDMConfig(tiers=_tiers(budget), **host),
             )
             on_sm = sdm.placement.storage_tables()
             assert set(on_sm) == {spec.name for spec in by_density[homed_in_fm:]}
@@ -371,13 +363,15 @@ class TestPoliciesMoveOnlyThePlacement:
             if homed_in_fm < len(names):
                 budget += by_density[homed_in_fm].size_bytes
 
-    def test_budget_is_not_read_under_sm_only(self):
-        result = self._run(
-            {**self.HOST, "placement_policy": "sm_only_with_cache", "dram_budget_bytes": 123}
-        )
-        assert result["tiers"][0]["capacity_bytes"] == 0
-        reference = self._run({**self.HOST, "placement_policy": "sm_only_with_cache"})
-        assert result == reference  # so nothing was homed in FM on the budget
+    def test_a_budget_no_table_fits_serves_like_sm_only(self):
+        result = self._run({**self.HOST, "tiers": self._tier_dicts(123)})
+        assert result["tiers"][0]["capacity_bytes"] == 123
+        reference = self._run(self.HOST)
+        assert reference["tiers"][0]["capacity_bytes"] == 0
+        # So nothing was homed in FM on the budget.
+        assert result["latency_seconds"] == reference["latency_seconds"]
+        assert result["makespan_seconds"] == reference["makespan_seconds"]
+        assert [t["ios"] for t in result["tiers"]] == [t["ios"] for t in reference["tiers"]]
 
 
 class TestSuppliedPlacement:
@@ -396,5 +390,5 @@ class TestSuppliedPlacement:
         three_tier = compute_tiered_placement(
             model.table_specs, parse_tiers("dram:0,cxl:64KiB,nand:1MiB")
         )
-        with pytest.raises(ValueError, match="references 3 tiers but the config resolves to 2"):
+        with pytest.raises(ValueError, match="references 3 tiers but the config has 2"):
             SoftwareDefinedMemory(model, small_sdm_config(), placement=three_tier)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import AccessPathKind, PlacementPolicy, SoftwareDefinedMemory
+from repro.core import AccessPathKind, SoftwareDefinedMemory
 from repro.dlrm import ComputeSpec, InferenceEngine, prune_table
 from repro.hierarchy import compute_tiered_placement, parse_tiers
 from repro.sim.state import CONTENTS, COUNTER, reset
@@ -39,7 +39,13 @@ class TestSDMSetup:
         )
 
     def test_devices_built_from_config(self):
-        sdm = small_sdm(small_model(), num_devices=3, device_technology=Technology.OPTANE_SSD)
+        sdm = small_sdm(
+            small_model(),
+            tiers=[
+                {"technology": "dram", "capacity": 0},
+                {"technology": "optane", "capacity": "1.2TB", "devices": 3},
+            ],
+        )
         assert len(sdm.devices) == 3
         assert all(d.spec.technology is Technology.OPTANE_SSD for d in sdm.devices)
 
@@ -105,8 +111,10 @@ class TestSDMNumericalCorrectness:
         model = small_model()
         sdm = small_sdm(
             model,
-            placement_policy=PlacementPolicy.FIXED_FM_SM,
-            dram_budget_bytes=model.table("user_0").size_bytes,
+            tiers=[
+                {"technology": "dram", "capacity": model.table("user_0").size_bytes},
+                {"technology": "nand", "capacity": "4TB", "devices": 2},
+            ],
         )
         assert sdm.placement.for_table("user_0").tiers() == (0,)
         assert "user_0" not in sdm._sm_tables
@@ -248,7 +256,6 @@ class TestSDMTimingAndStats:
         model = small_model()
         sdm = small_sdm(
             model,
-            placement_policy=PlacementPolicy.PER_TABLE_CACHE,
             cache_disable_alpha_threshold=2.0,  # disable caching for every table
             pooled_cache_enabled=False,
         )

@@ -3,9 +3,8 @@
 The load-bearing guarantees:
 
 * the default two-tier spec produces **bit-identical** ScenarioResult
-  metrics whether the tier chain is configured implicitly (legacy
-  ``device_technology``/``num_devices`` fields) or explicitly (an equivalent
-  ``tiers`` list) — i.e. the refactor is a pure generalisation;
+  metrics whether the tier chain is left at its default list or spelled out
+  as an explicit ``tiers`` list (with the row cache as tier 0's cache);
 * a ``dram,cxl,nand`` 3-tier scenario runs end-to-end through both
   :meth:`Session.run` and the CLI with per-tier hit rates in the output;
 * the batched NumPy decode path is exactly equal to the per-row reference.
@@ -19,6 +18,7 @@ import pytest
 from repro.api import ScenarioSpec, Session
 from repro.api.cli import main as cli_main
 from repro.api.spec import BackendChoice
+from repro.core.config import DEFAULT_TIERS
 from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.quantization import dequantize_rows, quantize_rows
 
@@ -46,13 +46,12 @@ class TestTwoTierParity:
             name="parity",
             backend=BackendChoice(
                 name="sdm",
-                options={"num_devices": 2, "row_cache_capacity_bytes": 256 * 1024},
+                options={"row_cache_capacity_bytes": 256 * 1024},
             ),
         )
         legacy = Session(spec).run().to_dict()
 
-        config = small_sdm_config(num_devices=2)
-        tiers = [tier.to_dict() for tier in config.resolved_tiers()]
+        tiers = [tier.to_dict() for tier in DEFAULT_TIERS]
         explicit = Session(
             spec.replace("backend.options.tiers", tiers)
         ).run().to_dict()
@@ -64,7 +63,10 @@ class TestTwoTierParity:
         explicit = SoftwareDefinedMemory(
             model_b,
             small_sdm_config(
-                tiers=[t.to_dict() for t in small_sdm_config().resolved_tiers()]
+                tiers=[
+                    {"technology": "dram", "capacity": 0, "cache": 256 * 1024},
+                    DEFAULT_TIERS[1].to_dict(),
+                ]
             ),
         )
         for query in small_queries(model_a, 40):
@@ -329,7 +331,8 @@ class TestStrictConfiguration:
             small_sdm_config(tiers="")
         with pytest.raises(ValueError, match="names no tiers"):
             small_sdm_config(tiers=[])
-        assert small_sdm_config(tiers=None).tiers is None
+        with pytest.raises(ValueError, match="names no tiers"):
+            small_sdm_config(tiers=None)
 
     def test_single_tier_spec_and_non_iterable_rejected_clearly(self):
         from repro.hierarchy import TierSpec, parse_tiers
@@ -339,13 +342,6 @@ class TestStrictConfiguration:
             parse_tiers(TierSpec(technology=Technology.DRAM, capacity_bytes=0))
         with pytest.raises(ValueError, match="comma string"):
             parse_tiers(42)
-
-    def test_split_rows_without_tiers_rejected(self):
-        with pytest.raises(ValueError, match="split_rows requires"):
-            small_sdm_config(split_rows=True)
-        assert small_sdm_config(
-            tiers="dram:0,nand:64MiB", split_rows=True
-        ).split_rows
 
 
 class TestVectorisedDecodeParity:

@@ -19,9 +19,22 @@ from repro.serving import ServingEngine
 from repro.sim.state import CONTENTS, COUNTER, reset
 from repro.sim.units import MIB
 from repro.storage import IOEngineConfig, Technology
+from repro.storage.spec import TABLE1_SPECS
 from repro.workload import QueryGenerator, WorkloadConfig
 
 from helpers import small_model, small_queries, small_sdm
+
+
+def _host(technology):
+    """The paper's host geometry on two devices of ``technology``."""
+    return [
+        {"technology": "dram", "capacity": 0},
+        {
+            "technology": technology,
+            "capacity": 2 * TABLE1_SPECS[technology].capacity_bytes,
+            "devices": 2,
+        },
+    ]
 
 
 def _m1_scaled(item_batch=4, seed=0):
@@ -66,10 +79,7 @@ class TestSDMvsDRAMServing:
         dram_engine = InferenceEngine(model, compute, InMemoryBackend(model.tables, compute))
         sdm = SoftwareDefinedMemory(
             model,
-            SDMConfig(
-                device_technology=Technology.OPTANE_SSD,
-                row_cache_capacity_bytes=2 * MIB,
-            ),
+            SDMConfig(tiers=_host(Technology.OPTANE_SSD), row_cache_capacity_bytes=2 * MIB),
         )
         sdm_engine = InferenceEngine(model, compute, sdm)
 
@@ -108,7 +118,7 @@ class TestServingSimulatorIntegration:
             sdm = SoftwareDefinedMemory(
                 model,
                 SDMConfig(
-                    device_technology=technology,
+                    tiers=_host(technology),
                     row_cache_capacity_bytes=256 * 1024,
                     pooled_cache_enabled=False,
                     io=IOEngineConfig(max_outstanding_per_device=16),

@@ -161,7 +161,7 @@ def _spec_matrix():
     """One spec per built-in backend x traffic mode (satellite: store foundation)."""
     backends = {
         "dram": {},
-        "sdm": dict(row_cache_capacity_bytes=1 * MIB, num_devices=2),
+        "sdm": dict(row_cache_capacity_bytes=1 * MIB, tiers="dram:0,nand:1GiB"),
         "pooled": dict(pooled_cache_capacity_bytes=1 * MIB),
     }
     traffics = {
@@ -186,10 +186,10 @@ class TestSpecHashStability:
 
     def test_hash_is_order_insensitive(self):
         spec = ScenarioSpec(
-            backend=BackendChoice(name="sdm", options=dict(num_devices=2, queue_depth=4))
+            backend=BackendChoice(name="sdm", options=dict(split_rows=True, queue_depth=4))
         )
         reordered = ScenarioSpec(
-            backend=BackendChoice(name="sdm", options=dict(queue_depth=4, num_devices=2))
+            backend=BackendChoice(name="sdm", options=dict(queue_depth=4, split_rows=True))
         )
         assert spec.spec_hash() == reordered.spec_hash()
 

@@ -55,14 +55,14 @@ class TestCampaignCLI:
         assert "--out" in capsys.readouterr().err
 
     def test_device_axis_on_a_tiered_spec_fails_every_point(self, capsys):
-        # A tier list is the whole geometry, so an axis over a device field
-        # of the two-tier spelling would vary nothing; each point says so.
+        # A tier list is the whole geometry: the two-tier device fields are
+        # not options, so an axis over one fails each point, saying so.
         argv = ["campaign", *BASE_ARGS, "--tiers", "dram:64KiB,nand:1GiB",
                 "--grid", "backend.options.num_devices=1,4", "--quiet"]
         assert cli_main(argv) == 1
         err = capsys.readouterr().err
         assert "2 point(s) quarantined" in err
-        assert err.count("ValueError: with tiers set, num_devices would be ignored") == 2
+        assert err.count("ValueError: unknown SDM options ['num_devices']") == 2
 
     def test_malformed_grid_is_a_user_error(self, capsys):
         assert cli_main(["campaign", *BASE_ARGS, "--grid", "serving.concurrency"]) == 2
@@ -239,6 +239,19 @@ class TestCompareCLI:
             ["compare", str(tmp_path / "base"), str(tmp_path / "cand")]
         ) == 1
         assert "REGRESSED" in capsys.readouterr().out
+
+    def test_runs_with_no_point_in_common_exit_two(self, capsys, tmp_path):
+        self._populate(capsys, tmp_path / "base")
+        run_json(
+            capsys,
+            ["campaign", *BASE_ARGS, "--grid", "serving.concurrency=3",
+             "--out", str(tmp_path / "other"), "--quiet", "--json"],
+        )
+        assert cli_main(
+            ["compare", str(tmp_path / "base"), str(tmp_path / "other")]
+        ) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: no point of") and err.count("\n") == 1
 
     def test_missing_run_directory_is_a_user_error(self, capsys, tmp_path):
         assert cli_main(

@@ -85,6 +85,13 @@ class TestCompareRuns:
         assert comparison.only_in_candidate == ["c"]
         assert "only in baseline" in comparison.table()
 
+    def test_runs_with_no_point_in_common_raise(self, tmp_path):
+        """Zero matched points is a mismatched run, not zero regressions."""
+        base = make_store(tmp_path, "base", {"a": result_dict()})
+        cand = make_store(tmp_path, "cand", {"b": result_dict(qps=1.0)})
+        with pytest.raises(ValueError, match="nothing to compare"):
+            compare_runs(base, cand)
+
     def test_spec_drift_is_flagged_but_still_compared(self, tmp_path):
         """Same point name, different spec: a config A/B, compared with a flag."""
         base_store = ExperimentStore(tmp_path / "base")
