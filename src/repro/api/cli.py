@@ -18,7 +18,6 @@ campaign axis.  Subcommands::
     python -m repro campaign --out runs/demo --resume ...   # skip done points
     python -m repro compare runs/baseline runs/demo
     python -m repro list-devices
-    python -m repro lint src examples benchmarks
     python -m repro list-backends
 
 The other scenario flags do more than set one path: ``--tiers`` parses a
@@ -43,7 +42,6 @@ from repro.api.results import campaign_table, metric_path_error
 from repro.api.session import Session
 from repro.api.spec import OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, spec_path_error
 from repro.hierarchy import TECHNOLOGY_ALIASES, parse_tiers
-from repro.lint.cli import add_lint_parser
 from repro.sim.units import MICROSECOND, format_bytes
 from repro.storage.spec import TABLE1_SPECS
 from repro.runtime import (
@@ -592,8 +590,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     devices_parser.add_argument("--json", action="store_true", help="emit JSON")
     devices_parser.set_defaults(handler=_cmd_list_devices)
-
-    add_lint_parser(subparsers)
 
     return parser
 

@@ -265,9 +265,9 @@ def spec_path_error(path: str) -> Optional[str]:
 
     Returns ``None`` when ``path`` is a structurally valid
     :meth:`ScenarioSpec.replace` / campaign-grid / CLI ``--set`` address,
-    and a human-readable error message otherwise.  This is the
-    introspection hook the ``repro lint`` SPEC001 rule (and any external
-    tooling) checks spec-path strings against without building a spec.
+    and a human-readable error message otherwise, without building a
+    spec.  ``--set`` and ``--grid`` check every path with it before a point
+    runs.
 
     Backend options below ``backend.options`` are free-form (each backend
     factory defines its own), so only their *structured* sub-schemas — the

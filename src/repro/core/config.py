@@ -36,7 +36,8 @@ DEFAULT_TIERS: Tuple[TierSpec, ...] = (
     ),
 )
 
-#: ``row_cache_capacity_bytes`` when nothing sets it.
+#: The row cache when neither ``row_cache_capacity_bytes`` nor tier 0's
+#: ``cache`` sets it.
 DEFAULT_ROW_CACHE_BYTES = 8 * MIB
 
 
@@ -64,11 +65,12 @@ class SDMConfig:
     Attributes
     ----------
     row_cache_capacity_bytes:
-        FM byte budget of the unified row cache (section 4.3) when tier 0
-        names no ``cache`` of its own; setting both is rejected.  Its split
-        between the memory-optimised and CPU-optimised organisations and
-        the row length that routes between them are fixed by
-        :mod:`repro.cache.unified`.
+        FM byte budget of the unified row cache (section 4.3).  ``None``
+        means tier 0's ``cache`` when it names one, else
+        :data:`DEFAULT_ROW_CACHE_BYTES`; any value beside a tier-0 ``cache``
+        is rejected, the default's included.  Its split between the
+        memory-optimised and CPU-optimised organisations and the row length
+        that routes between them are fixed by :mod:`repro.cache.unified`.
     pooled_cache_enabled / pooled_cache_capacity_bytes / pooled_len_threshold:
         Pooled embedding cache (section 4.4, Algorithm 1).  ``pooled_len_threshold``
         is the paper's ``LenThreshold``: only requests with more indices are
@@ -105,7 +107,7 @@ class SDMConfig:
         across tiers instead of homed whole on the first tier with room.
     """
 
-    row_cache_capacity_bytes: int = DEFAULT_ROW_CACHE_BYTES
+    row_cache_capacity_bytes: Optional[int] = None
 
     pooled_cache_enabled: bool = True
     pooled_cache_capacity_bytes: int = 4 * MIB
@@ -132,10 +134,7 @@ class SDMConfig:
         if not tiers:
             raise ValueError("tiers names no tiers; a hierarchy needs at least a dram tier")
         object.__setattr__(self, "tiers", tiers)
-        if (
-            tiers[0].cache_bytes is not None
-            and self.row_cache_capacity_bytes != DEFAULT_ROW_CACHE_BYTES
-        ):
+        if tiers[0].cache_bytes is not None and self.row_cache_capacity_bytes is not None:
             # Two spellings of one cache: one of them would be ignored.
             raise ValueError(
                 f"tier 0 names a cache ({tiers[0].cache_bytes} bytes) and "
@@ -146,7 +145,7 @@ class SDMConfig:
             raise ValueError(
                 f"promotion must be one of {PROMOTION_POLICIES}: {self.promotion!r}"
             )
-        if self.row_cache_capacity_bytes <= 0:
+        if self.row_cache_capacity_bytes is not None and self.row_cache_capacity_bytes <= 0:
             raise ValueError(
                 f"row_cache_capacity_bytes must be positive: {self.row_cache_capacity_bytes}"
             )

@@ -29,7 +29,7 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.cache.unified import UnifiedRowCache
-from repro.core.config import AccessPathKind, SDMConfig
+from repro.core.config import DEFAULT_ROW_CACHE_BYTES, AccessPathKind, SDMConfig
 from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec, check_requests
@@ -206,11 +206,12 @@ class SoftwareDefinedMemory(EmbeddingBackend):
     def _build_tiers(self) -> None:
         config = self.config
         fast_spec = config.tiers[0]
-        cache_bytes = (
-            fast_spec.cache_bytes
-            if fast_spec.cache_bytes is not None
-            else config.row_cache_capacity_bytes
-        )
+        if fast_spec.cache_bytes is not None:
+            cache_bytes = fast_spec.cache_bytes
+        elif config.row_cache_capacity_bytes is not None:
+            cache_bytes = config.row_cache_capacity_bytes
+        else:
+            cache_bytes = DEFAULT_ROW_CACHE_BYTES
         if cache_bytes <= 0:
             raise ValueError(
                 "tier 0 needs a positive row-cache budget; omit 'cache' to use "

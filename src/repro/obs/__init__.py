@@ -16,10 +16,11 @@ Three pieces, all driven by the serving stack:
   report, CLI listing and benchmark prints.
 
 :mod:`repro.obs.profile` is the repository's single audited wall-clock
-module (DET001 allow-lists exactly that file); campaign ETA lines go through
-it and nowhere else.  Host-time (wall-clock) spans are not recorded from
-inside the library: ``perf/trace.py`` wraps the functions named in
-``perf/layers.py`` from outside, and that hook table is the one wall tracer.
+module (``WALL_CLOCK_ALLOWED`` in ``tools/static_checks.py`` exempts exactly
+that file from DET001); campaign ETA lines go through it and nowhere else.
+Host-time (wall-clock) spans are not recorded from inside the library:
+``perf/trace.py`` wraps the functions named in ``perf/layers.py`` from
+outside, and that hook table is the one wall tracer.
 
 Everything is wired through ``ScenarioSpec``'s ``telemetry`` section; with
 telemetry disabled (the default) the serving stack's behaviour is

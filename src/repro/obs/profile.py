@@ -1,14 +1,13 @@
 """The repository's single audited wall-clock module.
 
-Everything under :mod:`repro` runs on simulated time — the DET001 lint rule
-forbids wall-clock reads in library code because results must be a pure
-function of the :class:`~repro.api.spec.ScenarioSpec`.  One feature
-legitimately needs the real clock anyway: progress/ETA reporting for long
-campaigns.
+Everything under :mod:`repro` runs on simulated time — the DET001 rule of
+``tools/static_checks.py`` forbids wall-clock reads in library code because
+results must be a pure function of the :class:`~repro.api.spec.ScenarioSpec`.
+One feature legitimately needs the real clock anyway: progress/ETA reporting
+for long campaigns.
 
-It goes through this module, which is the one path DET001 allow-lists (see
-``WALL_CLOCK_ALLOWED_SUFFIXES`` in :mod:`repro.lint.rules.determinism`).
-The contract that keeps the allow-list safe: nothing returned from here may
+It goes through this module, which is the one path DET001 allows (see
+``WALL_CLOCK_ALLOWED`` in ``tools/static_checks.py``).  The contract that keeps the allow-list safe: nothing returned from here may
 flow into simulated time, serving results or anything hashed/stored — only
 into stderr progress lines.
 

@@ -149,13 +149,21 @@ class ExperimentStore:
         The record is durable the moment this returns (written, flushed and
         fsynced), so a campaign killed between points loses nothing.  With
         ``shard`` the record lands in that worker's ``results-<shard>.jsonl``
-        instead of the main file.
+        instead of the main file.  A record always starts a line: after a
+        kill mid-append left a torn last line, it would otherwise join that
+        line, and every later load would skip both.
         """
         record = self._record(spec, result, index=index, coords=coords)
         path = self.shard_path(shard) if shard is not None else self.results_path
         self.root.mkdir(parents=True, exist_ok=True)
-        with open(path, "a", encoding="utf-8") as handle:
-            handle.write(json.dumps(record, sort_keys=True) + "\n")
+        line = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
+        with open(path, "a+b") as handle:
+            end = handle.seek(0, os.SEEK_END)
+            if end:
+                handle.seek(end - 1)
+                if handle.read(1) != b"\n":
+                    line = b"\n" + line
+            handle.write(line)
             handle.flush()
             os.fsync(handle.fileno())
         self.records()[record["spec_hash"]] = record

@@ -79,6 +79,15 @@ class TestBuiltinBackends:
             with pytest.raises(ValueError, match="row_cache_capacity_bytes"):
                 create_backend("tiered", model, tiers=tiers, row_cache_capacity_bytes=row_cache)
 
+    def test_an_explicit_default_row_cache_beside_a_tier0_cache_is_rejected(self, model):
+        # 8 MiB is also the size an unset row cache gets; given beside tier
+        # 0's cache it is still a second spelling, not a silent no-op.
+        tiers = "dram:0:512KiB,nand:1GiB"
+        with pytest.raises(ValueError, match="tier 0 names a cache"):
+            create_backend("sdm", model, tiers=tiers, row_cache_capacity_bytes=8 * 1024 * 1024)
+        assert create_backend("sdm", model, tiers=tiers).row_cache.capacity_bytes == 512 * 1024
+        assert create_backend("sdm", model).row_cache.capacity_bytes == 8 * 1024 * 1024
+
     def test_pooled_rejects_disabling_its_cache(self, model):
         with pytest.raises(ValueError, match="pooled_cache_enabled"):
             create_backend("pooled", model, pooled_cache_enabled=False)

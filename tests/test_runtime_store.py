@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import ExperimentStore, ScenarioSpec
 
 
@@ -66,6 +68,21 @@ class TestExperimentStore:
         assert len(reopened) == 1
         assert reopened.get(good.spec_hash()) is not None
         assert reopened.get("deadbeef") is None
+
+    @pytest.mark.parametrize("shard", [None, "w1"])
+    def test_a_put_after_a_torn_line_starts_a_fresh_line(self, tmp_path, shard):
+        """A resumed run's first record must not join the torn line."""
+        store = ExperimentStore(tmp_path / "run")
+        store.put(ScenarioSpec(name="before"), result_dict(), shard=shard)
+        path = store.shard_path(shard) if shard else store.results_path
+        with open(path, "a", encoding="utf-8") as handle:
+            handle.write('{"spec_hash": "dead')  # killed mid-append: no newline
+        after = ScenarioSpec(name="after")
+        ExperimentStore(tmp_path / "run").put(after, result_dict(), shard=shard)
+        reopened = ExperimentStore(tmp_path / "run")
+        assert len(reopened) == 2
+        assert reopened.get(after.spec_hash()) is not None
+        assert path.read_text().endswith("}\n")
 
     def test_blank_lines_and_missing_hash_tolerated(self, tmp_path):
         store = ExperimentStore(tmp_path / "run")

@@ -29,7 +29,6 @@ ALLOWED = {
     "unregister_backend": "cleanup in tests/test_api_registry.py",
     "backend_registered": "introspection in tests/test_api_registry.py",
     "backend_cache_info": "introspection in tests/test_runtime_executor.py",
-    "unregister": "cleanup in tests/test_lint_framework.py",
     "dequantize_row": "the per-row oracle tests/test_dlrm_quantization.py holds dequantize_rows to",
     "iops_requirement": "bandwidth oracle for ROADMAP 6(d)",
     "bandwidth_requirement": "bandwidth oracle for ROADMAP 6(d)",
@@ -37,6 +36,7 @@ ALLOWED = {
     "row_keys": "the per-row keys tests/reference_walk.py holds TierChain.plan's inlined keys to",
     "locate": "the per-row oracle tests/test_properties.py holds BlockLayout.locate_batch to",
     "used_bytes": "the byte count tests/test_cache_soa.py holds SoALRUCache to its LRUCache oracle with",
+    "materialised": "the observable tests/test_dlrm_tables_on_demand.py holds a run to reading no table with",
 }
 
 SCANNED = ("src", "benchmarks", "examples")
