@@ -2,7 +2,8 @@
 
 Every ``bench_*`` file regenerates one table or figure of the paper.  The
 benchmark fixture times a single full run of the experiment (pedantic mode)
-and the resulting rows are printed for comparison with ``EXPERIMENTS.md``.
+and the resulting rows are printed beside the paper's numbers, which each
+table's title or the bench's docstring quotes.
 """
 
 from __future__ import annotations

@@ -5,6 +5,10 @@ but makes the FM row cache far less space-efficient; the paper finds the
 cache effect dominates for most use cases.  This bench compares cache
 capacity (rows/MiB), hit rate and steady-state latency with and without
 de-quantisation at load.
+
+The stack is built by hand, not from a scenario spec: the model is
+``tests/helpers.small_model`` (two user tables of 2,048 rows x dim 32 and one
+item table), which no ``ModelChoice`` builds.
 """
 
 from repro import format_table

@@ -3,46 +3,39 @@
 Issuing the IO of different embedding operators asynchronously overlaps IO
 across tables; the paper observed ~20% lower latency per query and hence
 ~20% more QPS per host at the latency target for M1.
+
+The study is a two-point campaign over the SDM backend's
+``inter_op_parallelism`` option: M1 at 6 tables per group x 2,048 rows, a
+64 KiB row cache with the pooled cache off, 80 queries served closed-loop on
+one stream after 10 warm-up queries.
 """
 
-from repro import format_table
-from repro.core import SDMConfig, SoftwareDefinedMemory
-from repro.dlrm import ComputeSpec, InferenceEngine, M1_SPEC, build_scaled_model
-from repro.serving import ServingEngine
+from repro import CampaignSpec, ScenarioSpec, format_table, run_campaign
 from repro.sim.units import KIB
-from repro.workload import QueryGenerator, WorkloadConfig
 
 from _util import emit, run_once
 
-NUM_QUERIES = 80
+SPEC = {
+    "name": "appendix-a2",
+    "model": {"spec": "M1", "max_tables_per_group": 6, "max_rows_per_table": 2048, "item_batch": 2},
+    "backend": {
+        "name": "sdm",
+        "options": {"row_cache_capacity_bytes": 64 * KIB, "pooled_cache_enabled": False},
+    },
+    "workload": {"num_queries": 80, "num_users": 300, "user_reuse_probability": 0.4, "seed": 1},
+    "serving": {"concurrency": 1, "warmup_queries": 10},
+}
 
+GRID = {"backend.options.inter_op_parallelism": [False, True]}
 
-def _run(inter_op: bool):
-    model = build_scaled_model(
-        M1_SPEC, max_tables_per_group=6, max_rows_per_table=2048, item_batch=2, seed=0
-    )
-    sdm = SoftwareDefinedMemory(
-        model,
-        SDMConfig(
-            row_cache_capacity_bytes=64 * KIB,
-            pooled_cache_enabled=False,
-            inter_op_parallelism=inter_op,
-        ),
-    )
-    engine = InferenceEngine(model, ComputeSpec(), sdm)
-    queries = QueryGenerator(
-        model, WorkloadConfig(item_batch=2, num_users=300, user_reuse_probability=0.4), seed=1
-    ).generate(NUM_QUERIES)
-    result = ServingEngine(engine).run_closed_loop(queries, warmup_queries=10)
-    return result.mean_latency, result.achieved_qps
+LABELS = ("serial embedding operators", "inter-op parallelism")
 
 
 def build_appendix_a2():
-    serial_latency, serial_qps = _run(inter_op=False)
-    parallel_latency, parallel_qps = _run(inter_op=True)
+    campaign = CampaignSpec.from_grid(ScenarioSpec.from_dict(SPEC), GRID)
     return [
-        ["serial embedding operators", serial_latency * 1e6, serial_qps],
-        ["inter-op parallelism", parallel_latency * 1e6, parallel_qps],
+        [label, outcome.result.latency["mean"] * 1e6, outcome.result.achieved_qps]
+        for label, outcome in zip(LABELS, run_campaign(campaign))
     ]
 
 

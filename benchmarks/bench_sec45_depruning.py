@@ -9,6 +9,10 @@ to 2x the cache size and up to 48% better performance when SM-bound.
 The workload here mirrors the paper's observation that pruned rows are cold:
 each request draws hot (kept) rows from a Zipf distribution and touches a
 pruned row with only 2.5% probability.
+
+The SDM is built by hand, not from a scenario spec: it takes
+``pruned_tables=``, which no backend option carries, and the bench times
+single lookups served at simulated t=0 (``sdm.serve``), not queries.
 """
 
 import numpy as np

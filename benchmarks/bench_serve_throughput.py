@@ -32,6 +32,11 @@ the serve core timed with a live :class:`ChromeTraceRecorder` attached
 ``obs-smoke`` CI job gates the median per-pair slowdown with
 ``--max-trace-overhead`` and the simulated outcome must be identical either
 way — tracing observes, never perturbs.
+
+The stack is built by hand, not from a scenario spec: its model
+(``_bench_model``) is one no ``ModelChoice`` builds, and each timed pass
+replays the same stream on one already-warm serving engine, which a
+``Session`` run does not do.
 """
 
 import argparse

@@ -15,7 +15,9 @@ by that tier's cost factor (mapping tensors are not counted).
 The second half demonstrates hotness-ranked row-range placement: a table too
 big for fast memory is split so its *measured* hottest rows — profiled from
 the scenario's own access trace — live on the fast tier and the cold tail
-cascades down, instead of homing the whole table on a slow tier.
+cascades down, instead of homing the whole table on a slow tier.  That half builds its SDM
+by hand: it passes a ``placement=`` computed from the access profile, which
+no backend option carries.
 
 Run with:  python examples/tier_study.py
 """

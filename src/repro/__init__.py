@@ -18,7 +18,7 @@ through Software Defined Memory" (ICDCS 2022).  The package is organised as:
   row-range granularity) and the tier chain serving path.
 * :mod:`repro.core` -- the SDM stack itself: Tuning API config, bandwidth
   analysis, pooled embedding cache, de-pruning/de-quantisation, warmup,
-  model update, auto-tuning and the :class:`~repro.core.sdm.SoftwareDefinedMemory` backend.
+  model update and the :class:`~repro.core.sdm.SoftwareDefinedMemory` backend.
 * :mod:`repro.workload` -- synthetic query/trace generation and locality
   analysis (Figures 4 and 5).
 * :mod:`repro.serving` -- platforms (Table 7), power/capacity planning

@@ -94,16 +94,14 @@ def _build_sdm(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBa
 
 @register_backend("pooled", description="SDM serving through the pooled embedding cache (Alg. 1)")
 def _build_pooled(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    defaults: Dict[str, Any] = dict(
-        pooled_cache_enabled=True, pooled_len_threshold=0, pooled_cache_capacity_bytes=8 * MIB
-    )
+    if not options.get("pooled_cache_enabled", True):
+        raise ValueError("the 'pooled' backend requires pooled_cache_enabled=True")
+    defaults: Dict[str, Any] = dict(pooled_len_threshold=0, pooled_cache_capacity_bytes=8 * MIB)
     tiers = parse_tiers(options.get("tiers", DEFAULT_TIERS))
     if not tiers or tiers[0].cache_bytes is None:
         # The row cache gives way to the pooled cache, unless tier 0 sizes it.
         defaults["row_cache_capacity_bytes"] = 1 * MIB
     config = sdm_config_from_options(options, **defaults)
-    if not config.pooled_cache_enabled:
-        raise ValueError("the 'pooled' backend requires pooled_cache_enabled=True")
     return SoftwareDefinedMemory(model, config, compute=compute)
 
 

@@ -27,10 +27,9 @@ from repro.core.pooled_cache import (
     profile_subsequence_schemes,
 )
 from repro.core.dequantization import DequantizedTable, dequantize_table
-from repro.core.warmup import warmup_capacity_overhead, warmup_hit_rate_curve
+from repro.core.warmup import warmup_capacity_overhead
 from repro.core.model_update import ModelUpdatePlanner, UpdateStrategy
 from repro.core.sdm import SDMStats, SoftwareDefinedMemory
-from repro.core.autotune import AutoTuner, TuningResult
 
 __all__ = [
     "SDMConfig",
@@ -50,11 +49,8 @@ __all__ = [
     "DequantizedTable",
     "dequantize_table",
     "warmup_capacity_overhead",
-    "warmup_hit_rate_curve",
     "ModelUpdatePlanner",
     "UpdateStrategy",
     "SoftwareDefinedMemory",
     "SDMStats",
-    "AutoTuner",
-    "TuningResult",
 ]

@@ -10,7 +10,7 @@ access path (DIRECT-IO vs mmap) and inter-op parallelism (A.2).
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.hierarchy.tier import PROMOTION_POLICIES, TierSpec, parse_tiers
@@ -39,6 +39,10 @@ DEFAULT_TIERS: Tuple[TierSpec, ...] = (
 #: The row cache when neither ``row_cache_capacity_bytes`` nor tier 0's
 #: ``cache`` sets it.
 DEFAULT_ROW_CACHE_BYTES = 8 * MIB
+
+#: The pooled cache's size and ``LenThreshold`` when it is on and they are unset.
+DEFAULT_POOLED_CACHE_BYTES = 4 * MIB
+DEFAULT_POOLED_LEN_THRESHOLD = 1
 
 
 @dataclass(frozen=True)
@@ -74,7 +78,10 @@ class SDMConfig:
     pooled_cache_enabled / pooled_cache_capacity_bytes / pooled_len_threshold:
         Pooled embedding cache (section 4.4, Algorithm 1).  ``pooled_len_threshold``
         is the paper's ``LenThreshold``: only requests with more indices are
-        considered for pooled caching.
+        considered for pooled caching.  ``None`` means
+        :data:`DEFAULT_POOLED_CACHE_BYTES` and
+        :data:`DEFAULT_POOLED_LEN_THRESHOLD`; with the cache off, any value
+        of either is rejected, since nothing would read it.
     pinned_fm_tables:
         The "list of tables which should not be placed in SM" Tuning API
         (section 4.6); pinned tables are not charged to tier 0's budget.
@@ -110,8 +117,8 @@ class SDMConfig:
     row_cache_capacity_bytes: Optional[int] = None
 
     pooled_cache_enabled: bool = True
-    pooled_cache_capacity_bytes: int = 4 * MIB
-    pooled_len_threshold: int = 1
+    pooled_cache_capacity_bytes: Optional[int] = None
+    pooled_len_threshold: Optional[int] = None
 
     pinned_fm_tables: Tuple[str, ...] = ()
     cache_disable_alpha_threshold: Optional[float] = None
@@ -149,15 +156,20 @@ class SDMConfig:
             raise ValueError(
                 f"row_cache_capacity_bytes must be positive: {self.row_cache_capacity_bytes}"
             )
-        if self.pooled_cache_capacity_bytes <= 0:
+        if not self.pooled_cache_enabled and (
+            self.pooled_cache_capacity_bytes is not None or self.pooled_len_threshold is not None
+        ):
+            raise ValueError(
+                "pooled_cache_enabled is False, so its size and LenThreshold would be ignored "
+                f"(pooled_cache_capacity_bytes={self.pooled_cache_capacity_bytes}, "
+                f"pooled_len_threshold={self.pooled_len_threshold}); set them only while "
+                "the pooled cache is on"
+            )
+        if self.pooled_cache_capacity_bytes is not None and self.pooled_cache_capacity_bytes <= 0:
             raise ValueError(
                 f"pooled_cache_capacity_bytes must be positive: {self.pooled_cache_capacity_bytes}"
             )
-        if self.pooled_len_threshold < 0:
+        if self.pooled_len_threshold is not None and self.pooled_len_threshold < 0:
             raise ValueError(
                 f"pooled_len_threshold must be non-negative: {self.pooled_len_threshold}"
             )
-
-    def with_overrides(self, **kwargs) -> "SDMConfig":
-        """Return a copy with some fields replaced (convenience for sweeps)."""
-        return replace(self, **kwargs)

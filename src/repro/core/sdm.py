@@ -29,7 +29,13 @@ from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence
 import numpy as np
 
 from repro.cache.unified import UnifiedRowCache
-from repro.core.config import DEFAULT_ROW_CACHE_BYTES, AccessPathKind, SDMConfig
+from repro.core.config import (
+    DEFAULT_POOLED_CACHE_BYTES,
+    DEFAULT_POOLED_LEN_THRESHOLD,
+    DEFAULT_ROW_CACHE_BYTES,
+    AccessPathKind,
+    SDMConfig,
+)
 from repro.core.dequantization import dequantized_row_bytes
 from repro.core.pooled_cache import PooledEmbeddingCache
 from repro.dlrm.embedding import EmbeddingTableSpec, check_requests
@@ -154,9 +160,11 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
         self.pooled_cache: Optional[PooledEmbeddingCache] = None
         if config.pooled_cache_enabled:
+            capacity = config.pooled_cache_capacity_bytes
+            threshold = config.pooled_len_threshold
             self.pooled_cache = PooledEmbeddingCache(
-                config.pooled_cache_capacity_bytes,
-                len_threshold=config.pooled_len_threshold,
+                DEFAULT_POOLED_CACHE_BYTES if capacity is None else capacity,
+                len_threshold=DEFAULT_POOLED_LEN_THRESHOLD if threshold is None else threshold,
             )
 
         self.stats = SDMStats()

@@ -9,12 +9,10 @@ compensated by over-provisioning capacity:
 
 where ``r`` is the fraction of hosts updating at a time, ``w`` the warmup
 duration, ``p`` the relative performance during warmup and ``t`` the update
-interval.  The paper's example (r=10%, w=5 min, p=50%, t=30 min) gives 1.2%.
+interval.
 """
 
 from __future__ import annotations
-
-from typing import Callable, List, Sequence, Tuple
 
 
 def warmup_capacity_overhead(
@@ -23,7 +21,12 @@ def warmup_capacity_overhead(
     warmup_performance: float,
     update_interval_minutes: float,
 ) -> float:
-    """Extra serving capacity needed to mask cache warmup during rolling updates."""
+    """Extra serving capacity needed to mask cache warmup during rolling updates.
+
+    The formula is implemented as the paper writes it.  For the paper's
+    example (r=10%, w=5 min, p=50%, t=30 min) its prose quotes 1.2%, but the
+    formula gives 1/30 ~= 3.3%.
+    """
     if not 0.0 < updating_fraction <= 1.0:
         raise ValueError(f"updating_fraction must be in (0, 1]: {updating_fraction}")
     if warmup_minutes <= 0:
@@ -40,30 +43,3 @@ def warmup_capacity_overhead(
     return (updating_fraction * warmup_minutes) / (
         warmup_performance * update_interval_minutes
     )
-
-
-def warmup_hit_rate_curve(
-    run_queries: Callable[[int], float],
-    checkpoints: Sequence[int],
-) -> List[Tuple[int, float]]:
-    """Measure how the cache hit rate climbs as queries are served.
-
-    ``run_queries(n)`` must serve ``n`` additional queries against a freshly
-    loaded SDM instance and return the *cumulative* hit rate; the helper calls
-    it with the increments implied by ``checkpoints`` and returns
-    ``(queries_served, hit_rate)`` points suitable for plotting the warmup
-    transient.
-    """
-    if not checkpoints:
-        raise ValueError("checkpoints must not be empty")
-    ordered = sorted(set(int(c) for c in checkpoints))
-    if ordered[0] <= 0:
-        raise ValueError(f"checkpoints must be positive: {ordered}")
-    curve: List[Tuple[int, float]] = []
-    served = 0
-    for checkpoint in ordered:
-        increment = checkpoint - served
-        hit_rate = run_queries(increment)
-        served = checkpoint
-        curve.append((checkpoint, hit_rate))
-    return curve

@@ -25,7 +25,7 @@ import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
+from typing import ClassVar, Dict, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -329,13 +329,3 @@ class InferenceEngine:
             table_name: (pruned.get(table_name) or self.model.table(table_name)).bag(indices)
             for table_name, indices in user_indices.items()
         }
-
-    def run_queries(self, queries: Sequence[Query], start_time: float = 0.0) -> List[QueryResult]:
-        """Run queries back-to-back (closed loop), advancing simulated time."""
-        results: List[QueryResult] = []
-        cursor = start_time
-        for query in queries:
-            result = self.run_query(query, cursor)
-            cursor += result.latency
-            results.append(result)
-        return results

@@ -81,34 +81,8 @@ class HostSimulationResult:
             return 0.0
         return self.num_queries / self.makespan_seconds
 
-    @property
-    def mean_latency(self) -> float:
-        if not self.latencies:
-            return 0.0
-        return sum(self.latencies) / len(self.latencies)
-
-    def percentile_latency(self, pct: float) -> float:
-        from repro.analysis.metrics import percentile
-
-        return percentile(self.latencies, pct)
-
     def percentiles(self) -> Dict[str, float]:
         return latency_percentiles(self.latencies)
-
-    def qps_at_latency(self, target: LatencyTarget) -> float:
-        """Throughput sustainable while meeting the latency SLO.
-
-        With ``concurrency`` independent serving streams, the host can accept
-        one query per stream per target-percentile latency; if the SLO is
-        already violated, throughput is scaled down by the ratio of budget to
-        observed latency (the host must shed load to recover the SLO).
-        """
-        observed = self.percentile_latency(target.percentile)
-        per_stream_rate = 1.0 / max(observed, 1e-12)
-        qps = self.concurrency * per_stream_rate
-        if observed <= target.budget_seconds:
-            return qps
-        return qps * (target.budget_seconds / observed)
 
     def meets(self, target: LatencyTarget) -> bool:
         return target.met_by(self.latencies)
@@ -134,28 +108,6 @@ class OpenLoopResult(HostSimulationResult):
     def queueing_percentiles(self) -> Dict[str, float]:
         """Queue-delay percentiles (p50/p95/p99 + mean) of served queries."""
         return latency_percentiles(self.queue_delays)
-
-    def qps_at_latency(self, target: LatencyTarget) -> float:
-        """Throughput sustainable at the SLO, from the measured open-loop run.
-
-        When the SLO holds, the sustainable rate is the host's *capacity*,
-        not the offered load it happened to see: the larger of the measured
-        throughput (demonstrably served within budget) and the closed-loop
-        style estimate of one query per stream per service-time percentile —
-        so an underloaded measurement does not make the host look slow.  When
-        the SLO is violated, the demonstrated throughput is scaled down by
-        budget/observed (the host must shed offered load to recover the SLO).
-        """
-        observed = self.percentile_latency(target.percentile)
-        if observed > target.budget_seconds:
-            return self.achieved_qps * (target.budget_seconds / max(observed, 1e-12))
-        service_capacity = 0.0
-        if self.service_times:
-            from repro.analysis.metrics import percentile
-
-            service_observed = percentile(self.service_times, target.percentile)
-            service_capacity = self.concurrency / max(service_observed, 1e-12)
-        return max(self.achieved_qps, service_capacity)
 
 
 class ServingEngine:

@@ -92,8 +92,11 @@ def small_model(
 
 def small_sdm_config(**overrides) -> SDMConfig:
     """An SDM config sized for the small test model: a 256 KiB row cache,
-    unless tier 0 names a cache of its own."""
-    defaults: Dict[str, Any] = dict(pooled_cache_capacity_bytes=128 * 1024, seed=0)
+    unless tier 0 names a cache of its own, and a 128 KiB pooled cache when
+    it is on."""
+    defaults: Dict[str, Any] = dict(seed=0)
+    if overrides.get("pooled_cache_enabled", True):
+        defaults["pooled_cache_capacity_bytes"] = 128 * 1024
     tiers = parse_tiers(overrides.get("tiers", DEFAULT_TIERS))
     if not tiers or tiers[0].cache_bytes is None:
         defaults["row_cache_capacity_bytes"] = 256 * 1024

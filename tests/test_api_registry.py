@@ -92,6 +92,30 @@ class TestBuiltinBackends:
         with pytest.raises(ValueError, match="pooled_cache_enabled"):
             create_backend("pooled", model, pooled_cache_enabled=False)
 
+    def test_pooled_builds_its_own_default_cache(self, model):
+        # 8 MiB, every request eligible: the backend's defaults, not SDMConfig's.
+        cache = create_backend("pooled", model).pooled_cache
+        assert (cache.capacity_bytes, cache.len_threshold) == (8 * 1024 * 1024, 0)
+
+    def test_pooled_options_override_its_defaults(self, model):
+        backend = create_backend(
+            "pooled", model, pooled_cache_capacity_bytes=64 * 1024, pooled_len_threshold=5
+        )
+        cache = backend.pooled_cache
+        assert (cache.capacity_bytes, cache.len_threshold) == (64 * 1024, 5)
+
+    def test_tiered_with_the_pooled_cache_on_builds_the_default_cache(self, model):
+        backend = create_backend(
+            "tiered",
+            model,
+            tiers="dram:256KiB:512KiB,cxl:2MiB:4MiB,nand:1GiB",
+            split_rows=True,
+            promotion="all",
+            pooled_cache_enabled=True,
+        )
+        cache = backend.pooled_cache
+        assert (cache.capacity_bytes, cache.len_threshold) == (4 * 1024 * 1024, 1)
+
     def test_dram_rejects_options(self, model):
         with pytest.raises(ValueError, match="takes no options"):
             create_backend("dram", model, row_cache_capacity_bytes=2)

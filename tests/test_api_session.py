@@ -274,6 +274,14 @@ class TestCLI:
         )
         assert payload["backend_stats"]["pooled cache hit rate"] == 0.0
 
+    def test_a_pooled_value_beside_a_pooled_cache_turned_off_is_a_user_error(self, capsys):
+        argv = ["run", *SMALL_RUN, "--set", "backend.options.pooled_cache_enabled=false",
+                "--set", "backend.options.pooled_len_threshold=4"]
+        assert cli_main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert "would be ignored" in err and "pooled_len_threshold=4" in err
+
     def test_sweep(self, capsys):
         payload = self._run_json(
             capsys,

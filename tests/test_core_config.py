@@ -2,8 +2,11 @@
 
 import pytest
 
-from repro.core import DEFAULT_TIERS, AccessPathKind, SDMConfig
+from repro.core import DEFAULT_TIERS, AccessPathKind, SDMConfig, SoftwareDefinedMemory
+from repro.core.config import DEFAULT_POOLED_CACHE_BYTES, DEFAULT_POOLED_LEN_THRESHOLD
 from repro.storage import IOEngineConfig, Technology
+
+from helpers import small_model
 
 
 class TestSDMConfig:
@@ -17,16 +20,6 @@ class TestSDMConfig:
         assert config.pooled_cache_enabled is True
         assert config.deprune_at_load is False
         assert config.dequantize_at_load is False
-
-    def test_with_overrides_returns_modified_copy(self):
-        base = SDMConfig()
-        changed = base.with_overrides(
-            tiers=[{"technology": "dram", "capacity": 0},
-                   {"technology": "optane", "capacity": "1.6TB", "devices": 4}]
-        )
-        assert changed.tiers[1].technology is Technology.OPTANE_SSD
-        assert changed.tiers[1].num_devices == 4
-        assert base.tiers[1].num_devices == 2
 
     def test_io_config_embedded(self):
         config = SDMConfig(io=IOEngineConfig(max_outstanding_per_device=8))
@@ -76,3 +69,49 @@ class TestSDMConfig:
         # Either spelling alone is fine.
         assert SDMConfig(tiers="dram:0:512KiB,nand:1GiB").tiers[0].cache_bytes == 512 << 10
         assert SDMConfig(tiers="dram:0,nand:1GiB", row_cache_capacity_bytes=64 << 10)
+
+
+class TestPooledCacheFields:
+    """The pooled cache's size and LenThreshold mean something only while it is on."""
+
+    @pytest.mark.parametrize(
+        "values",
+        [
+            {"pooled_cache_capacity_bytes": 123},
+            {"pooled_len_threshold": 99},
+            {"pooled_cache_capacity_bytes": 123, "pooled_len_threshold": 99},
+        ],
+        ids=["capacity", "threshold", "both"],
+    )
+    def test_a_value_set_while_the_cache_is_off_is_rejected(self, values):
+        with pytest.raises(ValueError, match="pooled_cache_enabled is False"):
+            SDMConfig(pooled_cache_enabled=False, **values)
+
+    def test_the_cache_turned_off_alone_is_accepted(self):
+        config = SDMConfig(pooled_cache_enabled=False)
+        assert config.pooled_cache_capacity_bytes is None
+        assert config.pooled_len_threshold is None
+
+    def test_both_fields_default_to_unset(self):
+        config = SDMConfig()
+        assert config.pooled_cache_capacity_bytes is None
+        assert config.pooled_len_threshold is None
+
+    def test_unset_fields_build_the_default_cache(self):
+        sdm = SoftwareDefinedMemory(small_model(), SDMConfig(row_cache_capacity_bytes=256 << 10))
+        assert sdm.pooled_cache.capacity_bytes == DEFAULT_POOLED_CACHE_BYTES == 4 << 20
+        assert sdm.pooled_cache.len_threshold == DEFAULT_POOLED_LEN_THRESHOLD == 1
+
+    def test_set_fields_build_the_cache_they_name(self):
+        config = SDMConfig(
+            row_cache_capacity_bytes=256 << 10,
+            pooled_cache_capacity_bytes=128 << 10,
+            pooled_len_threshold=6,
+        )
+        sdm = SoftwareDefinedMemory(small_model(), config)
+        assert sdm.pooled_cache.capacity_bytes == 128 << 10
+        assert sdm.pooled_cache.len_threshold == 6
+        off = SoftwareDefinedMemory(
+            small_model(), SDMConfig(row_cache_capacity_bytes=256 << 10, pooled_cache_enabled=False)
+        )
+        assert off.pooled_cache is None

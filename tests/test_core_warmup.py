@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core import warmup_capacity_overhead, warmup_hit_rate_curve
+from repro.core import warmup_capacity_overhead
 
 
 class TestWarmupCapacityOverhead:
@@ -10,8 +10,8 @@ class TestWarmupCapacityOverhead:
         """The appendix-A.4 example (r=10%, w=5 min, p=50%, t=30 min).
 
         The paper's prose quotes 1.2% but its own formula (r*w)/(p*t) with
-        those numbers evaluates to 1/30 ~= 3.3%; we implement the formula as
-        written and record the discrepancy in EXPERIMENTS.md.
+        those numbers evaluates to 1/30 ~= 3.3%; the formula is implemented
+        as written (see ``warmup_capacity_overhead``'s docstring).
         """
         overhead = warmup_capacity_overhead(
             updating_fraction=0.10,
@@ -49,25 +49,3 @@ class TestWarmupCapacityOverhead:
         with pytest.raises(ValueError):
             warmup_capacity_overhead(0.1, 40, 0.5, 30)
 
-
-class TestWarmupHitRateCurve:
-    def test_calls_runner_with_increments(self):
-        served = []
-
-        def runner(increment):
-            served.append(increment)
-            return sum(served) / 100.0
-
-        curve = warmup_hit_rate_curve(runner, checkpoints=[10, 30, 60])
-        assert served == [10, 20, 30]
-        assert [point[0] for point in curve] == [10, 30, 60]
-
-    def test_duplicate_and_unordered_checkpoints_normalised(self):
-        curve = warmup_hit_rate_curve(lambda n: 0.5, checkpoints=[30, 10, 10])
-        assert [point[0] for point in curve] == [10, 30]
-
-    def test_invalid_checkpoints_rejected(self):
-        with pytest.raises(ValueError):
-            warmup_hit_rate_curve(lambda n: 0.5, checkpoints=[])
-        with pytest.raises(ValueError):
-            warmup_hit_rate_curve(lambda n: 0.5, checkpoints=[0, 10])

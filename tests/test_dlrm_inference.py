@@ -184,13 +184,6 @@ class TestInferenceEngine:
             max(result.user_embedding_time, result.item_embedding_time)
         )
 
-    def test_run_queries_advances_time(self):
-        model = small_model(item_batch=2)
-        engine = InferenceEngine(model, ComputeSpec(), InMemoryBackend(model.tables, ComputeSpec()))
-        results = engine.run_queries(small_queries(model, 5))
-        assert len(results) == 5
-        assert all(result.latency > 0 for result in results)
-
     def test_query_without_items_rejected(self):
         model = small_model()
         engine = InferenceEngine(model, ComputeSpec(), InMemoryBackend(model.tables, ComputeSpec()))

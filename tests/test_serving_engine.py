@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.analysis.metrics import percentile
-from repro.serving import LatencyTarget, OpenLoopResult, ServingEngine
+from repro.serving import OpenLoopResult, ServingEngine
 from repro.workload.generator import generate_arrival_times
 
 from helpers import small_engine, small_model, small_queries, small_sdm
@@ -91,7 +90,7 @@ class TestOpenLoop:
         assert result.dropped_queries == 0
         # End-to-end p99 includes queueing delay, so it strictly exceeds the
         # closed-loop service-time p99.
-        assert result.percentile_latency(99) > closed.percentile_latency(99)
+        assert result.percentiles()["p99"] > closed.percentiles()["p99"]
         assert result.queueing_percentiles()["p99"] > 0.0
 
     def test_low_offered_load_sees_no_queueing(self):
@@ -239,67 +238,6 @@ class TestOpenLoopResultMetrics:
             service_times=service,
         )
 
-    def test_qps_at_latency_estimates_capacity_when_slo_met(self):
-        # 10 queries over 10 s (1 QPS offered) with 10 ms service times: the
-        # host is underloaded, and its capacity is 1 stream / 10 ms = 100 QPS,
-        # not the 1 QPS it happened to be offered.
-        result = self._result([0.01] * 10, [0.0] * 10)
-        target = LatencyTarget(95, 0.02)
-        assert result.qps_at_latency(target) == pytest.approx(100.0)
-
-    def test_qps_at_latency_never_below_demonstrated_throughput(self):
-        # A host that measurably served this throughput within budget must
-        # never be credited with less, whatever the service-based estimate.
-        result = self._result([0.01] * 20, [0.005] * 20, makespan=10.0)
-        target = LatencyTarget(95, 0.02)
-        assert result.qps_at_latency(target) >= result.achieved_qps
-
-    def test_qps_at_latency_sheds_when_slo_violated(self):
-        result = self._result([0.08] * 10, [0.06] * 10)
-        target = LatencyTarget(95, 0.02)
-        expected = result.achieved_qps * (0.02 / 0.08)
-        assert result.qps_at_latency(target) == pytest.approx(expected)
-
     def test_percentile_helpers(self):
         result = self._result([0.02, 0.04], [0.01, 0.03])
         assert result.queueing_percentiles()["p50"] == pytest.approx(0.02)
-
-
-class TestCapacityFromMeasurement:
-    def test_fleet_plan_consumes_open_loop_result(self):
-        # A fleet is sized by the rate a measured host sustains at its SLO:
-        # when the SLO holds, the larger of the measured throughput and one
-        # query per stream per p95 service time.
-        serving, queries = _fresh(40)
-        arrivals = generate_arrival_times(30, process="poisson", offered_qps=400.0, seed=1)
-        result = serving.run_open_loop(queries, arrivals, warmup_queries=10)
-        target = LatencyTarget(95, result.percentile_latency(95) * 2)
-        service_capacity = result.concurrency / percentile(result.service_times, 95)
-        assert result.qps_at_latency(target) == pytest.approx(
-            max(result.achieved_qps, service_capacity)
-        )
-
-    def test_underloaded_measurement_does_not_inflate_the_fleet(self):
-        # A host offered far below its capacity must not be sized as if the
-        # offered load were its capacity (that would over-provision wildly).
-        serving, queries = _fresh(30)
-        closed_serving, queries2 = _fresh(30)
-        capacity = closed_serving.run_closed_loop(queries2, warmup_queries=10).achieved_qps
-        arrivals = generate_arrival_times(
-            20, process="constant", offered_qps=capacity / 50.0
-        )
-        result = serving.run_open_loop(queries, arrivals, warmup_queries=10)
-        target = LatencyTarget(95, result.percentile_latency(95) * 2)
-        # The sustainable estimate reflects service capacity, not offered load.
-        assert result.qps_at_latency(target) > 5 * result.achieved_qps
-
-    def test_saturated_host_needs_more_hosts(self):
-        serving, queries = _fresh(40)
-        arrivals = generate_arrival_times(30, process="poisson", offered_qps=400.0, seed=1)
-        result = serving.run_open_loop(queries, arrivals, warmup_queries=10)
-        healthy = LatencyTarget(95, result.percentile_latency(95) * 2)
-        violated = LatencyTarget(95, result.percentile_latency(95) / 4)
-        # Over budget, the host must shed load: it sustains a quarter of its
-        # measured throughput, so a fleet needs more such hosts.
-        assert result.qps_at_latency(violated) == pytest.approx(result.achieved_qps / 4)
-        assert result.qps_at_latency(violated) < result.qps_at_latency(healthy)

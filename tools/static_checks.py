@@ -635,6 +635,26 @@ GUARDS = (
         "the linter is this script; src/repro/lint/ does not exist and nothing imports it",
         "One home for static checks",
     ),
+    Guard(
+        r"AutoTuner|autotune|with_overrides|warmup_hit_rate_curve|qps_at_latency",
+        ("src", "examples", "benchmarks"),
+        "a tuning search or a warm-up curve is a campaign over spec paths, "
+        "read from stored metrics",
+        "One way to run a scenario",
+    ),
+    Guard(
+        r"\b(SoftwareDefinedMemory|InferenceEngine|ServingEngine)\(",
+        ("benchmarks", "examples"),
+        "scripts state their scenarios as specs and run them through Session or run_campaign; "
+        "a script that cannot says why in its docstring",
+        "One way to run a scenario",
+        allowed_in=(
+            "benchmarks/bench_appendix_dequant.py",
+            "benchmarks/bench_sec45_depruning.py",
+            "benchmarks/bench_serve_throughput.py",
+            "examples/tier_study.py",
+        ),
+    ),
 )
 
 
