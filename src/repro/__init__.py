@@ -4,7 +4,7 @@ A faithful, laptop-scale reproduction of "Supporting Massive DLRM Inference
 through Software Defined Memory" (ICDCS 2022).  The package is organised as:
 
 * :mod:`repro.api` -- the public front door: declarative scenario specs, the
-  :class:`Session` facade, the pluggable backend registry and the
+  :class:`Session` facade, the closed table of embedding backends and the
   ``python -m repro`` command line.
 * :mod:`repro.sim` -- simulated clock, discrete events, units, RNG.
 * :mod:`repro.storage` -- slow-memory device models (Table 1), io_uring-like
@@ -52,11 +52,9 @@ from repro.api import (
     Session,
     TelemetrySpec,
     TrafficSpec,
-    UnknownBackendError,
     WorkloadChoice,
     available_backends,
     create_backend,
-    register_backend,
 )
 from repro.api.results import campaign_table
 from repro.core import SDMConfig, SoftwareDefinedMemory
@@ -116,10 +114,8 @@ __all__ = [
     "RunComparison",
     "run_campaign",
     "compare_runs",
-    "register_backend",
     "create_backend",
     "available_backends",
-    "UnknownBackendError",
     # repro.hierarchy -- the N-tier memory hierarchy
     "TierSpec",
     "TierChain",

@@ -1,11 +1,11 @@
-"""Unified experiment API: declarative scenarios, pluggable backends, one facade.
+"""Unified experiment API: declarative scenarios, a closed backend table, one facade.
 
 The public surface of the reproduction.  A scenario is described once as a
 :class:`ScenarioSpec`, served through a :class:`Session`, and reported as a
-:class:`ScenarioResult`; embedding backends plug in through the registry
-(:func:`register_backend` / :func:`create_backend`), with ``dram``, ``sdm``
-and ``pooled`` built in.  The same machinery backs the ``python -m repro``
-command line.
+:class:`ScenarioResult`; its embedding backend is one of ``dram``, ``sdm``
+and ``tiered``, the rows of :data:`repro.api.backends.BACKENDS`
+(:func:`create_backend` builds one).  The same machinery backs the
+``python -m repro`` command line.
 """
 
 from repro.api.spec import (
@@ -19,17 +19,7 @@ from repro.api.spec import (
     model_spec_by_name,
     spec_path_error,
 )
-from repro.api.registry import (
-    BackendFactory,
-    BackendRegistryError,
-    DuplicateBackendError,
-    UnknownBackendError,
-    available_backends,
-    backend_registered,
-    create_backend,
-    register_backend,
-    unregister_backend,
-)
+from repro.api.backends import available_backends, create_backend
 from repro.api.results import (
     PowerSummary,
     ScenarioResult,
@@ -38,7 +28,6 @@ from repro.api.results import (
     metric_value,
 )
 from repro.api.session import Session
-from repro.api.backends import sdm_config_from_options  # registers built-ins on import
 
 __all__ = [
     "ScenarioSpec",
@@ -56,14 +45,6 @@ __all__ = [
     "ScenarioResult",
     "PowerSummary",
     "campaign_table",
-    "BackendFactory",
-    "BackendRegistryError",
-    "DuplicateBackendError",
-    "UnknownBackendError",
-    "register_backend",
-    "unregister_backend",
-    "backend_registered",
     "create_backend",
     "available_backends",
-    "sdm_config_from_options",
 ]

@@ -1,6 +1,6 @@
-"""Built-in embedding backends registered with the API registry.
+"""The embedding backends a scenario can name: one closed table.
 
-Four backends ship with the package:
+Three backends ship with the package, one row of :data:`BACKENDS` each:
 
 * ``dram`` — the DRAM-only reference (:class:`~repro.dlrm.inference.InMemoryBackend`);
   every table lives in fast memory.  No options.
@@ -9,32 +9,31 @@ Four backends ship with the package:
   :class:`~repro.core.config.SDMConfig` fields, with ``access_path`` also
   accepted as a string for config-file friendliness.  The geometry is the
   ``tiers`` option, by default the paper's host
-  (:data:`~repro.core.config.DEFAULT_TIERS`).
-* ``pooled`` — SDM tuned for the pooled-embedding-cache path of section 4.4:
-  the pooled cache takes the FM budget and every request is eligible
-  (``pooled_len_threshold=0``); useful for isolating Algorithm 1's effect.
+  (:data:`~repro.core.config.DEFAULT_TIERS`).  Algorithm 1's pooled-cache
+  study is this backend with ``pooled_len_threshold=0`` and the FM budget
+  moved from the row cache to the pooled cache.
 * ``tiered`` — SDM across an explicit N-tier memory hierarchy
   (:mod:`repro.hierarchy`).  The ``tiers`` option is an ordered list
   (fastest first) of ``{technology, capacity, cache}`` entries or a
   ``"dram:64KiB,cxl:1MiB,nand:1GiB"`` string; per-tier hit rates and bytes
   served land in the :class:`~repro.api.results.ScenarioResult`.  It differs
   from ``sdm`` only in its default list, a laptop-scale 3-tier hierarchy.
+
+The table is closed: a new backend is a new row.  Each row names the
+options its backend takes, so :func:`check_backend` rejects a misspelt name
+or option on a finished spec, before any point of a campaign runs.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
-from typing import Any, Dict, Mapping, Type
+from typing import Any, Callable, Dict, FrozenSet, Mapping, NamedTuple, Optional, Type
 
-from repro.core.config import DEFAULT_TIERS, AccessPathKind, SDMConfig
+from repro.core.config import AccessPathKind, SDMConfig
 from repro.core.sdm import SoftwareDefinedMemory
 from repro.dlrm.inference import ComputeSpec, EmbeddingBackend, InMemoryBackend
 from repro.dlrm.model import DLRMModel
-from repro.sim.units import MIB
-from repro.hierarchy.tier import parse_tiers
-
-from repro.api.registry import register_backend
 
 _ENUM_FIELDS: Dict[str, Type[enum.Enum]] = {"access_path": AccessPathKind}
 
@@ -58,18 +57,12 @@ def _coerce_enum(field_name: str, enum_type: Type[enum.Enum], value: Any) -> enu
     )
 
 
-def sdm_config_from_options(options: Mapping[str, Any], **defaults: Any) -> SDMConfig:
+def _sdm_config(options: Mapping[str, Any], **defaults: Any) -> SDMConfig:
     """Build an :class:`SDMConfig` from loosely-typed option mappings.
 
-    ``defaults`` seed the config and are overridden by ``options``; unknown
-    keys raise with the list of valid fields rather than a bare TypeError.
+    ``defaults`` seed the config and are overridden by ``options``, whose
+    keys :func:`create_backend` has already checked.
     """
-    valid = {f.name for f in dataclasses.fields(SDMConfig)}
-    unknown = set(options) - valid
-    if unknown:
-        raise ValueError(
-            f"unknown SDM options {sorted(unknown)}; valid options: {sorted(valid)}"
-        )
     merged: Dict[str, Any] = dict(defaults)
     merged.update(options)
     for field_name, enum_type in _ENUM_FIELDS.items():
@@ -80,37 +73,72 @@ def sdm_config_from_options(options: Mapping[str, Any], **defaults: Any) -> SDMC
     return SDMConfig(**merged)
 
 
-@register_backend("dram", description="DRAM-only reference (every table in fast memory)")
-def _build_dram(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    if options:
-        raise ValueError(f"the 'dram' backend takes no options, got {sorted(options)}")
-    return InMemoryBackend(model.tables, compute)
-
-
-@register_backend("sdm", description="Software Defined Memory stack (row + pooled caches)")
-def _build_sdm(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    return SoftwareDefinedMemory(model, sdm_config_from_options(options), compute=compute)
-
-
-@register_backend("pooled", description="SDM serving through the pooled embedding cache (Alg. 1)")
-def _build_pooled(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    if not options.get("pooled_cache_enabled", True):
-        raise ValueError("the 'pooled' backend requires pooled_cache_enabled=True")
-    defaults: Dict[str, Any] = dict(pooled_len_threshold=0, pooled_cache_capacity_bytes=8 * MIB)
-    tiers = parse_tiers(options.get("tiers", DEFAULT_TIERS))
-    if not tiers or tiers[0].cache_bytes is None:
-        # The row cache gives way to the pooled cache, unless tier 0 sizes it.
-        defaults["row_cache_capacity_bytes"] = 1 * MIB
-    config = sdm_config_from_options(options, **defaults)
-    return SoftwareDefinedMemory(model, config, compute=compute)
-
-
 #: Laptop-scale default hierarchy for the ``tiered`` backend: a small DRAM
 #: budget, a CXL middle tier sized for a few hot tables, NAND for the rest.
 TIERED_DEFAULT_TIERS = "dram:64KiB,cxl:1MiB:64KiB,nand:1GiB"
 
+_SDM_OPTIONS = frozenset(field.name for field in dataclasses.fields(SDMConfig))
 
-@register_backend("tiered", description="SDM across an N-tier memory hierarchy (repro.hierarchy)")
-def _build_tiered(model: DLRMModel, compute: ComputeSpec, **options) -> EmbeddingBackend:
-    config = sdm_config_from_options(options, tiers=TIERED_DEFAULT_TIERS)
+
+class Backend(NamedTuple):
+    """One row of the backend table."""
+
+    build: Callable[..., EmbeddingBackend]  # (model, compute, **options)
+    description: str
+    options: FrozenSet[str]
+
+
+def _build_dram(model: DLRMModel, compute: ComputeSpec) -> EmbeddingBackend:
+    return InMemoryBackend(model.tables, compute)
+
+
+def _build_sdm(model: DLRMModel, compute: ComputeSpec, **options: Any) -> EmbeddingBackend:
+    return SoftwareDefinedMemory(model, _sdm_config(options), compute=compute)
+
+
+def _build_tiered(model: DLRMModel, compute: ComputeSpec, **options: Any) -> EmbeddingBackend:
+    config = _sdm_config(options, tiers=TIERED_DEFAULT_TIERS)
     return SoftwareDefinedMemory(model, config, compute=compute)
+
+
+BACKENDS: Dict[str, Backend] = {
+    "dram": Backend(_build_dram, "DRAM-only reference (every table in fast memory)", frozenset()),
+    "sdm": Backend(_build_sdm, "Software Defined Memory stack (row + pooled caches)", _SDM_OPTIONS),
+    "tiered": Backend(
+        _build_tiered, "SDM across an N-tier memory hierarchy (repro.hierarchy)", _SDM_OPTIONS
+    ),
+}
+
+#: Every option name some backend takes: the keys a ``backend.options.<key>``
+#: spec path may name.
+BACKEND_OPTIONS = frozenset().union(*(backend.options for backend in BACKENDS.values()))
+
+
+def check_backend(name: str, options: Mapping[str, Any]) -> None:
+    """Raise ``ValueError`` unless ``name`` is a backend that takes every key of ``options``."""
+    backend = BACKENDS.get(name)
+    if backend is None:
+        raise ValueError(f"unknown backend {name!r}; available backends: {sorted(BACKENDS)}")
+    unknown = options.keys() - backend.options
+    if unknown:
+        if not backend.options:
+            raise ValueError(f"the {name!r} backend takes no options, got {sorted(unknown)}")
+        raise ValueError(
+            f"unknown SDM options {sorted(unknown)}; valid options: {sorted(backend.options)}"
+        )
+
+
+def available_backends() -> Dict[str, str]:
+    """Backend names mapped to their descriptions."""
+    return {name: backend.description for name, backend in BACKENDS.items()}
+
+
+def create_backend(
+    name: str,
+    model: DLRMModel,
+    compute: Optional[ComputeSpec] = None,
+    **options: Any,
+) -> EmbeddingBackend:
+    """Build backend ``name`` for ``model``."""
+    check_backend(name, options)
+    return BACKENDS[name].build(model, compute if compute is not None else ComputeSpec(), **options)

@@ -37,7 +37,7 @@ from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Union
 
 from repro.obs.report import format_table
-from repro.api.registry import available_backends
+from repro.api.backends import available_backends, check_backend
 from repro.api.results import campaign_table, metric_path_error
 from repro.api.session import Session
 from repro.api.spec import OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, spec_path_error
@@ -180,6 +180,7 @@ def _write_json(path: str, payload: Any, label: str) -> None:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     spec = _spec_from_args(args, {})
+    check_backend(spec.backend.name, spec.backend.options)  # every --set applied
     if args.trace_out:
         spec = spec.replace("telemetry.trace", True)
     if args.timeline_out and spec.telemetry.sample_interval <= 0:
@@ -476,7 +477,7 @@ def _cmd_list_backends(args: argparse.Namespace) -> int:
         print(json.dumps(backends, indent=2))
     else:
         rows = [[name, backends[name]] for name in sorted(backends)]
-        print(format_table(["backend", "description"], rows, title="registered backends"))
+        print(format_table(["backend", "description"], rows, title="backends"))
     return 0
 
 
@@ -604,7 +605,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
     except (ValueError, TypeError, KeyError, OSError, json.JSONDecodeError) as error:
-        # Spec/registry/config mistakes are user errors, not crashes: report
+        # Spec/config mistakes are user errors, not crashes: report
         # the message (which lists the valid choices) without a traceback.
         # KeyError wraps its message in quotes, so unwrap args[0] there;
         # str() keeps OSError's "[Errno 2] ... : 'path'" form intact.

@@ -1,7 +1,7 @@
 """The :class:`Session` facade: one front door to the whole stack.
 
 A Session lazily materialises the pipeline a :class:`~repro.api.spec.ScenarioSpec`
-describes — model → backend (via the registry) → inference engine → query
+describes — model → backend (from the backend table) → inference engine → query
 generator → host simulation — and returns a structured
 :class:`~repro.api.results.ScenarioResult`.  The wiring is exactly what the
 hand-written examples used to do::
@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Sequence
 
-from repro.api.registry import create_backend
+from repro.api.backends import create_backend
 from repro.api.results import PowerSummary, ScenarioResult
 from repro.api.spec import ScenarioSpec, model_spec_by_name
 from repro.core.sdm import SoftwareDefinedMemory

@@ -62,11 +62,16 @@ class ModelChoice:
 
 @dataclass(frozen=True)
 class BackendChoice:
-    """Which registered embedding backend serves the user tables.
+    """Which embedding backend serves the user tables.
 
-    ``options`` are passed verbatim to the backend factory registered under
-    ``name`` (see :mod:`repro.api.registry`); for the built-in ``sdm`` and
-    ``pooled`` backends they are :class:`~repro.core.config.SDMConfig` fields.
+    ``name`` is a row of :data:`repro.api.backends.BACKENDS` and ``options``
+    are passed verbatim to its factory: none for ``dram``,
+    :class:`~repro.core.config.SDMConfig` fields for ``sdm`` and ``tiered``.
+    The pair is checked on finished specs only (:meth:`ScenarioSpec.from_dict`,
+    each point a :class:`~repro.runtime.campaign.CampaignSpec` expands to,
+    the CLI's ``run`` and ``create_backend``), never here: a spec assembled
+    one :meth:`ScenarioSpec.replace` at a time may pass through a name and
+    options that do not fit together on its way to ones that do.
     """
 
     name: str = "sdm"
@@ -269,9 +274,9 @@ def spec_path_error(path: str) -> Optional[str]:
     spec.  ``--set`` and ``--grid`` check every path with it before a point
     runs.
 
-    Backend options below ``backend.options`` are free-form (each backend
-    factory defines its own), so only their *structured* sub-schemas — the
-    ``tiers`` list — are validated in depth.
+    A ``backend.options.<key>`` path names an option some backend takes
+    (:data:`repro.api.backends.BACKEND_OPTIONS`); below it, only the one
+    *structured* option — the ``tiers`` list — is validated in depth.
     """
     parts = path.split(".")
     if any(not part for part in parts):
@@ -295,6 +300,13 @@ def spec_path_error(path: str) -> Optional[str]:
             f"(path {path!r}); valid fields: {sorted(fields)}"
         )
     if parts[0] == "backend" and parts[1] == "options":
+        from repro.api.backends import BACKEND_OPTIONS
+
+        if len(parts) >= 3 and parts[2] not in BACKEND_OPTIONS:
+            return (
+                f"unknown SDM options [{parts[2]!r}] (spec path {path!r}); "
+                f"valid options: {sorted(BACKEND_OPTIONS)}"
+            )
         if len(parts) >= 4 and parts[2] == "tiers":
             rest = parts[3:]
             try:
@@ -412,7 +424,11 @@ class ScenarioSpec:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioSpec":
-        """Rebuild a spec from :meth:`to_dict` output, rejecting unknown keys."""
+        """Rebuild a spec from :meth:`to_dict` output, rejecting unknown keys.
+
+        The result is a finished spec, so its backend name and options are
+        checked against the backend table too.
+        """
         unknown = set(data) - ({"name"} | set(_SECTION_TYPES))
         if unknown:
             raise ValueError(f"unknown ScenarioSpec keys: {sorted(unknown)}")
@@ -431,6 +447,9 @@ class ScenarioSpec:
                     f"unknown {section_type.__name__} keys in {section!r}: {sorted(bad)}"
                 )
             kwargs[section] = section_type(**raw)
+        from repro.api.backends import check_backend
+
+        check_backend(kwargs["backend"].name, kwargs["backend"].options)
         return cls(**kwargs)
 
     # --------------------------------------------------------------- hashing

@@ -529,14 +529,7 @@ class SoftwareDefinedMemory(EmbeddingBackend):
 
         # Serve through the tier chain: the probed plan's hits, reads of the
         # misses from each row's home tier, promotion per policy.
-        outcome = self.chain.fetch_batch(
-            table_name,
-            stored,
-            cursor,
-            row_len=state.row_bytes,
-            cache_enabled=state.cache_enabled,
-            plan=plan,
-        )
+        outcome = self.chain.fetch_batch(plan, cursor)
         self.stats.sm_ios += outcome.device_reads
         if recorder.enabled:
             recorder.span(

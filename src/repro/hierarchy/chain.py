@@ -12,9 +12,9 @@ that says where every stored row lives.  Serving one row homed on tier ``k``:
    promotion policy (``all`` — every cache above the home tier; ``top`` —
    the fastest cache only; ``none``).
 
-:meth:`TierChain.fetch_batch` serves a whole request that way with array
-operations: the host walks the rows in request order, then all misses go to
-their home tiers together.  Whenever only tier 0 carries a cache — every
+The chain serves a whole request that way with array operations: the host
+walks the rows in request order, then all misses go to their home tiers
+together.  Whenever only tier 0 carries a cache — every
 two-tier configuration — ``all`` and ``top`` coincide.
 
 The walk is split in three so that the requests of one query can share it:
@@ -398,18 +398,9 @@ class TierChain:
         plan.found[lo:hi] = found
 
     # ------------------------------------------------------------- complete
-    def fetch_batch(
-        self,
-        table_name: str,
-        stored: np.ndarray,
-        start_time: float,
-        *,
-        row_len: int,
-        cache_enabled: bool = True,
-        plan: Optional[FetchPlan] = None,
-    ) -> BatchFetchOutcome:
-        """Fetch stored rows ``stored`` of a table whose stored rows are
-        ``row_len`` bytes long.
+    def fetch_batch(self, plan: FetchPlan, start_time: float) -> BatchFetchOutcome:
+        """Complete the request ``plan`` resolved (:meth:`plan`), once a run
+        probe (:meth:`probe_run`) has walked the caches for it.
 
         Two phases.  The host walks the request in order: each row
         probes the caches above its home tier, a hit pays the cache tier's
@@ -418,19 +409,12 @@ class TierChain:
         submitted to its home tier's devices at the time the walk ended, all
         tiers concurrently, and the rows read are promoted per policy.
 
-        ``plan`` is the request's plan when a run probe
-        (:meth:`probe_run`) already walked the caches for it; without one
-        the request is planned and probed here, as a run of one.  Either
-        way this completes it: each device tier gets one grouped
-        ``read_rows_batch``, and time is
+        Each device tier gets one grouped ``read_rows_batch``, and time is
         charged as a per-row walk would charge it — per row, one probe
         increment per cache probed, then the hit's or fast read's
         increment, summed with ``np.add.accumulate``, whose left-to-right
         addition chain makes the accrued floats bit-identical to ``+=``.
         """
-        if plan is None:
-            plan = self.plan(table_name, stored, row_len=row_len, cache_enabled=cache_enabled)
-            self.probe_run([plan])
         table_name, row_len = plan.table_name, plan.row_len
         stored, home_tiers, found = plan.stored, plan.home_tiers, plan.found
         count = int(stored.size)

@@ -44,18 +44,7 @@ from repro.storage.spec import TABLE1_SPECS, Technology
 
 #: Keys a tier *entry* mapping may carry (``TierSpec.from_value`` input and
 #: the addressable leaves of ``backend.options.tiers.N.<key>`` spec paths).
-TIER_ENTRY_KEYS = frozenset(
-    {
-        "technology",
-        "capacity",
-        "capacity_bytes",
-        "cache",
-        "cache_bytes",
-        "devices",
-        "num_devices",
-        "name",
-    }
-)
+TIER_ENTRY_KEYS = frozenset({"technology", "capacity", "cache", "devices", "name"})
 
 #: Short, CLI-friendly aliases for the Table 1 technologies.
 TECHNOLOGY_ALIASES: Dict[str, Technology] = {
@@ -200,21 +189,9 @@ class TierSpec:
                     f"unknown tier keys {sorted(unknown)}; valid keys: "
                     f"{sorted(TIER_ENTRY_KEYS)}"
                 )
-            for canonical, alias in (
-                ("capacity", "capacity_bytes"),
-                ("cache", "cache_bytes"),
-                ("devices", "num_devices"),
-            ):
-                if canonical in value and alias in value:
-                    # Both spellings present means one silently loses — the
-                    # classic way a sweep over the alias no-ops.  Refuse.
-                    raise ValueError(
-                        f"tier entry sets both {canonical!r} and {alias!r}: "
-                        f"{dict(value)}"
-                    )
             if "technology" not in value:
                 raise ValueError(f"tier mapping needs a 'technology' key: {dict(value)}")
-            capacity = value.get("capacity", value.get("capacity_bytes"))
+            capacity = value.get("capacity")
             technology = parse_technology(value["technology"])
             if capacity is None:
                 capacity = (
@@ -222,12 +199,12 @@ class TierSpec:
                     if technology is Technology.DRAM
                     else TABLE1_SPECS[technology].capacity_bytes
                 )
-            cache = value.get("cache", value.get("cache_bytes"))
+            cache = value.get("cache")
             return cls(
                 technology=technology,
                 capacity_bytes=parse_size(capacity),
                 cache_bytes=None if cache is None else parse_size(cache),
-                num_devices=int(value.get("devices", value.get("num_devices", 1))),
+                num_devices=int(value.get("devices", 1)),
                 name=str(value.get("name", "")),
             )
         raise ValueError(f"cannot build a TierSpec from {value!r}")

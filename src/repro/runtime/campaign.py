@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from itertools import product
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from repro.api.backends import check_backend
 from repro.api.spec import _SECTION_TYPES, OPEN_LOOP_ONLY_PARAMS, ScenarioSpec, coord_label
 
 #: The implicit axis name used for seed replicates (never a real spec path).
@@ -33,6 +34,11 @@ REPLICATE_AXIS = "replicate"
 #: Deterministic stride between replicate seeds, so replicate r of point A
 #: never collides with replicate 0 of a neighbouring seed choice.
 _REPLICATE_SEED_STRIDE = 9973
+
+
+def _touches_backend(param: str) -> bool:
+    """Whether a grid axis sets (part of) the ``backend`` section."""
+    return param.split(".", 1)[0] in ("backend", "tiers")
 
 
 def _jsonable_axis_value(value: Any) -> Any:
@@ -136,9 +142,19 @@ class CampaignSpec:
             raise ValueError(f"replicates must be positive: {self.replicates}")
         # Fail fast on bad paths/values: every grid value must be applicable
         # to the base spec, which also runs the section validators.
+        backend_axes = [axis for axis in normalised if _touches_backend(axis.param)]
         for axis in normalised:
-            for value in axis.values:
-                self.base.replace(axis.param, value)
+            if not _touches_backend(axis.param):
+                for value in axis.values:
+                    self.base.replace(axis.param, value)
+        # A backend name and its options only fit together once every axis
+        # has had its say, so each backend section the points can assemble
+        # is checked whole (a handful of combinations, not every point).
+        for assignment in product(*(axis.values for axis in backend_axes)):
+            spec = self.base
+            for axis, value in zip(backend_axes, assignment):
+                spec = spec.replace(axis.param, value)
+            check_backend(spec.backend.name, spec.backend.options)
         # A grid over open-loop-only traffic knobs on a closed-loop base would
         # expand into identical experiments per value — reject it up front
         # unless the grid also opens the loop.

@@ -25,7 +25,14 @@ from repro.dlrm import (
     pool_bags,
 )
 from repro.hierarchy import parse_tiers
+from repro.sim.units import MIB
 from repro.workload import QueryGenerator, WorkloadConfig
+
+#: SDM tuned for the pooled-embedding-cache path of section 4.4: the pooled
+#: cache takes the FM budget and every request is eligible for it.
+POOLED_SDM_OPTIONS = dict(
+    pooled_len_threshold=0, pooled_cache_capacity_bytes=8 * MIB, row_cache_capacity_bytes=1 * MIB
+)
 
 
 def small_table_specs(
@@ -185,3 +192,13 @@ def pool_one(table: EmbeddingTable, bags) -> np.ndarray:
     """:func:`~repro.dlrm.pool_bags` of one table's bags, given as index
     sequences: the ``(len(bags), dim)`` pooled matrix."""
     return pool_bags([table], [pack_bags(bags, table.spec.name)])[0][0]
+
+
+def fetch_rows(
+    chain, table_name: str, stored, start_time: float, *, row_len: int, cache_enabled: bool = True
+):
+    """Serve one request through ``chain`` as a run of one: plan it, probe
+    the caches for it, then complete it."""
+    plan = chain.plan(table_name, stored, row_len=row_len, cache_enabled=cache_enabled)
+    chain.probe_run([plan])
+    return chain.fetch_batch(plan, start_time)

@@ -1,11 +1,11 @@
 """The tier-chain walk, stated one row at a time — a test oracle.
 
 ``reference_fetch_batch(chain, ...)`` takes the arguments of
-:meth:`repro.hierarchy.chain.TierChain.fetch_batch` and serves the batch
-the plainest way the semantics can be written down: each row probes the
-caches above its home tier in order through ``UnifiedRowCache.get`` under
-the key ``TierChain.row_keys`` gives it, a hit is promoted with ``put``
-right away, time accrues with ``+=``, tier
+:meth:`repro.hierarchy.chain.TierChain.plan` plus a start time and serves
+the batch the plainest way the semantics can be written down: each row
+probes the caches above its home tier in order through
+``UnifiedRowCache.get`` under the key ``TierChain.row_keys`` gives it, a
+hit is promoted with ``put`` right away, time accrues with ``+=``, tier
 statistics are kept by hand, and every miss is read from its home tier
 with a one-row ``read_rows_batch`` call once the host walk is done.  It
 shares no planning, certificate or array code with the product path, which

@@ -37,7 +37,7 @@ class TestSpecPathError:
             "backend.options.row_cache_capacity_bytes",
             "backend.options.tiers.1.capacity",
             "tiers.1.capacity",  # the documented shorthand
-            "tiers.0.cache_bytes",
+            "tiers.0.cache",
             "workload.num_queries",
             "traffic.offered_qps",
             "serving.concurrency",
@@ -51,6 +51,8 @@ class TestSpecPathError:
         "path, fragment",
         [
             ("tiers.1.capactiy", "capactiy"),
+            ("tiers.0.cache_bytes", "cache_bytes"),
+            ("backend.options.row_cach_capacity_bytes", "unknown SDM options"),
             ("serving.concurency", "concurency"),
             ("warkload.num_queries", "warkload"),
             ("tiers.first.capacity", "tier index"),

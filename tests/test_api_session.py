@@ -29,6 +29,8 @@ from repro.api.cli import main as cli_main
 from repro.core import DEFAULT_TIERS
 from repro.sim.units import MIB
 
+from helpers import POOLED_SDM_OPTIONS
+
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
 #: A small closed-loop run, spelled by spec path.
@@ -252,7 +254,7 @@ class TestCLI:
 
     def test_list_backends(self, capsys):
         payload = self._run_json(capsys, ["list-backends", "--json"])
-        assert {"dram", "sdm", "pooled"} <= set(payload)
+        assert set(payload) == {"dram", "sdm", "tiered"}
 
     def test_run_scenario(self, capsys):
         payload = self._run_json(
@@ -572,7 +574,7 @@ class TestSetFlag:
         "--baseline-qps-per-host": ["serving.baseline_qps_per_host=120.0"],
         "--fleet-qps": ["serving.fleet_qps=288000.0"],
         "--sample-interval": ["telemetry.sample_interval=0.01"],
-        "--option": ["backend.options.num_devices=4"],
+        "--option": ["backend.options.pooled_len_threshold=4"],
         # workload.item_batch=None inherits model.item_batch, so the first
         # --set alone runs the same scenario; the second pins the very spec.
         "--item-batch": ["model.item_batch=8", "workload.item_batch=8"],
@@ -630,6 +632,28 @@ class TestSetFlag:
         assert spec.backend.name == "sdm"
         assert spec.backend.options["tiers"][1]["capacity"] == "2GiB"
 
+    def test_set_order_does_not_decide_whether_a_spec_parses(self, capsys, tmp_path):
+        # Options set on a dram spec before the name that takes them: the
+        # backend is checked once every --set is applied, not per --set.
+        from repro.api.cli import _spec_from_args, build_parser
+
+        spec_file = tmp_path / "dram.json"
+        spec_file.write_text(json.dumps(ScenarioSpec(backend=BackendChoice(name="dram")).to_dict()))
+        option = ["--set", "backend.options.row_cache_capacity_bytes=65536"]
+        name = ["--set", "backend.name=sdm"]
+        specs = [
+            _spec_from_args(build_parser().parse_args(["run", "--spec", str(spec_file), *sets]), {})
+            for sets in (option + name, name + option)
+        ]
+        assert specs[0] == specs[1]
+        assert specs[0].backend == BackendChoice("sdm", {"row_cache_capacity_bytes": 65536})
+        assert cli_main(["run", "--spec", str(spec_file), *SMALL_RUN, *option, *name]) == 0
+        capsys.readouterr()
+        assert cli_main(["run", "--spec", str(spec_file), *SMALL_RUN, *option]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: the 'dram' backend takes no options")
+        assert len(err.strip().splitlines()) == 1
+
     def test_device_field_beside_tiers_is_a_user_error(self, capsys):
         argv = ["run", *SMALL_RUN, "--tiers", "dram:64KiB,nand:1GiB",
                 "--set", "backend.options.num_devices=4"]
@@ -674,7 +698,7 @@ class TestTableValuesMoveNoSimulatedMetric:
         "sdm-64KiB-cache": {
             "backend": {"name": "sdm", "options": {"row_cache_capacity_bytes": 64 * 1024}}
         },
-        "pooled": {"backend": {"name": "pooled"}},
+        "pooled": {"backend": {"name": "sdm", "options": POOLED_SDM_OPTIONS}},
         "tiered-3-promote-all-split": {
             "backend": {"name": "tiered", "options": {"promotion": "all", "split_rows": True}}
         },

@@ -20,7 +20,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from helpers import golden_encode, small_sdm_config
+from helpers import fetch_rows, golden_encode, small_sdm_config
 from reference_walk import reference_fetch_batch
 
 from repro.cache.unified import UnifiedRowCache
@@ -171,9 +171,14 @@ def build_reference_sdm(variant: dict) -> SoftwareDefinedMemory:
     sdm = build_sdm(variant)
     chain = sdm.chain
 
-    def fetch_one_table(table_name, stored, start_time, *, row_len, cache_enabled=True, plan=None):
+    def fetch_one_table(plan, start_time):
         return reference_fetch_batch(
-            chain, table_name, stored, start_time, row_len=row_len, cache_enabled=cache_enabled
+            chain,
+            plan.table_name,
+            plan.stored,
+            start_time,
+            row_len=plan.row_len,
+            cache_enabled=plan.cache_enabled,
         )
 
     chain.probe_run = lambda plans: None
@@ -380,18 +385,19 @@ def test_repeated_promoted_row_splits_and_matches():
     assert parity_record(sdm, []) == parity_record(reference, [])
 
 
-def test_fetch_batch_reports_no_size_hint():
+def test_plan_reports_no_size_hint():
     # The row length shapes every array of the walk; leaving it out is an
     # error at the call, not a silently different path.
     sdm = build_sdm({})
     rows = np.arange(4, dtype=np.int64)
     with pytest.raises(TypeError, match="row_len"):
-        sdm.chain.fetch_batch("user_0", rows, 0.0)
+        sdm.chain.plan("user_0", rows)
 
 
 def test_batched_mode_actually_takes_the_batched_path():
     sdm = build_sdm({})
-    outcome = sdm.chain.fetch_batch(
+    outcome = fetch_rows(
+        sdm.chain,
         "user_0",
         np.array([1, 2, 3, 4], dtype=np.int64),
         0.0,

@@ -20,6 +20,8 @@ from repro.dlrm.embedding import RandomRows
 from repro.dlrm.quantization import quantize_rows
 from repro.sim.rng import make_rng
 
+from helpers import POOLED_SDM_OPTIONS
+
 #: SHA-256 over the per-table SHA-256 hex digests (model order) of the
 #: ledger-sized M1 — ``max_tables_per_group=8``, ``max_rows_per_table=16384``,
 #: seed 0 — as the eager build generated it.
@@ -59,7 +61,7 @@ SERVE_SPECS = {
     "tiered-3-split": _scenario(
         "tiered", tiers="dram:2KiB,cxl:40KiB:64KiB,nand:1GiB", split_rows=True
     ),
-    "pooled": _scenario("pooled"),
+    "pooled": _scenario("sdm", **POOLED_SDM_OPTIONS),
     "dram": _scenario("dram"),
     "sdm-open": _scenario("sdm", traffic={"mode": "open", "offered_qps": 4000.0}),
 }

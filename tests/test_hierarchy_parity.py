@@ -24,6 +24,7 @@ from repro.dlrm.quantization import dequantize_rows, quantize_rows
 
 from helpers import (
     assert_scores_match_dram,
+    fetch_rows,
     small_model,
     small_queries,
     small_sdm_config,
@@ -293,7 +294,7 @@ class TestPromotionPolicies:
         )
         fetch = dict(stored=np.array([3]), start_time=0.0, row_len=64)
         # First fetch: NAND read, filled into both upper caches.
-        chain.fetch_batch("t", **fetch)
+        fetch_rows(chain, "t", **fetch)
         assert fast_cache.item_count == 1 and mid.cache.item_count == 1
         # Evict it from tier 0 with rows keyed past the chain's keys; the
         # next access hits tier 1's cache, pays its media time on top of the
@@ -301,7 +302,7 @@ class TestPromotionPolicies:
         key = chain.row_keys("t", np.array([3]))
         fast_cache.fill_batch(64, 16 + np.arange(64))
         assert fast_cache.lookup_batch(64, key)[0] < 0
-        outcome = chain.fetch_batch("t", **fetch)
+        outcome = fetch_rows(chain, "t", **fetch)
         assert outcome.cache_hits == 1 and outcome.device_reads == 0
         assert outcome.completion_time > 2 * 1e-7  # probes + CXL media time
         assert fast_cache.lookup_batch(64, key)[0] >= 0  # re-promoted

@@ -15,6 +15,8 @@ from repro.hierarchy import (
 from repro.sim.units import GIB, KIB, MIB, TB, parse_size
 from repro.storage.spec import TABLE1_SPECS, Technology
 
+from helpers import fetch_rows
+
 
 class TestParseSize:
     @pytest.mark.parametrize(
@@ -78,17 +80,19 @@ class TestTierSpec:
         with pytest.raises(ValueError, match="unknown tier keys"):
             TierSpec.from_value({"technology": "nand", "iops": 5})
 
-    def test_conflicting_alias_keys_rejected(self):
-        # Both spellings present would make a sweep over the alias silently
-        # no-op (the canonical key wins) — it must be an error instead.
-        with pytest.raises(ValueError, match="both 'capacity'"):
+    def test_long_key_spellings_are_unknown_keys(self):
+        # An entry has one spelling per key, so a second spelling cannot
+        # silently lose to the first.
+        with pytest.raises(ValueError, match=r"unknown tier keys \['capacity_bytes'\]"):
             TierSpec.from_value(
                 {"technology": "nand", "capacity": "1GiB", "capacity_bytes": "2GiB"}
             )
-        with pytest.raises(ValueError, match="both 'cache'"):
+        with pytest.raises(ValueError, match=r"unknown tier keys \['cache_bytes'\]"):
             TierSpec.from_value(
                 {"technology": "nand", "capacity": "1GiB", "cache": 1, "cache_bytes": 2}
             )
+        with pytest.raises(ValueError, match=r"unknown tier keys \['num_devices'\]"):
+            TierSpec.from_value({"technology": "nand", "num_devices": 2})
 
     def test_bare_technology_uses_table1_capacity(self):
         spec = TierSpec.from_value("zssd")
@@ -344,7 +348,7 @@ class TestMissGrouping:
                 return _read(table_name, stored, start_time)
             tier.read_rows_batch = spy
         stored = np.array([20, 3, 31, 3, 0, 16])
-        outcome = chain.fetch_batch("t", stored, 0.0, row_len=64, cache_enabled=False)
+        outcome = fetch_rows(chain, "t", stored, 0.0, row_len=64, cache_enabled=False)
         assert calls == [(2, [20, 31, 16]), (1, [3, 3, 0])]
         assert outcome.device_reads == 6
         assert outcome.reads_by_tier == {2: 3, 1: 3}

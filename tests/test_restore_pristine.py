@@ -28,6 +28,8 @@ from perf.workloads import WORKLOADS
 from repro.api import ScenarioSpec, Session
 from repro.sim.state import DERIVED, QUEUE, is_stateful, roles_of
 
+from helpers import POOLED_SDM_OPTIONS
+
 _LEAVES = (type(None), bool, int, float, complex, str, bytes, Enum)
 _OPAQUE = (type, types.ModuleType, types.FunctionType, types.BuiltinFunctionType, types.MethodType)
 
@@ -115,7 +117,7 @@ VARIANTS = {
     # A run attaches a recorder to the backend and its chain.
     "traced": _ledger_spec("tiered-open").replace("telemetry.trace", True),
     "mmap": _ledger_spec("cold-closed", name="sdm", options={**_COLD, "access_path": "mmap"}),
-    "pooled": _ledger_spec("cold-closed", name="pooled", options={}),
+    "pooled": _ledger_spec("cold-closed", name="sdm", options=POOLED_SDM_OPTIONS),
     "dram": _ledger_spec("cold-closed", name="dram", options={}),
 }
 

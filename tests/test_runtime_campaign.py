@@ -9,9 +9,11 @@ import pytest
 
 from repro import CampaignSpec, ScenarioSpec
 from repro.api import BackendChoice, ModelChoice, ServingChoice, TrafficSpec, WorkloadChoice
-from repro.runtime import CampaignAxis, point_name
+from repro.runtime import CampaignAxis, point_name, run_campaign
 from repro.runtime.campaign import REPLICATE_AXIS
 from repro.sim.units import MIB
+
+from helpers import POOLED_SDM_OPTIONS
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 
@@ -138,6 +140,42 @@ class TestCampaignSpec:
         with pytest.raises(ValueError, match="concurrency must be positive"):
             CampaignSpec(base=small_base(), axes=(("serving.concurrency", [1, 0]),))
 
+    def test_a_misspelt_backend_or_option_fails_at_construction(self):
+        with pytest.raises(ValueError, match="unknown backend 'nosuch'"):
+            CampaignSpec.from_grid(small_base(), {"backend.name": ["nosuch"]})
+        with pytest.raises(ValueError, match="unknown SDM options"):
+            CampaignSpec.from_grid(
+                small_base(), {"backend.options.row_cach_capacity_bytes": [1, 2]}
+            )
+
+    @pytest.mark.parametrize("options_first", [False, True])
+    def test_an_options_axis_on_a_dram_base_runs_with_a_name_axis(self, options_first):
+        # A point's backend section is checked once every axis has set it,
+        # so options that only the name axis makes valid are accepted
+        # whichever axis is listed first.
+        axes = [
+            ("backend.name", ["sdm", "tiered"]),
+            ("backend.options.row_cache_capacity_bytes", [64 * 1024, 128 * 1024]),
+        ]
+        if options_first:
+            axes.reverse()
+        campaign = CampaignSpec.from_grid(
+            small_base(backend=BackendChoice(name="dram")), dict(axes)
+        )
+        assert {
+            (point.spec.backend.name, point.spec.backend.options["row_cache_capacity_bytes"])
+            for point in campaign.points()
+        } == {(name, size) for name in ("sdm", "tiered") for size in (64 * 1024, 128 * 1024)}
+        outcomes = run_campaign(campaign, runtime="serial")
+        assert len(outcomes) == 4 and all(outcome.ok for outcome in outcomes)
+
+    def test_a_point_pairing_dram_with_an_option_fails_at_construction(self):
+        with pytest.raises(ValueError, match=r"'dram' backend takes no options"):
+            CampaignSpec.from_grid(
+                small_base(),
+                {"backend.name": ["sdm", "dram"], "backend.options.pooled_len_threshold": [4]},
+            )
+
     def test_to_dict_is_json_and_names_every_axis(self):
         campaign = CampaignSpec.from_grid(
             small_base(),
@@ -160,18 +198,18 @@ class TestCampaignSpec:
 def _spec_matrix():
     """One spec per built-in backend x traffic mode (satellite: store foundation)."""
     backends = {
-        "dram": {},
-        "sdm": dict(row_cache_capacity_bytes=1 * MIB, tiers="dram:0,nand:1GiB"),
-        "pooled": dict(pooled_cache_capacity_bytes=1 * MIB),
+        "dram": ("dram", {}),
+        "sdm": ("sdm", dict(row_cache_capacity_bytes=1 * MIB, tiers="dram:0,nand:1GiB")),
+        "pooled": ("sdm", {**POOLED_SDM_OPTIONS, "pooled_cache_capacity_bytes": 1 * MIB}),
     }
     traffics = {
         "closed": TrafficSpec(mode="closed"),
         "open": TrafficSpec(mode="open", arrival="poisson", offered_qps=200.0, seed=7),
     }
-    for backend_name, options in backends.items():
+    for label, (backend_name, options) in backends.items():
         for mode, traffic in traffics.items():
             yield ScenarioSpec(
-                name=f"hash-{backend_name}-{mode}",
+                name=f"hash-{label}-{mode}",
                 backend=BackendChoice(name=backend_name, options=options),
                 traffic=traffic,
             )
@@ -186,10 +224,10 @@ class TestSpecHashStability:
 
     def test_hash_is_order_insensitive(self):
         spec = ScenarioSpec(
-            backend=BackendChoice(name="sdm", options=dict(split_rows=True, queue_depth=4))
+            backend=BackendChoice(name="sdm", options=dict(split_rows=True, pooled_len_threshold=4))
         )
         reordered = ScenarioSpec(
-            backend=BackendChoice(name="sdm", options=dict(queue_depth=4, split_rows=True))
+            backend=BackendChoice(name="sdm", options=dict(pooled_len_threshold=4, split_rows=True))
         )
         assert spec.spec_hash() == reordered.spec_hash()
 

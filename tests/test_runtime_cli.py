@@ -54,15 +54,37 @@ class TestCampaignCLI:
                          "--grid", "serving.concurrency=1", "--resume"]) == 2
         assert "--out" in capsys.readouterr().err
 
-    def test_device_axis_on_a_tiered_spec_fails_every_point(self, capsys):
+    def test_device_axis_on_a_tiered_spec_fails_before_any_point(self, capsys, tmp_path):
         # A tier list is the whole geometry: the two-tier device fields are
-        # not options, so an axis over one fails each point, saying so.
+        # not options, so an axis over one is a user error, and no point runs.
         argv = ["campaign", *BASE_ARGS, "--tiers", "dram:64KiB,nand:1GiB",
-                "--grid", "backend.options.num_devices=1,4", "--quiet"]
-        assert cli_main(argv) == 1
+                "--grid", "backend.options.num_devices=1,4",
+                "--out", str(tmp_path / "run"), "--quiet"]
+        assert cli_main(argv) == 2
         err = capsys.readouterr().err
-        assert "2 point(s) quarantined" in err
-        assert err.count("ValueError: unknown SDM options ['num_devices']") == 2
+        assert err.startswith("error: unknown SDM options ['num_devices']")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("runtime", ["dry", "serial"])
+    @pytest.mark.parametrize(
+        "grid,names",
+        [
+            ("backend.name=dram,nosuch", "available backends: ['dram', 'sdm', 'tiered']"),
+            ("backend.options.row_cach_capacity_bytes=1,2", "'row_cache_capacity_bytes'"),
+        ],
+    )
+    def test_a_misspelt_backend_or_option_fails_before_any_point(
+        self, capsys, tmp_path, runtime, grid, names
+    ):
+        argv = ["campaign", *BASE_ARGS, "--grid", grid, "--runtime", runtime,
+                "--out", str(tmp_path / "run"), "--quiet"]
+        assert cli_main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and names in captured.err
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "planned" not in captured.out
+        assert not (tmp_path / "run").exists()
 
     def test_malformed_grid_is_a_user_error(self, capsys):
         assert cli_main(["campaign", *BASE_ARGS, "--grid", "serving.concurrency"]) == 2

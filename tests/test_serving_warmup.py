@@ -15,7 +15,7 @@ from repro.core import AccessPathKind
 from repro.serving import ServingEngine
 from repro.workload.generator import generate_arrival_times
 
-from helpers import small_model, small_sdm
+from helpers import POOLED_SDM_OPTIONS, small_model, small_sdm
 
 WARMUP = 8
 
@@ -31,7 +31,7 @@ def _spec(backend: str, **options) -> ScenarioSpec:
 
 SPECS = {
     "sdm": _spec("sdm", row_cache_capacity_bytes=16 * 1024),
-    "pooled": _spec("pooled"),
+    "pooled": _spec("sdm", **POOLED_SDM_OPTIONS),
     "tiered": _spec("tiered", tiers="dram:4KiB,cxl:32KiB:8KiB,nand:1GiB"),
     "dram": _spec("dram"),
 }

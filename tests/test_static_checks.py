@@ -285,6 +285,7 @@ OFFENDERS = (
     "from repro.lint import lint",
     "from repro.core.autotune import AutoTuner",
     "sdm = SoftwareDefinedMemory(model, SDMConfig())",
+    "from repro.api import register_backend",
 )
 
 

@@ -26,8 +26,6 @@ import textwrap
 
 # Public names nothing reaches, kept on purpose.
 ALLOWED = {
-    "unregister_backend": "cleanup in tests/test_api_registry.py",
-    "backend_registered": "introspection in tests/test_api_registry.py",
     "backend_cache_info": "introspection in tests/test_runtime_executor.py",
     "dequantize_row": "the per-row oracle tests/test_dlrm_quantization.py holds dequantize_rows to",
     "iops_requirement": "bandwidth oracle for ROADMAP 6(d)",

@@ -655,6 +655,14 @@ GUARDS = (
             "examples/tier_study.py",
         ),
     ),
+    Guard(
+        r"register_backend|unregister_backend|backend_registered|BackendRegistryError"
+        r"|DuplicateBackendError|UnknownBackendError|api[./]registry",
+        ("src", "examples", "benchmarks"),
+        "the backends are the rows of one closed table (repro.api.backends.BACKENDS); "
+        "a new backend is a new row, not a plug-in",
+        "One backend table",
+    ),
 )
 
 
