@@ -15,7 +15,6 @@ from repro.storage import (
     IOEngine,
     IOEngineConfig,
     IOMode,
-    IORequestBatch,
     SimulatedDevice,
     optane_ssd_spec,
 )
@@ -32,9 +31,7 @@ def _run(mode: IOMode):
     config = IOEngineConfig(mode=mode)
     engine = IOEngine([device], config)
     rows = np.arange(NUM_IOS, dtype=np.int64) % 10_000
-    engine.submit_row_reads_batch(
-        IORequestBatch.from_locations("t", layout.locate_batch("t", rows)), 0.0
-    )
+    engine.submit_row_reads_batch("t", layout.locate_batch("t", rows), 0.0)
     return {
         "iops_per_core": config.iops_per_core(),
         "cpu_seconds": engine.stats.cpu_seconds,

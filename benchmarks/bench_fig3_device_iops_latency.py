@@ -22,24 +22,39 @@ from _util import emit, run_once
 
 LOOKUPS_PER_BATCH = 20
 ROW_BYTES = 128
+STEPS = 300
+
+
+def step_sgls():
+    """The scatter-gather list of each lookup of one 20-lookup step."""
+    sgls = []
+    for lookup in range(LOOKUPS_PER_BATCH):
+        sgl = ScatterGatherList()
+        sgl.add((lookup * ROW_BYTES) % 3968, ROW_BYTES)
+        sgls.append(sgl)
+    return sgls
+
+
+def step_latencies(device: SimulatedDevice, offered_iops: float):
+    """Latency of each of ``STEPS`` 20-lookup steps issued at the offered
+    IOPS, each step one ``read_batch`` call with no queue-depth gate."""
+    sgls = step_sgls()
+    transferred = np.array([sgl.transferred_bytes(device.spec.supports_sub_block) for sgl in sgls])
+    requested = sum(sgl.requested_bytes() for sgl in sgls)
+    inter_arrival = LOOKUPS_PER_BATCH / offered_iops
+    latencies = []
+    now = 0.0
+    for _ in range(STEPS):
+        completions, _ = device.read_batch(now, transferred, requested)
+        latencies.append(max(completions) - now)
+        now += inter_arrival
+    return latencies
 
 
 def _measure_batch_latency(spec_factory, offered_iops: float, seed: int = 0) -> float:
     """Mean latency of a 20-lookup batch at the given offered IOPS."""
     device = SimulatedDevice(spec_factory(64 * GB), seed=seed)
-    inter_arrival = LOOKUPS_PER_BATCH / offered_iops
-    batch_latencies = []
-    now = 0.0
-    for _ in range(300):
-        completions = []
-        for lookup in range(LOOKUPS_PER_BATCH):
-            sgl = ScatterGatherList()
-            sgl.add((lookup * ROW_BYTES) % 3968, ROW_BYTES)
-            done, _ = device.schedule_read(lookup % device.num_blocks, sgl, now)
-            completions.append(done)
-        batch_latencies.append(max(completions) - now)
-        now += inter_arrival
-    return float(np.mean(batch_latencies[50:]))
+    return float(np.mean(step_latencies(device, offered_iops)[50:]))
 
 
 def build_figure3():

@@ -35,9 +35,6 @@ from repro.serving.platform import ALL_PLATFORMS
 from repro.serving.power import PowerModel, power_saving
 from repro.workload.generator import QueryGenerator, generate_arrival_times
 
-# Imported for its side effect: registering the built-in backends.
-import repro.api.backends  # noqa: F401
-
 
 class Session:
     """Builds and runs the scenario a :class:`ScenarioSpec` describes.

@@ -25,7 +25,7 @@ import abc
 from dataclasses import dataclass, field
 from functools import cached_property
 from types import MappingProxyType
-from typing import ClassVar, Dict, Mapping, Optional, Sequence
+from typing import ClassVar, Dict, Mapping, Sequence
 
 import numpy as np
 
@@ -173,21 +173,6 @@ class EmbeddingBackend(abc.ABC):
         """Serve one sample's lookups, ``{table: indices}``; returns the
         completion time."""
 
-    def serve_batch(self, requests: Mapping[str, Bags], start_time: float) -> float:
-        """Serve B samples' lookups back to back; returns the completion time.
-
-        ``requests`` maps each table to its bags, one per sample; sample
-        ``b + 1`` starts when sample ``b`` completes.  This per-sample loop
-        defines the result; an override must reproduce its completion time
-        exactly.
-        """
-        cursor = start_time
-        for position in range(_batch_size(requests)):
-            cursor = self.serve(
-                {table_name: bags[position] for table_name, bags in requests.items()}, cursor
-            )
-        return cursor
-
     def on_query_complete(self) -> None:
         """Hook called once per query (used for per-query statistics)."""
 
@@ -226,6 +211,12 @@ class InMemoryBackend(EmbeddingBackend):
         return start_time + elapsed
 
     def serve_batch(self, requests: Mapping[str, Bags], start_time: float) -> float:
+        """Serve B samples' lookups back to back; returns the completion time.
+
+        ``requests`` maps each table to its bags, one per sample; sample
+        ``b + 1`` starts when sample ``b`` completes, so the result is that
+        of one :meth:`serve` per sample, computed as arrays.
+        """
         batch = _batch_size(requests)
         if not requests:
             return float(start_time)
@@ -245,23 +236,20 @@ class InMemoryBackend(EmbeddingBackend):
 
 
 class InferenceEngine:
-    """Executes queries against a DLRM with separate user/item backends."""
+    """Executes queries against a DLRM: the user tables through
+    ``user_backend``, the item tables from fast memory (an
+    :class:`InMemoryBackend`, ``item_backend``)."""
 
     def __init__(
         self,
         model: DLRMModel,
         compute: ComputeSpec,
         user_backend: EmbeddingBackend,
-        item_backend: Optional[EmbeddingBackend] = None,
     ) -> None:
         self.model = model
         self.compute = compute
         self.user_backend = user_backend
-        self.item_backend = (
-            item_backend
-            if item_backend is not None
-            else InMemoryBackend(model.tables, compute)
-        )
+        self.item_backend = InMemoryBackend(model.tables, compute)
 
     def run_query(self, query: Query, start_time: float = 0.0) -> QueryResult:
         """Execute one query and return its latency breakdown; its scores

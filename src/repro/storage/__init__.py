@@ -18,15 +18,10 @@ from repro.storage.spec import (
     zssd_spec,
 )
 from repro.storage.latency_model import LoadedLatencyModel
-from repro.storage.device import BatchReadScheduler, DeviceStats, SimulatedDevice
+from repro.storage.device import DeviceStats, SimulatedDevice
 from repro.storage.block_layout import BlockLayout, RowLocation, RowLocationBatch
 from repro.storage.sgl import ScatterGatherEntry, ScatterGatherList
-from repro.storage.io_engine import (
-    IOEngine,
-    IOEngineConfig,
-    IOMode,
-    IORequestBatch,
-)
+from repro.storage.io_engine import IOEngine, IOEngineConfig, IOMode
 from repro.storage.access import (
     AccessPath,
     DirectIOReader,
@@ -46,7 +41,6 @@ __all__ = [
     "LoadedLatencyModel",
     "SimulatedDevice",
     "DeviceStats",
-    "BatchReadScheduler",
     "BlockLayout",
     "RowLocation",
     "RowLocationBatch",
@@ -55,7 +49,6 @@ __all__ = [
     "IOEngine",
     "IOEngineConfig",
     "IOMode",
-    "IORequestBatch",
     "AccessPath",
     "DirectIOReader",
     "MmapReader",

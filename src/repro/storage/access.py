@@ -6,9 +6,11 @@ locality, mmap wastes fast-memory space on full 4 KiB pages and is roughly 3x
 slower per access (section 4.1).  Both paths are modelled here so the
 comparison can be reproduced.
 
-Either path resolves a table's rows to one extent on one device and
-submits one-device batches to the IO engine.  A read yields each row's
-completion time; no row bytes are moved.
+Either path resolves a table's rows to one extent on one device (a
+:class:`~repro.storage.block_layout.RowLocationBatch`) and hands located rows
+to :meth:`~repro.storage.io_engine.IOEngine.submit_row_reads_batch`, which
+returns their completion times: DIRECT-IO all of them in one call, mmap one
+block per page fault.  No row bytes are moved.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ import numpy as np
 
 from repro.sim.state import CONTENTS, COUNTER, QUEUE
 from repro.sim.units import BLOCK_SIZE, GIB
-from repro.storage.block_layout import BlockLayout
-from repro.storage.io_engine import IOEngine, IORequestBatch
+from repro.storage.block_layout import BlockLayout, RowLocationBatch
+from repro.storage.io_engine import IOEngine
 
 
 class AccessPath(abc.ABC):
@@ -55,15 +57,12 @@ class DirectIOReader(AccessPath):
     ) -> np.ndarray:
         """Whole-batch DIRECT-IO read: locate and submit as arrays.
 
-        One :meth:`IOEngine.submit_row_reads_batch` call carries the batch
-        through queue-depth gating and device scheduling on the extent's
-        device.
+        One :meth:`IOEngine.submit_row_reads_batch` call carries the located
+        rows through queue-depth gating and device scheduling on the
+        extent's device.
         """
-        rows = np.asarray(row_indices, dtype=np.int64)
-        locations = self.layout.locate_batch(table_name, rows)
-        batch = IORequestBatch.from_locations(table_name, locations)
-        self.engine.submit_row_reads_batch(batch, start_time)
-        return batch.completion_time
+        locations = self.layout.locate_batch(table_name, row_indices)
+        return self.engine.submit_row_reads_batch(table_name, locations, start_time)
 
     def fm_footprint_bytes(self) -> int:
         return 0
@@ -134,15 +133,11 @@ class MmapReader(AccessPath):
                 completions[position] = max(self._fault_times.get(page_key, 0.0), start_time)
                 continue
             self.page_faults += 1
-            fault = IORequestBatch(
-                table_name,
-                device_index,
-                lba=np.array([lba], dtype=np.int64),
-                offset=np.zeros(1, dtype=np.int64),
-                length=np.array([BLOCK_SIZE], dtype=np.int64),
+            fault = RowLocationBatch(
+                device_index, np.array([lba]), np.zeros(1, dtype=np.int64), BLOCK_SIZE
             )
-            self.engine.submit_row_reads_batch(fault, start_time)
-            latency = (float(fault.completion_time[0]) - start_time) * self.latency_factor
+            done = self.engine.submit_row_reads_batch(table_name, fault, start_time)
+            latency = (float(done[0]) - start_time) * self.latency_factor
             if len(self._pages) >= self._page_cache_pages():
                 evicted = next(iter(self._pages))
                 del self._pages[evicted]

@@ -28,11 +28,12 @@ class RowLocation:
 
 @dataclass(frozen=True)
 class RowLocationBatch:
-    """Physical locations of a batch of rows of one table extent.
+    """Physical locations of a batch of rows of one table extent: what one
+    :meth:`~repro.storage.io_engine.IOEngine.submit_row_reads_batch` call reads.
 
     A table extent lives on exactly one device and every row shares a byte
-    length, so only the per-row ``lba``/``offset`` vary; ``device_index`` and
-    ``length`` stay scalars.
+    length, so only the per-row int64 ``lba``/``offset`` arrays vary;
+    ``device_index`` and ``length`` stay scalars.
     """
 
     device_index: int

@@ -8,8 +8,8 @@ ceiling while latency stays near the unloaded base latency until the device
 approaches saturation -- the behaviour Figure 3 of the paper shows for Nand
 Flash and Optane SSDs.
 
-A whole batch of read IOs is timed by one :class:`BatchReadScheduler` loop;
-:meth:`SimulatedDevice.schedule_read` is its scalar reference.
+A batch of read IOs is timed by one :meth:`SimulatedDevice.read_batch` call;
+:meth:`SimulatedDevice.schedule_read` is its per-IO reference.
 """
 
 from __future__ import annotations
@@ -18,14 +18,13 @@ import heapq
 import sys
 from bisect import bisect_right, insort
 from dataclasses import dataclass
-from typing import ClassVar, List, Mapping, Optional, Sequence, Tuple
+from typing import ClassVar, List, Mapping, Optional, Tuple
 
 import numpy as np
 
 from repro.sim.rng import make_rng
 from repro.sim.state import COUNTER, QUEUE, RNG, Counters
 from repro.sim.units import BLOCK_SIZE
-from repro.storage.latency_model import LoadedLatencyModel
 from repro.storage.sgl import ScatterGatherList
 from repro.storage.spec import DeviceSpec
 
@@ -50,124 +49,6 @@ class DeviceStats(Counters):
         return self.bytes_transferred / self.bytes_requested
 
 
-class BatchReadScheduler:
-    """One batch of read IOs on one device, scheduled in a single loop.
-
-    Queue-depth gating makes batched submission inherently sequential -- the
-    completion of request *i* feeds the outstanding-IO pools that gate
-    request *i + 1* -- so the session replays the batch IO by IO, but over
-    locals only: :meth:`SimulatedDevice.schedule_read_batch` opens it,
-    :meth:`schedule` runs the whole batch through the gates and the channels,
-    :meth:`finish` writes channel state and stats back exactly once.
-
-    Bit-identical to one ``schedule_read`` call per IO by construction:
-
-    * channel assignment replaces the top of a ``(free_time, channel)`` heap
-      whose lexicographic tie-break equals ``np.argmin``'s first-minimum
-      rule;
-    * the tail-penalty draws are one ``rng.random(count)`` call at opening,
-      which consumes the PCG64 stream exactly like ``count`` single draws;
-    * float accumulations (completion sum, ``busy_time``) replay its
-      left-to-right addition chains term for term.
-    """
-
-    __slots__ = ("_device", "_count", "_heap", "_tails", "_tail_events", "_totals", "_finished")
-
-    def __init__(self, device: "SimulatedDevice", count: int) -> None:
-        spec = device.spec
-        self._device = device
-        self._count = count
-        self._tails: List[float] = [0.0] * count
-        self._tail_events = 0
-        if spec.tail_latency_probability > 0.0 and count > 0:
-            flags = device.rng.random(count) < spec.tail_latency_probability
-            self._tail_events = int(np.count_nonzero(flags))
-            self._tails = np.where(flags, spec.tail_latency, 0.0).tolist()
-        heap = [(free, channel) for channel, free in enumerate(device.channel_free.tolist())]
-        heapq.heapify(heap)
-        self._heap: List[Tuple[float, int]] = heap
-        #: (reads, bytes requested, bytes transferred, busy_time) once scheduled.
-        self._totals: Optional[Tuple[int, int, int, float]] = None
-        self._finished = False
-
-    def schedule(
-        self,
-        arrivals: Sequence[float],
-        transferred: np.ndarray,
-        requested_bytes: int,
-        device_gate: Optional[Tuple[List[float], int]] = None,
-        table_gate: Optional[Tuple[List[float], int]] = None,
-        host_overhead: float = 0.0,
-    ) -> Tuple[List[float], List[float], int]:
-        """Schedule the session's IOs, all of them, in request order.
-
-        IO *i* arrives at ``arrivals[i]`` and moves ``transferred[i]`` bytes
-        over the bus.  A gate is ``(pool, limit)``: the sorted completion
-        times of the IOs in flight, updated in place, and how many there may
-        be.  An IO is submitted once each gate has fewer than its limit
-        outstanding: completions no later than the arrival leave the
-        gate's pool, and if ``limit`` or more remain the IO waits
-        for the one that brings the pool below the limit (one throttled
-        submission per gate that made it wait).  It then takes the channel
-        that frees first, and its completion -- ``host_overhead`` after the
-        device is done -- joins both pools.  A gate left out limits nothing.
-
-        Returns ``(submit_times, completion_times, throttled_submissions)``.
-        """
-        if self._totals is not None or not len(arrivals) == transferred.size == self._count:
-            raise ValueError(f"the session schedules its {self._count} IOs in one call")
-        spec = self._device.spec
-        service = spec.service_time_per_io()
-        base = spec.base_read_latency
-        transfers = transferred / spec.read_bus_bandwidth
-        device_pool, device_limit = device_gate or ([], sys.maxsize)
-        table_pool, table_limit = table_gate or ([], sys.maxsize)
-        heap = self._heap
-        throttled = 0
-        submits: List[float] = []
-        completions: List[float] = []
-        for submit, transfer, tail in zip(arrivals, transfers.tolist(), self._tails):
-            if device_pool and device_pool[0] <= submit:
-                del device_pool[: bisect_right(device_pool, submit)]
-            if len(device_pool) >= device_limit:
-                submit = device_pool[len(device_pool) - device_limit]
-                throttled += 1
-                del device_pool[: bisect_right(device_pool, submit)]
-            if table_pool and table_pool[0] <= submit:
-                del table_pool[: bisect_right(table_pool, submit)]
-            if len(table_pool) >= table_limit:
-                submit = table_pool[len(table_pool) - table_limit]
-                throttled += 1
-                del table_pool[: bisect_right(table_pool, submit)]
-            free, channel = heap[0]
-            done = (submit if submit > free else free) + service
-            heapq.heapreplace(heap, (done, channel))
-            completion = done + base + transfer + tail + host_overhead
-            insort(device_pool, completion)
-            insort(table_pool, completion)
-            submits.append(submit)
-            completions.append(completion)
-        busy = np.concatenate(([self._device.stats.busy_time], service + transfers))
-        busy_time = float(np.add.accumulate(busy)[-1])
-        self._totals = (self._count, requested_bytes, int(transferred.sum()), busy_time)
-        return submits, completions, throttled
-
-    def finish(self) -> None:
-        """Write channel occupancy and stats back to the device."""
-        if self._finished or self._totals is None:
-            return
-        self._finished = True
-        device = self._device
-        for free, channel in self._heap:
-            device.channel_free[channel] = free
-        stats = device.stats
-        reads, requested, transferred, stats.busy_time = self._totals
-        stats.reads += reads
-        stats.bytes_requested += requested
-        stats.bytes_transferred += transferred
-        stats.tail_events += self._tail_events
-
-
 class SimulatedDevice:
     """A simulated NVMe (or CXL/DIMM) device: an LBA range, its channels
     and its counters.
@@ -186,7 +67,6 @@ class SimulatedDevice:
     def __init__(self, spec: DeviceSpec, seed: int = 0) -> None:
         self.spec = spec
         self.stats = DeviceStats()
-        self.latency_model = LoadedLatencyModel(spec)
         self.channel_free: np.ndarray = np.zeros(spec.internal_parallelism, dtype=float)
         self.rng = make_rng(seed, "device", spec.name)
         self._num_blocks = spec.capacity_bytes // BLOCK_SIZE
@@ -264,21 +144,86 @@ class SimulatedDevice:
         self.stats.busy_time += service + transfer
         return completion, transferred
 
-    def schedule_read_batch(self, count: int) -> BatchReadScheduler:
-        """Open a :class:`BatchReadScheduler` session for ``count`` read IOs.
+    def read_batch(
+        self,
+        start_time: float,
+        transferred: np.ndarray,
+        requested_bytes: int,
+        device_gate: Optional[Tuple[List[float], int]] = None,
+        table_gate: Optional[Tuple[List[float], int]] = None,
+        host_overhead: float = 0.0,
+    ) -> Tuple[List[float], int]:
+        """Serve a batch of read IOs, all issued at ``start_time``, in order.
 
-        Draws the tail-latency samples (one batched RNG call), so whatever
-        can reject the batch has to be checked before; call ``schedule`` once
-        with the whole batch, then ``finish``.
+        IO *i* moves ``transferred[i]`` bytes over the bus; the batch asked
+        for ``requested_bytes`` in all.  A gate is ``(pool, limit)``: the
+        sorted completion times of the IOs in flight, updated in place, and
+        how many there may be.  An IO is submitted once each gate has fewer
+        than its limit outstanding: completions no later than the submission
+        leave the gate's pool, and if ``limit`` or more remain the IO waits
+        for the one that brings the pool below the limit (one throttled
+        submission per gate that made it wait).  It then takes the channel
+        that frees first, and its completion -- ``host_overhead`` after the
+        device is done -- joins both pools.  A gate left out limits nothing.
+
+        Returns ``(completion_times, throttled_submissions)``.  Queue-depth
+        gating makes the batch sequential -- IO *i*'s completion gates IO
+        *i + 1* -- so one loop replays it IO by IO over locals, and channels
+        and stats are written back once at the end.  Bit-identical to one
+        :meth:`schedule_read` per IO: the channel heap's ``(free_time,
+        channel)`` tie-break is ``np.argmin``'s first minimum, the tail flags
+        are one ``rng.random(count)`` call (the PCG64 stream of ``count``
+        single draws), and every float sum replays its left-to-right chain.
         """
-        if count < 0:
-            raise ValueError(f"count must be non-negative: {count}")
-        return BatchReadScheduler(self, count)
+        spec = self.spec
+        count = transferred.size
+        tails = [0.0] * count
+        tail_events = 0
+        if spec.tail_latency_probability > 0.0 and count > 0:
+            flags = self.rng.random(count) < spec.tail_latency_probability
+            tail_events = int(np.count_nonzero(flags))
+            tails = np.where(flags, spec.tail_latency, 0.0).tolist()
+        heap = [(free, channel) for channel, free in enumerate(self.channel_free.tolist())]
+        heapq.heapify(heap)
+        service = spec.service_time_per_io()
+        base = spec.base_read_latency
+        transfers = transferred / spec.read_bus_bandwidth
+        device_pool, device_limit = device_gate or ([], sys.maxsize)
+        table_pool, table_limit = table_gate or ([], sys.maxsize)
+        throttled = 0
+        completions: List[float] = []
+        for transfer, tail in zip(transfers.tolist(), tails):
+            submit = start_time
+            if device_pool and device_pool[0] <= submit:
+                del device_pool[: bisect_right(device_pool, submit)]
+            if len(device_pool) >= device_limit:
+                submit = device_pool[len(device_pool) - device_limit]
+                throttled += 1
+                del device_pool[: bisect_right(device_pool, submit)]
+            if table_pool and table_pool[0] <= submit:
+                del table_pool[: bisect_right(table_pool, submit)]
+            if len(table_pool) >= table_limit:
+                submit = table_pool[len(table_pool) - table_limit]
+                throttled += 1
+                del table_pool[: bisect_right(table_pool, submit)]
+            free, channel = heap[0]
+            done = (submit if submit > free else free) + service
+            heapq.heapreplace(heap, (done, channel))
+            completion = done + base + transfer + tail + host_overhead
+            insort(device_pool, completion)
+            insort(table_pool, completion)
+            completions.append(completion)
 
-    # ----------------------------------------------------------------- misc
-    def expected_latency(self, offered_iops: float, transfer_bytes: Optional[int] = None) -> float:
-        """Analytic loaded-latency estimate (see :class:`LoadedLatencyModel`)."""
-        return self.latency_model.expected_latency(offered_iops, transfer_bytes)
+        for free, channel in heap:
+            self.channel_free[channel] = free
+        stats = self.stats
+        busy = np.concatenate(([stats.busy_time], service + transfers))
+        stats.busy_time = float(np.add.accumulate(busy)[-1])
+        stats.reads += count
+        stats.bytes_requested += requested_bytes
+        stats.bytes_transferred += int(transferred.sum())
+        stats.tail_events += tail_events
+        return completions, throttled
 
     def __repr__(self) -> str:
         return f"SimulatedDevice({self.spec.name!r}, {self.spec.capacity_bytes} B)"

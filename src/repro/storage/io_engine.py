@@ -11,16 +11,18 @@ This module models those costs and constraints:
 * sub-block (SGL) transfers vs full-block reads with the extra host memcpy
   the full-block path requires.
 
-A submission is a batch of IOs for one table on one device (an extent lives
-on exactly one).  The engine checks it, works out transfer sizes and host
-costs as arrays, and hands the per-IO replay -- both gates and the channels
-in one loop -- to :class:`~repro.storage.device.BatchReadScheduler`.
+A submission is one table's :class:`~repro.storage.block_layout.RowLocationBatch`
+(an extent lives on exactly one device).  The engine checks it, works out
+transfer sizes and host costs as arrays, and hands the per-IO replay -- both
+gates and the channels in one loop -- to one
+:meth:`~repro.storage.device.SimulatedDevice.read_batch` call, whose
+completion times it returns.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
@@ -100,43 +102,6 @@ class IOEngineConfig:
 
 
 @dataclass
-class IORequestBatch:
-    """Structure-of-arrays batch of row reads (single-entry SGLs) of one
-    table on one device.
-
-    ``lba``/``offset``/``length`` are parallel int64 input arrays, and
-    :meth:`IOEngine.submit_row_reads_batch` sets the ``submit_time``/
-    ``completion_time``/``transferred_bytes``/``host_overhead`` output
-    arrays (empty until then), in request order.
-    """
-
-    table_name: str
-    device_index: int
-    lba: np.ndarray
-    offset: np.ndarray
-    length: np.ndarray
-    submit_time: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    completion_time: np.ndarray = field(default_factory=lambda: np.zeros(0))
-    transferred_bytes: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
-    host_overhead: np.ndarray = field(default_factory=lambda: np.zeros(0))
-
-    def __len__(self) -> int:
-        return int(self.lba.size)
-
-    @classmethod
-    def from_locations(cls, table_name: str, locations: RowLocationBatch) -> "IORequestBatch":
-        """Build a batch from one extent's :class:`RowLocationBatch`."""
-        count = len(locations)
-        return cls(
-            table_name=table_name,
-            device_index=locations.device_index,
-            lba=np.asarray(locations.lba, dtype=np.int64),
-            offset=np.asarray(locations.offset, dtype=np.int64),
-            length=np.full(count, locations.length, dtype=np.int64),
-        )
-
-
-@dataclass
 class IOEngineStats:
     """Cumulative counters for the IO engine."""
 
@@ -170,7 +135,7 @@ class IOEngine:
         self.config = config if config is not None else IOEngineConfig()
         self.stats = IOEngineStats()
         # Completion times of outstanding IOs, used to enforce queue-depth
-        # limits without a full event loop.  Only the scheduler's loop adds
+        # limits without a full event loop.  Only the device's read loop adds
         # to a pool (by insort), so every pool is sorted at all times.
         self._outstanding_per_device: Dict[int, List[float]] = {
             i: [] for i in range(len(self.devices))
@@ -178,8 +143,11 @@ class IOEngine:
         self._outstanding_per_table: Dict[str, List[float]] = {}
 
     # ------------------------------------------------------------------ API
-    def submit_row_reads_batch(self, batch: IORequestBatch, start_time: float) -> IORequestBatch:
-        """Submit a batch of row reads in request order; returns it filled in.
+    def submit_row_reads_batch(
+        self, table_name: str, locations: RowLocationBatch, start_time: float
+    ) -> np.ndarray:
+        """Submit a batch of row reads in request order, all issued at
+        ``start_time``; returns the float64 completion time of each.
 
         Each IO is delayed until both the device and the table have fewer
         than the configured number of IOs outstanding (a gated submission
@@ -189,34 +157,34 @@ class IOEngine:
         batch is the same as submitting its IOs one at a time, whatever the
         split into calls: only the multiset of live completion times gates a
         submission, so each outstanding pool stays sorted and
-        :meth:`BatchReadScheduler.schedule` runs gate and device in one loop;
+        :meth:`SimulatedDevice.read_batch` runs gate and device in one loop;
         every float accumulates left to right in request order.  Transferred
         sizes (the DWORD-aligned single-entry SGL arithmetic) are computed
         vectorised.  A batch that fails a check is rejected whole, before
         any state -- counters, pools, channels, the tail-latency stream --
         has moved.
         """
-        count = len(batch)
+        count = len(locations)
         if count == 0:
-            return batch
+            return np.zeros(0)
         if start_time < 0:
             raise ValueError(f"start_time must be non-negative: {start_time}")
-        if not 0 <= batch.device_index < len(self.devices):
+        if not 0 <= locations.device_index < len(self.devices):
             raise IndexError(
-                f"request for table {batch.table_name!r} references device "
-                f"{batch.device_index}, engine has {len(self.devices)}"
+                f"request for table {table_name!r} references device "
+                f"{locations.device_index}, engine has {len(self.devices)}"
             )
-        device = self.devices[batch.device_index]
-        offset = np.asarray(batch.offset, dtype=np.int64)
-        length = np.asarray(batch.length, dtype=np.int64)
+        device = self.devices[locations.device_index]
+        offset = locations.offset
+        length = locations.length
         end = offset + length
-        if offset.min() < 0 or length.min() <= 0 or end.max() > BLOCK_SIZE:
-            where = int(np.nonzero((offset < 0) | (length <= 0) | (end > BLOCK_SIZE))[0][0])
+        if length <= 0 or offset.min() < 0 or end.max() > BLOCK_SIZE:
+            where = int(np.argmax((offset < 0) | (end > BLOCK_SIZE) | (length <= 0)))
             raise ValueError(
                 f"range [{int(offset[where])}, {int(end[where])}) "
                 f"exceeds the {BLOCK_SIZE} B block"
             )
-        device.check_lbas(np.asarray(batch.lba, dtype=np.int64))
+        device.check_lbas(locations.lba)
 
         config = self.config
         if config.sub_block_reads and device.spec.supports_sub_block:
@@ -225,25 +193,18 @@ class IOEngine:
             transferred = np.full(count, BLOCK_SIZE, dtype=np.int64)
         cpu_per_io = config.cpu_time_per_io
         memcpy_time = 0.0 if config.sub_block_reads else BLOCK_SIZE / config.memcpy_bandwidth
-        host_overhead = cpu_per_io + memcpy_time
-        requested_bytes = int(length.sum())
+        requested_bytes = int(length) * count
 
-        device_pool = self._outstanding_per_device[batch.device_index]
-        table_pool = self._outstanding_per_table.setdefault(batch.table_name, [])
-        session = device.schedule_read_batch(count)
-        submits, completions, throttled = session.schedule(
-            [start_time] * count,
+        device_pool = self._outstanding_per_device[locations.device_index]
+        table_pool = self._outstanding_per_table.setdefault(table_name, [])
+        completions, throttled = device.read_batch(
+            start_time,
             transferred,
             requested_bytes,
             (device_pool, config.max_outstanding_per_device),
             (table_pool, config.max_outstanding_per_table),
-            host_overhead,
+            cpu_per_io + memcpy_time,
         )
-        session.finish()
-        batch.submit_time = np.array(submits)
-        batch.completion_time = np.array(completions)
-        batch.transferred_bytes = transferred
-        batch.host_overhead = np.full(count, host_overhead)
         stats = self.stats
         stats.ios_submitted += count
         stats.cpu_seconds = charge_repeatedly(stats.cpu_seconds, cpu_per_io, count)
@@ -252,4 +213,4 @@ class IOEngine:
         stats.bytes_requested += requested_bytes
         stats.bytes_transferred += int(transferred.sum())
         stats.throttled_submissions += throttled
-        return batch
+        return np.array(completions)

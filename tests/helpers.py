@@ -7,6 +7,10 @@ tests are deterministic.
 from __future__ import annotations
 
 import dataclasses
+import importlib.util
+import pathlib
+import sys
+from types import ModuleType
 from typing import Any, Dict, List, Optional
 
 import numpy as np
@@ -202,3 +206,17 @@ def fetch_rows(
     plan = chain.plan(table_name, stored, row_len=row_len, cache_enabled=cache_enabled)
     chain.probe_run([plan])
     return chain.fetch_batch(plan, start_time)
+
+
+def load_script(relative: str) -> ModuleType:
+    """Import a script of the repository by its path from the root, with
+    the script's own directory on ``sys.path`` while it loads."""
+    path = pathlib.Path(__file__).resolve().parents[1] / relative
+    sys.path.insert(0, str(path.parent))
+    try:
+        spec = importlib.util.spec_from_file_location(path.stem, path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(path.parent))
+    return module

@@ -5,7 +5,6 @@ import pytest
 
 from repro.dlrm import (
     ComputeSpec,
-    EmbeddingBackend,
     EmbeddingTable,
     EmbeddingTableSpec,
     InMemoryBackend,
@@ -17,10 +16,20 @@ from helpers import pack_bags, small_model, small_queries
 
 
 class LoopBackend(InMemoryBackend):
-    """DRAM backend that serves batches with the base-class per-sample loop:
-    the reference the batched override must reproduce exactly."""
+    """DRAM backend that serves a batch as one ``serve`` per sample, each
+    starting when the one before completes: the reference the array-shaped
+    ``serve_batch`` must reproduce exactly."""
 
-    serve_batch = EmbeddingBackend.serve_batch
+    def serve_batch(self, requests, start_time):
+        sizes = {len(bags) for bags in requests.values()}
+        if len(sizes) > 1:
+            raise ValueError(f"tables disagree on batch size: {sorted(sizes)}")
+        cursor = start_time
+        for position in range(sizes.pop() if sizes else 0):
+            cursor = self.serve(
+                {table_name: bags[position] for table_name, bags in requests.items()}, cursor
+            )
+        return cursor
 
 
 def _mixed_width_tables():
@@ -203,7 +212,8 @@ class TestInferenceEngine:
         compute = ComputeSpec()
         user_backend = InMemoryBackend(model.tables, compute)
         batched = InferenceEngine(model, compute, user_backend)
-        loop = InferenceEngine(model, compute, user_backend, LoopBackend(model.tables, compute))
+        loop = InferenceEngine(model, compute, user_backend)
+        loop.item_backend = LoopBackend(model.tables, compute)
         start = 0.0
         for query in small_queries(model, 10):
             result = batched.run_query(query, start)
@@ -253,7 +263,7 @@ class TestInferenceEngine:
         model = small_model()
         assert dict(InMemoryBackend(model.tables, ComputeSpec()).pruned_tables) == {}
 
-    def test_default_item_backend_is_in_memory(self):
+    def test_item_backend_is_in_memory(self):
         model = small_model(item_batch=2)
         engine = InferenceEngine(
             model, ComputeSpec(), user_backend=InMemoryBackend(model.tables, ComputeSpec())

@@ -1,9 +1,6 @@
 """Scripts that state their scenarios as specs: the tuning study's ranking,
 and the appendix benchmarks' campaigns against the serving they replace."""
 
-import importlib.util
-import pathlib
-import sys
 from collections import Counter
 from types import SimpleNamespace
 
@@ -12,20 +9,7 @@ import pytest
 from repro import ScenarioSpec, Session, run_campaign
 from repro.serving import ServingEngine
 
-REPO_ROOT = pathlib.Path(__file__).resolve().parents[1]
-
-
-def load(relative):
-    """Import a script by path, with its own directory on ``sys.path``."""
-    path = REPO_ROOT / relative
-    sys.path.insert(0, str(path.parent))
-    try:
-        spec = importlib.util.spec_from_file_location(path.stem, path)
-        module = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(module)
-    finally:
-        sys.path.remove(str(path.parent))
-    return module
+from helpers import load_script as load
 
 
 @pytest.fixture(scope="module")

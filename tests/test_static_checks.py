@@ -286,6 +286,7 @@ OFFENDERS = (
     "from repro.core.autotune import AutoTuner",
     "sdm = SoftwareDefinedMemory(model, SDMConfig())",
     "from repro.api import register_backend",
+    "session = device.schedule_read_batch(count)",
 )
 
 

@@ -29,9 +29,10 @@ def _submitted(reader):
     ios = []
     submit = reader.engine.submit_row_reads_batch
 
-    def spy(batch, start_time):
-        ios.extend(zip(batch.lba.tolist(), batch.offset.tolist(), batch.length.tolist()))
-        return submit(batch, start_time)
+    def spy(table_name, locations, start_time):
+        for lba, offset in zip(locations.lba.tolist(), locations.offset.tolist()):
+            ios.append((lba, offset, locations.length))
+        return submit(table_name, locations, start_time)
 
     reader.engine.submit_row_reads_batch = spy
     return ios

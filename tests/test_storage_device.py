@@ -138,37 +138,38 @@ class TestDeviceReadTiming:
         assert device.stats.tail_events > 0
 
 
-def _schedule_batch(device, arrivals, requested=128, transferred=128):
-    """One whole-batch session: open, schedule every IO, finish."""
-    session = device.schedule_read_batch(len(arrivals))
-    sizes = np.full(len(arrivals), transferred, dtype=np.int64)
-    _, completions, throttled = session.schedule(arrivals, sizes, requested * len(arrivals))
-    session.finish()
+def _read_batch(device, count, start_time=0.0, transferred=128):
+    """One ``read_batch`` call of ``count`` IOs of 128 requested bytes each,
+    with no queue-depth gate; returns the completion times."""
+    sizes = np.full(count, transferred, dtype=np.int64)
+    completions, throttled = device.read_batch(start_time, sizes, 128 * count)
     assert throttled == 0  # no gates were passed
-    return session, completions
+    return completions
 
 
-class TestBatchReadScheduler:
-    """A schedule_read_batch session replays scalar timing bit for bit."""
+class TestReadBatch:
+    """One ``read_batch`` call replays per-IO ``schedule_read`` timing bit for bit."""
 
-    def _scalar_and_batched(self, spec_factory, count, arrivals=None, seed=0):
+    def _scalar_and_batched(self, spec_factory, groups, seed=0):
+        """``groups`` is ``[(start_time, count), ...]``: one ``read_batch``
+        call per group on one device, ``count`` scalar reads on the other."""
         scalar = _make_device(spec_factory, capacity=1 * GB, seed=seed)
         batched = _make_device(spec_factory, capacity=1 * GB, seed=seed)
-        arrivals = arrivals if arrivals is not None else [0.0] * count
-        scalar_times = []
-        for arrival in arrivals:
-            completion, _ = scalar.schedule_read(0, _single_range_sgl(0, 128), arrival)
-            scalar_times.append(completion)
+        scalar_times, batched_times = [], []
         # The single-entry SGL for (0, 128) transfers its DWORD-aligned span.
         transferred = _single_range_sgl(0, 128).transferred_bytes(True)
-        _, batched_times = _schedule_batch(batched, arrivals, transferred=transferred)
+        for start_time, count in groups:
+            for _ in range(count):
+                completion, _ = scalar.schedule_read(0, _single_range_sgl(0, 128), start_time)
+                scalar_times.append(completion)
+            batched_times += _read_batch(batched, count, start_time, transferred)
         return scalar, batched, scalar_times, batched_times
 
     @pytest.mark.parametrize("spec_factory", [nand_flash_spec, optane_ssd_spec])
     def test_completions_channels_and_stats_match_scalar(self, spec_factory):
-        arrivals = [0.0, 0.0, 1e-6, 5e-5, 5e-5, 2e-4] * 30
+        groups = [(0.0, 2), (1e-6, 1), (5e-5, 2), (2e-4, 1)] * 30
         scalar, batched, scalar_times, batched_times = self._scalar_and_batched(
-            spec_factory, len(arrivals), arrivals
+            spec_factory, groups
         )
         assert batched_times == scalar_times
         assert batched.channel_free.tolist() == scalar.channel_free.tolist()
@@ -178,7 +179,7 @@ class TestBatchReadScheduler:
         # nand has tail_latency_probability=2e-3: over 3000 IOs both paths
         # must hit the same tail events and leave the same PCG64 state.
         scalar, batched, scalar_times, batched_times = self._scalar_and_batched(
-            nand_flash_spec, 3000, seed=3
+            nand_flash_spec, [(0.0, 3000)], seed=3
         )
         assert scalar.stats.tail_events > 0
         assert batched_times == scalar_times
@@ -186,46 +187,22 @@ class TestBatchReadScheduler:
         assert batched.rng.bit_generator.state == scalar.rng.bit_generator.state
 
     def test_tail_free_device_draws_nothing_from_the_stream(self):
-        # dimm 3DXP has tail_latency_probability=0, and a zero-count session
-        # has nothing to draw for: neither may advance the RNG (the scalar
-        # path skips the draw in exactly these cases).
+        # dimm 3DXP has tail_latency_probability=0, and an empty batch has
+        # nothing to draw for: neither may advance the RNG (the scalar path
+        # skips the draw in exactly these cases).
         from repro.storage import dimm_3dxp_spec
 
         no_tail = _make_device(dimm_3dxp_spec)
         before = no_tail.rng.bit_generator.state
-        _schedule_batch(no_tail, [0.0] * 8)
+        _read_batch(no_tail, 8)
         assert no_tail.stats.reads == 8
         assert no_tail.rng.bit_generator.state == before
 
         tail_prone = _make_device(nand_flash_spec)
         before = tail_prone.rng.bit_generator.state
-        _schedule_batch(tail_prone, [])
+        assert _read_batch(tail_prone, 0) == []
         assert tail_prone.stats.reads == 0
         assert tail_prone.rng.bit_generator.state == before
-
-    def test_finish_is_idempotent(self):
-        device = _make_device()
-        session, _ = _schedule_batch(device, [0.0] * 4)
-        stats_after = device.stats.reads
-        session.finish()
-        assert device.stats.reads == stats_after == 4
-
-    def test_negative_count_rejected(self):
-        device = _make_device()
-        with pytest.raises(ValueError):
-            device.schedule_read_batch(-1)
-
-    def test_a_session_schedules_exactly_its_ios_once(self):
-        device = _make_device()
-        session = device.schedule_read_batch(4)
-        sizes = np.full(4, 128, dtype=np.int64)
-        with pytest.raises(ValueError):
-            session.schedule([0.0] * 3, sizes[:3], 3 * 128)
-        session.schedule([0.0] * 4, sizes, 4 * 128)
-        with pytest.raises(ValueError):  # the tail draws are spent
-            session.schedule([0.0] * 4, sizes, 4 * 128)
-        session.finish()
-        assert device.stats.reads == 4
 
 
 class TestReadRowsNdarray:
@@ -256,9 +233,3 @@ class TestDeviceResetSplit:
         reset(device, {QUEUE})
         assert device.channel_free.tolist() == [0.0] * device.spec.internal_parallelism
         assert device.stats.reads == 1
-
-
-class TestDeviceWriteTiming:
-    def test_expected_latency_delegates_to_model(self):
-        device = _make_device()
-        assert device.expected_latency(0.0) >= device.spec.base_read_latency

@@ -1,11 +1,12 @@
 """Tests for the io_uring-like IO engine.
 
 ``tests/golden/io_engine.json`` freezes what the per-request submission
-loop this engine used to carry produced (submit/completion times, stats,
-pool and device state, the tail-latency RNG stream); ``tests/golden/
-regen.py`` rewrites it from the current tree.
+loop this engine used to carry produced (completion times, stats, pool and
+device state, the tail-latency RNG stream); ``tests/golden/regen.py``
+rewrites it from the current tree.
 """
 
+import dataclasses
 import hashlib
 import json
 from pathlib import Path
@@ -21,7 +22,6 @@ from repro.storage import (
     IOEngine,
     IOEngineConfig,
     IOMode,
-    IORequestBatch,
     SimulatedDevice,
     nand_flash_spec,
     optane_ssd_spec,
@@ -40,28 +40,22 @@ def _engine(config=None, num_devices=1, spec_factory=nand_flash_spec):
 
 
 def _batch(layout, rows):
-    locations = [layout.locate("t", row) for row in rows]
-    return IORequestBatch(
-        table_name="t",
-        device_index=layout.extent("t").device_index,
-        lba=np.array([loc.lba for loc in locations], dtype=np.int64),
-        offset=np.array([loc.offset for loc in locations], dtype=np.int64),
-        length=np.array([loc.length for loc in locations], dtype=np.int64),
-    )
+    return layout.locate_batch("t", np.array(list(rows), dtype=np.int64))
 
 
 def _submit(engine, layout, rows, start=0.0):
-    return engine.submit_row_reads_batch(_batch(layout, rows), start)
+    """The completion time of each row's read, all submitted as one batch."""
+    return engine.submit_row_reads_batch("t", _batch(layout, rows), start)
 
 
 def _submit_one_by_one(engine, layout, rows, start=0.0):
     """The same IOs as one-entry batches (how the mmap reader submits its
-    page faults); returns ``(submit_times, completion_times)``."""
-    batches = [_submit(engine, layout, [row], start) for row in rows]
-    return (
-        [float(batch.submit_time[0]) for batch in batches],
-        [float(batch.completion_time[0]) for batch in batches],
-    )
+    page faults); returns their completion times."""
+    return [float(_submit(engine, layout, [row], start)[0]) for row in rows]
+
+
+#: Queue-depth limits no test batch reaches: nothing is gated.
+UNGATED = IOEngineConfig(max_outstanding_per_device=1 << 20, max_outstanding_per_table=1 << 20)
 
 
 class TestIOEngineConfig:
@@ -88,11 +82,8 @@ class TestIOEngineSubmission:
     def test_requests_complete_with_data(self):
         engine, layout = _engine()
         location = layout.locate("t", 5)
-        batch = _submit(engine, layout, [5])
-        assert (batch.lba[0], batch.offset[0], batch.length[0]) == (
-            location.lba, location.offset, location.length
-        )
-        assert batch.completion_time[0] > 0.0
+        completions = _submit(engine, layout, [5])
+        assert completions.shape == (1,) and completions[0] > 0.0
         assert engine.devices[0].stats.bytes_requested == location.length
 
     def test_stats_accumulate(self):
@@ -115,20 +106,18 @@ class TestIOEngineSubmission:
     def test_full_block_reads_pay_memcpy_overhead(self):
         full = IOEngineConfig(sub_block_reads=False)
         engine, layout = _engine(full)
-        batch = _submit(engine, layout, range(5))
-        assert engine.stats.memcpy_seconds > 0
-        assert (batch.host_overhead > full.cpu_time_per_io).all()
+        _submit(engine, layout, range(5))
+        assert engine.stats.memcpy_seconds == pytest.approx(5 * BLOCK_SIZE / full.memcpy_bandwidth)
 
     def test_sub_block_reads_have_lower_latency(self):
         """The paper reports a 3-5% device latency reduction plus the saved
         host memcpy; the modelled effect must at least be directionally right."""
         sub_engine, sub_layout = _engine(IOEngineConfig(sub_block_reads=True))
         full_engine, full_layout = _engine(IOEngineConfig(sub_block_reads=False))
+        # 50 IOs stay below the default queue-depth limits: all submit at 0.
         sub = _submit(sub_engine, sub_layout, range(50))
         full = _submit(full_engine, full_layout, range(50))
-        sub_mean = (sub.completion_time - sub.submit_time).mean()
-        full_mean = (full.completion_time - full.submit_time).mean()
-        assert sub_mean < full_mean
+        assert sub.mean() < full.mean()
 
     def test_queue_depth_limit_throttles_submissions(self):
         config = IOEngineConfig(max_outstanding_per_device=4, max_outstanding_per_table=4)
@@ -136,18 +125,20 @@ class TestIOEngineSubmission:
         _submit(engine, layout, range(64))
         assert engine.stats.throttled_submissions > 0
 
-    def test_throttling_spreads_submit_times(self):
+    def test_throttling_delays_completions(self):
         config = IOEngineConfig(max_outstanding_per_device=2, max_outstanding_per_table=2)
-        engine, layout = _engine(config)
-        batch = _submit(engine, layout, range(32))
-        assert len({round(t, 9) for t in batch.submit_time.tolist()}) > 1
+        gated_engine, gated_layout = _engine(config)
+        free_engine, free_layout = _engine(UNGATED)
+        gated = _submit(gated_engine, gated_layout, range(32))
+        free = _submit(free_engine, free_layout, range(32))
+        assert (gated[:2] == free[:2]).all()
+        assert gated.max() > free.max()
 
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
-        batch = _batch(layout, [0, 1])
-        batch.device_index = 5
+        batch = dataclasses.replace(_batch(layout, [0, 1]), device_index=5)
         with pytest.raises(IndexError):
-            engine.submit_row_reads_batch(batch, 0.0)
+            engine.submit_row_reads_batch("t", batch, 0.0)
         # Rejected before anything was submitted.
         assert engine.stats.ios_submitted == 0
         assert engine.devices[0].stats.reads == 0
@@ -167,7 +158,7 @@ class TestIOEngineSubmission:
         optane_engine, optane_layout = _engine(spec_factory=optane_ssd_spec)
         nand = _submit(nand_engine, nand_layout, range(100))
         optane = _submit(optane_engine, optane_layout, range(100))
-        assert optane.completion_time.max() < nand.completion_time.max()
+        assert optane.max() < nand.max()
 
 
 def _pool_multisets(engine):
@@ -206,15 +197,12 @@ def submission_record(rows, config=None, num_devices=2, waves=1):
     engine, layout = _engine(config, num_devices)
     start = 0.0
     for _ in range(waves):
-        batch = _submit(engine, layout, rows, start)
+        completions = _submit(engine, layout, rows, start)
         start += 1e-5
     per_device, per_table = _pool_multisets(engine)
     return golden_encode(
         {
-            "submit_time": _per_io(batch.submit_time),
-            "completion_time": _per_io(batch.completion_time),
-            "transferred_bytes": _per_io(batch.transferred_bytes),
-            "host_overhead": _per_io(batch.host_overhead),
+            "completion_time": _per_io(completions),
             "engine_stats": engine.stats,
             "outstanding_per_device": per_device,
             "outstanding_per_table": per_table,
@@ -254,12 +242,10 @@ class TestBatchedSubmissionParity:
         batched, batched_layout = _engine(PARITY_CONFIGS[name], num_devices=2)
         single, single_layout = _engine(PARITY_CONFIGS[name], num_devices=2)
         for wave in range(3):
-            batch = _submit(batched, batched_layout, PARITY_ROWS, wave * 1e-5)
-            submits, completions = _submit_one_by_one(
+            completions = _submit(batched, batched_layout, PARITY_ROWS, wave * 1e-5)
+            assert completions.tolist() == _submit_one_by_one(
                 single, single_layout, PARITY_ROWS, wave * 1e-5
             )
-            assert submits == batch.submit_time.tolist()
-            assert completions == batch.completion_time.tolist()
         assert single.stats == batched.stats
         assert _pool_multisets(single) == _pool_multisets(batched)
         for device_a, device_b in zip(single.devices, batched.devices):
@@ -278,8 +264,7 @@ class TestBatchedSubmissionParity:
 
     def test_empty_batch_is_a_no_op(self):
         engine, layout = _engine()
-        batch = _submit(engine, layout, [])
-        assert len(batch) == 0
+        assert _submit(engine, layout, []).shape == (0,)
         assert engine.stats.ios_submitted == 0
 
     def test_negative_start_time_rejected(self):
@@ -290,18 +275,16 @@ class TestBatchedSubmissionParity:
     def test_unknown_device_index_rejected(self):
         engine, layout = _engine()
         for bad_index in (5, -1):
-            batch = _batch(layout, [0])
-            batch.device_index = bad_index
+            batch = dataclasses.replace(_batch(layout, [0]), device_index=bad_index)
             with pytest.raises(IndexError):
-                engine.submit_row_reads_batch(batch, 0.0)
+                engine.submit_row_reads_batch("t", batch, 0.0)
 
     def test_invalid_range_rejected(self):
         engine, layout = _engine()
         batch = _batch(layout, [0])
         batch.offset[0] = BLOCK_SIZE - 4
-        batch.length[0] = 128
         with pytest.raises(ValueError):
-            engine.submit_row_reads_batch(batch, 0.0)
+            engine.submit_row_reads_batch("t", batch, 0.0)
 
 
 def _engine_state(engine):
@@ -331,85 +314,86 @@ class TestRejectedBatchLeavesNoTrace:
         _submit(engine, layout, range(24))  # pools, channels and the RNG have moved
         return engine, layout
 
-    def _assert_rejected(self, engine, batch, start, error):
+    def _assert_rejected(self, engine, batch, start, error, table_name="t"):
         before = _engine_state(engine)
         with pytest.raises(error):
-            engine.submit_row_reads_batch(batch, start)
+            engine.submit_row_reads_batch(table_name, batch, start)
         assert _engine_state(engine) == before
 
     @pytest.mark.parametrize("device_index", [2, -1])
     def test_bad_device_index(self, device_index):
         engine, layout = self._used_engine()
-        batch = _batch(layout, range(8))
-        batch.device_index = device_index
+        batch = dataclasses.replace(_batch(layout, range(8)), device_index=device_index)
         self._assert_rejected(engine, batch, 0.0, IndexError)
 
     @pytest.mark.parametrize("lba", [-1, 1 << 40])
     def test_out_of_range_lba(self, lba):
         engine, layout = self._used_engine()
         batch = _batch(layout, range(8))
-        batch.table_name = "never-seen"
         batch.lba[5] = lba  # the IOs before it are fine
-        self._assert_rejected(engine, batch, 0.0, IndexError)
+        self._assert_rejected(engine, batch, 0.0, IndexError, "never-seen")
 
     @pytest.mark.parametrize(
         "offset, length", [(BLOCK_SIZE - 4, 128), (-8, 128), (0, 0), (0, BLOCK_SIZE + 1)]
     )
     def test_out_of_block_range(self, offset, length):
+        # Every row of a batch shares one length; the offset is the last row's.
         engine, layout = self._used_engine()
-        batch = _batch(layout, range(8))
-        batch.table_name = "never-seen"
-        batch.offset[7], batch.length[7] = offset, length
-        self._assert_rejected(engine, batch, 0.0, ValueError)
+        batch = dataclasses.replace(_batch(layout, range(8)), length=length)
+        batch.offset[7] = offset
+        self._assert_rejected(engine, batch, 0.0, ValueError, "never-seen")
 
     def test_negative_start_time(self):
         engine, layout = self._used_engine()
-        batch = _batch(layout, range(8))
         before = _engine_state(engine)
         with pytest.raises(ValueError, match="start_time"):
-            engine.submit_row_reads_batch(batch, -1e-9)
+            engine.submit_row_reads_batch("t", _batch(layout, range(8)), -1e-9)
         assert _engine_state(engine) == before
 
     def test_the_same_batch_is_accepted_once_valid(self):
         engine, layout = self._used_engine()
         before = _engine_state(engine)
-        engine.submit_row_reads_batch(_batch(layout, range(8)), 0.0)
+        engine.submit_row_reads_batch("t", _batch(layout, range(8)), 0.0)
         assert _engine_state(engine) != before
 
 
 class TestGateEdgeCases:
-    """Queue-depth gating edge cases; the gate behaves the same whether the
-    IOs arrive as one batch or as one-entry batches."""
+    """Queue-depth gating edge cases, read off the completion times against
+    the same rows on an engine that no gate limits; the gate behaves the
+    same whether the IOs arrive as one batch or as one-entry batches."""
 
-    def _gated_submits(self, config, rows, batched):
+    def _gated(self, config, rows, batched):
+        """``(gated_completions, ungated_completions, gated_engine)``."""
         engine, layout = _engine(config)
+        free_engine, free_layout = _engine(UNGATED)
+        free = _submit(free_engine, free_layout, rows).tolist()
         if batched:
-            return _submit(engine, layout, rows).submit_time.tolist(), engine
-        return _submit_one_by_one(engine, layout, rows)[0], engine
+            return _submit(engine, layout, rows).tolist(), free, engine
+        return _submit_one_by_one(engine, layout, rows), free, engine
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_submissions_below_limit_are_not_throttled(self, batched):
         config = IOEngineConfig(max_outstanding_per_device=8, max_outstanding_per_table=8)
-        submits, engine = self._gated_submits(config, range(8), batched)
+        gated, free, engine = self._gated(config, range(8), batched)
         # Exactly `limit` submissions: the gate triggers only when the pool
         # already holds `limit` live IOs, so the batch fits untouched.
-        assert submits == [0.0] * 8
+        assert gated == free
         assert engine.stats.throttled_submissions == 0
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_limit_reached_exactly_throttles_next_submission(self, batched):
         config = IOEngineConfig(max_outstanding_per_device=8, max_outstanding_per_table=8)
-        submits, engine = self._gated_submits(config, range(9), batched)
-        assert submits[:8] == [0.0] * 8
-        assert submits[8] > 0.0
+        gated, free, engine = self._gated(config, range(9), batched)
+        assert gated[:8] == free[:8]
+        assert gated[8] > free[8]
         assert engine.stats.throttled_submissions == 1
 
     @pytest.mark.parametrize("batched", [False, True])
     def test_table_limit_gates_when_tighter_than_device_limit(self, batched):
         config = IOEngineConfig(max_outstanding_per_device=64, max_outstanding_per_table=2)
-        submits, engine = self._gated_submits(config, range(12), batched)
-        assert submits[:2] == [0.0, 0.0]
-        assert submits[2] > 0.0
+        gated, free, engine = self._gated(config, range(12), batched)
+        assert gated[:2] == free[:2]
+        assert gated[2] > free[2]
         # The gate prunes every pool entry <= the gated time, so two IOs
         # completing at the identical instant free two slots at once — the
         # throttle count is below one-per-gated-submission but never zero.
@@ -418,9 +402,11 @@ class TestGateEdgeCases:
     @pytest.mark.parametrize("batched", [False, True])
     def test_interleaved_device_and_table_throttling(self, batched):
         config = IOEngineConfig(max_outstanding_per_device=3, max_outstanding_per_table=2)
-        submits, engine = self._gated_submits(config, range(16), batched)
+        gated, free, engine = self._gated(config, range(16), batched)
         assert engine.stats.throttled_submissions > 0
-        assert submits == sorted(submits)
+        # A gate only ever holds an IO back.
+        assert all(late >= early for late, early in zip(gated, free))
+        assert gated != free
 
     def test_both_gates_active_on_a_long_batch_with_ties(self):
         """200 IOs through a device limit of 4 and a table limit of 2: one
@@ -431,10 +417,8 @@ class TestGateEdgeCases:
         single, single_layout = _engine(config)
         tied = 0
         for wave in range(2):  # the second wave starts against full pools
-            batch = _submit(batched, batched_layout, rows, wave * 1e-6)
-            submits, completions = _submit_one_by_one(single, single_layout, rows, wave * 1e-6)
-            assert batch.submit_time.tolist() == submits
-            assert batch.completion_time.tolist() == completions
+            completions = _submit_one_by_one(single, single_layout, rows, wave * 1e-6)
+            assert _submit(batched, batched_layout, rows, wave * 1e-6).tolist() == completions
             tied += len(completions) - len(set(completions))
         # Some IOs completed at the same instant, and more waits were
         # counted than IOs submitted: both gates held submissions back.

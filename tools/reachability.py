@@ -33,6 +33,7 @@ ALLOWED = {
     "required_sm_bandwidth": "bandwidth oracle for ROADMAP 6(d)",
     "row_keys": "the per-row keys tests/reference_walk.py holds TierChain.plan's inlined keys to",
     "locate": "the per-row oracle tests/test_properties.py holds BlockLayout.locate_batch to",
+    "schedule_read": "the per-IO oracle tests/test_bench_fig3.py holds read_batch to",
     "used_bytes": "the byte count tests/test_cache_soa.py holds SoALRUCache to its LRUCache oracle with",
     "materialised": "the observable tests/test_dlrm_tables_on_demand.py holds a run to reading no table with",
 }

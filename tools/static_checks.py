@@ -663,6 +663,13 @@ GUARDS = (
         "a new backend is a new row, not a plug-in",
         "One backend table",
     ),
+    Guard(
+        r"BatchReadScheduler|IORequestBatch|schedule_read_batch",
+        ("src", "examples", "benchmarks"),
+        "a device read is one SimulatedDevice.read_batch call from row locations to "
+        "completion times; no session object, no in/out batch",
+        "One device read call",
+    ),
 )
 
 
